@@ -10,6 +10,7 @@ package csrank
 // built once per process.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -88,14 +89,14 @@ func BenchmarkFig6RankingQuality(b *testing.B) {
 
 // runQueryBench measures one evaluation strategy over a workload bucket.
 func runQueryBench(b *testing.B, qs []query.Query, eng *core.Engine,
-	search func(query.Query, int) ([]core.Result, core.ExecStats, error)) {
+	search func(context.Context, query.Query, int) ([]core.Result, core.ExecStats, error)) {
 	if len(qs) == 0 {
 		b.Skip("workload bucket empty at this scale")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		if _, _, err := search(q, 20); err != nil {
+		if _, _, err := search(context.Background(), q, 20); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,13 +110,13 @@ func BenchmarkFig7LargeContext(b *testing.B) {
 	for n := 2; n <= 5; n++ {
 		qs := large.ByKeywords[n]
 		b.Run(fmt.Sprintf("conventional/kw=%d", n), func(b *testing.B) {
-			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchConventional)
+			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchConventionalCtx)
 		})
 		b.Run(fmt.Sprintf("views/kw=%d", n), func(b *testing.B) {
-			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchContextSensitive)
+			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchContextSensitiveCtx)
 		})
 		b.Run(fmt.Sprintf("straightforward/kw=%d", n), func(b *testing.B) {
-			runQueryBench(b, qs, s.NoViews, s.NoViews.SearchStraightforward)
+			runQueryBench(b, qs, s.NoViews, s.NoViews.SearchStraightforwardCtx)
 		})
 	}
 }
@@ -128,10 +129,10 @@ func BenchmarkFig8SmallContext(b *testing.B) {
 	for n := 2; n <= 5; n++ {
 		qs := small.ByKeywords[n]
 		b.Run(fmt.Sprintf("conventional/kw=%d", n), func(b *testing.B) {
-			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchConventional)
+			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchConventionalCtx)
 		})
 		b.Run(fmt.Sprintf("straightforward/kw=%d", n), func(b *testing.B) {
-			runQueryBench(b, qs, s.NoViews, s.NoViews.SearchStraightforward)
+			runQueryBench(b, qs, s.NoViews, s.NoViews.SearchStraightforwardCtx)
 		})
 	}
 }
@@ -338,14 +339,14 @@ func BenchmarkAblationDFColumns(b *testing.B) {
 	engBare := core.New(s.Index, views.NewCatalog([]*views.View{bare}, s.Scale.TC(), s.Scale.TV), core.Options{Parallelism: 1})
 	b.Run("tracked-df-columns", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engFull.SearchContextSensitive(q, 20); err != nil {
+			if _, _, err := engFull.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("fallback-intersections", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engBare.SearchContextSensitive(q, 20); err != nil {
+			if _, _, err := engBare.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -397,14 +398,14 @@ func BenchmarkAblationStatsCache(b *testing.B) {
 	cached := core.New(s.Index, s.Catalog, core.Options{Parallelism: 1, CacheContexts: 64})
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := plain.SearchContextSensitive(q, 20); err != nil {
+			if _, _, err := plain.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cached.SearchContextSensitive(q, 20); err != nil {
+			if _, _, err := cached.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -429,7 +430,7 @@ func BenchmarkConcurrentThroughput(b *testing.B) {
 		for pb.Next() {
 			q := qs[i%len(qs)]
 			i++
-			if _, _, err := s.WithViews.SearchContextSensitive(q, 20); err != nil {
+			if _, _, err := s.WithViews.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -461,10 +462,10 @@ func BenchmarkParallelSearch(b *testing.B) {
 		straight := core.New(s.Index, nil, core.Options{Parallelism: p})
 		viewed := core.New(s.Index, s.Catalog, core.Options{Parallelism: p})
 		b.Run(fmt.Sprintf("straightforward/workers=%d", p), func(b *testing.B) {
-			runQueryBench(b, qs, straight, straight.SearchStraightforward)
+			runQueryBench(b, qs, straight, straight.SearchStraightforwardCtx)
 		})
 		b.Run(fmt.Sprintf("views/workers=%d", p), func(b *testing.B) {
-			runQueryBench(b, qs, viewed, viewed.SearchContextSensitive)
+			runQueryBench(b, qs, viewed, viewed.SearchContextSensitiveCtx)
 		})
 	}
 }
@@ -623,7 +624,7 @@ func BenchmarkPrunedSearch(b *testing.B) {
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							if _, _, err := e.SearchContextSensitive(q, k); err != nil {
+							if _, _, err := e.SearchContextSensitiveCtx(context.Background(), q, k); err != nil {
 								b.Fatal(err)
 							}
 						}

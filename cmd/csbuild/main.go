@@ -32,26 +32,19 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generation seed")
 		segSize = flag.Int("segsize", 0, "posting-list skip-segment size M0 (0 = default 128)")
 		dump    = flag.Bool("dump", false, "also write the raw citations as citations.jsonl")
-		legacy  = flag.Bool("legacy-snapshots", false, "write index.gob and views.gob as raw gob streams (pre-frame format) instead of checksummed snapshots")
 		format  = flag.Int("format", index.MappedFormatVersion, "index file format: 4 = paged mmap-ready, 3 = framed gob snapshot")
 		shards  = flag.Int("shards", 1, "document partitions: >1 writes a sharded cluster (shard-NNN dirs + cluster.json) for csserve")
 	)
 	flag.Parse()
-	if err := run(*out, *docs, *terms, *topics, *tcFrac, *tv, *seed, *segSize, *dump, *legacy, *format, *shards); err != nil {
+	if err := run(*out, *docs, *terms, *topics, *tcFrac, *tv, *seed, *segSize, *dump, *format, *shards); err != nil {
 		fmt.Fprintln(os.Stderr, "csbuild:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64, segSize int, dump, legacy bool, format, shards int) error {
+func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64, segSize int, dump bool, format, shards int) error {
 	if format != index.FormatVersion && format != index.MappedFormatVersion {
 		return fmt.Errorf("unsupported -format %d (this build writes %d or %d)", format, index.FormatVersion, index.MappedFormatVersion)
-	}
-	if legacy && format == index.MappedFormatVersion {
-		return fmt.Errorf("-legacy-snapshots requires -format %d: the paged format is framed by construction", index.FormatVersion)
-	}
-	if legacy && shards > 1 {
-		return fmt.Errorf("-legacy-snapshots cannot write a sharded cluster")
 	}
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
@@ -102,12 +95,9 @@ func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64
 	fmt.Printf("  frequent terms=%d separators=%d clique remainders=%d\n",
 		m.Result.Stats.FrequentTerms, m.Result.Stats.Separators, m.Result.Stats.CliqueRemainders)
 
-	saveIndex, saveViews := ix.SaveFile, m.Catalog.SaveFile
+	saveIndex := ix.SaveFile
 	if format == index.MappedFormatVersion {
 		saveIndex = ix.SaveMapped
-	}
-	if legacy {
-		saveIndex, saveViews = ix.SaveFileLegacy, m.Catalog.SaveFileLegacy
 	}
 	indexPath := filepath.Join(out, "index.gob")
 	t0 = time.Now()
@@ -115,7 +105,7 @@ func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64
 		return err
 	}
 	saveTime := time.Since(t0)
-	if err := saveViews(filepath.Join(out, "views.gob")); err != nil {
+	if err := m.Catalog.SaveFile(filepath.Join(out, "views.gob")); err != nil {
 		return err
 	}
 	if err := c.Onto.SaveFile(filepath.Join(out, "mesh.gob")); err != nil {
@@ -129,10 +119,7 @@ func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64
 		fmt.Printf("dumped raw citations to %s\n", path)
 	}
 	formatName := fmt.Sprintf("format v%d (paged, mmap-ready)", index.MappedFormatVersion)
-	switch {
-	case legacy:
-		formatName = "legacy raw gob"
-	case format == index.FormatVersion:
+	if format == index.FormatVersion {
 		formatName = fmt.Sprintf("format v%d (checksummed snapshot)", index.FormatVersion)
 	}
 	st, err := os.Stat(indexPath)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +17,7 @@ import (
 
 func TestRunProducesLoadableArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, 2000, 100, 0, 0.02, 128, 1, 0, true, false, index.MappedFormatVersion, 1); err != nil {
+	if err := run(dir, 2000, 100, 0, 0.02, 128, 1, 0, true, index.MappedFormatVersion, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"index.gob", "views.gob", "mesh.gob", "citations.jsonl"} {
@@ -61,10 +63,10 @@ func TestRunProducesLoadableArtifacts(t *testing.T) {
 // build of the same corpus.
 func TestRunSharded(t *testing.T) {
 	single, cluster := t.TempDir(), t.TempDir()
-	if err := run(single, 6000, 150, 10, 0.02, 128, 1, 0, false, false, index.MappedFormatVersion, 1); err != nil {
+	if err := run(single, 6000, 150, 10, 0.02, 128, 1, 0, false, index.MappedFormatVersion, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(cluster, 6000, 150, 10, 0.02, 128, 1, 0, false, false, index.MappedFormatVersion, 4); err != nil {
+	if err := run(cluster, 6000, 150, 10, 0.02, 128, 1, 0, false, index.MappedFormatVersion, 4); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"cluster.json", "mesh.gob", "queries.txt",
@@ -114,18 +116,14 @@ func TestRunSharded(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if err := run(t.TempDir(), 0, 100, 0, 0.02, 128, 1, 0, false, false, index.MappedFormatVersion, 1); err == nil {
+	if err := run(t.TempDir(), 0, 100, 0, 0.02, 128, 1, 0, false, index.MappedFormatVersion, 1); err == nil {
 		t.Error("zero docs accepted")
 	}
 	// Unwritable output directory.
-	if err := run("/proc/definitely/not/writable", 100, 50, 0, 0.02, 128, 1, 0, false, false, index.MappedFormatVersion, 1); err == nil {
+	if err := run("/proc/definitely/not/writable", 100, 50, 0, 0.02, 128, 1, 0, false, index.MappedFormatVersion, 1); err == nil {
 		t.Error("unwritable dir accepted")
 	}
-	// The paged format is framed by construction: no legacy opt-out.
-	if err := run(t.TempDir(), 100, 50, 0, 0.02, 128, 1, 0, false, true, index.MappedFormatVersion, 1); err == nil {
-		t.Error("legacy-snapshots with the paged format accepted")
-	}
-	if err := run(t.TempDir(), 100, 50, 0, 0.02, 128, 1, 0, false, false, 7, 1); err == nil {
+	if err := run(t.TempDir(), 100, 50, 0, 0.02, 128, 1, 0, false, 7, 1); err == nil {
 		t.Error("unknown format version accepted")
 	}
 }
@@ -133,7 +131,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 // TestRunGobFormat: -format 3 keeps writing the framed gob snapshot.
 func TestRunGobFormat(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, 500, 60, 0, 0.02, 128, 1, 0, false, false, index.FormatVersion, 1); err != nil {
+	if err := run(dir, 500, 60, 0, 0.02, 128, 1, 0, false, index.FormatVersion, 1); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "index.gob"))
@@ -152,26 +150,39 @@ func TestRunGobFormat(t *testing.T) {
 	}
 }
 
-// TestRunLegacySnapshots: the -legacy-snapshots opt-out writes raw gob
-// streams (no snapshot magic) that LoadFile still reads via sniffing.
-func TestRunLegacySnapshots(t *testing.T) {
+// TestRawGobDataDirStillLoads: a data directory whose index.gob and
+// views.gob are raw gob streams (no snapshot magic — what pre-frame
+// builds wrote; the fixtures are re-encoded with Encode directly) is
+// still read by LoadFile via sniffing.
+func TestRawGobDataDirStillLoads(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, 1000, 80, 0, 0.02, 128, 1, 0, false, true, index.FormatVersion, 1); err != nil {
+	if err := run(dir, 1000, 80, 0, 0.02, 128, 1, 0, false, index.FormatVersion, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"index.gob", "views.gob"} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
+	ix, err := index.LoadFile(filepath.Join(dir, "index.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := views.LoadFile(filepath.Join(dir, "views.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, encode := range map[string]func(io.Writer) error{"index.gob": ix.Encode, "views.gob": cat.Encode} {
+		var raw bytes.Buffer
+		if err := encode(&raw); err != nil {
 			t.Fatal(err)
 		}
-		if snapshot.IsFramed(raw) {
-			t.Errorf("%s carries the snapshot frame despite -legacy-snapshots", name)
+		if snapshot.IsFramed(raw.Bytes()) {
+			t.Fatalf("%s fixture carries the snapshot frame", name)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := index.LoadFile(filepath.Join(dir, "index.gob")); err != nil {
-		t.Fatal(err)
+	if got, err := index.LoadFile(filepath.Join(dir, "index.gob")); err != nil || got.NumDocs() != ix.NumDocs() {
+		t.Fatalf("raw-gob index: %v", err)
 	}
-	if _, err := views.LoadFile(filepath.Join(dir, "views.gob")); err != nil {
-		t.Fatal(err)
+	if got, err := views.LoadFile(filepath.Join(dir, "views.gob")); err != nil || got.Len() != cat.Len() {
+		t.Fatalf("raw-gob views: %v", err)
 	}
 }

@@ -649,11 +649,14 @@ func runChaos(url string, qs []string, k int) (chaosResult, error) {
 		}
 		// Recovery: the open breaker needs its backoff to expire and then a
 		// probe query to succeed, so keep poking until every shard reports
-		// closed (or the window expires).
+		// closed (or the window expires). The probes rotate through the
+		// log: a clean answer is result-cached, and a cached hit never
+		// reaches the shards, so repeating one query would stop probing
+		// the breaker as soon as it had recovered once.
 		cr.Recovered = false
 		deadline := time.Now().Add(15 * time.Second)
-		for time.Now().Before(deadline) {
-			if resp, err := client.Get(fmt.Sprintf("%s/search?q=%s&k=%d", url, neturl.QueryEscape(qs[0]), k)); err == nil {
+		for probe := 0; time.Now().Before(deadline); probe++ {
+			if resp, err := client.Get(fmt.Sprintf("%s/search?q=%s&k=%d", url, neturl.QueryEscape(qs[probe%len(qs)]), k)); err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}

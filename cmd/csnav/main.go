@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -77,7 +78,7 @@ func run(data, path, selects, qstr string, k int, timeout time.Duration) error {
 		return nil
 	}
 	pq := query.Query{Keywords: strings.Fields(qstr), Context: terms}
-	res, st, err := e.SearchContextSensitive(pq, k)
+	res, st, err := e.SearchContextSensitiveCtx(context.Background(), pq, k)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -319,8 +320,8 @@ func searchAndPrint(e *core.Engine, ix *index.Index, qstr string, k int, mode st
 	if err != nil {
 		return err
 	}
-	show := func(label string, search func(query.Query, int) ([]core.Result, core.ExecStats, error)) error {
-		res, st, err := search(pq, k)
+	show := func(label string, search func(context.Context, query.Query, int) ([]core.Result, core.ExecStats, error)) error {
+		res, st, err := search(context.Background(), pq, k)
 		if err != nil {
 			return err
 		}
@@ -345,16 +346,16 @@ func searchAndPrint(e *core.Engine, ix *index.Index, qstr string, k int, mode st
 	}
 	switch mode {
 	case "context":
-		return show("context-sensitive", e.SearchContextSensitive)
+		return show("context-sensitive", e.SearchContextSensitiveCtx)
 	case "conventional":
-		return show("conventional", e.SearchConventional)
+		return show("conventional", e.SearchConventionalCtx)
 	case "straightforward":
-		return show("straightforward", e.SearchStraightforward)
+		return show("straightforward", e.SearchStraightforwardCtx)
 	case "compare":
-		if err := show("conventional", e.SearchConventional); err != nil {
+		if err := show("conventional", e.SearchConventionalCtx); err != nil {
 			return err
 		}
-		return show("context-sensitive", e.SearchContextSensitive)
+		return show("context-sensitive", e.SearchContextSensitiveCtx)
 	default:
 		return fmt.Errorf("unknown mode %q", mode)
 	}

@@ -98,11 +98,6 @@ func run(cfg serveConfig) error {
 		ShardTimeout:  cfg.shardTimeout,
 		Cache:         csrank.CacheOptions{ResultBytes: cfg.resultCache},
 	}
-	if cfg.chaos && cfg.ingest {
-		// The live (mutable-segment) search path fans out without the
-		// chaos seam, so armed faults would silently never fire.
-		return fmt.Errorf("-chaos and -ingest are mutually exclusive")
-	}
 	eng, err := openEngine(cfg.data, cfg.mode, opts, cfg.ingest, cfg.refresh, cfg.compactAt)
 	if err != nil {
 		return err

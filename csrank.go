@@ -40,6 +40,7 @@ import (
 	"csrank/internal/query"
 	"csrank/internal/ranking"
 	"csrank/internal/selection"
+	"csrank/internal/shard"
 	"csrank/internal/views"
 )
 
@@ -337,16 +338,11 @@ type Stats struct {
 var ErrTooFewShards = core.ErrTooFewSlices
 
 // ShardError attributes the loss of one shard in a degraded sharded
-// execution.
-type ShardError struct {
-	// Shard is the shard index.
-	Shard int `json:"shard"`
-	// Kind classifies the failure: "corruption", "panic", "timeout",
-	// "error", or "breaker-open" (shed up front, never attempted).
-	Kind string `json:"kind"`
-	// Err is the underlying error text.
-	Err string `json:"error"`
-}
+// execution: the shard index (on a live engine, NumShards names the
+// mutable segment), the failure kind — "corruption", "panic",
+// "timeout", "error", or "breaker-open" (shed up front, never
+// attempted) — and the underlying error text.
+type ShardError = shard.ShardError
 
 // Engine answers context-sensitive queries.
 type Engine struct {
@@ -372,34 +368,30 @@ func (e *Engine) SearchCtx(ctx context.Context, q string, k int) ([]Hit, Stats, 
 	if e.live != nil {
 		return e.live.SearchCtx(ctx, q, k)
 	}
-	pq, err := query.Parse(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	res, st, err := e.engine.SearchCtx(ctx, pq, k)
-	return e.convert(res), convertStats(st), err
+	return e.searchWith(ctx, q, k, e.engine.SearchCtx)
 }
 
 // SearchConventional evaluates q with the conventional baseline: the
 // context (if any) filters the result set but statistics come from the
 // whole collection.
 func (e *Engine) SearchConventional(q string, k int) ([]Hit, Stats, error) {
-	pq, err := query.Parse(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	res, st, err := e.engine.SearchConventional(pq, k)
-	return e.convert(res), convertStats(st), err
+	return e.searchWith(context.Background(), q, k, e.engine.SearchConventionalCtx)
 }
 
 // SearchStraightforward evaluates a contextual q without consulting
 // materialized views (the paper's straightforward plan), for comparison.
 func (e *Engine) SearchStraightforward(q string, k int) ([]Hit, Stats, error) {
+	return e.searchWith(context.Background(), q, k, e.engine.SearchStraightforwardCtx)
+}
+
+// searchWith is the single-engine parse → execute → convert pipeline;
+// search selects the plan.
+func (e *Engine) searchWith(ctx context.Context, q string, k int, search func(context.Context, query.Query, int) ([]core.Result, core.ExecStats, error)) ([]Hit, Stats, error) {
 	pq, err := query.Parse(q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	res, st, err := e.engine.SearchStraightforward(pq, k)
+	res, st, err := search(ctx, pq, k)
 	return e.convert(res), convertStats(st), err
 }
 

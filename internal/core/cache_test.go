@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -17,18 +18,18 @@ func TestStatsCacheHitAndEquality(t *testing.T) {
 	cachedEng := New(ix, nil, Options{CacheContexts: 16})
 	q := query.MustParse("pancreas leukemia | digestive_system")
 
-	want, _, err := plain.SearchContextSensitive(q, 0)
+	want, _, err := plain.SearchContextSensitiveCtx(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, st1, err := cachedEng.SearchContextSensitive(q, 0)
+	first, st1, err := cachedEng.SearchContextSensitiveCtx(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st1.CacheHit {
 		t.Error("first query reported a cache hit")
 	}
-	second, st2, err := cachedEng.SearchContextSensitive(q, 0)
+	second, st2, err := cachedEng.SearchContextSensitiveCtx(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +47,11 @@ func TestStatsCacheHitAndEquality(t *testing.T) {
 func TestStatsCacheExtendsWithNewKeywords(t *testing.T) {
 	ix, _, _ := motivatingCollection(t)
 	e := New(ix, nil, Options{CacheContexts: 16})
-	if _, _, err := e.SearchContextSensitive(query.MustParse("pancreas | digestive_system"), 5); err != nil {
+	if _, _, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("pancreas | digestive_system"), 5); err != nil {
 		t.Fatal(err)
 	}
 	// Same context, new keyword: still a hit, keyword back-filled.
-	res, st, err := e.SearchContextSensitive(query.MustParse("leukemia | digestive_system"), 5)
+	res, st, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("leukemia | digestive_system"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestStatsCacheExtendsWithNewKeywords(t *testing.T) {
 		t.Error("same-context query missed")
 	}
 	plain := New(ix, nil, Options{})
-	want, _, err := plain.SearchContextSensitive(query.MustParse("leukemia | digestive_system"), 5)
+	want, _, err := plain.SearchContextSensitiveCtx(context.Background(), query.MustParse("leukemia | digestive_system"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +219,11 @@ func TestCostBasedPrefersStraightforwardForTinyContexts(t *testing.T) {
 	// Large context: both engines should use the view (its size, ≤ 4
 	// groups, undercuts Σ|L_m| ≈ 302 × (n+1)).
 	big := query.MustParse("pancreas leukemia | digestive_system")
-	_, stAlways, err := always.SearchContextSensitive(big, 5)
+	_, stAlways, err := always.SearchContextSensitiveCtx(context.Background(), big, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stCosted, err := costed.SearchContextSensitive(big, 5)
+	_, stCosted, err := costed.SearchContextSensitiveCtx(context.Background(), big, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestExpiredDeadlineDegradesFast(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		e := New(ix, nil, Options{Parallelism: p, Deadline: time.Nanosecond})
 		start := time.Now()
-		res, st, err := e.SearchContextSensitive(query.MustParse("disease | ctx_a ctx_b"), 10)
+		res, st, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("disease | ctx_a ctx_b"), 10)
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatalf("parallelism %d: expired deadline returned error %v, want degraded result", p, err)
@@ -101,7 +101,7 @@ func TestCancelMidSearchNoLeaks(t *testing.T) {
 			t.Fatalf("parallelism %d: cancellation took %s, not prompt", p, elapsed)
 		}
 		// The engine keeps serving after a cancelled query.
-		if _, _, err := e.SearchStraightforward(q, 10); err != nil {
+		if _, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10); err != nil {
 			t.Fatalf("parallelism %d: query after cancellation failed: %v", p, err)
 		}
 	}
@@ -116,13 +116,13 @@ func TestGenerousDeadlineKeepsRankingsBitIdentical(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	ref := New(ix, nil, Options{Parallelism: 1})
 	q := query.MustParse("disease organ | ctx_a")
-	want, _, err := ref.SearchContextSensitive(q, 25)
+	want, _, err := ref.SearchContextSensitiveCtx(context.Background(), q, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{1, 2, 4} {
 		e := New(ix, nil, Options{Parallelism: p, Deadline: time.Hour})
-		got, st, err := e.SearchContextSensitive(q, 25)
+		got, st, err := e.SearchContextSensitiveCtx(context.Background(), q, 25)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,13 +142,13 @@ func TestGenerousDeadlineKeepsRankingsBitIdentical(t *testing.T) {
 func TestStatsBudgetFallsBackToApproximate(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	q := query.MustParse("disease | ctx_a ctx_b")
-	conv, _, err := New(ix, nil, Options{Parallelism: 1}).SearchConventional(q, 20)
+	conv, _, err := New(ix, nil, Options{Parallelism: 1}).SearchConventionalCtx(context.Background(), q, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{1, 4} {
 		e := New(ix, nil, Options{Parallelism: p, StatsBudget: time.Nanosecond})
-		res, st, err := e.SearchContextSensitive(q, 20)
+		res, st, err := e.SearchContextSensitiveCtx(context.Background(), q, 20)
 		if err != nil {
 			t.Fatalf("parallelism %d: stats-budget expiry returned error %v", p, err)
 		}
@@ -186,7 +186,7 @@ func TestScoringWorkerPanicIsolated(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	q := query.MustParse("disease | ctx_a")
 	ref := New(ix, nil, Options{Parallelism: 1})
-	want, _, err := ref.SearchContextSensitive(q, 15)
+	want, _, err := ref.SearchContextSensitiveCtx(context.Background(), q, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +195,12 @@ func TestScoringWorkerPanicIsolated(t *testing.T) {
 		sc := &panicScorer{inner: ranking.NewPivotedTFIDF()}
 		e := New(ix, nil, Options{Parallelism: p, Scorer: sc})
 		sc.armed.Store(true)
-		_, _, err := e.SearchContextSensitive(q, 15)
+		_, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 15)
 		if err == nil || !strings.Contains(err.Error(), "panic") {
 			t.Fatalf("parallelism %d: err = %v, want panic-derived error", p, err)
 		}
 		sc.armed.Store(false)
-		got, _, err := e.SearchContextSensitive(q, 15)
+		got, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 15)
 		if err != nil {
 			t.Fatalf("parallelism %d: query after panic failed: %v", p, err)
 		}
@@ -229,12 +229,12 @@ func TestStatsWorkerPanicIsolated(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		e := New(ix, nil, Options{Parallelism: p})
 		testHookKeywordStats = func(int) { panic("injected stats panic") }
-		_, _, err := e.SearchStraightforward(q, 10)
+		_, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10)
 		testHookKeywordStats = nil
 		if err == nil || !strings.Contains(err.Error(), "panic") {
 			t.Fatalf("parallelism %d: err = %v, want panic-derived error", p, err)
 		}
-		if _, _, err := e.SearchStraightforward(q, 10); err != nil {
+		if _, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10); err != nil {
 			t.Fatalf("parallelism %d: query after panic failed: %v", p, err)
 		}
 	}

@@ -17,11 +17,11 @@
 // All three share one ranking function f(S_q, S_d, S_c) — only the
 // statistics source differs, exactly as Formula 2 prescribes.
 //
-// Failure semantics: every Search variant has a *Ctx form threading a
-// context.Context through the whole query path — the parallel workers,
-// the statistics cache, and cooperative checkpoints inside the postings
-// kernels. An expired deadline degrades gracefully (flagged partial or
-// empty results, never an error); an explicit cancellation fails the
+// Failure semantics: every query entry point threads a context.Context
+// through the whole query path — the parallel workers, the statistics
+// cache, and cooperative checkpoints inside the postings kernels. An
+// expired deadline degrades gracefully (flagged partial or empty
+// results, never an error); an explicit cancellation fails the
 // query with ctx's error; a panic anywhere in the query path — worker
 // goroutine or not — is recovered, converted to an error carrying the
 // captured stack, and fails only that query. With no deadline, rankings
@@ -172,8 +172,11 @@ type ExecStats struct {
 	Elapsed time.Duration
 }
 
-// degrade flags the execution as degraded, accumulating reasons.
-func (st *ExecStats) degrade(reason string) {
+// Degrade flags the execution as degraded with the given reason,
+// accumulating "; "-joined reasons. Exported for layers above the engine
+// (the shard scatter-gather marks cluster-level partial results through
+// it).
+func (st *ExecStats) Degrade(reason string) {
 	st.Degraded = true
 	if st.DegradedReason == "" {
 		st.DegradedReason = reason
@@ -181,12 +184,6 @@ func (st *ExecStats) degrade(reason string) {
 		st.DegradedReason += "; " + reason
 	}
 }
-
-// Degrade flags the execution as degraded with the given reason,
-// accumulating "; "-joined reasons. Exported for layers above the engine
-// (the shard scatter-gather marks cluster-level partial results through
-// it).
-func (st *ExecStats) Degrade(reason string) { st.degrade(reason) }
 
 // quarantineReason is the degradation reason attached when an execution
 // touched quarantined (corrupt, empty-serving) mapped blocks.
@@ -197,7 +194,7 @@ const quarantineReason = "corrupt block(s) quarantined: affected containers skip
 // containers, so its results are partial and must say so.
 func noteQuarantine(st *ExecStats) {
 	if st.QuarantineSkips > 0 {
-		st.degrade(quarantineReason)
+		st.Degrade(quarantineReason)
 	}
 }
 
@@ -370,16 +367,6 @@ func evaluateResultSet(ctx context.Context, kw, preds []*postings.List, st *post
 	return postings.IntersectCtx(ctx, all, st)
 }
 
-// applyDeadline derives the execution context for one query, layering
-// the engine's per-query Deadline (when configured) onto the caller's
-// context. The returned cancel must always be called.
-func (e *Engine) applyDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if e.deadline > 0 {
-		return context.WithTimeout(ctx, e.deadline)
-	}
-	return ctx, func() {}
-}
-
 // shortCircuit handles a context that is already dead before any list
 // work happened: an expired deadline degrades to an empty flagged result
 // (the boundedness contract), an explicit cancellation fails the query.
@@ -389,7 +376,7 @@ func shortCircuit(ctx context.Context, st *ExecStats) (stop bool, res []Result, 
 		return false, nil, nil
 	}
 	if errors.Is(cerr, context.DeadlineExceeded) {
-		st.degrade("deadline expired before evaluation: empty result")
+		st.Degrade("deadline expired before evaluation: empty result")
 		return true, []Result{}, nil
 	}
 	return true, nil, cerr
@@ -399,279 +386,38 @@ func shortCircuit(ctx context.Context, st *ExecStats) (stop bool, res []Result, 
 // and reports whether it did; cancellations and panics pass through.
 func degradeOnDeadline(err error, st *ExecStats, reason string) bool {
 	if errors.Is(err, context.DeadlineExceeded) {
-		st.degrade(reason)
+		st.Degrade(reason)
 		return true
 	}
 	return false
 }
 
-// Search evaluates q with the engine's best strategy: conventional for
+// SearchCtx evaluates q with the engine's best strategy: conventional for
 // context-free queries, view-based for contextual queries when a usable
-// view exists, straightforward otherwise.
-func (e *Engine) Search(q query.Query, k int) ([]Result, ExecStats, error) {
-	return e.SearchCtx(context.Background(), q, k)
-}
-
-// SearchCtx is Search with cooperative cancellation and deadline-bounded
-// degradation (see the package comment for the failure semantics).
+// view exists, straightforward otherwise (see the package comment for
+// the failure semantics).
 func (e *Engine) SearchCtx(ctx context.Context, q query.Query, k int) ([]Result, ExecStats, error) {
-	if !q.IsContextual() {
-		return e.SearchConventionalCtx(ctx, q, k)
-	}
-	return e.SearchContextSensitiveCtx(ctx, q, k)
+	return e.search(ctx, q, k, "")
 }
 
-// SearchConventional evaluates the baseline Q_t = Q_k ∪ P: identical
+// SearchConventionalCtx evaluates the baseline Q_t = Q_k ∪ P: identical
 // unranked result set, whole-collection statistics (context terms are
 // boolean filters that "do not contribute to ranking scores").
-func (e *Engine) SearchConventional(q query.Query, k int) ([]Result, ExecStats, error) {
-	return e.SearchConventionalCtx(context.Background(), q, k)
+func (e *Engine) SearchConventionalCtx(ctx context.Context, q query.Query, k int) ([]Result, ExecStats, error) {
+	return e.search(ctx, q, k, PlanConventional)
 }
 
-// SearchConventionalCtx is SearchConventional with cancellation and
-// deadline-bounded degradation.
-func (e *Engine) SearchConventionalCtx(ctx context.Context, q query.Query, k int) (res []Result, st ExecStats, err error) {
-	ctx, cancel := e.applyDeadline(ctx)
-	defer cancel()
-	defer recoverToError(&err, "conventional search")
-	defer noteQuarantine(&st)
-	return e.searchConventional(ctx, q, k)
+// SearchContextSensitiveCtx evaluates Q_c = Q_k | P with context
+// statistics, answering them from the smallest usable materialized view
+// when the catalog has one and falling back to the straightforward plan
+// otherwise.
+func (e *Engine) SearchContextSensitiveCtx(ctx context.Context, q query.Query, k int) ([]Result, ExecStats, error) {
+	return e.search(ctx, q, k, "")
 }
 
-// SearchContextSensitive evaluates Q_c = Q_k | P with context statistics,
-// answering them from the smallest usable materialized view when the
-// catalog has one and falling back to the straightforward plan otherwise.
-func (e *Engine) SearchContextSensitive(q query.Query, k int) ([]Result, ExecStats, error) {
-	return e.SearchContextSensitiveCtx(context.Background(), q, k)
-}
-
-// SearchContextSensitiveCtx is SearchContextSensitive with cancellation
-// and deadline-bounded degradation.
-func (e *Engine) SearchContextSensitiveCtx(ctx context.Context, q query.Query, k int) (res []Result, st ExecStats, err error) {
-	ctx, cancel := e.applyDeadline(ctx)
-	defer cancel()
-	defer recoverToError(&err, "context-sensitive search")
-	defer noteQuarantine(&st)
-	return e.searchContextual(ctx, q, k, true)
-}
-
-// SearchStraightforward evaluates Q_c with the §3.1 plan unconditionally,
-// never consulting views — the paper's "without materialized views"
-// series.
-func (e *Engine) SearchStraightforward(q query.Query, k int) ([]Result, ExecStats, error) {
-	return e.SearchStraightforwardCtx(context.Background(), q, k)
-}
-
-// SearchStraightforwardCtx is SearchStraightforward with cancellation
-// and deadline-bounded degradation.
-func (e *Engine) SearchStraightforwardCtx(ctx context.Context, q query.Query, k int) (res []Result, st ExecStats, err error) {
-	ctx, cancel := e.applyDeadline(ctx)
-	defer cancel()
-	defer recoverToError(&err, "straightforward search")
-	defer noteQuarantine(&st)
-	return e.searchContextual(ctx, q, k, false)
-}
-
-// searchConventional is the conventional plan under an already-derived
-// execution context.
-func (e *Engine) searchConventional(ctx context.Context, q query.Query, k int) ([]Result, ExecStats, error) {
-	start := time.Now()
-	var st ExecStats
-	st.Plan = PlanConventional
-	a, err := e.analyze(q)
-	if err != nil {
-		return nil, st, err
-	}
-	st.Phases.Analyze = time.Since(start)
-	if stop, out, herr := shortCircuit(ctx, &st); stop {
-		st.Elapsed = time.Since(start)
-		return out, st, herr
-	}
-	kw, preds := e.lists(a)
-	// Statistics first: they are O(#keywords) map fills from precomputed
-	// aggregates, and the pruned path needs them before any scoring
-	// decision (score upper bounds are functions of the statistics).
-	tStats := time.Now()
-	cs := ranking.CollectionStats{
-		N:        e.globalN,
-		TotalLen: e.globalLen,
-		DF:       make(map[string]int64, len(a.kwTerms)),
-		TC:       make(map[string]int64, len(a.kwTerms)),
-	}
-	for _, w := range a.kwTerms {
-		cs.DF[w] = e.ix.DF(e.contentField, w)
-		cs.TC[w] = e.ix.TotalTF(e.contentField, w)
-	}
-	st.Phases.Stats = time.Since(tStats)
-
-	if e.prunedEligible(kw, preds, k) {
-		tScore := time.Now()
-		out, serr := e.prunedSearch(ctx, a, kw, preds, cs, k, &st)
-		st.Phases.Score = time.Since(tScore)
-		if serr != nil && !degradeOnDeadline(serr, &st, "deadline exceeded during pruned scoring: partial top-k") {
-			st.Elapsed = time.Since(start)
-			return nil, st, serr
-		}
-		st.Elapsed = time.Since(start)
-		return out, st, nil
-	}
-
-	tRes := time.Now()
-	res, rerr := evaluateResultSet(ctx, kw, preds, &st.Stats)
-	st.Phases.ResultSet = time.Since(tRes)
-	if rerr != nil && !degradeOnDeadline(rerr, &st, "deadline exceeded during result-set intersection: partial results") {
-		st.Elapsed = time.Since(start)
-		return nil, st, rerr
-	}
-	st.ResultSize = res.Len()
-
-	tScore := time.Now()
-	out, serr := e.score(ctx, a, res, cs, k)
-	st.Phases.Score = time.Since(tScore)
-	if serr != nil && !degradeOnDeadline(serr, &st, "deadline exceeded during scoring: partial top-k") {
-		st.Elapsed = time.Since(start)
-		return nil, st, serr
-	}
-	st.Elapsed = time.Since(start)
-	return out, st, nil
-}
-
-// searchContextual is the context-sensitive plan under an
-// already-derived execution context.
-func (e *Engine) searchContextual(ctx context.Context, q query.Query, k int, useViews bool) ([]Result, ExecStats, error) {
-	start := time.Now()
-	var st ExecStats
-	st.Plan = PlanStraightforward
-	a, err := e.analyze(q)
-	if err != nil {
-		return nil, st, err
-	}
-	if len(a.context) == 0 {
-		// No effective context: identical to conventional evaluation.
-		return e.searchConventional(ctx, q, k)
-	}
-	st.Phases.Analyze = time.Since(start)
-	if stop, out, herr := shortCircuit(ctx, &st); stop {
-		st.Elapsed = time.Since(start)
-		return out, st, herr
-	}
-	kw, preds := e.lists(a)
-	// One catalog load per query: every view match and cache access of
-	// this execution uses this snapshot, so a concurrent SwapCatalog can
-	// never mix statistics from two catalog states.
-	cat := e.catalog.Load()
-
-	// The pruned path replaces the materialized result set with a
-	// bound-aware walk, and its bounds are functions of the context
-	// statistics S_c(D_P) — it cannot start until contextStats returns
-	// (see ranking/bounds.go). So under pruning there is no result-set
-	// phase to overlap with statistics and no worker to spawn.
-	pruned := e.prunedEligible(kw, preds, k)
-
-	// Phase overlap: the unranked result-set intersection and the context
-	// statistics computation are data-independent, so with parallelism
-	// enabled the intersection runs on its own panic-guarded goroutine
-	// (with a private cost counter, merged below) while this goroutine
-	// computes statistics. The channel is buffered so the worker never
-	// blocks and an early error return leaks nothing.
-	type resOut struct {
-		res *postings.Intersection
-		st  postings.Stats
-		err error
-	}
-	var resCh chan resOut
-	if e.workers > 1 && !pruned {
-		resCh = make(chan resOut, 1)
-		go func() {
-			var out resOut
-			defer func() {
-				if r := recover(); r != nil {
-					out.err = panicError("result-set worker", r)
-				}
-				resCh <- out
-			}()
-			out.res, out.err = evaluateResultSet(ctx, kw, preds, &out.st)
-		}()
-	}
-
-	// Statistics phase, optionally under its own budget.
-	tStats := time.Now()
-	statsCtx, statsCancel := ctx, context.CancelFunc(nil)
-	if e.statsBudget > 0 {
-		statsCtx, statsCancel = context.WithTimeout(ctx, e.statsBudget)
-	}
-	cs, cerr := e.contextStats(statsCtx, a, kw, preds, useViews, &st, cat)
-	if statsCancel != nil {
-		statsCancel()
-	}
-	st.Phases.Stats = time.Since(tStats)
-	if cerr != nil {
-		switch {
-		case ctx.Err() == nil && errors.Is(cerr, context.DeadlineExceeded):
-			// Only the stats budget expired; the query itself is alive.
-			// Fall back to approximate statistics — bounded work, flagged
-			// result — per the hybrid philosophy.
-			cs = e.approximateStats(a, useViews, &st, cat)
-			st.degrade("stats budget exceeded: approximate statistics")
-		case errors.Is(cerr, context.DeadlineExceeded):
-			// The whole-query deadline died during statistics: nothing
-			// trustworthy to rank with. Degrade to an empty result.
-			st.degrade("deadline exceeded during statistics: empty result")
-			if resCh != nil {
-				out := <-resCh
-				st.Stats.Add(out.st)
-			}
-			st.Elapsed = time.Since(start)
-			return []Result{}, st, nil
-		default:
-			// Explicit cancellation, a worker panic, or an unusable view.
-			st.Elapsed = time.Since(start)
-			return nil, st, cerr
-		}
-	}
-	st.ContextSize = cs.N
-
-	if pruned {
-		// Statistics are settled (exact or approximate — the bounds are
-		// valid ceilings for whatever statistics the query ranks with):
-		// walk the conjunction with bound-aware cursors directly.
-		tScore := time.Now()
-		out, serr := e.prunedSearch(ctx, a, kw, preds, cs, k, &st)
-		st.Phases.Score = time.Since(tScore)
-		if serr != nil && !degradeOnDeadline(serr, &st, "deadline exceeded during pruned scoring: partial top-k") {
-			st.Elapsed = time.Since(start)
-			return nil, st, serr
-		}
-		st.Elapsed = time.Since(start)
-		return out, st, nil
-	}
-
-	tRes := time.Now()
-	var res *postings.Intersection
-	var rerr error
-	if resCh != nil {
-		out := <-resCh
-		res, rerr = out.res, out.err
-		st.Stats.Add(out.st)
-	} else {
-		res, rerr = evaluateResultSet(ctx, kw, preds, &st.Stats)
-	}
-	st.Phases.ResultSet = time.Since(tRes)
-	if rerr != nil {
-		if res == nil || !degradeOnDeadline(rerr, &st, "deadline exceeded during result-set intersection: partial results") {
-			st.Elapsed = time.Since(start)
-			return nil, st, rerr
-		}
-	}
-	st.ResultSize = res.Len()
-
-	tScore := time.Now()
-	out, serr := e.score(ctx, a, res, cs, k)
-	st.Phases.Score = time.Since(tScore)
-	if serr != nil && !degradeOnDeadline(serr, &st, "deadline exceeded during scoring: partial top-k") {
-		st.Elapsed = time.Since(start)
-		return nil, st, serr
-	}
-	st.Elapsed = time.Since(start)
-	return out, st, nil
+// SearchStraightforwardCtx evaluates Q_c with the §3.1 plan
+// unconditionally, never consulting views — the paper's "without
+// materialized views" series.
+func (e *Engine) SearchStraightforwardCtx(ctx context.Context, q query.Query, k int) ([]Result, ExecStats, error) {
+	return e.search(ctx, q, k, PlanStraightforward)
 }

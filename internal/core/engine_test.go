@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -59,11 +60,11 @@ func TestMotivatingExampleRankReversal(t *testing.T) {
 	e := New(ix, nil, Options{})
 	q := query.MustParse("pancreas leukemia | digestive_system")
 
-	conv, convSt, err := e.SearchConventional(q, 10)
+	conv, convSt, err := e.SearchConventionalCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, ctxSt, err := e.SearchContextSensitive(q, 10)
+	ctx, ctxSt, err := e.SearchContextSensitiveCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +107,11 @@ func TestViewAndStraightforwardAgree(t *testing.T) {
 	e := New(ix, cat, Options{})
 	q := query.MustParse("pancreas leukemia | digestive_system")
 
-	viaView, viewSt, err := e.SearchContextSensitive(q, 0)
+	viaView, viewSt, err := e.SearchContextSensitiveCtx(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, directSt, err := e.SearchStraightforward(q, 0)
+	direct, directSt, err := e.SearchStraightforwardCtx(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +148,14 @@ func TestViewFallbackForUntrackedKeyword(t *testing.T) {
 	e := New(ix, cat, Options{})
 	q := query.MustParse("pancreas leukemia | digestive_system")
 
-	viaView, viewSt, err := e.SearchContextSensitive(q, 0)
+	viaView, viewSt, err := e.SearchContextSensitiveCtx(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !viewSt.UsedView || viewSt.FallbackKeywords != 1 {
 		t.Fatalf("stats = %+v, want view with 1 fallback", viewSt)
 	}
-	direct, _, err := e.SearchStraightforward(q, 0)
+	direct, _, err := e.SearchStraightforwardCtx(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestUncoveredContextFallsBack(t *testing.T) {
 	}
 	cat := views.NewCatalog([]*views.View{v}, 100, 4096)
 	e := New(ix, cat, Options{})
-	_, st, err := e.SearchContextSensitive(query.MustParse("pancreas leukemia | digestive_system"), 5)
+	_, st, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("pancreas leukemia | digestive_system"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestUncoveredContextFallsBack(t *testing.T) {
 func TestNonContextualQueryRoutesToConventional(t *testing.T) {
 	ix, _, _ := motivatingCollection(t)
 	e := New(ix, nil, Options{})
-	_, st, err := e.Search(query.MustParse("leukemia"), 5)
+	_, st, err := e.SearchCtx(context.Background(), query.MustParse("leukemia"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestNonContextualQueryRoutesToConventional(t *testing.T) {
 		t.Errorf("plan = %s", st.Plan)
 	}
 	// Context-sensitive entry point with empty context also degrades.
-	_, st2, err := e.SearchContextSensitive(query.Query{Keywords: []string{"leukemia"}}, 5)
+	_, st2, err := e.SearchContextSensitiveCtx(context.Background(), query.Query{Keywords: []string{"leukemia"}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestNonContextualQueryRoutesToConventional(t *testing.T) {
 func TestMissingTermsGiveEmptyResults(t *testing.T) {
 	ix, _, _ := motivatingCollection(t)
 	e := New(ix, nil, Options{})
-	res, st, err := e.Search(query.MustParse("xyzzy | digestive_system"), 5)
+	res, st, err := e.SearchCtx(context.Background(), query.MustParse("xyzzy | digestive_system"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestMissingTermsGiveEmptyResults(t *testing.T) {
 		t.Errorf("results = %v", res)
 	}
 	// Unknown context term: empty too.
-	res, _, err = e.Search(query.MustParse("pancreas | no_such_context"), 5)
+	res, _, err = e.SearchCtx(context.Background(), query.MustParse("pancreas | no_such_context"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +227,11 @@ func TestMissingTermsGiveEmptyResults(t *testing.T) {
 func TestQueryValidationErrors(t *testing.T) {
 	ix, _, _ := motivatingCollection(t)
 	e := New(ix, nil, Options{})
-	if _, _, err := e.Search(query.Query{}, 5); err == nil {
+	if _, _, err := e.SearchCtx(context.Background(), query.Query{}, 5); err == nil {
 		t.Error("empty query accepted")
 	}
 	// Keywords that analyze away entirely (stopwords).
-	if _, _, err := e.Search(query.Query{Keywords: []string{"the", "of"}}, 5); err == nil {
+	if _, _, err := e.SearchCtx(context.Background(), query.Query{Keywords: []string{"the", "of"}}, 5); err == nil {
 		t.Error("stopword-only query accepted")
 	}
 }
@@ -317,11 +318,11 @@ func TestAlternativeScorersAgreeAcrossPlans(t *testing.T) {
 	q := query.MustParse("pancreas leukemia | digestive_system")
 	for _, s := range []ranking.Scorer{ranking.NewBM25(), ranking.NewDirichletLM()} {
 		e := New(ix, cat, Options{Scorer: s})
-		a, _, err := e.SearchContextSensitive(q, 0)
+		a, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := e.SearchStraightforward(q, 0)
+		b, _, err := e.SearchStraightforwardCtx(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +369,7 @@ func TestEndToEndWithSelectedViews(t *testing.T) {
 	tested := 0
 	for _, term := range terms[:min(8, len(terms))] {
 		q := query.Query{Keywords: []string{words[0], words[min(3, len(words)-1)]}, Context: []string{term}}
-		viaView, st, err := e.SearchContextSensitive(q, 20)
+		viaView, st, err := e.SearchContextSensitiveCtx(context.Background(), q, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +377,7 @@ func TestEndToEndWithSelectedViews(t *testing.T) {
 			t.Errorf("context %q (size %d ≥ T_C) did not use a view", term, e.ContextSize([]string{term}))
 			continue
 		}
-		direct, _, err := e.SearchStraightforward(q, 20)
+		direct, _, err := e.SearchStraightforwardCtx(context.Background(), q, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +407,7 @@ func TestNilStatsAndCostBounds(t *testing.T) {
 	ix, _, _ := motivatingCollection(t)
 	e := New(ix, nil, Options{})
 	q := query.MustParse("pancreas leukemia | digestive_system")
-	_, st, err := e.SearchStraightforward(q, 10)
+	_, st, err := e.SearchStraightforwardCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +437,7 @@ func TestConcurrentSearches(t *testing.T) {
 	}
 	e := New(ix, views.NewCatalog([]*views.View{v}, 100, 4096), Options{CacheContexts: 8})
 	q := query.MustParse("pancreas leukemia | digestive_system")
-	want, _, err := e.SearchContextSensitive(q, 5)
+	want, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +448,7 @@ func TestConcurrentSearches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				got, _, err := e.SearchContextSensitive(q, 5)
+				got, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 5)
 				if err != nil {
 					errs <- err
 					return

@@ -1,0 +1,231 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"time"
+
+	"csrank/internal/postings"
+	"csrank/internal/query"
+	"csrank/internal/ranking"
+)
+
+// The two-phase executor. Formula 2 ranks every plan with the same
+// f(S_q, S_d, S_c); only the source of S_c differs. So a query is a
+// statistics phase (statsPhase — the plan is its parameter) followed by
+// a scoring phase (scorePhase — one deadline/degrade ladder), and every
+// entry point is a short composition of the two inside one frame (run):
+// the Search*Ctx family runs both on one engine, StatsFor and
+// SearchWithStats expose them separately so a scatter-gather can merge
+// statistics across slices in between.
+
+// exec is one query's per-engine execution state: the analyzed query,
+// its posting lists (nil = term absent), and the report both phases
+// write into.
+type exec struct {
+	a         analyzed
+	kw, preds []*postings.List
+	st        *ExecStats
+}
+
+// contextual reports whether the statistics phase computes S_c(D_P)
+// rather than whole-collection statistics: the plan is not forced
+// conventional and the query has an effective context.
+func (x *exec) contextual(plan Plan) bool {
+	return plan != PlanConventional && len(x.a.context) > 0
+}
+
+// run is the frame every query entry point shares: the per-query
+// deadline, the final panic boundary (what names the entry point in the
+// recovered error), the quarantine note, the Elapsed clock, and query
+// analysis. body composes the phases.
+func (e *Engine) run(ctx context.Context, q query.Query, what string, st *ExecStats, body func(ctx context.Context, x *exec) error) (err error) {
+	if e.deadline > 0 {
+		// Layer the per-query Deadline onto whatever the caller's context
+		// already carries.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, e.deadline)
+		defer cancel()
+	}
+	defer recoverToError(&err, what)
+	defer noteQuarantine(st)
+	start := time.Now()
+	defer func() { st.Elapsed = time.Since(start) }()
+	a, err := e.analyze(q)
+	if err != nil {
+		return err
+	}
+	st.Phases.Analyze = time.Since(start)
+	kw, preds := e.lists(a)
+	return body(ctx, &exec{a: a, kw: kw, preds: preds, st: st})
+}
+
+// search is the single-engine pipeline behind the Search*Ctx family:
+// statistics phase under plan ("" lets the engine choose), then the
+// scoring phase under those statistics.
+func (e *Engine) search(ctx context.Context, q query.Query, k int, plan Plan) (res []Result, st ExecStats, err error) {
+	err = e.run(ctx, q, "search", &st, func(ctx context.Context, x *exec) (serr error) {
+		var stop bool
+		if stop, res, serr = shortCircuit(ctx, &st); stop {
+			return serr
+		}
+		pre := e.overlapResultSet(ctx, x, k, plan)
+		cs, serr := e.statsPhase(ctx, x, plan, false)
+		if serr != nil {
+			if !degradeOnDeadline(serr, &st, "deadline exceeded during statistics: empty result") {
+				// Explicit cancellation, a worker panic, or an unusable view.
+				return serr
+			}
+			// The whole-query deadline died during statistics: nothing
+			// trustworthy to rank with. Degrade to an empty result.
+			if pre != nil {
+				st.Stats.Add((<-pre).st)
+			}
+			res = []Result{}
+			return nil
+		}
+		res, serr = e.scorePhase(ctx, x, cs, k, pre)
+		return serr
+	})
+	return res, st, err
+}
+
+// statsPhase computes the collection statistics the query ranks with.
+// plan selects the source: PlanConventional forces whole-collection
+// aggregates, PlanStraightforward forces the §3.1 aggregation, "" picks
+// conventional for a query without effective context and otherwise the
+// smallest usable view, falling back to straightforward. Contextual
+// statistics run under Options.StatsBudget; when only the budget
+// expires the phase falls back to approximate statistics — bounded
+// work, flagged result — per the hybrid philosophy.
+//
+// mustAnswer is StatsFor's contract: a scatter-gather merge needs an
+// addend from every slice, so a dead whole-query deadline also degrades
+// to approximate statistics. A full search passes false and gets the
+// deadline error back — with no time left to rank, statistics are moot.
+func (e *Engine) statsPhase(ctx context.Context, x *exec, plan Plan, mustAnswer bool) (cs ranking.CollectionStats, err error) {
+	st := x.st
+	tStats := time.Now()
+	defer func() { st.Phases.Stats = time.Since(tStats) }()
+	if !x.contextual(plan) {
+		st.Plan = PlanConventional
+		// Whole-collection statistics are O(#keywords) reads of precomputed
+		// aggregates — cheap enough to answer exactly even after a deadline
+		// expired (the scoring phase is where a dead deadline degrades).
+		// Explicit cancellation still fails the call.
+		if cerr := ctx.Err(); cerr != nil && !errors.Is(cerr, context.DeadlineExceeded) {
+			return cs, cerr
+		}
+		return e.globalStats(x.a), nil
+	}
+	st.Plan = PlanStraightforward
+	useViews := plan != PlanStraightforward
+	// One catalog load per query: every view match and cache access of
+	// this execution uses this snapshot, so a concurrent SwapCatalog can
+	// never mix statistics from two catalog states.
+	cat := e.catalog.Load()
+	reason := "deadline expired before statistics"
+	if err = ctx.Err(); err == nil {
+		statsCtx, statsCancel := ctx, context.CancelFunc(func() {})
+		if e.statsBudget > 0 {
+			statsCtx, statsCancel = context.WithTimeout(ctx, e.statsBudget)
+		}
+		cs, err = e.contextStats(statsCtx, x.a, x.kw, x.preds, useViews, st, cat)
+		statsCancel()
+		reason = "deadline exceeded during statistics"
+	}
+	if err != nil {
+		budgetOnly := ctx.Err() == nil
+		if !errors.Is(err, context.DeadlineExceeded) || !(budgetOnly || mustAnswer) {
+			return ranking.CollectionStats{}, err
+		}
+		if budgetOnly {
+			reason = "stats budget exceeded"
+		}
+		cs = e.approximateStats(x.a, useViews, st, cat)
+		st.Degrade(reason + ": approximate statistics")
+	}
+	st.ContextSize = cs.N
+	return cs, nil
+}
+
+// scorePhase evaluates the query's result set on this engine's
+// documents and ranks it under cs: the pruned bound-aware walk when
+// eligible, else the materialized result set (pre, when the overlap
+// hook already started it) scored exhaustively. A deadline expiring in
+// any step degrades to flagged partial results; cancellations and
+// panics fail the query. cs is only read.
+func (e *Engine) scorePhase(ctx context.Context, x *exec, cs ranking.CollectionStats, k int, pre <-chan resultSet) ([]Result, error) {
+	st := x.st
+	if e.prunedEligible(x.kw, x.preds, k) {
+		// Statistics are settled (exact or approximate — the bounds are
+		// valid ceilings for whatever statistics the query ranks with):
+		// walk the conjunction with bound-aware cursors directly.
+		tScore := time.Now()
+		out, err := e.prunedSearch(ctx, x.a, x.kw, x.preds, cs, k, st)
+		st.Phases.Score = time.Since(tScore)
+		if err != nil && !degradeOnDeadline(err, st, "deadline exceeded during pruned scoring: partial top-k") {
+			return nil, err
+		}
+		return out, nil
+	}
+	tRes := time.Now()
+	var rs resultSet
+	if pre != nil {
+		rs = <-pre
+		st.Stats.Add(rs.st)
+	} else {
+		rs.res, rs.err = evaluateResultSet(ctx, x.kw, x.preds, &st.Stats)
+	}
+	st.Phases.ResultSet = time.Since(tRes)
+	if rs.err != nil && (rs.res == nil || !degradeOnDeadline(rs.err, st, "deadline exceeded during result-set intersection: partial results")) {
+		return nil, rs.err
+	}
+	st.ResultSize = rs.res.Len()
+
+	tScore := time.Now()
+	out, err := e.score(ctx, x.a, rs.res, cs, k)
+	st.Phases.Score = time.Since(tScore)
+	if err != nil && !degradeOnDeadline(err, st, "deadline exceeded during scoring: partial top-k") {
+		return nil, err
+	}
+	return out, nil
+}
+
+// resultSet is the overlapped result-set worker's report: the
+// intersection, its private cost counter (merged by scorePhase), and
+// its error.
+type resultSet struct {
+	res *postings.Intersection
+	st  postings.Stats
+	err error
+}
+
+// overlapResultSet is the executor's one phase-overlap hook: the
+// unranked result-set intersection and the context-statistics
+// computation are data-independent, so with parallelism enabled the
+// intersection runs on its own panic-guarded goroutine while the caller
+// computes statistics. The channel is buffered so the worker never
+// blocks and an early error return leaks nothing. It returns nil — no
+// overlap — when statistics are O(#keywords) aggregate reads (nothing
+// worth overlapping) or the pruned path will run: that path replaces
+// the materialized result set with a bound-aware walk whose bounds are
+// functions of S_c(D_P) (see ranking/bounds.go), so it cannot start
+// before the statistics phase returns.
+func (e *Engine) overlapResultSet(ctx context.Context, x *exec, k int, plan Plan) <-chan resultSet {
+	if e.workers <= 1 || !x.contextual(plan) || e.prunedEligible(x.kw, x.preds, k) {
+		return nil
+	}
+	ch := make(chan resultSet, 1)
+	go func() {
+		var out resultSet
+		defer func() {
+			if r := recover(); r != nil {
+				out.err = panicError("result-set worker", r)
+			}
+			ch <- out
+		}()
+		out.res, out.err = evaluateResultSet(ctx, x.kw, x.preds, &out.st)
+	}()
+	return ch
+}

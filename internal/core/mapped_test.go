@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -60,11 +61,11 @@ func TestMappedBitIdenticalToHeap(t *testing.T) {
 				combo++
 				q := query.MustParse(qs)
 				for _, k := range []int{1, 10} {
-					want, wst, err := heap.Search(q, k)
+					want, wst, err := heap.SearchCtx(context.Background(), q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, gst, err := mapped.Search(q, k)
+					got, gst, err := mapped.SearchCtx(context.Background(), q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -102,7 +103,7 @@ func TestMappedSkipsBlocksUndecoded(t *testing.T) {
 	t.Setenv("CSRANK_FORCE_MAPPED", "")
 	hx, _ := buildPrunedSystem(t)
 	q := query.MustParse("alpha")
-	_, hst, err := New(hx, nil, Options{Parallelism: 1, Pruning: true}).Search(q, 10)
+	_, hst, err := New(hx, nil, Options{Parallelism: 1, Pruning: true}).SearchCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestMappedSkipsBlocksUndecoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mst, err := New(cold, nil, Options{Parallelism: 1, Pruning: true}).Search(q, 10)
+	_, mst, err := New(cold, nil, Options{Parallelism: 1, Pruning: true}).SearchCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestMappedSkipsBlocksUndecoded(t *testing.T) {
 // heap index through its mapped twin transparently.
 func TestForceMappedSeam(t *testing.T) {
 	hx, _ := buildPrunedSystem(t)
-	want, _, err := New(hx, nil, Options{Parallelism: 1}).Search(query.MustParse("alpha beta"), 10)
+	want, _, err := New(hx, nil, Options{Parallelism: 1}).SearchCtx(context.Background(), query.MustParse("alpha beta"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestForceMappedSeam(t *testing.T) {
 	if !e.Index().Mapped() {
 		t.Fatal("CSRANK_FORCE_MAPPED did not swap in a mapped index")
 	}
-	got, _, err := e.Search(query.MustParse("alpha beta"), 10)
+	got, _, err := e.SearchCtx(context.Background(), query.MustParse("alpha beta"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func BenchmarkPrunedSearchMapped(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := e.Search(q, 10); err != nil {
+				if _, _, err := e.SearchCtx(context.Background(), q, 10); err != nil {
 					b.Fatal(err)
 				}
 			}

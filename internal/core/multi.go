@@ -16,8 +16,8 @@ import (
 // Multi-slice execution. A live collection is a set of disjoint
 // document slices — immutable shards plus a small mutable segment —
 // that must rank as one: collection statistics are properties of the
-// union, so slices cannot score independently. SearchSlices runs the
-// same two-phase protocol the scatter path proves bit-identical
+// union, so slices cannot score independently. SearchSlicesPartial runs
+// the two-phase protocol the scatter path proves bit-identical
 // (StatsFor partial statistics summed by MergeCollectionStats, then
 // SearchWithStats under the merged statistics, then MergeResults'
 // strict total order), parameterized over an explicit slice list
@@ -116,41 +116,26 @@ func classifySliceFailure(err error) string {
 	return FailKindError
 }
 
-// SearchSlices evaluates q over the union of the slices and returns the
-// global top k (everything when k ≤ 0), bit-identical — scores, order,
-// tie-breaks — to a single engine holding all documents, plus each
-// slice's merged (stats + scoring phase) execution report. A deadline
-// expiry inside any slice degrades that slice's report instead of
-// failing; cancellation or a slice panic fails the query with the first
-// error in slice order. It is SearchSlicesPartial under the strictest
-// policy (every slice must answer); callers that can serve partial
-// results use SearchSlicesPartial directly.
-func SearchSlices(ctx context.Context, slices []Slice, q query.Query, k int) ([]SliceHit, []ExecStats, error) {
-	hits, per, failures, err := SearchSlicesPartial(ctx, slices, q, k, SliceOptions{MinSlices: len(slices)})
-	if err != nil {
-		if len(failures) > 0 {
-			// Fail-fast contract: surface the first failed slice's own
-			// error, not the policy wrapper.
-			return nil, nil, failures[0].Err
-		}
-		return nil, nil, err
-	}
-	return hits, per, nil
-}
-
-// SearchSlicesPartial is SearchSlices with per-slice failure isolation:
-// a slice that panics, reads a corrupt block, or exceeds opt.Timeout is
-// dropped from the query — from both the statistics merge and the
-// scoring phase — and the remaining slices answer alone. The returned
-// hits are bit-identical to SearchSlices over exactly the surviving
-// slices: when a slice fails *after* its statistics were merged, scoring
-// is re-run for every survivor under the re-merged statistics, so a
-// partial answer is never ranked under statistics of documents it cannot
-// return. Failures attributes every lost slice; stats entries of lost
-// slices are zero. The error is non-nil only when the caller's context
-// was canceled, fewer than opt.MinSlices slices survived
-// (ErrTooFewSlices), or the merge itself failed — never for an isolated
-// slice loss within policy.
+// SearchSlicesPartial evaluates q over the union of the slices and
+// returns the global top k (everything when k ≤ 0), bit-identical —
+// scores, order, tie-breaks — to a single engine holding all documents,
+// plus each slice's merged (stats + scoring phase) execution report. A
+// deadline expiry inside any slice degrades that slice's report instead
+// of failing.
+//
+// Slices are isolated failure domains: a slice that panics, reads a
+// corrupt block, or exceeds opt.Timeout is dropped from the query —
+// from both the statistics merge and the scoring phase — and the
+// remaining slices answer alone, bit-identically to a search over
+// exactly the surviving slices: when a slice fails *after* its
+// statistics were merged, scoring is re-run for every survivor under
+// the re-merged statistics, so a partial answer is never ranked under
+// statistics of documents it cannot return. Failures attributes every
+// lost slice; stats entries of lost slices are zero. The error is
+// non-nil only when the caller's context was canceled, fewer than
+// opt.MinSlices slices survived (ErrTooFewSlices; MinSlices =
+// len(slices) is the fail-fast policy), or the merge itself failed —
+// never for an isolated slice loss within policy.
 func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k int, opt SliceOptions) ([]SliceHit, []ExecStats, []SliceFailure, error) {
 	n := len(slices)
 	if n == 0 {
@@ -177,7 +162,7 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 	// timeout's cancellation as a hard error — exactly what drops the
 	// slice — while its own Deadline option would merely degrade in
 	// place.
-	runSlice := func(i int, phase string, fn func(sctx context.Context) error) error {
+	runSlice := func(i int, phase string, fn func(sctx context.Context, i int) error) error {
 		sctx := ctx
 		if opt.Timeout > 0 {
 			c, cancel := context.WithCancelCause(ctx)
@@ -191,7 +176,7 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 			if h := hook(i); h != nil {
 				h(sctx, phase)
 			}
-			return fn(sctx)
+			return fn(sctx, i)
 		}()
 		if err != nil && context.Cause(sctx) == errSliceTimeout {
 			err = fmt.Errorf("slice %d: %w after %v in %s phase (%v)", i, errSliceTimeout, opt.Timeout, phase, err)
@@ -200,71 +185,18 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 	}
 
 	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
+	aliveCount := n
 	errs := make([]error, n)
 	var failures []SliceFailure
-	fail := func(i int) {
-		alive[i] = false
-		failures = append(failures, SliceFailure{Slice: i, Kind: classifySliceFailure(errs[i]), Err: errs[i]})
-	}
-
-	// Phase 1: partial statistics, every slice isolated.
-	partCS := make([]ranking.CollectionStats, n)
-	statsSt := make([]ExecStats, n)
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = runSlice(i, "stats", func(sctx context.Context) error {
-				var err error
-				partCS[i], statsSt[i], err = slices[i].Eng.StatsFor(sctx, q)
-				return err
-			})
-		}(i)
-	}
-	errs[0] = runSlice(0, "stats", func(sctx context.Context) error {
-		var err error
-		partCS[0], statsSt[0], err = slices[0].Eng.StatsFor(sctx, q)
-		return err
-	})
-	wg.Wait()
-	if cerr := ctx.Err(); cerr != nil {
-		// The caller's own context died: that fails the query, it does not
-		// degrade it.
-		return nil, nil, nil, cerr
-	}
-	aliveCount := 0
-	for i := range slices {
-		if errs[i] != nil {
-			fail(i)
-		} else {
-			alive[i] = true
-			aliveCount++
-		}
-	}
-
-	// Phase 2: scoring under the survivors' merged statistics. A slice
-	// lost during scoring invalidates the merge it was scored under —
-	// its phase-1 statistics are folded into every survivor's ranking —
-	// so the loop re-merges over the remaining survivors and re-scores
-	// all of them. Each round removes at least one slice; the loop runs
-	// at most n times. Per-slice phase-1 statistics stay valid addends
-	// throughout (they are facts about disjoint document sets).
-	results := make([][]Result, n)
-	scoreSt := make([]ExecStats, n)
-	for {
-		if aliveCount < minAlive {
-			return nil, nil, failures, fmt.Errorf("%w: %d of %d shards healthy, policy requires %d", ErrTooFewSlices, aliveCount, n, minAlive)
-		}
-		var aliveCS []ranking.CollectionStats
-		for i := range slices {
-			if alive[i] {
-				aliveCS = append(aliveCS, partCS[i])
-			}
-		}
-		cs := MergeCollectionStats(aliveCS...)
-		// Run the lowest-numbered survivor on the caller's goroutine,
-		// everything else concurrently — same shape as phase 1.
+	// scatter runs one phase on every surviving slice — the lowest-numbered
+	// on the caller's goroutine, the rest concurrently, each isolated —
+	// then drops the slices that failed it. A dead caller context fails
+	// the query instead: it does not degrade it, and blames no slice.
+	scatter := func(phase string, fn func(sctx context.Context, i int) error) (lost bool, err error) {
+		var wg sync.WaitGroup
 		self := -1
 		for i := range slices {
 			if !alive[i] {
@@ -277,32 +209,61 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				errs[i] = runSlice(i, "score", func(sctx context.Context) error {
-					var err error
-					results[i], scoreSt[i], err = slices[i].Eng.SearchWithStats(sctx, q, k, cs)
-					return err
-				})
+				errs[i] = runSlice(i, phase, fn)
 			}(i)
 		}
-		errs[self] = runSlice(self, "score", func(sctx context.Context) error {
-			var err error
-			results[self], scoreSt[self], err = slices[self].Eng.SearchWithStats(sctx, q, k, cs)
-			return err
-		})
+		errs[self] = runSlice(self, phase, fn)
 		wg.Wait()
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, nil, cerr
+			return false, cerr
 		}
-		lost := false
 		for i := range slices {
 			if alive[i] && errs[i] != nil {
-				fail(i)
+				alive[i] = false
 				aliveCount--
 				lost = true
+				failures = append(failures, SliceFailure{Slice: i, Kind: classifySliceFailure(errs[i]), Err: errs[i]})
 			}
 		}
-		if !lost {
-			break
+		return lost, nil
+	}
+
+	// Phase 1: partial statistics.
+	partCS := make([]ranking.CollectionStats, n)
+	statsSt := make([]ExecStats, n)
+	if _, err := scatter("stats", func(sctx context.Context, i int) (err error) {
+		partCS[i], statsSt[i], err = slices[i].Eng.StatsFor(sctx, q)
+		return err
+	}); err != nil {
+		return nil, nil, nil, err
+	}
+
+	// Phase 2: scoring under the survivors' merged statistics. A slice
+	// lost during scoring invalidates the merge it was scored under —
+	// its phase-1 statistics are folded into every survivor's ranking —
+	// so the loop re-merges over the remaining survivors and re-scores
+	// all of them. Each round removes at least one slice; the loop runs
+	// at most n times. Per-slice phase-1 statistics stay valid addends
+	// throughout (they are facts about disjoint document sets).
+	results := make([][]Result, n)
+	scoreSt := make([]ExecStats, n)
+	for lost := true; lost; {
+		if aliveCount < minAlive {
+			return nil, nil, failures, fmt.Errorf("%w: %d of %d shards healthy, policy requires %d", ErrTooFewSlices, aliveCount, n, minAlive)
+		}
+		var aliveCS []ranking.CollectionStats
+		for i := range slices {
+			if alive[i] {
+				aliveCS = append(aliveCS, partCS[i])
+			}
+		}
+		cs := MergeCollectionStats(aliveCS...)
+		var err error
+		if lost, err = scatter("score", func(sctx context.Context, i int) (err error) {
+			results[i], scoreSt[i], err = slices[i].Eng.SearchWithStats(sctx, q, k, cs)
+			return err
+		}); err != nil {
+			return nil, nil, nil, err
 		}
 	}
 

@@ -123,7 +123,7 @@ func TestSearchSlicesPartialBitIdentical(t *testing.T) {
 				if len(per) != len(slices) {
 					t.Fatalf("per-slice stats length %d, want %d", len(per), len(slices))
 				}
-				want, _, err := SearchSlices(context.Background(), healthy, q, 10)
+				want, _, _, err := SearchSlicesPartial(context.Background(), healthy, q, 10, SliceOptions{MinSlices: len(healthy)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -72,11 +73,11 @@ func TestParallelScoringDeterministicOnLargeResult(t *testing.T) {
 	for _, qs := range []string{"disease | ctx_a", "disease organ | ctx_a ctx_b", "disease disease organ | ctx_b"} {
 		q := query.MustParse(qs)
 		for _, k := range []int{1, 10, 0} {
-			want, _, err := seq.SearchContextSensitive(q, k)
+			want, _, err := seq.SearchContextSensitiveCtx(context.Background(), q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := par.SearchContextSensitive(q, k)
+			got, _, err := par.SearchContextSensitiveCtx(context.Background(), q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,11 +152,11 @@ func TestParallelSearchDeterminism(t *testing.T) {
 	for _, pair := range engines {
 		for qi, q := range qs {
 			for _, k := range []int{1, 10, 0} {
-				want, _, err := pair.seq.Search(q, k)
+				want, _, err := pair.seq.SearchCtx(context.Background(), q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := pair.par.Search(q, k)
+				got, _, err := pair.par.SearchCtx(context.Background(), q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,7 +190,7 @@ func TestParallelEngineRaceStress(t *testing.T) {
 	}
 	want := make([][]Result, len(queries))
 	for i, qs := range queries {
-		if want[i], _, err = e.Search(query.MustParse(qs), 5); err != nil {
+		if want[i], _, err = e.SearchCtx(context.Background(), query.MustParse(qs), 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +202,7 @@ func TestParallelEngineRaceStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				qi := (g + i) % len(queries)
-				got, _, err := e.Search(query.MustParse(queries[qi]), 5)
+				got, _, err := e.SearchCtx(context.Background(), query.MustParse(queries[qi]), 5)
 				if err != nil {
 					errs <- err
 					return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -140,11 +141,11 @@ func TestPrunedBitIdenticalToExhaustive(t *testing.T) {
 				qs := queries[combo%len(queries)]
 				combo++
 				q := query.MustParse(qs)
-				want, wst, err := exh.Search(q, k)
+				want, wst, err := exh.SearchCtx(context.Background(), q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, gst, err := prn.Search(q, k)
+				got, gst, err := prn.SearchCtx(context.Background(), q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,11 +174,11 @@ func TestPrunedBitIdenticalWithViews(t *testing.T) {
 		for _, k := range []int{1, 10, 100} {
 			for _, qs := range []string{"alpha | ctx_a", "alpha beta | ctx_a", "beta | ctx_b"} {
 				q := query.MustParse(qs)
-				want, _, err := exh.SearchContextSensitive(q, k)
+				want, _, err := exh.SearchContextSensitiveCtx(context.Background(), q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, gst, err := prn.SearchContextSensitive(q, k)
+				got, gst, err := prn.SearchContextSensitiveCtx(context.Background(), q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -199,7 +200,7 @@ func TestPrunedBitIdenticalWithViews(t *testing.T) {
 func TestPrunedSkipsWork(t *testing.T) {
 	ix, _ := buildPrunedSystem(t)
 	e := New(ix, nil, Options{Parallelism: 1, Pruning: true})
-	_, st, err := e.Search(query.MustParse("alpha"), 10)
+	_, st, err := e.SearchCtx(context.Background(), query.MustParse("alpha"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestPrunedSkipsWork(t *testing.T) {
 	}
 	// The cost model must show the savings: a pruned search of the same
 	// query scans strictly fewer posting entries than the exhaustive one.
-	_, est, err := New(ix, nil, Options{Parallelism: 1}).Search(query.MustParse("alpha"), 10)
+	_, est, err := New(ix, nil, Options{Parallelism: 1}).SearchCtx(context.Background(), query.MustParse("alpha"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestPrunedDeadlineDegrades(t *testing.T) {
 	ix, _ := buildPrunedSystem(t)
 	for _, p := range []int{1, 4} {
 		e := New(ix, nil, Options{Parallelism: p, Pruning: true, Deadline: time.Nanosecond})
-		res, st, err := e.SearchContextSensitive(query.MustParse("alpha | ctx_a"), 10)
+		res, st, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("alpha | ctx_a"), 10)
 		if err != nil {
 			t.Fatalf("parallelism %d: expired deadline returned error %v, want degraded result", p, err)
 		}
@@ -263,11 +264,11 @@ func TestPrunedFallsBackForUnboundedScorer(t *testing.T) {
 	base := New(ix, nil, Options{Parallelism: 2, Scorer: ranking.NewBM25()})
 	e := New(ix, nil, Options{Parallelism: 2, Scorer: unboundedScorer{ranking.NewBM25()}, Pruning: true})
 	q := query.MustParse("alpha | ctx_a")
-	want, _, err := base.Search(q, 10)
+	want, _, err := base.SearchCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := e.Search(q, 10)
+	got, st, err := e.SearchCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +289,11 @@ func TestPrunedZeroAndAllK(t *testing.T) {
 	exh := New(ix, nil, Options{Parallelism: 2})
 	prn := New(ix, nil, Options{Parallelism: 2, Pruning: true})
 	q := query.MustParse("beta | ctx_b")
-	want, _, err := exh.Search(q, 0)
+	want, _, err := exh.SearchCtx(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := prn.Search(q, 0)
+	got, st, err := prn.SearchCtx(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +302,11 @@ func TestPrunedZeroAndAllK(t *testing.T) {
 	}
 	assertBitIdentical(t, "k=0", want, got)
 
-	want, _, err = exh.Search(q, len(want)+50)
+	want, _, err = exh.SearchCtx(context.Background(), q, len(want)+50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = prn.Search(q, len(want)+50)
+	got, _, err = prn.SearchCtx(context.Background(), q, len(want)+50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,17 +64,26 @@ type resultEntry struct {
 	accessed bool
 }
 
-// ResultCacheStats is a counter snapshot for telemetry surfaces.
+// ResultCacheStats is a counter snapshot for telemetry surfaces. The
+// JSON tags are the wire format cmd/csserve's /statsz uses (the public
+// package re-exports this type as an alias, so there is no shadow copy).
 type ResultCacheStats struct {
-	Entries       int
-	Bytes         int64
-	Budget        int64
-	Hits          int64
-	Misses        int64
-	Stores        int64
-	Evictions     int64
-	Invalidations int64
-	Coalesced     int64
+	// Entries and Bytes describe the resident population; Budget is the
+	// configured byte bound.
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
+	Budget  int64 `json:"budget"`
+	// Hits and Misses count lookups; Stores counts insertions and
+	// overwrites.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	Stores int64 `json:"stores"`
+	// Evictions counts byte-pressure removals; Invalidations counts
+	// entries dropped because an input generation moved.
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
+	// Coalesced counts followers served by another query's execution.
+	Coalesced int64 `json:"coalesced"`
 }
 
 // NewResultCache returns a cache bounded to roughly budget bytes of

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"strings"
 	"time"
@@ -45,72 +44,11 @@ import (
 // flags st.Degraded instead of failing, mirroring the search path's
 // boundedness contract; explicit cancellation fails the call.
 func (e *Engine) StatsFor(ctx context.Context, q query.Query) (cs ranking.CollectionStats, st ExecStats, err error) {
-	ctx, cancel := e.applyDeadline(ctx)
-	defer cancel()
-	defer recoverToError(&err, "statistics phase")
-	defer noteQuarantine(&st)
-	start := time.Now()
-	defer func() { st.Elapsed = time.Since(start) }()
-	a, aerr := e.analyze(q)
-	if aerr != nil {
-		err = aerr
-		return
-	}
-	st.Phases.Analyze = time.Since(start)
-	if !q.IsContextual() || len(a.context) == 0 {
-		st.Plan = PlanConventional
-		// Whole-collection statistics are O(#keywords) aggregate reads —
-		// cheap enough to answer exactly even after a deadline expired
-		// (the scoring phase is where a dead deadline degrades). Explicit
-		// cancellation still fails the call.
-		if cerr := ctx.Err(); cerr != nil && !errors.Is(cerr, context.DeadlineExceeded) {
-			err = cerr
-			return
-		}
-		tStats := time.Now()
-		cs = e.globalStats(a)
-		st.Phases.Stats = time.Since(tStats)
-		return
-	}
-	st.Plan = PlanStraightforward
-	cat := e.catalog.Load()
-	if cerr := ctx.Err(); cerr != nil {
-		if !errors.Is(cerr, context.DeadlineExceeded) {
-			err = cerr
-			return
-		}
-		cs = e.approximateStats(a, true, &st, cat)
-		st.ContextSize = cs.N
-		st.degrade("deadline expired before statistics: approximate statistics")
-		return
-	}
-	kw, preds := e.lists(a)
-	tStats := time.Now()
-	statsCtx, statsCancel := ctx, context.CancelFunc(nil)
-	if e.statsBudget > 0 {
-		statsCtx, statsCancel = context.WithTimeout(ctx, e.statsBudget)
-	}
-	var cerr error
-	cs, cerr = e.contextStats(statsCtx, a, kw, preds, true, &st, cat)
-	if statsCancel != nil {
-		statsCancel()
-	}
-	st.Phases.Stats = time.Since(tStats)
-	if cerr != nil {
-		if !errors.Is(cerr, context.DeadlineExceeded) {
-			cs = ranking.CollectionStats{}
-			err = cerr
-			return
-		}
-		cs = e.approximateStats(a, true, &st, cat)
-		if ctx.Err() == nil {
-			st.degrade("stats budget exceeded: approximate statistics")
-		} else {
-			st.degrade("deadline exceeded during statistics: approximate statistics")
-		}
-	}
-	st.ContextSize = cs.N
-	return
+	err = e.run(ctx, q, "statistics phase", &st, func(ctx context.Context, x *exec) (serr error) {
+		cs, serr = e.statsPhase(ctx, x, "", true)
+		return serr
+	})
+	return cs, st, err
 }
 
 // SearchWithStats evaluates q's result set on this engine's documents
@@ -123,51 +61,14 @@ func (e *Engine) StatsFor(ctx context.Context, q query.Query) (cs ranking.Collec
 // so one merged statistics value can fan out to every shard
 // concurrently.
 func (e *Engine) SearchWithStats(ctx context.Context, q query.Query, k int, cs ranking.CollectionStats) (res []Result, st ExecStats, err error) {
-	ctx, cancel := e.applyDeadline(ctx)
-	defer cancel()
-	defer recoverToError(&err, "scatter-gather scoring")
-	defer noteQuarantine(&st)
-	start := time.Now()
-	defer func() { st.Elapsed = time.Since(start) }()
-	a, aerr := e.analyze(q)
-	if aerr != nil {
-		err = aerr
-		return
-	}
-	st.Phases.Analyze = time.Since(start)
-	if stop, out, herr := shortCircuit(ctx, &st); stop {
-		res, err = out, herr
-		return
-	}
-	kw, preds := e.lists(a)
-	if e.prunedEligible(kw, preds, k) {
-		tScore := time.Now()
-		out, serr := e.prunedSearch(ctx, a, kw, preds, cs, k, &st)
-		st.Phases.Score = time.Since(tScore)
-		if serr != nil && !degradeOnDeadline(serr, &st, "deadline exceeded during pruned scoring: partial top-k") {
-			err = serr
-			return
+	err = e.run(ctx, q, "scatter-gather scoring", &st, func(ctx context.Context, x *exec) (serr error) {
+		var stop bool
+		if stop, res, serr = shortCircuit(ctx, &st); !stop {
+			res, serr = e.scorePhase(ctx, x, cs, k, nil)
 		}
-		res = out
-		return
-	}
-	tRes := time.Now()
-	rs, rerr := evaluateResultSet(ctx, kw, preds, &st.Stats)
-	st.Phases.ResultSet = time.Since(tRes)
-	if rerr != nil && !degradeOnDeadline(rerr, &st, "deadline exceeded during result-set intersection: partial results") {
-		err = rerr
-		return
-	}
-	st.ResultSize = rs.Len()
-	tScore := time.Now()
-	out, serr := e.score(ctx, a, rs, cs, k)
-	st.Phases.Score = time.Since(tScore)
-	if serr != nil && !degradeOnDeadline(serr, &st, "deadline exceeded during scoring: partial top-k") {
-		err = serr
-		return
-	}
-	res = out
-	return
+		return serr
+	})
+	return res, st, err
 }
 
 // globalStats assembles whole-collection statistics for the analyzed

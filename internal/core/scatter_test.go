@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,11 +13,14 @@ import (
 	"csrank/internal/widetable"
 )
 
-// TestStatsForPlusSearchWithStatsEqualsSearch: on one engine, running
-// the two scatter-gather halves back to back must reproduce SearchCtx
-// bit-for-bit — same docIDs, same score bits, same order — for
-// contextual and context-free queries, with and without views, pruning
-// on and off.
+// TestStatsForPlusSearchWithStatsEqualsSearch: every entry point is a
+// composition of the same two phases, so on one engine each case runs
+// one query through all of them — SearchCtx, each forced plan, the two
+// scatter-gather halves back to back, and SearchSlicesPartial over the
+// engine as a one-slice collection — against one expected ranking,
+// bit-for-bit (same docIDs, same score bits, same order), with equal
+// Plan/ContextSize/Degraded: contextual and context-free queries, with
+// and without views, pruning on and off.
 func TestStatsForPlusSearchWithStatsEqualsSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ix, meshTerms, words := randomCollection(t, rng, 500, 8, 8)
@@ -26,6 +30,11 @@ func TestStatsForPlusSearchWithStatsEqualsSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := views.NewCatalog([]*views.View{v}, 1, 1<<20)
+	ctx := context.Background()
+	globals := make([]uint32, ix.NumDocs())
+	for i := range globals {
+		globals[i] = uint32(i)
+	}
 
 	queries := []query.Query{
 		{Keywords: []string{words[0], words[1]}},
@@ -41,34 +50,79 @@ func TestStatsForPlusSearchWithStatsEqualsSearch(t *testing.T) {
 			eng := New(ix, c, Options{Pruning: pruning})
 			for _, q := range queries {
 				for _, k := range []int{0, 5, 50} {
-					want, wantSt, err := eng.SearchCtx(context.Background(), q, k)
+					name := fmt.Sprintf("pruning=%v cat=%v q=%v k=%d", pruning, withCat, q, k)
+					want, wantSt, err := eng.SearchCtx(ctx, q, k)
 					if err != nil {
 						t.Fatal(err)
 					}
-					cs, statsSt, err := eng.StatsFor(context.Background(), q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, _, err := eng.SearchWithStats(context.Background(), q, k, cs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("pruning=%v cat=%v q=%v k=%d: %d results, want %d",
-							pruning, withCat, q, k, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("pruning=%v cat=%v q=%v k=%d rank %d: %+v, want %+v",
-								pruning, withCat, q, k, i, got[i], want[i])
+					// same checks one entry's answer against the expected one.
+					// The forced plans and SearchWithStats report a different
+					// (or no) plan by design; they pass plan "".
+					same := func(entry string, got []Result, st ExecStats, plan Plan, err error) {
+						t.Helper()
+						if err != nil {
+							t.Fatalf("%s %s: %v", name, entry, err)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%s %s: %d results, want %d", name, entry, len(got), len(want))
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s %s rank %d: %+v, want %+v", name, entry, i, got[i], want[i])
+							}
+						}
+						if st.Degraded != wantSt.Degraded {
+							t.Fatalf("%s %s: Degraded %v (%s), want %v", name, entry, st.Degraded, st.DegradedReason, wantSt.Degraded)
+						}
+						if plan != "" && (st.Plan != plan || st.ContextSize != wantSt.ContextSize) {
+							t.Fatalf("%s %s: plan %q |D_P|=%d, want %q |D_P|=%d",
+								name, entry, st.Plan, st.ContextSize, plan, wantSt.ContextSize)
 						}
 					}
-					if q.IsContextual() && statsSt.ContextSize != wantSt.ContextSize {
-						t.Fatalf("q=%v: ContextSize %d, want %d", q, statsSt.ContextSize, wantSt.ContextSize)
+
+					got, st, err := eng.SearchContextSensitiveCtx(ctx, q, k)
+					same("SearchContextSensitiveCtx", got, st, wantSt.Plan, err)
+
+					// Exact S_c(D_P) does not depend on its source: the forced
+					// straightforward plan ranks identically, views or not.
+					sfPlan := PlanStraightforward
+					if !q.IsContextual() {
+						sfPlan = PlanConventional
 					}
-					if statsSt.Plan != wantSt.Plan {
-						t.Fatalf("q=%v: plan %q, want %q", q, statsSt.Plan, wantSt.Plan)
+					got, st, err = eng.SearchStraightforwardCtx(ctx, q, k)
+					same("SearchStraightforwardCtx", got, st, sfPlan, err)
+
+					cs, statsSt, err := eng.StatsFor(ctx, q)
+					if err != nil {
+						t.Fatal(err)
 					}
+					got, scoreSt, err := eng.SearchWithStats(ctx, q, k, cs)
+					same("StatsFor+SearchWithStats", got, MergeStats(statsSt, scoreSt), wantSt.Plan, err)
+
+					hits, per, _, err := SearchSlicesPartial(ctx, []Slice{{Eng: eng, Globals: globals}}, q, k, SliceOptions{MinSlices: 1})
+					got = make([]Result, len(hits))
+					for i, h := range hits {
+						got[i] = Result{DocID: h.Global, Score: h.Score}
+					}
+					same("SearchSlicesPartial/1", got, MergeStats(per...), wantSt.Plan, err)
+
+					// The forced conventional plan is the same result set ranked
+					// under whole-collection statistics — exactly what the
+					// scoring phase produces from the context-free query's
+					// statistics.
+					want, wantSt, err = eng.SearchConventionalCtx(ctx, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if wantSt.Plan != PlanConventional || wantSt.ContextSize != 0 {
+						t.Fatalf("%s: forced conventional reported plan %q |D_P|=%d", name, wantSt.Plan, wantSt.ContextSize)
+					}
+					cs, _, err = eng.StatsFor(ctx, query.Query{Keywords: q.Keywords})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, st, err = eng.SearchWithStats(ctx, q, k, cs)
+					same("SearchConventionalCtx", got, st, "", err)
 				}
 			}
 		}
@@ -142,9 +196,9 @@ func TestMergeStats(t *testing.T) {
 	s1.Pruning.DocsSkipped = 3
 	s2 := ExecStats{Plan: PlanStraightforward, ResultSize: 7, ContextSize: 22,
 		Elapsed: 9 * time.Millisecond}
-	s2.degrade("deadline exceeded during scoring: partial top-k")
+	s2.Degrade("deadline exceeded during scoring: partial top-k")
 	s3 := ExecStats{ResultSize: 1} // scoring phase: no plan vote
-	s3.degrade("deadline exceeded during scoring: partial top-k")
+	s3.Degrade("deadline exceeded during scoring: partial top-k")
 
 	m := MergeStats(s1, s2, s3)
 	if m.Plan != PlanMixed {
@@ -180,7 +234,7 @@ func TestMergeStatsDegradedReasonUnion(t *testing.T) {
 	degraded := func(reasons ...string) ExecStats {
 		var s ExecStats
 		for _, r := range reasons {
-			s.degrade(r)
+			s.Degrade(r)
 		}
 		return s
 	}

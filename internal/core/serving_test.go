@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -26,7 +27,7 @@ func TestSwapCatalogChangesPlan(t *testing.T) {
 	eng := New(ix, nil, Options{CacheContexts: 16})
 	q := query.Query{Keywords: []string{words[0]}, Context: meshTerms[:2]}
 
-	_, st, err := eng.SearchContextSensitive(q, 10)
+	_, st, err := eng.SearchContextSensitiveCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestSwapCatalogChangesPlan(t *testing.T) {
 	if eng.Catalog() != cat {
 		t.Fatal("Catalog() does not reflect the swap")
 	}
-	_, st, err = eng.SearchContextSensitive(q, 10)
+	_, st, err = eng.SearchContextSensitiveCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestSwapCatalogChangesPlan(t *testing.T) {
 	}
 
 	eng.SwapCatalog(nil)
-	_, st, err = eng.SearchContextSensitive(q, 10)
+	_, st, err = eng.SearchContextSensitiveCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +78,12 @@ func TestSwapCatalogPreservesRanking(t *testing.T) {
 	eng := New(ix, nil, Options{})
 	q := query.Query{Keywords: []string{words[0], words[1]}, Context: meshTerms[:1]}
 
-	before, _, err := eng.SearchContextSensitive(q, 20)
+	before, _, err := eng.SearchContextSensitiveCtx(context.Background(), q, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.SwapCatalog(cat)
-	after, st, err := eng.SearchContextSensitive(q, 20)
+	after, st, err := eng.SearchContextSensitiveCtx(context.Background(), q, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestSwapCatalogConcurrentWithQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, _, err := eng.SearchContextSensitive(q, 5); err != nil {
+				if _, _, err := eng.SearchContextSensitiveCtx(context.Background(), q, 5); err != nil {
 					t.Error(err)
 					return
 				}

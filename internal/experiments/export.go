@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,11 +38,11 @@ func ExportTREC(s *Setup, dir string) error {
 		qrels[topic.ID] = trec.NewQrels(topic.Relevant)
 
 		q := query.Query{Keywords: topic.Keywords, Context: topic.ContextTerms}
-		conv, _, err := s.WithViews.SearchConventional(q, 1000)
+		conv, _, err := s.WithViews.SearchConventionalCtx(context.Background(), q, 1000)
 		if err != nil {
 			return fmt.Errorf("experiments: export topic %d: %w", topic.ID, err)
 		}
-		ctx, _, err := s.WithViews.SearchContextSensitive(q, 1000)
+		ctx, _, err := s.WithViews.SearchContextSensitiveCtx(context.Background(), q, 1000)
 		if err != nil {
 			return fmt.Errorf("experiments: export topic %d: %w", topic.ID, err)
 		}

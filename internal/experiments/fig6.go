@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"csrank/internal/core"
@@ -39,11 +40,11 @@ func RunFig6(s *Setup) (Fig6Result, error) {
 		q := query.Query{Keywords: topic.Keywords, Context: topic.ContextTerms}
 		qrels := trec.NewQrels(topic.Relevant)
 
-		conv, convSt, err := s.WithViews.SearchConventional(q, 0)
+		conv, convSt, err := s.WithViews.SearchConventionalCtx(context.Background(), q, 0)
 		if err != nil {
 			return out, err
 		}
-		ctx, _, err := s.WithViews.SearchContextSensitive(q, 0)
+		ctx, _, err := s.WithViews.SearchContextSensitiveCtx(context.Background(), q, 0)
 		if err != nil {
 			return out, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -121,14 +122,14 @@ func RunFig7(s *Setup, perN int) (PerfResult, error) {
 		p.Keywords = n
 		p.Queries = len(qs)
 		for _, q := range qs {
-			_, st, err := s.WithViews.SearchConventional(q, 20)
+			_, st, err := s.WithViews.SearchConventionalCtx(context.Background(), q, 20)
 			if err != nil {
 				return res, err
 			}
 			p.Conventional += st.Elapsed
 			p.ConvWork += st.ListWork()
 
-			_, st, err = s.WithViews.SearchContextSensitive(q, 20)
+			_, st, err = s.WithViews.SearchContextSensitiveCtx(context.Background(), q, 20)
 			if err != nil {
 				return res, err
 			}
@@ -140,7 +141,7 @@ func RunFig7(s *Setup, perN int) (PerfResult, error) {
 			}
 			p.MeanContextSize += st.ContextSize
 
-			_, st, err = s.NoViews.SearchStraightforward(q, 20)
+			_, st, err = s.NoViews.SearchStraightforwardCtx(context.Background(), q, 20)
 			if err != nil {
 				return res, err
 			}
@@ -175,14 +176,14 @@ func RunFig8(s *Setup, perN int) (PerfResult, error) {
 		p.Keywords = n
 		p.Queries = len(qs)
 		for _, q := range qs {
-			_, st, err := s.WithViews.SearchConventional(q, 20)
+			_, st, err := s.WithViews.SearchConventionalCtx(context.Background(), q, 20)
 			if err != nil {
 				return res, err
 			}
 			p.Conventional += st.Elapsed
 			p.ConvWork += st.ListWork()
 
-			_, st, err = s.NoViews.SearchStraightforward(q, 20)
+			_, st, err = s.NoViews.SearchStraightforwardCtx(context.Background(), q, 20)
 			if err != nil {
 				return res, err
 			}

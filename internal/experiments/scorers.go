@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"csrank/internal/core"
@@ -45,11 +46,11 @@ func RunScorerComparison(s *Setup) (ScorerComparison, error) {
 		for _, topic := range s.Corpus.Topics {
 			q := query.Query{Keywords: topic.Keywords, Context: topic.ContextTerms}
 			qrels := trec.NewQrels(topic.Relevant)
-			c, cst, err := eng.SearchConventional(q, 0)
+			c, cst, err := eng.SearchConventionalCtx(context.Background(), q, 0)
 			if err != nil {
 				return out, err
 			}
-			x, _, err := eng.SearchContextSensitive(q, 0)
+			x, _, err := eng.SearchContextSensitiveCtx(context.Background(), q, 0)
 			if err != nil {
 				return out, err
 			}

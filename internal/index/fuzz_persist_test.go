@@ -188,13 +188,18 @@ func TestSaveFileCrashKeepsPreviousIndex(t *testing.T) {
 	}
 }
 
-// TestSaveFileLegacyRoundTrip checks the frame opt-out: raw gob bytes on
-// disk (readable by pre-frame builds), still written atomically, still
+// TestLoadFileReadsRawGob checks the back-compat read path: a raw gob
+// stream on disk (what pre-frame builds wrote — the fixture is written
+// with Encode directly, no writer for the format remains) is still
 // loadable through LoadFile's sniffing.
-func TestSaveFileLegacyRoundTrip(t *testing.T) {
+func TestLoadFileReadsRawGob(t *testing.T) {
 	ix := buildTestIndex(t)
 	path := filepath.Join(t.TempDir(), "index.gob")
-	if err := ix.SaveFileLegacy(path); err != nil {
+	var raw bytes.Buffer
+	if err := ix.Encode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -202,7 +207,7 @@ func TestSaveFileLegacyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snapshot.IsFramed(b) {
-		t.Fatal("legacy save produced a framed file")
+		t.Fatal("raw gob fixture carries the snapshot frame")
 	}
 	got, err := LoadFile(path)
 	if err != nil {

@@ -303,22 +303,8 @@ func (ix *Index) SaveFileFS(fs fsx.FS, path string) error {
 	})
 }
 
-// SaveFileLegacy writes the raw gob stream without the snapshot frame —
-// byte-compatible with readers that predate the framed format. The write
-// itself is still atomic (temp + fsync + rename), so even opting out of
-// checksums can never destroy the previous index file.
-func (ix *Index) SaveFileLegacy(path string) error {
-	return fsx.WriteFileAtomic(fsx.OS, path, func(w io.Writer) error {
-		bw := bufio.NewWriterSize(w, 1<<20)
-		if err := ix.Encode(bw); err != nil {
-			return err
-		}
-		return bw.Flush()
-	})
-}
-
-// LoadFile reads an index written by SaveFile or SaveFileLegacy, or by
-// any build before the framed format existed.
+// LoadFile reads an index written by SaveFile or SaveMapped, or by any
+// build before the framed format existed (a raw gob stream).
 func LoadFile(path string) (*Index, error) {
 	return LoadFileFS(fsx.OS, path)
 }

@@ -55,15 +55,20 @@ type blockCacheEntry struct {
 // BlockCacheStats is one cache's counter snapshot. Hits and Misses
 // describe only cache-managed (decoded, charged) blocks: zero-copy
 // aliases are memoized outside the budget and touch no counter.
+// The JSON tags are the wire format cmd/csserve's /statsz uses (the
+// public package re-exports this type as an alias).
 type BlockCacheStats struct {
-	Budget     int64
-	Used       int64
-	Hits       int64
-	Misses     int64
-	Insertions int64
-	Evictions  int64
-	Promotions int64
-	GhostHits  int64
+	Budget     int64 `json:"budget"`
+	Used       int64 `json:"used"`
+	Hits       int64 `json:"hits"`
+	Misses     int64 `json:"misses"`
+	Insertions int64 `json:"insertions"`
+	Evictions  int64 `json:"evictions"`
+	// Promotions counts probationary blocks that graduated to the main
+	// queue on reuse; GhostHits counts re-decoded blocks recognized by
+	// the ghost list (the S3-FIFO signals).
+	Promotions int64 `json:"promotions"`
+	GhostHits  int64 `json:"ghost_hits"`
 }
 
 // NewBlockCache returns a cache that keeps at most budget bytes of

@@ -73,12 +73,9 @@ type Options struct {
 // holds each document in exactly one slice by construction, and views
 // are replaced whole.
 type View struct {
-	// Slices are the disjoint document slices; Slices[:Base] are the
-	// immutable shards, the rest (at most one) is the mutable segment.
+	// Slices are the disjoint document slices: the cluster's immutable
+	// shards in order, then (at most one) the mutable segment.
 	Slices []core.Slice
-	Base   int
-	// Total is the searchable document count.
-	Total int
 	// Seq is a monotonic content sequence number: it advances exactly
 	// when the searchable content changes — an acknowledged document
 	// became visible, or a compaction committed a new generation — and
@@ -259,13 +256,15 @@ func (ing *Ingester) CompactErr() error {
 func (ing *Ingester) View() *View { return ing.view.Load() }
 
 // Search evaluates q over the current view — shards plus mutable
-// segment, rank-safely merged — and returns the hits, each slice's
-// execution report, and the view the query ran on (for stored-field
-// resolution).
-func (ing *Ingester) Search(ctx context.Context, q query.Query, k int) ([]core.SliceHit, []core.ExecStats, *View, error) {
+// segment, rank-safely merged through the cluster's admitted
+// scatter-gather (policy, breakers and chaos seam included; the segment
+// rides along as the breaker-less extra slice) — and returns the hits,
+// the execution summary, and the view the query ran on (for
+// stored-field resolution).
+func (ing *Ingester) Search(ctx context.Context, q query.Query, k int) ([]core.SliceHit, shard.Summary, *View, error) {
 	v := ing.view.Load()
-	hits, per, err := core.SearchSlices(ctx, v.Slices, q, k)
-	return hits, per, v, err
+	hits, sum, err := ing.cluster.SearchSlices(ctx, v.Slices, q, k)
+	return hits, sum, v, err
 }
 
 // Add durably logs the document — fsynced before return — and assigns
@@ -326,7 +325,6 @@ func (ing *Ingester) refreshLocked() error {
 	base, _ := ing.cluster.Slices()
 	slices := make([]core.Slice, 0, len(base)+1)
 	slices = append(slices, base...)
-	nBase := len(slices)
 	if len(docs) > 0 {
 		segIx, err := index.BuildFrom(ing.schema, ing.segSize, docs)
 		if err != nil {
@@ -343,7 +341,7 @@ func (ing *Ingester) refreshLocked() error {
 		ing.viewSeq++
 		ing.lastGen, ing.lastCount = ing.gen, newCount
 	}
-	ing.view.Store(&View{Slices: slices, Base: nBase, Total: newCount, Seq: ing.viewSeq})
+	ing.view.Store(&View{Slices: slices, Seq: ing.viewSeq})
 	return nil
 }
 

@@ -209,13 +209,17 @@ func TestCompactionEquivalence(t *testing.T) {
 				}
 				for _, q := range queries {
 					for _, k := range []int{3, 25} {
-						wantRes, _, err := want.SearchCtx(context.Background(), q, k)
+						wantRes, wantSt, err := want.SearchCtx(context.Background(), q, k)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, _, _, err := ing.Search(context.Background(), q, k)
+						got, sum, _, err := ing.Search(context.Background(), q, k)
 						if err != nil {
 							t.Fatal(err)
+						}
+						if sum.Agg.Plan != wantSt.Plan || sum.Agg.ContextSize != wantSt.ContextSize || sum.Agg.Degraded != wantSt.Degraded {
+							t.Fatalf("%s shards=%d q=%v: plan %q |D_P|=%d degraded=%v, want %q/%d/%v", stage, nShards, q,
+								sum.Agg.Plan, sum.Agg.ContextSize, sum.Agg.Degraded, wantSt.Plan, wantSt.ContextSize, wantSt.Degraded)
 						}
 						if len(got) != len(wantRes) {
 							t.Fatalf("%s shards=%d pruning=%v q=%v k=%d: %d hits, want %d",

@@ -116,7 +116,7 @@ func TestChaosSweep(t *testing.T) {
 				if len(sum.Failed) != 1 || sum.Failed[0].Shard != target || sum.Failed[0].Kind != fc.kind {
 					t.Fatalf("%s/shard %d: failure attribution %+v", fc.name, target, sum.Failed)
 				}
-				want, _, err := core.SearchSlices(context.Background(), healthy, q, 10)
+				want, _, _, err := core.SearchSlicesPartial(context.Background(), healthy, q, 10, core.SliceOptions{MinSlices: len(healthy)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -117,34 +117,22 @@ type topology struct {
 	total   int
 }
 
-// Hit is one merged result: the shard that produced it, the document's
-// docID in that shard's engine (for stored-field lookup) and in the
-// logical collection (the tie-break key), and its score.
-type Hit struct {
-	Shard  int
-	Local  uint32
-	Global uint32
-	Score  float64
-}
-
 // Summary reports what one scatter-gather execution did.
 type Summary struct {
 	// Agg is the cluster-level aggregation (core.MergeStats) of every
 	// shard's statistics-phase and scoring-phase reports.
 	Agg core.ExecStats
-	// PerShard holds each shard's merged (stats + scoring) report.
+	// PerShard holds each slice's merged (stats + scoring) report: the
+	// shards in order, then any extra slice.
 	PerShard []core.ExecStats
 	// Generations are the serving generations the query ran against,
-	// one per shard, captured as one snapshot per shard at fan-out.
+	// one per shard, captured as one snapshot per shard at fan-out (set
+	// by Search; SearchSlices callers hold their own snapshot).
 	Generations []uint64
-	// Engines are the engine snapshots the query ran on, one per shard;
-	// callers use them to resolve stored fields for the returned hits
-	// (the serving pointer may have swapped since).
-	Engines []*core.Engine
-	// Failed attributes every shard that did not contribute to the
+	// Failed attributes every slice that did not contribute to the
 	// answer — shed by its breaker or lost to a panic, timeout, or
-	// corruption. Non-empty exactly when the answer is partial (and
-	// Agg.Degraded is then set).
+	// corruption (an index ≥ NumShards names an extra slice). Non-empty
+	// exactly when the answer is partial (and Agg.Degraded is then set).
 	Failed []ShardError
 	// Elapsed is the cluster-level wall clock: fan-out, both phases,
 	// merge.
@@ -205,10 +193,6 @@ func (c *Cluster) NumDocs() int { return c.state.Load().total }
 
 // Engine returns shard i's current engine and generation.
 func (c *Cluster) Engine(i int) (*core.Engine, uint64) { return c.shards[i].Snapshot() }
-
-// Globals returns shard i's current local→global docID map. The slice
-// is shared with concurrent queries and must not be mutated.
-func (c *Cluster) Globals(i int) []uint32 { return c.state.Load().globals[i] }
 
 // Generations returns each shard's current serving generation.
 func (c *Cluster) Generations() []uint64 {
@@ -340,62 +324,63 @@ func (c *Cluster) Slices() ([]core.Slice, []uint64) {
 }
 
 // Search evaluates q over the whole cluster and returns the global top
-// k (everything when k ≤ 0). With every shard healthy the answer is
-// bit-identical — scores, order, tie-breaks — to a single engine
-// holding all documents: core.SearchSlicesPartial's two-phase
-// scatter-gather over one engine snapshot per shard (partial statistics
-// summed exactly into the union's statistics, then per-shard scoring
-// under the merged statistics, then a rank-safe merge in the global
-// docID space).
+// k (everything when k ≤ 0): SearchSlices over one engine snapshot per
+// shard.
+func (c *Cluster) Search(ctx context.Context, q query.Query, k int) ([]core.SliceHit, Summary, error) {
+	slices, gens := c.Slices()
+	hits, sum, err := c.SearchSlices(ctx, slices, q, k)
+	sum.Generations = gens
+	return hits, sum, err
+}
+
+// SearchSlices is the one admitted scatter-gather every query runs
+// through. slices[:NumShards] must be a Slices snapshot of this cluster;
+// any further slices are extras — the live view's mutable segment —
+// that rank with the shards but have no breaker: they are always
+// admitted and their outcome feeds nothing. Hits resolve against the
+// caller's slices (SliceHit.Slice indexes them). With every slice
+// healthy the answer is bit-identical — scores, order, tie-breaks — to
+// a single engine holding all documents: core.SearchSlicesPartial's
+// two-phase scatter-gather (partial statistics summed exactly into the
+// union's statistics, then per-slice scoring under the merged
+// statistics, then a rank-safe merge in the global docID space).
 //
 // Shards are failure domains, not a shared fate: a shard that panics,
 // reads a corrupt block, or exceeds Policy.ShardTimeout is dropped from
-// the query, and — as long as at least Policy.MinShards survive — the
-// rest answer alone, bit-identically to a cluster built over exactly
-// the surviving shards, with Summary.Failed attributing each loss and
-// Agg.Degraded set. Shards whose circuit breaker is open are shed
-// before the fan-out at zero cost; breakers observe every attempted
-// shard's outcome. Fewer than MinShards survivors fail the query with
-// core.ErrTooFewSlices (fail-closed), and caller cancellation fails it
-// with ctx's error. An engine-level deadline expiry still degrades
-// in-shard rather than dropping the shard, matching the single-engine
-// boundedness contract.
-func (c *Cluster) Search(ctx context.Context, q query.Query, k int) ([]Hit, Summary, error) {
+// the query, and — as long as at least Policy.MinShards shards (plus
+// every extra) survive — the rest answer alone, bit-identically to a
+// cluster built over exactly the surviving slices, with Summary.Failed
+// attributing each loss and Agg.Degraded set. Shards whose circuit
+// breaker is open are shed before the fan-out at zero cost; breakers
+// observe every attempted shard's outcome. Fewer survivors than the
+// floor fail the query with core.ErrTooFewSlices (fail-closed), and
+// caller cancellation fails it with ctx's error. An engine-level
+// deadline expiry still degrades in-shard rather than dropping the
+// shard, matching the single-engine boundedness contract.
+func (c *Cluster) SearchSlices(ctx context.Context, slices []core.Slice, q query.Query, k int) ([]core.SliceHit, Summary, error) {
 	start := time.Now()
-	slices, gens := c.Slices()
 	n := len(slices)
 	pol := c.Policy()
 	breakers := c.breakerSnapshot()
-	minShards := pol.MinShards
-	if minShards < 1 {
-		minShards = 1
-	}
-	if minShards > n {
-		minShards = n
-	}
+	// The policy floor counts shards; extras are required on top of it, so
+	// a healthy mutable segment can never stand in for a lost shard.
+	minSlices := c.minShards(pol) + n - len(breakers)
 
-	sum := Summary{
-		Generations: gens,
-		Engines:     make([]*core.Engine, n),
-	}
-	for i := range slices {
-		sum.Engines[i] = slices[i].Eng
-	}
-
+	var sum Summary
 	// Admission: shed shards whose breaker is open before paying for any
 	// fan-out, and fail closed up front when too few remain.
 	now := time.Now()
-	include := make([]int, 0, n) // cluster shard index per included slice
+	include := make([]int, 0, n) // index into slices per admitted slice
 	for i := range slices {
-		if breakers[i].Allow(now) {
+		if i >= len(breakers) || breakers[i].Allow(now) {
 			include = append(include, i)
 		} else {
 			sum.Failed = append(sum.Failed, ShardError{Shard: i, Kind: KindBreakerOpen, Err: "circuit breaker open: shard is shedding"})
 		}
 	}
-	if len(include) < minShards {
+	if len(include) < minSlices {
 		sum.Elapsed = time.Since(start)
-		return nil, sum, fmt.Errorf("%w: %d of %d shards admitted, policy requires %d", core.ErrTooFewSlices, len(include), n, minShards)
+		return nil, sum, fmt.Errorf("%w: %d of %d shards admitted, policy requires %d", core.ErrTooFewSlices, len(include), n, minSlices)
 	}
 
 	sub := make([]core.Slice, len(include))
@@ -411,8 +396,8 @@ func (c *Cluster) Search(ctx context.Context, q query.Query, k int) ([]Hit, Summ
 		}
 	}
 
-	sliceHits, per, failures, err := core.SearchSlicesPartial(ctx, sub, q, k, core.SliceOptions{
-		MinSlices: minShards,
+	hits, per, failures, err := core.SearchSlicesPartial(ctx, sub, q, k, core.SliceOptions{
+		MinSlices: minSlices,
 		Timeout:   pol.ShardTimeout,
 		Hooks:     hooks,
 	})
@@ -428,17 +413,19 @@ func (c *Cluster) Search(ctx context.Context, q query.Query, k int) ([]Hit, Summ
 	}
 	now = time.Now()
 	for j, i := range include {
-		breakers[i].Record(!lost[j], now)
+		if i < len(breakers) {
+			breakers[i].Record(!lost[j], now)
+		}
 	}
 	if err != nil {
 		sum.Elapsed = time.Since(start)
 		return nil, sum, err
 	}
 
-	// Map slice-space hits and reports back to cluster shard indices.
-	hits := make([]Hit, len(sliceHits))
-	for i, h := range sliceHits {
-		hits[i] = Hit{Shard: include[h.Slice], Local: h.Local, Global: h.Global, Score: h.Score}
+	// Map admitted-space hits and reports back to the caller's slice
+	// indices.
+	for i := range hits {
+		hits[i].Slice = include[hits[i].Slice]
 	}
 	sum.PerShard = make([]core.ExecStats, n)
 	for j, i := range include {
@@ -450,6 +437,19 @@ func (c *Cluster) Search(ctx context.Context, q query.Query, k int) ([]Hit, Summ
 	}
 	sum.Elapsed = time.Since(start)
 	return hits, sum, nil
+}
+
+// minShards resolves the policy floor: MinShards clamped into
+// [1, NumShards].
+func (c *Cluster) minShards(pol Policy) int {
+	min := pol.MinShards
+	if min < 1 {
+		min = 1
+	}
+	if min > len(c.shards) {
+		min = len(c.shards)
+	}
+	return min
 }
 
 // ShardHealth is one shard's view in a Health report.
@@ -501,14 +501,7 @@ func (c *Cluster) Health() Health {
 // hot path's early shed.
 func (c *Cluster) CanServe() bool {
 	breakers := c.breakerSnapshot()
-	pol := c.Policy()
-	min := pol.MinShards
-	if min < 1 {
-		min = 1
-	}
-	if min > len(c.shards) {
-		min = len(c.shards)
-	}
+	min := c.minShards(c.Policy())
 	now := time.Now()
 	avail := 0
 	for _, b := range breakers {

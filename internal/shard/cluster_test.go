@@ -149,13 +149,24 @@ func TestShardedBitIdenticalToSingleEngine(t *testing.T) {
 					}
 					for _, q := range queries {
 						for _, k := range []int{0, 3, 25} {
-							want, _, err := single.SearchCtx(context.Background(), q, k)
+							want, wantSt, err := single.SearchCtx(context.Background(), q, k)
 							if err != nil {
 								t.Fatal(err)
 							}
 							got, sum, err := cluster.Search(context.Background(), q, k)
 							if err != nil {
 								t.Fatal(err)
+							}
+							// Same executor, same report: |D_P| sums exactly over the
+							// shards, nothing degrades, and the plan agrees wherever
+							// the statistics source does (the single engine has no
+							// catalog; shards with one answer from the view).
+							if sum.Agg.ContextSize != wantSt.ContextSize || sum.Agg.Degraded != wantSt.Degraded {
+								t.Fatalf("shards=%d q=%v: |D_P|=%d degraded=%v, want %d/%v",
+									nShards, q, sum.Agg.ContextSize, sum.Agg.Degraded, wantSt.ContextSize, wantSt.Degraded)
+							}
+							if !sum.Agg.UsedView && sum.Agg.Plan != wantSt.Plan {
+								t.Fatalf("shards=%d q=%v: plan %q, want %q", nShards, q, sum.Agg.Plan, wantSt.Plan)
 							}
 							if len(got) != len(want) {
 								t.Fatalf("shards=%d pruning=%v par=%d q=%v k=%d: %d hits, want %d",
@@ -167,8 +178,8 @@ func TestShardedBitIdenticalToSingleEngine(t *testing.T) {
 										nShards, pruning, par, q, k, i,
 										got[i].Global, got[i].Score, want[i].DocID, want[i].Score)
 								}
-								if s := ShardOf(got[i].Global, nShards); s != got[i].Shard {
-									t.Fatalf("hit claims shard %d, partitioner says %d", got[i].Shard, s)
+								if s := ShardOf(got[i].Global, nShards); s != got[i].Slice {
+									t.Fatalf("hit claims shard %d, partitioner says %d", got[i].Slice, s)
 								}
 							}
 							if q.IsContextual() && len(sum.PerShard) != nShards {

@@ -316,20 +316,6 @@ func (c *Catalog) SaveFileFS(fs fsx.FS, path string) error {
 	})
 }
 
-// SaveFileLegacy writes the catalog as a raw gob stream — the pre-frame
-// on-disk format, for toolchains that read views.gob without this
-// package. The write is still atomic (temp + fsync + rename); only the
-// per-section checksums are given up.
-func (c *Catalog) SaveFileLegacy(path string) error {
-	return fsx.WriteFileAtomic(fsx.OS, path, func(w io.Writer) error {
-		bw := bufio.NewWriterSize(w, 1<<20)
-		if err := c.Encode(bw); err != nil {
-			return err
-		}
-		return bw.Flush()
-	})
-}
-
 // LoadFile reads a catalog written by SaveFile — current framed files
 // and pre-frame raw gob files alike.
 func LoadFile(path string) (*Catalog, error) {

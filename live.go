@@ -49,7 +49,7 @@ func OpenLive(dir string, opts BuildOptions, ing IngestOptions) (*ShardedEngine,
 		return nil, err
 	}
 	se := &ShardedEngine{cluster: live.Cluster(), live: live}
-	se.attachCache(opts)
+	se.configure(opts)
 	return se, nil
 }
 

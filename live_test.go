@@ -1,8 +1,11 @@
 package csrank
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+
+	"csrank/internal/shard"
 )
 
 func liveDoc(i int) Document {
@@ -145,5 +148,95 @@ func TestEngineEnableIngest(t *testing.T) {
 	}
 	if e.Live() == nil {
 		t.Fatal("Live() nil after EnableIngest")
+	}
+}
+
+// TestOpenLiveShardFaultDegrades: a live engine runs the same
+// failure-domain contract as a static cluster. With a non-empty mutable
+// segment and shard 1 crashing, every query still answers — flagged
+// degraded, the loss attributed to shard 1 — with hits bit-identical to
+// a fresh engine over exactly the surviving slices (the other shards
+// plus the segment); with MinShards = NumShards the same fault fails
+// closed.
+func TestOpenLiveShardFaultDegrades(t *testing.T) {
+	const nShards, nBase, nAdd = 4, 80, 15
+	base := NewBuilder()
+	for i := 0; i < nBase; i++ {
+		base.Add(liveDoc(i))
+	}
+	se, err := base.BuildSharded(nShards, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := se.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	live, err := OpenLive(dir, BuildOptions{}, IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivors := NewBuilder()
+	for i := 0; i < nBase+nAdd; i++ {
+		if i >= nBase {
+			if _, err := live.Add(liveDoc(i)); err != nil {
+				t.Fatalf("add %d: %v", i, err)
+			}
+		}
+		if i >= nBase || shard.ShardOf(uint32(i), nShards) != 1 {
+			survivors.Add(liveDoc(i))
+		}
+	}
+	if p := live.Pending(); p != nAdd {
+		t.Fatalf("segment holds %d documents, want %d", p, nAdd)
+	}
+	want, err := survivors.Build(BuildOptions{DisableViews: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.ArmFault(1, 0, true, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"leukemia", "leukemia | neoplasms", "pancreas outcomes | digestive_system"} {
+		wh, _, err := want.Search(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gh, st, err := live.Search(q, 10)
+		if err != nil {
+			t.Fatalf("%q: query failed instead of degrading: %v", q, err)
+		}
+		if !st.Degraded || len(st.ShardErrors) != 1 || st.ShardErrors[0].Shard != 1 || st.ShardErrors[0].Kind != "panic" {
+			t.Fatalf("%q: degraded=%v shard errors %+v, want shard 1 attributed", q, st.Degraded, st.ShardErrors)
+		}
+		if len(gh) != len(wh) {
+			t.Fatalf("%q: %d hits, survivors-only engine has %d", q, len(gh), len(wh))
+		}
+		for i := range wh {
+			// Global docIDs differ (the reference renumbers the survivors);
+			// titles are unique and the renumbering is monotone, so equal
+			// titles and score bits in order is bit-identity.
+			if gh[i].Title != wh[i].Title || gh[i].Score != wh[i].Score {
+				t.Fatalf("%q rank %d: %+v, survivors-only engine has %+v", q, i, gh[i], wh[i])
+			}
+		}
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	strict, err := OpenLive(dir, BuildOptions{MinShards: nShards}, IngestOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer strict.Close()
+	if p := strict.Pending(); p != nAdd {
+		t.Fatalf("reopened segment holds %d documents, want %d", p, nAdd)
+	}
+	if err := strict.ArmFault(1, 0, true, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := strict.Search("leukemia", 10); !errors.Is(err, ErrTooFewShards) {
+		t.Fatalf("MinShards = NumShards with a dead shard: err %v, want ErrTooFewShards", err)
 	}
 }

@@ -39,13 +39,30 @@ type ShardedEngine struct {
 	cacheFP string
 }
 
-// attachCache wires the serving-layer result cache per opts.Cache. Every
-// construction path (BuildSharded, OpenSharded, OpenLive,
-// ShardedWithOptions) calls it so the cache's configuration fingerprint
-// always matches the engines actually serving.
-func (e *ShardedEngine) attachCache(opts BuildOptions) {
+// configure installs the serving-layer subset of opts: the cluster's
+// failure policy and the result cache per opts.Cache. Every construction
+// path that takes options (BuildSharded, OpenSharded, OpenLive,
+// ShardedWithOptions) calls it, so no path serves without the policy it
+// was asked for and the cache's configuration fingerprint always matches
+// the engines actually serving.
+func (e *ShardedEngine) configure(opts BuildOptions) {
+	e.cluster.SetPolicy(shard.Policy{MinShards: opts.MinShards, ShardTimeout: opts.ShardTimeout})
 	e.rcache = core.NewResultCache(opts.Cache.ResultBytes)
 	e.cacheFP = opts.cacheFingerprint()
+}
+
+// current is the one accessor for what a query issued now runs on: the
+// disjoint slices — the live view's shards plus mutable segment, or a
+// snapshot of the static cluster — and the monotonic stamp of their
+// content: the live view's sequence (it covers both ingestion
+// visibility and compaction generations), or the shards' serving
+// generations.
+func (e *ShardedEngine) current() ([]core.Slice, []uint64) {
+	if e.live != nil {
+		v := e.live.View()
+		return v.Slices, []uint64{v.Seq}
+	}
+	return e.cluster.Slices()
 }
 
 // cacheKey is the result-cache key for a parsed query: configuration
@@ -75,26 +92,15 @@ func (e *ShardedEngine) cacheKey(pq query.Query, k int) string {
 // visible in between — which is what makes serving a tagged entry
 // bit-identical to re-executing the query.
 func (e *ShardedEngine) cacheTag() string {
+	slices, stamp := e.current()
 	var b strings.Builder
-	if e.live != nil {
-		// Live path: the view sequence covers both ingestion visibility and
-		// compaction generations; per-slice catalog versions cover
-		// SwapExtend on the underlying engines.
-		v := e.live.View()
-		b.WriteString("live:")
-		b.WriteString(strconv.FormatUint(v.Seq, 10))
-		for _, sl := range v.Slices {
-			b.WriteByte(';')
-			b.WriteString(strconv.FormatUint(sl.Eng.CatalogVersion(), 10))
-		}
-		return b.String()
-	}
-	for i := 0; i < e.cluster.NumShards(); i++ {
-		eng, gen := e.cluster.Engine(i)
-		b.WriteString(strconv.FormatUint(gen, 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(eng.CatalogVersion(), 10))
+	for _, g := range stamp {
+		b.WriteString(strconv.FormatUint(g, 10))
 		b.WriteByte(';')
+	}
+	for _, sl := range slices {
+		b.WriteByte(':')
+		b.WriteString(strconv.FormatUint(sl.Eng.CatalogVersion(), 10))
 	}
 	return b.String()
 }
@@ -179,16 +185,9 @@ func (b *Builder) BuildSharded(shards int, opts BuildOptions) (*ShardedEngine, e
 	if err != nil {
 		return nil, err
 	}
-	cluster.SetPolicy(opts.shardPolicy())
 	se := &ShardedEngine{cluster: cluster, selectTime: selTime}
-	se.attachCache(opts)
+	se.configure(opts)
 	return se, nil
-}
-
-// shardPolicy maps the sharding subset of BuildOptions onto the
-// cluster's failure policy.
-func (o BuildOptions) shardPolicy() shard.Policy {
-	return shard.Policy{MinShards: o.MinShards, ShardTimeout: o.ShardTimeout}
 }
 
 // Sharded wraps an existing single engine as a one-shard cluster, so
@@ -203,16 +202,16 @@ func (e *Engine) Sharded() (*ShardedEngine, error) {
 	return &ShardedEngine{cluster: cluster, selectTime: e.selectTime}, nil
 }
 
-// ShardedWithOptions is Sharded with the caching subset of opts applied
-// to the wrapper (the engine's own runtime options are unchanged): the
-// way cmd/csserve enables the result cache over a single-engine data
-// directory.
+// ShardedWithOptions is Sharded with the serving-layer subset of opts
+// (failure policy, result cache) applied to the wrapper (the engine's
+// own runtime options are unchanged): the way cmd/csserve enables the
+// result cache over a single-engine data directory.
 func (e *Engine) ShardedWithOptions(opts BuildOptions) (*ShardedEngine, error) {
 	se, err := e.Sharded()
 	if err != nil {
 		return nil, err
 	}
-	se.attachCache(opts)
+	se.configure(opts)
 	return se, nil
 }
 
@@ -242,9 +241,8 @@ func OpenSharded(dir string, opts BuildOptions) (*ShardedEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster.SetPolicy(opts.shardPolicy())
 	se := &ShardedEngine{cluster: cluster}
-	se.attachCache(opts)
+	se.configure(opts)
 	return se, nil
 }
 
@@ -259,17 +257,13 @@ func (e *ShardedEngine) Search(q string, k int) ([]Hit, Stats, error) {
 // flagged partial results instead of failing, exactly as on a single
 // engine.
 func (e *ShardedEngine) SearchCtx(ctx context.Context, q string, k int) ([]Hit, Stats, error) {
-	hits, agg, _, err := e.searchDetailed(ctx, q, k)
+	hits, agg, _, err := e.SearchGated(ctx, q, k, nil)
 	return hits, agg, err
 }
 
 // SearchDetailed is SearchCtx that additionally returns each shard's
 // own statistics report (index = shard), for serving telemetry.
 func (e *ShardedEngine) SearchDetailed(ctx context.Context, q string, k int) ([]Hit, Stats, []Stats, error) {
-	return e.searchDetailed(ctx, q, k)
-}
-
-func (e *ShardedEngine) searchDetailed(ctx context.Context, q string, k int) ([]Hit, Stats, []Stats, error) {
 	return e.SearchGated(ctx, q, k, nil)
 }
 
@@ -378,11 +372,13 @@ func (e *ShardedEngine) executeAndStore(ctx context.Context, pq query.Query, k i
 	return hits, agg, per, err
 }
 
+// searchParsed executes a parsed query: the current slices through the
+// cluster's admitted scatter-gather, then the one hit/stats conversion.
+// On a live engine the per-slice reports end with the mutable segment's
+// (when it is non-empty), after the shards'.
 func (e *ShardedEngine) searchParsed(ctx context.Context, pq query.Query, k int) ([]Hit, Stats, []Stats, error) {
-	if e.live != nil {
-		return e.searchLive(ctx, pq, k)
-	}
-	res, sum, err := e.cluster.Search(ctx, pq, k)
+	slices, _ := e.current()
+	res, sum, err := e.cluster.SearchSlices(ctx, slices, pq, k)
 	if err != nil {
 		return nil, Stats{}, nil, err
 	}
@@ -390,7 +386,7 @@ func (e *ShardedEngine) searchParsed(ctx context.Context, pq query.Query, k int)
 	for i, h := range res {
 		hits[i] = Hit{
 			DocID: int(h.Global),
-			Title: sum.Engines[h.Shard].Index().StoredField(h.Local, "title"),
+			Title: slices[h.Slice].Eng.Index().StoredField(h.Local, "title"),
 			Score: h.Score,
 		}
 	}
@@ -398,9 +394,7 @@ func (e *ShardedEngine) searchParsed(ctx context.Context, pq query.Query, k int)
 	// The cluster-level wall clock (fan-out + both phases + merge), not
 	// the slowest shard's own clock, is what a serving SLO measures.
 	agg.Elapsed = sum.Elapsed
-	for _, f := range sum.Failed {
-		agg.ShardErrors = append(agg.ShardErrors, ShardError{Shard: f.Shard, Kind: f.Kind, Err: f.Err})
-	}
+	agg.ShardErrors = sum.Failed
 	perShard := make([]Stats, len(sum.PerShard))
 	for i, st := range sum.PerShard {
 		perShard[i] = convertStats(st)
@@ -408,52 +402,20 @@ func (e *ShardedEngine) searchParsed(ctx context.Context, pq query.Query, k int)
 	return hits, agg, perShard, nil
 }
 
-// searchLive evaluates a parsed query over the live view — the shard
-// slices plus the mutable segment — with the same two-phase rank-safe
-// merge the cluster path uses; the extra per-slice report (when the
-// segment is non-empty) is appended after the shards'.
-func (e *ShardedEngine) searchLive(ctx context.Context, pq query.Query, k int) ([]Hit, Stats, []Stats, error) {
-	start := time.Now()
-	res, per, view, err := e.live.Search(ctx, pq, k)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	hits := make([]Hit, len(res))
-	for i, h := range res {
-		hits[i] = Hit{
-			DocID: int(h.Global),
-			Title: view.Slices[h.Slice].Eng.Index().StoredField(h.Local, "title"),
-			Score: h.Score,
-		}
-	}
-	agg := convertStats(core.MergeStats(per...))
-	agg.Elapsed = time.Since(start)
-	perSlice := make([]Stats, len(per))
-	for i, st := range per {
-		perSlice[i] = convertStats(st)
-	}
-	return hits, agg, perSlice, nil
-}
-
 // NumShards returns the number of document partitions.
 func (e *ShardedEngine) NumShards() int { return e.cluster.NumShards() }
 
 // NumDocs returns the logical collection size across all shards,
 // including live documents not yet compacted.
-func (e *ShardedEngine) NumDocs() int {
-	if e.live != nil {
-		return e.live.NumDocs()
-	}
-	return e.cluster.NumDocs()
-}
+func (e *ShardedEngine) NumDocs() int { return e.cluster.NumDocs() + e.Pending() }
 
 // NumViews returns the total number of materialized views across all
 // shards (0 when views are disabled).
 func (e *ShardedEngine) NumViews() int {
 	total := 0
-	for i := 0; i < e.cluster.NumShards(); i++ {
-		eng, _ := e.cluster.Engine(i)
-		if cat := eng.Catalog(); cat != nil {
+	slices, _ := e.current()
+	for _, sl := range slices {
+		if cat := sl.Eng.Catalog(); cat != nil {
 			total += cat.Len()
 		}
 	}
@@ -559,64 +521,24 @@ func (e *ShardedEngine) DisarmFaults() { e.cluster.DisarmFaults() }
 func (e *ShardedEngine) SelectionTime() time.Duration { return e.selectTime }
 
 // ResultCacheStats is a counter snapshot of the serving-layer result
-// cache. The JSON tags are the wire format cmd/csserve's /statsz uses.
-type ResultCacheStats struct {
-	// Entries and Bytes describe the resident population; Budget is the
-	// configured byte bound.
-	Entries int   `json:"entries"`
-	Bytes   int64 `json:"bytes"`
-	Budget  int64 `json:"budget"`
-	// Hits and Misses count lookups; Stores counts insertions and
-	// overwrites.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Stores int64 `json:"stores"`
-	// Evictions counts byte-pressure removals; Invalidations counts
-	// entries dropped because an input generation moved.
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-	// Coalesced counts followers served by another query's execution.
-	Coalesced int64 `json:"coalesced"`
-}
+// cache; its JSON tags are the wire format cmd/csserve's /statsz uses.
+type ResultCacheStats = core.ResultCacheStats
 
 // ResultCacheStats snapshots the result cache (zeros when disabled).
-func (e *ShardedEngine) ResultCacheStats() ResultCacheStats {
-	st := e.rcache.Stats()
-	return ResultCacheStats{
-		Entries:       st.Entries,
-		Bytes:         st.Bytes,
-		Budget:        st.Budget,
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		Stores:        st.Stores,
-		Evictions:     st.Evictions,
-		Invalidations: st.Invalidations,
-		Coalesced:     st.Coalesced,
-	}
-}
+func (e *ShardedEngine) ResultCacheStats() ResultCacheStats { return e.rcache.Stats() }
 
 // BlockCacheStats is a counter snapshot of the decoded-block caches
 // under this engine, summed across shards (all zeros for heap-resident
-// indexes, which do not bound decoded blocks). The JSON tags are the
+// indexes, which do not bound decoded blocks); its JSON tags are the
 // wire format cmd/csserve's /statsz uses.
-type BlockCacheStats struct {
-	Budget     int64 `json:"budget"`
-	Used       int64 `json:"used"`
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Insertions int64 `json:"insertions"`
-	Evictions  int64 `json:"evictions"`
-	// Promotions counts probationary blocks that graduated to the main
-	// queue on reuse; GhostHits counts re-decoded blocks recognized by
-	// the ghost list (the S3-FIFO signals; see internal/postings).
-	Promotions int64 `json:"promotions"`
-	GhostHits  int64 `json:"ghost_hits"`
-}
+type BlockCacheStats = postings.BlockCacheStats
 
-// BlockCacheStats sums the per-shard decoded-block cache counters.
+// BlockCacheStats sums the per-slice decoded-block cache counters.
 func (e *ShardedEngine) BlockCacheStats() BlockCacheStats {
 	var out BlockCacheStats
-	add := func(cs postings.BlockCacheStats) {
+	slices, _ := e.current()
+	for _, sl := range slices {
+		cs := sl.Eng.Index().BlockCacheStats()
 		out.Budget += cs.Budget
 		out.Used += cs.Used
 		out.Hits += cs.Hits
@@ -625,16 +547,6 @@ func (e *ShardedEngine) BlockCacheStats() BlockCacheStats {
 		out.Evictions += cs.Evictions
 		out.Promotions += cs.Promotions
 		out.GhostHits += cs.GhostHits
-	}
-	if e.live != nil {
-		for _, sl := range e.live.View().Slices {
-			add(sl.Eng.Index().BlockCacheStats())
-		}
-		return out
-	}
-	for i := 0; i < e.cluster.NumShards(); i++ {
-		eng, _ := e.cluster.Engine(i)
-		add(eng.Index().BlockCacheStats())
 	}
 	return out
 }
