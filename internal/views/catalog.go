@@ -3,8 +3,10 @@ package views
 import (
 	"bufio"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -80,9 +82,7 @@ func keySignature(terms []string) string {
 func canonicalTerms(p []string) []string {
 	for i := 1; i < len(p); i++ {
 		if p[i] <= p[i-1] {
-			q := append([]string(nil), p...)
-			sort.Strings(q)
-			return dedupSorted(q)
+			return sortedSet(p)
 		}
 	}
 	return p
@@ -174,89 +174,170 @@ func (c *Catalog) MeanSize() float64 {
 
 // persistence ----------------------------------------------------------
 
-type persistentGroup struct {
-	Key   string
-	Count int64
-	Len   int64
-	DF    map[string]int64
-	TC    map[string]int64
+// CatalogFormatVersion is the app-level version recorded in the framed
+// snapshot header for catalog payloads. Version 2 is the columnar payload
+// Encode writes; version 1 (one df and one tc map per group) and the
+// pre-frame raw stream are read through decodeV1 and never written.
+const CatalogFormatVersion = 2
+
+// ErrCorrupt marks a catalog payload that parses but cannot describe a
+// view — a pattern of the wrong width, a row reference past the table, an
+// aggregate no group-by over real documents produces. Loading fails with
+// it rather than handing queries a table they would index out of range.
+var ErrCorrupt = errors.New("views: corrupt catalog")
+
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
 
-type persistentView struct {
-	K       []string
-	Tracked []string
-	Groups  []persistentGroup
-}
-
-type persistentCatalog struct {
+// catalogV2 is the version-2 payload: per view, the columns of the group
+// table as the view holds them, so loading builds nothing per group.
+type catalogV2 struct {
 	ContextThreshold int64
 	ViewSizeLimit    int
-	Views            []persistentView
+	Views            []tableV2
 }
 
-// Encode serializes the catalog with encoding/gob.
+type tableV2 struct {
+	K, Tracked []string
+	Pat        []byte    // the groups' patterns, ⌈|K|/8⌉ bytes each
+	Count, Len []int64   // one per group
+	Cols       []wordCol // one per tracked word
+}
+
+// Encode serializes the catalog as a version-2 payload (encoding/gob over
+// catalogV2).
 func (c *Catalog) Encode(w io.Writer) error {
-	p := persistentCatalog{
-		ContextThreshold: c.ContextThreshold,
-		ViewSizeLimit:    c.ViewSizeLimit,
-		Views:            make([]persistentView, len(c.views)),
-	}
+	p := catalogV2{ContextThreshold: c.ContextThreshold, ViewSizeLimit: c.ViewSizeLimit, Views: make([]tableV2, len(c.views))}
 	for i, v := range c.views {
-		pv := persistentView{K: v.k, Tracked: v.TrackedWords()}
-		for key, g := range v.groups {
-			pv.Groups = append(pv.Groups, persistentGroup{
-				Key: key, Count: g.Count, Len: g.Len, DF: g.DF, TC: g.TC,
-			})
-		}
-		// Deterministic output order.
-		sort.Slice(pv.Groups, func(a, b int) bool { return pv.Groups[a].Key < pv.Groups[b].Key })
-		p.Views[i] = pv
+		p.Views[i] = v.table()
 	}
 	return gob.NewEncoder(w).Encode(&p)
 }
 
-// Decode deserializes a catalog written by Encode.
+// table returns the view's columns without the rows Remove emptied. The
+// remaining rows keep their relative order under the renumbering, so the
+// word columns stay ascending.
+func (v *View) table() tableV2 {
+	t := tableV2{K: v.k, Tracked: v.tracked, Cols: make([]wordCol, len(v.cols))}
+	renumber := make([]uint32, len(v.count))
+	for r, n := range v.count {
+		if n > 0 {
+			renumber[r] = uint32(len(t.Count))
+			t.Pat = append(t.Pat, v.pattern(r)...)
+			t.Count = append(t.Count, n)
+			t.Len = append(t.Len, v.length[r])
+		}
+	}
+	for j, c := range v.cols {
+		rows := make([]uint32, len(c.Rows))
+		for i, r := range c.Rows {
+			rows[i] = renumber[r]
+		}
+		t.Cols[j] = wordCol{Rows: rows, DF: c.DF, TC: c.TC}
+	}
+	return t
+}
+
+// Decode deserializes a catalog written by Encode, validating the shape
+// and the aggregates of every view.
 func Decode(r io.Reader) (*Catalog, error) {
-	var p persistentCatalog
+	var p catalogV2
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("views: decode: %w", err)
 	}
 	vs := make([]*View, len(p.Views))
-	for i, pv := range p.Views {
-		v := newView(pv.K)
-		for _, w := range pv.Tracked {
-			v.tracked[w] = true
-		}
-		for _, g := range pv.Groups {
-			// Aggregates of a group-by over real documents are
-			// non-negative by construction; a negative value can only be
-			// corruption and would silently poison every ranking that
-			// consults this view.
-			if g.Count < 0 || g.Len < 0 {
-				return nil, fmt.Errorf("views: decode: view %d group %x has negative aggregates (count=%d len=%d)", i, g.Key, g.Count, g.Len)
-			}
-			for w, df := range g.DF {
-				if df < 0 || g.TC[w] < 0 {
-					return nil, fmt.Errorf("views: decode: view %d group %x has negative df/tc for %q", i, g.Key, w)
-				}
-			}
-			grp := &Group{Count: g.Count, Len: g.Len, DF: g.DF, TC: g.TC}
-			if grp.DF == nil {
-				grp.DF = make(map[string]int64)
-			}
-			if grp.TC == nil {
-				grp.TC = make(map[string]int64)
-			}
-			v.groups[g.Key] = grp
+	for i, t := range p.Views {
+		v, err := t.view()
+		if err != nil {
+			return nil, fmt.Errorf("views: decode: view %d: %w", i, err)
 		}
 		vs[i] = v
 	}
 	return NewCatalog(vs, p.ContextThreshold, p.ViewSizeLimit), nil
 }
 
-// CatalogFormatVersion is the app-level version recorded in the framed
-// snapshot header for catalog payloads.
-const CatalogFormatVersion = 1
+func (t tableV2) view() (*View, error) {
+	v, err := decodedView(t.K, t.Tracked)
+	if err != nil {
+		return nil, err
+	}
+	rows := len(t.Count)
+	if len(t.Len) != rows || len(t.Pat) != rows*v.pw || len(t.Cols) != len(v.cols) {
+		return nil, corruptf("%d counts, %d lengths, %d pattern bytes for |K| = %d, %d columns for %d words",
+			rows, len(t.Len), len(t.Pat), len(v.k), len(t.Cols), len(v.cols))
+	}
+	for r := 0; r < rows; r++ {
+		if err := v.appendRow(t.Pat[r*v.pw : (r+1)*v.pw]); err != nil {
+			return nil, err
+		}
+		v.bump(r, t.Count[r], t.Len[r])
+	}
+	for j, c := range t.Cols {
+		if len(c.DF) != len(c.Rows) || len(c.TC) != len(c.Rows) {
+			return nil, corruptf("column %q has %d rows, %d df, %d tc", v.tracked[j], len(c.Rows), len(c.DF), len(c.TC))
+		}
+		for i, r := range c.Rows {
+			if int(r) >= rows || i > 0 && r <= c.Rows[i-1] {
+				return nil, corruptf("column %q: row %d at entry %d is past the %d rows or not ascending", v.tracked[j], r, i, rows)
+			}
+		}
+	}
+	v.cols = t.Cols
+	return v, v.checkAggregates()
+}
+
+// decodedView is newView for names read from a payload, which must
+// already be what a view holds: sorted and duplicate-free.
+func decodedView(k, tracked []string) (*View, error) {
+	v := newView(k, tracked)
+	if !slices.Equal(v.k, k) || !slices.Equal(v.tracked, tracked) {
+		return nil, corruptf("keywords or tracked words not sorted and distinct")
+	}
+	return v, nil
+}
+
+// appendRow adds a decoded group's pattern as the next row. A pattern of
+// the wrong width, with bits set past |K|, or already held by an earlier
+// row is corrupt: Apply and Remove could never find such a row again.
+func (v *View) appendRow(pat []byte) error {
+	if len(pat) != v.pw {
+		return corruptf("group pattern %x is %d bytes, |K| = %d needs %d", pat, len(pat), len(v.k), v.pw)
+	}
+	if used := len(v.k) % 8; used != 0 && pat[v.pw-1]>>used != 0 {
+		return corruptf("group pattern %x sets bits past |K| = %d", pat, len(v.k))
+	}
+	if next := len(v.count); v.rowFor(pat) != next {
+		return corruptf("group pattern %x appears twice", pat)
+	}
+	return nil
+}
+
+// checkAggregates validates a decoded view's aggregates: every group has
+// a positive count and a non-negative length, every column entry df ≥ 1
+// and tc ≥ 0, and each column's total fits int64 — so no Answer, a sum
+// over a subset of non-negative entries, can overflow. A negative or
+// wrapped value can only be corruption and would silently poison every
+// ranking that consults the view.
+func (v *View) checkAggregates() error {
+	check := func(what string, xs []int64, floor int64) error {
+		var total int64
+		for i, x := range xs {
+			if x < floor {
+				return corruptf("%s[%d] = %d, want ≥ %d", what, i, x, floor)
+			}
+			if total += x; total < 0 {
+				return corruptf("%s sums past int64", what)
+			}
+		}
+		return nil
+	}
+	err := errors.Join(check("count", v.count, 1), check("len", v.length, 0))
+	for j, w := range v.tracked {
+		err = errors.Join(err, check("df of "+w, v.cols[j].DF, 1), check("tc of "+w, v.cols[j].TC, 0))
+	}
+	return err
+}
 
 // WriteSnapshot writes the catalog to w in the framed snapshot format:
 // magic header, format version, per-section CRC32-C, whole-file trailer.
@@ -271,23 +352,32 @@ func (c *Catalog) WriteSnapshot(w io.Writer) error {
 	return sw.Close()
 }
 
-// ReadSnapshot reads a catalog from either a framed snapshot or a legacy
-// raw-gob stream (sniffed by magic), verifying all checksums in the
-// framed case.
+// ReadSnapshot reads a catalog from a framed snapshot of either payload
+// version, verifying all checksums, or from a legacy raw-gob stream
+// (sniffed by magic).
 func ReadSnapshot(r io.Reader) (*Catalog, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	prefix, err := br.Peek(len(snapshot.Magic))
 	if err != nil || !snapshot.IsFramed(prefix) {
-		return Decode(br)
+		return decodeV1(br)
 	}
 	sr, err := snapshot.NewReader(br)
 	if err != nil {
 		return nil, fmt.Errorf("views: %w", err)
 	}
-	if kind := sr.Header().Kind; kind != snapshot.KindViews {
-		return nil, fmt.Errorf("views: snapshot holds payload kind %d, want %d (views)", kind, snapshot.KindViews)
+	hdr := sr.Header()
+	if hdr.Kind != snapshot.KindViews {
+		return nil, fmt.Errorf("views: snapshot holds payload kind %d, want %d (views)", hdr.Kind, snapshot.KindViews)
 	}
-	c, err := Decode(sr)
+	var c *Catalog
+	switch hdr.PayloadVersion {
+	case 1:
+		c, err = decodeV1(sr)
+	case CatalogFormatVersion:
+		c, err = Decode(sr)
+	default:
+		err = fmt.Errorf("views: catalog format version %d not supported (this build reads 1 and %d)", hdr.PayloadVersion, CatalogFormatVersion)
+	}
 	if err != nil {
 		return nil, err
 	}

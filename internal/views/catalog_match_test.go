@@ -6,14 +6,11 @@ import (
 	"testing"
 )
 
-// fakeView builds a view with keyword set k and exactly size non-empty
-// groups (Match consults only K and Size, so the groups can be empty
-// shells).
+// fakeView builds a view with keyword set k that reports size non-empty
+// groups (Match consults only K and Size, so no rows are needed).
 func fakeView(k []string, size int) *View {
-	v := newView(k)
-	for j := 0; j < size; j++ {
-		v.groups[fmt.Sprintf("g%d", j)] = &Group{DF: map[string]int64{}, TC: map[string]int64{}}
-	}
+	v := newView(k, nil)
+	v.live = size
 	return v
 }
 

@@ -7,7 +7,10 @@ package views
 // thousands of citations a day while the MeSH vocabulary, and therefore
 // the selected K sets, stays stable).
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // DocUpdate describes one document for incremental view maintenance.
 type DocUpdate struct {
@@ -22,21 +25,14 @@ type DocUpdate struct {
 }
 
 // Apply folds one appended document into the view: the document's bit
-// pattern over K is computed and that single group's aggregates are
-// incremented (the group is created if it was empty).
+// pattern over K is computed and that single row's aggregates are
+// incremented (the row is appended, or revived, if the group was empty).
 func (v *View) Apply(u DocUpdate) {
-	key := v.patternOf(u.Predicates)
-	g := v.groups[key]
-	if g == nil {
-		g = &Group{DF: make(map[string]int64), TC: make(map[string]int64)}
-		v.groups[key] = g
-	}
-	g.Count++
-	g.Len += u.Len
+	r := v.rowFor(v.patternOf(u.Predicates))
+	v.bump(r, 1, u.Len)
 	for w, tf := range u.TF {
-		if tf > 0 && v.tracked[w] {
-			g.DF[w]++
-			g.TC[w] += tf
+		if j, ok := v.wordID[w]; ok && tf > 0 {
+			v.cols[j].add(uint32(r), 1, tf)
 		}
 	}
 }
@@ -48,80 +44,81 @@ func (v *View) Apply(u DocUpdate) {
 // removal — an unknown group, or any aggregate that would underflow —
 // returns an error and leaves the group untouched, instead of silently
 // corrupting the statistics every later query would rank with. A group
-// whose count reaches zero is dropped, keeping ViewSize equal to the
+// whose count reaches zero stops being one, keeping ViewSize equal to the
 // number of non-empty tuples.
 func (v *View) Remove(u DocUpdate) error {
-	key := v.patternOf(u.Predicates)
-	if err := v.checkRemove(key, u); err != nil {
+	r, err := v.checkRemove(u)
+	if err != nil {
 		return err
 	}
-	v.removeUnchecked(key, u)
+	v.removeUnchecked(r, u)
 	return nil
 }
 
-// checkRemove validates that removing u from the group at key keeps
-// every aggregate consistent, without mutating anything.
-func (v *View) checkRemove(key string, u DocUpdate) error {
-	g := v.groups[key]
-	if g == nil {
-		return fmt.Errorf("views: remove from unknown group %x (document was never applied with this pattern)", key)
+// checkRemove finds the row u was applied to and validates that removing
+// u from it keeps every aggregate consistent, without mutating anything.
+func (v *View) checkRemove(u DocUpdate) (int, error) {
+	key := v.patternOf(u.Predicates)
+	i, ok := v.find(key)
+	if !ok || v.count[v.order[i]] < 1 {
+		return 0, fmt.Errorf("views: remove from unknown group %x (document was never applied with this pattern)", key)
 	}
-	if g.Count < 1 {
-		return fmt.Errorf("views: group %x count %d would underflow", key, g.Count)
+	r := int(v.order[i])
+	if v.length[r] < u.Len {
+		return 0, fmt.Errorf("views: group %x len %d < removed document len %d", key, v.length[r], u.Len)
 	}
-	if g.Len < u.Len {
-		return fmt.Errorf("views: group %x len %d < removed document len %d", key, g.Len, u.Len)
-	}
-	if g.Count == 1 && g.Len != u.Len {
-		return fmt.Errorf("views: removing the last document of group %x leaves residual len %d", key, g.Len-u.Len)
+	if v.count[r] == 1 && v.length[r] != u.Len {
+		return 0, fmt.Errorf("views: removing the last document of group %x leaves residual len %d", key, v.length[r]-u.Len)
 	}
 	for w, tf := range u.TF {
-		if tf <= 0 || !v.tracked[w] {
+		j, ok := v.wordID[w]
+		if !ok || tf <= 0 {
 			continue
 		}
-		if g.DF[w] < 1 {
-			return fmt.Errorf("views: group %x df(%s) would underflow", key, w)
+		df, tc := v.cols[j].get(uint32(r))
+		if df < 1 {
+			return 0, fmt.Errorf("views: group %x df(%s) would underflow", key, w)
 		}
-		if g.TC[w] < tf {
-			return fmt.Errorf("views: group %x tc(%s) %d < removed tf %d", key, w, g.TC[w], tf)
+		if tc < tf {
+			return 0, fmt.Errorf("views: group %x tc(%s) %d < removed tf %d", key, w, tc, tf)
 		}
-		if g.DF[w] == 1 && g.TC[w] != tf {
-			return fmt.Errorf("views: removing the last %s-document of group %x leaves residual tc %d", w, key, g.TC[w]-tf)
+		if df == 1 && tc != tf {
+			return 0, fmt.Errorf("views: removing the last %s-document of group %x leaves residual tc %d", w, key, tc-tf)
 		}
 	}
-	return nil
+	return r, nil
 }
 
 // removeUnchecked applies a removal already validated by checkRemove.
-func (v *View) removeUnchecked(key string, u DocUpdate) {
-	g := v.groups[key]
-	g.Count--
-	g.Len -= u.Len
+func (v *View) removeUnchecked(r int, u DocUpdate) {
+	v.bump(r, -1, -u.Len)
 	for w, tf := range u.TF {
-		if tf > 0 && v.tracked[w] {
-			g.DF[w]--
-			g.TC[w] -= tf
-			if g.DF[w] <= 0 {
-				delete(g.DF, w)
-				delete(g.TC, w)
-			}
+		if j, ok := v.wordID[w]; ok && tf > 0 {
+			v.cols[j].add(uint32(r), -1, -tf)
 		}
 	}
-	if g.Count <= 0 {
-		delete(v.groups, key)
+	if v.count[r] > 0 {
+		return
+	}
+	// The group is gone, and with it whatever a mismatched earlier update
+	// left in its word columns: an empty row has no entries.
+	for j := range v.cols {
+		if i, ok := slices.BinarySearch(v.cols[j].Rows, uint32(r)); ok {
+			v.cols[j].drop(i)
+		}
 	}
 }
 
 // patternOf packs the membership bit pattern of the given predicate
 // terms over K.
-func (v *View) patternOf(predicates []string) string {
-	buf := make([]byte, (len(v.k)+7)/8)
+func (v *View) patternOf(predicates []string) []byte {
+	buf := make([]byte, v.pw)
 	for _, p := range predicates {
 		if pos, ok := v.pos[p]; ok {
 			buf[pos/8] |= 1 << (pos % 8)
 		}
 	}
-	return string(buf)
+	return buf
 }
 
 // Apply folds one appended document into every view of the catalog.
@@ -136,15 +133,16 @@ func (c *Catalog) Apply(u DocUpdate) {
 // leaves the whole catalog untouched — no view ends up half a removal
 // ahead of its siblings.
 func (c *Catalog) Remove(u DocUpdate) error {
-	keys := make([]string, len(c.views))
+	rows := make([]int, len(c.views))
 	for i, v := range c.views {
-		keys[i] = v.patternOf(u.Predicates)
-		if err := v.checkRemove(keys[i], u); err != nil {
+		r, err := v.checkRemove(u)
+		if err != nil {
 			return err
 		}
+		rows[i] = r
 	}
 	for i, v := range c.views {
-		v.removeUnchecked(keys[i], u)
+		v.removeUnchecked(rows[i], u)
 	}
 	return nil
 }

@@ -223,13 +223,17 @@ func TestRemoveUnknownGroupErrors(t *testing.T) {
 		{meshTerms[1], meshTerms[2]}, {meshTerms[0], meshTerms[1], meshTerms[2]},
 		nil,
 	}
+	populated := func(c []string) bool {
+		_, ok := v.find(v.patternOf(c))
+		return ok
+	}
 	for _, c := range combos {
-		if v.groups[v.patternOf(c)] == nil {
+		if !populated(c) {
 			ghost = c
 			break
 		}
 	}
-	if ghost == nil && v.groups[v.patternOf(nil)] != nil {
+	if ghost == nil && populated(nil) {
 		t.Skip("every pattern over K is populated in this corpus")
 	}
 	before := v.Size()
@@ -248,8 +252,7 @@ func TestRemoveUnderflowErrors(t *testing.T) {
 	k := []string{"m0", "m1"}
 	words := []string{"w0"}
 	fresh := func() *View {
-		v := newView(k)
-		v.tracked["w0"] = true
+		v := newView(k, words)
 		v.Apply(DocUpdate{Predicates: []string{"m0"}, Len: 10, TF: map[string]int64{"w0": 2}})
 		v.Apply(DocUpdate{Predicates: []string{"m0"}, Len: 4})
 		return v
@@ -293,8 +296,7 @@ func TestRemoveUnderflowErrors(t *testing.T) {
 	}
 	// Last-document residue: removing the final document must cancel the
 	// group exactly.
-	v := newView(k)
-	v.tracked["w0"] = true
+	v := newView(k, words)
 	v.Apply(DocUpdate{Predicates: []string{"m1"}, Len: 7, TF: map[string]int64{"w0": 3}})
 	if err := v.Remove(DocUpdate{Predicates: []string{"m1"}, Len: 5, TF: map[string]int64{"w0": 3}}); err == nil {
 		t.Fatal("last-document removal with residual len succeeded")

@@ -2,6 +2,7 @@ package views
 
 import (
 	"math/rand"
+	"slices"
 
 	"csrank/internal/widetable"
 )
@@ -53,17 +54,17 @@ func resolveCols(t *widetable.Table, k []string) ([]widetable.ColID, bool) {
 }
 
 func distinctPatterns(t *widetable.Table, cols []widetable.ColID, docs []int) int {
+	// The count of distinct patterns does not depend on which bit a column
+	// gets, so sort the columns once and take each pattern with the
+	// table's merge walk instead of a binary search per (document, column).
+	cols = slices.Clone(cols)
+	slices.Sort(cols)
 	seen := make(map[string]bool)
 	buf := make([]byte, (len(cols)+7)/8)
 	for _, d := range docs {
-		for i := range buf {
-			buf[i] = 0
-		}
-		for i, c := range cols {
-			if t.Has(d, c) {
-				buf[i/8] |= 1 << (i % 8)
-			}
-		}
+		t.FillPattern(d, cols, buf)
+		// Look up before storing: the lookup converts buf without
+		// allocating, a store allocates the key.
 		if !seen[string(buf)] {
 			seen[string(buf)] = true
 		}

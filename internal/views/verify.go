@@ -48,22 +48,11 @@ func (c *Catalog) Fingerprint() string {
 	perView := make([]uint64, len(c.views))
 	for i, v := range c.views {
 		h := fnv.New64a()
-		fmt.Fprintf(h, "k=%s\x00tracked=%s\x00", strings.Join(v.k, ","), strings.Join(v.TrackedWords(), ","))
-		keys := make([]string, 0, len(v.groups))
-		for k := range v.groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			g := v.groups[k]
-			fmt.Fprintf(h, "g=%x c=%d l=%d", k, g.Count, g.Len)
-			words := make([]string, 0, len(g.DF))
-			for w := range g.DF {
-				words = append(words, w)
-			}
-			sort.Strings(words)
-			for _, w := range words {
-				fmt.Fprintf(h, " %s=%d/%d", w, g.DF[w], g.TC[w])
+		fmt.Fprintf(h, "k=%s\x00tracked=%s\x00", strings.Join(v.k, ","), strings.Join(v.tracked, ","))
+		for _, g := range v.groups() {
+			fmt.Fprintf(h, "g=%x c=%d l=%d", g.key, g.count, g.len)
+			for _, c := range g.cells {
+				fmt.Fprintf(h, " %s=%d/%d", c.word, c.df, c.tc)
 			}
 			h.Write([]byte{0})
 		}
@@ -117,61 +106,96 @@ func (c *Catalog) Verify(ix *index.Index, opts VerifyOptions) ([]Drift, error) {
 	return drift, nil
 }
 
+// group is one non-empty row as the audits see it: they walk a view
+// group by group, which the columnar table does not store.
+type group struct {
+	key        string // the packed bit pattern over K
+	count, len int64
+	cells      []cell // the group's word-column entries, in word order
+}
+
+type cell struct {
+	word   string
+	df, tc int64
+}
+
+// groups transposes the table into its non-empty groups, in pattern order.
+func (v *View) groups() []group {
+	cells := make([][]cell, len(v.count))
+	for j, c := range v.cols {
+		for i, r := range c.Rows {
+			cells[r] = append(cells[r], cell{v.tracked[j], c.DF[i], c.TC[i]})
+		}
+	}
+	out := make([]group, 0, v.live)
+	for _, r := range v.order {
+		if v.count[r] > 0 {
+			out = append(out, group{string(v.pattern(int(r))), v.count[r], v.length[r], cells[r]})
+		}
+	}
+	return out
+}
+
 // compareViews diffs the stored view against the recomputed one over a
 // deterministic sample of group keys.
 func compareViews(vi int, got, want *View, opts VerifyOptions) []Drift {
-	keys := make(map[string]bool, len(got.groups)+len(want.groups))
-	for k := range got.groups {
-		keys[k] = true
-	}
-	for k := range want.groups {
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	if n := opts.SampleGroups; n > 0 && len(sorted) > n {
-		stride := len(sorted) / n
-		sample := make([]string, 0, n)
-		for i := 0; i < len(sorted) && len(sample) < n; i += stride {
-			sample = append(sample, sorted[i])
+	// Both group lists are in key order: one merge walk pairs them up,
+	// leaving nil where a side has no such group.
+	type pair struct{ g, w *group }
+	var pairs []pair
+	for gs, ws := got.groups(), want.groups(); len(gs) > 0 || len(ws) > 0; {
+		var p pair
+		if len(ws) == 0 || len(gs) > 0 && gs[0].key <= ws[0].key {
+			p.g = &gs[0]
 		}
-		sorted = sample
+		if len(gs) == 0 || len(ws) > 0 && ws[0].key <= gs[0].key {
+			p.w = &ws[0]
+		}
+		if p.g != nil {
+			gs = gs[1:]
+		}
+		if p.w != nil {
+			ws = ws[1:]
+		}
+		pairs = append(pairs, p)
+	}
+	if n := opts.SampleGroups; n > 0 && len(pairs) > n {
+		stride := len(pairs) / n
+		sample := make([]pair, 0, n)
+		for i := 0; i < len(pairs) && len(sample) < n; i += stride {
+			sample = append(sample, pairs[i])
+		}
+		pairs = sample
 	}
 
 	var out []Drift
-	for _, key := range sorted {
-		g, w := got.groups[key], want.groups[key]
+	for _, p := range pairs {
 		switch {
-		case g == nil:
-			out = append(out, Drift{View: vi, Key: key, Field: "missing", Got: 0, Want: w.Count})
+		case p.g == nil:
+			out = append(out, Drift{View: vi, Key: p.w.key, Field: "missing", Got: 0, Want: p.w.count})
 			continue
-		case w == nil:
-			out = append(out, Drift{View: vi, Key: key, Field: "phantom", Got: g.Count, Want: 0})
+		case p.w == nil:
+			out = append(out, Drift{View: vi, Key: p.g.key, Field: "phantom", Got: p.g.count, Want: 0})
 			continue
 		}
-		if g.Count != w.Count {
-			out = append(out, Drift{View: vi, Key: key, Field: "count", Got: g.Count, Want: w.Count})
-		}
-		if g.Len != w.Len {
-			out = append(out, Drift{View: vi, Key: key, Field: "len", Got: g.Len, Want: w.Len})
-		}
-		words := make(map[string]bool, len(g.DF)+len(w.DF))
-		for x := range g.DF {
-			words[x] = true
-		}
-		for x := range w.DF {
-			words[x] = true
-		}
-		for x := range words {
-			if g.DF[x] != w.DF[x] {
-				out = append(out, Drift{View: vi, Key: key, Field: "df(" + x + ")", Got: g.DF[x], Want: w.DF[x]})
+		diff := func(field string, g, w int64) {
+			if g != w {
+				out = append(out, Drift{View: vi, Key: p.g.key, Field: field, Got: g, Want: w})
 			}
-			if g.TC[x] != w.TC[x] {
-				out = append(out, Drift{View: vi, Key: key, Field: "tc(" + x + ")", Got: g.TC[x], Want: w.TC[x]})
+		}
+		diff("count", p.g.count, p.w.count)
+		diff("len", p.g.len, p.w.len)
+		words := map[string][2]cell{} // a word's entry on each side; absent is zero
+		for side, g := range []*group{p.g, p.w} {
+			for _, c := range g.cells {
+				e := words[c.word]
+				e[side] = c
+				words[c.word] = e
 			}
+		}
+		for w, e := range words {
+			diff("df("+w+")", e[0].df, e[1].df)
+			diff("tc("+w+")", e[0].tc, e[1].tc)
 		}
 	}
 	return out

@@ -3,6 +3,8 @@ package views
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -44,11 +46,9 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	cat := NewCatalog([]*View{v}, 10, 1000)
 
 	// Poison one group the way a mismatched un-logged update would.
-	for _, g := range v.groups {
-		g.Count += 3
-		g.TC["w0"] -= 1
-		break
-	}
+	r := v.cols[v.wordID["w0"]].Rows[0]
+	v.count[r] += 3
+	v.cols[v.wordID["w0"]].TC[0] -= 1
 	drift, err := cat.Verify(ix, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +77,8 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 }
 
 // TestCatalogFramedPersistence round-trips a catalog through the framed
-// snapshot format and checks corruption detection plus legacy raw-gob
-// loading.
+// snapshot format and checks corruption detection (files written before
+// format 2 are covered by TestVersion1FixturesLoad).
 func TestCatalogFramedPersistence(t *testing.T) {
 	ix, _ := buildMaintIndex(t, 43, 200)
 	words := []string{"w0"}
@@ -119,37 +119,40 @@ func TestCatalogFramedPersistence(t *testing.T) {
 			t.Fatalf("truncation to %d loaded cleanly", cut)
 		}
 	}
-
-	// Legacy raw gob (pre-frame files) still loads.
-	var legacy bytes.Buffer
-	if err := cat.Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadSnapshot(bytes.NewReader(legacy.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != cat.Len() {
-		t.Fatal("legacy stream lost views")
-	}
 }
 
-// TestDecodeRejectsNegativeAggregates feeds a persisted catalog whose
-// aggregates are negative; it must error, not build a poisoned catalog.
-func TestDecodeRejectsNegativeAggregates(t *testing.T) {
-	cases := []persistentCatalog{
-		{Views: []persistentView{{K: []string{"a"}, Groups: []persistentGroup{{Key: "\x01", Count: -2}}}}},
-		{Views: []persistentView{{K: []string{"a"}, Groups: []persistentGroup{{Key: "\x01", Count: 1, Len: -5}}}}},
-		{Views: []persistentView{{K: []string{"a"}, Tracked: []string{"w"},
-			Groups: []persistentGroup{{Key: "\x01", Count: 1, Len: 5, DF: map[string]int64{"w": -1}, TC: map[string]int64{"w": 1}}}}}},
+// TestDecodeV1RejectsMalformed feeds version-1 catalogs that gob accepts
+// but no view could have produced. Each must fail to load with
+// ErrCorrupt: the parent commit built a poisoned catalog from the
+// negative aggregates' siblings here, and from the short key one that
+// indexed out of range on the first query.
+func TestDecodeV1RejectsMalformed(t *testing.T) {
+	group := func(g persistentGroup) persistentCatalog {
+		return persistentCatalog{Views: []persistentView{{K: []string{"a", "b"}, Tracked: []string{"w"}, Groups: []persistentGroup{g}}}}
 	}
-	for i, pc := range cases {
+	cases := map[string]persistentCatalog{
+		"negative count": group(persistentGroup{Key: "\x01", Count: -2}),
+		"negative len":   group(persistentGroup{Key: "\x01", Count: 1, Len: -5}),
+		"negative df":    group(persistentGroup{Key: "\x01", Count: 1, Len: 5, DF: map[string]int64{"w": -1}, TC: map[string]int64{"w": 1}}),
+		"negative tc":    group(persistentGroup{Key: "\x01", Count: 1, Len: 5, DF: map[string]int64{"w": 1}, TC: map[string]int64{"w": -1}}),
+		"short key":      group(persistentGroup{Key: "", Count: 1}),
+		"long key":       group(persistentGroup{Key: "\x01\x00", Count: 1}),
+		"bits past |K|":  group(persistentGroup{Key: "\x05", Count: 1}),
+		"untracked word": group(persistentGroup{Key: "\x01", Count: 1, DF: map[string]int64{"x": 1}, TC: map[string]int64{"x": 1}}),
+		"count overflow": {Views: []persistentView{{K: []string{"a"}, Groups: []persistentGroup{
+			{Key: "\x00", Count: math.MaxInt64}, {Key: "\x01", Count: 1}}}}},
+		"duplicate key": {Views: []persistentView{{K: []string{"a"}, Groups: []persistentGroup{
+			{Key: "\x01", Count: 1}, {Key: "\x01", Count: 1}}}}},
+		"duplicate keyword": {Views: []persistentView{{K: []string{"a", "a"}}}},
+		"unsorted keywords": {Views: []persistentView{{K: []string{"b", "a"}}}},
+	}
+	for name, pc := range cases {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&pc); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Decode(&buf); err == nil {
-			t.Fatalf("case %d: negative aggregates decoded cleanly", i)
+		if _, err := ReadSnapshot(&buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: loaded with error %v, want ErrCorrupt", name, err)
 		}
 	}
 }

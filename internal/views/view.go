@@ -6,51 +6,67 @@
 // term counts (df/tc columns, kept only for frequent words per the §6.2
 // storage optimization).
 //
-// Answering S_c(D_P) from a usable view (P ⊆ K, Theorem 4.1) scans the
-// view's non-empty groups and sums those whose bit pattern covers P —
-// O(ViewSize) regardless of the context size (Theorem 4.2).
+// Answering S_c(D_P) from a usable view (P ⊆ K, Theorem 4.1) touches only
+// the view's non-empty groups whose bit pattern covers P — O(ViewSize)
+// regardless of the context size (Theorem 4.2).
 package views
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"csrank/internal/postings"
 	"csrank/internal/widetable"
 )
 
-// Group is the aggregate of one GROUP BY partition: the documents sharing
-// one membership bit pattern over K.
-type Group struct {
-	// Count is COUNT(*) over the partition.
-	Count int64
-	// Len is SUM(len(d)) over the partition.
-	Len int64
-	// DF maps tracked word w to the number of partition documents
-	// containing w. Sparse: absent means 0.
-	DF map[string]int64
-	// TC maps tracked word w to SUM(tf(d, w)) over the partition.
-	TC map[string]int64
-}
-
-// View is a materialized view V_K.
+// View is a materialized view V_K, held as one columnar group table: row
+// r is one GROUP BY partition — the documents sharing one membership bit
+// pattern over K — and every aggregate is a column over rows.
 type View struct {
 	// k holds the keyword columns K, sorted.
 	k []string
 	// pos maps a keyword to its bit position within the pattern.
 	pos map[string]int
-	// groups maps the packed bit pattern (little-endian bytes, bit i =
-	// membership in k[i]) to the partition aggregate. Only non-empty
-	// partitions are present.
-	groups map[string]*Group
-	// tracked is the set of words with df/tc columns.
-	tracked map[string]bool
+	// tracked lists the words with df/tc columns, sorted; wordID maps a
+	// word to its index in tracked and cols.
+	tracked []string
+	wordID  map[string]int
+
+	// pw is the packed pattern width, ⌈|K|/8⌉ bytes; row r's pattern
+	// (little-endian bytes, bit i = membership in k[i]) is
+	// pat[r*pw:(r+1)*pw].
+	pw  int
+	pat []byte
+	// count[r] is COUNT(*) over partition r, length[r] is SUM(len(d)). A
+	// row emptied by Remove keeps its slot with count 0 and no word-column
+	// entries, so row numbers stay stable; it is not a group any more.
+	count, length []int64
+	// member[i] is the set of rows whose pattern has bit i, as a bitset
+	// over rows: the selection of a context is the AND of |P| of these.
+	member [][]uint64
+	// cols[j] is the sparse df/tc column of tracked[j].
+	cols []wordCol
+	// order lists the rows sorted by pattern. It is the pattern→row index
+	// of Apply and Remove, and the canonical group order of Fingerprint
+	// and Verify; Answer never reads it.
+	order []int32
+	// live is the number of rows with count > 0: ViewSize(V_K).
+	live int
 }
 
-// answerCheckStride is how many groups an Answer scan processes between
-// cancellation polls.
-const answerCheckStride = 512
+// wordCol is one tracked word's sparse parameter column: for every row
+// holding at least one document that contains the word (rows ascending),
+// the number of such documents and their summed term frequency. The
+// fields are exported for the catalog encoding, which writes columns as
+// they are.
+type wordCol struct {
+	Rows   []uint32
+	DF, TC []int64
+}
 
 // ContextStats is the bundle of collection-specific statistics for one
 // context, as answered by a view or computed directly.
@@ -70,7 +86,13 @@ type ContextStats struct {
 // absent from the table's tf columns are ignored). Unknown keyword
 // columns are an error.
 func Materialize(t *widetable.Table, k []string, trackedWords []string) (*View, error) {
-	v := newView(k)
+	words := make([]string, 0, len(trackedWords))
+	for _, w := range trackedWords {
+		if t.Tracked(w) {
+			words = append(words, w)
+		}
+	}
+	v := newView(k, words)
 	cols := make([]widetable.ColID, len(v.k))
 	for i, name := range v.k {
 		id, ok := t.ColumnID(name)
@@ -79,71 +101,151 @@ func Materialize(t *widetable.Table, k []string, trackedWords []string) (*View, 
 		}
 		cols[i] = id
 	}
-	words := make([]string, 0, len(trackedWords))
-	for _, w := range trackedWords {
-		if t.Tracked(w) {
-			words = append(words, w)
-			v.tracked[w] = true
-		}
-	}
 
 	// Pass 1: group every document by its membership pattern, keeping the
-	// per-document group so the sparse tf columns can be folded in
-	// without probing every (document, word) pair.
-	docGroup := make([]*Group, t.NumDocs())
-	buf := make([]byte, (len(v.k)+7)/8)
-	for d := 0; d < t.NumDocs(); d++ {
+	// per-document row so the sparse tf columns can be folded in without
+	// probing every (document, word) pair.
+	docRow := make([]uint32, t.NumDocs())
+	buf := make([]byte, v.pw)
+	for d := range docRow {
 		// cols is ascending (ColIDs are assigned in sorted-name order and
 		// v.k is sorted), so one merge walk replaces per-column probes.
 		t.FillPattern(d, cols, buf)
-		key := string(buf)
-		g := v.groups[key]
-		if g == nil {
-			g = &Group{DF: make(map[string]int64), TC: make(map[string]int64)}
-			v.groups[key] = g
-		}
-		g.Count++
-		g.Len += t.Len(d)
-		docGroup[d] = g
+		r := v.rowFor(buf)
+		v.bump(r, 1, t.Len(d))
+		docRow[d] = uint32(r)
 	}
 	// Pass 2: per tracked word, walk its sparse column — cost is the
-	// word's document frequency, not the collection size.
-	for _, w := range words {
+	// word's document frequency, not the collection size — summing into
+	// dense per-row scratch and emitting the touched rows in order.
+	df := make([]int64, len(v.count))
+	tc := make([]int64, len(v.count))
+	var touched []uint32
+	for j, w := range v.tracked {
+		touched = touched[:0]
 		for docID, tf := range t.TFColumn(w) {
 			if tf > 0 {
-				g := docGroup[docID]
-				g.DF[w]++
-				g.TC[w] += tf
+				r := docRow[docID]
+				if df[r] == 0 {
+					touched = append(touched, r)
+				}
+				df[r]++
+				tc[r] += tf
 			}
 		}
+		slices.Sort(touched)
+		c := wordCol{Rows: slices.Clone(touched), DF: make([]int64, len(touched)), TC: make([]int64, len(touched))}
+		for i, r := range touched {
+			c.DF[i], c.TC[i] = df[r], tc[r]
+			df[r], tc[r] = 0, 0
+		}
+		v.cols[j] = c
 	}
 	return v, nil
 }
 
-func newView(k []string) *View {
-	ks := append([]string(nil), k...)
-	sort.Strings(ks)
-	ks = dedupSorted(ks)
-	v := &View{
-		k:       ks,
-		pos:     make(map[string]int, len(ks)),
-		groups:  make(map[string]*Group),
-		tracked: make(map[string]bool),
-	}
-	for i, name := range ks {
+// newView returns the empty view over keyword columns k with df/tc
+// columns for tracked; both are sorted and deduplicated.
+func newView(k, tracked []string) *View {
+	v := &View{k: sortedSet(k), tracked: sortedSet(tracked)}
+	v.pos = make(map[string]int, len(v.k))
+	for i, name := range v.k {
 		v.pos[name] = i
 	}
+	v.wordID = make(map[string]int, len(v.tracked))
+	for j, w := range v.tracked {
+		v.wordID[w] = j
+	}
+	v.pw = (len(v.k) + 7) / 8
+	v.member = make([][]uint64, len(v.k))
+	v.cols = make([]wordCol, len(v.tracked))
 	return v
 }
 
-func dedupSorted(s []string) []string {
-	out := s[:0]
-	for i, x := range s {
-		if i == 0 || x != s[i-1] {
-			out = append(out, x)
+func sortedSet(s []string) []string {
+	out := slices.Clone(s)
+	sort.Strings(out)
+	return slices.Compact(out)
+}
+
+// pattern returns row r's packed bit pattern.
+func (v *View) pattern(r int) []byte { return v.pat[r*v.pw : (r+1)*v.pw] }
+
+// find locates pattern p in v.order: ok reports whether a row holds it,
+// and i is its position — or where it would be inserted.
+func (v *View) find(p []byte) (i int, ok bool) {
+	i = sort.Search(len(v.order), func(i int) bool { return bytes.Compare(v.pattern(int(v.order[i])), p) >= 0 })
+	return i, i < len(v.order) && bytes.Equal(v.pattern(int(v.order[i])), p)
+}
+
+// rowFor returns the row holding pattern p (len(p) == v.pw), appending an
+// empty row when no row holds it yet. Every way a view comes to be —
+// Materialize, Apply, both decoders — adds rows through here, so pat,
+// member and order cannot disagree.
+func (v *View) rowFor(p []byte) int {
+	i, ok := v.find(p)
+	if ok {
+		return int(v.order[i])
+	}
+	r := len(v.count)
+	v.pat = append(v.pat, p...)
+	v.count = append(v.count, 0)
+	v.length = append(v.length, 0)
+	for j := range v.member {
+		if r%64 == 0 {
+			v.member[j] = append(v.member[j], 0)
+		}
+		if p[j/8]&(1<<(j%8)) != 0 {
+			v.member[j][r/64] |= 1 << (r % 64)
 		}
 	}
-	return out
+	v.order = slices.Insert(v.order, i, int32(r))
+	return r
+}
+
+// bump adds to row r's count and length, keeping live in step as the row
+// becomes or stops being a group.
+func (v *View) bump(r int, dCount, dLen int64) {
+	if v.count[r] == 0 {
+		v.live++
+	}
+	v.count[r] += dCount
+	v.length[r] += dLen
+	if v.count[r] == 0 {
+		v.live--
+	}
+}
+
+// get returns the column's df and tc at row r, zero when it has no entry.
+func (c *wordCol) get(r uint32) (df, tc int64) {
+	if i, ok := slices.BinarySearch(c.Rows, r); ok {
+		return c.DF[i], c.TC[i]
+	}
+	return 0, 0
+}
+
+// add folds (dDF, dTC) into the entry at row r, inserting the entry when
+// the row has none and dropping it when its df falls to zero, so a stored
+// entry always has df ≥ 1.
+func (c *wordCol) add(r uint32, dDF, dTC int64) {
+	i, ok := slices.BinarySearch(c.Rows, r)
+	if !ok {
+		c.Rows = slices.Insert(c.Rows, i, r)
+		c.DF = slices.Insert(c.DF, i, dDF)
+		c.TC = slices.Insert(c.TC, i, dTC)
+		return
+	}
+	c.DF[i] += dDF
+	c.TC[i] += dTC
+	if c.DF[i] <= 0 {
+		c.drop(i)
+	}
+}
+
+func (c *wordCol) drop(i int) {
+	c.Rows = slices.Delete(c.Rows, i, i+1)
+	c.DF = slices.Delete(c.DF, i, i+1)
+	c.TC = slices.Delete(c.TC, i, i+1)
 }
 
 // K returns the view's keyword columns, sorted. Callers must not modify
@@ -151,20 +253,16 @@ func dedupSorted(s []string) []string {
 func (v *View) K() []string { return v.k }
 
 // Size returns ViewSize(V_K): the number of non-empty groups.
-func (v *View) Size() int { return len(v.groups) }
+func (v *View) Size() int { return v.live }
 
 // TracksWord reports whether the view stores df/tc columns for w.
-func (v *View) TracksWord(w string) bool { return v.tracked[w] }
+func (v *View) TracksWord(w string) bool {
+	_, ok := v.wordID[w]
+	return ok
+}
 
 // TrackedWords returns the words with df/tc columns, sorted.
-func (v *View) TrackedWords() []string {
-	out := make([]string, 0, len(v.tracked))
-	for w := range v.tracked {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
-}
+func (v *View) TrackedWords() []string { return slices.Clone(v.tracked) }
 
 // Usable implements Theorem 4.1's second condition: the view can answer
 // statistics for context P iff P ⊆ K. (The first condition — the view
@@ -182,80 +280,80 @@ func (v *View) Usable(p []string) bool {
 // Answer computes the collection-specific statistics of context p from
 // the view: |D_P|, len(D_P), and df/tc for every requested word the view
 // tracks (untracked words are simply absent from the result maps — the
-// caller computes them at query time per §6.2). The scan cost — one pass
-// over the non-empty groups — is recorded in st.ViewGroupsScanned.
+// caller computes them at query time per §6.2; a word requested twice is
+// answered once). It ANDs the membership bitsets of p's keywords into the
+// selection of covering rows, sums count and length over the selection,
+// and walks each requested word's column testing the selection bit:
+// O(|P|·G/64 + |selection| + Σ nnz(w)) for G rows. The cost-model charge
+// recorded in st.ViewGroupsScanned stays ViewSize, the paper's unit.
 // Answer returns an error if the view is not usable for p.
 func (v *View) Answer(p []string, words []string, st *postings.Stats) (ContextStats, error) {
-	return v.AnswerCtx(context.Background(), p, words, st)
-}
-
-// AnswerCtx is Answer with cooperative cancellation: the group scan polls
-// ctx every answerCheckStride groups, so even a scan of a large view
-// stops promptly under a deadline. On cancellation the partial aggregates
-// are discarded and ctx's error is returned (a partially summed Count
-// would be silently wrong, unlike a prefix of an intersection).
-func (v *View) AnswerCtx(ctx context.Context, p []string, words []string, st *postings.Stats) (ContextStats, error) {
-	need := make([]int, len(p))
-	for i, m := range p {
+	rows := len(v.count)
+	sel := make([]uint64, (rows+63)/64)
+	for i := range sel {
+		sel[i] = ^uint64(0)
+	}
+	if rows%64 != 0 {
+		sel[len(sel)-1] = 1<<(rows%64) - 1
+	}
+	for _, m := range p {
 		pos, ok := v.pos[m]
 		if !ok {
 			return ContextStats{}, fmt.Errorf("views: view %v not usable for context %v", v.k, p)
 		}
-		need[i] = pos
+		for i, w := range v.member[pos] {
+			sel[i] &= w
+		}
 	}
-	res := ContextStats{DF: make(map[string]int64), TC: make(map[string]int64)}
-	var reqTracked []string
+	res := ContextStats{DF: make(map[string]int64, len(words)), TC: make(map[string]int64, len(words))}
+	for i, w := range sel {
+		for ; w != 0; w &= w - 1 {
+			r := i<<6 | bits.TrailingZeros64(w)
+			res.Count += v.count[r]
+			res.Len += v.length[r]
+		}
+	}
 	for _, w := range words {
-		if v.tracked[w] {
-			reqTracked = append(reqTracked, w)
-		}
-	}
-	scanned := int64(0)
-	done := ctx.Done()
-	for key, g := range v.groups {
-		scanned++
-		if done != nil && scanned%answerCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				if st != nil {
-					st.ViewGroupsScanned += scanned
-				}
-				return ContextStats{}, err
-			}
-		}
-		if !patternCovers(key, need) {
+		j, ok := v.wordID[w]
+		if !ok {
 			continue
 		}
-		res.Count += g.Count
-		res.Len += g.Len
-		for _, w := range reqTracked {
-			if df := g.DF[w]; df > 0 {
-				res.DF[w] += df
-				res.TC[w] += g.TC[w]
+		if _, dup := res.DF[w]; dup {
+			continue
+		}
+		c := &v.cols[j]
+		var df, tc int64
+		for i, r := range c.Rows {
+			if sel[r>>6]&(1<<(r&63)) != 0 {
+				df += c.DF[i]
+				tc += c.TC[i]
 			}
 		}
+		res.DF[w], res.TC[w] = df, tc
 	}
 	if st != nil {
-		st.ViewGroupsScanned += scanned
+		st.ViewGroupsScanned += int64(v.live)
 	}
 	return res, nil
 }
 
-func patternCovers(key string, need []int) bool {
-	for _, pos := range need {
-		if key[pos/8]&(1<<(pos%8)) == 0 {
-			return false
-		}
+// AnswerCtx is Answer under a context: an answer takes microseconds, so
+// cancellation is checked once, before it starts, and a cancelled call
+// charges nothing.
+func (v *View) AnswerCtx(ctx context.Context, p []string, words []string, st *postings.Stats) (ContextStats, error) {
+	if err := ctx.Err(); err != nil {
+		return ContextStats{}, err
 	}
-	return true
+	return v.Answer(p, words, st)
 }
 
-// Bytes estimates the view's storage footprint: per group, the packed
-// pattern plus two 8-byte aggregates plus 12 bytes per sparse df/tc
-// entry (a word reference and a packed count pair).
+// Bytes estimates the view's storage footprint in the §6.2 cost model:
+// per group, the packed pattern plus two 8-byte aggregates plus 12 bytes
+// per sparse df/tc entry (a word reference and a packed count pair).
 func (v *View) Bytes() int64 {
-	var b int64
-	for key, g := range v.groups {
-		b += int64(len(key)) + 16 + int64(len(g.DF))*12
+	b := int64(v.live) * int64(v.pw+16)
+	for i := range v.cols {
+		b += int64(len(v.cols[i].Rows)) * 12
 	}
 	return b
 }

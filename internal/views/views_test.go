@@ -246,6 +246,23 @@ func TestExactAndEstimatedSize(t *testing.T) {
 	if est <= 0 || est > exact {
 		t.Errorf("estimate %d outside (0, %d]", est, exact)
 	}
+	// The estimate is the number of distinct membership patterns among the
+	// sampled documents, whatever order the caller lists K in: recount it
+	// with one Has probe per (document, column) over the same sample.
+	unsorted := []string{meshTerms[4], meshTerms[0], meshTerms[3], meshTerms[1]}
+	sample := rand.New(rand.NewSource(17)).Perm(tbl.NumDocs())[:150]
+	seen := map[string]bool{}
+	for _, d := range sample {
+		pattern := ""
+		for _, name := range unsorted {
+			id, _ := tbl.ColumnID(name)
+			pattern += fmt.Sprint(tbl.Has(d, id))
+		}
+		seen[pattern] = true
+	}
+	if got := EstimateSize(tbl, unsorted, 150, rand.New(rand.NewSource(17))); got != len(seen) {
+		t.Errorf("estimate over unsorted K = %d, per-column recount %d", got, len(seen))
+	}
 	// Unknown column: size 0.
 	if EstimateSize(tbl, []string{"ghost"}, 10, rng) != 0 {
 		t.Error("unknown column should estimate 0")
