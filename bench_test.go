@@ -700,14 +700,22 @@ func BenchmarkIntersect(b *testing.B) {
 }
 
 // BenchmarkContextStats measures the §3.2.1 statistics computations on a
-// large context: γ_count/γ_sum over two dense predicate lists (CountSum)
-// and a keyword's df/tc against that context (CountTFSum) — the two
-// aggregations statsStraightforward runs per query.
+// large context, kernel by kernel: γ_count/γ_sum over two dense predicate
+// lists (CountSum), a keyword's df/tc by conjunction with those lists
+// (CountTFSum), the two together ("full" — what a view's fallback
+// keywords still pay), and the straightforward plan's form of the same
+// work ("full-materialized": the context built once during the CountSum
+// pass, df/tc probed against it). The engine-level figures by context
+// size are internal/core's BenchmarkContextStats.
 func BenchmarkContextStats(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	ctx := []*postings.List{stridedList(0, 3, 500000), stridedList(0, 4, 375000)}
 	kw := randomList(rng, 3000, 1500000, postings.DefaultSegmentSize)
-	param := func(d uint32) int64 { return int64(d%300) + 40 }
+	lens := make([]int32, 1500001)
+	for d := range lens {
+		lens[d] = int32(d%300) + 40
+	}
+	param := func(d uint32) int64 { return int64(lens[d]) }
 	var sink int64
 
 	b.Run("count-sum", func(b *testing.B) {
@@ -730,6 +738,19 @@ func BenchmarkContextStats(b *testing.B) {
 			c, s := postings.CountSum(ctx, param, nil)
 			df, tc := postings.CountTFSum(kw, ctx, nil)
 			sink += c + s + df + tc
+		}
+	})
+	b.Run("full-materialized", func(b *testing.B) {
+		b.ReportAllocs()
+		bg := context.Background()
+		for i := 0; i < b.N; i++ {
+			set, err := postings.NewContextSet(bg, ctx, lens, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			df, tc, _ := set.CountTFSum(bg, kw, nil)
+			sink += set.Count() + set.Sum() + df + tc
+			set.Release()
 		}
 	})
 	_ = sink

@@ -223,6 +223,10 @@ type Engine struct {
 
 	globalN   int64
 	globalLen int64
+	// docLens is the content field's per-document length column, resolved
+	// once per engine (an engine never changes its index): the aggregation
+	// and scoring loops index it per document.
+	docLens []int32
 
 	costBased   bool
 	cache       *statsCache // nil when disabled
@@ -263,12 +267,21 @@ func New(ix *index.Index, catalog *views.Catalog, opts Options) *Engine {
 		predAn:       ix.AnalyzerFor(schema.PredicateField),
 		globalN:      int64(ix.NumDocs()),
 		globalLen:    ix.TotalFieldLen(schema.ContentField),
+		docLens:      ix.FieldLens(schema.ContentField),
 		costBased:    opts.CostBased,
 		cache:        newStatsCache(opts.CacheContexts),
 		workers:      resolveWorkers(opts.Parallelism),
 		deadline:     opts.Deadline,
 		statsBudget:  opts.StatsBudget,
 		pruning:      opts.Pruning,
+	}
+	if len(e.docLens) < ix.NumDocs() {
+		// A snapshot may omit the column, or hold a short one, and still
+		// load; the missing documents have length 0, as Index.FieldLen
+		// answers.
+		padded := make([]int32, ix.NumDocs())
+		copy(padded, e.docLens)
+		e.docLens = padded
 	}
 	e.catalog.Store(catalog)
 	return e

@@ -13,18 +13,27 @@ import (
 // The two-phase executor. Formula 2 ranks every plan with the same
 // f(S_q, S_d, S_c); only the source of S_c differs. So a query is a
 // statistics phase (statsPhase — the plan is its parameter) followed by
-// a scoring phase (scorePhase — one deadline/degrade ladder), and every
-// entry point is a short composition of the two inside one frame (run):
-// the Search*Ctx family runs both on one engine, StatsFor and
-// SearchWithStats expose them separately so a scatter-gather can merge
-// statistics across slices in between.
+// a scoring phase (scorePhase — one deadline/degrade ladder) on one exec,
+// and every entry point is a short composition of the two: the
+// Search*Ctx family runs both on one engine inside one frame (run);
+// StatsFor and SearchWithStats expose them separately so a
+// scatter-gather can merge statistics across slices in between, and
+// SearchSlicesPartial does exactly that while carrying each slice's exec
+// across (statsCarried, scoreCarried), one frame per phase.
 
 // exec is one query's per-engine execution state: the analyzed query,
-// its posting lists (nil = term absent), and the report both phases
-// write into.
+// its posting lists (nil = term absent), the context set the
+// straightforward plan materialized (nil until it has, and whenever a
+// view, the statistics cache or approximate statistics answered
+// instead), and the report the running phase writes into. It is built
+// once per query and engine by prepare and carried from the statistics
+// phase into the scoring phase — by run on one engine, by
+// SearchSlicesPartial across its scatter rounds — and whoever carries it
+// releases it.
 type exec struct {
 	a         analyzed
 	kw, preds []*postings.List
+	set       *postings.ContextSet
 	st        *ExecStats
 }
 
@@ -35,11 +44,32 @@ func (x *exec) contextual(plan Plan) bool {
 	return plan != PlanConventional && len(x.a.context) > 0
 }
 
-// run is the frame every query entry point shares: the per-query
-// deadline, the final panic boundary (what names the entry point in the
-// recovered error), the quarantine note, the Elapsed clock, and query
-// analysis. body composes the phases.
-func (e *Engine) run(ctx context.Context, q query.Query, what string, st *ExecStats, body func(ctx context.Context, x *exec) error) (err error) {
+// scorePreds returns the predicate lists the scoring phase conjoins the
+// keywords with: the materialized context when the statistics phase left
+// one — one list in place of |P| — else the query's predicate lists.
+func (x *exec) scorePreds() []*postings.List {
+	if x.set != nil {
+		return x.set.Preds()
+	}
+	return x.preds
+}
+
+// release returns the context set to its pool (a nil exec has none). No
+// worker of the query may still be running: every fan-out joins before
+// its phase returns, and the overlapped result-set worker reads x.preds
+// only.
+func (x *exec) release() {
+	if x != nil {
+		x.set.Release()
+		x.set = nil
+	}
+}
+
+// frame is what every phase of every entry point runs inside: the
+// per-query deadline, the final panic boundary (what names the entry
+// point in the recovered error), the quarantine note and the Elapsed
+// clock.
+func (e *Engine) frame(ctx context.Context, what string, st *ExecStats, body func(ctx context.Context) error) (err error) {
 	if e.deadline > 0 {
 		// Layer the per-query Deadline onto whatever the caller's context
 		// already carries.
@@ -51,13 +81,33 @@ func (e *Engine) run(ctx context.Context, q query.Query, what string, st *ExecSt
 	defer noteQuarantine(st)
 	start := time.Now()
 	defer func() { st.Elapsed = time.Since(start) }()
+	return body(ctx)
+}
+
+// prepare analyzes q and resolves its posting lists — once per query and
+// engine, whichever phases follow.
+func (e *Engine) prepare(q query.Query, st *ExecStats) (*exec, error) {
+	start := time.Now()
 	a, err := e.analyze(q)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	st.Phases.Analyze = time.Since(start)
 	kw, preds := e.lists(a)
-	return body(ctx, &exec{a: a, kw: kw, preds: preds, st: st})
+	return &exec{a: a, kw: kw, preds: preds, st: st}, nil
+}
+
+// run is the single-engine composition: one frame around prepare and
+// body, which composes the phases on the exec run owns.
+func (e *Engine) run(ctx context.Context, q query.Query, what string, st *ExecStats, body func(ctx context.Context, x *exec) error) error {
+	return e.frame(ctx, what, st, func(ctx context.Context) error {
+		x, err := e.prepare(q, st)
+		if err != nil {
+			return err
+		}
+		defer x.release()
+		return body(ctx, x)
+	})
 }
 
 // search is the single-engine pipeline behind the Search*Ctx family:
@@ -130,7 +180,7 @@ func (e *Engine) statsPhase(ctx context.Context, x *exec, plan Plan, mustAnswer 
 		if e.statsBudget > 0 {
 			statsCtx, statsCancel = context.WithTimeout(ctx, e.statsBudget)
 		}
-		cs, err = e.contextStats(statsCtx, x.a, x.kw, x.preds, useViews, st, cat)
+		cs, err = e.contextStats(statsCtx, x, useViews, cat)
 		statsCancel()
 		reason = "deadline exceeded during statistics"
 	}
@@ -157,12 +207,13 @@ func (e *Engine) statsPhase(ctx context.Context, x *exec, plan Plan, mustAnswer 
 // panics fail the query. cs is only read.
 func (e *Engine) scorePhase(ctx context.Context, x *exec, cs ranking.CollectionStats, k int, pre <-chan resultSet) ([]Result, error) {
 	st := x.st
-	if e.prunedEligible(x.kw, x.preds, k) {
+	preds := x.scorePreds()
+	if e.prunedEligible(x.kw, preds, k) {
 		// Statistics are settled (exact or approximate — the bounds are
 		// valid ceilings for whatever statistics the query ranks with):
 		// walk the conjunction with bound-aware cursors directly.
 		tScore := time.Now()
-		out, err := e.prunedSearch(ctx, x.a, x.kw, x.preds, cs, k, st)
+		out, err := e.prunedSearch(ctx, x.a, x.kw, preds, cs, k, st)
 		st.Phases.Score = time.Since(tScore)
 		if err != nil && !degradeOnDeadline(err, st, "deadline exceeded during pruned scoring: partial top-k") {
 			return nil, err
@@ -175,7 +226,7 @@ func (e *Engine) scorePhase(ctx context.Context, x *exec, cs ranking.CollectionS
 		rs = <-pre
 		st.Stats.Add(rs.st)
 	} else {
-		rs.res, rs.err = evaluateResultSet(ctx, x.kw, x.preds, &st.Stats)
+		rs.res, rs.err = evaluateResultSet(ctx, x.kw, preds, &st.Stats)
 	}
 	st.Phases.ResultSet = time.Since(tRes)
 	if rs.err != nil && (rs.res == nil || !degradeOnDeadline(rs.err, st, "deadline exceeded during result-set intersection: partial results")) {

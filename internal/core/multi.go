@@ -228,11 +228,23 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 		return lost, nil
 	}
 
+	// Each slice's exec — analyzed query, resolved lists and, once the
+	// straightforward plan has run, the materialized context — is built in
+	// the statistics scatter and carried through every scoring round, so
+	// no slice analyzes the query or walks its predicate lists twice. This
+	// function owns them; a lost slice's exec is simply never used again.
+	execs := make([]*exec, n)
+	defer func() {
+		for _, x := range execs {
+			x.release()
+		}
+	}()
+
 	// Phase 1: partial statistics.
 	partCS := make([]ranking.CollectionStats, n)
 	statsSt := make([]ExecStats, n)
 	if _, err := scatter("stats", func(sctx context.Context, i int) (err error) {
-		partCS[i], statsSt[i], err = slices[i].Eng.StatsFor(sctx, q)
+		execs[i], partCS[i], err = slices[i].Eng.statsCarried(sctx, q, &statsSt[i])
 		return err
 	}); err != nil {
 		return nil, nil, nil, err
@@ -260,7 +272,8 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 		cs := MergeCollectionStats(aliveCS...)
 		var err error
 		if lost, err = scatter("score", func(sctx context.Context, i int) (err error) {
-			results[i], scoreSt[i], err = slices[i].Eng.SearchWithStats(sctx, q, k, cs)
+			scoreSt[i] = ExecStats{}
+			results[i], err = slices[i].Eng.scoreCarried(sctx, execs[i], k, cs, &scoreSt[i])
 			return err
 		}); err != nil {
 			return nil, nil, nil, err

@@ -18,8 +18,9 @@ import (
 
 // randomSlices builds one random corpus, splits it into n contiguous
 // slices (each with its own index and a strictly increasing, pairwise
-// disjoint global map), and returns some non-trivial queries.
-func randomSlices(t *testing.T, rng *rand.Rand, nDocs, n int) ([]Slice, []query.Query) {
+// disjoint global map, engines configured by opts), and returns some
+// non-trivial queries.
+func randomSlices(t *testing.T, rng *rand.Rand, nDocs, n int, opts Options) ([]Slice, []query.Query) {
 	t.Helper()
 	meshTerms := make([]string, 6)
 	for i := range meshTerms {
@@ -75,7 +76,7 @@ func randomSlices(t *testing.T, rng *rand.Rand, nDocs, n int) ([]Slice, []query.
 		for j := range globals {
 			globals[j] = uint32(lo + j)
 		}
-		slices[i] = Slice{Eng: New(ix, nil, Options{}), Globals: globals}
+		slices[i] = Slice{Eng: New(ix, nil, opts), Globals: globals}
 	}
 	queries := []query.Query{
 		{Keywords: []string{words[0]}},
@@ -100,7 +101,7 @@ func without(slices []Slice, i int) []Slice {
 // under the survivors-only statistics, not the stale 4-slice merge.
 func TestSearchSlicesPartialBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	slices, queries := randomSlices(t, rng, 200, 4)
+	slices, queries := randomSlices(t, rng, 200, 4, Options{})
 	for _, phase := range []string{"stats", "score"} {
 		for target := 0; target < len(slices); target++ {
 			hooks := make([]SliceHook, len(slices))
@@ -147,7 +148,7 @@ func TestSearchSlicesPartialBitIdentical(t *testing.T) {
 // generic panic to "panic".
 func TestSearchSlicesPartialFailureKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	slices, queries := randomSlices(t, rng, 120, 3)
+	slices, queries := randomSlices(t, rng, 120, 3, Options{})
 	cases := []struct {
 		name string
 		hook SliceHook
@@ -185,7 +186,7 @@ func TestSearchSlicesPartialFailureKinds(t *testing.T) {
 // serving an answer over too little of the collection.
 func TestSearchSlicesPartialFailClosed(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	slices, queries := randomSlices(t, rng, 120, 3)
+	slices, queries := randomSlices(t, rng, 120, 3, Options{})
 	boom := func(ctx context.Context, phase string) { panic("injected") }
 	hooks := []SliceHook{boom, boom, nil}
 	_, _, failures, err := SearchSlicesPartial(
@@ -211,7 +212,7 @@ func TestSearchSlicesPartialFailClosed(t *testing.T) {
 // partial answer fabricated.
 func TestSearchSlicesPartialCallerCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	slices, queries := randomSlices(t, rng, 120, 3)
+	slices, queries := randomSlices(t, rng, 120, 3, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
 	slow := func(c context.Context, phase string) {

@@ -17,8 +17,10 @@ import (
 //   - phase overlap: the unranked result-set intersection and the context
 //     statistics computation share no data, so searchContextual runs them
 //     concurrently (one goroutine each);
-//   - statistics fan-out: each keyword's df/tc intersection is
-//     independent, so keywordStatsBatch spreads them over a worker pool;
+//   - statistics fan-out: each keyword's df/tc conjunction with the
+//     predicate lists is independent, so keywordStatsBatch spreads them
+//     over a worker pool (the straightforward plan's probes of its
+//     materialized context are too cheap to be worth a goroutine);
 //   - partitioned scoring: the scoring loop splits res.DocIDs into
 //     contiguous chunks, scores each into a private top-k heap and merges.
 //
@@ -76,12 +78,13 @@ func scoreChunks(n, w int) int {
 var testHookKeywordStats func(i int)
 
 // keywordStatsBatch computes df(w, D_P) and tc(w, D_P) for the keywords
-// at positions idxs (indices into kw and a.kwTerms), fanning the
-// independent intersections out over the engine's worker pool when it
-// pays. Results are emitted in idxs order on the calling goroutine; list
-// cost from all workers accumulates into st. On error (cancellation,
-// deadline, worker panic) nothing is emitted and the first error in
-// worker order is returned.
+// at positions idxs (indices into kw and a.kwTerms) by conjunction with
+// preds — the keywords a view does not track or a cached entry lacks —
+// fanning the independent intersections out over the engine's worker
+// pool when it pays. Results are emitted in idxs order on the calling
+// goroutine; list cost from all workers accumulates into st. On error
+// (cancellation, deadline, worker panic) nothing more is emitted and the
+// first error in worker order is returned.
 func (e *Engine) keywordStatsBatch(ctx context.Context, idxs []int, kw, preds []*postings.List, st *postings.Stats, emit func(i int, df, tc int64)) error {
 	w := e.workers
 	if w > len(idxs) {
@@ -267,7 +270,7 @@ func (e *Engine) scoreRange(ctx context.Context, qs ranking.QueryStats, terms []
 			for j := range terms {
 				tf[j] = int64(res.TFs[j][i])
 			}
-			ds := ranking.DocStats{TFs: tf, Len: e.ix.FieldLen(docID, e.contentField)}
+			ds := ranking.DocStats{TFs: tf, Len: int64(e.docLens[docID])}
 			top.push(Result{DocID: docID, Score: indexed.ScoreIndexed(qs, ds, cs)})
 		}
 		return nil
@@ -286,7 +289,7 @@ func (e *Engine) scoreRange(ctx context.Context, qs ranking.QueryStats, terms []
 		for j, w := range terms {
 			tf[w] = int64(res.TFs[j][i])
 		}
-		ds := ranking.DocStats{TF: tf, Len: e.ix.FieldLen(docID, e.contentField)}
+		ds := ranking.DocStats{TF: tf, Len: int64(e.docLens[docID])}
 		top.push(Result{DocID: docID, Score: e.scorer.Score(qs, ds, cs)})
 	}
 	return nil

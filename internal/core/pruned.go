@@ -587,7 +587,7 @@ func (w *prunedWorker) run(ctx context.Context, lo uint32, hi uint64) error {
 			for i := 0; i < pq.nk; i++ {
 				tf[i] = int64(w.curs[i].TF())
 			}
-			ds := ranking.DocStats{TFs: tf, Len: w.e.ix.FieldLen(d, w.e.contentField)}
+			ds := ranking.DocStats{TFs: tf, Len: int64(w.e.docLens[d])}
 			w.top.push(Result{DocID: d, Score: pq.indexed.ScoreIndexed(pq.qs, ds, pq.cs)})
 			if w.top.full() {
 				w.shared.raise(w.top.floor())

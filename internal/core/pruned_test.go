@@ -80,6 +80,14 @@ func buildPrunedSystem(t testing.TB) (*index.Index, *views.Catalog) {
 			if i%16 == 0 {
 				mesh += " ctx_b"
 			}
+			// ctx_even and ctx_flip are both dense in every container, share
+			// no document in the first and agree from the second on.
+			if i%2 == 0 {
+				mesh += " ctx_even"
+			}
+			if (i < 1<<16) == (i%2 == 1) {
+				mesh += " ctx_flip"
+			}
 			docs[i] = index.Document{Fields: map[string]string{
 				"title": fmt.Sprintf("d%d", i), "content": sb.String(), "mesh": mesh,
 			}}

@@ -44,11 +44,25 @@ import (
 // flags st.Degraded instead of failing, mirroring the search path's
 // boundedness contract; explicit cancellation fails the call.
 func (e *Engine) StatsFor(ctx context.Context, q query.Query) (cs ranking.CollectionStats, st ExecStats, err error) {
-	err = e.run(ctx, q, "statistics phase", &st, func(ctx context.Context, x *exec) (serr error) {
+	x, cs, err := e.statsCarried(ctx, q, &st)
+	x.release()
+	return cs, st, err
+}
+
+// statsCarried is StatsFor for a caller that goes on to score: it also
+// returns the exec the statistics phase ran on — the analyzed query, its
+// lists and whatever context the plan materialized — for scoreCarried.
+// The exec is returned on failure too, once it exists; the caller
+// releases it either way.
+func (e *Engine) statsCarried(ctx context.Context, q query.Query, st *ExecStats) (x *exec, cs ranking.CollectionStats, err error) {
+	err = e.frame(ctx, "statistics phase", st, func(ctx context.Context) (serr error) {
+		if x, serr = e.prepare(q, st); serr != nil {
+			return serr
+		}
 		cs, serr = e.statsPhase(ctx, x, "", true)
 		return serr
 	})
-	return cs, st, err
+	return x, cs, err
 }
 
 // SearchWithStats evaluates q's result set on this engine's documents
@@ -62,13 +76,32 @@ func (e *Engine) StatsFor(ctx context.Context, q query.Query) (cs ranking.Collec
 // concurrently.
 func (e *Engine) SearchWithStats(ctx context.Context, q query.Query, k int, cs ranking.CollectionStats) (res []Result, st ExecStats, err error) {
 	err = e.run(ctx, q, "scatter-gather scoring", &st, func(ctx context.Context, x *exec) (serr error) {
-		var stop bool
-		if stop, res, serr = shortCircuit(ctx, &st); !stop {
-			res, serr = e.scorePhase(ctx, x, cs, k, nil)
-		}
+		res, serr = e.scoreUnder(ctx, x, k, cs)
 		return serr
 	})
 	return res, st, err
+}
+
+// scoreCarried is SearchWithStats on the exec statsCarried returned:
+// nothing is analyzed or resolved again, and the conjunction runs against
+// the context the statistics phase materialized. It reports into st, so
+// a re-scoring round starts from a fresh report.
+func (e *Engine) scoreCarried(ctx context.Context, x *exec, k int, cs ranking.CollectionStats, st *ExecStats) (res []Result, err error) {
+	x.st = st
+	err = e.frame(ctx, "scatter-gather scoring", st, func(ctx context.Context) (serr error) {
+		res, serr = e.scoreUnder(ctx, x, k, cs)
+		return serr
+	})
+	return res, err
+}
+
+// scoreUnder is the scoring half's body: the dead-context short circuit,
+// then the scoring phase.
+func (e *Engine) scoreUnder(ctx context.Context, x *exec, k int, cs ranking.CollectionStats) ([]Result, error) {
+	if stop, res, err := shortCircuit(ctx, x.st); stop {
+		return res, err
+	}
+	return e.scorePhase(ctx, x, cs, k, nil)
 }
 
 // globalStats assembles whole-collection statistics for the analyzed

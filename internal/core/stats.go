@@ -17,7 +17,8 @@ import (
 // statistics never mix catalog states. Freshly computed exact statistics
 // are cached; a caller that later substitutes approximate statistics
 // never reaches the store, so the cache only ever holds exact values.
-func (e *Engine) contextStats(ctx context.Context, a analyzed, kw, preds []*postings.List, useViews bool, st *ExecStats, cat *views.Catalog) (ranking.CollectionStats, error) {
+func (e *Engine) contextStats(ctx context.Context, x *exec, useViews bool, cat *views.Catalog) (ranking.CollectionStats, error) {
+	a, kw, preds, st := x.a, x.kw, x.preds, x.st
 	if e.cache != nil {
 		cs, cached, err := e.statsFromCache(ctx, a, kw, preds, useViews, st, cat)
 		if err != nil {
@@ -41,7 +42,7 @@ func (e *Engine) contextStats(ctx context.Context, a analyzed, kw, preds []*post
 		}
 	}
 	if !st.UsedView {
-		cs, err = e.statsStraightforward(ctx, a, kw, preds, &st.Stats)
+		cs, err = e.statsStraightforward(ctx, x)
 		if err != nil {
 			return ranking.CollectionStats{}, err
 		}
@@ -121,42 +122,42 @@ func scaleEstimate(global int64, ratio float64, max int64) int64 {
 }
 
 // statsStraightforward computes S_c(D_P) with the Figure 3 plan: the
-// context is materialized by intersecting the predicate lists; γ_count
-// and γ_sum aggregations over it yield |D_P| and len(D_P); each keyword's
-// df(w, D_P) and tc(w, D_P) come from intersecting L_w with the context
-// lists. Its cost is bounded by O(Σ |L_m|) (Proposition 3.1).
-func (e *Engine) statsStraightforward(ctx context.Context, a analyzed, kw, preds []*postings.List, st *postings.Stats) (ranking.CollectionStats, error) {
+// context is materialized once, by intersecting the predicate lists;
+// γ_count and γ_sum over it yield |D_P| and len(D_P) in the same pass;
+// each keyword's df(w, D_P) and tc(w, D_P) come from intersecting L_w
+// with the materialized context — microseconds each, so they run inline
+// rather than on keywordStatsBatch's worker pool. Its cost is bounded by
+// O(Σ |L_m|) (Proposition 3.1). The set is left in x for the scoring
+// phase.
+func (e *Engine) statsStraightforward(ctx context.Context, x *exec) (ranking.CollectionStats, error) {
+	a, st := x.a, &x.st.Stats
 	cs := ranking.CollectionStats{
 		DF: make(map[string]int64, len(a.kwTerms)),
 		TC: make(map[string]int64, len(a.kwTerms)),
 	}
-	// L_m1 ∩ L_m2 with aggregations, fused: the count-only conjunction
-	// kernel computes γ_count and γ_sum (|D_P| and len(D_P)) in one pass —
-	// a word-AND + popcount over dense predicate containers — without
-	// materializing the context.
-	var err error
-	cs.N, cs.TotalLen, err = postings.CountSumCtx(ctx, preds, func(d uint32) int64 {
-		return e.ix.FieldLen(d, e.contentField)
-	}, st)
+	set, err := postings.NewContextSet(ctx, x.preds, e.docLens, st)
 	if err != nil {
 		return cs, err
 	}
-	// L_wi ∩ L_m1 ∩ L_m2 per keyword — each intersection is independent,
-	// so keywordStatsBatch fans them out when parallelism is enabled.
-	idxs := make([]int, len(a.kwTerms))
-	for i := range idxs {
-		idxs[i] = i
+	x.set = set
+	cs.N, cs.TotalLen = set.Count(), set.Sum()
+	for i, w := range a.kwTerms {
+		if hook := testHookKeywordStats; hook != nil {
+			hook(i)
+		}
+		df, tc, err := set.CountTFSum(ctx, x.kw[i], st)
+		if err != nil {
+			return cs, err
+		}
+		cs.DF[w], cs.TC[w] = df, tc
 	}
-	err = e.keywordStatsBatch(ctx, idxs, kw, preds, st, func(i int, df, tc int64) {
-		cs.DF[a.kwTerms[i]] = df
-		cs.TC[a.kwTerms[i]] = tc
-	})
-	return cs, err
+	return cs, nil
 }
 
-// keywordContextStats computes df(w, D_P) and tc(w, D_P) by intersecting
-// w's posting list with the context lists. The intersection starts from
-// the most selective list (Intersect orders by length), so this is cheap
+// keywordContextStats computes df(w, D_P) and tc(w, D_P) for a keyword a
+// view does not track or a cached entry lacks, by intersecting w's
+// posting list with the context lists. The intersection starts from the
+// most selective list (Intersect orders by length), so this is cheap
 // when w is rare — the argument §6.2 makes for not storing df columns of
 // infrequent keywords.
 func (e *Engine) keywordContextStats(ctx context.Context, l *postings.List, preds []*postings.List, st *postings.Stats) (df, tc int64, err error) {

@@ -162,6 +162,13 @@ func (ix *Index) FieldLen(doc DocID, field string) int64 {
 	return int64(ls[doc])
 }
 
+// FieldLens returns field's per-document token counts, indexed by DocID
+// (nil for an unknown field): the column FieldLen reads, for callers
+// that resolve the field once and index per document. The slice is
+// shared — on a mapped index it aliases the file — and must not be
+// modified.
+func (ix *Index) FieldLens(field string) []int32 { return ix.lengths[field] }
+
 // TotalFieldLen returns Σ_d len(d) over the whole collection for field
 // (len(D) in the paper).
 func (ix *Index) TotalFieldLen(field string) int64 {

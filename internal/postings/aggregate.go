@@ -54,9 +54,18 @@ func CountSum(lists []*List, param func(docID uint32) int64, st *Stats) (count, 
 }
 
 // CountSumCtx is CountSum with cooperative cancellation at chunk-range
-// granularity. On cancellation the partial aggregates are returned with
-// ctx's error; callers must not treat them as exact.
+// granularity, a single list included. On cancellation the partial
+// aggregates are returned with ctx's error; callers must not treat them
+// as exact. count is the number of documents enumerated: a quarantined
+// container reads as empty here as in every other kernel.
 func CountSumCtx(ctx context.Context, lists []*List, param func(docID uint32) int64, st *Stats) (count, sum int64, err error) {
+	return countSum(ctx, lists, param, st, nil)
+}
+
+// countSum is the CountSumCtx pass. A non-nil into also receives the
+// documents of a real conjunction (two lists or more) — the context
+// materialized as a by-product of aggregating over it.
+func countSum(ctx context.Context, lists []*List, param func(docID uint32) int64, st *Stats, into *ContextSet) (count, sum int64, err error) {
 	if len(lists) == 0 {
 		return 0, 0, nil
 	}
@@ -65,21 +74,26 @@ func CountSumCtx(ctx context.Context, lists []*List, param func(docID uint32) in
 			return 0, 0, nil
 		}
 	}
+	cc := newCanceler(ctx)
 	if len(lists) == 1 {
 		l := lists[0]
-		l.ForEach(func(d, _ uint32) {
+		each := func(d, _ uint32) {
 			sum += param(d)
-		})
-		count = int64(l.Len())
+			count++
+		}
+		for ci := 0; ci < len(l.chunks) && !cc.halted(); ci++ {
+			if visitChunk(l, ci, each) {
+				st.addQuarantineSkip()
+			}
+		}
 		st.addEntries(count)
 		st.addAggregated(2 * count)
-		return count, sum, nil
+		return count, sum, cc.cause()
 	}
 	st.addIntersection()
-	cc := newCanceler(ctx)
 	count = visitConjunction(lists, st, cc, func(d uint32) {
 		sum += param(d)
-	})
+	}, into)
 	st.addAggregated(2 * count)
 	return count, sum, cc.cause()
 }
@@ -97,8 +111,9 @@ func CountTFSum(l *List, preds []*List, st *Stats) (df, tc int64) {
 }
 
 // CountTFSumCtx is CountTFSum with cooperative cancellation every
-// checkStride conjunction steps. On cancellation the partial aggregates
-// are returned with ctx's error; callers must not treat them as exact.
+// checkStride conjunction steps (per chunk with no predicate lists). On
+// cancellation the partial aggregates are returned with ctx's error;
+// callers must not treat them as exact.
 func CountTFSumCtx(ctx context.Context, l *List, preds []*List, st *Stats) (df, tc int64, err error) {
 	if l == nil || l.Len() == 0 {
 		return 0, 0, nil
@@ -108,15 +123,28 @@ func CountTFSumCtx(ctx context.Context, l *List, preds []*List, st *Stats) (df, 
 			return 0, 0, nil
 		}
 	}
+	cc := newCanceler(ctx)
 	if len(preds) == 0 {
-		// Degenerate empty context: every document of l matches.
-		df = int64(l.Len())
+		// Degenerate empty context: every document of l matches. Lists
+		// that answer Σtf without a scan poll once; a heap TF column is
+		// summed chunk by chunk.
+		if l.src != nil || l.tfs == nil {
+			if !cc.halted() {
+				df, tc = int64(l.n), l.SumTF()
+			}
+		} else {
+			for ci := 0; ci < len(l.chunks) && !cc.halted(); ci++ {
+				for _, tf := range l.tfs[l.offsets[ci]:l.offsets[ci+1]] {
+					tc += int64(tf)
+				}
+				df = int64(l.offsets[ci+1])
+			}
+		}
 		st.addEntries(df)
 		st.addAggregated(df)
-		return df, l.SumTF(), nil
+		return df, tc, cc.cause()
 	}
 	st.addIntersection()
-	cc := newCanceler(ctx)
 	lists := make([]*List, 0, len(preds)+1)
 	lists = append(lists, l)
 	lists = append(lists, preds...)

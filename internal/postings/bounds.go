@@ -57,10 +57,11 @@ func (l *List) BuildBounds(docLen func(docID uint32) int32) {
 }
 
 // visitChunk calls fn for every (docID, tf) of chunk ci in ascending
-// docID order.
-func visitChunk(l *List, ci int, fn func(docID, tf uint32)) {
+// docID order and reports whether the chunk is a quarantined (empty)
+// stand-in.
+func visitChunk(l *List, ci int, fn func(docID, tf uint32)) (quarantined bool) {
 	base := l.chunks[ci].base
-	keys, bs, tfs := l.payload(ci)
+	keys, bs, tfs, quarantined := l.payloadQ(ci)
 	if bs != nil {
 		r := 0
 		for w := 0; w < chunkWords; w++ {
@@ -71,11 +72,12 @@ func visitChunk(l *List, ci int, fn func(docID, tf uint32)) {
 				r++
 			}
 		}
-		return
+		return quarantined
 	}
 	for r, key := range keys {
 		fn(base|uint32(key), tfOf(tfs, r))
 	}
+	return quarantined
 }
 
 // adoptBounds installs a per-chunk bound slice (len must equal the chunk
@@ -128,9 +130,7 @@ type BoundCursor struct {
 // nil (no cost accounting).
 func NewBoundCursor(l *List, st *Stats) *BoundCursor {
 	b := &BoundCursor{}
-	b.c.l = l
-	b.c.st = st
-	b.c.enterChunk(0)
+	b.c.init(l, st)
 	return b
 }
 

@@ -177,9 +177,11 @@ func gallopSearch16(keys []uint16, from int, target uint16) int {
 // lists: it never materializes DocID or TF slices. All lists must be
 // non-nil and non-empty and len(lists) ≥ 2. When visit is non-nil it is
 // called once per matching docID in ascending order. Returns the number of
-// matches. A non-nil canceler is polled once per chunk range — 2^16
-// docIDs of work per poll keeps the kernel branch-cheap — and stops the
-// conjunction early when it fires (the caller reports the cause).
+// matches; a non-nil into additionally collects them (whole AND-ed words
+// at a time over all-dense ranges). A non-nil canceler is polled once per
+// chunk range — 2^16 docIDs of work per poll keeps the kernel
+// branch-cheap — and stops the conjunction early when it fires (the
+// caller reports the cause).
 //
 // The kernel synchronizes the lists chunk range by chunk range. When every
 // list's chunk for a common range is dense, the range is resolved by
@@ -191,7 +193,7 @@ func gallopSearch16(keys []uint16, from int, target uint16) int {
 // segments; bitset work charges EntriesScanned in entry-equivalents (one
 // 64-doc word ≈ one entry probe) and is also tallied separately in
 // Stats.BitmapWords.
-func visitConjunction(lists []*List, st *Stats, cc *canceler, visit func(docID uint32)) int64 {
+func visitConjunction(lists []*List, st *Stats, cc *canceler, visit func(docID uint32), into *ContextSet) int64 {
 	k := len(lists)
 	cis := make([]int, k)       // per-list chunk index
 	aps := make([]int, k)       // per-list in-chunk array pointer, reset per range
@@ -246,11 +248,11 @@ align:
 			}
 		}
 		if allDense {
-			count += andChunks(words, base, visit)
+			count += andChunks(words, base, visit, into.denseChunk(base))
 			st.addBitmapWords(int64(k) * chunkWords)
 			st.addEntries(int64(k) * chunkWords)
 		} else {
-			count += probeChunks(lists, cis, aps, keys, words, minIdx, base, st, visit)
+			count += probeChunks(lists, cis, aps, keys, words, minIdx, base, st, visit, into)
 		}
 		for i := range cis {
 			cis[i]++
@@ -259,8 +261,9 @@ align:
 }
 
 // andChunks resolves one all-dense chunk range by word-AND; with visit nil
-// matches are only popcounted.
-func andChunks(words [][]uint64, base uint32, visit func(uint32)) int64 {
+// matches are only popcounted. A non-nil into (all-zero on entry)
+// receives the AND-ed words.
+func andChunks(words [][]uint64, base uint32, visit func(uint32), into []uint64) int64 {
 	var count int64
 	for w := 0; w < chunkWords; w++ {
 		x := words[0][w]
@@ -269,6 +272,9 @@ func andChunks(words [][]uint64, base uint32, visit func(uint32)) int64 {
 		}
 		if x == 0 {
 			continue
+		}
+		if into != nil {
+			into[w] = x
 		}
 		if visit == nil {
 			count += int64(bits.OnesCount64(x))
@@ -285,7 +291,7 @@ func andChunks(words [][]uint64, base uint32, visit func(uint32)) int64 {
 
 // probeChunks resolves one mixed chunk range: the smallest chunk (minIdx)
 // drives, and every driver element is probed in the other chunks.
-func probeChunks(lists []*List, cis, aps []int, keys [][]uint16, words [][]uint64, minIdx int, base uint32, st *Stats, visit func(uint32)) int64 {
+func probeChunks(lists []*List, cis, aps []int, keys [][]uint16, words [][]uint64, minIdx int, base uint32, st *Stats, visit func(uint32), into *ContextSet) int64 {
 	for i := range aps {
 		aps[i] = 0
 	}
@@ -312,6 +318,15 @@ func probeChunks(lists []*List, cis, aps []int, keys [][]uint16, words [][]uint6
 		}
 		return true
 	}
+	match := func(lo uint16) {
+		count++
+		if visit != nil {
+			visit(base | uint32(lo))
+		}
+		if into != nil {
+			into.add(base | uint32(lo))
+		}
+	}
 	st.addEntries(int64(lists[minIdx].chunks[cis[minIdx]].n))
 	if words[minIdx] != nil {
 		for w := 0; w < chunkWords; w++ {
@@ -320,10 +335,7 @@ func probeChunks(lists []*List, cis, aps []int, keys [][]uint16, words [][]uint6
 				lo := uint16(w<<6 | bits.TrailingZeros64(x))
 				x &= x - 1
 				if probe(lo) {
-					count++
-					if visit != nil {
-						visit(base | uint32(lo))
-					}
+					match(lo)
 				}
 			}
 		}
@@ -331,10 +343,7 @@ func probeChunks(lists []*List, cis, aps []int, keys [][]uint16, words [][]uint6
 	}
 	for _, lo := range keys[minIdx] {
 		if probe(lo) {
-			count++
-			if visit != nil {
-				visit(base | uint32(lo))
-			}
+			match(lo)
 		}
 	}
 	return count

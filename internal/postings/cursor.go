@@ -1,5 +1,7 @@
 package postings
 
+import "math/bits"
+
 // cursor walks a List during an intersection. Physically it advances
 // through the adaptive containers — galloping within array chunks, jumping
 // straight to the target word within bitset chunks — but its cost
@@ -39,12 +41,26 @@ type cursor struct {
 	// chunk whose payload has not been materialized. gpos is exact
 	// (offsets[ci]); cur/ki/bit/rank are not yet valid.
 	pending bool
+	// segShift is log2(segSize) when the list's segment size is a power
+	// of two (the default 128 is), else -1: chargeSeek runs on every seek
+	// and shifts where it can instead of dividing.
+	segShift int8
 }
 
 func newCursor(l *List, st *Stats) *cursor {
-	c := &cursor{l: l, st: st}
-	c.enterChunk(0)
+	c := &cursor{}
+	c.init(l, st)
 	return c
+}
+
+// init positions the cursor on the first posting of l.
+func (c *cursor) init(l *List, st *Stats) {
+	c.l, c.st = l, st
+	c.segShift = -1
+	if m := l.segSize; m&(m-1) == 0 {
+		c.segShift = int8(bits.TrailingZeros(uint(m)))
+	}
+	c.enterChunk(0)
 }
 
 // enterChunk positions the cursor on the first element of chunk ci, or
@@ -285,11 +301,10 @@ func (c *cursor) advanceTo(target uint32) {
 // entry — exactly the charge of a skip-table walk.
 func (c *cursor) chargeSeek(old, pos int) {
 	m := c.l.segSize
-	sOld := old / m
-	sMin := pos / m
+	sOld, sMin := c.segmentOf(old), c.segmentOf(pos)
 	if pos >= c.l.n {
 		// Past the end: every remaining segment was skipped.
-		sMin = (c.l.n + m - 1) / m
+		sMin = c.segmentOf(c.l.n + m - 1)
 	}
 	if sMin > sOld {
 		c.st.addSkipped(int64(sMin - sOld))
@@ -299,4 +314,12 @@ func (c *cursor) chargeSeek(old, pos int) {
 		return
 	}
 	c.st.addEntries(int64(pos - old))
+}
+
+// segmentOf returns the M0-model segment holding global position pos.
+func (c *cursor) segmentOf(pos int) int {
+	if c.segShift >= 0 {
+		return pos >> uint(c.segShift)
+	}
+	return pos / c.l.segSize
 }

@@ -142,7 +142,7 @@ func IntersectCtx(ctx context.Context, lists []*List, st *Stats) (*Intersection,
 		res.DocIDs = make([]uint32, 0, est/4+1)
 		visitConjunction(lists, st, cc, func(d uint32) {
 			res.DocIDs = append(res.DocIDs, d)
-		})
+		}, nil)
 		ones := make([]uint32, len(res.DocIDs))
 		for i := range ones {
 			ones[i] = 1
@@ -199,7 +199,7 @@ func IntersectionSizeCtx(ctx context.Context, lists []*List, st *Stats) (int64, 
 	}
 	st.addIntersection()
 	cc := newCanceler(ctx)
-	n := visitConjunction(lists, st, cc, nil)
+	n := visitConjunction(lists, st, cc, nil, nil)
 	return n, cc.cause()
 }
 

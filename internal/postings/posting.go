@@ -258,23 +258,7 @@ func (l *List) At(i int) Posting {
 // materialize one block at a time).
 func (l *List) ForEach(fn func(docID, tf uint32)) {
 	for ci := range l.chunks {
-		base := l.chunks[ci].base
-		keys, bs, tfs := l.payload(ci)
-		if bs != nil {
-			r := 0
-			for w := 0; w < chunkWords; w++ {
-				x := bs[w]
-				for x != 0 {
-					fn(base|uint32(w<<6|bits.TrailingZeros64(x)), tfOf(tfs, r))
-					x &= x - 1
-					r++
-				}
-			}
-			continue
-		}
-		for r, key := range keys {
-			fn(base|uint32(key), tfOf(tfs, r))
-		}
+		visitChunk(l, ci, fn)
 	}
 }
 
