@@ -653,9 +653,9 @@ func stridedList(start, stride uint32, n int) *postings.List {
 // materializing path, and the k-way union.
 func BenchmarkIntersect(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
-	denseA := stridedList(0, 3, 500000)  // 1/3 of docs up to 1.5M
-	denseB := stridedList(0, 4, 375000)  // 1/4
-	denseC := stridedList(0, 5, 300000)  // 1/5
+	denseA := stridedList(0, 3, 500000) // 1/3 of docs up to 1.5M
+	denseB := stridedList(0, 4, 375000) // 1/4
+	denseC := stridedList(0, 5, 300000) // 1/5
 	sparse := randomList(rng, 2000, 1500000, postings.DefaultSegmentSize)
 	var sink int64
 

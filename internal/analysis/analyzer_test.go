@@ -15,8 +15,19 @@ func terms(toks []Token) []string {
 	return out
 }
 
+// tokens returns the reference tokenizer's terms for text after checking
+// that the production scanner (Keyword applies no filter) agrees.
+func tokens(t *testing.T, text string) []string {
+	t.Helper()
+	want := terms(Tokenize(text))
+	if got := Keyword().Analyze(text); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("Keyword().Analyze(%q) = %q, reference tokens %q", text, got, want)
+	}
+	return want
+}
+
 func TestTokenizeBasic(t *testing.T) {
-	got := terms(Tokenize("Complications following pancreas transplant"))
+	got := tokens(t, "Complications following pancreas transplant")
 	want := []string{"complications", "following", "pancreas", "transplant"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Tokenize = %v, want %v", got, want)
@@ -24,7 +35,7 @@ func TestTokenizeBasic(t *testing.T) {
 }
 
 func TestTokenizePunctuationAndDigits(t *testing.T) {
-	got := terms(Tokenize("IL-2 receptor (CD25) levels: 3.5x baseline!"))
+	got := tokens(t, "IL-2 receptor (CD25) levels: 3.5x baseline!")
 	want := []string{"il-2", "receptor", "cd25", "levels", "3", "5x", "baseline"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Tokenize = %v, want %v", got, want)
@@ -32,7 +43,7 @@ func TestTokenizePunctuationAndDigits(t *testing.T) {
 }
 
 func TestTokenizeApostrophe(t *testing.T) {
-	got := terms(Tokenize("don't stop 'quoted'"))
+	got := tokens(t, "don't stop 'quoted'")
 	want := []string{"don't", "stop", "quoted"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Tokenize = %v, want %v", got, want)
@@ -40,10 +51,10 @@ func TestTokenizeApostrophe(t *testing.T) {
 }
 
 func TestTokenizeEmptyAndWhitespace(t *testing.T) {
-	if got := Tokenize(""); len(got) != 0 {
+	if got := tokens(t, ""); len(got) != 0 {
 		t.Errorf("Tokenize(\"\") = %v, want empty", got)
 	}
-	if got := Tokenize("  \t\n  --- !!! "); len(got) != 0 {
+	if got := tokens(t, "  \t\n  --- !!! "); len(got) != 0 {
 		t.Errorf("Tokenize(whitespace/punct) = %v, want empty", got)
 	}
 }
@@ -58,7 +69,7 @@ func TestTokenizePositionsDense(t *testing.T) {
 }
 
 func TestTokenizeLowercasesUnicode(t *testing.T) {
-	got := terms(Tokenize("Émile NOËL"))
+	got := tokens(t, "Émile NOËL")
 	want := []string{"émile", "noël"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Tokenize = %v, want %v", got, want)
@@ -150,68 +161,62 @@ func TestAnalyzerExtraStopwords(t *testing.T) {
 	}
 }
 
-func TestAnalyzeCounts(t *testing.T) {
+func TestAppendTermsCountsAndLength(t *testing.T) {
 	a := Standard()
-	counts, n := a.AnalyzeCounts("leukemia leukemia pancreas the of")
-	if n != 3 {
-		t.Errorf("length = %d, want 3", n)
+	got := a.AppendTerms(nil, "leukemia leukemia pancreas the of")
+	if len(got) != 3 {
+		t.Errorf("length = %d, want 3", len(got))
+	}
+	counts := map[string]int{}
+	for _, term := range got {
+		counts[term]++
 	}
 	if counts["leukemia"] != 2 || counts["pancreas"] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
 }
 
-func TestAnalyzeCountsEmpty(t *testing.T) {
+func TestAppendTermsEmpty(t *testing.T) {
 	a := Standard()
-	counts, n := a.AnalyzeCounts("")
-	if n != 0 || len(counts) != 0 {
-		t.Errorf("AnalyzeCounts(\"\") = %v, %d", counts, n)
+	dst := []string{"kept"}
+	if got := a.AppendTerms(dst, ""); len(got) != 1 || got[0] != "kept" {
+		t.Errorf("AppendTerms(dst, \"\") = %q", got)
 	}
 }
 
-// Property: tokens never contain uppercase letters or separators, and the
-// token stream is deterministic.
+// Property: terms never contain uppercase letters or separators, and the
+// term stream is deterministic.
 func TestTokenizeProperties(t *testing.T) {
+	a := Keyword()
 	f := func(s string) bool {
-		toks := Tokenize(s)
-		for _, tok := range toks {
-			if tok.Term == "" {
+		toks := a.Analyze(s)
+		for _, term := range toks {
+			if term == "" {
 				return false
 			}
-			if tok.Term != strings.ToLower(tok.Term) {
+			if term != strings.ToLower(term) {
 				return false
 			}
-			if strings.ContainsAny(tok.Term, " \t\n.,;!?") {
+			if strings.ContainsAny(term, " \t\n.,;!?") {
 				return false
 			}
 		}
 		// Determinism.
-		again := Tokenize(s)
-		if len(again) != len(toks) {
-			return false
-		}
-		for i := range toks {
-			if toks[i] != again[i] {
-				return false
-			}
-		}
-		return true
+		return reflect.DeepEqual(a.Analyze(s), toks)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: the analyzer's counts sum to the reported length.
-func TestAnalyzeCountsSumProperty(t *testing.T) {
+// Property: analyzing into a reused buffer yields exactly what a fresh
+// Analyze does, whatever the buffer held before.
+func TestAppendTermsReusedBufferProperty(t *testing.T) {
 	a := Standard()
+	var buf []string
 	f := func(s string) bool {
-		counts, n := a.AnalyzeCounts(s)
-		sum := 0
-		for _, c := range counts {
-			sum += c
-		}
-		return sum == n
+		buf = a.AppendTerms(buf[:0], s)
+		return reflect.DeepEqual(buf, a.Analyze(s)) || (len(buf) == 0 && len(a.Analyze(s)) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -222,10 +227,9 @@ func TestAnalyzeCountsSumProperty(t *testing.T) {
 // term.
 func TestStemProperties(t *testing.T) {
 	f := func(s string) bool {
-		toks := Tokenize(s)
-		for _, tok := range toks {
-			st := Stem(tok.Term)
-			if len(st) > len(tok.Term) {
+		for _, term := range Keyword().Analyze(s) {
+			st := Stem(term)
+			if len(st) > len(term) {
 				return false
 			}
 			if st == "" {

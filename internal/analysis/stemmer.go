@@ -10,6 +10,12 @@ import "strings"
 // with -ing/-ed extensions guarded by minimum stem lengths.
 func Stem(term string) string {
 	n := len(term)
+	if n == 0 {
+		return term
+	}
+	if c := term[n-1]; c != 's' && c != 'g' && c != 'd' {
+		return term // no rule's suffix ends in another letter
+	}
 	switch {
 	case n > 4 && strings.HasSuffix(term, "ies"):
 		// studies -> study; but not "species" (guarded below).

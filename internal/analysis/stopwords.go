@@ -26,9 +26,26 @@ var defaultStopwords = map[string]bool{
 	"thus": true, "upon": true,
 }
 
+// stopwordShapes[n] has bit c set when some default stopword has length n
+// and first letter 'a'+c: most terms fail this test and skip the map.
+var stopwordShapes = func() (shapes [16]uint32) {
+	for w := range defaultStopwords {
+		shapes[len(w)] |= 1 << (w[0] - 'a')
+	}
+	return shapes
+}()
+
 // IsStopword reports whether term is in the default stopword list. The term
-// must already be lowercased (Tokenize lowercases).
-func IsStopword(term string) bool { return defaultStopwords[term] }
+// must already be lowercased (the analyzer lowercases).
+func IsStopword(term string) bool {
+	if len(term) == 0 || len(term) >= len(stopwordShapes) {
+		return false
+	}
+	if c := term[0] - 'a'; c >= 26 || stopwordShapes[len(term)]&(1<<c) == 0 {
+		return false
+	}
+	return defaultStopwords[term]
+}
 
 // Stopwords returns a copy of the default stopword list, for callers that
 // want to extend or inspect it without mutating the shared table.

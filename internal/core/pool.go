@@ -4,14 +4,16 @@ import "sync"
 
 // scoreScratch is a scoring worker's per-range scratch: the term-
 // frequency buffer handed to the scorer through ranking.DocStats (tf
-// for the indexed slice path, tfm for the map path). Pooled because
-// every query allocates one per scoring partition; nothing in it
-// escapes into returned results — DocStats is read during the Score
+// for the indexed slice path, tfm for the map path), and the pruned
+// worker's staged-bound table (stagedUB, see prunedWorker). Pooled
+// because every query allocates one per scoring partition; nothing in
+// it escapes into returned results — DocStats is read during the Score
 // call and Result copies only the docID and score — so recycling is
 // invisible to callers.
 type scoreScratch struct {
-	tf  []int64
-	tfm map[string]int64
+	tf       []int64
+	tfm      map[string]int64
+	stagedUB []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scoreScratch{} }}

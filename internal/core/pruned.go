@@ -295,6 +295,7 @@ type prunedWorker struct {
 	top     *topK
 	shared  *sharedThreshold
 	pst     *PruningStats
+	scratch *scoreScratch
 	matched int
 
 	// Per-container scratch: cUB[i] is keyword i's ceiling over the
@@ -305,9 +306,10 @@ type prunedWorker struct {
 	// othersUB/othersAbs bound every keyword except the driver — the
 	// staged pre-probe check (see run) uses them when the driver is a
 	// keyword list.
-	// stagedUB[tf] is the staged check's fully margin-inflated left-hand
-	// side for a driver posting with term frequency tf in this container
-	// (filled eagerly up to the container's MaxTF, capped at memoCap).
+	// scratch.stagedUB[tf] is the staged check's fully margin-inflated
+	// left-hand side for a driver posting with term frequency tf in this
+	// container (filled eagerly up to the container's MaxTF, capped at
+	// memoCap; pooled, so it grows once rather than per worker).
 	// mask is its projection at threshold maskTau — bit tf set iff
 	// stagedUB[tf] survives — handed to the cursor so runs of hopeless
 	// driver postings are dismissed at tf-array scan speed
@@ -318,7 +320,6 @@ type prunedWorker struct {
 	suffixAbs []float64
 	othersUB  float64
 	othersAbs float64
-	stagedUB  []float64
 	mask      postings.TFMask
 	maskTau   float64
 	memo      [][]float64
@@ -348,7 +349,7 @@ func (w *prunedWorker) enterContainer() {
 		w.suffixAbs[j] = w.suffixAbs[j+1] + math.Abs(w.cUB[pq.order[j]])
 	}
 	w.othersUB, w.othersAbs = 0, 0
-	w.stagedUB = w.stagedUB[:0]
+	staged := w.scratch.stagedUB[:0]
 	if pq.driver < pq.nk {
 		for i := 0; i < pq.nk; i++ {
 			if i != pq.driver {
@@ -363,10 +364,11 @@ func (w *prunedWorker) enterContainer() {
 			}
 			for tf := uint32(0); tf <= n; tf++ {
 				tb := termUpperBound(pq.bounded, pq.termQ[pq.driver], tf, w.eff, pq.termC[pq.driver])
-				w.stagedUB = append(w.stagedUB, tb+w.othersUB+boundFPMargin*(math.Abs(tb)+w.othersAbs))
+				staged = append(staged, tb+w.othersUB+boundFPMargin*(math.Abs(tb)+w.othersAbs))
 			}
 		}
 	}
+	w.scratch.stagedUB = staged
 	w.maskTau = math.NaN()
 	for i := range w.memo {
 		w.memo[i] = w.memo[i][:0]
@@ -379,7 +381,7 @@ func (w *prunedWorker) enterContainer() {
 // its own MaxTF, which stagedUB covers up to the memo cap).
 func (w *prunedWorker) rebuildMask(tau float64) {
 	w.mask.Clear()
-	for tf, ub := range w.stagedUB {
+	for tf, ub := range w.scratch.stagedUB {
 		if !(ub < tau) {
 			w.mask.Set(uint32(tf))
 		}
@@ -420,9 +422,7 @@ func (w *prunedWorker) run(ctx context.Context, lo uint32, hi uint64) error {
 		}
 	}
 	driver := w.curs[pq.driver]
-	scratch := getScratch(pq.nk)
-	defer putScratch(scratch)
-	tf := scratch.tf
+	tf := w.scratch.tf
 	probes := 0
 	// tau is a locally cached copy of the skip threshold (haveTau: it is
 	// above -Inf, i.e. k results exist somewhere). The true threshold
@@ -615,6 +615,8 @@ func (w *prunedWorker) run(ctx context.Context, lo uint32, hi uint64) error {
 // guardedPrunedRange runs one pruned partition behind a panic guard.
 func (e *Engine) guardedPrunedRange(ctx context.Context, pq *prunedQuery, lo uint32, hi uint64, top *topK, shared *sharedThreshold, lst *postings.Stats, pst *PruningStats) (matched int, err error) {
 	defer recoverToError(&err, "pruned scoring worker")
+	scratch := getScratch(pq.nk)
+	defer putScratch(scratch)
 	w := &prunedWorker{
 		e:         e,
 		pq:        pq,
@@ -622,10 +624,10 @@ func (e *Engine) guardedPrunedRange(ctx context.Context, pq *prunedQuery, lo uin
 		top:       top,
 		shared:    shared,
 		pst:       pst,
+		scratch:   scratch,
 		cUB:       make([]float64, pq.nk),
 		suffix:    make([]float64, pq.nk+1),
 		suffixAbs: make([]float64, pq.nk+1),
-		stagedUB:  make([]float64, 0, memoCap+1),
 		memo:      make([][]float64, pq.nk),
 	}
 	for i, l := range pq.all {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"sort"
 	"sync"
 )
@@ -51,12 +50,13 @@ func (t *topK) push(r Result) {
 		return
 	}
 	if len(t.heap) < t.k {
-		heap.Push(&t.heap, r)
+		t.heap = append(t.heap, r)
+		t.heap.up(len(t.heap) - 1)
 		return
 	}
 	if worseThan(t.heap[0], r) {
 		t.heap[0] = r
-		heap.Fix(&t.heap, 0)
+		t.heap.down(0)
 	}
 }
 
@@ -116,16 +116,39 @@ func worseThan(a, b Result) bool {
 	return a.DocID > b.DocID
 }
 
+// resultHeap is a min-heap under worseThan (the weakest result at the
+// root), sifted in place: container/heap would box every Result pushed
+// into an interface value.
 type resultHeap []Result
 
-func (h resultHeap) Len() int           { return len(h) }
-func (h resultHeap) Less(i, j int) bool { return worseThan(h[i], h[j]) }
-func (h resultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x any)        { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// up restores the heap order after element j was appended.
+func (h resultHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !worseThan(h[j], h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// down restores the heap order after element i was replaced by a
+// result no weaker than the one it held.
+func (h resultHeap) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && worseThan(h[r], h[j]) {
+			j = r
+		}
+		if !worseThan(h[j], h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }

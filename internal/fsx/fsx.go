@@ -60,12 +60,12 @@ func (osFS) Open(name string) (File, error)   { return os.Open(name) }
 func (osFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
-func (osFS) Rename(oldname, newname string) error    { return os.Rename(oldname, newname) }
-func (osFS) Remove(name string) error                { return os.Remove(name) }
-func (osFS) Truncate(name string, size int64) error  { return os.Truncate(name, size) }
-func (osFS) Stat(name string) (os.FileInfo, error)   { return os.Stat(name) }
+func (osFS) Rename(oldname, newname string) error       { return os.Rename(oldname, newname) }
+func (osFS) Remove(name string) error                   { return os.Remove(name) }
+func (osFS) Truncate(name string, size int64) error     { return os.Truncate(name, size) }
+func (osFS) Stat(name string) (os.FileInfo, error)      { return os.Stat(name) }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
-func (osFS) MkdirAll(name string) error              { return os.MkdirAll(name, 0o755) }
+func (osFS) MkdirAll(name string) error                 { return os.MkdirAll(name, 0o755) }
 
 func (osFS) SyncDir(name string) error {
 	d, err := os.Open(name)

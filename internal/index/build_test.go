@@ -1,0 +1,150 @@
+package index
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+	"unsafe"
+)
+
+// randomBuildDocs draws documents whose text exercises every analyzer
+// branch the build depends on: mixed case (lowered copies), non-ASCII
+// letters, stopwords, stemmable suffixes, and intra-word punctuation.
+func randomBuildDocs(rng *rand.Rand, n int) []Document {
+	words := []string{
+		"Pancreas", "transplants", "studies", "the", "OF", "leukemia", "IL-2",
+		"don't", "Ärger", "straße", "İnfection", "cells", "stopped", "running",
+		"alpha", "beta", "gamma", "delta", "x", "42", "a--b",
+	}
+	mesh := []string{"neoplasms", "hemic_system", "Digestive_System", "viruses", "m1"}
+	docs := make([]Document, n)
+	for i := range docs {
+		var content, title []string
+		for w := 2 + rng.Intn(20); w > 0; w-- {
+			content = append(content, words[rng.Intn(len(words))])
+		}
+		for w := 1 + rng.Intn(4); w > 0; w-- {
+			title = append(title, words[rng.Intn(len(words))])
+		}
+		docs[i] = doc(strings.Join(title, " "), strings.Join(content, ", "),
+			mesh[rng.Intn(len(mesh))]+" "+mesh[rng.Intn(len(mesh))])
+	}
+	return docs
+}
+
+// sequentialBuild is the reference BuildFrom must equal: one Builder
+// adding every document in order on the calling goroutine.
+func sequentialBuild(t *testing.T, docs []Document) *Index {
+	t.Helper()
+	b, err := NewBuilder(testSchema(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		b.Add(d)
+	}
+	return b.Build()
+}
+
+// TestBuildFromEqualsSequentialBuilder: the range-parallel build is the
+// sequential Builder.Add loop term by term — postings, TFs, bounds,
+// totalTF, lengths, stored fields — at every GOMAXPROCS and for batches
+// below, at and above the parallel threshold.
+func TestBuildFromEqualsSequentialBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	docs := randomBuildDocs(rng, 4*minDocsPerWorker+37)
+	sizes := []int{0, 1, minDocsPerWorker - 1, minDocsPerWorker, 2 * minDocsPerWorker, len(docs)}
+	want := make([]*Index, len(sizes))
+	for i, n := range sizes {
+		want[i] = sequentialBuild(t, docs[:n])
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for i, n := range sizes {
+			t.Run(fmt.Sprintf("procs=%d/docs=%d", procs, n), func(t *testing.T) {
+				got, err := BuildFrom(testSchema(), 16, docs[:n])
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIndexEqual(t, got, want[i])
+			})
+		}
+	}
+}
+
+// TestDictionaryKeysDoNotAliasDocuments: analysis hands out terms that
+// are substrings of the document text, but a dictionary key must be its
+// own copy so an index built in a long-running process (refresh,
+// compaction, WAL replay) never pins the documents it was built from.
+func TestDictionaryKeysDoNotAliasDocuments(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	docs := randomBuildDocs(rand.New(rand.NewSource(7)), 2*minDocsPerWorker+5)
+	type span struct{ lo, hi uintptr }
+	var texts []span
+	for _, d := range docs {
+		for _, s := range d.Fields {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); len(s) > 0 {
+				texts = append(texts, span{p, p + uintptr(len(s))})
+			}
+		}
+	}
+	base, err := BuildFrom(testSchema(), 16, docs[:minDocsPerWorker])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := Extend(base, docs[minDocsPerWorker:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := BuildFrom(testSchema(), 16, docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]*Index{"BuildFrom": full, "Extend": ext} {
+		for field, fi := range ix.fields {
+			for term := range fi.terms {
+				p := uintptr(unsafe.Pointer(unsafe.StringData(term)))
+				for _, s := range texts {
+					if p >= s.lo && p < s.hi {
+						t.Fatalf("%s: field %q key %q points into a document's text", name, field, term)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAnalysisPanicIsReturnedAsError: a panic in any analysis range —
+// a worker goroutine's or the caller's own — comes back from BuildFrom
+// and Extend as an error instead of crashing the process.
+func TestAnalysisPanicIsReturnedAsError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer func() { testHookAddRange = nil }()
+	docs := randomBuildDocs(rand.New(rand.NewSource(3)), 2*minDocsPerWorker)
+	base, err := BuildFrom(testSchema(), 16, docs[:10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		at   DocID // first DocID of the range that panics
+		run  func() error
+	}{
+		{"BuildFrom/worker", 0, func() error { _, err := BuildFrom(testSchema(), 16, docs); return err }},
+		{"BuildFrom/caller", minDocsPerWorker, func() error { _, err := BuildFrom(testSchema(), 16, docs); return err }},
+		{"BuildFrom/sequential", 0, func() error { _, err := BuildFrom(testSchema(), 16, docs[:5]); return err }},
+		{"Extend/worker", 10, func() error { _, err := Extend(base, docs); return err }},
+	} {
+		testHookAddRange = func(first DocID) {
+			if first == tc.at {
+				panic("injected analysis panic")
+			}
+		}
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), "injected analysis panic") {
+			t.Errorf("%s: err = %v, want the injected panic", tc.name, err)
+		}
+	}
+}

@@ -2,9 +2,20 @@ package index
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"sync"
 
 	"csrank/internal/postings"
 )
+
+// minDocsPerWorker is the smallest document range one analysis goroutine
+// takes on: a batch is split into min(GOMAXPROCS, len/minDocsPerWorker)
+// contiguous ranges, so batches under twice this size — live-ingest
+// refreshes and per-shard compaction batches of a few hundred documents —
+// are analyzed on the calling goroutine and start none.
+const minDocsPerWorker = 1000
 
 // Builder accumulates documents and produces an immutable Index. Documents
 // receive dense ascending DocIDs in insertion order, so posting lists are
@@ -12,11 +23,20 @@ import (
 type Builder struct {
 	schema  Schema
 	segSize int
-	terms   map[string]map[string]*postings.Builder
-	lengths map[string][]int32
-	stored  map[string][]string
-	totals  map[string]int64
-	numDocs int
+	first   DocID        // DocID of the first document added
+	numDocs int          // documents added so far
+	fields  []fieldBuild // aligned with schema.Fields
+	scratch []string     // AppendTerms buffer, reused across documents
+}
+
+// fieldBuild is one field's part of a Builder: each term's postings over
+// the documents added, their lengths and (Stored fields only) raw text,
+// and the lengths' sum.
+type fieldBuild struct {
+	terms   map[string]*postings.Builder
+	lengths []int32
+	stored  []string
+	total   int64
 }
 
 // NewBuilder returns a Builder for the given schema. segSize ≤ 0 selects
@@ -26,47 +46,44 @@ func NewBuilder(schema Schema, segSize int) (*Builder, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
+	return newBuilder(schema, segSize, 0), nil
+}
+
+// newBuilder returns a Builder whose first document gets DocID first.
+// The schema must already be validated.
+func newBuilder(schema Schema, segSize int, first DocID) *Builder {
 	if segSize <= 0 {
 		segSize = postings.DefaultSegmentSize
 	}
-	b := &Builder{
-		schema:  schema,
-		segSize: segSize,
-		terms:   make(map[string]map[string]*postings.Builder),
-		lengths: make(map[string][]int32),
-		stored:  make(map[string][]string),
-		totals:  make(map[string]int64),
+	b := &Builder{schema: schema, segSize: segSize, first: first, fields: make([]fieldBuild, len(schema.Fields))}
+	for i := range b.fields {
+		b.fields[i].terms = make(map[string]*postings.Builder)
 	}
-	for _, f := range schema.Fields {
-		b.terms[f.Name] = make(map[string]*postings.Builder)
-		b.lengths[f.Name] = nil
-		if f.Stored {
-			b.stored[f.Name] = nil
-		}
-	}
-	return b, nil
+	return b
 }
 
 // Add indexes one document and returns its assigned DocID.
 func (b *Builder) Add(doc Document) DocID {
-	id := DocID(b.numDocs)
+	id := b.first + DocID(b.numDocs)
 	b.numDocs++
-	for _, f := range b.schema.Fields {
+	for i, f := range b.schema.Fields {
+		fb := &b.fields[i]
 		text := doc.Fields[f.Name]
-		counts, n := f.Analyzer.AnalyzeCounts(text)
-		b.lengths[f.Name] = append(b.lengths[f.Name], int32(n))
-		b.totals[f.Name] += int64(n)
-		dict := b.terms[f.Name]
-		for term, tf := range counts {
-			pb := dict[term]
+		b.scratch = f.Analyzer.AppendTerms(b.scratch[:0], text)
+		fb.lengths = append(fb.lengths, int32(len(b.scratch)))
+		fb.total += int64(len(b.scratch))
+		for _, term := range b.scratch {
+			pb := fb.terms[term]
 			if pb == nil {
+				// Terms may be substrings of the document's text; a
+				// dictionary key must not pin it.
 				pb = postings.NewBuilder(b.segSize)
-				dict[term] = pb
+				fb.terms[strings.Clone(term)] = pb
 			}
-			pb.Add(id, uint32(tf))
+			pb.Add(id, 1) // repeated adds for one DocID accumulate its TF
 		}
 		if f.Stored {
-			b.stored[f.Name] = append(b.stored[f.Name], text)
+			fb.stored = append(fb.stored, text)
 		}
 	}
 	return id
@@ -79,28 +96,115 @@ func (b *Builder) NumDocs() int { return b.numDocs }
 func (b *Builder) Build() *Index {
 	ix := &Index{
 		schema:  b.schema,
-		fields:  make(map[string]*fieldIndex, len(b.terms)),
-		lengths: b.lengths,
-		stored:  b.stored,
+		fields:  make(map[string]*fieldIndex, len(b.fields)),
+		lengths: make(map[string][]int32, len(b.fields)),
+		stored:  make(map[string][]string),
 		numDocs: b.numDocs,
 		segSize: b.segSize,
 	}
-	for field, dict := range b.terms {
-		fi := &fieldIndex{
-			terms:    make(map[string]*postings.List, len(dict)),
-			totalLen: b.totals[field],
-			totalTF:  make(map[string]int64, len(dict)),
+	for i, f := range b.schema.Fields {
+		fb := &b.fields[i]
+		ix.lengths[f.Name] = fb.lengths
+		if f.Stored {
+			ix.stored[f.Name] = fb.stored
 		}
-		for term, pb := range dict {
+		fi := &fieldIndex{
+			terms:    make(map[string]*postings.List, len(fb.terms)),
+			totalLen: fb.total,
+			totalTF:  make(map[string]int64, len(fb.terms)),
+		}
+		for term, pb := range fb.terms {
 			l := pb.Build()
 			fi.terms[term] = l
 			fi.totalTF[term] = l.SumTF()
 		}
-		ix.fields[field] = fi
+		ix.fields[f.Name] = fi
 	}
 	ix.buildContentBounds()
-	b.terms = nil
+	b.fields, b.scratch = nil, nil
 	return ix
+}
+
+// appendBuilder moves o's documents, whose DocIDs must directly follow
+// b's, into b: lengths and stored fields concatenate, totals add, and
+// each term's postings append in DocID order — the state a single
+// Builder would hold after adding both ranges in turn.
+func (b *Builder) appendBuilder(o *Builder) {
+	for i := range b.fields {
+		fb, ob := &b.fields[i], &o.fields[i]
+		fb.lengths = append(fb.lengths, ob.lengths...)
+		fb.stored = append(fb.stored, ob.stored...)
+		fb.total += ob.total
+		for term, opb := range ob.terms {
+			if pb := fb.terms[term]; pb != nil {
+				pb.Append(opb)
+			} else {
+				fb.terms[term] = opb
+			}
+		}
+	}
+	b.numDocs += o.numDocs
+}
+
+// testHookAddRange, when non-nil, runs at the start of each analysis
+// range with the range's first DocID; tests use it to inject worker
+// panics. Set it only while no build is running.
+var testHookAddRange func(first DocID)
+
+// addRange adds docs in order. A panic is returned as an error so that
+// it surfaces on the goroutine that asked for the build.
+func (b *Builder) addRange(docs []Document) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("index: analyzing documents [%d, %d) panicked: %v\n%s",
+				b.first, b.first+DocID(len(docs)), r, debug.Stack())
+		}
+	}()
+	if testHookAddRange != nil {
+		testHookAddRange(b.first)
+	}
+	for _, d := range docs {
+		b.Add(d)
+	}
+	return nil
+}
+
+// analyze adds docs at DocIDs first, first+1, … to one Builder. The
+// documents are split into min(GOMAXPROCS, len/minDocsPerWorker)
+// contiguous ranges (at least one) analyzed concurrently, one Builder
+// per range, then concatenated in range order; DocIDs ascend across
+// ranges, so every posting list, length and stored field is the one a
+// single Builder adding docs in order produces. The schema must already
+// be validated.
+func analyze(schema Schema, segSize int, first DocID, docs []Document) (*Builder, error) {
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(docs)/minDocsPerWorker))
+	parts := make([]*Builder, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range parts {
+		lo, hi := w*len(docs)/workers, (w+1)*len(docs)/workers
+		parts[w] = newBuilder(schema, segSize, first+DocID(lo))
+		if w == workers-1 {
+			// The calling goroutine analyzes the last range itself.
+			errs[w] = parts[w].addRange(docs[lo:hi])
+			continue
+		}
+		wg.Add(1)
+		go func(w int, rng []Document) {
+			defer wg.Done()
+			errs[w] = parts[w].addRange(rng)
+		}(w, docs[lo:hi])
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	for _, p := range parts[1:] {
+		parts[0].appendBuilder(p)
+	}
+	return parts[0], nil
 }
 
 // buildContentBounds attaches per-container score-bound metadata
@@ -125,15 +229,16 @@ func (ix *Index) buildContentBounds() {
 	}
 }
 
-// BuildFrom indexes all docs under schema in one call, a convenience for
-// tests and examples.
+// BuildFrom indexes all docs under schema in one call. Large batches are
+// analyzed on several goroutines (see analyze); the index is the one
+// adding docs to a Builder in order produces.
 func BuildFrom(schema Schema, segSize int, docs []Document) (*Index, error) {
-	b, err := NewBuilder(schema, segSize)
-	if err != nil {
+	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	for _, d := range docs {
-		b.Add(d)
+	b, err := analyze(schema, segSize, 0, docs)
+	if err != nil {
+		return nil, err
 	}
 	return b.Build(), nil
 }

@@ -26,6 +26,10 @@ import (
 // the caller must keep base open until the extension is persisted.
 func Extend(base *Index, docs []Document) (*Index, error) {
 	n0 := base.numDocs
+	added, err := analyze(base.schema, base.segSize, DocID(n0), docs)
+	if err != nil {
+		return nil, err
+	}
 	ix := &Index{
 		schema:  base.schema,
 		fields:  make(map[string]*fieldIndex, len(base.fields)),
@@ -35,50 +39,25 @@ func Extend(base *Index, docs []Document) (*Index, error) {
 		segSize: base.segSize,
 	}
 
-	for _, f := range base.schema.Fields {
-		// Analyze the appended documents exactly as Builder.Add would.
-		newLens := make([]int32, len(docs))
-		var newTotal int64
-		type posting struct {
-			id DocID
-			tf uint32
-		}
-		added := make(map[string][]posting)
-		var newStored []string
-		if f.Stored {
-			newStored = make([]string, 0, len(docs))
-		}
-		for i, d := range docs {
-			text := d.Fields[f.Name]
-			counts, n := f.Analyzer.AnalyzeCounts(text)
-			newLens[i] = int32(n)
-			newTotal += int64(n)
-			id := DocID(n0 + i)
-			for term, tf := range counts {
-				added[term] = append(added[term], posting{id: id, tf: uint32(tf)})
-			}
-			if f.Stored {
-				newStored = append(newStored, text)
-			}
-		}
-
+	for i, f := range base.schema.Fields {
+		ab := &added.fields[i]
 		ls := make([]int32, 0, n0+len(docs))
 		ls = append(ls, base.lengths[f.Name]...)
-		ix.lengths[f.Name] = append(ls, newLens...)
+		ix.lengths[f.Name] = append(ls, ab.lengths...)
 		if f.Stored {
 			vs := make([]string, 0, n0+len(docs))
 			vs = append(vs, base.storedSlice(f.Name)...)
-			ix.stored[f.Name] = append(vs, newStored...)
+			ix.stored[f.Name] = append(vs, ab.stored...)
 		}
 
 		bfi := base.fields[f.Name]
 		fi := &fieldIndex{
-			terms:    make(map[string]*postings.List, len(bfi.terms)+len(added)),
-			totalLen: bfi.totalLen + newTotal,
-			totalTF:  make(map[string]int64, len(bfi.terms)+len(added)),
+			terms:    make(map[string]*postings.List, len(bfi.terms)+len(ab.terms)),
+			totalLen: bfi.totalLen + ab.total,
+			totalTF:  make(map[string]int64, len(bfi.terms)+len(ab.terms)),
 		}
 		for term, l := range bfi.terms {
-			if _, touched := added[term]; touched {
+			if _, touched := ab.terms[term]; touched {
 				continue // rebuilt below
 			}
 			fi.terms[term] = l // shared: immutable, bounds still exact
@@ -93,16 +72,14 @@ func Extend(base *Index, docs []Document) (*Index, error) {
 			}
 			return 0
 		}
-		for term, ps := range added {
+		for term, apb := range ab.terms {
 			pb := postings.NewBuilder(base.segSize)
 			if old := bfi.terms[term]; old != nil {
 				old.ForEach(func(docID, tf uint32) {
 					pb.Add(docID, tf)
 				})
 			}
-			for _, p := range ps {
-				pb.Add(p.id, p.tf)
-			}
+			pb.Append(apb)
 			l := pb.Build()
 			if isContent {
 				// Fresh builds attach score bounds to content-field lists

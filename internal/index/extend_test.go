@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"csrank/internal/analysis"
@@ -38,39 +39,44 @@ func randomExtendDocs(rng *rand.Rand, n int) []Document {
 
 // TestExtendEqualsFreshBuild: an extended index must agree with a fresh
 // build over the concatenated corpus on every statistic ranking reads —
-// postings, lengths, totals, stored fields and score bounds.
+// postings, lengths, totals, stored fields and score bounds — for a
+// compaction-sized batch (analyzed on the calling goroutine) and one
+// above the parallel threshold (analyzed in ranges).
 func TestExtendEqualsFreshBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	old := randomExtendDocs(rng, 40)
-	added := randomExtendDocs(rng, 13)
-	all := append(append([]Document{}, old...), added...)
-	schema := extendSchema()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, n := range []int{13, 2*minDocsPerWorker + 13} {
+		rng := rand.New(rand.NewSource(42))
+		old := randomExtendDocs(rng, 40)
+		added := randomExtendDocs(rng, n)
+		all := append(append([]Document{}, old...), added...)
+		schema := extendSchema()
 
-	base, err := BuildFrom(schema, 16, old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseTerms := map[string]int{
-		"content": base.UniqueTerms("content"),
-		"mesh":    base.UniqueTerms("mesh"),
-	}
-	got, err := Extend(base, added)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := BuildFrom(schema, 16, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIndexEqual(t, got, want)
+		base, err := BuildFrom(schema, 16, old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseTerms := map[string]int{
+			"content": base.UniqueTerms("content"),
+			"mesh":    base.UniqueTerms("mesh"),
+		}
+		got, err := Extend(base, added)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := BuildFrom(schema, 16, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIndexEqual(t, got, want)
 
-	// base must be untouched by the extension.
-	if base.NumDocs() != len(old) {
-		t.Fatalf("base grew to %d docs", base.NumDocs())
-	}
-	for f, n := range baseTerms {
-		if base.UniqueTerms(f) != n {
-			t.Fatalf("base field %q dictionary changed", f)
+		// base must be untouched by the extension.
+		if base.NumDocs() != len(old) {
+			t.Fatalf("base grew to %d docs", base.NumDocs())
+		}
+		for f, n := range baseTerms {
+			if base.UniqueTerms(f) != n {
+				t.Fatalf("base field %q dictionary changed", f)
+			}
 		}
 	}
 }
@@ -158,6 +164,11 @@ func assertIndexEqual(t *testing.T, got, want *Index) {
 				if gl.MaxTF() != wl.MaxTF() || gl.MinDocLen() != wl.MinDocLen() {
 					t.Fatalf("field %q term %q bounds (%d,%d), want (%d,%d)",
 						field, term, gl.MaxTF(), gl.MinDocLen(), wl.MaxTF(), wl.MinDocLen())
+				}
+				for ci := 0; ci < wl.NumChunks(); ci++ {
+					if g, w := gl.ChunkBoundAt(ci), wl.ChunkBoundAt(ci); g != w {
+						t.Fatalf("field %q term %q container %d bound %+v, want %+v", field, term, ci, g, w)
+					}
 				}
 			}
 		}

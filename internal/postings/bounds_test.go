@@ -354,7 +354,7 @@ func TestTFMaskRange(t *testing.T) {
 	if m.has(0) || m.has(255) {
 		t.Fatal("empty mask reports survivors below 256")
 	}
-	if !m.has(256) || !m.has(1 << 20) {
+	if !m.has(256) || !m.has(1<<20) {
 		t.Fatal("tf ≥ 256 must always survive")
 	}
 	m.Set(0)

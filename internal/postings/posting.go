@@ -448,6 +448,21 @@ func (b *Builder) Add(docID uint32, tf uint32) {
 	b.tfs = append(b.tfs, tf)
 }
 
+// Append moves o's postings after b's — the concatenation of two
+// builders over consecutive DocID ranges. o's first DocID must exceed
+// b's last; o must not be used afterwards.
+func (b *Builder) Append(o *Builder) {
+	if len(o.ids) == 0 {
+		return
+	}
+	if n := len(b.ids); n > 0 && b.ids[n-1] >= o.ids[0] {
+		panic("postings: Builder.Append requires ascending DocIDs")
+	}
+	b.ids = append(b.ids, o.ids...)
+	b.tfs = append(b.tfs, o.tfs...)
+	o.ids, o.tfs = nil, nil
+}
+
 // Len returns the number of distinct documents added so far.
 func (b *Builder) Len() int { return len(b.ids) }
 
