@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -335,8 +334,8 @@ func BenchmarkAblationDFColumns(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := qs[0]
-	engFull := core.New(s.Index, views.NewCatalog([]*views.View{full}, s.Scale.TC(), s.Scale.TV), core.Options{Parallelism: 1})
-	engBare := core.New(s.Index, views.NewCatalog([]*views.View{bare}, s.Scale.TC(), s.Scale.TV), core.Options{Parallelism: 1})
+	engFull := core.New(s.Index, views.NewCatalog([]*views.View{full}, s.Scale.TC(), s.Scale.TV), core.Options{})
+	engBare := core.New(s.Index, views.NewCatalog([]*views.View{bare}, s.Scale.TC(), s.Scale.TV), core.Options{})
 	b.Run("tracked-df-columns", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := engFull.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
@@ -394,8 +393,8 @@ func BenchmarkAblationStatsCache(b *testing.B) {
 		b.Skip("no large contexts")
 	}
 	q := qs[0]
-	plain := core.New(s.Index, s.Catalog, core.Options{Parallelism: 1})
-	cached := core.New(s.Index, s.Catalog, core.Options{Parallelism: 1, CacheContexts: 64})
+	plain := core.New(s.Index, s.Catalog, core.Options{})
+	cached := core.New(s.Index, s.Catalog, core.Options{CacheContexts: 64})
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := plain.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
@@ -435,39 +434,6 @@ func BenchmarkConcurrentThroughput(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkParallelSearch measures intra-query parallelism over the
-// Figure 7 large-context workload: the same queries at increasing
-// Options.Parallelism, for the straightforward plan (dominated by the
-// per-keyword statistics intersections the worker pool fans out) and the
-// view plan. Speedup requires GOMAXPROCS > 1; on a single-CPU host every
-// worker count collapses onto one core and only the coordination
-// overhead is visible.
-func BenchmarkParallelSearch(b *testing.B) {
-	s := getBenchSetup(b)
-	large, _ := getWorkloads(b)
-	var qs []query.Query
-	for n := 2; n <= 5; n++ {
-		qs = append(qs, large.ByKeywords[n]...)
-	}
-	if len(qs) == 0 {
-		b.Skip("no workload")
-	}
-	counts := []int{1, 2, 4}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 4 {
-		counts = append(counts, g)
-	}
-	for _, p := range counts {
-		straight := core.New(s.Index, nil, core.Options{Parallelism: p})
-		viewed := core.New(s.Index, s.Catalog, core.Options{Parallelism: p})
-		b.Run(fmt.Sprintf("straightforward/workers=%d", p), func(b *testing.B) {
-			runQueryBench(b, qs, straight, straight.SearchStraightforwardCtx)
-		})
-		b.Run(fmt.Sprintf("views/workers=%d", p), func(b *testing.B) {
-			runQueryBench(b, qs, viewed, viewed.SearchContextSensitiveCtx)
-		})
-	}
 }
 
 // BenchmarkScoreHotPath isolates the per-document scoring loop: the
@@ -620,7 +586,7 @@ func BenchmarkPrunedSearch(b *testing.B) {
 					}
 					name := fmt.Sprintf("%s/%s/k=%d/%s", sc.Name(), qc.label, k, mode)
 					b.Run(name, func(b *testing.B) {
-						e := core.New(ix, nil, core.Options{Parallelism: 1, Scorer: sc, Pruning: pruned})
+						e := core.New(ix, nil, core.Options{Scorer: sc, Pruning: pruned})
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {

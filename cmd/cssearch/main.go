@@ -42,7 +42,6 @@ func main() {
 		k           = flag.Int("k", 10, "number of results")
 		mode        = flag.String("mode", "context", "context | conventional | straightforward | compare")
 		scorer      = flag.String("scorer", "pivoted-tfidf", "pivoted-tfidf | bm25 | dirichlet-lm | cosine-tfidf | jelinek-mercer-lm")
-		parallel    = flag.Int("parallel", 0, "intra-query parallelism (0 = GOMAXPROCS, 1 = sequential)")
 		timeout     = flag.Duration("timeout", 0, "per-query deadline (e.g. 50ms); on expiry partial results are returned flagged degraded (0 = unbounded)")
 		pruning     = flag.Bool("pruning", false, "enable block-max dynamic pruning (safe: top-k is bit-identical to exhaustive scoring)")
 		interactive = flag.Bool("i", false, "interactive mode: read queries from stdin (prefix a line with '?' for plan explanation only)")
@@ -73,13 +72,13 @@ func main() {
 		os.Exit(1)
 	}
 	if *interactive {
-		err = runInteractive(*data, *walDir, *k, *mode, *scorer, *parallel, *timeout, *pruning, os.Stdin, os.Stdout)
+		err = runInteractive(*data, *walDir, *k, *mode, *scorer, *timeout, *pruning, os.Stdin, os.Stdout)
 	} else if *q == "" {
 		stopProfiles()
 		flag.Usage()
 		os.Exit(2)
 	} else {
-		err = run(*data, *walDir, *q, *k, *mode, *scorer, *parallel, *timeout, *pruning)
+		err = run(*data, *walDir, *q, *k, *mode, *scorer, *timeout, *pruning)
 	}
 	stopProfiles()
 	if err != nil {
@@ -129,8 +128,8 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 // starting with '?' print the plan explanation instead; "exit" or EOF
 // ends the session. Per-query errors are reported and the loop
 // continues.
-func runInteractive(data, walDir string, k int, mode, scorerName string, parallel int, timeout time.Duration, pruning bool, in io.Reader, out io.Writer) error {
-	eng, ix, err := openEngine(data, walDir, scorerName, parallel, timeout, pruning)
+func runInteractive(data, walDir string, k int, mode, scorerName string, timeout time.Duration, pruning bool, in io.Reader, out io.Writer) error {
+	eng, ix, err := openEngine(data, walDir, scorerName, timeout, pruning)
 	if err != nil {
 		return err
 	}
@@ -220,8 +219,8 @@ func float64maxOne(n int64) float64 {
 	return float64(n)
 }
 
-func run(data, walDir, qstr string, k int, mode, scorerName string, parallel int, timeout time.Duration, pruning bool) error {
-	eng, ix, err := openEngine(data, walDir, scorerName, parallel, timeout, pruning)
+func run(data, walDir, qstr string, k int, mode, scorerName string, timeout time.Duration, pruning bool) error {
+	eng, ix, err := openEngine(data, walDir, scorerName, timeout, pruning)
 	if err != nil {
 		return err
 	}
@@ -230,7 +229,7 @@ func run(data, walDir, qstr string, k int, mode, scorerName string, parallel int
 
 // openEngine loads the persisted index and (optionally) views and wires
 // the requested scorer.
-func openEngine(data, walDir, scorerName string, parallel int, timeout time.Duration, pruning bool) (*core.Engine, *index.Index, error) {
+func openEngine(data, walDir, scorerName string, timeout time.Duration, pruning bool) (*core.Engine, *index.Index, error) {
 	var sc ranking.Scorer
 	switch scorerName {
 	case "pivoted-tfidf":
@@ -258,7 +257,7 @@ func openEngine(data, walDir, scorerName string, parallel int, timeout time.Dura
 		fmt.Fprintln(os.Stderr, "note: no views loaded; contextual queries use the straightforward plan")
 		cat = nil
 	}
-	return core.New(ix, cat, core.Options{Scorer: sc, Parallelism: parallel, Deadline: timeout, Pruning: pruning}), ix, nil
+	return core.New(ix, cat, core.Options{Scorer: sc, Deadline: timeout, Pruning: pruning}), ix, nil
 }
 
 // loadCatalog returns the view catalog: recovered from the WAL directory

@@ -48,7 +48,7 @@ func buildData(t *testing.T) string {
 // line) instead of failing.
 func TestExpiredTimeoutPrintsDegraded(t *testing.T) {
 	dir := buildData(t)
-	eng, ix, err := openEngine(dir, "", "pivoted-tfidf", 0, time.Nanosecond, false)
+	eng, ix, err := openEngine(dir, "", "pivoted-tfidf", time.Nanosecond, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRunAllModes(t *testing.T) {
 	// category always present in the generated ontology.
 	q := "disease organ | anatomy"
 	for _, mode := range []string{"context", "conventional", "straightforward", "compare"} {
-		if err := run(dir, "", q, 5, mode, "pivoted-tfidf", 0, 0, false); err != nil {
+		if err := run(dir, "", q, 5, mode, "pivoted-tfidf", 0, false); err != nil {
 			t.Errorf("mode %s: %v", mode, err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestRunAllModes(t *testing.T) {
 func TestRunScorers(t *testing.T) {
 	dir := buildData(t)
 	for _, sc := range []string{"pivoted-tfidf", "bm25", "dirichlet-lm"} {
-		if err := run(dir, "", "disease | anatomy", 3, "context", sc, 2, 0, true); err != nil {
+		if err := run(dir, "", "disease | anatomy", 3, "context", sc, 0, true); err != nil {
 			t.Errorf("scorer %s: %v", sc, err)
 		}
 	}
@@ -84,16 +84,16 @@ func TestRunScorers(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	dir := buildData(t)
-	if err := run(dir, "", "disease", 3, "context", "nope", 0, 0, false); err == nil {
+	if err := run(dir, "", "disease", 3, "context", "nope", 0, false); err == nil {
 		t.Error("unknown scorer accepted")
 	}
-	if err := run(dir, "", "disease", 3, "bogus", "bm25", 0, 0, false); err == nil {
+	if err := run(dir, "", "disease", 3, "bogus", "bm25", 0, false); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if err := run(dir, "", "a | b | c", 3, "context", "bm25", 0, 0, false); err == nil {
+	if err := run(dir, "", "a | b | c", 3, "context", "bm25", 0, false); err == nil {
 		t.Error("unparseable query accepted")
 	}
-	if err := run(t.TempDir(), "", "disease", 3, "context", "bm25", 0, 0, false); err == nil {
+	if err := run(t.TempDir(), "", "disease", 3, "context", "bm25", 0, false); err == nil {
 		t.Error("missing data dir accepted")
 	}
 }
@@ -132,7 +132,7 @@ func TestVerifyAndWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng, _, err := openEngine(dir, walDir, "bm25", 0, 0, false)
+	eng, _, err := openEngine(dir, walDir, "bm25", 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRunInteractive(t *testing.T) {
 	dir := buildData(t)
 	in := strings.NewReader("disease | anatomy\n? disease | anatomy\nbogus | | query\n\nexit\n")
 	var out bytes.Buffer
-	if err := runInteractive(dir, "", 3, "context", "pivoted-tfidf", 0, 0, true, in, &out); err != nil {
+	if err := runInteractive(dir, "", 3, "context", "pivoted-tfidf", 0, true, in, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -165,11 +165,11 @@ func TestRunInteractive(t *testing.T) {
 		t.Errorf("missing error report for bad query: %q", s)
 	}
 	// EOF without "exit" also terminates cleanly.
-	if err := runInteractive(dir, "", 3, "context", "pivoted-tfidf", 0, 0, false, strings.NewReader("disease\n"), &out); err != nil {
+	if err := runInteractive(dir, "", 3, "context", "pivoted-tfidf", 0, false, strings.NewReader("disease\n"), &out); err != nil {
 		t.Fatal(err)
 	}
 	// Bad scorer surfaces immediately.
-	if err := runInteractive(dir, "", 3, "context", "nope", 0, 0, false, strings.NewReader(""), &out); err == nil {
+	if err := runInteractive(dir, "", 3, "context", "nope", 0, false, strings.NewReader(""), &out); err == nil {
 		t.Error("unknown scorer accepted")
 	}
 }
@@ -212,7 +212,7 @@ func TestListStatsBothFormats(t *testing.T) {
 		t.Errorf("v4 liststats wrong:\n%s", s)
 	}
 	// The paged file must also serve searches through the same CLI path.
-	if err := run(dir, "", "disease | anatomy", 3, "context", "bm25", 1, 0, true); err != nil {
+	if err := run(dir, "", "disease | anatomy", 3, "context", "bm25", 0, true); err != nil {
 		t.Fatal(err)
 	}
 }

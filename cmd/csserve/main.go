@@ -36,7 +36,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		mode         = flag.String("mode", "auto", "auto | single | sharded — how to interpret -data")
 		scorer       = flag.String("scorer", "pivoted-tfidf", "pivoted-tfidf | bm25 | dirichlet-lm | cosine-tfidf | jelinek-mercer-lm")
-		parallel     = flag.Int("parallel", 0, "intra-query parallelism per shard (0 = GOMAXPROCS)")
 		pruning      = flag.Bool("pruning", false, "enable block-max dynamic pruning (rank-safe)")
 		cache        = flag.Int("cache", 256, "context-statistics cache entries per shard (0 = off)")
 		resultCache  = flag.Int64("result-cache", 64<<20, "serving-layer result cache budget in bytes; hits skip the shard fan-out AND the admission queue, concurrent identical queries coalesce onto one execution (0 = off)")
@@ -58,7 +57,7 @@ func main() {
 	flag.Parse()
 	cfg := serveConfig{
 		data: *data, addr: *addr, mode: *mode, scorer: *scorer,
-		parallel: *parallel, pruning: *pruning, cache: *cache, resultCache: *resultCache,
+		pruning: *pruning, cache: *cache, resultCache: *resultCache,
 		timeout: *timeout, statsBudget: *statsBudget, k: *k,
 		maxInflight: *maxInflight, maxQueue: *maxQueue, queueTimeout: *queueTimeout,
 		perShard: *perShard, ingest: *ingest, refresh: *refresh, compactAt: *compactAt,
@@ -73,7 +72,7 @@ func main() {
 // serveConfig carries the parsed flags into run.
 type serveConfig struct {
 	data, addr, mode, scorer   string
-	parallel, cache, k         int
+	cache, k                   int
 	resultCache                int64
 	pruning, perShard, ingest  bool
 	timeout, statsBudget       time.Duration
@@ -89,7 +88,6 @@ type serveConfig struct {
 func run(cfg serveConfig) error {
 	opts := csrank.BuildOptions{
 		Scorer:        csrank.Scorer(cfg.scorer),
-		Parallelism:   cfg.parallel,
 		Pruning:       cfg.pruning,
 		CacheContexts: cfg.cache,
 		Timeout:       cfg.timeout,

@@ -120,11 +120,6 @@ type BuildOptions struct {
 	// undercuts the straightforward plan's cost bound, instead of always
 	// preferring views.
 	CostBasedPlanning bool
-	// Parallelism bounds intra-query parallelism (result-set evaluation
-	// overlapping statistics, per-keyword statistics fan-out, partitioned
-	// scoring). 0 uses GOMAXPROCS; 1 runs fully sequentially. Rankings
-	// are bit-identical at every setting.
-	Parallelism int
 	// Timeout bounds each query's wall-clock execution. When it expires
 	// the engine returns what it has — partial or empty results flagged
 	// Stats.Degraded — instead of an error. Zero means unbounded.
@@ -185,7 +180,6 @@ func (o BuildOptions) coreOptions(scorer ranking.Scorer) core.Options {
 		Scorer:        scorer,
 		CacheContexts: o.CacheContexts,
 		CostBased:     o.CostBasedPlanning,
-		Parallelism:   o.Parallelism,
 		Deadline:      o.Timeout,
 		StatsBudget:   o.StatsBudget,
 		Pruning:       o.Pruning,
@@ -486,8 +480,9 @@ func Open(dir string, scorer Scorer) (*Engine, error) {
 }
 
 // OpenWithOptions loads an engine saved by Save, honoring the runtime
-// options (Scorer, CacheContexts, CostBasedPlanning, Parallelism); the
-// build-time options are fixed by the persisted index and views.
+// options (Scorer, CacheContexts, CostBasedPlanning, Timeout,
+// StatsBudget, Pruning); the build-time options are fixed by the
+// persisted index and views.
 func OpenWithOptions(dir string, opts BuildOptions) (*Engine, error) {
 	sc, err := opts.Scorer.build()
 	if err != nil {

@@ -1,13 +1,9 @@
-// Ingestion: operating the system on a *growing* collection, using two
-// extensions beyond the paper's core:
-//
-//   - incremental view maintenance — newly ingested (or retracted)
-//     citations fold into the materialized views one group update at a
-//     time, no re-materialization — made crash-safe by routing batches
-//     through the write-ahead-log manager (internal/wal);
-//   - time-sliced contexts (the paper's §7 "documents published after
-//     1998" extension) — a TimeView answers |D_{P ∧ year∈[a,b]}| and
-//     len(D_{P ∧ year∈[a,b]}) from per-group prefix sums.
+// Ingestion: operating the system on a *growing* collection, using an
+// extension beyond the paper's core: incremental view maintenance.
+// Newly ingested (or retracted) citations fold into the materialized
+// views one group update at a time, no re-materialization, made
+// crash-safe by routing batches through the write-ahead-log manager
+// (internal/wal).
 //
 // This example works at the internal-package level, as an ingestion
 // pipeline would.
@@ -21,15 +17,13 @@ import (
 	"os"
 
 	"csrank/internal/corpus"
-	"csrank/internal/rangeagg"
 	"csrank/internal/selection"
 	"csrank/internal/views"
 	"csrank/internal/wal"
-	"csrank/internal/widetable"
 )
 
 func main() {
-	// A modest synthetic collection with publication years.
+	// A modest synthetic collection.
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = 8000
 	cfg.OntologyTerms = 200
@@ -42,13 +36,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Assign deterministic pseudo-years (the corpus generator predates
-	// them; an operational pipeline stores real publication dates).
-	years := make([]int, len(c.Docs))
-	for i := range years {
-		years[i] = 1980 + (c.Docs[i].PMID*7)%31
-	}
-
 	tc := int64(len(c.Docs) / 50)
 	m, err := selection.Select(ix, selection.Config{TC: tc, TV: 256, SampleSize: 2000})
 	if err != nil {
@@ -128,34 +115,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer mgr2.Close()
-	fmt.Printf("recovered generation %d (%d batches replayed): fingerprints match = %v\n\n",
+	fmt.Printf("recovered generation %d (%d batches replayed): fingerprints match = %v\n",
 		rec.Generation, rec.BatchesReplayed, mgr2.Catalog().Fingerprint() == fp)
-
-	// --- Time-sliced contexts (§7 extension). ---------------------------
-	tbl := widetable.FromIndex(ix, nil)
-	tv, err := rangeagg.Materialize(tbl, years, terms[:min(6, len(terms))])
-	if err != nil {
-		log.Fatal(err)
-	}
-	min2, max2 := tv.YearRange()
-	fmt.Printf("time view over K=%v: %d groups, years %d–%d\n", tv.K(), tv.Size(), min2, max2)
-	for _, span := range [][2]int{{1980, 1989}, {1990, 1999}, {2000, 2010}, {1998, 2010}} {
-		count, length, err := tv.Answer(ctx, span[0], span[1], nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		avg := 0.0
-		if count > 0 {
-			avg = float64(length) / float64(count)
-		}
-		fmt.Printf("  %v published %d–%d: %5d citations, avgdl %.1f\n",
-			ctx, span[0], span[1], count, avg)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

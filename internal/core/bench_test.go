@@ -79,7 +79,7 @@ func BenchmarkContextStats(b *testing.B) {
 		name string
 		ix   *index.Index
 	}{{"heap", hx}, {"mapped", mx}} {
-		e := New(arm.ix, nil, Options{Parallelism: 1})
+		e := New(arm.ix, nil, Options{})
 		for _, c := range contexts {
 			for _, kw := range []string{"alpha", "alpha beta"} {
 				q := query.MustParse(kw + " | " + c.preds)

@@ -15,7 +15,7 @@ import (
 
 // waitForGoroutines polls until the goroutine count settles back to the
 // pre-test baseline (a small tolerance covers runtime helpers), failing
-// with a full stack dump if workers leaked.
+// with a full stack dump if goroutines leaked.
 func waitForGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -38,23 +38,21 @@ func waitForGoroutines(t *testing.T, base int) {
 // error — and do so promptly even on a 20k-document corpus.
 func TestExpiredDeadlineDegradesFast(t *testing.T) {
 	ix := bigResultCollection(t, 20000)
-	for _, p := range []int{1, 4} {
-		e := New(ix, nil, Options{Parallelism: p, Deadline: time.Nanosecond})
-		start := time.Now()
-		res, st, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("disease | ctx_a ctx_b"), 10)
-		elapsed := time.Since(start)
-		if err != nil {
-			t.Fatalf("parallelism %d: expired deadline returned error %v, want degraded result", p, err)
-		}
-		if !st.Degraded || st.DegradedReason == "" {
-			t.Fatalf("parallelism %d: Degraded = %v (%q), want flagged", p, st.Degraded, st.DegradedReason)
-		}
-		if len(res) != 0 {
-			t.Fatalf("parallelism %d: got %d results before any evaluation, want 0", p, len(res))
-		}
-		if elapsed > 50*time.Millisecond {
-			t.Fatalf("parallelism %d: expired deadline took %s, want < 50ms", p, elapsed)
-		}
+	e := New(ix, nil, Options{Deadline: time.Nanosecond})
+	start := time.Now()
+	res, st, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("disease | ctx_a ctx_b"), 10)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("expired deadline returned error %v, want degraded result", err)
+	}
+	if !st.Degraded || st.DegradedReason == "" {
+		t.Fatalf("Degraded = %v (%q), want flagged", st.Degraded, st.DegradedReason)
+	}
+	if len(res) != 0 {
+		t.Fatalf("got %d results before any evaluation, want 0", len(res))
+	}
+	if elapsed > 50*time.Millisecond {
+		t.Fatalf("expired deadline took %s, want < 50ms", elapsed)
 	}
 }
 
@@ -62,7 +60,7 @@ func TestExpiredDeadlineDegradesFast(t *testing.T) {
 // to an expired deadline) is a hard abort and must surface as an error.
 func TestPreCancelledContextFails(t *testing.T) {
 	ix := bigResultCollection(t, 2000)
-	e := New(ix, nil, Options{Parallelism: 2})
+	e := New(ix, nil, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, _, err := e.SearchCtx(ctx, query.MustParse("disease | ctx_a"), 10)
@@ -75,62 +73,58 @@ func TestPreCancelledContextFails(t *testing.T) {
 }
 
 // TestCancelMidSearchNoLeaks cancels deterministically from inside the
-// statistics phase (via the keyword-stats test hook) at parallelism 1, 2
-// and 4, and checks the query aborts with context.Canceled, returns
-// promptly, and leaves no worker goroutines behind.
+// statistics phase (via the keyword-stats test hook) and checks the
+// query aborts with context.Canceled, returns promptly, and leaves no
+// goroutines behind.
 func TestCancelMidSearchNoLeaks(t *testing.T) {
 	ix := bigResultCollection(t, 8000)
 	base := runtime.NumGoroutine()
 	q := query.MustParse("disease | ctx_a ctx_b")
-	for _, p := range []int{1, 2, 4} {
-		e := New(ix, nil, Options{Parallelism: p})
-		ctx, cancel := context.WithCancel(context.Background())
-		testHookKeywordStats = func(int) { cancel() }
-		start := time.Now()
-		res, _, err := e.SearchStraightforwardCtx(ctx, q, 10)
-		elapsed := time.Since(start)
-		testHookKeywordStats = nil
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallelism %d: err = %v, want context.Canceled", p, err)
-		}
-		if len(res) != 0 {
-			t.Fatalf("parallelism %d: cancelled query returned %d results", p, len(res))
-		}
-		if elapsed > time.Second {
-			t.Fatalf("parallelism %d: cancellation took %s, not prompt", p, elapsed)
-		}
-		// The engine keeps serving after a cancelled query.
-		if _, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10); err != nil {
-			t.Fatalf("parallelism %d: query after cancellation failed: %v", p, err)
-		}
+	e := New(ix, nil, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	testHookKeywordStats = func(int) { cancel() }
+	start := time.Now()
+	res, _, err := e.SearchStraightforwardCtx(ctx, q, 10)
+	elapsed := time.Since(start)
+	testHookKeywordStats = nil
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(res) != 0 {
+		t.Fatalf("cancelled query returned %d results", len(res))
+	}
+	if elapsed > time.Second {
+		t.Fatalf("cancellation took %s, not prompt", elapsed)
+	}
+	// The engine keeps serving after a cancelled query.
+	if _, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10); err != nil {
+		t.Fatalf("query after cancellation failed: %v", err)
 	}
 	waitForGoroutines(t, base)
 }
 
 // TestGenerousDeadlineKeepsRankingsBitIdentical: a deadline that never
-// fires must not perturb rankings at any parallelism — the zero-overhead
-// guarantee of the nil-canceler design only covers the no-deadline case,
-// so the with-deadline path is checked against it explicitly.
+// fires must not perturb rankings — the zero-overhead guarantee of the
+// nil-canceler design only covers the no-deadline case, so the
+// with-deadline path is checked against it explicitly.
 func TestGenerousDeadlineKeepsRankingsBitIdentical(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
-	ref := New(ix, nil, Options{Parallelism: 1})
+	ref := New(ix, nil, Options{})
 	q := query.MustParse("disease organ | ctx_a")
 	want, _, err := ref.SearchContextSensitiveCtx(context.Background(), q, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{1, 2, 4} {
-		e := New(ix, nil, Options{Parallelism: p, Deadline: time.Hour})
-		got, st, err := e.SearchContextSensitiveCtx(context.Background(), q, 25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Degraded {
-			t.Fatalf("parallelism %d: generous deadline degraded: %s", p, st.DegradedReason)
-		}
-		assertBitIdentical(t, "deadline parallelism", want, got)
+	e := New(ix, nil, Options{Deadline: time.Hour})
+	got, st, err := e.SearchContextSensitiveCtx(context.Background(), q, 25)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if st.Degraded {
+		t.Fatalf("generous deadline degraded: %s", st.DegradedReason)
+	}
+	assertBitIdentical(t, "generous deadline", want, got)
 }
 
 // TestStatsBudgetFallsBackToApproximate: an instantly expired statistics
@@ -142,28 +136,26 @@ func TestGenerousDeadlineKeepsRankingsBitIdentical(t *testing.T) {
 func TestStatsBudgetFallsBackToApproximate(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	q := query.MustParse("disease | ctx_a ctx_b")
-	conv, _, err := New(ix, nil, Options{Parallelism: 1}).SearchConventionalCtx(context.Background(), q, 20)
+	conv, _, err := New(ix, nil, Options{}).SearchConventionalCtx(context.Background(), q, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{1, 4} {
-		e := New(ix, nil, Options{Parallelism: p, StatsBudget: time.Nanosecond})
-		res, st, err := e.SearchContextSensitiveCtx(context.Background(), q, 20)
-		if err != nil {
-			t.Fatalf("parallelism %d: stats-budget expiry returned error %v", p, err)
-		}
-		if !st.Degraded || !strings.Contains(st.DegradedReason, "stats budget") {
-			t.Fatalf("parallelism %d: Degraded = %v (%q), want stats-budget flag", p, st.Degraded, st.DegradedReason)
-		}
-		if len(res) == 0 {
-			t.Fatalf("parallelism %d: degraded query returned no results", p)
-		}
-		assertBitIdentical(t, "approx-stats ranking vs conventional", conv, res)
+	e := New(ix, nil, Options{StatsBudget: time.Nanosecond})
+	res, st, err := e.SearchContextSensitiveCtx(context.Background(), q, 20)
+	if err != nil {
+		t.Fatalf("stats-budget expiry returned error %v", err)
 	}
+	if !st.Degraded || !strings.Contains(st.DegradedReason, "stats budget") {
+		t.Fatalf("Degraded = %v (%q), want stats-budget flag", st.Degraded, st.DegradedReason)
+	}
+	if len(res) == 0 {
+		t.Fatal("degraded query returned no results")
+	}
+	assertBitIdentical(t, "approx-stats ranking vs conventional", conv, res)
 }
 
 // panicScorer wraps a real scorer and panics while armed — the injected
-// worker crash of the panic-isolation tests.
+// crash of the panic-isolation tests.
 type panicScorer struct {
 	inner ranking.Scorer
 	armed atomic.Bool
@@ -178,65 +170,60 @@ func (p *panicScorer) Score(qs ranking.QueryStats, ds ranking.DocStats, cs ranki
 	return p.inner.Score(qs, ds, cs)
 }
 
-// TestScoringWorkerPanicIsolated: a panic inside a scoring worker fails
-// only that query (with the panic message and no process crash), leaves
-// no goroutines behind, and the same engine serves subsequent queries
-// with correct results.
+// TestScoringWorkerPanicIsolated: a panic inside scoring fails only that
+// query (with the panic message and no process crash), leaves no
+// goroutines behind, and the same engine serves subsequent queries with
+// correct results.
 func TestScoringWorkerPanicIsolated(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	q := query.MustParse("disease | ctx_a")
-	ref := New(ix, nil, Options{Parallelism: 1})
+	ref := New(ix, nil, Options{})
 	want, _, err := ref.SearchContextSensitiveCtx(context.Background(), q, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
-	for _, p := range []int{1, 4} {
-		sc := &panicScorer{inner: ranking.NewPivotedTFIDF()}
-		e := New(ix, nil, Options{Parallelism: p, Scorer: sc})
-		sc.armed.Store(true)
-		_, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 15)
-		if err == nil || !strings.Contains(err.Error(), "panic") {
-			t.Fatalf("parallelism %d: err = %v, want panic-derived error", p, err)
-		}
-		sc.armed.Store(false)
-		got, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 15)
-		if err != nil {
-			t.Fatalf("parallelism %d: query after panic failed: %v", p, err)
-		}
-		// Scores differ bit-for-bit from the indexed fast path only if the
-		// wrapper changed ranking; it must not — panicScorer delegates to
-		// the same pivoted TF-IDF formula via the map path.
-		if len(got) != len(want) {
-			t.Fatalf("parallelism %d: result count after panic: %d vs %d", p, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].DocID != want[i].DocID {
-				t.Fatalf("parallelism %d: rank %d DocID %d vs %d", p, i, got[i].DocID, want[i].DocID)
-			}
+	sc := &panicScorer{inner: ranking.NewPivotedTFIDF()}
+	e := New(ix, nil, Options{Scorer: sc})
+	sc.armed.Store(true)
+	if _, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 15); err == nil || !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("err = %v, want panic-derived error", err)
+	}
+	sc.armed.Store(false)
+	got, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 15)
+	if err != nil {
+		t.Fatalf("query after panic failed: %v", err)
+	}
+	// Scores differ bit-for-bit from the indexed fast path only if the
+	// wrapper changed ranking; it must not — panicScorer delegates to
+	// the same pivoted TF-IDF formula via the map path.
+	if len(got) != len(want) {
+		t.Fatalf("result count after panic: %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].DocID != want[i].DocID {
+			t.Fatalf("rank %d DocID %d vs %d", i, got[i].DocID, want[i].DocID)
 		}
 	}
 	waitForGoroutines(t, base)
 }
 
-// TestStatsWorkerPanicIsolated: a panic inside a keyword-statistics
-// worker is recovered, reported as that query's error, and the engine
-// keeps serving.
+// TestStatsWorkerPanicIsolated: a panic inside the keyword-statistics
+// computation is recovered, reported as that query's error, and the
+// engine keeps serving.
 func TestStatsWorkerPanicIsolated(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	q := query.MustParse("disease organ | ctx_a ctx_b")
 	base := runtime.NumGoroutine()
-	for _, p := range []int{1, 4} {
-		e := New(ix, nil, Options{Parallelism: p})
-		testHookKeywordStats = func(int) { panic("injected stats panic") }
-		_, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10)
-		testHookKeywordStats = nil
-		if err == nil || !strings.Contains(err.Error(), "panic") {
-			t.Fatalf("parallelism %d: err = %v, want panic-derived error", p, err)
-		}
-		if _, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10); err != nil {
-			t.Fatalf("parallelism %d: query after panic failed: %v", p, err)
-		}
+	e := New(ix, nil, Options{})
+	testHookKeywordStats = func(int) { panic("injected stats panic") }
+	_, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10)
+	testHookKeywordStats = nil
+	if err == nil || !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("err = %v, want panic-derived error", err)
+	}
+	if _, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10); err != nil {
+		t.Fatalf("query after panic failed: %v", err)
 	}
 	waitForGoroutines(t, base)
 }

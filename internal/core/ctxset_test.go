@@ -13,8 +13,8 @@ import (
 // phase ran on — no second analysis, the conjunction run against the
 // materialized context — must return exactly what the standalone
 // SearchWithStats returns, over a corpus whose contexts span three
-// containers (one of them empty in the first container alone), pruned (at every parallelism, so partition windows cut
-// through the set) and exhaustive. The set exists exactly when the
+// containers (one of them empty in the first container alone), pruned
+// and exhaustive. The set exists exactly when the
 // straightforward plan ran: a view answering, a statistics-cache hit and
 // a context-free query leave the exec without one.
 func TestCarriedExecScoresLikeStandalone(t *testing.T) {
@@ -32,53 +32,51 @@ func TestCarriedExecScoresLikeStandalone(t *testing.T) {
 		"nosuchword | ctx_a ctx_b",
 	}
 	for _, pruning := range []bool{false, true} {
-		for _, p := range []int{1, 2, 4} {
-			e := New(ix, nil, Options{Parallelism: p, Pruning: pruning})
-			for _, qs := range queries {
-				// The largest k never fills the heap: the pruned walk then
-				// returns and visits every member of the conjunction.
-				for _, k := range []int{10, 0, prunedCorpusDocs} {
-					label := fmt.Sprintf("pruning=%v p=%d k=%d %q", pruning, p, k, qs)
-					q := query.MustParse(qs)
-					var statsSt, scoreSt ExecStats
-					x, cs, err := e.statsCarried(ctx, q, &statsSt)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if x.set == nil || statsSt.Plan != PlanStraightforward {
-						t.Fatalf("%s: plan %q left set %v", label, statsSt.Plan, x.set)
-					}
-					if x.set.Count() != cs.N || statsSt.ContextSize != cs.N {
-						t.Fatalf("%s: set holds %d documents, |D_P| = %d", label, x.set.Count(), cs.N)
-					}
-					got, err := e.scoreCarried(ctx, x, k, cs, &scoreSt)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					want, wantSt, err := e.SearchWithStats(ctx, q, k, cs)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					assertBitIdentical(t, label, want, got)
-					// An empty context needs no pruned walk; otherwise the same
-					// path runs over the same conjunction. Once the heap is full
-					// the pruned walk hides members from ResultSize, and how many
-					// depends on which list drives — the set may be the shortest
-					// where no predicate list was.
-					visitsAll := !scoreSt.Pruning.Active || len(want) < k
-					if (visitsAll && scoreSt.ResultSize != wantSt.ResultSize) || (cs.N > 0 && scoreSt.Pruning.Active != wantSt.Pruning.Active) {
-						t.Fatalf("%s: carried scoring saw %d results (pruned %v), standalone %d (%v)",
-							label, scoreSt.ResultSize, scoreSt.Pruning.Active, wantSt.ResultSize, wantSt.Pruning.Active)
-					}
-					// A second round on the same exec — what a re-score after a
-					// lost slice is — answers the same again.
-					again, err := e.scoreCarried(ctx, x, k, cs, &scoreSt)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					assertBitIdentical(t, label+" (second round)", want, again)
-					x.release()
+		e := New(ix, nil, Options{Pruning: pruning})
+		for _, qs := range queries {
+			// The largest k never fills the heap: the pruned walk then
+			// returns and visits every member of the conjunction.
+			for _, k := range []int{10, 0, prunedCorpusDocs} {
+				label := fmt.Sprintf("pruning=%v k=%d %q", pruning, k, qs)
+				q := query.MustParse(qs)
+				var statsSt, scoreSt ExecStats
+				x, cs, err := e.statsCarried(ctx, q, &statsSt)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
+				if x.set == nil || statsSt.Plan != PlanStraightforward {
+					t.Fatalf("%s: plan %q left set %v", label, statsSt.Plan, x.set)
+				}
+				if x.set.Count() != cs.N || statsSt.ContextSize != cs.N {
+					t.Fatalf("%s: set holds %d documents, |D_P| = %d", label, x.set.Count(), cs.N)
+				}
+				got, err := e.scoreCarried(ctx, x, k, cs, &scoreSt)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want, wantSt, err := e.SearchWithStats(ctx, q, k, cs)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertBitIdentical(t, label, want, got)
+				// An empty context needs no pruned walk; otherwise the same
+				// path runs over the same conjunction. Once the heap is full
+				// the pruned walk hides members from ResultSize, and how many
+				// depends on which list drives — the set may be the shortest
+				// where no predicate list was.
+				visitsAll := !scoreSt.Pruning.Active || len(want) < k
+				if (visitsAll && scoreSt.ResultSize != wantSt.ResultSize) || (cs.N > 0 && scoreSt.Pruning.Active != wantSt.Pruning.Active) {
+					t.Fatalf("%s: carried scoring saw %d results (pruned %v), standalone %d (%v)",
+						label, scoreSt.ResultSize, scoreSt.Pruning.Active, wantSt.ResultSize, wantSt.Pruning.Active)
+				}
+				// A second round on the same exec — what a re-score after a
+				// lost slice is — answers the same again.
+				again, err := e.scoreCarried(ctx, x, k, cs, &scoreSt)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertBitIdentical(t, label+" (second round)", want, again)
+				x.release()
 			}
 		}
 	}

@@ -17,15 +17,19 @@
 // All three share one ranking function f(S_q, S_d, S_c) — only the
 // statistics source differs, exactly as Formula 2 prescribes.
 //
+// Concurrency: one query runs on one goroutine per engine. Engines are
+// safe for concurrent queries, and the only fan-out is across slices
+// (SearchSlicesPartial), so a deployment that wants more cores per query
+// uses more shards.
+//
 // Failure semantics: every query entry point threads a context.Context
-// through the whole query path — the parallel workers, the statistics
-// cache, and cooperative checkpoints inside the postings kernels. An
+// through the whole query path — the statistics cache, the scoring
+// loops, and cooperative checkpoints inside the postings kernels. An
 // expired deadline degrades gracefully (flagged partial or empty
-// results, never an error); an explicit cancellation fails the
-// query with ctx's error; a panic anywhere in the query path — worker
-// goroutine or not — is recovered, converted to an error carrying the
-// captured stack, and fails only that query. With no deadline, rankings
-// are bit-identical to fully sequential execution at every parallelism.
+// results, never an error); an explicit cancellation fails the query
+// with ctx's error; a panic anywhere in the query path is recovered,
+// converted to an error carrying the captured stack, and fails only that
+// query.
 package core
 
 import (
@@ -73,13 +77,11 @@ type Options struct {
 	// the covered-context regime it targets but can lose to the
 	// straightforward plan on incidentally covered tiny contexts.
 	CostBased bool
-	// Parallelism bounds intra-query parallelism: the result-set
-	// intersection overlaps the statistics computation, per-keyword df/tc
-	// intersections fan out over a worker pool, and scoring partitions
-	// the result set into concurrently scored chunks. 0 uses GOMAXPROCS;
-	// 1 keeps today's fully sequential execution (the setting all §6
-	// reproduction experiments run with). Rankings are bit-identical at
-	// every setting.
+	// Parallelism is ignored: every query runs on one goroutine per
+	// engine, and more cores per query come from more shards.
+	//
+	// Deprecated: set nothing. The field remains only so that callers
+	// outside this module that still set it keep compiling.
 	Parallelism int
 	// Deadline bounds each query's wall-clock execution (layered onto
 	// whatever deadline the caller's context already carries). When it
@@ -98,11 +100,11 @@ type Options struct {
 	// conjunction with bound-aware cursors and skips documents — or whole
 	// 2^16-docID containers — whose score upper bound proves they cannot
 	// enter the top k. The skipped work is the only difference: results
-	// are bit-identical to exhaustive scoring at every parallelism. The
-	// pruned path engages when k > 0, the scorer implements
-	// ranking.BoundedScorer (all five built-ins do), and every keyword
-	// list carries bound metadata (any index built or loaded by this
-	// version); other queries fall back to exhaustive scoring. The §6
+	// are bit-identical to exhaustive scoring. The pruned path engages
+	// when k > 0, the scorer implements ranking.BoundedScorer (all five
+	// built-ins do), and every keyword list carries bound metadata (any
+	// index built or loaded by this version); other queries fall back to
+	// exhaustive scoring. The §6
 	// reproduction experiments pin it off so measured list costs match
 	// the paper's cost model.
 	Pruning bool
@@ -114,16 +116,16 @@ type Result struct {
 	Score float64
 }
 
-// PhaseTimings breaks one execution's wall clock into its phases. With
-// intra-query parallelism the result-set phase overlaps the statistics
-// phase (ResultSet then measures the wait after statistics completed),
-// so the parts need not sum to Elapsed.
+// PhaseTimings breaks one execution's wall clock into its phases. The
+// phases run one after another on the query's goroutine, so on one
+// engine the parts sum to at most Elapsed.
 type PhaseTimings struct {
 	// Analyze is query analysis (tokenization, normalization).
 	Analyze time.Duration
 	// Stats is the context-statistics phase (cache, views, aggregation).
 	Stats time.Duration
-	// ResultSet is the unranked result-set intersection.
+	// ResultSet is the unranked result-set intersection (zero when the
+	// pruned path ran: it never materializes the result set).
 	ResultSet time.Duration
 	// Score is ranking and top-k selection.
 	Score time.Duration
@@ -230,7 +232,6 @@ type Engine struct {
 
 	costBased   bool
 	cache       *statsCache // nil when disabled
-	workers     int         // resolved Options.Parallelism (≥ 1)
 	deadline    time.Duration
 	statsBudget time.Duration
 	pruning     bool
@@ -270,7 +271,6 @@ func New(ix *index.Index, catalog *views.Catalog, opts Options) *Engine {
 		docLens:      ix.FieldLens(schema.ContentField),
 		costBased:    opts.CostBased,
 		cache:        newStatsCache(opts.CacheContexts),
-		workers:      resolveWorkers(opts.Parallelism),
 		deadline:     opts.Deadline,
 		statsBudget:  opts.StatsBudget,
 		pruning:      opts.Pruning,

@@ -54,10 +54,8 @@ func (x *exec) scorePreds() []*postings.List {
 	return x.preds
 }
 
-// release returns the context set to its pool (a nil exec has none). No
-// worker of the query may still be running: every fan-out joins before
-// its phase returns, and the overlapped result-set worker reads x.preds
-// only.
+// release returns the context set to its pool (a nil exec has none),
+// once the query's last phase has returned.
 func (x *exec) release() {
 	if x != nil {
 		x.set.Release()
@@ -119,22 +117,18 @@ func (e *Engine) search(ctx context.Context, q query.Query, k int, plan Plan) (r
 		if stop, res, serr = shortCircuit(ctx, &st); stop {
 			return serr
 		}
-		pre := e.overlapResultSet(ctx, x, k, plan)
 		cs, serr := e.statsPhase(ctx, x, plan, false)
 		if serr != nil {
 			if !degradeOnDeadline(serr, &st, "deadline exceeded during statistics: empty result") {
-				// Explicit cancellation, a worker panic, or an unusable view.
+				// Explicit cancellation, a panic, or an unusable view.
 				return serr
 			}
 			// The whole-query deadline died during statistics: nothing
 			// trustworthy to rank with. Degrade to an empty result.
-			if pre != nil {
-				st.Stats.Add((<-pre).st)
-			}
 			res = []Result{}
 			return nil
 		}
-		res, serr = e.scorePhase(ctx, x, cs, k, pre)
+		res, serr = e.scorePhase(ctx, x, cs, k)
 		return serr
 	})
 	return res, st, err
@@ -201,11 +195,10 @@ func (e *Engine) statsPhase(ctx context.Context, x *exec, plan Plan, mustAnswer 
 
 // scorePhase evaluates the query's result set on this engine's
 // documents and ranks it under cs: the pruned bound-aware walk when
-// eligible, else the materialized result set (pre, when the overlap
-// hook already started it) scored exhaustively. A deadline expiring in
-// any step degrades to flagged partial results; cancellations and
-// panics fail the query. cs is only read.
-func (e *Engine) scorePhase(ctx context.Context, x *exec, cs ranking.CollectionStats, k int, pre <-chan resultSet) ([]Result, error) {
+// eligible, else the materialized result set scored exhaustively. A
+// deadline expiring in any step degrades to flagged partial results;
+// cancellations and panics fail the query. cs is only read.
+func (e *Engine) scorePhase(ctx context.Context, x *exec, cs ranking.CollectionStats, k int) ([]Result, error) {
 	st := x.st
 	preds := x.scorePreds()
 	if e.prunedEligible(x.kw, preds, k) {
@@ -221,21 +214,15 @@ func (e *Engine) scorePhase(ctx context.Context, x *exec, cs ranking.CollectionS
 		return out, nil
 	}
 	tRes := time.Now()
-	var rs resultSet
-	if pre != nil {
-		rs = <-pre
-		st.Stats.Add(rs.st)
-	} else {
-		rs.res, rs.err = evaluateResultSet(ctx, x.kw, preds, &st.Stats)
-	}
+	res, err := evaluateResultSet(ctx, x.kw, preds, &st.Stats)
 	st.Phases.ResultSet = time.Since(tRes)
-	if rs.err != nil && (rs.res == nil || !degradeOnDeadline(rs.err, st, "deadline exceeded during result-set intersection: partial results")) {
-		return nil, rs.err
+	if err != nil && (res == nil || !degradeOnDeadline(err, st, "deadline exceeded during result-set intersection: partial results")) {
+		return nil, err
 	}
-	st.ResultSize = rs.res.Len()
+	st.ResultSize = res.Len()
 
 	tScore := time.Now()
-	out, err := e.score(ctx, x.a, rs.res, cs, k)
+	out, err := e.score(ctx, x.a, res, cs, k)
 	st.Phases.Score = time.Since(tScore)
 	if err != nil && !degradeOnDeadline(err, st, "deadline exceeded during scoring: partial top-k") {
 		return nil, err
@@ -243,40 +230,66 @@ func (e *Engine) scorePhase(ctx context.Context, x *exec, cs ranking.CollectionS
 	return out, nil
 }
 
-// resultSet is the overlapped result-set worker's report: the
-// intersection, its private cost counter (merged by scorePhase), and
-// its error.
-type resultSet struct {
-	res *postings.Intersection
-	st  postings.Stats
-	err error
-}
+// scoreCheckMask throttles ctx polling in the scoring loops: one Err()
+// call per mask+1 documents keeps the hot loop branch-cheap.
+const scoreCheckMask = 1023
 
-// overlapResultSet is the executor's one phase-overlap hook: the
-// unranked result-set intersection and the context-statistics
-// computation are data-independent, so with parallelism enabled the
-// intersection runs on its own panic-guarded goroutine while the caller
-// computes statistics. The channel is buffered so the worker never
-// blocks and an early error return leaks nothing. It returns nil — no
-// overlap — when statistics are O(#keywords) aggregate reads (nothing
-// worth overlapping) or the pruned path will run: that path replaces
-// the materialized result set with a bound-aware walk whose bounds are
-// functions of S_c(D_P) (see ranking/bounds.go), so it cannot start
-// before the statistics phase returns.
-func (e *Engine) overlapResultSet(ctx context.Context, x *exec, k int, plan Plan) <-chan resultSet {
-	if e.workers <= 1 || !x.contextual(plan) || e.prunedEligible(x.kw, x.preds, k) {
-		return nil
-	}
-	ch := make(chan resultSet, 1)
-	go func() {
-		var out resultSet
-		defer func() {
-			if r := recover(); r != nil {
-				out.err = panicError("result-set worker", r)
+// score ranks the unranked result under the given collection statistics
+// and returns the top k (all results if k ≤ 0), ordered by descending
+// score then ascending DocID. One pooled TF buffer (slice or map,
+// depending on the scorer's capabilities) is reused for the whole
+// result; when the scorer supports the term-indexed fast path the
+// per-document loop performs zero map operations and zero allocations.
+// ctx is polled every scoreCheckMask+1 documents. On deadline expiry the
+// heap forms a valid partial top-k (over the documents scored before the
+// cutoff), returned with the deadline error; a cancellation returns nil
+// results with the error.
+func (e *Engine) score(ctx context.Context, a analyzed, res *postings.Intersection, cs ranking.CollectionStats, k int) ([]Result, error) {
+	qs := ranking.NewQueryStats(a.kwStream)
+	terms := a.kwTerms
+	s := getScratch(len(terms))
+	defer putScratch(s)
+	top := newTopK(k)
+	defer top.release()
+	var err error
+	if indexed, ok := e.scorer.(ranking.IndexedScorer); ok {
+		// a.kwTerms is the distinct keywords in first-occurrence order —
+		// the same order qs.DistinctTerms() iterates — so the slice loop
+		// sums in the map loop's exact floating-point order.
+		cs.IndexTerms(terms)
+		tf := s.tf
+		for i, docID := range res.DocIDs {
+			if i&scoreCheckMask == 0 {
+				if err = ctx.Err(); err != nil {
+					break
+				}
 			}
-			ch <- out
-		}()
-		out.res, out.err = evaluateResultSet(ctx, x.kw, x.preds, &out.st)
-	}()
-	return ch
+			for j := range terms {
+				tf[j] = int64(res.TFs[j][i])
+			}
+			ds := ranking.DocStats{TFs: tf, Len: int64(e.docLens[docID])}
+			top.push(Result{DocID: docID, Score: indexed.ScoreIndexed(qs, ds, cs)})
+		}
+	} else {
+		if s.tfm == nil {
+			s.tfm = make(map[string]int64, len(terms))
+		}
+		tf := s.tfm
+		for i, docID := range res.DocIDs {
+			if i&scoreCheckMask == 0 {
+				if err = ctx.Err(); err != nil {
+					break
+				}
+			}
+			for j, w := range terms {
+				tf[w] = int64(res.TFs[j][i])
+			}
+			ds := ranking.DocStats{TF: tf, Len: int64(e.docLens[docID])}
+			top.push(Result{DocID: docID, Score: e.scorer.Score(qs, ds, cs)})
+		}
+	}
+	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		return nil, err
+	}
+	return top.results(), err
 }

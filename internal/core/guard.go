@@ -5,13 +5,11 @@ import (
 	"runtime/debug"
 )
 
-// Panic isolation. A panic anywhere in the query path — a scoring worker,
-// the statistics fan-out, the overlapped result-set goroutine, or the
-// sequential path itself — must fail only the query that triggered it,
-// never the process and never a sibling query. Worker goroutines recover
-// at their boundary and report through their error slot; the public
-// Search*Ctx entry points carry a final recover so even sequential
-// execution converts a panic into an error.
+// Panic isolation. A panic anywhere in the query path must fail only the
+// query that triggered it, never the process and never a sibling query.
+// Every phase runs inside a frame whose recover converts the panic into
+// an error, and each slice of a scatter-gather recovers on its own
+// goroutine, so a crashed slice is dropped rather than the query.
 
 // PanicError is a recovered query-path panic converted into an error:
 // the crash site, the panic value, and the captured stack. When the
@@ -40,17 +38,12 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// panicError converts a recovered panic value into a query error carrying
-// the captured stack, so the crash site is diagnosable from the error
-// alone.
-func panicError(what string, r interface{}) error {
-	return &PanicError{What: what, Value: r, Stack: debug.Stack()}
-}
-
-// recoverToError is the deferred form of panicError for functions with a
-// named error result: `defer recoverToError(&err, "scoring worker")`.
+// recoverToError is deferred by functions with a named error result:
+// `defer recoverToError(&err, "search")` converts a panic into a query
+// error carrying the captured stack, so the crash site is diagnosable
+// from the error alone.
 func recoverToError(err *error, what string) {
 	if r := recover(); r != nil {
-		*err = panicError(what, r)
+		*err = &PanicError{What: what, Value: r, Stack: debug.Stack()}
 	}
 }

@@ -34,8 +34,8 @@ func mappedPrunedIndex(t testing.TB) *index.Index {
 // TestMappedBitIdenticalToHeap is the tentpole acceptance property:
 // rankings over the heap-loaded index and the mapped v4 image must be
 // bit-identical — same DocIDs, same order, bit-for-bit equal scores —
-// across all five scorers, pruning on and off, parallelism 1, 2 and 4.
-// The cost counters (Seeks, SegmentsSkipped, EntriesScanned) must agree
+// across all five scorers, pruning on and off, every query shape. The
+// cost counters (Seeks, SegmentsSkipped, EntriesScanned) must agree
 // too: mapped cursors charge the M0 model from global positions, never
 // from how blocks happen to materialize.
 func TestMappedBitIdenticalToHeap(t *testing.T) {
@@ -54,9 +54,9 @@ func TestMappedBitIdenticalToHeap(t *testing.T) {
 	combo := 0
 	for _, sc := range prunedScorers() {
 		for _, pruning := range []bool{false, true} {
-			for _, p := range []int{1, 2, 4} {
-				heap := New(hx, nil, Options{Parallelism: p, Scorer: sc, Pruning: pruning})
-				mapped := New(mx, nil, Options{Parallelism: p, Scorer: sc, Pruning: pruning})
+			heap := New(hx, nil, Options{Scorer: sc, Pruning: pruning})
+			mapped := New(mx, nil, Options{Scorer: sc, Pruning: pruning})
+			for range 3 {
 				qs := queries[combo%len(queries)]
 				combo++
 				q := query.MustParse(qs)
@@ -69,17 +69,10 @@ func TestMappedBitIdenticalToHeap(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					label := fmt.Sprintf("%s pruning=%v p=%d k=%d %q", sc.Name(), pruning, p, k, qs)
+					label := fmt.Sprintf("%s pruning=%v k=%d %q", sc.Name(), pruning, k, qs)
 					assertBitIdentical(t, label, want, got)
 					if wst.Pruning.Active != gst.Pruning.Active {
 						t.Fatalf("%s: pruning active differs", label)
-					}
-					if p != 1 {
-						// With multiple workers the shared threshold is
-						// raised at schedule-dependent moments, so skip
-						// counters legitimately vary run to run; only the
-						// rankings are deterministic.
-						continue
 					}
 					if wst.Seeks != gst.Seeks || wst.SegmentsSkipped != gst.SegmentsSkipped ||
 						wst.EntriesScanned != gst.EntriesScanned || wst.BitmapWords != gst.BitmapWords {
@@ -103,7 +96,7 @@ func TestMappedSkipsBlocksUndecoded(t *testing.T) {
 	t.Setenv("CSRANK_FORCE_MAPPED", "")
 	hx, _ := buildPrunedSystem(t)
 	q := query.MustParse("alpha")
-	_, hst, err := New(hx, nil, Options{Parallelism: 1, Pruning: true}).SearchCtx(context.Background(), q, 10)
+	_, hst, err := New(hx, nil, Options{Pruning: true}).SearchCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +112,7 @@ func TestMappedSkipsBlocksUndecoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mst, err := New(cold, nil, Options{Parallelism: 1, Pruning: true}).SearchCtx(context.Background(), q, 10)
+	_, mst, err := New(cold, nil, Options{Pruning: true}).SearchCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +130,12 @@ func TestMappedSkipsBlocksUndecoded(t *testing.T) {
 // heap index through its mapped twin transparently.
 func TestForceMappedSeam(t *testing.T) {
 	hx, _ := buildPrunedSystem(t)
-	want, _, err := New(hx, nil, Options{Parallelism: 1}).SearchCtx(context.Background(), query.MustParse("alpha beta"), 10)
+	want, _, err := New(hx, nil, Options{}).SearchCtx(context.Background(), query.MustParse("alpha beta"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Setenv("CSRANK_FORCE_MAPPED", "1")
-	e := New(hx, nil, Options{Parallelism: 1, Pruning: true})
+	e := New(hx, nil, Options{Pruning: true})
 	if !e.Index().Mapped() {
 		t.Fatal("CSRANK_FORCE_MAPPED did not swap in a mapped index")
 	}
@@ -169,7 +162,7 @@ func BenchmarkPrunedSearchMapped(b *testing.B) {
 		ix   *index.Index
 	}{{"heap", hx}, {"mapped", mx}} {
 		b.Run(arm.name, func(b *testing.B) {
-			e := New(arm.ix, nil, Options{Parallelism: 1, Pruning: true})
+			e := New(arm.ix, nil, Options{Pruning: true})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -2,14 +2,13 @@ package core
 
 import "sync"
 
-// scoreScratch is a scoring worker's per-range scratch: the term-
-// frequency buffer handed to the scorer through ranking.DocStats (tf
-// for the indexed slice path, tfm for the map path), and the pruned
-// worker's staged-bound table (stagedUB, see prunedWorker). Pooled
-// because every query allocates one per scoring partition; nothing in
-// it escapes into returned results — DocStats is read during the Score
-// call and Result copies only the docID and score — so recycling is
-// invisible to callers.
+// scoreScratch is one scoring phase's scratch: the term-frequency
+// buffer handed to the scorer through ranking.DocStats (tf for the
+// indexed slice path, tfm for the map path), and the pruned walk's
+// staged-bound table (stagedUB, see prunedWorker). Pooled because every
+// query needs one; nothing in it escapes into returned results —
+// DocStats is read during the Score call and Result copies only the
+// docID and score — so recycling is invisible to callers.
 type scoreScratch struct {
 	tf       []int64
 	tfm      map[string]int64

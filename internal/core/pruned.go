@@ -5,8 +5,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"csrank/internal/postings"
 	"csrank/internal/ranking"
@@ -39,7 +37,7 @@ import (
 //     the document is skipped before its score — and its log-heavy
 //     per-term math — is computed.
 //
-// Safety argument (bit-identical top-k): τ is only read from heaps
+// Safety argument (bit-identical top-k): τ is only read from a heap
 // holding ≥ k results, so at any moment at least k already-scored
 // documents score ≥ τ, hence the final k-th best score ≥ τ. Skipping
 // requires UpperBound < τ strictly, and Score ≤ UpperBound
@@ -55,7 +53,7 @@ import (
 // association, different summation order), so the computed bound can
 // land a few ulps BELOW the computed score. That matters precisely at
 // ties: when a document's score equals τ bit-for-bit (e.g. an identical
-// twin in another partition already raised τ to it), a bound one ulp
+// twin scored earlier already raised τ to it), a bound one ulp
 // under τ would wrongly skip it and break the DocID tie-break. Every
 // skip comparison therefore inflates the bound by boundFPMargin times
 // the sum of the summands' magnitudes — ~100× the worst-case
@@ -65,8 +63,7 @@ import (
 //
 // Ordering constraint: bounds are functions of the CollectionStats the
 // query ranks with. Under context-sensitive evaluation that is S_c(D_P),
-// so the pruned path runs strictly after the statistics phase — the
-// exhaustive path's stats/result-set overlap does not apply (see
+// so the pruned path runs strictly after the statistics phase (see
 // ranking/bounds.go).
 
 // PruningStats counts what dynamic pruning did during one execution.
@@ -95,44 +92,13 @@ type PruningStats struct {
 	BoundChecks int64
 }
 
-// add merges a worker's counters (Active is sticky).
+// add merges another execution's counters (Active is sticky).
 func (p *PruningStats) add(o PruningStats) {
 	p.Active = p.Active || o.Active
 	p.ContainersSkipped += o.ContainersSkipped
 	p.ContainersSkippedUndecoded += o.ContainersSkippedUndecoded
 	p.DocsSkipped += o.DocsSkipped
 	p.BoundChecks += o.BoundChecks
-}
-
-// sharedThreshold is the cross-partition top-k threshold: the maximum
-// over all partitions' published full-heap roots. Stored as float64
-// bits but compared as float64 (raw-bit ordering is wrong for negative
-// scores, which language-model scorers produce routinely).
-type sharedThreshold struct {
-	bits atomic.Uint64
-}
-
-func newSharedThreshold() *sharedThreshold {
-	s := &sharedThreshold{}
-	s.bits.Store(math.Float64bits(math.Inf(-1)))
-	return s
-}
-
-func (s *sharedThreshold) load() float64 {
-	return math.Float64frombits(s.bits.Load())
-}
-
-// raise lifts the threshold to v if v is higher; lock-free CAS loop.
-func (s *sharedThreshold) raise(v float64) {
-	for {
-		old := s.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if s.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
 }
 
 // boundFPMargin scales the magnitude-proportional inflation applied to
@@ -176,8 +142,7 @@ func (e *Engine) prunedEligible(kw, preds []*postings.List, k int) bool {
 	return true
 }
 
-// prunedQuery is the per-query immutable state shared by all pruned
-// scoring workers.
+// prunedQuery is the pruned walk's per-query immutable state.
 type prunedQuery struct {
 	qs      ranking.QueryStats
 	cs      ranking.CollectionStats
@@ -216,7 +181,7 @@ func termUpperBound(b ranking.BoundedScorer, q ranking.QueryStats, maxTF uint32,
 	return b.UpperBound(q, int32(maxTF), minLen, c)
 }
 
-// newPrunedQuery assembles the shared pruned-query state. Caller has
+// newPrunedQuery assembles the pruned-query state. Caller has
 // verified prunedEligible.
 func (e *Engine) newPrunedQuery(a analyzed, kw, preds []*postings.List, cs ranking.CollectionStats, k int) *prunedQuery {
 	nk := len(kw)
@@ -273,27 +238,12 @@ func (e *Engine) newPrunedQuery(a analyzed, kw, preds []*postings.List, cs ranki
 	return pq
 }
 
-// threshold is the current skip threshold: the best of this worker's
-// full-heap root and the shared cross-partition threshold; -Inf while
-// fewer than k results exist anywhere.
-func threshold(top *topK, shared *sharedThreshold) float64 {
-	t := math.Inf(-1)
-	if top.full() {
-		t = top.floor()
-	}
-	if s := shared.load(); s > t {
-		t = s
-	}
-	return t
-}
-
-// prunedWorker is one partition's scoring state.
+// prunedWorker is the pruned walk's mutable scoring state.
 type prunedWorker struct {
 	e       *Engine
 	pq      *prunedQuery
 	curs    []*postings.BoundCursor
 	top     *topK
-	shared  *sharedThreshold
 	pst     *PruningStats
 	scratch *scoreScratch
 	matched int
@@ -309,7 +259,7 @@ type prunedWorker struct {
 	// scratch.stagedUB[tf] is the staged check's fully margin-inflated
 	// left-hand side for a driver posting with term frequency tf in this
 	// container (filled eagerly up to the container's MaxTF, capped at
-	// memoCap; pooled, so it grows once rather than per worker).
+	// memoCap; pooled, so it grows once rather than per query).
 	// mask is its projection at threshold maskTau — bit tf set iff
 	// stagedUB[tf] survives — handed to the cursor so runs of hopeless
 	// driver postings are dismissed at tf-array scan speed
@@ -409,29 +359,24 @@ func (w *prunedWorker) termBound(i int, tf uint32) float64 {
 	return v
 }
 
-// run scores the window [lo, hi) of the conjunction (hi exclusive, as
-// uint64 so the last window can cover the full docID space). Results
-// accumulate into w.top; matched counts the conjunction members
-// visited. ctx is polled at container alignment and every
-// scoreCheckMask+1 candidate probes.
-func (w *prunedWorker) run(ctx context.Context, lo uint32, hi uint64) error {
+// run scores the conjunction. Results accumulate into w.top; matched
+// counts the conjunction members visited. ctx is polled at container
+// alignment and every scoreCheckMask+1 candidate probes.
+func (w *prunedWorker) run(ctx context.Context) error {
 	pq := w.pq
 	for _, c := range w.curs {
-		if !c.NextAtLeast(lo) {
+		if !c.NextAtLeast(0) {
 			return nil
 		}
 	}
 	driver := w.curs[pq.driver]
 	tf := w.scratch.tf
 	probes := 0
-	// tau is a locally cached copy of the skip threshold (haveTau: it is
-	// above -Inf, i.e. k results exist somewhere). The true threshold
-	// only ever rises, and skipping against a stale (lower) value is
-	// strictly safe — it can only skip less — so the atomic load and
-	// heap peek are paid at container entry, on every heap push, and at
-	// the periodic poll, not per candidate. Bound-check counters
+	// tau caches the skip threshold, the heap floor (haveTau: it is above
+	// -Inf, i.e. k results exist). Only a push moves the floor, so it is
+	// re-read there and nowhere per candidate. Bound-check counters
 	// accumulate in locals for the same reason and flush on return.
-	tau := threshold(w.top, w.shared)
+	tau := w.top.floor()
 	haveTau := !math.IsInf(tau, -1)
 	var checks, skips int64
 	defer func() {
@@ -469,22 +414,12 @@ func (w *prunedWorker) run(ctx context.Context, lo uint32, hi uint64) error {
 				break
 			}
 		}
-		if uint64(base) >= hi {
-			return nil
-		}
 		rangeEnd := uint64(base) + postings.ContainerSpan
-		if rangeEnd > hi {
-			rangeEnd = hi
-		}
 
 		w.enterContainer()
-		tau = threshold(w.top, w.shared)
-		haveTau = !math.IsInf(tau, -1)
 		if w.suffix[0]+boundFPMargin*w.suffixAbs[0] < tau {
 			// No document in this container range can enter the top k:
-			// jump every cursor past it. (Documents beyond rangeEnd in a
-			// window-truncated container belong to the next partition,
-			// which probes them with its own cursors.)
+			// jump every cursor past it.
 			w.pst.ContainersSkipped++
 			alive := true
 			for _, c := range w.curs {
@@ -521,8 +456,6 @@ func (w *prunedWorker) run(ctx context.Context, lo uint32, hi uint64) error {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				tau = threshold(w.top, w.shared)
-				haveTau = !math.IsInf(tau, -1)
 			}
 			if staged && haveTau {
 				if tau != w.maskTau {
@@ -590,51 +523,18 @@ func (w *prunedWorker) run(ctx context.Context, lo uint32, hi uint64) error {
 			ds := ranking.DocStats{TFs: tf, Len: int64(w.e.docLens[d])}
 			w.top.push(Result{DocID: d, Score: pq.indexed.ScoreIndexed(pq.qs, ds, pq.cs)})
 			if w.top.full() {
-				w.shared.raise(w.top.floor())
-				tau = threshold(w.top, w.shared)
+				tau = w.top.floor()
 				haveTau = true
 			}
 			driver.Next()
 		}
-		// End-of-window check, metadata first for the same reason as the
-		// scan condition above. A pending block whose base is inside the
-		// window genuinely might hold in-window documents, so fall through
-		// to the outer loop: its container-skip check gets a chance to
-		// dismiss the block off its directory bounds before anything asks
-		// for a DocID. Only a resident cursor can prove a mid-container
-		// window end here.
-		if driver.Exhausted() || uint64(driver.ContainerBase()) >= hi {
-			return nil
-		}
-		if driver.ContainerResident() && uint64(driver.DocID()) >= hi {
+		// The driver left the range: the outer loop's container-skip check
+		// gets a chance to dismiss a pending next block off its directory
+		// bounds before anything asks for a DocID.
+		if driver.Exhausted() {
 			return nil
 		}
 	}
-}
-
-// guardedPrunedRange runs one pruned partition behind a panic guard.
-func (e *Engine) guardedPrunedRange(ctx context.Context, pq *prunedQuery, lo uint32, hi uint64, top *topK, shared *sharedThreshold, lst *postings.Stats, pst *PruningStats) (matched int, err error) {
-	defer recoverToError(&err, "pruned scoring worker")
-	scratch := getScratch(pq.nk)
-	defer putScratch(scratch)
-	w := &prunedWorker{
-		e:         e,
-		pq:        pq,
-		curs:      make([]*postings.BoundCursor, len(pq.all)),
-		top:       top,
-		shared:    shared,
-		pst:       pst,
-		scratch:   scratch,
-		cUB:       make([]float64, pq.nk),
-		suffix:    make([]float64, pq.nk+1),
-		suffixAbs: make([]float64, pq.nk+1),
-		memo:      make([][]float64, pq.nk),
-	}
-	for i, l := range pq.all {
-		w.curs[i] = postings.NewBoundCursor(l, lst)
-	}
-	err = w.run(ctx, lo, hi)
-	return w.matched, err
 }
 
 // prunedSearch is the pruned replacement for evaluateResultSet + score:
@@ -643,89 +543,33 @@ func (e *Engine) guardedPrunedRange(ctx context.Context, pq *prunedQuery, lo uin
 // pruning counters, the list cost, and ResultSize (which under pruning
 // counts only the conjunction members the loop visited — skipped
 // containers hide their members by design). On deadline expiry the
-// merged partial top-k is returned with context.DeadlineExceeded, like
-// score.
+// partial top-k is returned with context.DeadlineExceeded, like score.
 func (e *Engine) prunedSearch(ctx context.Context, a analyzed, kw, preds []*postings.List, cs ranking.CollectionStats, k int, st *ExecStats) ([]Result, error) {
 	pq := e.newPrunedQuery(a, kw, preds, cs, k)
 	st.Pruning.Active = true
-	drv := pq.all[pq.driver]
-	n := drv.Len()
-	chunks := scoreChunks(n, e.workers)
-	shared := newSharedThreshold()
-	if chunks <= 1 {
-		top := newTopK(k)
-		var pst PruningStats
-		matched, err := e.guardedPrunedRange(ctx, pq, 0, 1<<32, top, shared, &st.Stats, &pst)
-		st.ResultSize = matched
-		st.Pruning.add(pst)
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			top.release()
-			return nil, err
-		}
-		out := top.results()
-		top.release()
-		return out, err
+	scratch := getScratch(pq.nk)
+	defer putScratch(scratch)
+	top := newTopK(k)
+	defer top.release()
+	w := &prunedWorker{
+		e:         e,
+		pq:        pq,
+		curs:      make([]*postings.BoundCursor, len(pq.all)),
+		top:       top,
+		pst:       &st.Pruning,
+		scratch:   scratch,
+		cUB:       make([]float64, pq.nk),
+		suffix:    make([]float64, pq.nk+1),
+		suffixAbs: make([]float64, pq.nk+1),
+		memo:      make([][]float64, pq.nk),
 	}
-	// Partition the docID space at driver-list positions so windows
-	// carry equal driver work. Window c is [los[c], los[c+1]) with the
-	// last extending to the end of the docID space; windows are
-	// disjoint, so per-partition heaps merge exactly like the
-	// exhaustive path's.
-	los := make([]uint32, chunks)
-	for c := range los {
-		los[c] = drv.At(c * n / chunks).DocID
+	for i, l := range pq.all {
+		w.curs[i] = postings.NewBoundCursor(l, &st.Stats)
 	}
-	tops := make([]*topK, chunks)
-	errs := make([]error, chunks)
-	stats := make([]postings.Stats, chunks)
-	psts := make([]PruningStats, chunks)
-	matches := make([]int, chunks)
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		lo := los[c]
-		hi := uint64(1) << 32
-		if c+1 < chunks {
-			hi = uint64(los[c+1])
-		}
-		tops[c] = newTopK(k)
-		if c == chunks-1 {
-			// The calling goroutine scores the last window itself.
-			matches[c], errs[c] = e.guardedPrunedRange(ctx, pq, lo, hi, tops[c], shared, &stats[c], &psts[c])
-			continue
-		}
-		wg.Add(1)
-		go func(c int, lo uint32, hi uint64) {
-			defer wg.Done()
-			matches[c], errs[c] = e.guardedPrunedRange(ctx, pq, lo, hi, tops[c], shared, &stats[c], &psts[c])
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	for c := 0; c < chunks; c++ {
-		st.Stats.Add(stats[c])
-		st.Pruning.add(psts[c])
-		st.ResultSize += matches[c]
-	}
-	var deadlineErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			deadlineErr = err
-			continue
-		}
-		for _, t := range tops {
-			t.release()
-		}
+	err := w.run(ctx)
+	st.ResultSize = w.matched
+	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return nil, err
 	}
-	final := tops[0]
-	for _, t := range tops[1:] {
-		final.merge(t)
-	}
-	out := final.results()
-	for _, t := range tops {
-		t.release()
-	}
-	return out, deadlineErr
+	return top.results(), err
 }

@@ -124,10 +124,10 @@ func prunedScorers() []ranking.Scorer {
 
 // TestPrunedBitIdenticalToExhaustive is the safety contract: with pruning
 // on, Search must return exactly the exhaustive top-k — same DocIDs, same
-// order, bit-for-bit equal scores — for every scorer, every k, every
-// parallelism, conventional and contextual queries alike. The query pool
-// rotates so the full (scorer × parallelism × k) cross is exercised
-// without scoring the 140k-doc corpus hundreds of times.
+// order, bit-for-bit equal scores — for every scorer and every k,
+// conventional and contextual queries alike. Every scorer runs every
+// query while k rotates, so the cross is covered without scoring the
+// 140k-doc corpus hundreds of times.
 func TestPrunedBitIdenticalToExhaustive(t *testing.T) {
 	ix, _ := buildPrunedSystem(t)
 	queries := []string{
@@ -139,33 +139,30 @@ func TestPrunedBitIdenticalToExhaustive(t *testing.T) {
 		"alpha beta | ctx_a",
 	}
 	ks := []int{1, 10, 100}
-	pars := []int{1, 2, 4}
 	combo := 0
 	for _, sc := range prunedScorers() {
-		for _, p := range pars {
-			exh := New(ix, nil, Options{Parallelism: p, Scorer: sc})
-			prn := New(ix, nil, Options{Parallelism: p, Scorer: sc, Pruning: true})
-			for _, k := range ks {
-				qs := queries[combo%len(queries)]
-				combo++
-				q := query.MustParse(qs)
-				want, wst, err := exh.SearchCtx(context.Background(), q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gst, err := prn.SearchCtx(context.Background(), q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s p=%d k=%d %q", sc.Name(), p, k, qs)
-				if wst.Pruning.Active {
-					t.Fatalf("%s: exhaustive engine reported pruning active", label)
-				}
-				if !gst.Pruning.Active {
-					t.Fatalf("%s: pruning engine did not engage the pruned path", label)
-				}
-				assertBitIdentical(t, label, want, got)
+		exh := New(ix, nil, Options{Scorer: sc})
+		prn := New(ix, nil, Options{Scorer: sc, Pruning: true})
+		for _, qs := range queries {
+			k := ks[combo%len(ks)]
+			combo++
+			q := query.MustParse(qs)
+			want, wst, err := exh.SearchCtx(context.Background(), q, k)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, gst, err := prn.SearchCtx(context.Background(), q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s k=%d %q", sc.Name(), k, qs)
+			if wst.Pruning.Active {
+				t.Fatalf("%s: exhaustive engine reported pruning active", label)
+			}
+			if !gst.Pruning.Active {
+				t.Fatalf("%s: pruning engine did not engage the pruned path", label)
+			}
+			assertBitIdentical(t, label, want, got)
 		}
 	}
 }
@@ -176,25 +173,24 @@ func TestPrunedBitIdenticalToExhaustive(t *testing.T) {
 // prune just as safely as the straightforward one.
 func TestPrunedBitIdenticalWithViews(t *testing.T) {
 	ix, cat := buildPrunedSystem(t)
-	for _, p := range []int{1, 4} {
-		exh := New(ix, cat, Options{Parallelism: p})
-		prn := New(ix, cat, Options{Parallelism: p, Pruning: true})
-		for _, k := range []int{1, 10, 100} {
-			for _, qs := range []string{"alpha | ctx_a", "alpha beta | ctx_a", "beta | ctx_b"} {
-				q := query.MustParse(qs)
-				want, _, err := exh.SearchContextSensitiveCtx(context.Background(), q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gst, err := prn.SearchContextSensitiveCtx(context.Background(), q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !gst.Pruning.Active {
-					t.Fatalf("views p=%d k=%d %q: pruned path not engaged", p, k, qs)
-				}
-				assertBitIdentical(t, fmt.Sprintf("views p=%d k=%d %q", p, k, qs), want, got)
+	exh := New(ix, cat, Options{})
+	prn := New(ix, cat, Options{Pruning: true})
+	for _, k := range []int{1, 10, 100} {
+		for _, qs := range []string{"alpha | ctx_a", "alpha beta | ctx_a", "beta | ctx_b"} {
+			q := query.MustParse(qs)
+			want, _, err := exh.SearchContextSensitiveCtx(context.Background(), q, k)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, gst, err := prn.SearchContextSensitiveCtx(context.Background(), q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("views k=%d %q", k, qs)
+			if !gst.Pruning.Active {
+				t.Fatalf("%s: pruned path not engaged", label)
+			}
+			assertBitIdentical(t, label, want, got)
 		}
 	}
 }
@@ -207,7 +203,7 @@ func TestPrunedBitIdenticalWithViews(t *testing.T) {
 // document-level bound checks too.
 func TestPrunedSkipsWork(t *testing.T) {
 	ix, _ := buildPrunedSystem(t)
-	e := New(ix, nil, Options{Parallelism: 1, Pruning: true})
+	e := New(ix, nil, Options{Pruning: true})
 	_, st, err := e.SearchCtx(context.Background(), query.MustParse("alpha"), 10)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +222,7 @@ func TestPrunedSkipsWork(t *testing.T) {
 	}
 	// The cost model must show the savings: a pruned search of the same
 	// query scans strictly fewer posting entries than the exhaustive one.
-	_, est, err := New(ix, nil, Options{Parallelism: 1}).SearchCtx(context.Background(), query.MustParse("alpha"), 10)
+	_, est, err := New(ix, nil, Options{}).SearchCtx(context.Background(), query.MustParse("alpha"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,18 +236,16 @@ func TestPrunedSkipsWork(t *testing.T) {
 // results and a nil error — exactly like the exhaustive path.
 func TestPrunedDeadlineDegrades(t *testing.T) {
 	ix, _ := buildPrunedSystem(t)
-	for _, p := range []int{1, 4} {
-		e := New(ix, nil, Options{Parallelism: p, Pruning: true, Deadline: time.Nanosecond})
-		res, st, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("alpha | ctx_a"), 10)
-		if err != nil {
-			t.Fatalf("parallelism %d: expired deadline returned error %v, want degraded result", p, err)
-		}
-		if !st.Degraded || st.DegradedReason == "" {
-			t.Fatalf("parallelism %d: Degraded = %v (%q), want flagged", p, st.Degraded, st.DegradedReason)
-		}
-		if len(res) != 0 {
-			t.Fatalf("parallelism %d: got %d results before any evaluation, want 0", p, len(res))
-		}
+	e := New(ix, nil, Options{Pruning: true, Deadline: time.Nanosecond})
+	res, st, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("alpha | ctx_a"), 10)
+	if err != nil {
+		t.Fatalf("expired deadline returned error %v, want degraded result", err)
+	}
+	if !st.Degraded || st.DegradedReason == "" {
+		t.Fatalf("Degraded = %v (%q), want flagged", st.Degraded, st.DegradedReason)
+	}
+	if len(res) != 0 {
+		t.Fatalf("got %d results before any evaluation, want 0", len(res))
 	}
 }
 
@@ -269,8 +263,8 @@ func (u unboundedScorer) Score(q ranking.QueryStats, d ranking.DocStats, c ranki
 // and still return the exact ranking.
 func TestPrunedFallsBackForUnboundedScorer(t *testing.T) {
 	ix, _ := buildPrunedSystem(t)
-	base := New(ix, nil, Options{Parallelism: 2, Scorer: ranking.NewBM25()})
-	e := New(ix, nil, Options{Parallelism: 2, Scorer: unboundedScorer{ranking.NewBM25()}, Pruning: true})
+	base := New(ix, nil, Options{Scorer: ranking.NewBM25()})
+	e := New(ix, nil, Options{Scorer: unboundedScorer{ranking.NewBM25()}, Pruning: true})
 	q := query.MustParse("alpha | ctx_a")
 	want, _, err := base.SearchCtx(context.Background(), q, 10)
 	if err != nil {
@@ -294,8 +288,8 @@ func TestPrunedFallsBackForUnboundedScorer(t *testing.T) {
 // return the full set, identically.
 func TestPrunedZeroAndAllK(t *testing.T) {
 	ix, _ := buildPrunedSystem(t)
-	exh := New(ix, nil, Options{Parallelism: 2})
-	prn := New(ix, nil, Options{Parallelism: 2, Pruning: true})
+	exh := New(ix, nil, Options{})
+	prn := New(ix, nil, Options{Pruning: true})
 	q := query.MustParse("beta | ctx_b")
 	want, _, err := exh.SearchCtx(context.Background(), q, 0)
 	if err != nil {

@@ -101,7 +101,7 @@ func (e *Engine) scoreUnder(ctx context.Context, x *exec, k int, cs ranking.Coll
 	if stop, res, err := shortCircuit(ctx, x.st); stop {
 		return res, err
 	}
-	return e.scorePhase(ctx, x, cs, k, nil)
+	return e.scorePhase(ctx, x, cs, k)
 }
 
 // globalStats assembles whole-collection statistics for the analyzed

@@ -125,10 +125,8 @@ func scaleEstimate(global int64, ratio float64, max int64) int64 {
 // context is materialized once, by intersecting the predicate lists;
 // γ_count and γ_sum over it yield |D_P| and len(D_P) in the same pass;
 // each keyword's df(w, D_P) and tc(w, D_P) come from intersecting L_w
-// with the materialized context — microseconds each, so they run inline
-// rather than on keywordStatsBatch's worker pool. Its cost is bounded by
-// O(Σ |L_m|) (Proposition 3.1). The set is left in x for the scoring
-// phase.
+// with the materialized context. Its cost is bounded by O(Σ |L_m|)
+// (Proposition 3.1). The set is left in x for the scoring phase.
 func (e *Engine) statsStraightforward(ctx context.Context, x *exec) (ranking.CollectionStats, error) {
 	a, st := x.a, &x.st.Stats
 	cs := ranking.CollectionStats{
@@ -154,17 +152,33 @@ func (e *Engine) statsStraightforward(ctx context.Context, x *exec) (ranking.Col
 	return cs, nil
 }
 
-// keywordContextStats computes df(w, D_P) and tc(w, D_P) for a keyword a
-// view does not track or a cached entry lacks, by intersecting w's
-// posting list with the context lists. The intersection starts from the
-// most selective list (Intersect orders by length), so this is cheap
+// testHookKeywordStats, when non-nil, runs before each keyword's
+// df/tc computation with the keyword's position; tests use it to inject
+// panics and cancellations. Set it only while no queries are in flight.
+var testHookKeywordStats func(i int)
+
+// keywordStatsBatch computes df(w, D_P) and tc(w, D_P) for the keywords
+// at positions idxs (indices into kw and a.kwTerms) — the keywords a view
+// does not track or a cached entry lacks — by intersecting each keyword's
+// posting list with the context lists, and emits them in idxs order. The
+// intersection starts from the most selective list, so this is cheap
 // when w is rare — the argument §6.2 makes for not storing df columns of
-// infrequent keywords.
-func (e *Engine) keywordContextStats(ctx context.Context, l *postings.List, preds []*postings.List, st *postings.Stats) (df, tc int64, err error) {
-	// CountTFSum runs the same cursor-driven conjunction Intersect would,
-	// but folds df and tc in as it goes instead of materializing the
-	// DocID/TF slices.
-	return postings.CountTFSumCtx(ctx, l, preds, st)
+// infrequent keywords. CountTFSumCtx runs the same cursor-driven
+// conjunction Intersect would, but folds df and tc in as it goes instead
+// of materializing the DocID/TF slices. On error (cancellation,
+// deadline) nothing more is emitted.
+func (e *Engine) keywordStatsBatch(ctx context.Context, idxs []int, kw, preds []*postings.List, st *postings.Stats, emit func(i int, df, tc int64)) error {
+	for _, i := range idxs {
+		if hook := testHookKeywordStats; hook != nil {
+			hook(i)
+		}
+		df, tc, err := postings.CountTFSumCtx(ctx, kw[i], preds, st)
+		if err != nil {
+			return err
+		}
+		emit(i, df, tc)
+	}
+	return nil
 }
 
 // statsFromView answers S_c(D_P) from a materialized view: |D_P|,
@@ -220,7 +234,7 @@ func (e *Engine) viewWorthwhile(v *views.View, a analyzed, preds []*postings.Lis
 // statsFromCache assembles collection statistics from the statistics
 // cache, computing and back-filling any keywords the cached entry lacks:
 // view-tracked keywords are answered in one view scan, the rest by
-// (possibly fanned-out) intersections. cached is false on a cache miss.
+// intersections. cached is false on a cache miss.
 func (e *Engine) statsFromCache(ctx context.Context, a analyzed, kw, preds []*postings.List, useViews bool, st *ExecStats, cat *views.Catalog) (ranking.CollectionStats, bool, error) {
 	n, totalLen, words, ok := e.cache.lookup(a.context, a.kwTerms, cat)
 	if !ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"sync"
 )
@@ -15,10 +16,10 @@ type topK struct {
 }
 
 // topKPool recycles topK values — and, more importantly, their heap
-// backing arrays — across queries and scoring partitions. Only the
-// heap is reused: results() copies it before returning, so nothing a
-// caller holds ever aliases pooled memory. The k ≤ 0 'all' slice is
-// handed to the caller verbatim and therefore never pooled.
+// backing arrays — across queries. Only the heap is reused: results()
+// copies it before returning, so nothing a caller holds ever aliases
+// pooled memory. The k ≤ 0 'all' slice is handed to the caller verbatim
+// and therefore never pooled.
 var topKPool = sync.Pool{New: func() any { return new(topK) }}
 
 func newTopK(k int) *topK {
@@ -36,13 +37,18 @@ func (t *topK) release() {
 	topKPool.Put(t)
 }
 
-// full reports whether the heap holds k results — the precondition for
-// reading a pruning threshold from it.
+// full reports whether the heap holds k results.
 func (t *topK) full() bool { return t.k > 0 && len(t.heap) >= t.k }
 
-// floor returns the weakest kept score (the heap root). Only valid
-// when full() — the root of an underfull heap bounds nothing.
-func (t *topK) floor() float64 { return t.heap[0].Score }
+// floor is the pruning threshold τ: the weakest kept score (the heap
+// root) once the heap is full, -Inf before — the root of an underfull
+// heap bounds nothing.
+func (t *topK) floor() float64 {
+	if !t.full() {
+		return math.Inf(-1)
+	}
+	return t.heap[0].Score
+}
 
 func (t *topK) push(r Result) {
 	if t.k <= 0 {
@@ -57,20 +63,6 @@ func (t *topK) push(r Result) {
 	if worseThan(t.heap[0], r) {
 		t.heap[0] = r
 		t.heap.down(0)
-	}
-}
-
-// merge absorbs everything other has collected. Both heaps keep the k
-// best under the strict total order worseThan, and the k best of a
-// multiset do not depend on arrival order, so merging per-partition
-// heaps yields exactly the heap a sequential pass would have built.
-func (t *topK) merge(other *topK) {
-	if t.k <= 0 {
-		t.all = append(t.all, other.all...)
-		return
-	}
-	for _, r := range other.heap {
-		t.push(r)
 	}
 }
 

@@ -40,7 +40,7 @@ func RunScorerComparison(s *Setup) (ScorerComparison, error) {
 	}
 	var out ScorerComparison
 	for _, sc := range scorers {
-		eng := core.New(s.Index, s.Catalog, core.Options{Scorer: sc, Parallelism: 1})
+		eng := core.New(s.Index, s.Catalog, core.Options{Scorer: sc})
 		var conv, ctx []trec.TopicResult
 		wins := 0
 		for _, topic := range s.Corpus.Topics {

@@ -112,17 +112,13 @@ func NewSetup(s Scale) (*Setup, error) {
 	selectTime := time.Since(t0)
 
 	return &Setup{
-		Scale:   s,
-		Corpus:  c,
-		Index:   ix,
-		Table:   m.Table,
-		Catalog: m.Catalog,
-		// All §6 reproduction experiments run with Parallelism: 1 — the
-		// paper's sequential plans — so their timing figures measure the
-		// evaluation strategies, not intra-query parallelism. Rankings
-		// would be bit-identical either way.
-		WithViews:  core.New(ix, m.Catalog, core.Options{Parallelism: 1}),
-		NoViews:    core.New(ix, nil, core.Options{Parallelism: 1}),
+		Scale:      s,
+		Corpus:     c,
+		Index:      ix,
+		Table:      m.Table,
+		Catalog:    m.Catalog,
+		WithViews:  core.New(ix, m.Catalog, core.Options{}),
+		NoViews:    core.New(ix, nil, core.Options{}),
 		Selection:  m.Result,
 		GenTime:    genTime,
 		IndexTime:  indexTime,

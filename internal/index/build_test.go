@@ -48,7 +48,7 @@ func sequentialBuild(t *testing.T, docs []Document) *Index {
 	return b.Build()
 }
 
-// TestBuildFromEqualsSequentialBuilder: the range-parallel build is the
+// TestBuildFromEqualsSequentialBuilder: the parallel range build is the
 // sequential Builder.Add loop term by term — postings, TFs, bounds,
 // totalTF, lengths, stored fields — at every GOMAXPROCS and for batches
 // below, at and above the parallel threshold.

@@ -159,7 +159,7 @@ func TestCompactionEquivalence(t *testing.T) {
 			for i := 0; i < nBase+nMid+nLate; i++ {
 				docs = append(docs, testDoc(rng, i, mesh, words))
 			}
-			opts := core.Options{Pruning: pruning, Parallelism: 2}
+			opts := core.Options{Pruning: pruning}
 			fullIx, err := index.BuildFrom(testSchema(), 16, docs)
 			if err != nil {
 				t.Fatal(err)

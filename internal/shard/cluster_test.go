@@ -109,8 +109,8 @@ func shardCatalog(t *testing.T, rng *rand.Rand, ix *index.Index, meshTerms, word
 
 // TestShardedBitIdenticalToSingleEngine is the acceptance property
 // test: for random corpora and queries, the sharded top-k — across
-// shard counts 1/2/4/8, pruning on/off, parallelism 1/2/4, shards with
-// and without view catalogs — is bit-identical to the single-engine
+// shard counts 1/2/4/8, pruning on/off, shards with and without view
+// catalogs — is bit-identical to the single-engine
 // run: same documents, same score bits, same tie-break order.
 func TestShardedBitIdenticalToSingleEngine(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
@@ -136,55 +136,53 @@ func TestShardedBitIdenticalToSingleEngine(t *testing.T) {
 				queries[i] = randomQuery(rng, meshTerms, words)
 			}
 			for _, pruning := range []bool{false, true} {
-				for _, par := range []int{1, 2, 4} {
-					opts := core.Options{Pruning: pruning, Parallelism: par}
-					single := core.New(fullIx, nil, opts)
-					engines := make([]*core.Engine, nShards)
-					for i := range engines {
-						engines[i] = core.New(shardIxs[i], cats[i], opts)
-					}
-					cluster, err := NewCluster(engines, globals)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, q := range queries {
-						for _, k := range []int{0, 3, 25} {
-							want, wantSt, err := single.SearchCtx(context.Background(), q, k)
-							if err != nil {
-								t.Fatal(err)
+				opts := core.Options{Pruning: pruning}
+				single := core.New(fullIx, nil, opts)
+				engines := make([]*core.Engine, nShards)
+				for i := range engines {
+					engines[i] = core.New(shardIxs[i], cats[i], opts)
+				}
+				cluster, err := NewCluster(engines, globals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range queries {
+					for _, k := range []int{0, 3, 25} {
+						want, wantSt, err := single.SearchCtx(context.Background(), q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, sum, err := cluster.Search(context.Background(), q, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						// Same executor, same report: |D_P| sums exactly over the
+						// shards, nothing degrades, and the plan agrees wherever
+						// the statistics source does (the single engine has no
+						// catalog; shards with one answer from the view).
+						if sum.Agg.ContextSize != wantSt.ContextSize || sum.Agg.Degraded != wantSt.Degraded {
+							t.Fatalf("shards=%d q=%v: |D_P|=%d degraded=%v, want %d/%v",
+								nShards, q, sum.Agg.ContextSize, sum.Agg.Degraded, wantSt.ContextSize, wantSt.Degraded)
+						}
+						if !sum.Agg.UsedView && sum.Agg.Plan != wantSt.Plan {
+							t.Fatalf("shards=%d q=%v: plan %q, want %q", nShards, q, sum.Agg.Plan, wantSt.Plan)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("shards=%d pruning=%v q=%v k=%d: %d hits, want %d",
+								nShards, pruning, q, k, len(got), len(want))
+						}
+						for i := range want {
+							if got[i].Global != want[i].DocID || got[i].Score != want[i].Score {
+								t.Fatalf("shards=%d pruning=%v q=%v k=%d rank %d: (%d, %v), want (%d, %v)",
+									nShards, pruning, q, k, i,
+									got[i].Global, got[i].Score, want[i].DocID, want[i].Score)
 							}
-							got, sum, err := cluster.Search(context.Background(), q, k)
-							if err != nil {
-								t.Fatal(err)
+							if s := ShardOf(got[i].Global, nShards); s != got[i].Slice {
+								t.Fatalf("hit claims shard %d, partitioner says %d", got[i].Slice, s)
 							}
-							// Same executor, same report: |D_P| sums exactly over the
-							// shards, nothing degrades, and the plan agrees wherever
-							// the statistics source does (the single engine has no
-							// catalog; shards with one answer from the view).
-							if sum.Agg.ContextSize != wantSt.ContextSize || sum.Agg.Degraded != wantSt.Degraded {
-								t.Fatalf("shards=%d q=%v: |D_P|=%d degraded=%v, want %d/%v",
-									nShards, q, sum.Agg.ContextSize, sum.Agg.Degraded, wantSt.ContextSize, wantSt.Degraded)
-							}
-							if !sum.Agg.UsedView && sum.Agg.Plan != wantSt.Plan {
-								t.Fatalf("shards=%d q=%v: plan %q, want %q", nShards, q, sum.Agg.Plan, wantSt.Plan)
-							}
-							if len(got) != len(want) {
-								t.Fatalf("shards=%d pruning=%v par=%d q=%v k=%d: %d hits, want %d",
-									nShards, pruning, par, q, k, len(got), len(want))
-							}
-							for i := range want {
-								if got[i].Global != want[i].DocID || got[i].Score != want[i].Score {
-									t.Fatalf("shards=%d pruning=%v par=%d q=%v k=%d rank %d: (%d, %v), want (%d, %v)",
-										nShards, pruning, par, q, k, i,
-										got[i].Global, got[i].Score, want[i].DocID, want[i].Score)
-								}
-								if s := ShardOf(got[i].Global, nShards); s != got[i].Slice {
-									t.Fatalf("hit claims shard %d, partitioner says %d", got[i].Slice, s)
-								}
-							}
-							if q.IsContextual() && len(sum.PerShard) != nShards {
-								t.Fatalf("expected %d per-shard reports, got %d", nShards, len(sum.PerShard))
-							}
+						}
+						if q.IsContextual() && len(sum.PerShard) != nShards {
+							t.Fatalf("expected %d per-shard reports, got %d", nShards, len(sum.PerShard))
 						}
 					}
 				}

@@ -116,8 +116,8 @@ func (t *Table) Has(d int, c ColID) bool {
 // in row d, walking the row and the column list in one merge pass instead
 // of one binary search per (row, column) pair. cols must be ascending —
 // the order produced by resolving sorted keyword names — and buf must hold
-// at least ceil(len(cols)/8) bytes. It is the materialization scan
-// primitive of the views and rangeagg packages.
+// at least ceil(len(cols)/8) bytes. It is the views package's
+// materialization scan primitive.
 func (t *Table) FillPattern(d int, cols []ColID, buf []byte) {
 	for i := range buf {
 		buf[i] = 0
