@@ -112,7 +112,7 @@ func BenchmarkFig7LargeContext(b *testing.B) {
 			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchConventionalCtx)
 		})
 		b.Run(fmt.Sprintf("views/kw=%d", n), func(b *testing.B) {
-			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchContextSensitiveCtx)
+			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchCtx)
 		})
 		b.Run(fmt.Sprintf("straightforward/kw=%d", n), func(b *testing.B) {
 			runQueryBench(b, qs, s.NoViews, s.NoViews.SearchStraightforwardCtx)
@@ -338,14 +338,14 @@ func BenchmarkAblationDFColumns(b *testing.B) {
 	engBare := core.New(s.Index, views.NewCatalog([]*views.View{bare}, s.Scale.TC(), s.Scale.TV), core.Options{})
 	b.Run("tracked-df-columns", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engFull.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
+			if _, _, err := engFull.SearchCtx(context.Background(), q, 20); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("fallback-intersections", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engBare.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
+			if _, _, err := engBare.SearchCtx(context.Background(), q, 20); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -383,34 +383,6 @@ func BenchmarkViewMaintenance(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStatsCache measures the statistics cache: repeated
-// same-context queries with and without memoized S_c(D_P).
-func BenchmarkAblationStatsCache(b *testing.B) {
-	s := getBenchSetup(b)
-	large, _ := getWorkloads(b)
-	qs := large.ByKeywords[3]
-	if len(qs) == 0 {
-		b.Skip("no large contexts")
-	}
-	q := qs[0]
-	plain := core.New(s.Index, s.Catalog, core.Options{})
-	cached := core.New(s.Index, s.Catalog, core.Options{CacheContexts: 64})
-	b.Run("uncached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := plain.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := cached.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkConcurrentThroughput measures multi-goroutine query throughput
 // over the mixed large-context workload (the engine is safe for
 // concurrent use).
@@ -429,7 +401,7 @@ func BenchmarkConcurrentThroughput(b *testing.B) {
 		for pb.Next() {
 			q := qs[i%len(qs)]
 			i++
-			if _, _, err := s.WithViews.SearchContextSensitiveCtx(context.Background(), q, 20); err != nil {
+			if _, _, err := s.WithViews.SearchCtx(context.Background(), q, 20); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -590,7 +562,7 @@ func BenchmarkPrunedSearch(b *testing.B) {
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							if _, _, err := e.SearchContextSensitiveCtx(context.Background(), q, k); err != nil {
+							if _, _, err := e.SearchCtx(context.Background(), q, k); err != nil {
 								b.Fatal(err)
 							}
 						}

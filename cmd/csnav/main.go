@@ -78,7 +78,7 @@ func run(data, path, selects, qstr string, k int, timeout time.Duration) error {
 		return nil
 	}
 	pq := query.Query{Keywords: strings.Fields(qstr), Context: terms}
-	res, st, err := e.SearchContextSensitiveCtx(context.Background(), pq, k)
+	res, st, err := e.SearchCtx(context.Background(), pq, k)
 	if err != nil {
 		return err
 	}

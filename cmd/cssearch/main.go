@@ -345,7 +345,7 @@ func searchAndPrint(e *core.Engine, ix *index.Index, qstr string, k int, mode st
 	}
 	switch mode {
 	case "context":
-		return show("context-sensitive", e.SearchContextSensitiveCtx)
+		return show("context-sensitive", e.SearchCtx)
 	case "conventional":
 		return show("conventional", e.SearchConventionalCtx)
 	case "straightforward":
@@ -354,7 +354,7 @@ func searchAndPrint(e *core.Engine, ix *index.Index, qstr string, k int, mode st
 		if err := show("conventional", e.SearchConventionalCtx); err != nil {
 			return err
 		}
-		return show("context-sensitive", e.SearchContextSensitiveCtx)
+		return show("context-sensitive", e.SearchCtx)
 	default:
 		return fmt.Errorf("unknown mode %q", mode)
 	}

@@ -281,10 +281,9 @@ func TestWireSchemaStability(t *testing.T) {
 	// degraded_reason, shard_errors and single_flight_shared are
 	// omitempty: set them so the full stats key set is pinned.
 	assertKeys(t, "stats", jsonKeys(t, csrank.Stats{DegradedReason: "x", ShardErrors: []csrank.ShardError{{}}, SingleFlightShared: true}), []string{
-		"cache_hit", "context_size", "degraded", "degraded_reason",
-		"elapsed_ns", "plan", "pruned_containers", "pruned_docs",
-		"result_cache_hit", "result_size", "shard_errors",
-		"single_flight_shared", "used_view",
+		"context_size", "degraded", "degraded_reason", "elapsed_ns",
+		"plan", "pruned_containers", "pruned_docs", "result_cache_hit",
+		"result_size", "shard_errors", "single_flight_shared", "used_view",
 	})
 	assertKeys(t, "shard error", jsonKeys(t, csrank.ShardError{}), []string{
 		"error", "kind", "shard",

@@ -37,7 +37,6 @@ func main() {
 		mode         = flag.String("mode", "auto", "auto | single | sharded — how to interpret -data")
 		scorer       = flag.String("scorer", "pivoted-tfidf", "pivoted-tfidf | bm25 | dirichlet-lm | cosine-tfidf | jelinek-mercer-lm")
 		pruning      = flag.Bool("pruning", false, "enable block-max dynamic pruning (rank-safe)")
-		cache        = flag.Int("cache", 256, "context-statistics cache entries per shard (0 = off)")
 		resultCache  = flag.Int64("result-cache", 64<<20, "serving-layer result cache budget in bytes; hits skip the shard fan-out AND the admission queue, concurrent identical queries coalesce onto one execution (0 = off)")
 		timeout      = flag.Duration("timeout", 0, "per-request deadline covering queue wait + execution; on expiry partial results are returned flagged degraded (0 = unbounded)")
 		statsBudget  = flag.Duration("stats-budget", 0, "per-query context-statistics budget; past it ranking uses approximate statistics flagged degraded (0 = unbounded)")
@@ -54,10 +53,13 @@ func main() {
 		chaos        = flag.Bool("chaos", false, "serve POST /chaosz fault injection (per-shard latency/panic/corruption) — never in production")
 		drainTimeout = flag.Duration("drain-timeout", 5*time.Second, "on SIGINT/SIGTERM: how long to wait for in-flight requests before exiting")
 	)
+	// -cache is parsed and ignored: the context-statistics cache it sized
+	// is gone, but bench/ still starts servers with -cache 0.
+	flag.Int("cache", 0, "ignored (the context-statistics cache was removed; accepted so old command lines still start)")
 	flag.Parse()
 	cfg := serveConfig{
 		data: *data, addr: *addr, mode: *mode, scorer: *scorer,
-		pruning: *pruning, cache: *cache, resultCache: *resultCache,
+		pruning: *pruning, resultCache: *resultCache,
 		timeout: *timeout, statsBudget: *statsBudget, k: *k,
 		maxInflight: *maxInflight, maxQueue: *maxQueue, queueTimeout: *queueTimeout,
 		perShard: *perShard, ingest: *ingest, refresh: *refresh, compactAt: *compactAt,
@@ -72,7 +74,7 @@ func main() {
 // serveConfig carries the parsed flags into run.
 type serveConfig struct {
 	data, addr, mode, scorer   string
-	cache, k                   int
+	k                          int
 	resultCache                int64
 	pruning, perShard, ingest  bool
 	timeout, statsBudget       time.Duration
@@ -87,14 +89,13 @@ type serveConfig struct {
 
 func run(cfg serveConfig) error {
 	opts := csrank.BuildOptions{
-		Scorer:        csrank.Scorer(cfg.scorer),
-		Pruning:       cfg.pruning,
-		CacheContexts: cfg.cache,
-		Timeout:       cfg.timeout,
-		StatsBudget:   cfg.statsBudget,
-		MinShards:     cfg.minShards,
-		ShardTimeout:  cfg.shardTimeout,
-		Cache:         csrank.CacheOptions{ResultBytes: cfg.resultCache},
+		Scorer:       csrank.Scorer(cfg.scorer),
+		Pruning:      cfg.pruning,
+		Timeout:      cfg.timeout,
+		StatsBudget:  cfg.statsBudget,
+		MinShards:    cfg.minShards,
+		ShardTimeout: cfg.shardTimeout,
+		Cache:        csrank.CacheOptions{ResultBytes: cfg.resultCache},
 	}
 	eng, err := openEngine(cfg.data, cfg.mode, opts, cfg.ingest, cfg.refresh, cfg.compactAt)
 	if err != nil {

@@ -113,9 +113,6 @@ type BuildOptions struct {
 	// SegmentSize is the posting-list skip-segment size (M0). Zero
 	// selects 128.
 	SegmentSize int
-	// CacheContexts, when positive, memoizes collection statistics for up
-	// to that many distinct contexts across queries.
-	CacheContexts int
 	// CostBasedPlanning consults a usable view only when its scan cost
 	// undercuts the straightforward plan's cost bound, instead of always
 	// preferring views.
@@ -177,12 +174,11 @@ func (o BuildOptions) cacheFingerprint() string {
 // options every construction path (Build, BuildSharded, Open) shares.
 func (o BuildOptions) coreOptions(scorer ranking.Scorer) core.Options {
 	return core.Options{
-		Scorer:        scorer,
-		CacheContexts: o.CacheContexts,
-		CostBased:     o.CostBasedPlanning,
-		Deadline:      o.Timeout,
-		StatsBudget:   o.StatsBudget,
-		Pruning:       o.Pruning,
+		Scorer:      scorer,
+		CostBased:   o.CostBasedPlanning,
+		Deadline:    o.Timeout,
+		StatsBudget: o.StatsBudget,
+		Pruning:     o.Pruning,
 	}
 }
 
@@ -293,9 +289,6 @@ type Stats struct {
 	ResultSize int `json:"result_size"`
 	// ContextSize is |D_P| for contextual queries.
 	ContextSize int64 `json:"context_size"`
-	// CacheHit reports that context statistics came from the statistics
-	// cache (only with BuildOptions.CacheContexts > 0).
-	CacheHit bool `json:"cache_hit"`
 	// Degraded reports that a timeout or statistics budget expired and
 	// the hits are partial and/or ranked under approximate statistics.
 	Degraded bool `json:"degraded"`
@@ -407,7 +400,6 @@ func convertStats(st core.ExecStats) Stats {
 		UsedView:         st.UsedView,
 		ResultSize:       st.ResultSize,
 		ContextSize:      st.ContextSize,
-		CacheHit:         st.CacheHit,
 		Degraded:         st.Degraded,
 		DegradedReason:   st.DegradedReason,
 		PrunedDocs:       st.Pruning.DocsSkipped,
@@ -480,9 +472,8 @@ func Open(dir string, scorer Scorer) (*Engine, error) {
 }
 
 // OpenWithOptions loads an engine saved by Save, honoring the runtime
-// options (Scorer, CacheContexts, CostBasedPlanning, Timeout,
-// StatsBudget, Pruning); the build-time options are fixed by the
-// persisted index and views.
+// options (Scorer, CostBasedPlanning, Timeout, StatsBudget, Pruning);
+// the build-time options are fixed by the persisted index and views.
 func OpenWithOptions(dir string, opts BuildOptions) (*Engine, error) {
 	sc, err := opts.Scorer.build()
 	if err != nil {

@@ -40,7 +40,7 @@ func TestExpiredDeadlineDegradesFast(t *testing.T) {
 	ix := bigResultCollection(t, 20000)
 	e := New(ix, nil, Options{Deadline: time.Nanosecond})
 	start := time.Now()
-	res, st, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("disease | ctx_a ctx_b"), 10)
+	res, st, err := e.SearchCtx(context.Background(), query.MustParse("disease | ctx_a ctx_b"), 10)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("expired deadline returned error %v, want degraded result", err)
@@ -112,12 +112,12 @@ func TestGenerousDeadlineKeepsRankingsBitIdentical(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	ref := New(ix, nil, Options{})
 	q := query.MustParse("disease organ | ctx_a")
-	want, _, err := ref.SearchContextSensitiveCtx(context.Background(), q, 25)
+	want, _, err := ref.SearchCtx(context.Background(), q, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := New(ix, nil, Options{Deadline: time.Hour})
-	got, st, err := e.SearchContextSensitiveCtx(context.Background(), q, 25)
+	got, st, err := e.SearchCtx(context.Background(), q, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestStatsBudgetFallsBackToApproximate(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(ix, nil, Options{StatsBudget: time.Nanosecond})
-	res, st, err := e.SearchContextSensitiveCtx(context.Background(), q, 20)
+	res, st, err := e.SearchCtx(context.Background(), q, 20)
 	if err != nil {
 		t.Fatalf("stats-budget expiry returned error %v", err)
 	}
@@ -178,7 +178,7 @@ func TestScoringWorkerPanicIsolated(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	q := query.MustParse("disease | ctx_a")
 	ref := New(ix, nil, Options{})
-	want, _, err := ref.SearchContextSensitiveCtx(context.Background(), q, 15)
+	want, _, err := ref.SearchCtx(context.Background(), q, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +186,11 @@ func TestScoringWorkerPanicIsolated(t *testing.T) {
 	sc := &panicScorer{inner: ranking.NewPivotedTFIDF()}
 	e := New(ix, nil, Options{Scorer: sc})
 	sc.armed.Store(true)
-	if _, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 15); err == nil || !strings.Contains(err.Error(), "panic") {
+	if _, _, err := e.SearchCtx(context.Background(), q, 15); err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want panic-derived error", err)
 	}
 	sc.armed.Store(false)
-	got, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 15)
+	got, _, err := e.SearchCtx(context.Background(), q, 15)
 	if err != nil {
 		t.Fatalf("query after panic failed: %v", err)
 	}

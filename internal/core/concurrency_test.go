@@ -135,10 +135,10 @@ func TestSearchRunsOnOneGoroutine(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesRaceStress hammers one engine — views and the
-// sharded statistics cache enabled — from many goroutines. Run under
-// -race (the CI workflow does) to hunt data races between concurrent
-// queries, the cache shards and the pooled scoring scratch.
+// TestConcurrentQueriesRaceStress hammers one engine with views enabled
+// from many goroutines. Run under -race (the CI workflow does) to hunt
+// data races between concurrent queries, the pooled context sets and the
+// pooled scoring scratch.
 func TestConcurrentQueriesRaceStress(t *testing.T) {
 	ix, _, _ := motivatingCollection(t)
 	tbl := widetable.FromIndex(ix, []string{"pancreas", "leukemia"})
@@ -147,7 +147,7 @@ func TestConcurrentQueriesRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := views.NewCatalog([]*views.View{v}, 100, 4096)
-	e := New(ix, cat, Options{CacheContexts: 4})
+	e := New(ix, cat, Options{})
 	queries := []string{
 		"pancreas leukemia | digestive_system",
 		"leukemia | neoplasms",

@@ -23,7 +23,7 @@
 // uses more shards.
 //
 // Failure semantics: every query entry point threads a context.Context
-// through the whole query path — the statistics cache, the scoring
+// through the whole query path — the statistics phase, the scoring
 // loops, and cooperative checkpoints inside the postings kernels. An
 // expired deadline degrades gracefully (flagged partial or empty
 // results, never an error); an explicit cancellation fails the query
@@ -64,12 +64,6 @@ type Options struct {
 	// Scorer is the ranking function; nil selects pivoted TF-IDF with the
 	// paper's s = 0.2.
 	Scorer ranking.Scorer
-	// CacheContexts, when positive, memoizes collection statistics for up
-	// to that many distinct contexts. Repeated queries inside the same
-	// context then skip both the view scan and the straightforward
-	// aggregation. Zero disables caching (the experiments run uncached so
-	// they measure the paper's plans, not the cache).
-	CacheContexts int
 	// CostBased enables plan selection by the §3.2 cost model: a usable
 	// view is consulted only when its scan cost (ViewSize) undercuts the
 	// straightforward bound ((n+1)·Σ|L_m|, Proposition 3.1). Without it,
@@ -122,7 +116,7 @@ type Result struct {
 type PhaseTimings struct {
 	// Analyze is query analysis (tokenization, normalization).
 	Analyze time.Duration
-	// Stats is the context-statistics phase (cache, views, aggregation).
+	// Stats is the context-statistics phase (views, aggregation).
 	Stats time.Duration
 	// ResultSet is the unranked result-set intersection (zero when the
 	// pruned path ran: it never materializes the result set).
@@ -153,9 +147,6 @@ type ExecStats struct {
 	// ContextSize is |D_P| (0 for conventional evaluation of a
 	// context-free query).
 	ContextSize int64
-	// CacheHit reports that the context statistics came from the
-	// statistics cache (possibly extended with per-keyword fills).
-	CacheHit bool
 	// Degraded reports that a deadline or statistics budget expired and
 	// the results are partial and/or ranked under approximate
 	// statistics. Degraded executions return a nil error: boundedness is
@@ -231,7 +222,6 @@ type Engine struct {
 	docLens []int32
 
 	costBased   bool
-	cache       *statsCache // nil when disabled
 	deadline    time.Duration
 	statsBudget time.Duration
 	pruning     bool
@@ -270,7 +260,6 @@ func New(ix *index.Index, catalog *views.Catalog, opts Options) *Engine {
 		globalLen:    ix.TotalFieldLen(schema.ContentField),
 		docLens:      ix.FieldLens(schema.ContentField),
 		costBased:    opts.CostBased,
-		cache:        newStatsCache(opts.CacheContexts),
 		deadline:     opts.Deadline,
 		statsBudget:  opts.StatsBudget,
 		pruning:      opts.Pruning,
@@ -293,19 +282,14 @@ func (e *Engine) Index() *index.Index { return e.ix }
 // Catalog returns the engine's view catalog (nil if none).
 func (e *Engine) Catalog() *views.Catalog { return e.catalog.Load() }
 
-// SwapCatalog atomically replaces the engine's view catalog and purges
-// the statistics cache, whose entries describe the catalog state they
-// were computed against. In-flight queries finish on the catalog they
-// already loaded — both states are internally consistent — so a catalog
-// recovered from snapshot + WAL replay can go live without a restart or
-// a lock on the query path. An in-flight query on the old catalog may
-// complete a cache store after the purge; such entries are tagged with
-// the catalog they were computed against and never serve queries on the
-// new one. Pass nil to disable view acceleration.
+// SwapCatalog atomically replaces the engine's view catalog. In-flight
+// queries finish on the catalog they already loaded — both states are
+// internally consistent — so a catalog recovered from snapshot + WAL
+// replay can go live without a restart or a lock on the query path. Pass
+// nil to disable view acceleration.
 func (e *Engine) SwapCatalog(cat *views.Catalog) {
 	e.catalog.Store(cat)
 	e.catVersion.Add(1)
-	e.cache.purge()
 }
 
 // CatalogVersion returns how many times SwapCatalog has run on this
@@ -342,17 +326,25 @@ func (e *Engine) analyze(q query.Query) (analyzed, error) {
 	if len(a.kwTerms) == 0 {
 		return analyzed{}, fmt.Errorf("core: query %q has no indexable keywords", q)
 	}
-	seenCtx := map[string]bool{}
-	for _, m := range q.Context {
+	a.context = e.normalizeContext(q.Context)
+	return a, nil
+}
+
+// normalizeContext analyzes context predicates into the form every plan
+// and view match uses: predicate-field terms, deduplicated and sorted.
+func (e *Engine) normalizeContext(preds []string) []string {
+	var norm []string
+	seen := map[string]bool{}
+	for _, m := range preds {
 		for _, term := range e.predAn.Analyze(m) {
-			if !seenCtx[term] {
-				seenCtx[term] = true
-				a.context = append(a.context, term)
+			if !seen[term] {
+				seen[term] = true
+				norm = append(norm, term)
 			}
 		}
 	}
-	sort.Strings(a.context)
-	return a, nil
+	sort.Strings(norm)
+	return norm
 }
 
 // lists fetches the posting lists for the analyzed query. A nil list
@@ -418,14 +410,6 @@ func (e *Engine) SearchCtx(ctx context.Context, q query.Query, k int) ([]Result,
 // boolean filters that "do not contribute to ranking scores").
 func (e *Engine) SearchConventionalCtx(ctx context.Context, q query.Query, k int) ([]Result, ExecStats, error) {
 	return e.search(ctx, q, k, PlanConventional)
-}
-
-// SearchContextSensitiveCtx evaluates Q_c = Q_k | P with context
-// statistics, answering them from the smallest usable materialized view
-// when the catalog has one and falling back to the straightforward plan
-// otherwise.
-func (e *Engine) SearchContextSensitiveCtx(ctx context.Context, q query.Query, k int) ([]Result, ExecStats, error) {
-	return e.search(ctx, q, k, "")
 }
 
 // SearchStraightforwardCtx evaluates Q_c with the §3.1 plan

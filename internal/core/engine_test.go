@@ -64,7 +64,7 @@ func TestMotivatingExampleRankReversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, ctxSt, err := e.SearchContextSensitiveCtx(context.Background(), q, 10)
+	ctx, ctxSt, err := e.SearchCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestViewAndStraightforwardAgree(t *testing.T) {
 	e := New(ix, cat, Options{})
 	q := query.MustParse("pancreas leukemia | digestive_system")
 
-	viaView, viewSt, err := e.SearchContextSensitiveCtx(context.Background(), q, 0)
+	viaView, viewSt, err := e.SearchCtx(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestViewFallbackForUntrackedKeyword(t *testing.T) {
 	e := New(ix, cat, Options{})
 	q := query.MustParse("pancreas leukemia | digestive_system")
 
-	viaView, viewSt, err := e.SearchContextSensitiveCtx(context.Background(), q, 0)
+	viaView, viewSt, err := e.SearchCtx(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestUncoveredContextFallsBack(t *testing.T) {
 	}
 	cat := views.NewCatalog([]*views.View{v}, 100, 4096)
 	e := New(ix, cat, Options{})
-	_, st, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("pancreas leukemia | digestive_system"), 5)
+	_, st, err := e.SearchCtx(context.Background(), query.MustParse("pancreas leukemia | digestive_system"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestNonContextualQueryRoutesToConventional(t *testing.T) {
 		t.Errorf("plan = %s", st.Plan)
 	}
 	// Context-sensitive entry point with empty context also degrades.
-	_, st2, err := e.SearchContextSensitiveCtx(context.Background(), query.Query{Keywords: []string{"leukemia"}}, 5)
+	_, st2, err := e.SearchCtx(context.Background(), query.Query{Keywords: []string{"leukemia"}}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestAlternativeScorersAgreeAcrossPlans(t *testing.T) {
 	q := query.MustParse("pancreas leukemia | digestive_system")
 	for _, s := range []ranking.Scorer{ranking.NewBM25(), ranking.NewDirichletLM()} {
 		e := New(ix, cat, Options{Scorer: s})
-		a, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 0)
+		a, _, err := e.SearchCtx(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestEndToEndWithSelectedViews(t *testing.T) {
 	tested := 0
 	for _, term := range terms[:min(8, len(terms))] {
 		q := query.Query{Keywords: []string{words[0], words[min(3, len(words)-1)]}, Context: []string{term}}
-		viaView, st, err := e.SearchContextSensitiveCtx(context.Background(), q, 20)
+		viaView, st, err := e.SearchCtx(context.Background(), q, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,9 +435,9 @@ func TestConcurrentSearches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(ix, views.NewCatalog([]*views.View{v}, 100, 4096), Options{CacheContexts: 8})
+	e := New(ix, views.NewCatalog([]*views.View{v}, 100, 4096), Options{})
 	q := query.MustParse("pancreas leukemia | digestive_system")
-	want, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 5)
+	want, _, err := e.SearchCtx(context.Background(), q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestConcurrentSearches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				got, _, err := e.SearchContextSensitiveCtx(context.Background(), q, 5)
+				got, _, err := e.SearchCtx(context.Background(), q, 5)
 				if err != nil {
 					errs <- err
 					return

@@ -24,8 +24,8 @@ import (
 // exec is one query's per-engine execution state: the analyzed query,
 // its posting lists (nil = term absent), the context set the
 // straightforward plan materialized (nil until it has, and whenever a
-// view, the statistics cache or approximate statistics answered
-// instead), and the report the running phase writes into. It is built
+// view or approximate statistics answered instead), and the report the
+// running phase writes into. It is built
 // once per query and engine by prepare and carried from the statistics
 // phase into the scoring phase — by run on one engine, by
 // SearchSlicesPartial across its scatter rounds — and whoever carries it
@@ -164,8 +164,8 @@ func (e *Engine) statsPhase(ctx context.Context, x *exec, plan Plan, mustAnswer 
 	}
 	st.Plan = PlanStraightforward
 	useViews := plan != PlanStraightforward
-	// One catalog load per query: every view match and cache access of
-	// this execution uses this snapshot, so a concurrent SwapCatalog can
+	// One catalog load per query: every view match of this execution
+	// uses this snapshot, so a concurrent SwapCatalog can
 	// never mix statistics from two catalog states.
 	cat := e.catalog.Load()
 	reason := "deadline expired before statistics"

@@ -178,11 +178,11 @@ func TestPrunedBitIdenticalWithViews(t *testing.T) {
 	for _, k := range []int{1, 10, 100} {
 		for _, qs := range []string{"alpha | ctx_a", "alpha beta | ctx_a", "beta | ctx_b"} {
 			q := query.MustParse(qs)
-			want, _, err := exh.SearchContextSensitiveCtx(context.Background(), q, k)
+			want, _, err := exh.SearchCtx(context.Background(), q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gst, err := prn.SearchContextSensitiveCtx(context.Background(), q, k)
+			got, gst, err := prn.SearchCtx(context.Background(), q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +237,7 @@ func TestPrunedSkipsWork(t *testing.T) {
 func TestPrunedDeadlineDegrades(t *testing.T) {
 	ix, _ := buildPrunedSystem(t)
 	e := New(ix, nil, Options{Pruning: true, Deadline: time.Nanosecond})
-	res, st, err := e.SearchContextSensitiveCtx(context.Background(), query.MustParse("alpha | ctx_a"), 10)
+	res, st, err := e.SearchCtx(context.Background(), query.MustParse("alpha | ctx_a"), 10)
 	if err != nil {
 		t.Fatalf("expired deadline returned error %v, want degraded result", err)
 	}

@@ -36,7 +36,7 @@ import (
 
 // StatsFor computes the collection statistics SearchCtx would rank q
 // with, without evaluating the result set: whole-collection aggregates
-// for context-free queries, S_c(D_P) (view-accelerated, cached, and
+// for context-free queries, S_c(D_P) (view-accelerated and
 // budget-degradable exactly like SearchCtx) for contextual ones. In a
 // document-partitioned cluster the returned statistics are one shard's
 // partial addend; MergeCollectionStats sums them into the union's
@@ -154,9 +154,8 @@ const PlanMixed Plan = "mixed"
 // MergeStats aggregates per-shard (and per-phase) execution reports
 // into one cluster-level ExecStats: cost counters, result/context
 // cardinalities, fallback keyword counts and pruning counters sum;
-// Degraded and UsedView are sticky ORs; CacheHit reports whether any
-// part was answered from a statistics cache; phase timings and Elapsed
-// take the maximum, the wall-clock shape of a concurrent fan-out. The
+// Degraded and UsedView are sticky ORs; phase timings and Elapsed take
+// the maximum, the wall-clock shape of a concurrent fan-out. The
 // merged DegradedReason is the *union* of every part's individual
 // reasons (each part's "; "-joined list is split back into its atoms),
 // deduplicated and sorted, so the merged reason is deterministic no
@@ -182,7 +181,6 @@ func MergeStats(parts ...ExecStats) ExecStats {
 		m.FallbackKeywords += p.FallbackKeywords
 		m.ResultSize += p.ResultSize
 		m.ContextSize += p.ContextSize
-		m.CacheHit = m.CacheHit || p.CacheHit
 		if p.Degraded {
 			m.Degraded = true
 			for _, r := range strings.Split(p.DegradedReason, "; ") {

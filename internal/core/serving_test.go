@@ -13,8 +13,7 @@ import (
 
 // TestSwapCatalogChangesPlan swaps a catalog into an engine built
 // without one and back out, checking the plan flips between
-// straightforward and view-based, and that the stats cache is purged at
-// each swap (a cached entry must not survive into the new state).
+// straightforward and view-based at each swap.
 func TestSwapCatalogChangesPlan(t *testing.T) {
 	ix, meshTerms, words := randomCollection(t, rand.New(rand.NewSource(13)), 400, 6, 3)
 	tbl := widetable.FromIndex(ix, words)
@@ -24,42 +23,36 @@ func TestSwapCatalogChangesPlan(t *testing.T) {
 	}
 	cat := views.NewCatalog([]*views.View{v}, 1, 1<<20)
 
-	eng := New(ix, nil, Options{CacheContexts: 16})
+	eng := New(ix, nil, Options{})
 	q := query.Query{Keywords: []string{words[0]}, Context: meshTerms[:2]}
 
-	_, st, err := eng.SearchContextSensitiveCtx(context.Background(), q, 10)
+	_, st, err := eng.SearchCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.UsedView {
-		t.Fatal("no catalog installed, yet a view answered")
-	}
-	if eng.cache.len() == 0 {
-		t.Fatal("expected the context to be cached")
+	if st.UsedView || st.Plan != PlanStraightforward {
+		t.Fatalf("no catalog installed, yet plan %q (view %v)", st.Plan, st.UsedView)
 	}
 
 	eng.SwapCatalog(cat)
-	if eng.cache.len() != 0 {
-		t.Fatal("swap did not purge the statistics cache")
-	}
 	if eng.Catalog() != cat {
 		t.Fatal("Catalog() does not reflect the swap")
 	}
-	_, st, err = eng.SearchContextSensitiveCtx(context.Background(), q, 10)
+	_, st, err = eng.SearchCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.UsedView {
-		t.Fatal("swapped-in catalog not consulted")
+	if !st.UsedView || st.Plan != PlanView {
+		t.Fatalf("swapped-in catalog not consulted: plan %q (view %v)", st.Plan, st.UsedView)
 	}
 
 	eng.SwapCatalog(nil)
-	_, st, err = eng.SearchContextSensitiveCtx(context.Background(), q, 10)
+	_, st, err = eng.SearchCtx(context.Background(), q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.UsedView {
-		t.Fatal("view used after the catalog was swapped out")
+	if st.UsedView || st.Plan != PlanStraightforward {
+		t.Fatalf("catalog swapped out, yet plan %q (view %v)", st.Plan, st.UsedView)
 	}
 }
 
@@ -78,12 +71,12 @@ func TestSwapCatalogPreservesRanking(t *testing.T) {
 	eng := New(ix, nil, Options{})
 	q := query.Query{Keywords: []string{words[0], words[1]}, Context: meshTerms[:1]}
 
-	before, _, err := eng.SearchContextSensitiveCtx(context.Background(), q, 20)
+	before, _, err := eng.SearchCtx(context.Background(), q, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.SwapCatalog(cat)
-	after, st, err := eng.SearchContextSensitiveCtx(context.Background(), q, 20)
+	after, st, err := eng.SearchCtx(context.Background(), q, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +104,7 @@ func TestSwapCatalogConcurrentWithQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := views.NewCatalog([]*views.View{v}, 1, 1<<20)
-	eng := New(ix, nil, Options{CacheContexts: 8})
+	eng := New(ix, nil, Options{})
 	q := query.Query{Keywords: []string{words[0]}, Context: meshTerms[:1]}
 
 	var wg sync.WaitGroup
@@ -120,7 +113,7 @@ func TestSwapCatalogConcurrentWithQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, _, err := eng.SearchContextSensitiveCtx(context.Background(), q, 5); err != nil {
+				if _, _, err := eng.SearchCtx(context.Background(), q, 5); err != nil {
 					t.Error(err)
 					return
 				}

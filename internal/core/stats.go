@@ -2,53 +2,30 @@ package core
 
 import (
 	"context"
-	"errors"
 
 	"csrank/internal/postings"
 	"csrank/internal/ranking"
 	"csrank/internal/views"
 )
 
-// contextStats computes S_c(D_P): from the statistics cache when one is
-// configured, else from the smallest usable materialized view (with
-// per-keyword intersection fallback), else with the straightforward
-// Figure 3 plan. cat is the catalog snapshot the query loaded — the one
-// pointer every view match and cache access of this execution uses, so
-// statistics never mix catalog states. Freshly computed exact statistics
-// are cached; a caller that later substitutes approximate statistics
-// never reaches the store, so the cache only ever holds exact values.
+// contextStats computes S_c(D_P): from the smallest usable materialized
+// view (with per-keyword intersection fallback), else with the
+// straightforward Figure 3 plan. cat is the catalog snapshot the query
+// loaded — the one pointer every view match of this execution uses, so
+// statistics never mix catalog states.
 func (e *Engine) contextStats(ctx context.Context, x *exec, useViews bool, cat *views.Catalog) (ranking.CollectionStats, error) {
-	a, kw, preds, st := x.a, x.kw, x.preds, x.st
-	if e.cache != nil {
-		cs, cached, err := e.statsFromCache(ctx, a, kw, preds, useViews, st, cat)
-		if err != nil {
-			return ranking.CollectionStats{}, err
-		}
-		if cached {
-			return cs, nil
-		}
-	}
-	var cs ranking.CollectionStats
-	var err error
 	if useViews && cat != nil {
-		if v := cat.Match(a.context); v != nil && e.viewWorthwhile(v, a, preds) {
+		if v := cat.Match(x.a.context); v != nil && e.viewWorthwhile(v, x.a, x.preds) {
+			st := x.st
 			st.Plan = PlanView
 			st.UsedView = true
 			st.ViewSize = v.Size()
-			cs, st.FallbackKeywords, err = e.statsFromView(ctx, v, a, kw, preds, &st.Stats)
-			if err != nil {
-				return ranking.CollectionStats{}, err
-			}
+			cs, fallback, err := e.statsFromView(ctx, v, x)
+			st.FallbackKeywords = fallback
+			return cs, err
 		}
 	}
-	if !st.UsedView {
-		cs, err = e.statsStraightforward(ctx, x)
-		if err != nil {
-			return ranking.CollectionStats{}, err
-		}
-	}
-	e.cacheStore(a, cs, cat)
-	return cs, nil
+	return e.statsStraightforward(ctx, x)
 }
 
 // approximateStats assembles degraded-mode context statistics after the
@@ -60,32 +37,25 @@ func (e *Engine) contextStats(ctx context.Context, x *exec, useViews bool, cat *
 // scorer with a zero denominator. Without a usable view, the
 // whole-collection statistics stand in unscaled: exactly the conventional
 // baseline's ranking, which keeps every score finite and well-defined.
-// The result is approximate by construction and is never cached.
+// The result is approximate by construction; the caller flags it
+// Degraded, and degraded results are never cached.
 func (e *Engine) approximateStats(a analyzed, useViews bool, st *ExecStats, cat *views.Catalog) ranking.CollectionStats {
-	cs := ranking.CollectionStats{
-		DF: make(map[string]int64, len(a.kwTerms)),
-		TC: make(map[string]int64, len(a.kwTerms)),
-	}
 	if useViews && cat != nil {
 		if v := cat.Match(a.context); v != nil {
 			if ans, err := v.Answer(a.context, a.kwTerms, &st.Stats); err == nil {
 				st.Plan = PlanView
 				st.UsedView = true
 				st.ViewSize = v.Size()
+				cs := ranking.CollectionStats{N: ans.Count, TotalLen: ans.Len, DF: ans.DF, TC: ans.TC}
 				ratio := float64(ans.Count) / float64(e.globalN)
-				fallback := 0
+				st.FallbackKeywords = 0
 				for _, w := range a.kwTerms {
-					if v.TracksWord(w) {
-						cs.DF[w] = ans.DF[w]
-						cs.TC[w] = ans.TC[w]
-						continue
+					if !v.TracksWord(w) {
+						st.FallbackKeywords++
+						cs.DF[w] = scaleEstimate(e.ix.DF(e.contentField, w), ratio, ans.Count)
+						cs.TC[w] = scaleEstimate(e.ix.TotalTF(e.contentField, w), ratio, 0)
 					}
-					fallback++
-					cs.DF[w] = scaleEstimate(e.ix.DF(e.contentField, w), ratio, ans.Count)
-					cs.TC[w] = scaleEstimate(e.ix.TotalTF(e.contentField, w), ratio, 0)
 				}
-				st.FallbackKeywords = fallback
-				cs.N, cs.TotalLen = ans.Count, ans.Len
 				return cs
 			}
 		}
@@ -96,12 +66,7 @@ func (e *Engine) approximateStats(a analyzed, useViews bool, st *ExecStats, cat 
 	st.UsedView = false
 	st.ViewSize = 0
 	st.FallbackKeywords = len(a.kwTerms)
-	cs.N, cs.TotalLen = e.globalN, e.globalLen
-	for _, w := range a.kwTerms {
-		cs.DF[w] = e.ix.DF(e.contentField, w)
-		cs.TC[w] = e.ix.TotalTF(e.contentField, w)
-	}
-	return cs
+	return e.globalStats(a)
 }
 
 // scaleEstimate scales a whole-collection count down to a context of
@@ -157,36 +122,18 @@ func (e *Engine) statsStraightforward(ctx context.Context, x *exec) (ranking.Col
 // panics and cancellations. Set it only while no queries are in flight.
 var testHookKeywordStats func(i int)
 
-// keywordStatsBatch computes df(w, D_P) and tc(w, D_P) for the keywords
-// at positions idxs (indices into kw and a.kwTerms) — the keywords a view
-// does not track or a cached entry lacks — by intersecting each keyword's
-// posting list with the context lists, and emits them in idxs order. The
-// intersection starts from the most selective list, so this is cheap
-// when w is rare — the argument §6.2 makes for not storing df columns of
-// infrequent keywords. CountTFSumCtx runs the same cursor-driven
-// conjunction Intersect would, but folds df and tc in as it goes instead
-// of materializing the DocID/TF slices. On error (cancellation,
-// deadline) nothing more is emitted.
-func (e *Engine) keywordStatsBatch(ctx context.Context, idxs []int, kw, preds []*postings.List, st *postings.Stats, emit func(i int, df, tc int64)) error {
-	for _, i := range idxs {
-		if hook := testHookKeywordStats; hook != nil {
-			hook(i)
-		}
-		df, tc, err := postings.CountTFSumCtx(ctx, kw[i], preds, st)
-		if err != nil {
-			return err
-		}
-		emit(i, df, tc)
-	}
-	return nil
-}
-
 // statsFromView answers S_c(D_P) from a materialized view: |D_P|,
 // len(D_P) and the df/tc of every tracked keyword come from one scan of
-// the view's groups; untracked keywords (df < T_C) fall back to
-// query-time intersections. Returns the statistics and the number of
-// fallback keywords.
-func (e *Engine) statsFromView(ctx context.Context, v *views.View, a analyzed, kw, preds []*postings.List, st *postings.Stats) (ranking.CollectionStats, int, error) {
+// the view's groups. Untracked keywords (df < T_C) fall back to
+// intersecting the keyword's posting list with the context lists,
+// starting from the most selective list, so this is cheap when w is rare
+// — the argument §6.2 makes for not storing df columns of infrequent
+// keywords. CountTFSumCtx runs the same cursor-driven conjunction
+// Intersect would, but folds df and tc in as it goes instead of
+// materializing the DocID/TF slices. Returns the statistics and the
+// number of fallback keywords (those reached, on error).
+func (e *Engine) statsFromView(ctx context.Context, v *views.View, x *exec) (ranking.CollectionStats, int, error) {
+	a, st := x.a, &x.st.Stats
 	ans, err := v.AnswerCtx(ctx, a.context, a.kwTerms, st)
 	if err != nil {
 		return ranking.CollectionStats{}, 0, err
@@ -197,19 +144,22 @@ func (e *Engine) statsFromView(ctx context.Context, v *views.View, a analyzed, k
 		DF:       ans.DF,
 		TC:       ans.TC,
 	}
-	var fallback []int
+	fallback := 0
 	for i, w := range a.kwTerms {
-		if !v.TracksWord(w) {
-			fallback = append(fallback, i)
+		if v.TracksWord(w) {
+			continue
 		}
+		fallback++
+		if hook := testHookKeywordStats; hook != nil {
+			hook(i)
+		}
+		df, tc, err := postings.CountTFSumCtx(ctx, x.kw[i], x.preds, st)
+		if err != nil {
+			return ranking.CollectionStats{}, fallback, err
+		}
+		cs.DF[w], cs.TC[w] = df, tc
 	}
-	if err := e.keywordStatsBatch(ctx, fallback, kw, preds, st, func(i int, df, tc int64) {
-		cs.DF[a.kwTerms[i]] = df
-		cs.TC[a.kwTerms[i]] = tc
-	}); err != nil {
-		return ranking.CollectionStats{}, len(fallback), err
-	}
-	return cs, len(fallback), nil
+	return cs, fallback, nil
 }
 
 // viewWorthwhile applies the cost-based plan choice: with CostBased off,
@@ -231,103 +181,11 @@ func (e *Engine) viewWorthwhile(v *views.View, a analyzed, preds []*postings.Lis
 	return int64(v.Size()) < straightBound
 }
 
-// statsFromCache assembles collection statistics from the statistics
-// cache, computing and back-filling any keywords the cached entry lacks:
-// view-tracked keywords are answered in one view scan, the rest by
-// intersections. cached is false on a cache miss.
-func (e *Engine) statsFromCache(ctx context.Context, a analyzed, kw, preds []*postings.List, useViews bool, st *ExecStats, cat *views.Catalog) (ranking.CollectionStats, bool, error) {
-	n, totalLen, words, ok := e.cache.lookup(a.context, a.kwTerms, cat)
-	if !ok {
-		return ranking.CollectionStats{}, false, nil
-	}
-	st.CacheHit = true
-	cs := ranking.CollectionStats{
-		N:        n,
-		TotalLen: totalLen,
-		DF:       make(map[string]int64, len(a.kwTerms)),
-		TC:       make(map[string]int64, len(a.kwTerms)),
-	}
-	var view *views.View
-	if useViews && cat != nil {
-		view = cat.Match(a.context)
-	}
-	var missTracked []string // view-tracked keywords, one Answer scan
-	var missTrackedIdx []int // their positions, for the error fallback
-	var missIntersect []int  // the rest, by intersection
-	for i, w := range a.kwTerms {
-		if v, hit := words[w]; hit {
-			cs.DF[w] = v.df
-			cs.TC[w] = v.tc
-			continue
-		}
-		if view != nil && view.TracksWord(w) {
-			missTracked = append(missTracked, w)
-			missTrackedIdx = append(missTrackedIdx, i)
-		} else {
-			missIntersect = append(missIntersect, i)
-		}
-	}
-	var filled map[string]dfTC
-	record := func(w string, df, tc int64) {
-		cs.DF[w] = df
-		cs.TC[w] = tc
-		if filled == nil {
-			filled = make(map[string]dfTC)
-		}
-		filled[w] = dfTC{df: df, tc: tc}
-	}
-	if len(missTracked) > 0 {
-		ans, err := view.AnswerCtx(ctx, a.context, missTracked, &st.Stats)
-		switch {
-		case err == nil:
-			for _, w := range missTracked {
-				record(w, ans.DF[w], ans.TC[w])
-			}
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			return ranking.CollectionStats{}, false, err
-		default:
-			// Unusable view (e.g. concurrent catalog change): intersect.
-			missIntersect = append(missIntersect, missTrackedIdx...)
-		}
-	}
-	if err := e.keywordStatsBatch(ctx, missIntersect, kw, preds, &st.Stats, func(i int, df, tc int64) {
-		record(a.kwTerms[i], df, tc)
-	}); err != nil {
-		return ranking.CollectionStats{}, false, err
-	}
-	if filled != nil {
-		e.cache.store(a.context, n, totalLen, filled, cat)
-	}
-	return cs, true, nil
-}
-
-// cacheStore records freshly computed statistics for future queries in
-// the same context running on the same catalog.
-func (e *Engine) cacheStore(a analyzed, cs ranking.CollectionStats, cat *views.Catalog) {
-	if e.cache == nil {
-		return
-	}
-	words := make(map[string]dfTC, len(cs.DF))
-	for _, w := range a.kwTerms {
-		words[w] = dfTC{df: cs.DF[w], tc: cs.TC[w]}
-	}
-	e.cache.store(a.context, cs.N, cs.TotalLen, words, cat)
-}
-
 // ContextSize returns |D_P| for a context specification, answered from
 // the smallest usable view when possible and by intersection otherwise.
 // Workload generators use it to classify contexts against T_C.
 func (e *Engine) ContextSize(context []string) int64 {
-	var norm []string
-	seen := map[string]bool{}
-	for _, m := range context {
-		for _, term := range e.predAn.Analyze(m) {
-			if !seen[term] {
-				seen[term] = true
-				norm = append(norm, term)
-			}
-		}
-	}
+	norm := e.normalizeContext(context)
 	if len(norm) == 0 {
 		return e.globalN
 	}
@@ -338,9 +196,6 @@ func (e *Engine) ContextSize(context []string) int64 {
 			}
 		}
 	}
-	lists := make([]*postings.List, len(norm))
-	for i, m := range norm {
-		lists[i] = e.ix.Postings(e.predField, m)
-	}
-	return postings.IntersectionSize(lists, nil)
+	_, preds := e.lists(analyzed{context: norm})
+	return postings.IntersectionSize(preds, nil)
 }

@@ -42,7 +42,7 @@ func ExportTREC(s *Setup, dir string) error {
 		if err != nil {
 			return fmt.Errorf("experiments: export topic %d: %w", topic.ID, err)
 		}
-		ctx, _, err := s.WithViews.SearchContextSensitiveCtx(context.Background(), q, 1000)
+		ctx, _, err := s.WithViews.SearchCtx(context.Background(), q, 1000)
 		if err != nil {
 			return fmt.Errorf("experiments: export topic %d: %w", topic.ID, err)
 		}

@@ -44,7 +44,7 @@ func RunFig6(s *Setup) (Fig6Result, error) {
 		if err != nil {
 			return out, err
 		}
-		ctx, _, err := s.WithViews.SearchContextSensitiveCtx(context.Background(), q, 0)
+		ctx, _, err := s.WithViews.SearchCtx(context.Background(), q, 0)
 		if err != nil {
 			return out, err
 		}

@@ -129,7 +129,7 @@ func RunFig7(s *Setup, perN int) (PerfResult, error) {
 			p.Conventional += st.Elapsed
 			p.ConvWork += st.ListWork()
 
-			_, st, err = s.WithViews.SearchContextSensitiveCtx(context.Background(), q, 20)
+			_, st, err = s.WithViews.SearchCtx(context.Background(), q, 20)
 			if err != nil {
 				return res, err
 			}

@@ -50,7 +50,7 @@ func RunScorerComparison(s *Setup) (ScorerComparison, error) {
 			if err != nil {
 				return out, err
 			}
-			x, _, err := eng.SearchContextSensitiveCtx(context.Background(), q, 0)
+			x, _, err := eng.SearchCtx(context.Background(), q, 0)
 			if err != nil {
 				return out, err
 			}

@@ -352,7 +352,7 @@ func catalogOver(t *testing.T, ix *index.Index) *views.Catalog {
 func searchResults(t *testing.T, ix *index.Index, cat *views.Catalog, q query.Query) []core.Result {
 	t.Helper()
 	eng := core.New(ix, cat, core.Options{})
-	res, _, err := eng.SearchContextSensitiveCtx(context.Background(), q, 20)
+	res, _, err := eng.SearchCtx(context.Background(), q, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,8 +230,8 @@ func (e *ShardedEngine) SaveMapped(dir string) error { return e.cluster.Save(dir
 func IsSharded(dir string) bool { return shard.IsSharded(dir) }
 
 // OpenSharded loads a cluster saved by ShardedEngine.Save, honoring the
-// runtime options (Scorer, CacheContexts, CostBasedPlanning, Timeout,
-// StatsBudget, Pruning) on every shard.
+// runtime options (Scorer, CostBasedPlanning, Timeout, StatsBudget,
+// Pruning) on every shard.
 func OpenSharded(dir string, opts BuildOptions) (*ShardedEngine, error) {
 	sc, err := opts.Scorer.build()
 	if err != nil {

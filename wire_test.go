@@ -34,7 +34,6 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 		UsedView:         true,
 		ResultSize:       421,
 		ContextSize:      99881,
-		CacheHit:         true,
 		Degraded:         true,
 		DegradedReason:   "stats budget expired",
 		PrunedDocs:       1 << 40, // int64 fields must not truncate
