@@ -408,62 +408,6 @@ func BenchmarkConcurrentThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkScoreHotPath isolates the per-document scoring loop: the
-// legacy path writes a map[string]int64 per document and the scorer reads
-// it back by key; the term-indexed path fills a reused []int64 and the
-// scorer walks parallel slices. Same formula, same floating-point order,
-// zero map operations and zero allocations on the indexed path.
-func BenchmarkScoreHotPath(b *testing.B) {
-	const nDocs = 4096
-	terms := []string{"pancreas", "leukemia", "transplant", "outcome"}
-	qs := ranking.NewQueryStats(terms)
-	cs := ranking.CollectionStats{
-		N:        100000,
-		TotalLen: 12000000,
-		DF:       map[string]int64{"pancreas": 900, "leukemia": 1400, "transplant": 300, "outcome": 5200},
-		TC:       map[string]int64{"pancreas": 2100, "leukemia": 3300, "transplant": 410, "outcome": 9800},
-	}
-	rng := rand.New(rand.NewSource(17))
-	tfs := make([][]int64, nDocs)
-	lens := make([]int64, nDocs)
-	for i := range tfs {
-		row := make([]int64, len(terms))
-		for j := range row {
-			row[j] = int64(rng.Intn(6)) // 0 is common: conjunctive TFs vary
-		}
-		tfs[i] = row
-		lens[i] = int64(40 + rng.Intn(400))
-	}
-	scorer := ranking.NewPivotedTFIDF()
-	var sink float64
-
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		tf := make(map[string]int64, len(terms))
-		for i := 0; i < b.N; i++ {
-			d := i % nDocs
-			for j, w := range terms {
-				tf[w] = tfs[d][j]
-			}
-			ds := ranking.DocStats{TF: tf, Len: lens[d]}
-			sink += scorer.Score(qs, ds, cs)
-		}
-	})
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		ics := cs
-		ics.IndexTerms(terms)
-		tf := make([]int64, len(terms))
-		for i := 0; i < b.N; i++ {
-			d := i % nDocs
-			copy(tf, tfs[d])
-			ds := ranking.DocStats{TFs: tf, Len: lens[d]}
-			sink += scorer.ScoreIndexed(qs, ds, ics)
-		}
-	})
-	_ = sink
-}
-
 // --- Block-max dynamic pruning ---------------------------------------
 
 var (
@@ -540,14 +484,7 @@ func BenchmarkPrunedSearch(b *testing.B) {
 		{"broad", "alpha | ctx_broad"},
 		{"selective", "alpha beta | ctx_sel"},
 	}
-	scorers := []ranking.Scorer{
-		ranking.NewPivotedTFIDF(),
-		ranking.NewBM25(),
-		ranking.NewDirichletLM(),
-		ranking.NewCosineTFIDF(),
-		ranking.NewJelinekMercerLM(),
-	}
-	for _, sc := range scorers {
+	for _, sc := range ranking.All() {
 		for _, qc := range queries {
 			q := query.MustParse(qc.q)
 			for _, k := range []int{10, 100} {

@@ -41,7 +41,7 @@ func main() {
 		q           = flag.String("q", "", "query, e.g. \"pancreas leukemia | digestive_system\"")
 		k           = flag.Int("k", 10, "number of results")
 		mode        = flag.String("mode", "context", "context | conventional | straightforward | compare")
-		scorer      = flag.String("scorer", "pivoted-tfidf", "pivoted-tfidf | bm25 | dirichlet-lm | cosine-tfidf | jelinek-mercer-lm")
+		scorer      = flag.String("scorer", "pivoted-tfidf", strings.Join(ranking.Names(), " | "))
 		timeout     = flag.Duration("timeout", 0, "per-query deadline (e.g. 50ms); on expiry partial results are returned flagged degraded (0 = unbounded)")
 		pruning     = flag.Bool("pruning", false, "enable block-max dynamic pruning (safe: top-k is bit-identical to exhaustive scoring)")
 		interactive = flag.Bool("i", false, "interactive mode: read queries from stdin (prefix a line with '?' for plan explanation only)")
@@ -230,19 +230,8 @@ func run(data, walDir, qstr string, k int, mode, scorerName string, timeout time
 // openEngine loads the persisted index and (optionally) views and wires
 // the requested scorer.
 func openEngine(data, walDir, scorerName string, timeout time.Duration, pruning bool) (*core.Engine, *index.Index, error) {
-	var sc ranking.Scorer
-	switch scorerName {
-	case "pivoted-tfidf":
-		sc = ranking.NewPivotedTFIDF()
-	case "bm25":
-		sc = ranking.NewBM25()
-	case "dirichlet-lm":
-		sc = ranking.NewDirichletLM()
-	case "cosine-tfidf":
-		sc = ranking.NewCosineTFIDF()
-	case "jelinek-mercer-lm":
-		sc = ranking.NewJelinekMercerLM()
-	default:
+	sc, ok := ranking.New(scorerName)
+	if !ok {
 		return nil, nil, fmt.Errorf("unknown scorer %q", scorerName)
 	}
 	ix, err := index.LoadFile(filepath.Join(data, "index.gob"))

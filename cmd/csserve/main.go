@@ -24,10 +24,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
 	"csrank"
+	"csrank/internal/ranking"
 )
 
 func main() {
@@ -35,7 +37,7 @@ func main() {
 		data         = flag.String("data", "data", "data directory (single-engine or sharded cluster)")
 		addr         = flag.String("addr", ":8080", "listen address")
 		mode         = flag.String("mode", "auto", "auto | single | sharded — how to interpret -data")
-		scorer       = flag.String("scorer", "pivoted-tfidf", "pivoted-tfidf | bm25 | dirichlet-lm | cosine-tfidf | jelinek-mercer-lm")
+		scorer       = flag.String("scorer", "pivoted-tfidf", strings.Join(ranking.Names(), " | "))
 		pruning      = flag.Bool("pruning", false, "enable block-max dynamic pruning (rank-safe)")
 		resultCache  = flag.Int64("result-cache", 64<<20, "serving-layer result cache budget in bytes; hits skip the shard fan-out AND the admission queue, concurrent identical queries coalesce onto one execution (0 = off)")
 		timeout      = flag.Duration("timeout", 0, "per-request deadline covering queue wait + execution; on expiry partial results are returned flagged degraded (0 = unbounded)")

@@ -79,20 +79,13 @@ const (
 )
 
 func (s Scorer) build() (ranking.Scorer, error) {
-	switch s {
-	case "", PivotedTFIDF:
-		return ranking.NewPivotedTFIDF(), nil
-	case BM25:
-		return ranking.NewBM25(), nil
-	case DirichletLM:
-		return ranking.NewDirichletLM(), nil
-	case CosineTFIDF:
-		return ranking.NewCosineTFIDF(), nil
-	case JelinekMercerLM:
-		return ranking.NewJelinekMercerLM(), nil
-	default:
-		return nil, fmt.Errorf("csrank: unknown scorer %q", string(s))
+	if s == "" {
+		s = PivotedTFIDF
 	}
+	if sc, ok := ranking.New(string(s)); ok {
+		return sc, nil
+	}
+	return nil, fmt.Errorf("csrank: unknown scorer %q", string(s))
 }
 
 // BuildOptions configures Build. The zero value gives the paper's

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -154,8 +155,8 @@ func TestStatsBudgetFallsBackToApproximate(t *testing.T) {
 	assertBitIdentical(t, "approx-stats ranking vs conventional", conv, res)
 }
 
-// panicScorer wraps a real scorer and panics while armed — the injected
-// crash of the panic-isolation tests.
+// panicScorer wraps a real scorer and panics in ScoreIndexed while
+// armed — the injected crash of the panic-isolation tests.
 type panicScorer struct {
 	inner ranking.Scorer
 	armed atomic.Bool
@@ -163,17 +164,21 @@ type panicScorer struct {
 
 func (p *panicScorer) Name() string { return "panic-" + p.inner.Name() }
 
-func (p *panicScorer) Score(qs ranking.QueryStats, ds ranking.DocStats, cs ranking.CollectionStats) float64 {
+func (p *panicScorer) ScoreIndexed(qs ranking.QueryStats, ds ranking.DocStats, cs ranking.CollectionStats) float64 {
 	if p.armed.Load() {
 		panic("injected scorer panic")
 	}
-	return p.inner.Score(qs, ds, cs)
+	return p.inner.ScoreIndexed(qs, ds, cs)
 }
 
-// TestScoringWorkerPanicIsolated: a panic inside scoring fails only that
-// query (with the panic message and no process crash), leaves no
-// goroutines behind, and the same engine serves subsequent queries with
-// correct results.
+func (p *panicScorer) UpperBound(qs ranking.QueryStats, maxTF, minLen int32, cs ranking.CollectionStats) float64 {
+	return p.inner.UpperBound(qs, maxTF, minLen, cs)
+}
+
+// TestScoringWorkerPanicIsolated: a panic inside scoring — exhaustive or
+// pruned — fails only that query (with the panic message and no process
+// crash), leaves no goroutines behind, and the same engine serves
+// subsequent queries with correct results.
 func TestScoringWorkerPanicIsolated(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	q := query.MustParse("disease | ctx_a")
@@ -182,30 +187,29 @@ func TestScoringWorkerPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
-	sc := &panicScorer{inner: ranking.NewPivotedTFIDF()}
-	e := New(ix, nil, Options{Scorer: sc})
-	sc.armed.Store(true)
-	if _, _, err := e.SearchCtx(context.Background(), q, 15); err == nil || !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("err = %v, want panic-derived error", err)
+	for _, pruning := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pruning=%v", pruning), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			sc := &panicScorer{inner: ranking.NewPivotedTFIDF()}
+			e := New(ix, nil, Options{Scorer: sc, Pruning: pruning})
+			sc.armed.Store(true)
+			if _, _, err := e.SearchCtx(context.Background(), q, 15); err == nil || !strings.Contains(err.Error(), "panic") {
+				t.Fatalf("err = %v, want panic-derived error", err)
+			}
+			sc.armed.Store(false)
+			got, st, err := e.SearchCtx(context.Background(), q, 15)
+			if err != nil {
+				t.Fatalf("query after panic failed: %v", err)
+			}
+			if st.Pruning.Active != pruning {
+				t.Fatalf("Pruning.Active = %v, want %v", st.Pruning.Active, pruning)
+			}
+			// panicScorer delegates to the same pivoted TF-IDF formula, so
+			// the ranking must match the reference engine's bit for bit.
+			assertBitIdentical(t, "after panic", want, got)
+			waitForGoroutines(t, base)
+		})
 	}
-	sc.armed.Store(false)
-	got, _, err := e.SearchCtx(context.Background(), q, 15)
-	if err != nil {
-		t.Fatalf("query after panic failed: %v", err)
-	}
-	// Scores differ bit-for-bit from the indexed fast path only if the
-	// wrapper changed ranking; it must not — panicScorer delegates to
-	// the same pivoted TF-IDF formula via the map path.
-	if len(got) != len(want) {
-		t.Fatalf("result count after panic: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].DocID != want[i].DocID {
-			t.Fatalf("rank %d DocID %d vs %d", i, got[i].DocID, want[i].DocID)
-		}
-	}
-	waitForGoroutines(t, base)
 }
 
 // TestStatsWorkerPanicIsolated: a panic inside the keyword-statistics

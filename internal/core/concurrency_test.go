@@ -65,9 +65,8 @@ func assertBitIdentical(t *testing.T, label string, want, got []Result) {
 	}
 }
 
-// goroutineScorer wraps pivoted TF-IDF — bound, indexed fast path and
-// all — and records the highest goroutine count it observes while
-// scoring.
+// goroutineScorer wraps pivoted TF-IDF and records the highest
+// goroutine count it observes while scoring or bounding.
 type goroutineScorer struct {
 	*ranking.PivotedTFIDF
 	peak atomic.Int64
@@ -83,14 +82,14 @@ func (g *goroutineScorer) observe() {
 	}
 }
 
-func (g *goroutineScorer) Score(q ranking.QueryStats, d ranking.DocStats, c ranking.CollectionStats) float64 {
-	g.observe()
-	return g.PivotedTFIDF.Score(q, d, c)
-}
-
 func (g *goroutineScorer) ScoreIndexed(q ranking.QueryStats, d ranking.DocStats, c ranking.CollectionStats) float64 {
 	g.observe()
 	return g.PivotedTFIDF.ScoreIndexed(q, d, c)
+}
+
+func (g *goroutineScorer) UpperBound(q ranking.QueryStats, maxTF, minLen int32, c ranking.CollectionStats) float64 {
+	g.observe()
+	return g.PivotedTFIDF.UpperBound(q, maxTF, minLen, c)
 }
 
 // TestSearchRunsOnOneGoroutine pins the engine's concurrency model: a

@@ -95,12 +95,10 @@ type Options struct {
 	// 2^16-docID containers — whose score upper bound proves they cannot
 	// enter the top k. The skipped work is the only difference: results
 	// are bit-identical to exhaustive scoring. The pruned path engages
-	// when k > 0, the scorer implements ranking.BoundedScorer (all five
-	// built-ins do), and every keyword list carries bound metadata (any
+	// when k > 0 and every keyword list carries bound metadata (any
 	// index built or loaded by this version); other queries fall back to
-	// exhaustive scoring. The §6
-	// reproduction experiments pin it off so measured list costs match
-	// the paper's cost model.
+	// exhaustive scoring. The §6 reproduction experiments pin it off so
+	// measured list costs match the paper's cost model.
 	Pruning bool
 }
 
@@ -295,9 +293,6 @@ func (e *Engine) SwapCatalog(cat *views.Catalog) {
 // CatalogVersion returns how many times SwapCatalog has run on this
 // engine — a monotonic component of result-cache tags.
 func (e *Engine) CatalogVersion() uint64 { return e.catVersion.Load() }
-
-// Scorer returns the engine's ranking function.
-func (e *Engine) Scorer() ranking.Scorer { return e.scorer }
 
 // analyzed holds a query after analysis: distinct content terms (in first
 // occurrence order), the full analyzed keyword stream (for tq), and the

@@ -305,7 +305,7 @@ func TestAccessors(t *testing.T) {
 	if e.Index() != ix || e.Catalog() != nil {
 		t.Error("accessors wrong")
 	}
-	if e.Scorer().Name() != "bm25" {
+	if e.scorer.Name() != "bm25" {
 		t.Error("scorer not honored")
 	}
 }

@@ -236,14 +236,12 @@ const scoreCheckMask = 1023
 
 // score ranks the unranked result under the given collection statistics
 // and returns the top k (all results if k ≤ 0), ordered by descending
-// score then ascending DocID. One pooled TF buffer (slice or map,
-// depending on the scorer's capabilities) is reused for the whole
-// result; when the scorer supports the term-indexed fast path the
-// per-document loop performs zero map operations and zero allocations.
-// ctx is polled every scoreCheckMask+1 documents. On deadline expiry the
-// heap forms a valid partial top-k (over the documents scored before the
-// cutoff), returned with the deadline error; a cancellation returns nil
-// results with the error.
+// score then ascending DocID. One pooled TF buffer is reused for the
+// whole result, so the per-document loop performs zero map operations
+// and zero allocations. ctx is polled every scoreCheckMask+1 documents.
+// On deadline expiry the heap forms a valid partial top-k (over the
+// documents scored before the cutoff), returned with the deadline error;
+// a cancellation returns nil results with the error.
 func (e *Engine) score(ctx context.Context, a analyzed, res *postings.Intersection, cs ranking.CollectionStats, k int) ([]Result, error) {
 	qs := ranking.NewQueryStats(a.kwStream)
 	terms := a.kwTerms
@@ -251,42 +249,22 @@ func (e *Engine) score(ctx context.Context, a analyzed, res *postings.Intersecti
 	defer putScratch(s)
 	top := newTopK(k)
 	defer top.release()
+	// a.kwTerms is the distinct keywords in first-occurrence order — the
+	// slot order of qs.TQs — so every slice the scorer reads lines up.
+	cs.IndexTerms(terms)
+	tf := s.tf
 	var err error
-	if indexed, ok := e.scorer.(ranking.IndexedScorer); ok {
-		// a.kwTerms is the distinct keywords in first-occurrence order —
-		// the same order qs.DistinctTerms() iterates — so the slice loop
-		// sums in the map loop's exact floating-point order.
-		cs.IndexTerms(terms)
-		tf := s.tf
-		for i, docID := range res.DocIDs {
-			if i&scoreCheckMask == 0 {
-				if err = ctx.Err(); err != nil {
-					break
-				}
+	for i, docID := range res.DocIDs {
+		if i&scoreCheckMask == 0 {
+			if err = ctx.Err(); err != nil {
+				break
 			}
-			for j := range terms {
-				tf[j] = int64(res.TFs[j][i])
-			}
-			ds := ranking.DocStats{TFs: tf, Len: int64(e.docLens[docID])}
-			top.push(Result{DocID: docID, Score: indexed.ScoreIndexed(qs, ds, cs)})
 		}
-	} else {
-		if s.tfm == nil {
-			s.tfm = make(map[string]int64, len(terms))
+		for j := range terms {
+			tf[j] = int64(res.TFs[j][i])
 		}
-		tf := s.tfm
-		for i, docID := range res.DocIDs {
-			if i&scoreCheckMask == 0 {
-				if err = ctx.Err(); err != nil {
-					break
-				}
-			}
-			for j, w := range terms {
-				tf[w] = int64(res.TFs[j][i])
-			}
-			ds := ranking.DocStats{TF: tf, Len: int64(e.docLens[docID])}
-			top.push(Result{DocID: docID, Score: e.scorer.Score(qs, ds, cs)})
-		}
+		ds := ranking.DocStats{TFs: tf, Len: int64(e.docLens[docID])}
+		top.push(Result{DocID: docID, Score: e.scorer.ScoreIndexed(qs, ds, cs)})
 	}
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return nil, err

@@ -21,13 +21,7 @@ import (
 // query must produce identical rankings and scores through the view plan
 // and the straightforward plan, under every scorer.
 func TestRandomizedPlanEquivalence(t *testing.T) {
-	scorers := []ranking.Scorer{
-		ranking.NewPivotedTFIDF(),
-		ranking.NewBM25(),
-		ranking.NewDirichletLM(),
-		ranking.NewJelinekMercerLM(),
-		ranking.NewCosineTFIDF(),
-	}
+	scorers := ranking.All()
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 31))
 		ix, meshTerms, words := randomCollection(t, rng, 400, 8, 10)

@@ -8,6 +8,7 @@ import (
 
 	"csrank/internal/index"
 	"csrank/internal/query"
+	"csrank/internal/ranking"
 )
 
 var (
@@ -52,7 +53,7 @@ func TestMappedBitIdenticalToHeap(t *testing.T) {
 		"alpha beta | ctx_a",
 	}
 	combo := 0
-	for _, sc := range prunedScorers() {
+	for _, sc := range ranking.All() {
 		for _, pruning := range []bool{false, true} {
 			heap := New(hx, nil, Options{Scorer: sc, Pruning: pruning})
 			mapped := New(mx, nil, Options{Scorer: sc, Pruning: pruning})

@@ -40,16 +40,16 @@ import (
 // Safety argument (bit-identical top-k): τ is only read from a heap
 // holding ≥ k results, so at any moment at least k already-scored
 // documents score ≥ τ, hence the final k-th best score ≥ τ. Skipping
-// requires UpperBound < τ strictly, and Score ≤ UpperBound
-// (ranking.BoundedScorer's contract), so every skipped document scores
+// requires UpperBound < τ strictly, and ScoreIndexed ≤ UpperBound
+// (the ranking.Scorer contract), so every skipped document scores
 // strictly below the final k-th best — it cannot appear in the top k
 // even under the DocID tie-break, which only arbitrates equal scores.
 // Documents that are scored produce exactly the exhaustive path's
 // floats: term frequencies come from the same lists in the same
 // canonical order, and ScoreIndexed runs with the same statistics.
 //
-// The Score ≤ UpperBound contract holds in exact arithmetic, but the two
-// sides are computed by different floating-point expressions (different
+// That contract holds in exact arithmetic, but the two sides are
+// computed by different floating-point expressions (different
 // association, different summation order), so the computed bound can
 // land a few ulps BELOW the computed score. That matters precisely at
 // ties: when a document's score equals τ bit-for-bit (e.g. an identical
@@ -115,18 +115,11 @@ const boundFPMargin = 1e-12
 const memoCap = 256
 
 // prunedEligible reports whether the pruned path can serve this query:
-// pruning on, a real top-k (k > 0), a scorer exposing both the bound
-// and the indexed fast path (all five built-ins), and bound metadata on
-// every keyword list. Any nil or empty list means an empty conjunction,
-// which the exhaustive path already handles in O(1).
+// pruning on, a real top-k (k > 0), and bound metadata on every keyword
+// list. Any nil or empty list means an empty conjunction, which the
+// exhaustive path already handles in O(1).
 func (e *Engine) prunedEligible(kw, preds []*postings.List, k int) bool {
 	if !e.pruning || k <= 0 {
-		return false
-	}
-	if _, ok := e.scorer.(ranking.BoundedScorer); !ok {
-		return false
-	}
-	if _, ok := e.scorer.(ranking.IndexedScorer); !ok {
 		return false
 	}
 	for _, l := range kw {
@@ -144,19 +137,18 @@ func (e *Engine) prunedEligible(kw, preds []*postings.List, k int) bool {
 
 // prunedQuery is the pruned walk's per-query immutable state.
 type prunedQuery struct {
-	qs      ranking.QueryStats
-	cs      ranking.CollectionStats
-	bounded ranking.BoundedScorer
-	indexed ranking.IndexedScorer
+	qs     ranking.QueryStats
+	cs     ranking.CollectionStats
+	scorer ranking.Scorer
 	// all holds the keyword lists (first nk entries, aligned with
 	// a.kwTerms so cursor TFs fill the canonical tf slice) followed by
 	// the predicate lists.
 	all []*postings.List
 	nk  int
-	// termQ/termC are single-term projections of qs/cs: UpperBound over
-	// termQ[i] yields keyword i's summand ceiling, and the full bound is
-	// the sum of the per-term ceilings (every built-in formula is such a
-	// sum).
+	// termQ/termC are single-slot projections of qs/cs, sharing their
+	// storage: UpperBound over termQ[i] yields keyword i's summand
+	// ceiling, and the full bound is the sum of the per-term ceilings
+	// (the ranking.Scorer contract).
 	termQ []ranking.QueryStats
 	termC []ranking.CollectionStats
 	// order lists keyword indices by descending list-level ceiling —
@@ -170,15 +162,15 @@ type prunedQuery struct {
 	k         int
 }
 
-// termUpperBound evaluates one keyword's summand ceiling, routing
-// through the int32 BoundedScorer surface. A term frequency beyond
-// int32 cannot be represented there, so it disables pruning for the
-// container (+Inf) rather than risk an under-estimate.
-func termUpperBound(b ranking.BoundedScorer, q ranking.QueryStats, maxTF uint32, minLen int32, c ranking.CollectionStats) float64 {
+// termUpperBound evaluates keyword i's summand ceiling, routing through
+// the int32 UpperBound surface. A term frequency beyond int32 cannot be
+// represented there, so it disables pruning for the container (+Inf)
+// rather than risk an under-estimate.
+func (pq *prunedQuery) termUpperBound(i int, maxTF uint32, minLen int32) float64 {
 	if maxTF > math.MaxInt32 {
 		return math.Inf(1)
 	}
-	return b.UpperBound(q, int32(maxTF), minLen, c)
+	return pq.scorer.UpperBound(pq.termQ[i], int32(maxTF), minLen, pq.termC[i])
 }
 
 // newPrunedQuery assembles the pruned-query state. Caller has
@@ -186,16 +178,15 @@ func termUpperBound(b ranking.BoundedScorer, q ranking.QueryStats, maxTF uint32,
 func (e *Engine) newPrunedQuery(a analyzed, kw, preds []*postings.List, cs ranking.CollectionStats, k int) *prunedQuery {
 	nk := len(kw)
 	pq := &prunedQuery{
-		qs:      ranking.NewQueryStats(a.kwStream),
-		cs:      cs,
-		bounded: e.scorer.(ranking.BoundedScorer),
-		indexed: e.scorer.(ranking.IndexedScorer),
-		all:     make([]*postings.List, 0, nk+len(preds)),
-		nk:      nk,
-		termQ:   make([]ranking.QueryStats, nk),
-		termC:   make([]ranking.CollectionStats, nk),
-		order:   make([]int, nk),
-		k:       k,
+		qs:     ranking.NewQueryStats(a.kwStream),
+		cs:     cs,
+		scorer: e.scorer,
+		all:    make([]*postings.List, 0, nk+len(preds)),
+		nk:     nk,
+		termQ:  make([]ranking.QueryStats, nk),
+		termC:  make([]ranking.CollectionStats, nk),
+		order:  make([]int, nk),
+		k:      k,
 	}
 	pq.all = append(pq.all, kw...)
 	pq.all = append(pq.all, preds...)
@@ -203,19 +194,11 @@ func (e *Engine) newPrunedQuery(a analyzed, kw, preds []*postings.List, cs ranki
 	// summation order ScoreIndexed uses.
 	pq.cs.IndexTerms(a.kwTerms)
 	listUB := make([]float64, nk)
-	for i, w := range a.kwTerms {
-		rep := make([]string, pq.qs.TQ[w])
-		for j := range rep {
-			rep[j] = w
-		}
-		pq.termQ[i] = ranking.NewQueryStats(rep)
-		pq.termC[i] = ranking.CollectionStats{
-			N:        cs.N,
-			TotalLen: cs.TotalLen,
-			DF:       map[string]int64{w: cs.DF[w]},
-			TC:       map[string]int64{w: cs.TC[w]},
-		}
-		listUB[i] = termUpperBound(pq.bounded, pq.termQ[i], kw[i].MaxTF(), kw[i].MinDocLen(), pq.termC[i])
+	for i := range kw {
+		pq.termQ[i] = ranking.QueryStats{TQs: pq.qs.TQs[i : i+1]}
+		pq.termC[i] = ranking.CollectionStats{N: cs.N, TotalLen: cs.TotalLen,
+			Terms: pq.cs.Terms[i : i+1], DFs: pq.cs.DFs[i : i+1], TCs: pq.cs.TCs[i : i+1]}
+		listUB[i] = pq.termUpperBound(i, kw[i].MaxTF(), kw[i].MinDocLen())
 		pq.order[i] = i
 	}
 	sort.SliceStable(pq.order, func(x, y int) bool {
@@ -290,7 +273,7 @@ func (w *prunedWorker) enterContainer() {
 	}
 	for i := 0; i < pq.nk; i++ {
 		b, _ := w.curs[i].ContainerBound()
-		w.cUB[i] = termUpperBound(pq.bounded, pq.termQ[i], b.MaxTF, w.eff, pq.termC[i])
+		w.cUB[i] = pq.termUpperBound(i, b.MaxTF, w.eff)
 	}
 	w.suffix[pq.nk] = 0
 	w.suffixAbs[pq.nk] = 0
@@ -313,7 +296,7 @@ func (w *prunedWorker) enterContainer() {
 				n = memoCap
 			}
 			for tf := uint32(0); tf <= n; tf++ {
-				tb := termUpperBound(pq.bounded, pq.termQ[pq.driver], tf, w.eff, pq.termC[pq.driver])
+				tb := pq.termUpperBound(pq.driver, tf, w.eff)
 				staged = append(staged, tb+w.othersUB+boundFPMargin*(math.Abs(tb)+w.othersAbs))
 			}
 		}
@@ -343,7 +326,7 @@ func (w *prunedWorker) rebuildMask(tau float64) {
 // frequency in the current container, memoized per (container, tf).
 func (w *prunedWorker) termBound(i int, tf uint32) float64 {
 	if tf > memoCap {
-		return termUpperBound(w.pq.bounded, w.pq.termQ[i], tf, w.eff, w.pq.termC[i])
+		return w.pq.termUpperBound(i, tf, w.eff)
 	}
 	m := w.memo[i]
 	for len(m) <= int(tf) {
@@ -353,7 +336,7 @@ func (w *prunedWorker) termBound(i int, tf uint32) float64 {
 		w.memo[i] = m
 		return v
 	}
-	v := termUpperBound(w.pq.bounded, w.pq.termQ[i], tf, w.eff, w.pq.termC[i])
+	v := w.pq.termUpperBound(i, tf, w.eff)
 	m[tf] = v
 	w.memo[i] = m
 	return v
@@ -521,7 +504,7 @@ func (w *prunedWorker) run(ctx context.Context) error {
 				tf[i] = int64(w.curs[i].TF())
 			}
 			ds := ranking.DocStats{TFs: tf, Len: int64(w.e.docLens[d])}
-			w.top.push(Result{DocID: d, Score: pq.indexed.ScoreIndexed(pq.qs, ds, pq.cs)})
+			w.top.push(Result{DocID: d, Score: pq.scorer.ScoreIndexed(pq.qs, ds, pq.cs)})
 			if w.top.full() {
 				tau = w.top.floor()
 				haveTau = true

@@ -112,16 +112,6 @@ func buildPrunedSystem(t testing.TB) (*index.Index, *views.Catalog) {
 	return prunedIx, prunedCat
 }
 
-func prunedScorers() []ranking.Scorer {
-	return []ranking.Scorer{
-		ranking.NewPivotedTFIDF(),
-		ranking.NewBM25(),
-		ranking.NewDirichletLM(),
-		ranking.NewCosineTFIDF(),
-		ranking.NewJelinekMercerLM(),
-	}
-}
-
 // TestPrunedBitIdenticalToExhaustive is the safety contract: with pruning
 // on, Search must return exactly the exhaustive top-k — same DocIDs, same
 // order, bit-for-bit equal scores — for every scorer and every k,
@@ -140,7 +130,7 @@ func TestPrunedBitIdenticalToExhaustive(t *testing.T) {
 	}
 	ks := []int{1, 10, 100}
 	combo := 0
-	for _, sc := range prunedScorers() {
+	for _, sc := range ranking.All() {
 		exh := New(ix, nil, Options{Scorer: sc})
 		prn := New(ix, nil, Options{Scorer: sc, Pruning: true})
 		for _, qs := range queries {
@@ -247,40 +237,6 @@ func TestPrunedDeadlineDegrades(t *testing.T) {
 	if len(res) != 0 {
 		t.Fatalf("got %d results before any evaluation, want 0", len(res))
 	}
-}
-
-// unboundedScorer wraps BM25 but hides UpperBound, modeling a
-// user-supplied Scorer with no bound derivation.
-type unboundedScorer struct{ inner ranking.Scorer }
-
-func (u unboundedScorer) Name() string { return "unbounded-" + u.inner.Name() }
-func (u unboundedScorer) Score(q ranking.QueryStats, d ranking.DocStats, c ranking.CollectionStats) float64 {
-	return u.inner.Score(q, d, c)
-}
-
-// TestPrunedFallsBackForUnboundedScorer: Options.Pruning with a scorer
-// that cannot bound itself must silently fall back to exhaustive scoring
-// and still return the exact ranking.
-func TestPrunedFallsBackForUnboundedScorer(t *testing.T) {
-	ix, _ := buildPrunedSystem(t)
-	base := New(ix, nil, Options{Scorer: ranking.NewBM25()})
-	e := New(ix, nil, Options{Scorer: unboundedScorer{ranking.NewBM25()}, Pruning: true})
-	q := query.MustParse("alpha | ctx_a")
-	want, _, err := base.SearchCtx(context.Background(), q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := e.SearchCtx(context.Background(), q, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Pruning.Active {
-		t.Fatal("pruning reported active for a scorer with no UpperBound")
-	}
-	if st.Pruning.ContainersSkipped != 0 || st.Pruning.DocsSkipped != 0 {
-		t.Fatalf("fallback path recorded pruning work: %+v", st.Pruning)
-	}
-	assertBitIdentical(t, "unbounded fallback", want, got)
 }
 
 // TestPrunedZeroAndAllK: k ≤ 0 (return everything) can prune nothing and

@@ -125,9 +125,7 @@ func (e *Engine) globalStats(a analyzed) ranking.CollectionStats {
 // count over disjoint document sets — |D|, len(D), df(w, D), tc(w, D)
 // are all additive under disjoint union — so the result is exactly (not
 // approximately) the statistics a single engine holding all documents
-// would compute, regardless of summation order. UniqueTerms is not
-// additive (shard dictionaries overlap) and is left zero, matching the
-// single-engine query paths, which never populate it either.
+// would compute, regardless of summation order.
 func MergeCollectionStats(parts ...ranking.CollectionStats) ranking.CollectionStats {
 	m := ranking.CollectionStats{
 		DF: make(map[string]int64),

@@ -31,15 +31,8 @@ type ScorerComparison struct {
 
 // RunScorerComparison evaluates the benchmark under each ranking model.
 func RunScorerComparison(s *Setup) (ScorerComparison, error) {
-	scorers := []ranking.Scorer{
-		ranking.NewPivotedTFIDF(),
-		ranking.NewBM25(),
-		ranking.NewDirichletLM(),
-		ranking.NewJelinekMercerLM(),
-		ranking.NewCosineTFIDF(),
-	}
 	var out ScorerComparison
-	for _, sc := range scorers {
+	for _, sc := range ranking.All() {
 		eng := core.New(s.Index, s.Catalog, core.Options{Scorer: sc})
 		var conv, ctx []trec.TopicResult
 		wins := 0

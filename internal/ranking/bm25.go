@@ -20,34 +20,9 @@ func NewBM25() *BM25 { return &BM25{K1: 1.2, B: 0.75} }
 // Name implements Scorer.
 func (m *BM25) Name() string { return "bm25" }
 
-// Score implements Scorer using the non-negative "plus-one" idf variant
-// ln(1 + (N - df + 0.5)/(df + 0.5)), which is robust when df > N/2 — a
-// situation that genuinely occurs inside narrow contexts.
-func (m *BM25) Score(q QueryStats, d DocStats, c CollectionStats) float64 {
-	avgdl := c.AvgDocLen()
-	if avgdl <= 0 {
-		return 0
-	}
-	var score float64
-	for _, w := range q.DistinctTerms() {
-		tq := q.TQ[w]
-		tf := float64(d.TF[w])
-		if tf <= 0 {
-			continue
-		}
-		df := float64(c.DF[w])
-		if df < 1 {
-			df = 1
-		}
-		idf := math.Log(1 + (float64(c.N)-df+0.5)/(df+0.5))
-		denom := tf + m.K1*(1-m.B+m.B*float64(d.Len)/avgdl)
-		score += idf * (tf * (m.K1 + 1) / denom) * float64(tq)
-	}
-	return score
-}
-
-// ScoreIndexed implements IndexedScorer: the same formula over the
-// term-indexed slices, map-free and allocation-free.
+// ScoreIndexed implements Scorer using the non-negative "plus-one" idf
+// variant ln(1 + (N - df + 0.5)/(df + 0.5)), which is robust when
+// df > N/2 — a situation that genuinely occurs inside narrow contexts.
 func (m *BM25) ScoreIndexed(q QueryStats, d DocStats, c CollectionStats) float64 {
 	avgdl := c.AvgDocLen()
 	if avgdl <= 0 {

@@ -9,36 +9,24 @@ import "math"
 // — therefore bounds the score of every document the container can hold.
 // The pruned scoring loop compares these bounds against the current
 // top-k threshold and skips documents (or whole containers) that
-// provably cannot rank.
+// provably cannot rank. It also bounds keywords one at a time, through
+// single-slot projections of q and c, so UpperBound must be exactly the
+// sum of its per-keyword ceilings.
 //
 // Context-sensitivity caveat: the bound is a function of the same
-// CollectionStats c the scorer ranks with. Under context-sensitive
-// evaluation c is S_c(D_P) — df/tc/N/len over the context, not the
-// collection — so upper bounds are only resolvable AFTER the context
-// statistics phase (Engine.contextStats) returns. The pruned path must
-// therefore sequence statistics strictly before scoring; the exhaustive
-// path's stats/result-set phase overlap does not apply.
+// CollectionStats c the scorer ranks with — S_c(D_P) under
+// context-sensitive evaluation — so bounds are only resolvable after the
+// context statistics phase returns, and the pruned path sequences
+// statistics strictly before scoring.
 //
 // Bounds may be loose (a valid bound is allowed to exceed the true
 // maximum) but must never under-estimate: pruning safety — bit-identical
-// top-k — depends only on Score ≤ UpperBound. Implementations return
-// +Inf for parameterizations outside their derivation's assumptions
-// (e.g. a non-positive smoothing constant), which simply disables
-// pruning for that query instead of corrupting it.
+// top-k — depends only on ScoreIndexed ≤ UpperBound. Implementations
+// return +Inf for parameterizations outside their derivation's
+// assumptions (e.g. a non-positive smoothing constant), which simply
+// disables pruning for that query instead of corrupting it.
 
-// BoundedScorer is an optional Scorer extension for dynamic pruning:
-// UpperBound returns a value ≥ Score(q, d, c) for every document d with
-// tf(w, d) ≤ maxTF (each keyword w) and len(d) ≥ minLen. All five
-// built-in scorers implement it.
-type BoundedScorer interface {
-	Scorer
-	// UpperBound bounds the score of any document whose per-keyword term
-	// frequencies are at most maxTF and whose length is at least minLen,
-	// under collection statistics c.
-	UpperBound(q QueryStats, maxTF int32, minLen int32, c CollectionStats) float64
-}
-
-// UpperBound implements BoundedScorer. Per term the Formula 3 summand
+// UpperBound implements Scorer. Per term the Formula 3 summand
 // tfPart(tf)/norm(len)·tq·idf is maximized at (maxTF, minLen); negative
 // idf (df ≥ |D|+1, possible with drifted statistics) clamps the term's
 // bound to 0 because a document may omit the term entirely.
@@ -58,28 +46,25 @@ func (p *PivotedTFIDF) UpperBound(q QueryStats, maxTF int32, minLen int32, c Col
 	}
 	tfPart := (1 + math.Log(1+math.Log(float64(maxTF)))) / norm
 	var bound float64
-	for _, w := range q.DistinctTerms() {
-		df := c.DF[w]
+	for i := range c.Terms {
+		df := c.DFs[i]
 		if df < 1 {
 			df = 1
 		}
-		if t := tfPart * float64(q.TQ[w]) * math.Log((float64(c.N)+1)/float64(df)); t > 0 {
+		if t := tfPart * float64(q.TQs[i]) * math.Log((float64(c.N)+1)/float64(df)); t > 0 {
 			bound += t
 		}
 	}
 	return bound
 }
 
-// UpperBound implements BoundedScorer. The BM25 summand
+// UpperBound implements Scorer. The BM25 summand
 // idf·tf(k1+1)/(tf+K(len))·tq is increasing in tf and decreasing in len
 // (K grows with len when b ≥ 0), so it is maximized at (maxTF, minLen);
 // a negative idf (df > |D|) clamps to 0.
 func (m *BM25) UpperBound(q QueryStats, maxTF int32, minLen int32, c CollectionStats) float64 {
 	avgdl := c.AvgDocLen()
-	if avgdl <= 0 {
-		return 0
-	}
-	if maxTF < 1 {
+	if avgdl <= 0 || maxTF < 1 {
 		return 0
 	}
 	if m.K1 < 0 || m.B < 0 || m.B > 1 {
@@ -92,20 +77,20 @@ func (m *BM25) UpperBound(q QueryStats, maxTF int32, minLen int32, c CollectionS
 	}
 	tfPart := tf * (m.K1 + 1) / (tf + k)
 	var bound float64
-	for _, w := range q.DistinctTerms() {
-		df := float64(c.DF[w])
+	for i := range c.Terms {
+		df := float64(c.DFs[i])
 		if df < 1 {
 			df = 1
 		}
 		idf := math.Log(1 + (float64(c.N)-df+0.5)/(df+0.5))
-		if t := idf * tfPart * float64(q.TQ[w]); t > 0 {
+		if t := idf * tfPart * float64(q.TQs[i]); t > 0 {
 			bound += t
 		}
 	}
 	return bound
 }
 
-// UpperBound implements BoundedScorer. The Dirichlet summand
+// UpperBound implements Scorer. The Dirichlet summand
 // tq·ln((tf+μp)/((len+μ)p)) is increasing in tf and decreasing in len,
 // so its maximum over the container is at (maxTF, minLen). Note the
 // summand — and hence the bound — can be negative: a short document's
@@ -125,26 +110,23 @@ func (m *DirichletLM) UpperBound(q QueryStats, maxTF int32, minLen int32, c Coll
 	}
 	den := float64(minLen) + m.Mu
 	var bound float64
-	for _, w := range q.DistinctTerms() {
-		tc := float64(c.TC[w])
+	for i := range c.Terms {
+		tc := float64(c.TCs[i])
 		if tc <= 0 {
 			tc = 0.5
 		}
 		pwc := tc / float64(c.TotalLen)
-		bound += float64(q.TQ[w]) * math.Log((tf+m.Mu*pwc)/(den*pwc))
+		bound += float64(q.TQs[i]) * math.Log((tf+m.Mu*pwc)/(den*pwc))
 	}
 	return bound
 }
 
-// UpperBound implements BoundedScorer. The cosine summand
+// UpperBound implements Scorer. The cosine summand
 // (1+ln tf)·idf·tq/√len is maximized at (maxTF, max(minLen, 1)) — a
 // contributing document has integer length ≥ 1 regardless of minLen —
 // and a negative idf (df > e·|D|) clamps to 0.
 func (c *CosineTFIDF) UpperBound(q QueryStats, maxTF int32, minLen int32, cs CollectionStats) float64 {
-	if cs.N <= 0 {
-		return 0
-	}
-	if maxTF < 1 {
+	if cs.N <= 0 || maxTF < 1 {
 		return 0
 	}
 	effLen := float64(minLen)
@@ -153,20 +135,20 @@ func (c *CosineTFIDF) UpperBound(q QueryStats, maxTF int32, minLen int32, cs Col
 	}
 	tfPart := (1 + math.Log(float64(maxTF))) / math.Sqrt(effLen)
 	var bound float64
-	for _, w := range q.DistinctTerms() {
-		df := float64(cs.DF[w])
+	for i := range cs.Terms {
+		df := float64(cs.DFs[i])
 		if df < 1 {
 			df = 1
 		}
 		idf := math.Log(float64(cs.N)/df) + 1
-		if t := tfPart * idf * float64(q.TQ[w]); t > 0 {
+		if t := tfPart * idf * float64(q.TQs[i]); t > 0 {
 			bound += t
 		}
 	}
 	return bound
 }
 
-// UpperBound implements BoundedScorer. The Jelinek-Mercer summand
+// UpperBound implements Scorer. The Jelinek-Mercer summand
 // tq·ln(1 + (1-λ)·tf/(len·λ·p)) is increasing in tf, decreasing in len,
 // and always ≥ 0, so the bound evaluates it at (maxTF, max(minLen, 1)).
 func (m *JelinekMercerLM) UpperBound(q QueryStats, maxTF int32, minLen int32, c CollectionStats) float64 {
@@ -185,13 +167,13 @@ func (m *JelinekMercerLM) UpperBound(q QueryStats, maxTF int32, minLen int32, c 
 	}
 	tf := float64(maxTF)
 	var bound float64
-	for _, w := range q.DistinctTerms() {
-		tc := float64(c.TC[w])
+	for i := range c.Terms {
+		tc := float64(c.TCs[i])
 		if tc <= 0 {
 			tc = 0.5
 		}
 		pwc := tc / float64(c.TotalLen)
-		bound += float64(q.TQ[w]) * math.Log(1+(1-m.Lambda)*tf/(effLen*m.Lambda*pwc))
+		bound += float64(q.TQs[i]) * math.Log(1+(1-m.Lambda)*tf/(effLen*m.Lambda*pwc))
 	}
 	return bound
 }

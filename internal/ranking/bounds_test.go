@@ -7,11 +7,10 @@ import (
 	"testing"
 )
 
-// boundedScorers enumerates every built-in scorer through the
-// BoundedScorer surface, with both default and randomized in-derivation
-// parameters.
-func boundedScorers(rng *rand.Rand) []BoundedScorer {
-	return []BoundedScorer{
+// boundedScorers enumerates every built-in scorer, with both default and
+// randomized in-derivation parameters.
+func boundedScorers(rng *rand.Rand) []Scorer {
+	return []Scorer{
 		NewPivotedTFIDF(),
 		&PivotedTFIDF{S: rng.Float64()},
 		NewBM25(),
@@ -27,7 +26,8 @@ func boundedScorers(rng *rand.Rand) []BoundedScorer {
 // randomContextStats generates collection statistics as they appear in
 // practice — including context-sensitive S_c(D_P) regimes where N is
 // tiny and df/tc may exceed or undercut their whole-collection
-// relationships (statistics drift across snapshots is tolerated).
+// relationships (statistics drift across snapshots is tolerated) — laid
+// out in the slots of terms.
 func randomContextStats(rng *rand.Rand, terms []string) CollectionStats {
 	n := int64(1 + rng.Intn(100000))
 	if rng.Intn(3) == 0 {
@@ -44,29 +44,39 @@ func randomContextStats(rng *rand.Rand, terms []string) CollectionStats {
 		cs.DF[w] = df
 		cs.TC[w] = df * int64(rng.Intn(5))
 	}
+	cs.IndexTerms(terms)
 	return cs
+}
+
+// randomQuery returns 1–4 distinct keywords, each repeated 1–3 times in
+// the query, and the query's statistics.
+func randomQuery(rng *rand.Rand) ([]string, QueryStats) {
+	terms := make([]string, 1+rng.Intn(4))
+	var stream []string
+	for i := range terms {
+		terms[i] = fmt.Sprintf("w%d", i)
+		for r := 0; r < 1+rng.Intn(3); r++ {
+			stream = append(stream, terms[i])
+		}
+	}
+	return terms, NewQueryStats(stream)
+}
+
+// project returns the single-slot projections of q and c the pruned walk
+// (internal/core) bounds keyword i with: slot i alone, sharing storage.
+func project(q QueryStats, c CollectionStats, i int) (QueryStats, CollectionStats) {
+	return QueryStats{TQs: q.TQs[i : i+1]}, CollectionStats{N: c.N, TotalLen: c.TotalLen,
+		Terms: c.Terms[i : i+1], DFs: c.DFs[i : i+1], TCs: c.TCs[i : i+1]}
 }
 
 // TestScoreNeverExceedsUpperBound is the pruning-safety property: for
 // every scorer, any document with per-term tf ≤ maxTF and len ≥ minLen
-// must score at or below UpperBound(maxTF, minLen). Both the map path
-// (Score) and the slice path (ScoreIndexed) are checked — the pruned
-// loop scores through ScoreIndexed.
+// must score at or below UpperBound(maxTF, minLen).
 func TestScoreNeverExceedsUpperBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 400; trial++ {
-		nTerms := 1 + rng.Intn(4)
-		var stream []string
-		terms := make([]string, nTerms)
-		for i := range terms {
-			terms[i] = fmt.Sprintf("w%d", i)
-			for r := 0; r < 1+rng.Intn(3); r++ {
-				stream = append(stream, terms[i])
-			}
-		}
-		qs := NewQueryStats(stream)
+		terms, qs := randomQuery(rng)
 		cs := randomContextStats(rng, terms)
-		cs.IndexTerms(terms)
 		maxTF := int32(rng.Intn(60)) // 0 is legal: a container of tf-0 ghosts cannot exist, but the bound must still hold
 		minLen := int32(1 + rng.Intn(400))
 
@@ -75,33 +85,71 @@ func TestScoreNeverExceedsUpperBound(t *testing.T) {
 			if math.IsNaN(ub) {
 				t.Fatalf("trial %d %s: UpperBound is NaN", trial, sc.Name())
 			}
-			indexed := sc.(IndexedScorer)
 			for doc := 0; doc < 25; doc++ {
 				ln := int64(minLen) + int64(rng.Intn(500))
-				if ln < 1 {
-					ln = 1
+				tfs := make([]int64, len(terms))
+				for i := range tfs {
+					tfs[i] = int64(rng.Intn(int(maxTF) + 1))
 				}
-				tfm := make(map[string]int64, nTerms)
-				tfs := make([]int64, nTerms)
-				for i, w := range terms {
-					v := int64(rng.Intn(int(maxTF) + 1))
-					tfm[w] = v
-					tfs[i] = v
-				}
-				score := sc.Score(qs, DocStats{TF: tfm, Len: ln}, cs)
-				scoreIx := indexed.ScoreIndexed(qs, DocStats{TFs: tfs, Len: ln}, cs)
-				tol := 1e-9 * math.Max(1, math.Abs(ub))
-				if score > ub+tol {
-					t.Fatalf("trial %d %s: Score %v > UpperBound %v (maxTF=%d minLen=%d len=%d tf=%v)",
-						trial, sc.Name(), score, ub, maxTF, minLen, ln, tfs)
-				}
-				if scoreIx > ub+tol {
+				score := sc.ScoreIndexed(qs, DocStats{TFs: tfs, Len: ln}, cs)
+				if tol := 1e-9 * math.Max(1, math.Abs(ub)); score > ub+tol {
 					t.Fatalf("trial %d %s: ScoreIndexed %v > UpperBound %v (maxTF=%d minLen=%d len=%d tf=%v)",
-						trial, sc.Name(), scoreIx, ub, maxTF, minLen, ln, tfs)
+						trial, sc.Name(), score, ub, maxTF, minLen, ln, tfs)
 				}
 			}
 		}
 	}
+}
+
+// TestTermBoundsSumToUpperBound pins the decomposition the pruned walk's
+// container and suffix bounds rely on: summed over the single-slot
+// projections, the per-keyword ceilings equal the full bound.
+func TestTermBoundsSumToUpperBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 400; trial++ {
+		terms, qs := randomQuery(rng)
+		cs := randomContextStats(rng, terms)
+		maxTF := int32(rng.Intn(60))
+		minLen := int32(1 + rng.Intn(400))
+		for _, sc := range boundedScorers(rng) {
+			full := sc.UpperBound(qs, maxTF, minLen, cs)
+			var sum, mag float64
+			for i := range terms {
+				tq, tc := project(qs, cs, i)
+				ub := sc.UpperBound(tq, maxTF, minLen, tc)
+				sum += ub
+				mag += math.Abs(ub)
+			}
+			if math.Abs(sum-full) > 1e-12*mag {
+				t.Fatalf("trial %d %s: Σ term bounds %v ≠ UpperBound %v (maxTF=%d minLen=%d)",
+					trial, sc.Name(), sum, full, maxTF, minLen)
+			}
+		}
+	}
+}
+
+// TestScoringDoesNotAllocate: scoring a document and bounding one
+// keyword — the two calls the engine makes per document — allocate
+// nothing for any built-in scorer.
+func TestScoringDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	terms, qs := randomQuery(rng)
+	cs := randomContextStats(rng, terms)
+	ds := DocStats{TFs: make([]int64, len(terms)), Len: 50}
+	for i := range ds.TFs {
+		ds.TFs[i] = int64(1 + i)
+	}
+	tq, tc := project(qs, cs, len(terms)-1)
+	var sink float64
+	for _, sc := range All() {
+		if n := testing.AllocsPerRun(100, func() { sink += sc.ScoreIndexed(qs, ds, cs) }); n != 0 {
+			t.Errorf("%s: ScoreIndexed allocates %v times per call", sc.Name(), n)
+		}
+		if n := testing.AllocsPerRun(100, func() { sink += sc.UpperBound(tq, 5, 40, tc) }); n != 0 {
+			t.Errorf("%s: projected UpperBound allocates %v times per call", sc.Name(), n)
+		}
+	}
+	_ = sink
 }
 
 // TestUpperBoundTightAtCeiling sanity-checks the bound is not vacuous:
@@ -109,16 +157,15 @@ func TestScoreNeverExceedsUpperBound(t *testing.T) {
 // scores exactly the bound for the clamping-free scorers.
 func TestUpperBoundTightAtCeiling(t *testing.T) {
 	qs := NewQueryStats([]string{"a", "b"})
-	cs := CollectionStats{
+	cs := indexed(qs, CollectionStats{
 		N: 1000, TotalLen: 200000,
 		DF: map[string]int64{"a": 10, "b": 50},
 		TC: map[string]int64{"a": 30, "b": 200},
-	}
-	cs.IndexTerms([]string{"a", "b"})
+	})
 	const maxTF, minLen = 7, 40
-	for _, sc := range []BoundedScorer{NewPivotedTFIDF(), NewBM25(), NewDirichletLM(), NewCosineTFIDF(), NewJelinekMercerLM()} {
+	for _, sc := range All() {
 		ub := sc.UpperBound(qs, maxTF, minLen, cs)
-		score := sc.Score(qs, DocStats{TF: map[string]int64{"a": maxTF, "b": maxTF}, Len: minLen}, cs)
+		score := sc.ScoreIndexed(qs, DocStats{TFs: []int64{maxTF, maxTF}, Len: minLen}, cs)
 		if math.Abs(ub-score) > 1e-9*math.Max(1, math.Abs(ub)) {
 			t.Fatalf("%s: ceiling doc scores %v, bound %v — bound should be tight here", sc.Name(), score, ub)
 		}
@@ -130,10 +177,10 @@ func TestUpperBoundTightAtCeiling(t *testing.T) {
 // under-estimate.
 func TestUpperBoundOutOfDerivationIsInf(t *testing.T) {
 	qs := NewQueryStats([]string{"a"})
-	cs := CollectionStats{N: 100, TotalLen: 10000, DF: map[string]int64{"a": 5}, TC: map[string]int64{"a": 9}}
+	cs := indexed(qs, CollectionStats{N: 100, TotalLen: 10000, DF: map[string]int64{"a": 5}, TC: map[string]int64{"a": 9}})
 	cases := []struct {
 		name string
-		sc   BoundedScorer
+		sc   Scorer
 	}{
 		{"pivoted s>1 shrinking norm", &PivotedTFIDF{S: 4}},
 		{"bm25 negative k1", &BM25{K1: -1, B: 0.5}},
@@ -158,13 +205,13 @@ func TestUpperBoundOutOfDerivationIsInf(t *testing.T) {
 // below zero), and pruning must compare against it as-is.
 func TestDirichletBoundMayBeNegative(t *testing.T) {
 	qs := NewQueryStats([]string{"rare"})
-	cs := CollectionStats{N: 50, TotalLen: 100000, DF: map[string]int64{"rare": 1}, TC: map[string]int64{"rare": 1}}
+	cs := indexed(qs, CollectionStats{N: 50, TotalLen: 100000, DF: map[string]int64{"rare": 1}, TC: map[string]int64{"rare": 1}})
 	sc := NewDirichletLM()
 	ub := sc.UpperBound(qs, 0, 5000, cs) // container where the term never exceeds tf 0
 	if ub >= 0 {
 		t.Fatalf("expected a negative Dirichlet bound, got %v", ub)
 	}
-	score := sc.Score(qs, DocStats{TF: map[string]int64{"rare": 0}, Len: 6000}, cs)
+	score := sc.ScoreIndexed(qs, DocStats{TFs: []int64{0}, Len: 6000}, cs)
 	if score > ub+1e-12 {
 		t.Fatalf("score %v exceeds negative bound %v", score, ub)
 	}

@@ -20,8 +20,8 @@ func NewDirichletLM() *DirichletLM { return &DirichletLM{Mu: 2000} }
 // Name implements Scorer.
 func (m *DirichletLM) Name() string { return "dirichlet-lm" }
 
-// Score implements Scorer. The score is the (rank-equivalent, shifted)
-// query log-likelihood
+// ScoreIndexed implements Scorer. The score is the (rank-equivalent,
+// shifted) query log-likelihood
 //
 //	Σ_w tq(w) · ln( (tf(w,d) + μ·p(w|C)) / (len(d) + μ) / p(w|C) )
 //
@@ -29,31 +29,6 @@ func (m *DirichletLM) Name() string { return "dirichlet-lm" }
 // scores comparable across documents without changing the ranking and
 // keeps absent-term contributions at exactly zero. Terms unseen in the
 // collection are smoothed with a half-count so the model stays finite.
-func (m *DirichletLM) Score(q QueryStats, d DocStats, c CollectionStats) float64 {
-	if c.TotalLen <= 0 {
-		return 0
-	}
-	var score float64
-	for _, w := range q.DistinctTerms() {
-		tq := q.TQ[w]
-		tf := float64(d.TF[w])
-		tc := float64(c.TC[w])
-		if tc <= 0 {
-			tc = 0.5
-		}
-		pwc := tc / float64(c.TotalLen)
-		num := tf + m.Mu*pwc
-		den := float64(d.Len) + m.Mu
-		if num <= 0 || den <= 0 {
-			continue
-		}
-		score += float64(tq) * math.Log(num/den/pwc)
-	}
-	return score
-}
-
-// ScoreIndexed implements IndexedScorer: the same smoothed likelihood
-// over the term-indexed slices, map-free and allocation-free.
 func (m *DirichletLM) ScoreIndexed(q QueryStats, d DocStats, c CollectionStats) float64 {
 	if c.TotalLen <= 0 {
 		return 0

@@ -20,30 +20,7 @@ func NewCosineTFIDF() *CosineTFIDF { return &CosineTFIDF{} }
 // Name implements Scorer.
 func (c *CosineTFIDF) Name() string { return "cosine-tfidf" }
 
-// Score implements Scorer.
-func (c *CosineTFIDF) Score(q QueryStats, d DocStats, cs CollectionStats) float64 {
-	if d.Len <= 0 || cs.N <= 0 {
-		return 0
-	}
-	norm := math.Sqrt(float64(d.Len))
-	var score float64
-	for _, w := range q.DistinctTerms() {
-		tq := q.TQ[w]
-		tf := float64(d.TF[w])
-		if tf <= 0 {
-			continue
-		}
-		df := float64(cs.DF[w])
-		if df < 1 {
-			df = 1
-		}
-		idf := math.Log(float64(cs.N)/df) + 1
-		score += (1 + math.Log(tf)) * idf * float64(tq) / norm
-	}
-	return score
-}
-
-// ScoreIndexed implements IndexedScorer over the term-indexed slices.
+// ScoreIndexed implements Scorer.
 func (c *CosineTFIDF) ScoreIndexed(q QueryStats, d DocStats, cs CollectionStats) float64 {
 	if d.Len <= 0 || cs.N <= 0 {
 		return 0
@@ -79,31 +56,8 @@ func NewJelinekMercerLM() *JelinekMercerLM { return &JelinekMercerLM{Lambda: 0.3
 // Name implements Scorer.
 func (m *JelinekMercerLM) Name() string { return "jelinek-mercer-lm" }
 
-// Score implements Scorer; like DirichletLM it is shifted by the
+// ScoreIndexed implements Scorer; like DirichletLM it is shifted by the
 // collection model so absent terms contribute exactly zero.
-func (m *JelinekMercerLM) Score(q QueryStats, d DocStats, c CollectionStats) float64 {
-	if c.TotalLen <= 0 || d.Len <= 0 {
-		return 0
-	}
-	var score float64
-	for _, w := range q.DistinctTerms() {
-		tq := q.TQ[w]
-		tf := float64(d.TF[w])
-		if tf <= 0 {
-			continue
-		}
-		tc := float64(c.TC[w])
-		if tc <= 0 {
-			tc = 0.5
-		}
-		pwc := tc / float64(c.TotalLen)
-		pwd := (1-m.Lambda)*tf/float64(d.Len) + m.Lambda*pwc
-		score += float64(tq) * math.Log(pwd/(m.Lambda*pwc))
-	}
-	return score
-}
-
-// ScoreIndexed implements IndexedScorer over the term-indexed slices.
 func (m *JelinekMercerLM) ScoreIndexed(q QueryStats, d DocStats, c CollectionStats) float64 {
 	if c.TotalLen <= 0 || d.Len <= 0 {
 		return 0

@@ -9,17 +9,12 @@ package ranking
 
 // QueryStats holds the query-specific statistics S_q(Q) of Table 1.
 type QueryStats struct {
-	// Terms are the analyzed query keywords in order, with duplicates.
-	Terms []string
-	// TQ is tq(w, Q): the occurrence count of each distinct keyword.
-	TQ map[string]int
 	// TQs is tq(w, Q) indexed by distinct-term position (aligned with
-	// DistinctTerms). It is the map-free view scorers use on the
-	// allocation-lean path; NewQueryStats always fills it.
+	// DistinctTerms and CollectionStats.Terms).
 	TQs []int
-	// distinct caches the distinct keywords in first-occurrence order.
-	// Scorers iterate it (not the TQ map) so floating-point summation
-	// order — and therefore tie-breaking — is deterministic across calls.
+	// distinct holds the distinct keywords in first-occurrence order, the
+	// order every scorer sums in — so floating-point summation, and
+	// therefore tie-breaking, is deterministic across calls.
 	distinct []string
 }
 
@@ -37,42 +32,18 @@ func NewQueryStats(terms []string) QueryStats {
 	for i, t := range distinct {
 		tqs[i] = tq[t]
 	}
-	return QueryStats{Terms: terms, TQ: tq, TQs: tqs, distinct: distinct}
+	return QueryStats{TQs: tqs, distinct: distinct}
 }
-
-// Len returns the query length len(Q).
-func (q QueryStats) Len() int { return len(q.Terms) }
-
-// Unique returns utc(Q), the distinct keyword count.
-func (q QueryStats) Unique() int { return len(q.TQ) }
 
 // DistinctTerms returns the distinct keywords in first-occurrence order.
 // The slice is shared; callers must not modify it.
-func (q QueryStats) DistinctTerms() []string {
-	if q.distinct != nil {
-		return q.distinct
-	}
-	// QueryStats built literally (not via NewQueryStats): derive once.
-	seen := make(map[string]bool, len(q.TQ))
-	out := make([]string, 0, len(q.TQ))
-	for _, t := range q.Terms {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
-}
+func (q QueryStats) DistinctTerms() []string { return q.distinct }
 
 // DocStats holds the document-specific statistics S_d(d) needed to score
 // one document: tf(w, d) for each query keyword, and len(d).
 type DocStats struct {
-	// TF maps each query keyword to its term count in the document.
-	TF map[string]int64
 	// TFs is tf(w, d) indexed by distinct-term position (aligned with
-	// CollectionStats.Terms). The scoring hot path fills a reused buffer
-	// here instead of writing the TF map, so scoring a document performs
-	// zero map operations and zero allocations.
+	// CollectionStats.Terms).
 	TFs []int64
 	// Len is the document length len(d) in analyzed tokens.
 	Len int64
@@ -93,18 +64,12 @@ type CollectionStats struct {
 	// TC maps each query keyword w to tc(w, D): the total occurrence
 	// count of w in the collection. Used by language-model smoothing.
 	TC map[string]int64
-	// UniqueTerms is utc(D), the dictionary size (0 if unknown; scorers
-	// that need it fall back to a constant).
-	UniqueTerms int64
 
-	// Terms, DFs and TCs are the term-indexed representation of DF/TC:
-	// DFs[i] = df(Terms[i]) and TCs[i] = tc(Terms[i]). Terms must be the
-	// query's distinct keywords in first-occurrence order (the same order
-	// QueryStats.DistinctTerms iterates) so the slice-based scoring loop
-	// sums in exactly the same floating-point order as the map-based one
-	// and rankings stay bit-identical across the two paths. The DF/TC
-	// maps remain as a compatibility view for scorers that predate the
-	// indexed path. Fill via IndexTerms.
+	// Terms, DFs and TCs are the term-indexed form of DF/TC that scorers
+	// read: DFs[i] = df(Terms[i]) and TCs[i] = tc(Terms[i]). Terms must be
+	// the query's distinct keywords in first-occurrence order (the order
+	// QueryStats.DistinctTerms returns). DF/TC carry the statistics
+	// between phases and shards; fill the slices via IndexTerms.
 	Terms []string
 	DFs   []int64
 	TCs   []int64
@@ -138,24 +103,17 @@ func (c CollectionStats) AvgDocLen() float64 {
 
 // Scorer is the ranking function f of Formulas 1–2: it combines the three
 // statistics scopes into a single relevance score. Higher is better.
-// Implementations must be safe for concurrent use.
+// Every method reads the term-indexed statistics — QueryStats.TQs,
+// DocStats.TFs and CollectionStats.DFs/TCs, aligned with
+// CollectionStats.Terms — and iterates terms in index order.
+// Implementations must be safe for concurrent use and must not allocate.
 type Scorer interface {
 	// Name identifies the model in reports ("pivoted-tfidf", "bm25", ...).
 	Name() string
-	// Score computes score(Q, d) given the three statistics scopes.
-	Score(q QueryStats, d DocStats, c CollectionStats) float64
-}
-
-// IndexedScorer is an optional Scorer extension: ScoreIndexed computes
-// exactly the same value as Score but reads the term-indexed slice
-// statistics (QueryStats.TQs, DocStats.TFs, CollectionStats.DFs/TCs
-// aligned with CollectionStats.Terms) instead of the maps, so scoring one
-// document performs zero map lookups and zero allocations. The engine
-// takes this path whenever the scorer supports it and falls back to
-// Score otherwise; every built-in scorer implements it. Implementations
-// must iterate terms in index order — that is the map path's summation
-// order, which keeps the two paths bit-identical.
-type IndexedScorer interface {
-	Scorer
+	// ScoreIndexed computes score(Q, d) given the three statistics scopes.
 	ScoreIndexed(q QueryStats, d DocStats, c CollectionStats) float64
+	// UpperBound returns a value ≥ ScoreIndexed(q, d, c) for every
+	// document d whose per-keyword term frequencies are at most maxTF and
+	// whose length is at least minLen (see bounds.go).
+	UpperBound(q QueryStats, maxTF int32, minLen int32, c CollectionStats) float64
 }

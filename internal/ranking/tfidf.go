@@ -24,39 +24,10 @@ func NewPivotedTFIDF() *PivotedTFIDF { return &PivotedTFIDF{S: 0.2} }
 // Name implements Scorer.
 func (p *PivotedTFIDF) Name() string { return "pivoted-tfidf" }
 
-// Score implements Scorer. Keywords with tf = 0 contribute nothing (they
-// cannot occur in conjunctive results, but partial scoring is well
-// defined); df is clamped to ≥ 1 so a stale statistic can never produce an
-// infinite weight.
-func (p *PivotedTFIDF) Score(q QueryStats, d DocStats, c CollectionStats) float64 {
-	avgdl := c.AvgDocLen()
-	if avgdl <= 0 {
-		return 0
-	}
-	norm := (1 - p.S) + p.S*float64(d.Len)/avgdl
-	if norm <= 0 {
-		return 0
-	}
-	var score float64
-	for _, w := range q.DistinctTerms() {
-		tq := q.TQ[w]
-		tf := d.TF[w]
-		if tf <= 0 {
-			continue
-		}
-		df := c.DF[w]
-		if df < 1 {
-			df = 1
-		}
-		tfPart := (1 + math.Log(1+math.Log(float64(tf)))) / norm
-		idf := math.Log((float64(c.N) + 1) / float64(df))
-		score += tfPart * float64(tq) * idf
-	}
-	return score
-}
-
-// ScoreIndexed implements IndexedScorer: the Formula 3 loop over the
-// term-indexed slices, map-free and allocation-free.
+// ScoreIndexed implements Scorer: the Formula 3 loop. Keywords with
+// tf = 0 contribute nothing (they cannot occur in conjunctive results,
+// but partial scoring is well defined); df is clamped to ≥ 1 so a stale
+// statistic can never produce an infinite weight.
 func (p *PivotedTFIDF) ScoreIndexed(q QueryStats, d DocStats, c CollectionStats) float64 {
 	avgdl := c.AvgDocLen()
 	if avgdl <= 0 {
