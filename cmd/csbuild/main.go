@@ -32,20 +32,16 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generation seed")
 		segSize = flag.Int("segsize", 0, "posting-list skip-segment size M0 (0 = default 128)")
 		dump    = flag.Bool("dump", false, "also write the raw citations as citations.jsonl")
-		format  = flag.Int("format", index.MappedFormatVersion, "index file format: 4 = paged mmap-ready, 3 = framed gob snapshot")
 		shards  = flag.Int("shards", 1, "document partitions: >1 writes a sharded cluster (shard-NNN dirs + cluster.json) for csserve")
 	)
 	flag.Parse()
-	if err := run(*out, *docs, *terms, *topics, *tcFrac, *tv, *seed, *segSize, *dump, *format, *shards); err != nil {
+	if err := run(*out, *docs, *terms, *topics, *tcFrac, *tv, *seed, *segSize, *dump, *shards); err != nil {
 		fmt.Fprintln(os.Stderr, "csbuild:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64, segSize int, dump bool, format, shards int) error {
-	if format != index.FormatVersion && format != index.MappedFormatVersion {
-		return fmt.Errorf("unsupported -format %d (this build writes %d or %d)", format, index.FormatVersion, index.MappedFormatVersion)
-	}
+func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64, segSize int, dump bool, shards int) error {
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
@@ -68,7 +64,7 @@ func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64
 		return err
 	}
 	if shards > 1 {
-		return runSharded(out, c, tcFrac, tv, seed, segSize, format, shards, dump)
+		return runSharded(out, c, tcFrac, tv, seed, segSize, shards, dump)
 	}
 
 	t0 = time.Now()
@@ -95,13 +91,9 @@ func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64
 	fmt.Printf("  frequent terms=%d separators=%d clique remainders=%d\n",
 		m.Result.Stats.FrequentTerms, m.Result.Stats.Separators, m.Result.Stats.CliqueRemainders)
 
-	saveIndex := ix.SaveFile
-	if format == index.MappedFormatVersion {
-		saveIndex = ix.SaveMapped
-	}
 	indexPath := filepath.Join(out, "index.gob")
 	t0 = time.Now()
-	if err := saveIndex(indexPath); err != nil {
+	if err := ix.SaveMapped(indexPath); err != nil {
 		return err
 	}
 	saveTime := time.Since(t0)
@@ -118,16 +110,12 @@ func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64
 		}
 		fmt.Printf("dumped raw citations to %s\n", path)
 	}
-	formatName := fmt.Sprintf("format v%d (paged, mmap-ready)", index.MappedFormatVersion)
-	if format == index.FormatVersion {
-		formatName = fmt.Sprintf("format v%d (checksummed snapshot)", index.FormatVersion)
-	}
 	st, err := os.Stat(indexPath)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %.2f MB as %s in %s (%.2f bytes/posting on disk)\n",
-		indexPath, float64(st.Size())/(1<<20), formatName, saveTime.Round(time.Millisecond),
+	fmt.Printf("wrote %s: %.2f MB as format v%d (paged, mmap-ready) in %s (%.2f bytes/posting on disk)\n",
+		indexPath, float64(st.Size())/(1<<20), index.MappedFormatVersion, saveTime.Round(time.Millisecond),
 		float64(st.Size())/float64(max64(totalPostings(ix), 1)))
 	fmt.Printf("wrote %s (views: %.2f MB)\n",
 		filepath.Join(out, "views.gob"), float64(m.Catalog.TotalBytes())/(1<<20))
@@ -162,7 +150,7 @@ func writeQueries(out string, c *corpus.Corpus) error {
 // (index + views, selected per shard with T_C scaled to the shard's
 // size), plus cluster.json. csserve and csrank.OpenSharded load it; the
 // merged ranking is bit-identical to the unsharded build.
-func runSharded(out string, c *corpus.Corpus, tcFrac float64, tv int, seed int64, segSize, format, shards int, dump bool) error {
+func runSharded(out string, c *corpus.Corpus, tcFrac float64, tv int, seed int64, segSize, shards int, dump bool) error {
 	parts, _, err := shard.Split(c.IndexDocuments(), shards)
 	if err != nil {
 		return err
@@ -187,11 +175,7 @@ func runSharded(out string, c *corpus.Corpus, tcFrac float64, tv int, seed int64
 		if err := os.MkdirAll(sd, 0o755); err != nil {
 			return err
 		}
-		save := ix.SaveFile
-		if format == index.MappedFormatVersion {
-			save = ix.SaveMapped
-		}
-		if err := save(filepath.Join(sd, "index.gob")); err != nil {
+		if err := ix.SaveMapped(filepath.Join(sd, "index.gob")); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		if err := m.Catalog.SaveFile(filepath.Join(sd, "views.gob")); err != nil {
@@ -213,7 +197,7 @@ func runSharded(out string, c *corpus.Corpus, tcFrac float64, tv int, seed int64
 		fmt.Printf("dumped raw citations to %s\n", path)
 	}
 	fmt.Printf("wrote %d-shard cluster (%d docs, %d views, format v%d) under %s in %s\n",
-		shards, len(c.Docs), totalViews, format, out, time.Since(t0).Round(time.Millisecond))
+		shards, len(c.Docs), totalViews, index.MappedFormatVersion, out, time.Since(t0).Round(time.Millisecond))
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,13 +9,14 @@ import (
 	"csrank"
 	"csrank/internal/index"
 	"csrank/internal/mesh"
+	"csrank/internal/shard"
 	"csrank/internal/snapshot"
 	"csrank/internal/views"
 )
 
 func TestRunProducesLoadableArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, 2000, 100, 0, 0.02, 128, 1, 0, true, index.MappedFormatVersion, 1); err != nil {
+	if err := run(dir, 2000, 100, 0, 0.02, 128, 1, 0, true, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"index.gob", "views.gob", "mesh.gob", "citations.jsonl"} {
@@ -62,16 +62,25 @@ func TestRunProducesLoadableArtifacts(t *testing.T) {
 // build of the same corpus.
 func TestRunSharded(t *testing.T) {
 	single, cluster := t.TempDir(), t.TempDir()
-	if err := run(single, 6000, 150, 10, 0.02, 128, 1, 0, false, index.MappedFormatVersion, 1); err != nil {
+	if err := run(single, 6000, 150, 10, 0.02, 128, 1, 0, false, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(cluster, 6000, 150, 10, 0.02, 128, 1, 0, false, index.MappedFormatVersion, 4); err != nil {
+	if err := run(cluster, 6000, 150, 10, 0.02, 128, 1, 0, false, 4); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"cluster.json", "mesh.gob", "queries.txt",
 		filepath.Join("shard-000", "index.gob"), filepath.Join("shard-003", "views.gob")} {
 		if _, err := os.Stat(filepath.Join(cluster, name)); err != nil {
 			t.Fatalf("missing artifact %s: %v", name, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		b, err := os.ReadFile(filepath.Join(shard.ShardDir(cluster, i), "index.gob"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !snapshot.IsPaged(b) {
+			t.Errorf("shard %d index not written as paged format v4", i)
 		}
 	}
 	raw, err := os.ReadFile(filepath.Join(cluster, "queries.txt"))
@@ -115,64 +124,31 @@ func TestRunSharded(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if err := run(t.TempDir(), 0, 100, 0, 0.02, 128, 1, 0, false, index.MappedFormatVersion, 1); err == nil {
+	if err := run(t.TempDir(), 0, 100, 0, 0.02, 128, 1, 0, false, 1); err == nil {
 		t.Error("zero docs accepted")
 	}
 	// Unwritable output directory.
-	if err := run("/proc/definitely/not/writable", 100, 50, 0, 0.02, 128, 1, 0, false, index.MappedFormatVersion, 1); err == nil {
+	if err := run("/proc/definitely/not/writable", 100, 50, 0, 0.02, 128, 1, 0, false, 1); err == nil {
 		t.Error("unwritable dir accepted")
-	}
-	if err := run(t.TempDir(), 100, 50, 0, 0.02, 128, 1, 0, false, 7, 1); err == nil {
-		t.Error("unknown format version accepted")
-	}
-}
-
-// TestRunGobFormat: -format 3 keeps writing the framed gob snapshot.
-func TestRunGobFormat(t *testing.T) {
-	dir := t.TempDir()
-	if err := run(dir, 500, 60, 0, 0.02, 128, 1, 0, false, index.FormatVersion, 1); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "index.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snapshot.IsPaged(raw) || !snapshot.IsFramed(raw) {
-		t.Error("-format 3 did not write a framed gob snapshot")
-	}
-	ix, err := index.LoadFile(filepath.Join(dir, "index.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Mapped() {
-		t.Error("gob snapshot opened as mapped")
 	}
 }
 
 // TestRawGobDataDirStillLoads: a data directory whose index.gob and
 // views.gob are raw gob streams (no snapshot magic — what pre-frame
-// builds wrote) is still read by LoadFile via sniffing. The index fixture
-// is re-encoded with Encode directly; catalogs are no longer written as
-// gob, so the views fixture is the stream internal/views keeps from the
-// last commit that did.
+// builds wrote) is still read by LoadFile via sniffing. Nothing writes
+// either format any more, so both fixtures are streams the owning
+// packages keep from the last commits that did.
 func TestRawGobDataDirStillLoads(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, 1000, 80, 0, 0.02, 128, 1, 0, false, index.FormatVersion, 1); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := index.LoadFile(filepath.Join(dir, "index.gob"))
+	rawIndex, err := os.ReadFile(filepath.Join("..", "..", "internal", "index", "testdata", "v3-raw.gob"))
 	if err != nil {
-		t.Fatal(err)
-	}
-	var rawIndex bytes.Buffer
-	if err := ix.Encode(&rawIndex); err != nil {
 		t.Fatal(err)
 	}
 	rawViews, err := os.ReadFile(filepath.Join("..", "..", "internal", "views", "testdata", "catalog-v0.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, raw := range map[string][]byte{"index.gob": rawIndex.Bytes(), "views.gob": rawViews} {
+	for name, raw := range map[string][]byte{"index.gob": rawIndex, "views.gob": rawViews} {
 		if snapshot.IsFramed(raw) {
 			t.Fatalf("%s fixture carries the snapshot frame", name)
 		}
@@ -180,7 +156,8 @@ func TestRawGobDataDirStillLoads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, err := index.LoadFile(filepath.Join(dir, "index.gob")); err != nil || got.NumDocs() != ix.NumDocs() {
+	// The index fixture holds four documents.
+	if got, err := index.LoadFile(filepath.Join(dir, "index.gob")); err != nil || got.NumDocs() != 4 {
 		t.Fatalf("raw-gob index: %v", err)
 	}
 	if got, err := views.LoadFile(filepath.Join(dir, "views.gob")); err != nil || got.Len() != 2 {

@@ -27,7 +27,7 @@ func buildData(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.SaveFile(filepath.Join(dir, "index.gob")); err != nil {
+	if err := ix.SaveMapped(filepath.Join(dir, "index.gob")); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Catalog.SaveFile(filepath.Join(dir, "views.gob")); err != nil {

@@ -172,17 +172,19 @@ func runInteractive(data, walDir string, k int, mode, scorerName string, timeout
 // bitmap/array hybrid (index format version 2) — how many lists carry
 // per-container score bounds (format v3), and the on-disk block layout
 // of the paged format (v4): encoding mix, payload+directory bytes, and
-// the compression ratio against the decoded in-memory footprint.
+// the compression ratio against the decoded in-memory footprint. The
+// header names the file's format: v4 for a mapped index, otherwise a
+// gob stream an older build wrote (nothing writes those any more).
 func printListStats(data string, out io.Writer) error {
 	ix, err := index.LoadFile(filepath.Join(data, "index.gob"))
 	if err != nil {
 		return err
 	}
-	version := index.FormatVersion
+	format := "legacy gob (v0–v3, read-only)"
 	if ix.Mapped() {
-		version = index.MappedFormatVersion
+		format = fmt.Sprintf("format v%d", index.MappedFormatVersion)
 	}
-	fmt.Fprintf(out, "index: %s (format v%d)\n", ix, version)
+	fmt.Fprintf(out, "index: %s (%s)\n", ix, format)
 	for _, f := range ix.Schema().Fields {
 		cs := ix.ContainerStats(f.Name)
 		if cs.Lists == 0 {

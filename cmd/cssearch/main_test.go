@@ -2,13 +2,13 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"csrank/internal/corpus"
-	"csrank/internal/index"
 	"csrank/internal/selection"
 	"csrank/internal/views"
 	"csrank/internal/wal"
@@ -34,7 +34,7 @@ func buildData(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.SaveFile(filepath.Join(dir, "index.gob")); err != nil {
+	if err := ix.SaveMapped(filepath.Join(dir, "index.gob")); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Catalog.SaveFile(filepath.Join(dir, "views.gob")); err != nil {
@@ -175,44 +175,46 @@ func TestRunInteractive(t *testing.T) {
 }
 
 // TestListStatsBothFormats: -liststats reports the on-disk block layout
-// for a gob-v3 index and a paged-v4 one, labeling each with its actual
-// format version (cache stats only exist for the mapped reader).
+// for the paged-v4 index every writer emits and for a legacy gob one an
+// older build wrote, labeling each with its actual format (cache stats
+// only exist for the mapped reader).
 func TestListStatsBothFormats(t *testing.T) {
 	dir := buildData(t)
-	var v3 bytes.Buffer
-	if err := printListStats(dir, &v3); err != nil {
-		t.Fatal(err)
-	}
-	s := v3.String()
-	if !strings.Contains(s, "format v3") {
-		t.Errorf("v3 dir mislabeled:\n%s", s)
-	}
-	for _, want := range []string{"on disk:", "blocks:", "bytes/posting"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("v3 liststats missing %q:\n%s", want, s)
-		}
-	}
-	if strings.Contains(s, "block cache") {
-		t.Errorf("heap index reports a block cache:\n%s", s)
-	}
-
-	ix, err := index.LoadFile(filepath.Join(dir, "index.gob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.SaveMapped(filepath.Join(dir, "index.gob")); err != nil {
-		t.Fatal(err)
-	}
 	var v4 bytes.Buffer
 	if err := printListStats(dir, &v4); err != nil {
 		t.Fatal(err)
 	}
-	s = v4.String()
+	s := v4.String()
 	if !strings.Contains(s, "format v4") || !strings.Contains(s, "block cache") {
 		t.Errorf("v4 liststats wrong:\n%s", s)
 	}
 	// The paged file must also serve searches through the same CLI path.
 	if err := run(dir, "", "disease | anatomy", 3, "context", "bm25", 0, true); err != nil {
 		t.Fatal(err)
+	}
+
+	legacy := t.TempDir()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "index", "testdata", "v3-framed.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(legacy, "index.gob"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var v3 bytes.Buffer
+	if err := printListStats(legacy, &v3); err != nil {
+		t.Fatal(err)
+	}
+	s = v3.String()
+	if !strings.Contains(s, "legacy gob (v0–v3, read-only)") || strings.Contains(s, "format v") {
+		t.Errorf("gob index mislabeled:\n%s", s)
+	}
+	for _, want := range []string{"on disk:", "blocks:", "bytes/posting"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("legacy liststats missing %q:\n%s", want, s)
+		}
+	}
+	if strings.Contains(s, "block cache") {
+		t.Errorf("heap index reports a block cache:\n%s", s)
 	}
 }

@@ -445,9 +445,9 @@ func (e *Engine) ContextSize(context string) int64 {
 // during Build (zero for loaded or view-less engines).
 func (e *Engine) SelectionTime() time.Duration { return e.selectTime }
 
-// Save persists the engine (index + views) into dir, which must exist.
+// Save persists the engine (paged v4 index + views) into dir, which must exist.
 func (e *Engine) Save(dir string) error {
-	if err := e.engine.Index().SaveFile(filepath.Join(dir, "index.gob")); err != nil {
+	if err := e.engine.Index().SaveMapped(filepath.Join(dir, "index.gob")); err != nil {
 		return err
 	}
 	if cat := e.engine.Catalog(); cat != nil {

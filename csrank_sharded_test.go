@@ -3,7 +3,12 @@ package csrank
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"csrank/internal/shard"
+	"csrank/internal/snapshot"
 )
 
 // shardedDemoQueries exercise contextual, conventional-shape and
@@ -100,7 +105,8 @@ func TestBuildShardedMatchesBuild(t *testing.T) {
 }
 
 // TestShardedWrapAndRoundTrip: Engine.Sharded() ranks like the engine;
-// Save + OpenSharded round-trips bit-identically (both index formats).
+// Save writes every shard index as paged format v4, and Save +
+// OpenSharded round-trips bit-identically.
 func TestShardedWrapAndRoundTrip(t *testing.T) {
 	single := buildDemo(t, BuildOptions{})
 	wrapped, err := single.Sharded()
@@ -117,41 +123,60 @@ func TestShardedWrapAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	saves := map[string]func(string) error{"framed": se.Save, "mapped": se.SaveMapped}
-	for name, save := range saves {
-		dir := t.TempDir()
-		if err := save(dir); err != nil {
-			t.Fatal(err)
-		}
-		if !IsSharded(dir) {
-			t.Fatalf("%s: saved dir not detected as sharded", name)
-		}
-		re, err := OpenSharded(dir, BuildOptions{})
+	dir := t.TempDir()
+	if err := se.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if !IsSharded(dir) {
+		t.Fatal("saved dir not detected as sharded")
+	}
+	assertPagedShards(t, dir, 3, "index.gob")
+	re, err := OpenSharded(dir, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Generations(); len(got) != 3 {
+		t.Fatalf("%d generations", len(got))
+	}
+	for _, q := range shardedDemoQueries {
+		want, _, err := single.Search(q, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := re.Generations(); len(got) != 3 {
-			t.Fatalf("%s: %d generations", name, len(got))
-		}
-		for _, q := range shardedDemoQueries {
-			want, _, err := single.Search(q, 8)
+		for _, eng := range []*ShardedEngine{wrapped, se, re} {
+			got, _, err := eng.Search(q, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, eng := range []*ShardedEngine{wrapped, se, re} {
-				got, _, err := eng.Search(q, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s q=%q: %d hits, want %d", name, q, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s q=%q rank %d: %+v, want %+v", name, q, i, got[i], want[i])
-					}
+			if len(got) != len(want) {
+				t.Fatalf("q=%q: %d hits, want %d", q, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("q=%q rank %d: %+v, want %+v", q, i, got[i], want[i])
 				}
 			}
 		}
+	}
+}
+
+// assertPagedShards checks that each of a cluster dir's shards holds its
+// index file name as paged format v4.
+func assertPagedShards(t *testing.T, dir string, shards int, name string) {
+	t.Helper()
+	for i := 0; i < shards; i++ {
+		assertPaged(t, filepath.Join(shard.ShardDir(dir, i), name))
+	}
+}
+
+// assertPaged checks that the index file at path is paged format v4.
+func assertPaged(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snapshot.IsPaged(b) {
+		t.Fatalf("%s: not written as paged format v4", path)
 	}
 }

@@ -2,6 +2,7 @@ package csrank
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 )
 
@@ -170,6 +171,7 @@ func TestPublicAPISaveOpen(t *testing.T) {
 	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
+	assertPaged(t, filepath.Join(dir, "index.gob"))
 	got, err := Open(dir, PivotedTFIDF)
 	if err != nil {
 		t.Fatal(err)

@@ -8,63 +8,48 @@ import (
 	"testing"
 )
 
-// BenchmarkIndexOpen measures the cold-open cost of each on-disk format
-// for the same index: the framed gob snapshot decodes every posting list
-// up front, the paged v4 file maps and only parses its table of
-// contents. The reported heap metric is the live bytes the opened index
-// pins (the mapped reader leaves postings on disk until touched).
+// BenchmarkIndexOpen measures the cold-open cost of a paged v4 index
+// file: it maps the file and only parses its table of contents. The
+// reported heap metric is the live bytes the opened index pins (the
+// mapped reader leaves postings on disk until touched).
 func BenchmarkIndexOpen(b *testing.B) {
 	ix := synthIndex(b, rand.New(rand.NewSource(42)), 20000)
-	dir := b.TempDir()
-	v3 := filepath.Join(dir, "index.v3")
-	v4 := filepath.Join(dir, "index.v4")
-	if err := ix.SaveFile(v3); err != nil {
+	path := filepath.Join(b.TempDir(), "index.v4")
+	if err := ix.SaveMapped(path); err != nil {
 		b.Fatal(err)
 	}
-	if err := ix.SaveMapped(v4); err != nil {
+	st, err := os.Stat(path)
+	if err != nil {
 		b.Fatal(err)
 	}
-	for _, arm := range []struct {
-		name, path string
-	}{{"gob-v3", v3}, {"mmap-v4", v4}} {
-		b.Run(arm.name, func(b *testing.B) {
-			st, err := os.Stat(arm.path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(st.Size())
-			b.ReportAllocs()
-			var opened *Index
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x, err := LoadFile(arm.path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opened = x
-				b.StopTimer()
-				x.Close()
-				b.StartTimer()
-			}
-			b.StopTimer()
-			// One representative open held live across a GC: the heap the
-			// process pays to keep the index resident, net of the fixture.
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			x, err := LoadFile(arm.path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			if after.HeapAlloc > before.HeapAlloc {
-				b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/(1<<20), "heapMB")
-			} else {
-				b.ReportMetric(0, "heapMB")
-			}
-			x.Close()
-			_ = opened
-		})
+	b.SetBytes(st.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, err := LoadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		x.Close()
+		b.StartTimer()
 	}
+	b.StopTimer()
+	// One representative open held live across a GC: the heap the
+	// process pays to keep the index resident, net of the fixture.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x, err := LoadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if after.HeapAlloc > before.HeapAlloc {
+		b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/(1<<20), "heapMB")
+	} else {
+		b.ReportMetric(0, "heapMB")
+	}
+	x.Close()
 }

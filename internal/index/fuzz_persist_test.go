@@ -24,34 +24,47 @@ func fuzzSeedIndex() (*Index, error) {
 	return BuildFrom(testSchema(), 0, docs)
 }
 
-// FuzzReadSnapshot feeds arbitrary (seeded with valid framed, valid v2
-// raw-gob, and truncated/bit-flipped) bytes to the snapshot loader. The
-// contract under fuzzing: never panic, never allocate absurdly — corrupt
-// input must come back as an error.
+// FuzzReadSnapshot feeds arbitrary bytes to the snapshot loader, seeded
+// with a paged v4 image (ReadSnapshot routes it to OpenMappedBytes), a
+// framed and a raw v3 gob stream, and truncated and bit-flipped copies.
+// The contract under fuzzing: never panic, never allocate absurdly —
+// corrupt input must come back as an error, and an index that does open
+// survives Verify and a walk over every posting list (a corrupt mapped
+// block is quarantined, not fatal).
 func FuzzReadSnapshot(f *testing.F) {
 	ix, err := fuzzSeedIndex()
 	if err != nil {
 		f.Fatal(err)
 	}
-	var framed, raw bytes.Buffer
-	if err := ix.WriteSnapshot(&framed); err != nil {
+	var paged bytes.Buffer
+	if err := ix.WritePaged(&paged, 64); err != nil {
 		f.Fatal(err)
 	}
-	if err := ix.Encode(&raw); err != nil {
-		f.Fatal(err)
+	framed, raw := encodeV3Framed(f, ix), encodeV3(f, ix)
+	for _, seed := range [][]byte{paged.Bytes(), framed, raw} {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		flipped := append([]byte(nil), seed...)
+		flipped[len(flipped)/3] ^= 0x10
+		f.Add(flipped)
 	}
-	f.Add(framed.Bytes())
-	f.Add(raw.Bytes())
-	f.Add(framed.Bytes()[:framed.Len()/2])
-	f.Add(raw.Bytes()[:raw.Len()/2])
-	flipped := append([]byte(nil), framed.Bytes()...)
-	flipped[len(flipped)/3] ^= 0x10
-	f.Add(flipped)
 	f.Add([]byte(snapshot.Magic))
+	f.Add([]byte(snapshot.PagedMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadSnapshot(bytes.NewReader(data))
-		if err == nil && got.NumDocs() < 0 {
+		if err != nil {
+			return
+		}
+		if got.NumDocs() < 0 {
 			t.Fatal("decoded index with negative NumDocs")
+		}
+		// A lazily verified section may be corrupt: Verify must report
+		// it, not panic, and the walk must quarantine its blocks.
+		_ = got.Verify()
+		for _, fd := range got.Schema().Fields {
+			for _, term := range got.Terms(fd.Name) {
+				got.Postings(fd.Name, term).ForEach(func(d, tf uint32) {})
+			}
 		}
 	})
 }
@@ -122,12 +135,7 @@ func TestReadSnapshotRejectsHostileValues(t *testing.T) {
 // index file at sampled offsets; every mutation must fail the load with
 // an error (never a panic, never a silently wrong index).
 func TestFramedSnapshotDetectsCorruption(t *testing.T) {
-	ix := buildTestIndex(t)
-	var buf bytes.Buffer
-	if err := ix.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := encodeV3Framed(t, buildTestIndex(t))
 	for cut := 0; cut < len(full); cut += 7 {
 		if _, err := ReadSnapshot(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes loaded cleanly", cut)
@@ -142,11 +150,12 @@ func TestFramedSnapshotDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestSaveFileCrashKeepsPreviousIndex sweeps an injected fault through
-// every mutating filesystem operation of SaveFile; after each simulated
-// crash the file on disk must still load as a complete index — either
-// the old or the new one, never garbage.
-func TestSaveFileCrashKeepsPreviousIndex(t *testing.T) {
+// TestSaveMappedCrashKeepsPreviousIndex sweeps an injected fault
+// through every mutating filesystem operation of SaveMappedFS, the one
+// index writer; after each simulated crash the file on disk must still
+// load as a complete index — either the old or the new one, never
+// garbage.
+func TestSaveMappedCrashKeepsPreviousIndex(t *testing.T) {
 	old := buildTestIndex(t)
 	bigger, err := fuzzSeedIndex()
 	if err != nil {
@@ -154,24 +163,27 @@ func TestSaveFileCrashKeepsPreviousIndex(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index.gob")
-	if err := old.SaveFile(path); err != nil {
+	if err := old.SaveMapped(path); err != nil {
 		t.Fatal(err)
 	}
 	ffs := fsx.NewFaultFS(fsx.OS)
-	if err := bigger.SaveFileFS(ffs, path); err != nil {
+	if err := bigger.SaveMappedFS(ffs, path); err != nil {
 		t.Fatal(err)
 	}
 	total := ffs.Ops()
-	if err := old.SaveFile(path); err != nil {
+	if err := old.SaveMapped(path); err != nil {
 		t.Fatal(err)
 	}
 	for point := 1; point <= total; point++ {
 		for _, short := range []bool{false, true} {
 			ffs.Arm(point, short)
-			werr := bigger.SaveFileFS(ffs, path)
+			werr := bigger.SaveMappedFS(ffs, path)
 			got, lerr := LoadFile(path)
 			if lerr != nil {
 				t.Fatalf("point %d short=%v: index unloadable after crash: %v", point, short, lerr)
+			}
+			if err := got.Verify(); err != nil {
+				t.Fatalf("point %d short=%v: recovered index fails Verify: %v", point, short, err)
 			}
 			if n := got.NumDocs(); n != old.NumDocs() && n != bigger.NumDocs() {
 				t.Fatalf("point %d: recovered %d docs, want %d or %d", point, n, old.NumDocs(), bigger.NumDocs())
@@ -179,9 +191,10 @@ func TestSaveFileCrashKeepsPreviousIndex(t *testing.T) {
 			if werr == nil && got.NumDocs() != bigger.NumDocs() {
 				t.Fatalf("point %d: clean save but old index on disk", point)
 			}
+			got.Close()
 			ffs.Reset()
 			os.Remove(path + ".tmp")
-			if err := old.SaveFile(path); err != nil {
+			if err := old.SaveMapped(path); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -189,32 +202,28 @@ func TestSaveFileCrashKeepsPreviousIndex(t *testing.T) {
 }
 
 // TestLoadFileReadsRawGob checks the back-compat read path: a raw gob
-// stream on disk (what pre-frame builds wrote — the fixture is written
-// with Encode directly, no writer for the format remains) is still
-// loadable through LoadFile's sniffing.
+// stream on disk (what pre-frame builds wrote; the fixture comes from
+// the last build that wrote gob) is still loadable through LoadFile's
+// sniffing.
 func TestLoadFileReadsRawGob(t *testing.T) {
-	ix := buildTestIndex(t)
-	path := filepath.Join(t.TempDir(), "index.gob")
-	var raw bytes.Buffer
-	if err := ix.Encode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join("testdata", "v3-raw.gob")
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snapshot.IsFramed(b) {
-		t.Fatal("raw gob fixture carries the snapshot frame")
+	if snapshot.IsFramed(b) || snapshot.IsPaged(b) {
+		t.Fatal("raw gob fixture carries a snapshot frame")
 	}
 	got, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumDocs() != ix.NumDocs() {
-		t.Fatalf("NumDocs = %d, want %d", got.NumDocs(), ix.NumDocs())
+	want, err := fuzzSeedIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumDocs() != want.NumDocs() {
+		t.Fatalf("NumDocs = %d, want %d", got.NumDocs(), want.NumDocs())
 	}
 }
 
@@ -226,7 +235,7 @@ func TestLoadFileFSMissing(t *testing.T) {
 	}
 }
 
-// encodeGob writes a hand-built persistent struct the way Encode would.
+// encodeGob writes a hand-built persistent struct as a raw gob stream.
 func encodeGob(buf *bytes.Buffer, p *persistent) error {
 	return gob.NewEncoder(buf).Encode(p)
 }

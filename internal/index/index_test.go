@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -226,11 +227,7 @@ func TestPostingsBytesPositive(t *testing.T) {
 
 func TestPersistRoundTrip(t *testing.T) {
 	ix := buildTestIndex(t)
-	var buf bytes.Buffer
-	if err := ix.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
+	got, err := Decode(bytes.NewReader(encodeV3(t, ix)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +258,7 @@ func TestPersistRoundTrip(t *testing.T) {
 func TestPersistFileRoundTrip(t *testing.T) {
 	ix := buildTestIndex(t)
 	path := t.TempDir() + "/index.gob"
-	if err := ix.SaveFile(path); err != nil {
+	if err := os.WriteFile(path, encodeV3Framed(t, ix), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadFile(path)

@@ -211,8 +211,10 @@ func (ix *Index) WritePaged(w io.Writer, pageSize int) error {
 	return pw.Close()
 }
 
-// SaveMapped writes the index to path in format v4 with the atomic
-// write-to-temp + fsync + rename protocol.
+// SaveMapped writes the index to path in format v4 — the one format any
+// writer emits — with the atomic write-to-temp + fsync + rename
+// protocol: a crash at any instant leaves either the previous file or
+// the complete new one.
 func (ix *Index) SaveMapped(path string) error {
 	return ix.SaveMappedFS(fsx.OS, path)
 }

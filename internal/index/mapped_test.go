@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -146,9 +147,10 @@ func TestMappedFileRoundTrip(t *testing.T) {
 	assertIndexesEqual(t, ix, lx)
 }
 
-// TestMappedV3V4RoundTripEquivalence saves the same index in both
-// formats, reloads each, re-saves the mapped one back to v3 and reloads
-// again: every hop must preserve the full query-visible state.
+// TestMappedV3V4RoundTripEquivalence writes the same index as a framed
+// v3 file (the format older builds wrote) and as v4, and reloads each:
+// both must carry the full query-visible state. A v3 index re-saved
+// is v4, so the v4 reload of the v3-loaded index must agree too.
 func TestMappedV3V4RoundTripEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 5; trial++ {
@@ -156,7 +158,7 @@ func TestMappedV3V4RoundTripEquivalence(t *testing.T) {
 		dir := t.TempDir()
 		v3 := filepath.Join(dir, "index.v3")
 		v4 := filepath.Join(dir, "index.v4")
-		if err := ix.SaveFile(v3); err != nil {
+		if err := os.WriteFile(v3, encodeV3Framed(t, ix), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := ix.SaveMapped(v4); err != nil {
@@ -171,16 +173,20 @@ func TestMappedV3V4RoundTripEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertIndexesEqual(t, ix3, ix4)
-		// Mapped → gob re-save → reload: the downgrade path.
-		back := filepath.Join(dir, "back.v3")
-		if err := ix4.SaveFile(back); err != nil {
+		// v3 → v4 upgrade: re-saving the gob-loaded index.
+		up := filepath.Join(dir, "up.v4")
+		if err := ix3.SaveMapped(up); err != nil {
 			t.Fatal(err)
 		}
-		ixb, err := LoadFile(back)
+		ixu, err := LoadFile(up)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIndexesEqual(t, ix, ixb)
+		if !ixu.Mapped() {
+			t.Fatal("re-saved v3 index did not reload mapped")
+		}
+		assertIndexesEqual(t, ix, ixu)
+		ixu.Close()
 		ix4.Close()
 	}
 }

@@ -12,14 +12,15 @@ import (
 	"csrank/internal/snapshot"
 )
 
-// FormatVersion is the index persistence format written by Encode.
-// Version 3 extends the container-aware version 2 layout with
-// per-container score-bound metadata (postings.ChunkBound) on the lists
-// that carry it — the block-max data dynamic pruning needs, persisted so
-// a loaded index can prune without a rebuild pass. Version 2 streams
-// (same layout, no bound bytes) and untagged legacy streams (Version 0,
-// postings.DecodePostings) keep loading; their bound metadata is rebuilt
-// from the persisted document lengths at load time.
+// FormatVersion is the newest gob-stream index format this build reads;
+// nothing writes it any more (SaveMapped writes the paged format v4,
+// MappedFormatVersion). Version 3 extends the container-aware version 2
+// layout with per-container score-bound metadata (postings.ChunkBound)
+// on the lists that carry it — the block-max data dynamic pruning needs,
+// persisted so a loaded index can prune without a rebuild pass. Version
+// 2 streams (same layout, no bound bytes) and untagged legacy streams
+// (Version 0, postings.DecodePostings) keep loading; their bound
+// metadata is rebuilt from the persisted document lengths at load time.
 const FormatVersion = 3
 
 // gobFormatVersions is the single source of truth for every gob-stream
@@ -89,41 +90,6 @@ type persistentField struct {
 	Terms map[string][]byte
 }
 
-// Encode serializes the index with encoding/gob using FormatVersion.
-// This is the raw payload; SaveFile wraps it in the checksummed snapshot
-// frame.
-func (ix *Index) Encode(w io.Writer) error {
-	stored := ix.stored
-	if len(ix.stviews) > 0 {
-		// Mapped index being re-saved to the gob format: materialize the
-		// in-place stored fields.
-		stored = make(map[string][]string, len(ix.stviews))
-		for f := range ix.stviews {
-			stored[f] = ix.storedSlice(f)
-		}
-	}
-	p := persistent{
-		Version: FormatVersion,
-		Schema:  ix.schema,
-		SegSize: ix.segSize,
-		NumDocs: ix.numDocs,
-		Lengths: ix.lengths,
-		Stored:  stored,
-		Fields:  make(map[string]persistentField, len(ix.fields)),
-	}
-	for name, fi := range ix.fields {
-		pf := persistentField{
-			TotalLen: fi.totalLen,
-			Terms:    make(map[string][]byte, len(fi.terms)),
-		}
-		for term, l := range fi.terms {
-			pf.Terms[term] = postings.EncodeList(l)
-		}
-		p.Fields[name] = pf
-	}
-	return gob.NewEncoder(w).Encode(&p)
-}
-
 // decodeTermList rebuilds one term's list according to the stream version.
 func decodeTermList(version int, data []byte, segSize int) (*postings.List, error) {
 	switch version {
@@ -182,10 +148,10 @@ func (p *persistent) validate() error {
 	return nil
 }
 
-// Decode deserializes an index written by Encode, accepting both the
-// current FormatVersion and untagged legacy streams. Input is treated as
-// untrusted: sizes are capped, counters are range-checked, and malformed
-// posting lists error instead of panicking.
+// Decode deserializes a gob-stream index as older builds wrote it,
+// accepting FormatVersion, version 2 and untagged legacy streams. Input
+// is treated as untrusted: sizes are capped, counters are range-checked,
+// and malformed posting lists error instead of panicking.
 func Decode(r io.Reader) (*Index, error) {
 	var p persistent
 	if err := gob.NewDecoder(io.LimitReader(r, maxDecodeBytes)).Decode(&p); err != nil {
@@ -233,19 +199,6 @@ func Decode(r io.Reader) (*Index, error) {
 	return ix, nil
 }
 
-// WriteSnapshot writes the index to w in the framed snapshot format:
-// magic header, format version, per-section CRC32-C, whole-file trailer.
-func (ix *Index) WriteSnapshot(w io.Writer) error {
-	sw, err := snapshot.NewWriter(w, snapshot.KindIndex, FormatVersion)
-	if err != nil {
-		return err
-	}
-	if err := ix.Encode(sw); err != nil {
-		return err
-	}
-	return sw.Close()
-}
-
 // ReadSnapshot reads an index from a format-v4 paged image, a framed
 // snapshot, or a legacy raw-gob stream (sniffed by magic), verifying
 // checksums per the format's contract. A paged stream is read fully
@@ -284,27 +237,8 @@ func ReadSnapshot(r io.Reader) (*Index, error) {
 	return ix, nil
 }
 
-// SaveFile writes the index to path as a framed, checksummed snapshot
-// using an atomic write-to-temp + fsync + rename protocol: a crash at
-// any instant leaves either the previous file or the complete new one.
-func (ix *Index) SaveFile(path string) error {
-	return ix.SaveFileFS(fsx.OS, path)
-}
-
-// SaveFileFS is SaveFile against an explicit filesystem (fault-injection
-// tests substitute a crashing one).
-func (ix *Index) SaveFileFS(fs fsx.FS, path string) error {
-	return fsx.WriteFileAtomic(fs, path, func(w io.Writer) error {
-		bw := bufio.NewWriterSize(w, 1<<20)
-		if err := ix.WriteSnapshot(bw); err != nil {
-			return err
-		}
-		return bw.Flush()
-	})
-}
-
-// LoadFile reads an index written by SaveFile or SaveMapped, or by any
-// build before the framed format existed (a raw gob stream).
+// LoadFile reads an index written by SaveMapped, or a framed or raw gob
+// stream written by an older build.
 func LoadFile(path string) (*Index, error) {
 	return LoadFileFS(fsx.OS, path)
 }

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"testing"
@@ -57,8 +56,8 @@ func boundsTestIndex(t *testing.T) *Index {
 }
 
 // TestPersistV3BoundsRoundTrip: bound metadata built at index time must
-// survive the framed v3 snapshot bit-for-bit — the loaded index prunes
-// from persisted bounds, not a rebuild.
+// survive the framed v3 snapshot older builds wrote bit-for-bit — the
+// loaded index prunes from persisted bounds, not a rebuild.
 func TestPersistV3BoundsRoundTrip(t *testing.T) {
 	ix := boundsTestIndex(t)
 	for _, term := range ix.Terms("content") {
@@ -69,11 +68,7 @@ func TestPersistV3BoundsRoundTrip(t *testing.T) {
 	if ix.Postings("mesh", "common").HasBounds() {
 		t.Fatal("predicate list grew bounds; only scored content lists should carry them")
 	}
-	var buf bytes.Buffer
-	if err := ix.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	got, err := ReadSnapshot(bytes.NewReader(encodeV3Framed(t, ix)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,35 +84,13 @@ func TestPersistV3BoundsRoundTrip(t *testing.T) {
 // container-aware list codec, but with every list stripped of bound
 // metadata before encoding (v2 lists never carried the bounds flag).
 func encodeV2(t *testing.T, ix *Index) []byte {
-	t.Helper()
-	p := persistent{
-		Version: 2,
-		Schema:  ix.schema,
-		SegSize: ix.segSize,
-		NumDocs: ix.numDocs,
-		Lengths: ix.lengths,
-		Stored:  ix.stored,
-		Fields:  make(map[string]persistentField, len(ix.fields)),
-	}
-	for name, fi := range ix.fields {
-		pf := persistentField{
-			TotalLen: fi.totalLen,
-			Terms:    make(map[string][]byte, len(fi.terms)),
+	return encodeGobStream(t, ix, 2, func(l *postings.List) []byte {
+		bare := postings.NewList(l.Postings(), ix.segSize)
+		if bare.HasBounds() {
+			t.Fatal("fresh NewList unexpectedly has bounds")
 		}
-		for term, l := range fi.terms {
-			bare := postings.NewList(l.Postings(), ix.segSize)
-			if bare.HasBounds() {
-				t.Fatalf("fresh NewList for %q unexpectedly has bounds", term)
-			}
-			pf.Terms[term] = postings.EncodeList(bare)
-		}
-		p.Fields[name] = pf
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+		return postings.EncodeList(bare)
+	})
 }
 
 // TestPersistV2RebuildsBoundsOnLoad: a version-2 stream (no bound bytes)

@@ -4,18 +4,22 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"csrank/internal/postings"
+	"csrank/internal/snapshot"
 )
 
-// legacyEncode writes ix the way builds before the format-version tag
-// did: persistent with the zero Version and per-term
-// postings.EncodePostings payloads.
-func legacyEncode(t *testing.T, ix *Index) []byte {
-	t.Helper()
+// encodeGobStream writes heap index ix as a raw gob index stream
+// tagged version, each term's list encoded by enc — the layout every
+// gob format version shares.
+func encodeGobStream(tb testing.TB, ix *Index, version int, enc func(*postings.List) []byte) []byte {
+	tb.Helper()
 	p := persistent{
+		Version: version,
 		Schema:  ix.schema,
 		SegSize: ix.segSize,
 		NumDocs: ix.numDocs,
@@ -29,15 +33,87 @@ func legacyEncode(t *testing.T, ix *Index) []byte {
 			Terms:    make(map[string][]byte, len(fi.terms)),
 		}
 		for term, l := range fi.terms {
-			pf.Terms[term] = postings.EncodePostings(l.Postings())
+			pf.Terms[term] = enc(l)
 		}
 		p.Fields[name] = pf
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// legacyEncode writes ix the way builds before the format-version tag
+// did: the zero Version and per-term postings.EncodePostings payloads.
+func legacyEncode(t *testing.T, ix *Index) []byte {
+	return encodeGobStream(t, ix, 0, func(l *postings.List) []byte {
+		return postings.EncodePostings(l.Postings())
+	})
+}
+
+// encodeV3 writes ix as a raw gob stream of format v3, the way builds
+// did before paged format v4 became the only written format: per-term
+// postings.EncodeList payloads, which carry the score-bound metadata.
+func encodeV3(tb testing.TB, ix *Index) []byte {
+	return encodeGobStream(tb, ix, FormatVersion, postings.EncodeList)
+}
+
+// encodeV3Framed wraps encodeV3's stream in the checksummed snapshot
+// frame, as those builds saved index files.
+func encodeV3Framed(tb testing.TB, ix *Index) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	sw, err := snapshot.NewWriter(&buf, snapshot.KindIndex, FormatVersion)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := sw.Write(encodeV3(tb, ix)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestV3FixturesLoad: the format-v3 files in testdata were written from
+// fuzzSeedIndex by the last build that still wrote v3 (framed snapshot
+// and raw gob). They, and encodeV3's output, must decode to the same
+// postings, TFs, lengths, stored fields and bounds as a fresh build.
+// Gob map order makes the bytes differ between writes, so the test
+// compares decoded indexes, not bytes.
+func TestV3FixturesLoad(t *testing.T) {
+	want, err := fuzzSeedIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed, err := os.ReadFile(filepath.Join("testdata", "v3-framed.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "v3-raw.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !snapshot.IsFramed(framed) || snapshot.IsFramed(raw) {
+		t.Fatal("fixtures are not one framed and one raw stream")
+	}
+	for name, data := range map[string][]byte{
+		"v3-framed.snap": framed,
+		"v3-raw.gob":     raw,
+		"encodeV3":       encodeV3(t, want),
+		"encodeV3Framed": encodeV3Framed(t, want),
+	} {
+		got, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Mapped() {
+			t.Fatalf("%s: gob stream opened as mapped", name)
+		}
+		assertIndexEqual(t, got, want)
+	}
 }
 
 // TestPersistLegacyFormat checks that untagged (version 0) streams still
@@ -93,11 +169,7 @@ func TestPersistDenseListRoundTrip(t *testing.T) {
 		t.Fatalf("common list (%d postings) built no dense container", l.Len())
 	}
 
-	var buf bytes.Buffer
-	if err := ix.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
+	got, err := Decode(bytes.NewReader(encodeV3(t, ix)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,6 @@ type Options struct {
 	// holds at least this many documents. Zero means compaction runs only
 	// when Compact is called.
 	CompactThreshold int
-	// Mapped writes compacted snapshots in the paged format-v4 layout.
-	Mapped bool
 }
 
 // View is one consistent snapshot of the searchable collection: the
@@ -420,11 +418,7 @@ func (ing *Ingester) doCompact() error {
 			return fmt.Errorf("segment: extend shard %d: %w", i, err)
 		}
 		path := filepath.Join(shard.ShardDir(ing.dir, i), indexName(newGen))
-		save := ext.SaveFileFS
-		if ing.opts.Mapped {
-			save = ext.SaveMappedFS
-		}
-		if err := save(ing.fs, path); err != nil {
+		if err := ext.SaveMappedFS(ing.fs, path); err != nil {
 			return fmt.Errorf("segment: persist shard %d gen %d: %w", i, newGen, err)
 		}
 		newEngines[i] = core.New(ext, nil, ing.opts.Core)

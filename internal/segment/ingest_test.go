@@ -15,6 +15,7 @@ import (
 	"csrank/internal/index"
 	"csrank/internal/query"
 	"csrank/internal/shard"
+	"csrank/internal/snapshot"
 )
 
 func testSchema() index.Schema {
@@ -64,7 +65,7 @@ func vocab() (meshTerms, words []string) {
 
 // buildLiveDir persists a fresh nShards cluster over docs into dir,
 // exactly as csbuild -shards would.
-func buildLiveDir(t *testing.T, dir string, docs []index.Document, nShards, segSize int, mapped bool) {
+func buildLiveDir(t *testing.T, dir string, docs []index.Document, nShards, segSize int) {
 	t.Helper()
 	parts, globals, err := shard.Split(docs, nShards)
 	if err != nil {
@@ -82,7 +83,7 @@ func buildLiveDir(t *testing.T, dir string, docs []index.Document, nShards, segS
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.Save(dir, mapped); err != nil {
+	if err := cluster.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,7 +107,7 @@ func TestSearchableAfterAdd(t *testing.T) {
 		docs = append(docs, testDoc(rng, i, mesh, words))
 	}
 	dir := t.TempDir()
-	buildLiveDir(t, dir, docs, 2, 8, false)
+	buildLiveDir(t, dir, docs, 2, 8)
 
 	ing, err := Open(dir, Options{})
 	if err != nil {
@@ -167,9 +168,8 @@ func TestCompactionEquivalence(t *testing.T) {
 			single := core.New(fullIx, nil, opts)
 
 			dir := t.TempDir()
-			mapped := nShards == 2 // exercise extending a format-v4 base
-			buildLiveDir(t, dir, docs[:nBase], nShards, 16, mapped)
-			ing, err := Open(dir, Options{Core: opts, Mapped: mapped})
+			buildLiveDir(t, dir, docs[:nBase], nShards, 16)
+			ing, err := Open(dir, Options{Core: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,6 +248,7 @@ func TestCompactionEquivalence(t *testing.T) {
 			if p := ing.Pending(); p != 0 {
 				t.Fatalf("%d pending after compaction", p)
 			}
+			assertPagedGeneration(t, dir, nShards, 1)
 			check("compacted", nBase+nMid)
 			addRange(nBase+nMid, nBase+nMid+nLate)
 			check("compacted+segment", nBase+nMid+nLate)
@@ -257,9 +258,15 @@ func TestCompactionEquivalence(t *testing.T) {
 			if err := ing.Close(); err != nil {
 				t.Fatal(err)
 			}
-			ing, err = Open(dir, Options{Core: opts, Mapped: mapped})
+			ing, err = Open(dir, Options{Core: opts})
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
+			}
+			slices, _ := ing.Cluster().Slices()
+			for i, sl := range slices {
+				if !sl.Eng.Index().Mapped() {
+					t.Fatalf("shards=%d: reopened shard %d is not mapped", nShards, i)
+				}
 			}
 			if n := ing.NumDocs(); n != nBase+nMid+nLate {
 				t.Fatalf("reopened NumDocs=%d, want %d", n, nBase+nMid+nLate)
@@ -268,8 +275,24 @@ func TestCompactionEquivalence(t *testing.T) {
 			if err := ing.Compact(); err != nil {
 				t.Fatalf("second compact: %v", err)
 			}
+			assertPagedGeneration(t, dir, nShards, 2)
 			check("recompacted", nBase+nMid+nLate)
 			ing.Close()
+		}
+	}
+}
+
+// assertPagedGeneration checks that compaction wrote every shard's
+// generation-gen index as paged format v4.
+func assertPagedGeneration(t *testing.T, dir string, nShards int, gen uint64) {
+	t.Helper()
+	for i := 0; i < nShards; i++ {
+		b, err := os.ReadFile(filepath.Join(shard.ShardDir(dir, i), indexName(gen)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !snapshot.IsPaged(b) {
+			t.Fatalf("shard %d generation %d: index not written as paged format v4", i, gen)
 		}
 	}
 }
@@ -316,7 +339,7 @@ func TestKillPointRecovery(t *testing.T) {
 		baseDocs = append(baseDocs, testDoc(rng, i, mesh, words))
 	}
 	pristine := t.TempDir()
-	buildLiveDir(t, pristine, baseDocs, 2, 8, false)
+	buildLiveDir(t, pristine, baseDocs, 2, 8)
 	// Documents the schedule will try to add, keyed by their docID.
 	var addDocs []index.Document
 	for i := nBase; i < nBase+12; i++ {

@@ -109,13 +109,11 @@ func IsSharded(dir string) bool {
 }
 
 // Save persists the cluster under dir: one engine data directory per
-// shard (shard-%03d/index.gob + views.gob) plus the manifest. mapped
-// selects the format-v4 paged index layout (mmap-ready, the right
-// choice when N shards must not multiply resident heap); otherwise the
-// framed format-v3 snapshot is written. Only clusters whose docID maps
-// match the built-in partitioner can be persisted — the manifest
+// shard (shard-%03d/index.gob in the paged format v4, which Open maps
+// lazily, plus views.gob) and the manifest. Only clusters whose docID
+// maps match the built-in partitioner can be persisted — the manifest
 // records no explicit maps, so anything else could not be reopened.
-func (c *Cluster) Save(dir string, mapped bool) error {
+func (c *Cluster) Save(dir string) error {
 	top := c.state.Load()
 	m := NewManifest(top.total, len(c.shards))
 	for i, g := range GlobalMaps(top.total, len(c.shards)) {
@@ -134,11 +132,7 @@ func (c *Cluster) Save(dir string, mapped bool) error {
 		if err := os.MkdirAll(sd, 0o755); err != nil {
 			return err
 		}
-		save := eng.Index().SaveFile
-		if mapped {
-			save = eng.Index().SaveMapped
-		}
-		if err := save(filepath.Join(sd, "index.gob")); err != nil {
+		if err := eng.Index().SaveMapped(filepath.Join(sd, "index.gob")); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		if cat := eng.Catalog(); cat != nil {
@@ -151,11 +145,12 @@ func (c *Cluster) Save(dir string, mapped bool) error {
 }
 
 // Open loads a persisted cluster: the manifest, then every shard's
-// index (any supported format — a format-v4 paged index maps its
-// postings lazily, so N shards do not multiply resident heap) and
-// optional view catalog, each behind an engine built with opts. A
-// shard whose document count disagrees with the manifest fails the
-// open — serving a drifted partition would silently corrupt rankings.
+// index (Save writes format v4, whose postings map lazily, so N shards
+// do not multiply resident heap; gob indexes from older builds still
+// load, fully decoded) and optional view catalog, each behind an engine
+// built with opts. A shard whose document count disagrees with the
+// manifest fails the open — serving a drifted partition would silently
+// corrupt rankings.
 func Open(dir string, opts core.Options) (*Cluster, error) {
 	m, err := LoadManifest(dir)
 	if err != nil {

@@ -9,11 +9,12 @@ import (
 
 	"csrank/internal/core"
 	"csrank/internal/query"
+	"csrank/internal/snapshot"
 )
 
-// TestSaveOpenRoundTrip persists a cluster (both index formats) and
-// reopens it; rankings must be bit-identical to the in-memory cluster
-// and the manifest must detect drifted shard directories.
+// TestSaveOpenRoundTrip persists a cluster and reopens it: every shard
+// index is written as paged format v4 and reopens mapped, and rankings
+// must be bit-identical to the in-memory cluster.
 func TestSaveOpenRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	docs, meshTerms, words := randomDocs(rng, 200, 6, 6)
@@ -36,33 +37,45 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, mapped := range []bool{false, true} {
-		dir := t.TempDir()
-		if err := mem.Save(dir, mapped); err != nil {
-			t.Fatal(err)
-		}
-		if !IsSharded(dir) {
-			t.Fatal("saved directory not detected as sharded")
-		}
-		got, err := Open(dir, core.Options{})
+	dir := t.TempDir()
+	if err := mem.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if !IsSharded(dir) {
+		t.Fatal("saved directory not detected as sharded")
+	}
+	for i := range engines {
+		b, err := os.ReadFile(filepath.Join(ShardDir(dir, i), "index.gob"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.NumShards() != 3 || got.NumDocs() != len(docs) {
-			t.Fatalf("reopened cluster %d shards / %d docs, want 3 / %d", got.NumShards(), got.NumDocs(), len(docs))
+		if !snapshot.IsPaged(b) {
+			t.Fatalf("shard %d index not written as paged format v4", i)
 		}
-		hits, _, err := got.Search(context.Background(), q, 10)
-		if err != nil {
-			t.Fatal(err)
+	}
+	got, err := Open(dir, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumShards() != 3 || got.NumDocs() != len(docs) {
+		t.Fatalf("reopened cluster %d shards / %d docs, want 3 / %d", got.NumShards(), got.NumDocs(), len(docs))
+	}
+	for i := range got.shards {
+		if eng, _ := got.shards[i].Snapshot(); !eng.Index().Mapped() {
+			t.Fatalf("reopened shard %d is not mapped", i)
 		}
-		if len(hits) != len(want) {
-			t.Fatalf("mapped=%v: %d hits, want %d", mapped, len(hits), len(want))
-		}
-		for i := range want {
-			if hits[i].Global != want[i].Global || hits[i].Score != want[i].Score {
-				t.Fatalf("mapped=%v rank %d: (%d, %v), want (%d, %v)",
-					mapped, i, hits[i].Global, hits[i].Score, want[i].Global, want[i].Score)
-			}
+	}
+	hits, _, err := got.Search(context.Background(), q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != len(want) {
+		t.Fatalf("%d hits, want %d", len(hits), len(want))
+	}
+	for i := range want {
+		if hits[i].Global != want[i].Global || hits[i].Score != want[i].Score {
+			t.Fatalf("rank %d: (%d, %v), want (%d, %v)",
+				i, hits[i].Global, hits[i].Score, want[i].Global, want[i].Score)
 		}
 	}
 }
@@ -85,7 +98,7 @@ func TestOpenRejectsDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := c.Save(dir, false); err != nil {
+	if err := c.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite shard 1's index with shard 0's (wrong partition).

@@ -7,7 +7,8 @@ import (
 	"csrank/internal/segment"
 )
 
-// IngestOptions configures live ingestion on an opened cluster.
+// IngestOptions configures live ingestion on an opened cluster. Every
+// index generation ingestion writes is paged format v4.
 type IngestOptions struct {
 	// RefreshEvery is the interval at which newly added documents become
 	// searchable. Zero refreshes synchronously inside every Add: the
@@ -19,8 +20,6 @@ type IngestOptions struct {
 	// segment holds this many documents. Zero compacts only on demand
 	// (Compact).
 	CompactThreshold int
-	// Mapped writes compacted snapshots in the format-v4 paged layout.
-	Mapped bool
 }
 
 // OpenLive opens a sharded data directory (as written by
@@ -43,7 +42,6 @@ func OpenLive(dir string, opts BuildOptions, ing IngestOptions) (*ShardedEngine,
 		Core:             opts.coreOptions(sc),
 		RefreshEvery:     ing.RefreshEvery,
 		CompactThreshold: ing.CompactThreshold,
-		Mapped:           ing.Mapped,
 	})
 	if err != nil {
 		return nil, err
@@ -127,11 +125,7 @@ func (e *Engine) EnableIngest(dir string, opts BuildOptions, ing IngestOptions) 
 		if err != nil {
 			return err
 		}
-		save := se.Save
-		if ing.Mapped {
-			save = se.SaveMapped
-		}
-		if err := save(dir); err != nil {
+		if err := se.Save(dir); err != nil {
 			return err
 		}
 	}

@@ -3,9 +3,14 @@ package csrank
 import (
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"csrank/internal/ranking"
 	"csrank/internal/shard"
+	"csrank/internal/snapshot"
 )
 
 func liveDoc(i int) Document {
@@ -99,6 +104,7 @@ func TestOpenLiveIngestAndCompact(t *testing.T) {
 	if p := live.Pending(); p != 0 {
 		t.Fatalf("%d pending after compaction", p)
 	}
+	assertPagedShards(t, dir, 2, "index.000001.gob")
 	compare("compacted", live)
 	if err := live.Close(); err != nil {
 		t.Fatal(err)
@@ -129,6 +135,7 @@ func TestEngineEnableIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	assertPagedShards(t, dir, 1, "index.gob")
 	id, err := e.Add(liveDoc(30))
 	if err != nil {
 		t.Fatal(err)
@@ -238,5 +245,90 @@ func TestOpenLiveShardFaultDegrades(t *testing.T) {
 	}
 	if _, _, err := strict.Search("leukemia", 10); !errors.Is(err, ErrTooFewShards) {
 		t.Fatalf("MinShards = NumShards with a dead shard: err %v, want ErrTooFewShards", err)
+	}
+}
+
+// TestV3ClusterCompactsToV4: a cluster directory an older build wrote
+// in the framed gob format v3 (testdata/v3-cluster: liveDoc 0..19 over
+// two shards) still opens live; its first compaction writes paged
+// format v4, and the compacted cluster ranks bit-identically to a fresh
+// build over the union under every scorer.
+func TestV3ClusterCompactsToV4(t *testing.T) {
+	const nBase, nAdd = 20, 10
+	for _, name := range ranking.Names() {
+		dir := t.TempDir()
+		copyDir(t, filepath.Join("testdata", "v3-cluster"), dir)
+		if b, err := os.ReadFile(filepath.Join(shard.ShardDir(dir, 0), "index.gob")); err != nil || !snapshot.IsFramed(b) {
+			t.Fatalf("fixture is not a framed gob index: %v", err)
+		}
+		opts := BuildOptions{Scorer: Scorer(name)}
+		live, err := OpenLive(dir, opts, IngestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := nBase; i < nBase+nAdd; i++ {
+			if _, err := live.Add(liveDoc(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := live.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		assertPagedShards(t, dir, 2, "index.000001.gob")
+
+		full := NewBuilder()
+		for i := 0; i < nBase+nAdd; i++ {
+			full.Add(liveDoc(i))
+		}
+		want, err := full.BuildSharded(2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"leukemia", "uniq0004", "uniq0025", "leukemia | neoplasms", "pancreas outcomes | digestive_system"} {
+			wh, _, err := want.Search(q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gh, _, err := live.Search(q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gh) != len(wh) || len(wh) == 0 {
+				t.Fatalf("%s %q: %d hits, want %d", name, q, len(gh), len(wh))
+			}
+			for i := range wh {
+				if gh[i] != wh[i] {
+					t.Fatalf("%s %q rank %d: %+v, want %+v", name, q, i, gh[i], wh[i])
+				}
+			}
+		}
+		if err := live.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// copyDir copies the regular files of the tree at src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

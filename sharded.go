@@ -215,14 +215,9 @@ func (e *Engine) ShardedWithOptions(opts BuildOptions) (*ShardedEngine, error) {
 	return se, nil
 }
 
-// Save persists the cluster under dir (which must exist): one
-// shard-%03d engine directory per shard plus a cluster.json manifest.
-func (e *ShardedEngine) Save(dir string) error { return e.cluster.Save(dir, false) }
-
-// SaveMapped is Save with the format-v4 paged index layout, which
-// OpenSharded maps lazily — the right choice when N shards must not
-// multiply resident heap.
-func (e *ShardedEngine) SaveMapped(dir string) error { return e.cluster.Save(dir, true) }
+// Save persists the cluster under dir (which must exist): a manifest and
+// one shard-%03d engine directory per shard, its index in paged format v4.
+func (e *ShardedEngine) Save(dir string) error { return e.cluster.Save(dir) }
 
 // IsSharded reports whether dir holds a sharded data directory (a
 // cluster manifest) as written by ShardedEngine.Save, as opposed to a
