@@ -524,8 +524,8 @@ func stridedList(start, stride uint32, n int) *postings.List {
 // BenchmarkIntersect measures the adaptive-container intersection
 // kernels on the list shapes that dominate context evaluation: count-only
 // conjunctions of dense predicate lists (word-AND + popcount), a sparse
-// keyword list against a dense context (galloping probes), the
-// materializing path, and the k-way union.
+// keyword list against a dense context (galloping probes), and the
+// materializing path.
 func BenchmarkIntersect(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	denseA := stridedList(0, 3, 500000) // 1/3 of docs up to 1.5M
@@ -557,18 +557,6 @@ func BenchmarkIntersect(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r := postings.Intersect([]*postings.List{denseA, denseB}, nil)
 			sink += int64(r.Len())
-		}
-	})
-	b.Run("union/k-way", func(b *testing.B) {
-		b.ReportAllocs()
-		rng := rand.New(rand.NewSource(13))
-		lists := make([]*postings.List, 12)
-		for i := range lists {
-			lists[i] = randomList(rng, 20000, 1500000, postings.DefaultSegmentSize)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sink += int64(postings.Union(lists, nil).Len())
 		}
 	})
 	_ = sink

@@ -318,15 +318,15 @@ func searchAndPrint(e *core.Engine, ix *index.Index, qstr string, k int, mode st
 		fmt.Fprintf(out, "%s  [plan=%s view=%v results=%d |D_P|=%d %s]\n",
 			label, st.Plan, st.UsedView, st.ResultSize, st.ContextSize,
 			st.Elapsed.Round(time.Microsecond))
-		if st.Pruning.Active {
+		if st.Pruning != (core.PruningStats{}) {
 			fmt.Fprintf(out, "  pruning: containers skipped=%d docs skipped=%d bound checks=%d\n",
 				st.Pruning.ContainersSkipped, st.Pruning.DocsSkipped, st.Pruning.BoundChecks)
 		}
 		if st.Degraded {
 			fmt.Fprintf(out, "  !! degraded: %s\n", st.DegradedReason)
-			fmt.Fprintf(out, "     phases: analyze=%s stats=%s resultset=%s score=%s  cost: entries=%d seeks=%d aggregated=%d viewgroups=%d\n",
+			fmt.Fprintf(out, "     phases: analyze=%s stats=%s score=%s  cost: entries=%d seeks=%d aggregated=%d viewgroups=%d\n",
 				st.Phases.Analyze.Round(time.Microsecond), st.Phases.Stats.Round(time.Microsecond),
-				st.Phases.ResultSet.Round(time.Microsecond), st.Phases.Score.Round(time.Microsecond),
+				st.Phases.Score.Round(time.Microsecond),
 				st.EntriesScanned, st.Seeks, st.AggregatedEntries, st.ViewGroupsScanned)
 		}
 		for i, r := range res {

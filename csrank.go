@@ -118,9 +118,8 @@ type BuildOptions struct {
 	// queries; past it the engine ranks with approximate statistics and
 	// flags the result Degraded. Zero means unbounded.
 	StatsBudget time.Duration
-	// Pruning enables block-max dynamic pruning: top-k scoring skips
-	// documents and containers whose score bound proves they cannot
-	// rank. Results stay bit-identical to exhaustive scoring.
+	// Pruning lets top-k scoring skip documents and containers that
+	// cannot beat the k-th best score so far; rankings are unchanged.
 	Pruning bool
 	// MinShards (sharded engines only) is the fewest healthy shards for
 	// which a partial answer is still served; when fewer survive a
@@ -278,7 +277,8 @@ type Stats struct {
 	// UsedView reports whether a materialized view answered the context
 	// statistics (any shard, for sharded engines).
 	UsedView bool `json:"used_view"`
-	// ResultSize is the unranked result cardinality.
+	// ResultSize counts the matching documents scoring visited: all of
+	// them, unless Pruning skipped containers that cannot rank.
 	ResultSize int `json:"result_size"`
 	// ContextSize is |D_P| for contextual queries.
 	ContextSize int64 `json:"context_size"`

@@ -94,9 +94,9 @@ func (g *goroutineScorer) UpperBound(q ranking.QueryStats, maxTF, minLen int32, 
 
 // TestSearchRunsOnOneGoroutine pins the engine's concurrency model: a
 // single-engine search runs entirely on its caller's goroutine. Over a
-// result of thousands of documents it starts no goroutine on the pruned
-// path, on the exhaustive path, or while computing the df/tc of the
-// keywords a view does not track.
+// result of thousands of documents it starts no goroutine in the walk
+// with or without pruning, or while computing the df/tc of the keywords
+// a view does not track.
 func TestSearchRunsOnOneGoroutine(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	tbl := widetable.FromIndex(ix, []string{"disease"})
@@ -125,8 +125,8 @@ func TestSearchRunsOnOneGoroutine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(res) == 0 || st.Pruning.Active != tc.pruned || st.FallbackKeywords != tc.fallback {
-			t.Fatalf("%s: %d results, pruned %v, %d fallback keywords: wrong path", tc.name, len(res), st.Pruning.Active, st.FallbackKeywords)
+		if len(res) == 0 || (st.Pruning.BoundChecks > 0) != tc.pruned || st.FallbackKeywords != tc.fallback {
+			t.Fatalf("%s: %d results, %d bound checks, %d fallback keywords: wrong path", tc.name, len(res), st.Pruning.BoundChecks, st.FallbackKeywords)
 		}
 		if peak := sc.peak.Load(); peak == 0 || peak > base {
 			t.Fatalf("%s: %d goroutines while scoring, %d before the search", tc.name, peak, base)

@@ -90,15 +90,12 @@ type Options struct {
 	// statistics otherwise — and flags the result Degraded, per the
 	// paper's hybrid bounded-worst-case philosophy. Zero means no budget.
 	StatsBudget time.Duration
-	// Pruning enables block-max dynamic pruning: top-k scoring walks the
-	// conjunction with bound-aware cursors and skips documents — or whole
-	// 2^16-docID containers — whose score upper bound proves they cannot
-	// enter the top k. The skipped work is the only difference: results
-	// are bit-identical to exhaustive scoring. The pruned path engages
-	// when k > 0 and every keyword list carries bound metadata (any
-	// index built or loaded by this version); other queries fall back to
-	// exhaustive scoring. The §6 reproduction experiments pin it off so
-	// measured list costs match the paper's cost model.
+	// Pruning lets the scoring walk compare against the top-k threshold
+	// τ and skip documents, or whole 2^16-docID containers, that cannot
+	// enter the top k; results are bit-identical either way. It takes
+	// effect when k > 0 and every keyword list carries bounds (any index
+	// this version builds or loads). Off, the walk charges exactly
+	// postings.Intersect's list work, so the §6 experiments pin it off.
 	Pruning bool
 }
 
@@ -116,10 +113,8 @@ type PhaseTimings struct {
 	Analyze time.Duration
 	// Stats is the context-statistics phase (views, aggregation).
 	Stats time.Duration
-	// ResultSet is the unranked result-set intersection (zero when the
-	// pruned path ran: it never materializes the result set).
-	ResultSet time.Duration
-	// Score is ranking and top-k selection.
+	// Score is the walk over the result set: intersection, ranking and
+	// top-k selection in one pass.
 	Score time.Duration
 }
 
@@ -137,10 +132,9 @@ type ExecStats struct {
 	// computed by intersection because no view tracks them (or, in
 	// degraded mode, estimated because the budget was gone).
 	FallbackKeywords int
-	// ResultSize is the unranked result cardinality. When the pruned
-	// path ran (Pruning.Active) it counts only the conjunction members
-	// the pruned loop visited: members inside skipped containers are
-	// provably outside the top k but were never enumerated.
+	// ResultSize counts the conjunction members the scoring walk visited:
+	// the result cardinality with pruning off, at most that with it on
+	// (members of skipped containers are never enumerated).
 	ResultSize int
 	// ContextSize is |D_P| (0 for conventional evaluation of a
 	// context-free query).
@@ -154,8 +148,8 @@ type ExecStats struct {
 	// DegradedReason explains each degradation, "; "-joined in the order
 	// the phases hit their limits. Empty when Degraded is false.
 	DegradedReason string
-	// Pruning reports what dynamic pruning did (all-zero with Active
-	// false when Options.Pruning was off or the query was ineligible).
+	// Pruning reports what dynamic pruning did (all zero when the walk
+	// never compared against τ).
 	Pruning PruningStats
 	// Phases is the per-phase wall-clock breakdown.
 	Phases PhaseTimings
@@ -354,17 +348,6 @@ func (e *Engine) lists(a analyzed) (kw, preds []*postings.List) {
 		preds[i] = e.ix.Postings(e.predField, m)
 	}
 	return kw, preds
-}
-
-// evaluateResultSet computes the unranked result
-// σ_P(D) ∩ σ_w1(D) ∩ … ∩ σ_wn(D) with the keyword lists first so the
-// returned TFs align with a.kwTerms. On cancellation the partial prefix
-// is returned together with ctx's error.
-func evaluateResultSet(ctx context.Context, kw, preds []*postings.List, st *postings.Stats) (*postings.Intersection, error) {
-	all := make([]*postings.List, 0, len(kw)+len(preds))
-	all = append(all, kw...)
-	all = append(all, preds...)
-	return postings.IntersectCtx(ctx, all, st)
 }
 
 // shortCircuit handles a context that is already dead before any list

@@ -193,81 +193,17 @@ func (e *Engine) statsPhase(ctx context.Context, x *exec, plan Plan, mustAnswer 
 	return cs, nil
 }
 
-// scorePhase evaluates the query's result set on this engine's
-// documents and ranks it under cs: the pruned bound-aware walk when
-// eligible, else the materialized result set scored exhaustively. A
-// deadline expiring in any step degrades to flagged partial results;
-// cancellations and panics fail the query. cs is only read.
+// scorePhase ranks the query's result set on this engine's documents
+// under cs with the scoring walk (prunedSearch). A deadline expiring
+// mid-walk degrades to flagged partial top-k; cancellations and panics
+// fail the query. cs is only read.
 func (e *Engine) scorePhase(ctx context.Context, x *exec, cs ranking.CollectionStats, k int) ([]Result, error) {
 	st := x.st
-	preds := x.scorePreds()
-	if e.prunedEligible(x.kw, preds, k) {
-		// Statistics are settled (exact or approximate — the bounds are
-		// valid ceilings for whatever statistics the query ranks with):
-		// walk the conjunction with bound-aware cursors directly.
-		tScore := time.Now()
-		out, err := e.prunedSearch(ctx, x.a, x.kw, preds, cs, k, st)
-		st.Phases.Score = time.Since(tScore)
-		if err != nil && !degradeOnDeadline(err, st, "deadline exceeded during pruned scoring: partial top-k") {
-			return nil, err
-		}
-		return out, nil
-	}
-	tRes := time.Now()
-	res, err := evaluateResultSet(ctx, x.kw, preds, &st.Stats)
-	st.Phases.ResultSet = time.Since(tRes)
-	if err != nil && (res == nil || !degradeOnDeadline(err, st, "deadline exceeded during result-set intersection: partial results")) {
-		return nil, err
-	}
-	st.ResultSize = res.Len()
-
 	tScore := time.Now()
-	out, err := e.score(ctx, x.a, res, cs, k)
+	out, err := e.prunedSearch(ctx, x.a, x.kw, x.scorePreds(), cs, k, st)
 	st.Phases.Score = time.Since(tScore)
 	if err != nil && !degradeOnDeadline(err, st, "deadline exceeded during scoring: partial top-k") {
 		return nil, err
 	}
 	return out, nil
-}
-
-// scoreCheckMask throttles ctx polling in the scoring loops: one Err()
-// call per mask+1 documents keeps the hot loop branch-cheap.
-const scoreCheckMask = 1023
-
-// score ranks the unranked result under the given collection statistics
-// and returns the top k (all results if k ≤ 0), ordered by descending
-// score then ascending DocID. One pooled TF buffer is reused for the
-// whole result, so the per-document loop performs zero map operations
-// and zero allocations. ctx is polled every scoreCheckMask+1 documents.
-// On deadline expiry the heap forms a valid partial top-k (over the
-// documents scored before the cutoff), returned with the deadline error;
-// a cancellation returns nil results with the error.
-func (e *Engine) score(ctx context.Context, a analyzed, res *postings.Intersection, cs ranking.CollectionStats, k int) ([]Result, error) {
-	qs := ranking.NewQueryStats(a.kwStream)
-	terms := a.kwTerms
-	s := getScratch(len(terms))
-	defer putScratch(s)
-	top := newTopK(k)
-	defer top.release()
-	// a.kwTerms is the distinct keywords in first-occurrence order — the
-	// slot order of qs.TQs — so every slice the scorer reads lines up.
-	cs.IndexTerms(terms)
-	tf := s.tf
-	var err error
-	for i, docID := range res.DocIDs {
-		if i&scoreCheckMask == 0 {
-			if err = ctx.Err(); err != nil {
-				break
-			}
-		}
-		for j := range terms {
-			tf[j] = int64(res.TFs[j][i])
-		}
-		ds := ranking.DocStats{TFs: tf, Len: int64(e.docLens[docID])}
-		top.push(Result{DocID: docID, Score: e.scorer.ScoreIndexed(qs, ds, cs)})
-	}
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return nil, err
-	}
-	return top.results(), err
 }

@@ -72,15 +72,12 @@ func TestMappedBitIdenticalToHeap(t *testing.T) {
 					}
 					label := fmt.Sprintf("%s pruning=%v k=%d %q", sc.Name(), pruning, k, qs)
 					assertBitIdentical(t, label, want, got)
-					if wst.Pruning.Active != gst.Pruning.Active {
-						t.Fatalf("%s: pruning active differs", label)
-					}
 					if wst.Seeks != gst.Seeks || wst.SegmentsSkipped != gst.SegmentsSkipped ||
 						wst.EntriesScanned != gst.EntriesScanned || wst.BitmapWords != gst.BitmapWords {
 						t.Fatalf("%s: cost charges differ: heap %+v mapped %+v", label, wst.Stats, gst.Stats)
 					}
 					if wst.Pruning.ContainersSkipped != gst.Pruning.ContainersSkipped ||
-						wst.Pruning.DocsSkipped != gst.Pruning.DocsSkipped {
+						wst.Pruning.DocsSkipped != gst.Pruning.DocsSkipped || wst.Pruning.BoundChecks != gst.Pruning.BoundChecks {
 						t.Fatalf("%s: pruning counters differ: heap %+v mapped %+v", label, wst.Pruning, gst.Pruning)
 					}
 				}

@@ -10,12 +10,13 @@ import (
 	"csrank/internal/ranking"
 )
 
-// Block-max dynamic pruning: safe top-k scoring that skips documents
-// which cannot rank. The exhaustive path materializes the full
-// conjunction and scores every member; the pruned path walks the same
-// lists with bound-aware cursors and maintains the running top-k
-// threshold τ (the k-th best score seen so far). Work is skipped at two
-// granularities, both strictly safe:
+// The scoring walk, the one evaluator of the result set: it walks the
+// conjunction with bound-aware cursors and scores the members it visits
+// into a top-k heap, never materializing the result set. Without
+// pruning it never compares against τ and charges exactly what
+// postings.Intersect charges. With pruning (block-max dynamic pruning)
+// it maintains the running top-k threshold τ (the k-th best score seen
+// so far) and skips work at two granularities, both strictly safe:
 //
 //   - container level: each keyword list carries per-2^16-chunk
 //     (MaxTF, MinDocLen) metadata (postings.ChunkBound). Summing every
@@ -44,9 +45,9 @@ import (
 // (the ranking.Scorer contract), so every skipped document scores
 // strictly below the final k-th best — it cannot appear in the top k
 // even under the DocID tie-break, which only arbitrates equal scores.
-// Documents that are scored produce exactly the exhaustive path's
-// floats: term frequencies come from the same lists in the same
-// canonical order, and ScoreIndexed runs with the same statistics.
+// Documents that are scored produce exactly the floats of the walk
+// that never prunes: term frequencies come from the same lists in the
+// same canonical order, and ScoreIndexed runs with the same statistics.
 //
 // That contract holds in exact arithmetic, but the two sides are
 // computed by different floating-point expressions (different
@@ -63,15 +64,12 @@ import (
 //
 // Ordering constraint: bounds are functions of the CollectionStats the
 // query ranks with. Under context-sensitive evaluation that is S_c(D_P),
-// so the pruned path runs strictly after the statistics phase (see
+// so the walk runs strictly after the statistics phase (see
 // ranking/bounds.go).
 
 // PruningStats counts what dynamic pruning did during one execution.
-// All zero when pruning was off or ineligible and Active is false.
+// All zero when the walk never compared against τ.
 type PruningStats struct {
-	// Active reports that the pruned scoring path executed (it may still
-	// have skipped nothing if the bounds never dropped below τ).
-	Active bool
 	// ContainersSkipped counts aligned container ranges dismissed
 	// wholesale by the summed per-container ceilings.
 	ContainersSkipped int64
@@ -92,9 +90,8 @@ type PruningStats struct {
 	BoundChecks int64
 }
 
-// add merges another execution's counters (Active is sticky).
+// add merges another execution's counters.
 func (p *PruningStats) add(o PruningStats) {
-	p.Active = p.Active || o.Active
 	p.ContainersSkipped += o.ContainersSkipped
 	p.ContainersSkippedUndecoded += o.ContainersSkippedUndecoded
 	p.DocsSkipped += o.DocsSkipped
@@ -109,33 +106,16 @@ func (p *PruningStats) add(o PruningStats) {
 // two orders of magnitude of headroom.
 const boundFPMargin = 1e-12
 
+// scoreCheckMask throttles ctx polling in the walk: one Err() call per
+// mask+1 candidate probes keeps the hot loop branch-cheap.
+const scoreCheckMask = 1023
+
 // memoCap bounds the per-term tf → UpperBound memo table: term
 // frequencies at or below it hit the table, rarer larger ones compute
 // directly. Tables reset at container granularity (MinDocLen changes).
 const memoCap = 256
 
-// prunedEligible reports whether the pruned path can serve this query:
-// pruning on, a real top-k (k > 0), and bound metadata on every keyword
-// list. Any nil or empty list means an empty conjunction, which the
-// exhaustive path already handles in O(1).
-func (e *Engine) prunedEligible(kw, preds []*postings.List, k int) bool {
-	if !e.pruning || k <= 0 {
-		return false
-	}
-	for _, l := range kw {
-		if l == nil || l.Len() == 0 || !l.HasBounds() {
-			return false
-		}
-	}
-	for _, l := range preds {
-		if l == nil || l.Len() == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// prunedQuery is the pruned walk's per-query immutable state.
+// prunedQuery is the walk's per-query immutable state.
 type prunedQuery struct {
 	qs     ranking.QueryStats
 	cs     ranking.CollectionStats
@@ -159,7 +139,10 @@ type prunedQuery struct {
 	// shortest list's index.
 	seekOrder []int
 	driver    int
-	k         int
+	// prune is whether the walk compares against τ: pruning on, a real
+	// top-k (k > 0) and bound metadata on every keyword list. tfLess
+	// marks a conjunction of two or more lists without TFs.
+	prune, tfLess bool
 }
 
 // termUpperBound evaluates keyword i's summand ceiling, routing through
@@ -173,23 +156,34 @@ func (pq *prunedQuery) termUpperBound(i int, maxTF uint32, minLen int32) float64
 	return pq.scorer.UpperBound(pq.termQ[i], int32(maxTF), minLen, pq.termC[i])
 }
 
-// newPrunedQuery assembles the pruned-query state. Caller has
-// verified prunedEligible.
+// newPrunedQuery assembles the walk's per-query state, or returns nil
+// when a list is nil or empty: the conjunction is empty.
 func (e *Engine) newPrunedQuery(a analyzed, kw, preds []*postings.List, cs ranking.CollectionStats, k int) *prunedQuery {
+	all := append(append(make([]*postings.List, 0, len(kw)+len(preds)), kw...), preds...)
+	driver, tfLess := 0, len(all) > 1
+	for i, l := range all {
+		if l == nil || l.Len() == 0 {
+			return nil
+		}
+		if l.Len() < all[driver].Len() {
+			driver = i
+		}
+		tfLess = tfLess && !l.HasTFs()
+	}
 	nk := len(kw)
 	pq := &prunedQuery{
 		qs:     ranking.NewQueryStats(a.kwStream),
 		cs:     cs,
 		scorer: e.scorer,
-		all:    make([]*postings.List, 0, nk+len(preds)),
+		all:    all,
 		nk:     nk,
 		termQ:  make([]ranking.QueryStats, nk),
 		termC:  make([]ranking.CollectionStats, nk),
 		order:  make([]int, nk),
-		k:      k,
+		driver: driver,
+		prune:  e.pruning && k > 0,
+		tfLess: tfLess,
 	}
-	pq.all = append(pq.all, kw...)
-	pq.all = append(pq.all, preds...)
 	// a.kwTerms is distinct first-occurrence order — the canonical
 	// summation order ScoreIndexed uses.
 	pq.cs.IndexTerms(a.kwTerms)
@@ -200,16 +194,11 @@ func (e *Engine) newPrunedQuery(a analyzed, kw, preds []*postings.List, cs ranki
 			Terms: pq.cs.Terms[i : i+1], DFs: pq.cs.DFs[i : i+1], TCs: pq.cs.TCs[i : i+1]}
 		listUB[i] = pq.termUpperBound(i, kw[i].MaxTF(), kw[i].MinDocLen())
 		pq.order[i] = i
+		pq.prune = pq.prune && kw[i].HasBounds()
 	}
 	sort.SliceStable(pq.order, func(x, y int) bool {
 		return listUB[pq.order[x]] > listUB[pq.order[y]]
 	})
-	pq.driver = 0
-	for i, l := range pq.all {
-		if l.Len() < pq.all[pq.driver].Len() {
-			pq.driver = i
-		}
-	}
 	for i := range pq.all {
 		if i != pq.driver {
 			pq.seekOrder = append(pq.seekOrder, i)
@@ -221,7 +210,7 @@ func (e *Engine) newPrunedQuery(a analyzed, kw, preds []*postings.List, cs ranki
 	return pq
 }
 
-// prunedWorker is the pruned walk's mutable scoring state.
+// prunedWorker is the walk's mutable scoring state.
 type prunedWorker struct {
 	e       *Engine
 	pq      *prunedQuery
@@ -347,20 +336,14 @@ func (w *prunedWorker) termBound(i int, tf uint32) float64 {
 // alignment and every scoreCheckMask+1 candidate probes.
 func (w *prunedWorker) run(ctx context.Context) error {
 	pq := w.pq
-	for _, c := range w.curs {
-		if !c.NextAtLeast(0) {
-			return nil
-		}
-	}
 	driver := w.curs[pq.driver]
 	tf := w.scratch.tf
 	probes := 0
-	// tau caches the skip threshold, the heap floor (haveTau: it is above
-	// -Inf, i.e. k results exist). Only a push moves the floor, so it is
-	// re-read there and nowhere per candidate. Bound-check counters
+	// tau caches the skip threshold, the heap floor, once haveTau (k
+	// results exist and the walk prunes). Only a push moves the floor, so
+	// it is re-read there and nowhere per candidate. Bound-check counters
 	// accumulate in locals for the same reason and flush on return.
-	tau := w.top.floor()
-	haveTau := !math.IsInf(tau, -1)
+	tau, haveTau := 0.0, false
 	var checks, skips int64
 	defer func() {
 		w.pst.BoundChecks += checks
@@ -370,55 +353,61 @@ func (w *prunedWorker) run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Align every cursor into one container range. Seeks can
-		// overshoot into later containers, so iterate to a fixed point;
-		// positions only move forward, so this terminates.
-		var base uint32
-		for {
-			base = 0
-			for _, c := range w.curs {
-				if c.Exhausted() {
-					return nil
-				}
-				if b := c.ContainerBase(); b > base {
-					base = b
-				}
-			}
-			moved := false
-			for _, c := range w.curs {
-				if c.ContainerBase() < base {
-					if !c.NextAtLeast(base) {
+		// Without pruning the whole docID space is one range and no
+		// container is aligned or bounded: the cursors move exactly as
+		// postings.Intersect's conjunction moves them.
+		rangeEnd := uint64(math.MaxUint32) + 1
+		if pq.prune {
+			// Align every cursor into one container range. Seeks can
+			// overshoot into later containers, so iterate to a fixed point;
+			// positions only move forward, so this terminates.
+			var base uint32
+			for {
+				base = 0
+				for _, c := range w.curs {
+					if c.Exhausted() {
 						return nil
 					}
-					moved = true
+					if b := c.ContainerBase(); b > base {
+						base = b
+					}
+				}
+				moved := false
+				for _, c := range w.curs {
+					if c.ContainerBase() < base {
+						if !c.NextAtLeast(base) {
+							return nil
+						}
+						moved = true
+					}
+				}
+				if !moved {
+					break
 				}
 			}
-			if !moved {
-				break
-			}
-		}
-		rangeEnd := uint64(base) + postings.ContainerSpan
+			rangeEnd = uint64(base) + postings.ContainerSpan
 
-		w.enterContainer()
-		if w.suffix[0]+boundFPMargin*w.suffixAbs[0] < tau {
-			// No document in this container range can enter the top k:
-			// jump every cursor past it.
-			w.pst.ContainersSkipped++
-			alive := true
-			for _, c := range w.curs {
-				if !c.ContainerResident() {
-					// Mapped block dismissed straight off its directory
-					// entry — never decompressed.
-					w.pst.ContainersSkippedUndecoded++
+			w.enterContainer()
+			if haveTau && w.suffix[0]+boundFPMargin*w.suffixAbs[0] < tau {
+				// No document in this container range can enter the top k:
+				// jump every cursor past it.
+				w.pst.ContainersSkipped++
+				alive := true
+				for _, c := range w.curs {
+					if !c.ContainerResident() {
+						// Mapped block dismissed straight off its directory
+						// entry — never decompressed.
+						w.pst.ContainersSkippedUndecoded++
+					}
+					if !c.SkipContainer() {
+						alive = false
+					}
 				}
-				if !c.SkipContainer() {
-					alive = false
+				if !alive {
+					return nil
 				}
+				continue
 			}
-			if !alive {
-				return nil
-			}
-			continue
 		}
 
 		// Conjunction scan within [base, rangeEnd). staged: when the
@@ -503,9 +492,8 @@ func (w *prunedWorker) run(ctx context.Context) error {
 			for i := 0; i < pq.nk; i++ {
 				tf[i] = int64(w.curs[i].TF())
 			}
-			ds := ranking.DocStats{TFs: tf, Len: int64(w.e.docLens[d])}
-			w.top.push(Result{DocID: d, Score: pq.scorer.ScoreIndexed(pq.qs, ds, pq.cs)})
-			if w.top.full() {
+			w.score(d)
+			if pq.prune && w.top.full() {
 				tau = w.top.floor()
 				haveTau = true
 			}
@@ -520,16 +508,27 @@ func (w *prunedWorker) run(ctx context.Context) error {
 	}
 }
 
-// prunedSearch is the pruned replacement for evaluateResultSet + score:
-// it walks the conjunction with bound-aware cursors and returns the top
-// k directly, never materializing the result set. st receives the
-// pruning counters, the list cost, and ResultSize (which under pruning
-// counts only the conjunction members the loop visited — skipped
-// containers hide their members by design). On deadline expiry the
-// partial top-k is returned with context.DeadlineExceeded, like score.
+// score pushes conjunction member d, its keyword tfs already in
+// scratch.tf, into the top k.
+func (w *prunedWorker) score(d uint32) {
+	ds := ranking.DocStats{TFs: w.scratch.tf, Len: int64(w.e.docLens[d])}
+	w.top.push(Result{DocID: d, Score: w.pq.scorer.ScoreIndexed(w.pq.qs, ds, w.pq.cs)})
+}
+
+// prunedSearch is the scoring walk over the conjunction of the keyword
+// and predicate lists: the top k (every member if k ≤ 0) by descending
+// score then ascending DocID. st receives the list cost, one
+// intersection for two or more lists, the pruning counters and
+// ResultSize. On deadline expiry the partial top-k is returned with
+// context.DeadlineExceeded; a cancellation returns nil and the error.
 func (e *Engine) prunedSearch(ctx context.Context, a analyzed, kw, preds []*postings.List, cs ranking.CollectionStats, k int, st *ExecStats) ([]Result, error) {
 	pq := e.newPrunedQuery(a, kw, preds, cs, k)
-	st.Pruning.Active = true
+	if pq == nil {
+		return []Result{}, nil
+	}
+	if len(pq.all) > 1 {
+		st.Intersections++
+	}
 	scratch := getScratch(pq.nk)
 	defer putScratch(scratch)
 	top := newTopK(k)
@@ -546,10 +545,23 @@ func (e *Engine) prunedSearch(ctx context.Context, a analyzed, kw, preds []*post
 		suffixAbs: make([]float64, pq.nk+1),
 		memo:      make([][]float64, pq.nk),
 	}
-	for i, l := range pq.all {
-		w.curs[i] = postings.NewBoundCursor(l, &st.Stats)
+	var err error
+	if pq.tfLess && !pq.prune {
+		// tf = 1 throughout and nothing to prune: the count kernel
+		// enumerates the conjunction, charging what Intersect charges.
+		for i := range scratch.tf {
+			scratch.tf[i] = 1
+		}
+		err = postings.VisitConjunction(ctx, pq.all, &st.Stats, func(d uint32) {
+			w.matched++
+			w.score(d)
+		})
+	} else {
+		for i, l := range pq.all {
+			w.curs[i] = postings.NewBoundCursor(l, &st.Stats)
+		}
+		err = w.run(ctx)
 	}
-	err := w.run(ctx)
 	st.ResultSize = w.matched
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return nil, err

@@ -203,10 +203,9 @@ func MergeStats(parts ...ExecStats) ExecStats {
 
 func maxPhases(a, b PhaseTimings) PhaseTimings {
 	return PhaseTimings{
-		Analyze:   maxDuration(a.Analyze, b.Analyze),
-		Stats:     maxDuration(a.Stats, b.Stats),
-		ResultSet: maxDuration(a.ResultSet, b.ResultSet),
-		Score:     maxDuration(a.Score, b.Score),
+		Analyze: maxDuration(a.Analyze, b.Analyze),
+		Stats:   maxDuration(a.Stats, b.Stats),
+		Score:   maxDuration(a.Score, b.Score),
 	}
 }
 

@@ -189,7 +189,6 @@ func TestMergeCollectionStats(t *testing.T) {
 func TestMergeStats(t *testing.T) {
 	s1 := ExecStats{Plan: PlanView, UsedView: true, ViewSize: 8, ResultSize: 10,
 		ContextSize: 40, Elapsed: 5 * time.Millisecond}
-	s1.Pruning.Active = true
 	s1.Pruning.DocsSkipped = 3
 	s2 := ExecStats{Plan: PlanStraightforward, ResultSize: 7, ContextSize: 22,
 		Elapsed: 9 * time.Millisecond}
@@ -213,7 +212,7 @@ func TestMergeStats(t *testing.T) {
 	if m.Elapsed != 9*time.Millisecond {
 		t.Fatalf("Elapsed %v, want max 9ms", m.Elapsed)
 	}
-	if !m.Pruning.Active || m.Pruning.DocsSkipped != 3 {
+	if m.Pruning.DocsSkipped != 3 {
 		t.Fatalf("pruning merge wrong: %+v", m.Pruning)
 	}
 	single := MergeStats(s1)

@@ -189,8 +189,8 @@ func TestPersistDenseListRoundTrip(t *testing.T) {
 	if cs.DenseChunks == 0 || cs.Lists == 0 {
 		t.Errorf("ContainerStats after round trip = %+v", cs)
 	}
-	r := postings.Intersect2(gl, got.Postings("mesh", "rare0"), nil)
-	w := postings.Intersect2(l, ix.Postings("mesh", "rare0"), nil)
+	r := postings.Intersect([]*postings.List{gl, got.Postings("mesh", "rare0")}, nil)
+	w := postings.Intersect([]*postings.List{l, ix.Postings("mesh", "rare0")}, nil)
 	if r.Len() != w.Len() {
 		t.Errorf("dense∩sparse after round trip = %d docs, want %d", r.Len(), w.Len())
 	}

@@ -19,22 +19,6 @@ func TestBuilderAddSaturates(t *testing.T) {
 	}
 }
 
-// TestUnionTFSaturates: summing per-document TFs across lists widens to
-// 64-bit and saturates on emission; previously two MaxUint32 postings
-// wrapped to a tiny count.
-func TestUnionTFSaturates(t *testing.T) {
-	a := NewList([]Posting{{DocID: 1, TF: math.MaxUint32}, {DocID: 2, TF: 3}}, 0)
-	b := NewList([]Posting{{DocID: 1, TF: math.MaxUint32}, {DocID: 3, TF: 4}}, 0)
-	u := Union([]*List{a, b}, nil)
-	if got := u.TF(1); got != math.MaxUint32 {
-		t.Fatalf("union TF(1) = %d, want saturated MaxUint32 (wrap would give %d)",
-			got, uint32(2*uint64(math.MaxUint32)&math.MaxUint32))
-	}
-	if u.TF(2) != 3 || u.TF(3) != 4 {
-		t.Fatalf("union disturbed unshared TFs: %d, %d", u.TF(2), u.TF(3))
-	}
-}
-
 // TestCountTFSumPastUint32: tc accumulates in int64, so a context whose
 // TF total exceeds MaxUint32 must be reported exactly.
 func TestCountTFSumPastUint32(t *testing.T) {
@@ -81,18 +65,17 @@ func TestKernelsBackgroundCtxParity(t *testing.T) {
 	lists := denseTestLists(3, 50000)
 	bg := context.Background()
 
-	plain := Intersect(lists, nil)
-	ctxRes, err := IntersectCtx(bg, lists, nil)
-	if err != nil {
+	var plainSt, visitSt Stats
+	plain := Intersect(lists, &plainSt)
+	var visited []uint32
+	if err := VisitConjunction(bg, lists, &visitSt, func(d uint32) { visited = append(visited, d) }); err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.DocIDs) != len(ctxRes.DocIDs) {
-		t.Fatalf("IntersectCtx cardinality %d vs %d", len(ctxRes.DocIDs), len(plain.DocIDs))
+	if !equalIDs(plain.DocIDs, visited) {
+		t.Fatalf("VisitConjunction visited %d documents, Intersect found %d", len(visited), len(plain.DocIDs))
 	}
-	for i := range plain.DocIDs {
-		if plain.DocIDs[i] != ctxRes.DocIDs[i] {
-			t.Fatalf("IntersectCtx DocIDs diverge at %d", i)
-		}
+	if visitSt.Intersections++; visitSt != plainSt {
+		t.Fatalf("VisitConjunction charged %+v (plus one intersection), Intersect %+v", visitSt, plainSt)
 	}
 
 	if n, nc := IntersectionSize(lists, nil), int64(0); true {
@@ -109,12 +92,6 @@ func TestKernelsBackgroundCtxParity(t *testing.T) {
 	if err != nil || c1 != c2 || s1 != s2 {
 		t.Fatalf("CountSumCtx = (%d, %d, %v); want (%d, %d)", c2, s2, err, c1, s1)
 	}
-
-	u1 := Union(lists, nil)
-	u2, err := UnionCtx(bg, lists, nil)
-	if err != nil || u1.Len() != u2.Len() {
-		t.Fatalf("UnionCtx len %d, %v; want %d", u2.Len(), err, u1.Len())
-	}
 }
 
 // TestKernelsCancelledCtx: a pre-cancelled ctx stops every kernel early
@@ -125,10 +102,11 @@ func TestKernelsCancelledCtx(t *testing.T) {
 	cancel()
 
 	full := IntersectionSize(lists, nil)
-	if res, err := IntersectCtx(ctx, lists, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("IntersectCtx err = %v", err)
-	} else if int64(res.Len()) >= full && full > 0 {
-		t.Fatalf("IntersectCtx did not stop early: %d of %d", res.Len(), full)
+	var visited int64
+	if err := VisitConjunction(ctx, lists, nil, func(uint32) { visited++ }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("VisitConjunction err = %v", err)
+	} else if visited >= full && full > 0 {
+		t.Fatalf("VisitConjunction did not stop early: %d of %d", visited, full)
 	}
 	if n, err := IntersectionSizeCtx(ctx, lists, nil); !errors.Is(err, context.Canceled) || (n >= full && full > 0) {
 		t.Fatalf("IntersectionSizeCtx = %d, %v", n, err)
@@ -138,8 +116,5 @@ func TestKernelsCancelledCtx(t *testing.T) {
 	}
 	if _, _, err := CountTFSumCtx(ctx, lists[0], lists[1:], nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CountTFSumCtx err = %v", err)
-	}
-	if _, err := UnionCtx(ctx, lists, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("UnionCtx err = %v", err)
 	}
 }

@@ -2,8 +2,6 @@ package postings
 
 import (
 	"context"
-	"math"
-	"math/bits"
 	"sort"
 )
 
@@ -19,13 +17,6 @@ type Intersection struct {
 
 // Len returns the number of matching documents (the join cardinality).
 func (r *Intersection) Len() int { return len(r.DocIDs) }
-
-// ToList converts the intersection result into a List with TF = 1, suitable
-// for feeding into further intersections (intermediate results of a
-// multi-way plan). Segment size follows DefaultSegmentSize.
-func (r *Intersection) ToList() *List {
-	return FromDocIDs(r.DocIDs, 0)
-}
 
 // conjoin runs the document-at-a-time k-way conjunction with the shortest
 // list driving and the rest sought in ascending length order, and calls
@@ -89,32 +80,23 @@ func conjoin(lists []*List, st *Stats, cc *canceler, onMatch func(docID uint32, 
 // Intersect computes the conjunction of all input lists using the
 // document-at-a-time algorithm: the shortest list drives, and every
 // candidate DocID is sought in the remaining lists ordered by ascending
-// length so mismatches are discovered as cheaply as possible. Cost
-// counters accumulate into st (which may be nil).
+// length so mismatches are discovered as cheaply as possible. When every
+// list is predicate-shaped (TF-less) the count-only conjunction kernel
+// runs instead, with its charges (see VisitConjunction). Cost counters
+// accumulate into st (which may be nil).
 //
 // The result's TFs are ordered like the *input* lists, not the internal
 // evaluation order.
 func Intersect(lists []*List, st *Stats) *Intersection {
-	res, _ := IntersectCtx(context.Background(), lists, st)
-	return res
-}
-
-// IntersectCtx is Intersect with cooperative cancellation: the
-// conjunction polls ctx at chunk-range (dense kernel) or checkStride
-// (cursor kernel) granularity. On cancellation it returns the matches
-// accumulated so far — a valid prefix of the full result, usable for
-// degraded partial answers — together with ctx's error.
-func IntersectCtx(ctx context.Context, lists []*List, st *Stats) (*Intersection, error) {
-	cc := newCanceler(ctx)
 	res := &Intersection{TFs: make([][]uint32, len(lists))}
 	if len(lists) == 0 {
-		return res, nil
+		return res
 	}
 	for _, l := range lists {
 		if l == nil || l.Len() == 0 {
 			// A nil list stands for a term absent from the index: the
 			// conjunction is empty.
-			return res, nil
+			return res
 		}
 	}
 	if len(lists) > 1 {
@@ -134,13 +116,10 @@ func IntersectCtx(ctx context.Context, lists []*List, st *Stats) (*Intersection,
 		}
 	}
 	if allTFLess && len(lists) > 1 {
-		// Every list is predicate-shaped (implicit TF = 1): the count-only
-		// conjunction kernel can materialize too — dense ranges go through
-		// word-AND + popcount instead of cursor stepping. The TF columns
-		// are a single shared all-ones slice; Intersection consumers treat
-		// TFs as read-only.
+		// Implicit TF = 1 everywhere: the TF columns are a single shared
+		// all-ones slice; Intersection consumers treat TFs as read-only.
 		res.DocIDs = make([]uint32, 0, est/4+1)
-		visitConjunction(lists, st, cc, func(d uint32) {
+		visitConjunction(lists, st, nil, func(d uint32) {
 			res.DocIDs = append(res.DocIDs, d)
 		}, nil)
 		ones := make([]uint32, len(res.DocIDs))
@@ -150,24 +129,32 @@ func IntersectCtx(ctx context.Context, lists []*List, st *Stats) (*Intersection,
 		for i := range res.TFs {
 			res.TFs[i] = ones
 		}
-		return res, cc.cause()
+		return res
 	}
 	res.DocIDs = make([]uint32, 0, est/4+1)
 	for i := range res.TFs {
 		res.TFs[i] = make([]uint32, 0, est/4+1)
 	}
-	conjoin(lists, st, cc, func(d uint32, cursors []*cursor) {
+	conjoin(lists, st, nil, func(d uint32, cursors []*cursor) {
 		res.DocIDs = append(res.DocIDs, d)
 		for i, c := range cursors {
 			res.TFs[i] = append(res.TFs[i], c.tf())
 		}
 	})
-	return res, cc.cause()
+	return res
 }
 
-// Intersect2 is a convenience wrapper for the common pairwise case.
-func Intersect2(a, b *List, st *Stats) *Intersection {
-	return Intersect([]*List{a, b}, st)
+// VisitConjunction calls visit for every document of the conjunction of
+// two or more non-empty lists, in ascending docID order, without
+// materializing it. It runs the count-only conjunction kernel — dense
+// ranges go through word-AND instead of cursor stepping — and charges
+// what Intersect charges over TF-less lists, less the Intersections
+// tick. ctx is polled once per 2^16-docID chunk range; on cancellation
+// the walk stops and ctx's error is returned.
+func VisitConjunction(ctx context.Context, lists []*List, st *Stats, visit func(docID uint32)) error {
+	cc := newCanceler(ctx)
+	visitConjunction(lists, st, cc, visit, nil)
+	return cc.cause()
 }
 
 // IntersectionSize returns only the cardinality |∩ lists|, the quantity
@@ -232,140 +219,4 @@ func MergeIntersect(a, b *List, st *Stats) *Intersection {
 		}
 	}
 	return res
-}
-
-// Union returns the DocIDs present in at least one input list, with TFs
-// summed across lists, as a single k-way merge instead of the pairwise
-// fold's O(k · total). The merge is container-aligned: lists partition
-// docID space into the same 2^16 ranges, so each active range is
-// processed once — dense chunks OR their words into a presence bitset,
-// sparse chunks set individual bits, TFs accumulate in a range-local
-// array, and one TrailingZeros sweep emits the range in sorted order.
-// Cost is O(total + activeRanges · 1024), comparison-free. Union is not
-// used by conjunctive query evaluation but completes the substrate
-// (disjunctive retrieval, ancestor-closure construction, tests).
-//
-// TFs accumulate in 64-bit per-range slots and saturate at the posting
-// format's uint32 ceiling on emission, so summing many large-TF lists
-// can never wrap around to a small count.
-func Union(lists []*List, st *Stats) *List {
-	l, _ := UnionCtx(context.Background(), lists, st)
-	return l
-}
-
-// UnionCtx is Union with cooperative cancellation at chunk-range
-// granularity. On cancellation it returns the merged prefix built so far
-// together with ctx's error; callers that need the complete union must
-// treat a non-nil error as failure.
-func UnionCtx(ctx context.Context, lists []*List, st *Stats) (*List, error) {
-	switch len(lists) {
-	case 0:
-		return NewList(nil, 0), nil
-	}
-	var live []*List
-	segSize, total := 0, 0
-	for _, l := range lists {
-		if l == nil || l.Len() == 0 {
-			continue
-		}
-		if segSize == 0 {
-			segSize = l.segSize
-		}
-		total += l.Len()
-		live = append(live, l)
-	}
-	switch len(live) {
-	case 0:
-		return NewList(nil, segSize), nil
-	case 1:
-		return live[0], nil
-	}
-	cc := newCanceler(ctx)
-	ids := make([]uint32, 0, total)
-	tfs := make([]uint32, 0, total)
-	// Range-local TF accumulators are 64-bit: k input lists can each
-	// contribute up to MaxUint32 per document, which overflows a uint32
-	// slot silently. The widened sum saturates at MaxUint32 on emission
-	// (the posting format's TF width).
-	acc := make([]uint64, chunkSpan)
-	var pres [chunkWords]uint64
-	cis := make([]int, len(live))
-	consumed := 0
-	for {
-		if cc.halted() {
-			break
-		}
-		// The lowest pending chunk base decides the next active range.
-		base, none := uint32(0), true
-		for i, l := range live {
-			if cis[i] < len(l.chunks) {
-				if b := l.chunks[cis[i]].base; none || b < base {
-					base, none = b, false
-				}
-			}
-		}
-		if none {
-			break
-		}
-		for i, l := range live {
-			if cis[i] >= len(l.chunks) || l.chunks[cis[i]].base != base {
-				continue
-			}
-			n := int(l.chunks[cis[i]].n)
-			keys, words, tfs, quarantined := l.payloadQ(cis[i])
-			if quarantined {
-				st.addQuarantineSkip()
-			}
-			if words != nil {
-				r := 0
-				for w, word := range words {
-					pres[w] |= word
-					for word != 0 {
-						lo := w<<6 + bits.TrailingZeros64(word)
-						if tfs == nil {
-							acc[lo]++
-						} else {
-							acc[lo] += uint64(tfs[r])
-						}
-						r++
-						word &= word - 1
-					}
-				}
-			} else {
-				for j, key := range keys {
-					lo := int(key)
-					pres[lo>>6] |= 1 << uint(lo&63)
-					if tfs == nil {
-						acc[lo]++
-					} else {
-						acc[lo] += uint64(tfs[j])
-					}
-				}
-			}
-			consumed += n
-			cis[i]++
-		}
-		for w := range pres {
-			word := pres[w]
-			if word == 0 {
-				continue
-			}
-			pres[w] = 0
-			for word != 0 {
-				lo := w<<6 + bits.TrailingZeros64(word)
-				ids = append(ids, base+uint32(lo))
-				tf := acc[lo]
-				if tf > math.MaxUint32 {
-					tf = math.MaxUint32 // saturate at the TF column width
-				}
-				tfs = append(tfs, uint32(tf))
-				acc[lo] = 0
-				word &= word - 1
-			}
-		}
-	}
-	// Every input entry is consumed exactly once (all of them unless the
-	// merge was cancelled mid-way).
-	st.addEntries(int64(consumed))
-	return newListRaw(ids, tfs, segSize, DenseThreshold), cc.cause()
 }

@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -133,7 +134,10 @@ func TestMappedCursorCostParity(t *testing.T) {
 	}
 }
 
-func TestMappedUnionAndSizeParity(t *testing.T) {
+// TestMappedVisitAndSizeParity: the count-only conjunction kernel visits
+// the same documents, at the same charges, over mapped lists as over
+// their heap originals.
+func TestMappedVisitAndSizeParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 15; trial++ {
 		var heap, mapped []*List
@@ -142,9 +146,17 @@ func TestMappedUnionAndSizeParity(t *testing.T) {
 			heap = append(heap, l)
 			mapped = append(mapped, mappedCopy(t, l, nil))
 		}
-		uh := Union(heap, nil)
-		um := Union(mapped, nil)
-		assertListsEqual(t, uh, um)
+		var idsHeap, idsMapped []uint32
+		var stHeap, stMapped Stats
+		if err := VisitConjunction(context.Background(), heap, &stHeap, func(d uint32) { idsHeap = append(idsHeap, d) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := VisitConjunction(context.Background(), mapped, &stMapped, func(d uint32) { idsMapped = append(idsMapped, d) }); err != nil {
+			t.Fatal(err)
+		}
+		if !equalIDs(idsHeap, idsMapped) || stHeap != stMapped {
+			t.Fatalf("trial %d: visit differs: heap %d docs %+v, mapped %d docs %+v", trial, len(idsHeap), stHeap, len(idsMapped), stMapped)
+		}
 		if IntersectionSize(heap, nil) != IntersectionSize(mapped, nil) {
 			t.Fatalf("trial %d: IntersectionSize differs", trial)
 		}

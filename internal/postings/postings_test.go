@@ -1,6 +1,7 @@
 package postings
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -331,37 +332,6 @@ func TestSumList(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a := NewList([]Posting{{1, 1}, {3, 2}}, 2)
-	b := NewList([]Posting{{2, 5}, {3, 4}}, 2)
-	u := Union([]*List{a, b}, nil)
-	if !reflect.DeepEqual(u.DocIDs(), []uint32{1, 2, 3}) {
-		t.Errorf("Union DocIDs = %v", u.DocIDs())
-	}
-	if u.TF(3) != 6 {
-		t.Errorf("Union TF(3) = %d, want 6", u.TF(3))
-	}
-}
-
-func TestUnionEdgeCases(t *testing.T) {
-	if Union(nil, nil).Len() != 0 {
-		t.Error("Union(nil) not empty")
-	}
-	a := listFrom(1, 2)
-	if got := Union([]*List{a}, nil); got != a {
-		t.Error("Union of one list should return it unchanged")
-	}
-}
-
-func TestIntersectionToList(t *testing.T) {
-	a := listFrom(1, 2, 3, 4)
-	b := listFrom(2, 4)
-	l := Intersect([]*List{a, b}, nil).ToList()
-	if !reflect.DeepEqual(l.DocIDs(), []uint32{2, 4}) {
-		t.Errorf("ToList DocIDs = %v", l.DocIDs())
-	}
-}
-
 func TestStatsAdd(t *testing.T) {
 	a := Stats{EntriesScanned: 1, SegmentsSkipped: 2, Seeks: 3, AggregatedEntries: 4, Intersections: 5, ViewGroupsScanned: 6}
 	b := a
@@ -383,7 +353,7 @@ func TestNilStatsSafe(t *testing.T) {
 	Count(r, nil)
 	SumOver(r, func(uint32) int64 { return 1 }, nil)
 	SumList(a, nil2, nil)
-	Union([]*List{a, b}, nil)
+	VisitConjunction(context.Background(), []*List{a, b}, nil, func(uint32) {})
 }
 
 func nil2(uint32) int64 { return 0 }
