@@ -1,10 +1,16 @@
-// Command csbuild generates a synthetic PubMed-like corpus, builds the
-// inverted index, runs hybrid view selection, and persists everything
-// into a data directory that cssearch and csexp can load.
+// Command csbuild generates a synthetic PubMed-like corpus,
+// hash-partitions it over -shards document partitions (one by default),
+// builds each partition's inverted index, runs hybrid view selection per
+// partition (T_C scaled to its size), and persists everything as a
+// cluster data directory — cluster.json plus shard-NNN/{index.gob,
+// views.gob}, with mesh.gob and queries.txt at the root — that csserve,
+// cssearch, csnav and csrank.OpenSharded load. Rankings are
+// bit-identical for every shard count.
 //
 // Usage:
 //
 //	csbuild -out ./data -docs 20000 -terms 300 -tc 0.01 -tv 4096
+//	csbuild -out ./cluster -docs 20000 -shards 4
 package main
 
 import (
@@ -32,7 +38,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generation seed")
 		segSize = flag.Int("segsize", 0, "posting-list skip-segment size M0 (0 = default 128)")
 		dump    = flag.Bool("dump", false, "also write the raw citations as citations.jsonl")
-		shards  = flag.Int("shards", 1, "document partitions: >1 writes a sharded cluster (shard-NNN dirs + cluster.json) for csserve")
+		shards  = flag.Int("shards", 1, "document partitions (shard-NNN dirs under cluster.json)")
 	)
 	flag.Parse()
 	if err := run(*out, *docs, *terms, *topics, *tcFrac, *tv, *seed, *segSize, *dump, *shards); err != nil {
@@ -63,99 +69,11 @@ func run(out string, docs, terms, topics int, tcFrac float64, tv int, seed int64
 	if err := writeQueries(out, c); err != nil {
 		return err
 	}
-	if shards > 1 {
-		return runSharded(out, c, tcFrac, tv, seed, segSize, shards, dump)
-	}
-
-	t0 = time.Now()
-	ix, err := c.BuildIndex(segSize)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("indexed: %s in %s\n", ix, time.Since(t0).Round(time.Millisecond))
-	for _, field := range []string{ix.Schema().PredicateField, ix.Schema().ContentField} {
-		cs := ix.ContainerStats(field)
-		fmt.Printf("  %s lists: %d (%d postings) chunks: %d sparse / %d dense, tf arrays: %d, %.2f bytes/posting\n",
-			field, cs.Lists, cs.Postings, cs.SparseChunks, cs.DenseChunks, cs.TFLists,
-			float64(cs.Bytes)/float64(max64(cs.Postings, 1)))
-	}
-
-	tc := int64(tcFrac * float64(docs))
-	t0 = time.Now()
-	m, err := selection.Select(ix, selection.Config{TC: tc, TV: tv, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("selected %d views (T_C=%d, T_V=%d) in %s\n",
-		m.Catalog.Len(), tc, tv, time.Since(t0).Round(time.Millisecond))
-	fmt.Printf("  frequent terms=%d separators=%d clique remainders=%d\n",
-		m.Result.Stats.FrequentTerms, m.Result.Stats.Separators, m.Result.Stats.CliqueRemainders)
-
-	indexPath := filepath.Join(out, "index.gob")
-	t0 = time.Now()
-	if err := ix.SaveMapped(indexPath); err != nil {
-		return err
-	}
-	saveTime := time.Since(t0)
-	if err := m.Catalog.SaveFile(filepath.Join(out, "views.gob")); err != nil {
-		return err
-	}
-	if err := c.Onto.SaveFile(filepath.Join(out, "mesh.gob")); err != nil {
-		return err
-	}
-	if dump {
-		path := filepath.Join(out, "citations.jsonl")
-		if err := c.SaveJSONL(path); err != nil {
-			return err
-		}
-		fmt.Printf("dumped raw citations to %s\n", path)
-	}
-	st, err := os.Stat(indexPath)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %.2f MB as format v%d (paged, mmap-ready) in %s (%.2f bytes/posting on disk)\n",
-		indexPath, float64(st.Size())/(1<<20), index.MappedFormatVersion, saveTime.Round(time.Millisecond),
-		float64(st.Size())/float64(max64(totalPostings(ix), 1)))
-	fmt.Printf("wrote %s (views: %.2f MB)\n",
-		filepath.Join(out, "views.gob"), float64(m.Catalog.TotalBytes())/(1<<20))
-	return nil
-}
-
-// writeQueries dumps the corpus topics as a replayable query log
-// (queries.txt, "keywords | context terms" per line) for csload.
-func writeQueries(out string, c *corpus.Corpus) error {
-	if len(c.Topics) == 0 {
-		return nil
-	}
-	var b strings.Builder
-	for _, t := range c.Topics {
-		b.WriteString(strings.Join(t.Keywords, " "))
-		if len(t.ContextTerms) > 0 {
-			b.WriteString(" | ")
-			b.WriteString(strings.Join(t.ContextTerms, " "))
-		}
-		b.WriteByte('\n')
-	}
-	path := filepath.Join(out, "queries.txt")
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d topic queries)\n", path, len(c.Topics))
-	return nil
-}
-
-// runSharded hash-partitions the corpus and writes a cluster layout:
-// shard-NNN directories each holding an ordinary engine data directory
-// (index + views, selected per shard with T_C scaled to the shard's
-// size), plus cluster.json. csserve and csrank.OpenSharded load it; the
-// merged ranking is bit-identical to the unsharded build.
-func runSharded(out string, c *corpus.Corpus, tcFrac float64, tv int, seed int64, segSize, shards int, dump bool) error {
 	parts, _, err := shard.Split(c.IndexDocuments(), shards)
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
+	t0 = time.Now()
 	totalViews := 0
 	for i, part := range parts {
 		ix, err := index.BuildFrom(corpus.Schema(), segSize, part)
@@ -181,7 +99,7 @@ func runSharded(out string, c *corpus.Corpus, tcFrac float64, tv int, seed int64
 		if err := m.Catalog.SaveFile(filepath.Join(sd, "views.gob")); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		fmt.Printf("  shard %d: %d docs, %d views (T_C=%d)\n", i, len(part), m.Catalog.Len(), tc)
+		fmt.Printf("  shard %d: %s, %d views (T_C=%d)\n", i, ix, m.Catalog.Len(), tc)
 	}
 	if err := shard.SaveManifest(out, shard.NewManifest(len(c.Docs), shards)); err != nil {
 		return err
@@ -201,19 +119,25 @@ func runSharded(out string, c *corpus.Corpus, tcFrac float64, tv int, seed int64
 	return nil
 }
 
-// totalPostings sums postings across every field, the denominator for
-// the on-disk bytes/posting figure.
-func totalPostings(ix *index.Index) int64 {
-	var n int64
-	for _, f := range ix.Schema().Fields {
-		n += ix.ContainerStats(f.Name).Postings
+// writeQueries dumps the corpus topics as a replayable query log
+// (queries.txt, "keywords | context terms" per line) for csload.
+func writeQueries(out string, c *corpus.Corpus) error {
+	if len(c.Topics) == 0 {
+		return nil
 	}
-	return n
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+	var b strings.Builder
+	for _, t := range c.Topics {
+		b.WriteString(strings.Join(t.Keywords, " "))
+		if len(t.ContextTerms) > 0 {
+			b.WriteString(" | ")
+			b.WriteString(strings.Join(t.ContextTerms, " "))
+		}
+		b.WriteByte('\n')
 	}
-	return b
+	path := filepath.Join(out, "queries.txt")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%d topic queries)\n", path, len(c.Topics))
+	return nil
 }

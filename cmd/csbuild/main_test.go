@@ -14,24 +14,39 @@ import (
 	"csrank/internal/views"
 )
 
+// TestRunProducesLoadableArtifacts: the default build writes a
+// one-shard cluster — cluster.json, shard-000/{index.gob, views.gob} —
+// with the ontology and the citation dump at the root.
 func TestRunProducesLoadableArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	if err := run(dir, 2000, 100, 0, 0.02, 128, 1, 0, true, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"index.gob", "views.gob", "mesh.gob", "citations.jsonl"} {
+	for _, name := range []string{"cluster.json", filepath.Join("shard-000", "index.gob"),
+		filepath.Join("shard-000", "views.gob"), "mesh.gob", "citations.jsonl"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("missing artifact %s: %v", name, err)
 		}
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "index.gob"))
+	if _, err := os.Stat(filepath.Join(dir, "index.gob")); err == nil {
+		t.Error("default build wrote the single-engine layout")
+	}
+	sd := shard.ShardDir(dir, 0)
+	m, err := shard.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Shards != 1 || m.TotalDocs != 2000 {
+		t.Errorf("manifest: %d shards / %d docs, want 1 / 2000", m.Shards, m.TotalDocs)
+	}
+	raw, err := os.ReadFile(filepath.Join(sd, "index.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !snapshot.IsPaged(raw) {
 		t.Error("default build did not write the paged v4 format")
 	}
-	ix, err := index.LoadFile(filepath.Join(dir, "index.gob"))
+	ix, err := index.LoadFile(filepath.Join(sd, "index.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +56,7 @@ func TestRunProducesLoadableArtifacts(t *testing.T) {
 	if ix.NumDocs() != 2000 {
 		t.Errorf("NumDocs = %d", ix.NumDocs())
 	}
-	cat, err := views.LoadFile(filepath.Join(dir, "views.gob"))
+	cat, err := views.LoadFile(filepath.Join(sd, "views.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +73,8 @@ func TestRunProducesLoadableArtifacts(t *testing.T) {
 }
 
 // TestRunSharded: -shards 4 writes a loadable cluster plus the topic
-// query log, and the cluster ranks bit-identically to the unsharded
-// build of the same corpus.
+// query log, and it ranks bit-identically to the default one-shard build
+// of the same corpus.
 func TestRunSharded(t *testing.T) {
 	single, cluster := t.TempDir(), t.TempDir()
 	if err := run(single, 6000, 150, 10, 0.02, 128, 1, 0, false, 1); err != nil {
@@ -99,9 +114,12 @@ func TestRunSharded(t *testing.T) {
 	if se.NumShards() != 4 || se.NumDocs() != 6000 {
 		t.Fatalf("cluster: %d shards / %d docs", se.NumShards(), se.NumDocs())
 	}
-	e, err := csrank.Open(single, "")
+	e, err := csrank.OpenSharded(single, csrank.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if e.NumShards() != 1 || e.NumDocs() != 6000 {
+		t.Fatalf("default build: %d shards / %d docs", e.NumShards(), e.NumDocs())
 	}
 	for _, q := range queries {
 		want, _, err := e.Search(q, 10)
@@ -162,5 +180,9 @@ func TestRawGobDataDirStillLoads(t *testing.T) {
 	}
 	if got, err := views.LoadFile(filepath.Join(dir, "views.gob")); err != nil || got.Len() != 2 {
 		t.Fatalf("raw-gob views: %v", err)
+	}
+	// The single-engine layout opens as a one-shard cluster.
+	if e, err := csrank.OpenSharded(dir, csrank.BuildOptions{}); err != nil || e.NumShards() != 1 || e.NumDocs() != 4 || e.NumViews() != 2 {
+		t.Fatalf("raw-gob data dir did not open as one shard: %v", err)
 	}
 }

@@ -5,7 +5,7 @@
 // typo-proof ("the use of such tools for specifying the context removes
 // the risk of mistyping the context terms").
 //
-// Usage (against a data directory written by csbuild):
+// Usage (against a data directory written by csbuild, any shard count):
 //
 //	csnav -data data                          # list the top-level categories
 //	csnav -data data -path diseases           # descend one level
@@ -27,10 +27,9 @@ import (
 	"time"
 
 	"csrank/internal/core"
-	"csrank/internal/index"
 	"csrank/internal/mesh"
 	"csrank/internal/query"
-	"csrank/internal/views"
+	"csrank/internal/shard"
 )
 
 func main() {
@@ -54,15 +53,23 @@ func run(data, path, selects, qstr string, k int, timeout time.Duration) error {
 	if err != nil {
 		return fmt.Errorf("load ontology (did csbuild write mesh.gob?): %w", err)
 	}
-	ix, err := index.LoadFile(filepath.Join(data, "index.gob"))
+	c, err := shard.Open(data, core.Options{Deadline: timeout})
 	if err != nil {
 		return err
 	}
-	cat, _ := views.LoadFile(filepath.Join(data, "views.gob"))
-	predField := ix.Schema().PredicateField
+	slices, _ := c.Slices()
+	// df counts the citations a concept annotates, over every shard.
+	df := func(term string) int64 {
+		var n int64
+		for _, sl := range slices {
+			ix := sl.Eng.Index()
+			n += ix.DF(ix.Schema().PredicateField, term)
+		}
+		return n
+	}
 
 	if selects == "" {
-		return list(onto, ix, predField, path)
+		return list(onto, df, path)
 	}
 
 	terms := strings.Fields(selects)
@@ -71,30 +78,32 @@ func run(data, path, selects, qstr string, k int, timeout time.Duration) error {
 			return fmt.Errorf("unknown term %q (navigate with -path to find terms)", t)
 		}
 	}
-	e := core.New(ix, cat, core.Options{Deadline: timeout})
-	size := e.ContextSize(terms)
-	fmt.Printf("context %v: %d of %d citations\n", terms, size, ix.NumDocs())
+	var size int64
+	for _, sl := range slices {
+		size += sl.Eng.ContextSize(terms)
+	}
+	fmt.Printf("context %v: %d of %d citations\n", terms, size, c.NumDocs())
 	if qstr == "" {
 		return nil
 	}
 	pq := query.Query{Keywords: strings.Fields(qstr), Context: terms}
-	res, st, err := e.SearchCtx(context.Background(), pq, k)
+	hits, sum, err := c.SearchSlices(context.Background(), slices, pq, k, "")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("query %q  [plan=%s, results=%d]\n", pq, st.Plan, st.ResultSize)
-	if st.Degraded {
-		fmt.Printf("  !! degraded: %s\n", st.DegradedReason)
+	fmt.Printf("query %q  [plan=%s, results=%d]\n", pq, sum.Agg.Plan, sum.Agg.ResultSize)
+	if sum.Agg.Degraded {
+		fmt.Printf("  !! degraded: %s\n", sum.Agg.DegradedReason)
 	}
-	for i, r := range res {
-		fmt.Printf("  %2d. (%.4f) %s\n", i+1, r.Score, ix.StoredField(r.DocID, "title"))
+	for i, h := range hits {
+		fmt.Printf("  %2d. (%.4f) %s\n", i+1, h.Score, slices[h.Slice].Eng.Index().StoredField(h.Local, "title"))
 	}
 	return nil
 }
 
 // list prints the children (or roots) at a hierarchy path with their
 // citation counts, mimicking the PubMed MeSH browser.
-func list(onto *mesh.Ontology, ix *index.Index, predField, path string) error {
+func list(onto *mesh.Ontology, df func(string) int64, path string) error {
 	var ids []mesh.TermID
 	indentBase := ""
 	if path == "" {
@@ -105,12 +114,12 @@ func list(onto *mesh.Ontology, ix *index.Index, predField, path string) error {
 			return err
 		}
 		t := onto.Term(cur)
-		fmt.Printf("%s  (%d citations)\n", t.Name, ix.DF(predField, t.Name))
+		fmt.Printf("%s  (%d citations)\n", t.Name, df(t.Name))
 		ids = t.Children
 		indentBase = "  "
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		return ix.DF(predField, onto.Term(ids[i]).Name) > ix.DF(predField, onto.Term(ids[j]).Name)
+		return df(onto.Term(ids[i]).Name) > df(onto.Term(ids[j]).Name)
 	})
 	for _, id := range ids {
 		t := onto.Term(id)
@@ -118,8 +127,7 @@ func list(onto *mesh.Ontology, ix *index.Index, predField, path string) error {
 		if len(t.Children) > 0 {
 			marker = " +"
 		}
-		fmt.Printf("%s%-32s %8d citations%s\n", indentBase, t.Name,
-			ix.DF(predField, t.Name), marker)
+		fmt.Printf("%s%-32s %8d citations%s\n", indentBase, t.Name, df(t.Name), marker)
 	}
 	return nil
 }

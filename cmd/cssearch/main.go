@@ -1,5 +1,6 @@
 // Command cssearch runs context-sensitive queries against a data
-// directory built by csbuild.
+// directory built by csbuild, whatever its shard count (the single-engine
+// layout older builds wrote opens as one shard).
 //
 // Usage:
 //
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -31,6 +31,7 @@ import (
 	"csrank/internal/index"
 	"csrank/internal/query"
 	"csrank/internal/ranking"
+	"csrank/internal/shard"
 	"csrank/internal/views"
 	"csrank/internal/wal"
 )
@@ -48,7 +49,7 @@ func main() {
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memprofile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		liststats   = flag.Bool("liststats", false, "print the index's posting-list container breakdown and exit")
-		walDir      = flag.String("wal", "", "recover the view catalog from this WAL directory (snapshot + log replay) instead of views.gob")
+		walDir      = flag.String("wal", "", "recover the view catalog from this WAL directory (snapshot + log replay) instead of views.gob; needs a one-shard data directory")
 		verify      = flag.Bool("verify", false, "audit the view catalog against the index (zero drift expected) and exit")
 	)
 	flag.Parse()
@@ -129,11 +130,11 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 // ends the session. Per-query errors are reported and the loop
 // continues.
 func runInteractive(data, walDir string, k int, mode, scorerName string, timeout time.Duration, pruning bool, in io.Reader, out io.Writer) error {
-	eng, ix, err := openEngine(data, walDir, scorerName, timeout, pruning)
+	c, err := openCluster(data, walDir, scorerName, timeout, pruning)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "cssearch: %d citations loaded; enter queries like \"w1 w2 | m1 m2\" (exit to quit)\n", ix.NumDocs())
+	fmt.Fprintf(out, "cssearch: %d citations loaded; enter queries like \"w1 w2 | m1 m2\" (exit to quit)\n", c.NumDocs())
 	sc := bufio.NewScanner(in)
 	for {
 		fmt.Fprint(out, "> ")
@@ -153,14 +154,11 @@ func runInteractive(data, walDir string, k int, mode, scorerName string, timeout
 				fmt.Fprintln(out, "error:", err)
 				continue
 			}
-			ex, err := eng.Explain(pq)
-			if err != nil {
+			if err := explain(c, pq, out); err != nil {
 				fmt.Fprintln(out, "error:", err)
-				continue
 			}
-			fmt.Fprint(out, ex)
 		default:
-			if err := searchAndPrint(eng, ix, line, k, mode, out); err != nil {
+			if err := searchAndPrint(c, line, k, mode, out); err != nil {
 				fmt.Fprintln(out, "error:", err)
 			}
 		}
@@ -174,12 +172,25 @@ func runInteractive(data, walDir string, k int, mode, scorerName string, timeout
 // of the paged format (v4): encoding mix, payload+directory bytes, and
 // the compression ratio against the decoded in-memory footprint. The
 // header names the file's format: v4 for a mapped index, otherwise a
-// gob stream an older build wrote (nothing writes those any more).
+// gob stream an older build wrote (nothing writes those any more). A
+// cluster reports each shard's index in turn.
 func printListStats(data string, out io.Writer) error {
-	ix, err := index.LoadFile(filepath.Join(data, "index.gob"))
+	c, err := shard.Open(data, core.Options{})
 	if err != nil {
 		return err
 	}
+	slices, _ := c.Slices()
+	for i, sl := range slices {
+		if len(slices) > 1 {
+			fmt.Fprintf(out, "shard %d ", i)
+		}
+		printIndexStats(sl.Eng.Index(), out)
+	}
+	return nil
+}
+
+// printIndexStats is printListStats for one index.
+func printIndexStats(ix *index.Index, out io.Writer) {
 	format := "legacy gob (v0–v3, read-only)"
 	if ix.Mapped() {
 		format = fmt.Sprintf("format v%d", index.MappedFormatVersion)
@@ -211,7 +222,6 @@ func printListStats(data string, out io.Writer) error {
 		fmt.Fprintf(out, "  block cache: budget=%d used=%d hits=%d misses=%d insertions=%d evictions=%d promotions=%d ghost_hits=%d\n",
 			cs.Budget, cs.Used, cs.Hits, cs.Misses, cs.Insertions, cs.Evictions, cs.Promotions, cs.GhostHits)
 	}
-	return nil
 }
 
 func float64maxOne(n int64) float64 {
@@ -222,43 +232,46 @@ func float64maxOne(n int64) float64 {
 }
 
 func run(data, walDir, qstr string, k int, mode, scorerName string, timeout time.Duration, pruning bool) error {
-	eng, ix, err := openEngine(data, walDir, scorerName, timeout, pruning)
+	c, err := openCluster(data, walDir, scorerName, timeout, pruning)
 	if err != nil {
 		return err
 	}
-	return searchAndPrint(eng, ix, qstr, k, mode, os.Stdout)
+	return searchAndPrint(c, qstr, k, mode, os.Stdout)
 }
 
-// openEngine loads the persisted index and (optionally) views and wires
-// the requested scorer.
-func openEngine(data, walDir, scorerName string, timeout time.Duration, pruning bool) (*core.Engine, *index.Index, error) {
+// openCluster loads the data directory with the requested scorer. With
+// walDir the view catalog is recovered from the WAL directory instead of
+// views.gob and swapped into the one shard a WAL describes.
+func openCluster(data, walDir, scorerName string, timeout time.Duration, pruning bool) (*shard.Cluster, error) {
 	sc, ok := ranking.New(scorerName)
 	if !ok {
-		return nil, nil, fmt.Errorf("unknown scorer %q", scorerName)
+		return nil, fmt.Errorf("unknown scorer %q", scorerName)
 	}
-	ix, err := index.LoadFile(filepath.Join(data, "index.gob"))
+	c, err := shard.Open(data, core.Options{Scorer: sc, Deadline: timeout, Pruning: pruning})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cat, err := loadCatalog(data, walDir)
-	if err != nil {
-		if walDir != "" {
-			return nil, nil, err
+	if walDir != "" {
+		if c.NumShards() != 1 {
+			return nil, fmt.Errorf("-wal needs a one-shard data directory; %s holds %d shards", data, c.NumShards())
 		}
-		fmt.Fprintln(os.Stderr, "note: no views loaded; contextual queries use the straightforward plan")
-		cat = nil
+		cat, err := recoverCatalog(walDir)
+		if err != nil {
+			return nil, err
+		}
+		eng, _ := c.Engine(0)
+		eng.SwapCatalog(cat)
 	}
-	return core.New(ix, cat, core.Options{Scorer: sc, Deadline: timeout, Pruning: pruning}), ix, nil
+	if eng, _ := c.Engine(0); eng.Catalog() == nil {
+		fmt.Fprintln(os.Stderr, "note: no views loaded; contextual queries use the straightforward plan")
+	}
+	return c, nil
 }
 
-// loadCatalog returns the view catalog: recovered from the WAL directory
-// (newest valid snapshot plus log-tail replay) when walDir is set,
-// otherwise read from views.gob. A WAL recovery prints a one-line
-// summary so operators see what the crash left behind.
-func loadCatalog(data, walDir string) (*views.Catalog, error) {
-	if walDir == "" {
-		return views.LoadFile(filepath.Join(data, "views.gob"))
-	}
+// recoverCatalog recovers the view catalog from a WAL directory (newest
+// valid snapshot plus log-tail replay) and prints a one-line summary so
+// operators see what the crash left behind.
+func recoverCatalog(walDir string) (*views.Catalog, error) {
 	m, rec, err := wal.Open(walDir, wal.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("wal recovery: %w", err)
@@ -276,48 +289,78 @@ func loadCatalog(data, walDir string) (*views.Catalog, error) {
 	return m.Catalog(), nil
 }
 
-// verifyViews audits the view catalog against the index (the source of
-// truth): every sampled group's aggregates are recomputed and compared.
-// Exit status is the contract — zero findings means the catalog can be
-// trusted for ranking, any drift makes the run fail.
+// verifyViews audits every shard's view catalog against its index (the
+// source of truth): every sampled group's aggregates are recomputed and
+// compared. Exit status is the contract — zero findings means the
+// catalogs can be trusted for ranking, any drift makes the run fail.
 func verifyViews(data, walDir string, out io.Writer) error {
-	ix, err := index.LoadFile(filepath.Join(data, "index.gob"))
+	c, err := openCluster(data, walDir, "pivoted-tfidf", 0, false)
 	if err != nil {
 		return err
 	}
-	cat, err := loadCatalog(data, walDir)
-	if err != nil {
-		return err
+	findings := 0
+	slices, _ := c.Slices()
+	for i, sl := range slices {
+		prefix := ""
+		if len(slices) > 1 {
+			prefix = fmt.Sprintf("shard %d: ", i)
+		}
+		cat := sl.Eng.Catalog()
+		if cat == nil {
+			return fmt.Errorf("%sno view catalog to verify (views.gob missing or unreadable)", prefix)
+		}
+		drift, err := cat.Verify(sl.Eng.Index(), views.VerifyOptions{})
+		if err != nil {
+			return err
+		}
+		if len(drift) == 0 {
+			fmt.Fprintf(out, "%sok: %d views agree with the index (fingerprint %s)\n", prefix, cat.Len(), cat.Fingerprint())
+		}
+		for _, d := range drift {
+			fmt.Fprintf(out, "  %s%v\n", prefix, d)
+		}
+		findings += len(drift)
 	}
-	drift, err := cat.Verify(ix, views.VerifyOptions{})
-	if err != nil {
-		return err
+	if findings > 0 {
+		return fmt.Errorf("%d drift finding(s) — re-materialize the views or restore a snapshot", findings)
 	}
-	if len(drift) == 0 {
-		fmt.Fprintf(out, "ok: %d views agree with the index (fingerprint %s)\n", cat.Len(), cat.Fingerprint())
-		return nil
-	}
-	for _, d := range drift {
-		fmt.Fprintln(out, " ", d)
-	}
-	return fmt.Errorf("%d drift finding(s) — re-materialize the views or restore a snapshot", len(drift))
+	return nil
 }
 
-// searchAndPrint evaluates one query string in the given mode and prints
-// the ranked results.
-func searchAndPrint(e *core.Engine, ix *index.Index, qstr string, k int, mode string, out io.Writer) error {
+// explain prints each shard's plan explanation for pq, headed by its
+// shard number when there is more than one.
+func explain(c *shard.Cluster, pq query.Query, out io.Writer) error {
+	slices, _ := c.Slices()
+	for i, sl := range slices {
+		ex, err := sl.Eng.Explain(pq)
+		if err != nil {
+			return err
+		}
+		if len(slices) > 1 {
+			fmt.Fprintf(out, "shard %d:\n", i)
+		}
+		fmt.Fprint(out, ex)
+	}
+	return nil
+}
+
+// searchAndPrint evaluates one query string in the given mode over every
+// shard and prints the ranked results with the merged execution report.
+func searchAndPrint(c *shard.Cluster, qstr string, k int, mode string, out io.Writer) error {
 	pq, err := query.Parse(qstr)
 	if err != nil {
 		return err
 	}
-	show := func(label string, search func(context.Context, query.Query, int) ([]core.Result, core.ExecStats, error)) error {
-		res, st, err := search(context.Background(), pq, k)
+	show := func(label string, plan core.Plan) error {
+		slices, _ := c.Slices()
+		hits, sum, err := c.SearchSlices(context.Background(), slices, pq, k, plan)
 		if err != nil {
 			return err
 		}
+		st := sum.Agg
 		fmt.Fprintf(out, "%s  [plan=%s view=%v results=%d |D_P|=%d %s]\n",
 			label, st.Plan, st.UsedView, st.ResultSize, st.ContextSize,
-			st.Elapsed.Round(time.Microsecond))
+			sum.Elapsed.Round(time.Microsecond))
 		if st.Pruning != (core.PruningStats{}) {
 			fmt.Fprintf(out, "  pruning: containers skipped=%d docs skipped=%d bound checks=%d\n",
 				st.Pruning.ContainersSkipped, st.Pruning.DocsSkipped, st.Pruning.BoundChecks)
@@ -329,23 +372,24 @@ func searchAndPrint(e *core.Engine, ix *index.Index, qstr string, k int, mode st
 				st.Phases.Score.Round(time.Microsecond),
 				st.EntriesScanned, st.Seeks, st.AggregatedEntries, st.ViewGroupsScanned)
 		}
-		for i, r := range res {
-			fmt.Fprintf(out, "  %2d. (%.4f) #%d %s\n", i+1, r.Score, r.DocID, ix.StoredField(r.DocID, "title"))
+		for i, h := range hits {
+			title := slices[h.Slice].Eng.Index().StoredField(h.Local, "title")
+			fmt.Fprintf(out, "  %2d. (%.4f) #%d %s\n", i+1, h.Score, h.Global, title)
 		}
 		return nil
 	}
 	switch mode {
 	case "context":
-		return show("context-sensitive", e.SearchCtx)
+		return show("context-sensitive", "")
 	case "conventional":
-		return show("conventional", e.SearchConventionalCtx)
+		return show("conventional", core.PlanConventional)
 	case "straightforward":
-		return show("straightforward", e.SearchStraightforwardCtx)
+		return show("straightforward", core.PlanStraightforward)
 	case "compare":
-		if err := show("conventional", e.SearchConventionalCtx); err != nil {
+		if err := show("conventional", core.PlanConventional); err != nil {
 			return err
 		}
-		return show("context-sensitive", e.SearchCtx)
+		return show("context-sensitive", "")
 	default:
 		return fmt.Errorf("unknown mode %q", mode)
 	}

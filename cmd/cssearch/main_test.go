@@ -8,14 +8,27 @@ import (
 	"testing"
 	"time"
 
+	"csrank/internal/core"
 	"csrank/internal/corpus"
+	"csrank/internal/index"
 	"csrank/internal/selection"
+	"csrank/internal/shard"
 	"csrank/internal/views"
 	"csrank/internal/wal"
 )
 
-// buildData creates a small persisted instance for the search tool.
-func buildData(t *testing.T) string {
+// layouts are the data directories every tool test runs against: the
+// one-shard cluster csbuild writes by default, a three-shard cluster,
+// and the single-engine layout older builds wrote.
+var layouts = []struct {
+	name   string
+	shards int // 0 = single-engine layout
+}{{"one-shard", 1}, {"three-shard", 3}, {"legacy", 0}}
+
+// buildData persists one small corpus for the search tool: a cluster as
+// csbuild writes it when shards ≥ 1, else index.gob and views.gob at the
+// root.
+func buildData(t *testing.T, shards int) string {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := corpus.DefaultConfig()
@@ -26,55 +39,103 @@ func buildData(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := c.BuildIndex(0)
+	parts, globals, err := shard.Split(c.IndexDocuments(), max(shards, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := selection.Select(ix, selection.Config{TC: 40, TV: 256})
+	engines := make([]*core.Engine, len(parts))
+	for i, part := range parts {
+		ix, err := index.BuildFrom(corpus.Schema(), 0, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := selection.Select(ix, selection.Config{TC: int64(len(part) / 50), TV: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = core.New(ix, m.Catalog, core.Options{})
+	}
+	if shards == 0 {
+		if err := engines[0].Index().SaveMapped(filepath.Join(dir, "index.gob")); err != nil {
+			t.Fatal(err)
+		}
+		if err := engines[0].Catalog().SaveFile(filepath.Join(dir, "views.gob")); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	cl, err := shard.NewCluster(engines, globals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.SaveMapped(filepath.Join(dir, "index.gob")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Catalog.SaveFile(filepath.Join(dir, "views.gob")); err != nil {
+	if err := cl.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	return dir
+}
+
+// ranked keeps the ranked-hit lines of cssearch output.
+func ranked(out string) []string {
+	var lines []string
+	for _, l := range strings.Split(out, "\n") {
+		if f := strings.Fields(l); len(f) > 0 && strings.HasSuffix(f[0], ".") && strings.HasPrefix(l, "  ") {
+			lines = append(lines, l)
+		}
+	}
+	return lines
 }
 
 // TestExpiredTimeoutPrintsDegraded: with -timeout already expired the
 // search prints a flagged degraded result (with the phase-timing explain
 // line) instead of failing.
 func TestExpiredTimeoutPrintsDegraded(t *testing.T) {
-	dir := buildData(t)
-	eng, ix, err := openEngine(dir, "", "pivoted-tfidf", time.Nanosecond, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := searchAndPrint(eng, ix, "disease organ | anatomy", 5, "context", &out); err != nil {
-		t.Fatalf("expired timeout should degrade, not error: %v", err)
-	}
-	if !strings.Contains(out.String(), "degraded") || !strings.Contains(out.String(), "phases:") {
-		t.Fatalf("output missing degraded explain line:\n%s", out.String())
+	for _, l := range layouts {
+		c, err := openCluster(buildData(t, l.shards), "", "pivoted-tfidf", time.Nanosecond, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := searchAndPrint(c, "disease organ | anatomy", 5, "context", &out); err != nil {
+			t.Fatalf("%s: expired timeout should degrade, not error: %v", l.name, err)
+		}
+		if !strings.Contains(out.String(), "degraded") || !strings.Contains(out.String(), "phases:") {
+			t.Fatalf("%s: output missing degraded explain line:\n%s", l.name, out.String())
+		}
 	}
 }
 
+// TestRunAllModes runs every mode on every layout, and the ranked lines
+// of each mode must be the same on all of them.
 func TestRunAllModes(t *testing.T) {
-	dir := buildData(t)
 	// "disease" and "organ" are curated topic words, "anatomy" a curated
 	// category always present in the generated ontology.
 	q := "disease organ | anatomy"
-	for _, mode := range []string{"context", "conventional", "straightforward", "compare"} {
-		if err := run(dir, "", q, 5, mode, "pivoted-tfidf", 0, false); err != nil {
-			t.Errorf("mode %s: %v", mode, err)
+	want := map[string][]string{}
+	for _, l := range layouts {
+		c, err := openCluster(buildData(t, l.shards), "", "pivoted-tfidf", 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []string{"context", "conventional", "straightforward", "compare"} {
+			var out bytes.Buffer
+			if err := searchAndPrint(c, q, 5, mode, &out); err != nil {
+				t.Fatalf("%s mode %s: %v", l.name, mode, err)
+			}
+			got := ranked(out.String())
+			if len(got) == 0 {
+				t.Fatalf("%s mode %s: no ranked lines:\n%s", l.name, mode, out.String())
+			}
+			if w, ok := want[mode]; !ok {
+				want[mode] = got
+			} else if strings.Join(got, "\n") != strings.Join(w, "\n") {
+				t.Fatalf("%s mode %s ranks\n%s\nwant\n%s", l.name, mode, strings.Join(got, "\n"), strings.Join(w, "\n"))
+			}
 		}
 	}
 }
 
 func TestRunScorers(t *testing.T) {
-	dir := buildData(t)
+	dir := buildData(t, 1)
 	for _, sc := range []string{"pivoted-tfidf", "bm25", "dirichlet-lm"} {
 		if err := run(dir, "", "disease | anatomy", 3, "context", sc, 0, true); err != nil {
 			t.Errorf("scorer %s: %v", sc, err)
@@ -83,7 +144,7 @@ func TestRunScorers(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	dir := buildData(t)
+	dir := buildData(t, 1)
 	if err := run(dir, "", "disease", 3, "context", "nope", 0, false); err == nil {
 		t.Error("unknown scorer accepted")
 	}
@@ -96,25 +157,30 @@ func TestRunErrors(t *testing.T) {
 	if err := run(t.TempDir(), "", "disease", 3, "context", "bm25", 0, false); err == nil {
 		t.Error("missing data dir accepted")
 	}
+	if err := run(buildData(t, 3), t.TempDir(), "disease", 3, "context", "bm25", 0, false); err == nil {
+		t.Error("-wal accepted on a three-shard data directory")
+	}
 }
 
 // TestVerifyAndWALRecovery covers the durability flags end to end: a
-// fresh build audits clean; a WAL directory seeded with one extra
-// logged update recovers into the engine bit-identically, and the
-// audit flags exactly that divergence from the index.
+// fresh build audits clean in every layout; a WAL directory seeded with
+// one extra logged update recovers into the one shard bit-identically,
+// and the audit flags exactly that divergence from the index.
 func TestVerifyAndWALRecovery(t *testing.T) {
-	dir := buildData(t)
-	var out bytes.Buffer
-	if err := verifyViews(dir, "", &out); err != nil {
-		t.Fatalf("fresh build should verify clean: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "ok:") {
-		t.Fatalf("missing ok line: %q", out.String())
+	for _, l := range layouts {
+		var out bytes.Buffer
+		if err := verifyViews(buildData(t, l.shards), "", &out); err != nil {
+			t.Fatalf("%s: fresh build should verify clean: %v\n%s", l.name, err, out.String())
+		}
+		if n := strings.Count(out.String(), "ok:"); n != max(l.shards, 1) {
+			t.Fatalf("%s: %d ok lines: %q", l.name, n, out.String())
+		}
 	}
 
 	// Seed a WAL directory from the persisted catalog and log an update
 	// the index does not contain.
-	cat, err := views.LoadFile(filepath.Join(dir, "views.gob"))
+	dir := buildData(t, 1)
+	cat, err := views.LoadFile(filepath.Join(shard.ShardDir(dir, 0), "views.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,65 +198,72 @@ func TestVerifyAndWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng, _, err := openEngine(dir, walDir, "bm25", 0, false)
+	c, err := openCluster(dir, walDir, "bm25", 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Catalog().Fingerprint(); got != fp {
-		t.Fatalf("recovered catalog fingerprint %s, logged state %s", got, fp)
+	if eng, _ := c.Engine(0); eng.Catalog().Fingerprint() != fp {
+		t.Fatalf("recovered catalog fingerprint %s, logged state %s", eng.Catalog().Fingerprint(), fp)
 	}
 
 	// The logged document was never indexed, so the audit must fail.
-	out.Reset()
+	var out bytes.Buffer
 	if err := verifyViews(dir, walDir, &out); err == nil {
 		t.Fatalf("drifted catalog verified clean:\n%s", out.String())
 	}
 }
 
 func TestRunInteractive(t *testing.T) {
-	dir := buildData(t)
-	in := strings.NewReader("disease | anatomy\n? disease | anatomy\nbogus | | query\n\nexit\n")
-	var out bytes.Buffer
-	if err := runInteractive(dir, "", 3, "context", "pivoted-tfidf", 0, true, in, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "context-sensitive") {
-		t.Errorf("missing search output: %q", s)
-	}
-	if !strings.Contains(s, "plan:") {
-		t.Errorf("missing explanation output: %q", s)
-	}
-	if !strings.Contains(s, "error:") {
-		t.Errorf("missing error report for bad query: %q", s)
-	}
-	// EOF without "exit" also terminates cleanly.
-	if err := runInteractive(dir, "", 3, "context", "pivoted-tfidf", 0, false, strings.NewReader("disease\n"), &out); err != nil {
-		t.Fatal(err)
-	}
-	// Bad scorer surfaces immediately.
-	if err := runInteractive(dir, "", 3, "context", "nope", 0, false, strings.NewReader(""), &out); err == nil {
-		t.Error("unknown scorer accepted")
+	for _, l := range layouts {
+		dir := buildData(t, l.shards)
+		in := strings.NewReader("disease | anatomy\n? disease | anatomy\nbogus | | query\n\nexit\n")
+		var out bytes.Buffer
+		if err := runInteractive(dir, "", 3, "context", "pivoted-tfidf", 0, true, in, &out); err != nil {
+			t.Fatal(err)
+		}
+		s := out.String()
+		if !strings.Contains(s, "context-sensitive") {
+			t.Errorf("%s: missing search output: %q", l.name, s)
+		}
+		if !strings.Contains(s, "plan:") {
+			t.Errorf("%s: missing explanation output: %q", l.name, s)
+		}
+		if got := strings.Contains(s, "shard 2:"); got != (l.shards == 3) {
+			t.Errorf("%s: per-shard explanation headers %v: %q", l.name, got, s)
+		}
+		if !strings.Contains(s, "error:") {
+			t.Errorf("%s: missing error report for bad query: %q", l.name, s)
+		}
+		// EOF without "exit" also terminates cleanly.
+		if err := runInteractive(dir, "", 3, "context", "pivoted-tfidf", 0, false, strings.NewReader("disease\n"), &out); err != nil {
+			t.Fatal(err)
+		}
+		// Bad scorer surfaces immediately.
+		if err := runInteractive(dir, "", 3, "context", "nope", 0, false, strings.NewReader(""), &out); err == nil {
+			t.Errorf("%s: unknown scorer accepted", l.name)
+		}
 	}
 }
 
 // TestListStatsBothFormats: -liststats reports the on-disk block layout
-// for the paged-v4 index every writer emits and for a legacy gob one an
-// older build wrote, labeling each with its actual format (cache stats
-// only exist for the mapped reader).
+// for the paged-v4 index every writer emits — each shard's in turn — and
+// for a legacy gob one an older build wrote, labeling each with its
+// actual format (cache stats only exist for the mapped reader).
 func TestListStatsBothFormats(t *testing.T) {
-	dir := buildData(t)
-	var v4 bytes.Buffer
-	if err := printListStats(dir, &v4); err != nil {
-		t.Fatal(err)
-	}
-	s := v4.String()
-	if !strings.Contains(s, "format v4") || !strings.Contains(s, "block cache") {
-		t.Errorf("v4 liststats wrong:\n%s", s)
-	}
-	// The paged file must also serve searches through the same CLI path.
-	if err := run(dir, "", "disease | anatomy", 3, "context", "bm25", 0, true); err != nil {
-		t.Fatal(err)
+	for _, l := range layouts {
+		dir := buildData(t, l.shards)
+		var v4 bytes.Buffer
+		if err := printListStats(dir, &v4); err != nil {
+			t.Fatal(err)
+		}
+		s := v4.String()
+		if n := strings.Count(s, "format v4"); n != max(l.shards, 1) || !strings.Contains(s, "block cache") {
+			t.Errorf("%s: v4 liststats wrong (%d headers):\n%s", l.name, n, s)
+		}
+		// The paged files must also serve searches through the same CLI path.
+		if err := run(dir, "", "disease | anatomy", 3, "context", "bm25", 0, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	legacy := t.TempDir()
@@ -205,7 +278,7 @@ func TestListStatsBothFormats(t *testing.T) {
 	if err := printListStats(legacy, &v3); err != nil {
 		t.Fatal(err)
 	}
-	s = v3.String()
+	s := v3.String()
 	if !strings.Contains(s, "legacy gob (v0–v3, read-only)") || strings.Contains(s, "format v") {
 		t.Errorf("gob index mislabeled:\n%s", s)
 	}

@@ -1,8 +1,9 @@
 // Command csserve is an HTTP/JSON front end for context-sensitive
-// search over a data directory written by csbuild — single-engine or
-// sharded (csbuild -shards N). Every request is admission-controlled: a
-// bounded pool of in-flight searches fronted by a bounded wait queue,
-// so overload sheds (429/503) at the door instead of melting latency.
+// search over a data directory written by csbuild (any -shards; the
+// single-engine layout older builds wrote opens as one shard). Every
+// request is admission-controlled: a bounded pool of in-flight searches
+// fronted by a bounded wait queue, so overload sheds (429/503) at the
+// door instead of melting latency.
 //
 // Usage:
 //
@@ -34,9 +35,8 @@ import (
 
 func main() {
 	var (
-		data         = flag.String("data", "data", "data directory (single-engine or sharded cluster)")
+		data         = flag.String("data", "data", "data directory written by csbuild")
 		addr         = flag.String("addr", ":8080", "listen address")
-		mode         = flag.String("mode", "auto", "auto | single | sharded — how to interpret -data")
 		scorer       = flag.String("scorer", "pivoted-tfidf", strings.Join(ranking.Names(), " | "))
 		pruning      = flag.Bool("pruning", false, "enable block-max dynamic pruning (rank-safe)")
 		resultCache  = flag.Int64("result-cache", 64<<20, "serving-layer result cache budget in bytes; hits skip the shard fan-out AND the admission queue, concurrent identical queries coalesce onto one execution (0 = off)")
@@ -47,7 +47,7 @@ func main() {
 		maxQueue     = flag.Int("max-queue", 64, "maximum searches waiting for an execution slot; beyond this requests are shed with 429")
 		queueTimeout = flag.Duration("queue-timeout", 100*time.Millisecond, "longest a search may wait for a slot before shedding with 503 (0 = wait for the request deadline)")
 		perShard     = flag.Bool("per-shard-stats", false, "include each shard's statistics report in /search responses")
-		ingest       = flag.Bool("ingest", false, "accept POST /index writes (requires a sharded data directory; documents are WAL-durable before the 200)")
+		ingest       = flag.Bool("ingest", false, "accept POST /index writes (requires the cluster layout csbuild writes; documents are WAL-durable before the 200)")
 		refresh      = flag.Duration("refresh", 500*time.Millisecond, "with -ingest: how often newly added documents become searchable (0 = on every Add)")
 		compactAt    = flag.Int("compact-threshold", 10000, "with -ingest: compact the mutable segment into the shard indexes once it holds this many documents (0 = never automatically)")
 		minShards    = flag.Int("min-shards", 0, "fewest healthy shards for which a partial answer is still served; fewer fails the query (0 = 1, i.e. answer while any shard survives)")
@@ -60,7 +60,7 @@ func main() {
 	flag.Int("cache", 0, "ignored (the context-statistics cache was removed; accepted so old command lines still start)")
 	flag.Parse()
 	cfg := serveConfig{
-		data: *data, addr: *addr, mode: *mode, scorer: *scorer,
+		data: *data, addr: *addr, scorer: *scorer,
 		pruning: *pruning, resultCache: *resultCache,
 		timeout: *timeout, statsBudget: *statsBudget, k: *k,
 		maxInflight: *maxInflight, maxQueue: *maxQueue, queueTimeout: *queueTimeout,
@@ -75,7 +75,7 @@ func main() {
 
 // serveConfig carries the parsed flags into run.
 type serveConfig struct {
-	data, addr, mode, scorer   string
+	data, addr, scorer         string
 	k                          int
 	resultCache                int64
 	pruning, perShard, ingest  bool
@@ -99,7 +99,7 @@ func run(cfg serveConfig) error {
 		ShardTimeout: cfg.shardTimeout,
 		Cache:        csrank.CacheOptions{ResultBytes: cfg.resultCache},
 	}
-	eng, err := openEngine(cfg.data, cfg.mode, opts, cfg.ingest, cfg.refresh, cfg.compactAt)
+	eng, err := openEngine(cfg.data, opts, cfg.ingest, cfg.refresh, cfg.compactAt)
 	if err != nil {
 		return err
 	}
@@ -136,40 +136,15 @@ func run(cfg serveConfig) error {
 	}
 }
 
-// openEngine resolves the data directory into a ShardedEngine: a
-// cluster manifest opens as a cluster, a single-engine directory is
-// wrapped as a one-shard cluster, so the server has one code path. With
-// ingest the cluster opens writable — WAL recovery, mutable segment,
-// background refresh and compaction — which requires the sharded
-// layout (csbuild -shards N, N ≥ 1).
-func openEngine(data, mode string, opts csrank.BuildOptions, ingest bool, refresh time.Duration, compactAt int) (*csrank.ShardedEngine, error) {
-	sharded := csrank.IsSharded(data)
-	switch mode {
-	case "auto":
-	case "sharded":
-		if !sharded {
-			return nil, fmt.Errorf("%s holds no cluster manifest", data)
-		}
-	case "single":
-		sharded = false
-	default:
-		return nil, fmt.Errorf("unknown mode %q", mode)
-	}
+// openEngine opens the data directory: writable with ingest — WAL
+// recovery, mutable segment, background refresh and compaction — and
+// read-only otherwise.
+func openEngine(data string, opts csrank.BuildOptions, ingest bool, refresh time.Duration, compactAt int) (*csrank.ShardedEngine, error) {
 	if ingest {
-		if !sharded {
-			return nil, fmt.Errorf("-ingest requires a sharded data directory (rebuild with csbuild -shards 1)")
-		}
 		return csrank.OpenLive(data, opts, csrank.IngestOptions{
 			RefreshEvery:     refresh,
 			CompactThreshold: compactAt,
 		})
 	}
-	if sharded {
-		return csrank.OpenSharded(data, opts)
-	}
-	e, err := csrank.OpenWithOptions(data, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.ShardedWithOptions(opts)
+	return csrank.OpenSharded(data, opts)
 }

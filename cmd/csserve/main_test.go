@@ -99,6 +99,31 @@ func TestSearchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBadQueryAnswers400AndKeepsShardsHealthy: a query with no
+// indexable keyword is the client's fault. It answers 400, never trips a
+// circuit breaker, and a valid query afterwards is still served.
+func TestBadQueryAnswers400AndKeepsShardsHealthy(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		srv := newServer(buildTestEngine(t, shards), newAdmission(4, 16, time.Second), 10, 0, false, false)
+		ts := httptest.NewServer(srv.routes())
+		for i := 0; i < 5; i++ {
+			var bad errorResponse
+			if code := getJSON(t, ts, "/search?q=the+of+%7C+digestive_system", &bad); code != http.StatusBadRequest {
+				t.Fatalf("shards=%d query %d: status %d (%s), want 400", shards, i, code, bad.Error)
+			}
+		}
+		var h healthzResponse
+		if code := getJSON(t, ts, "/healthz", &h); code != http.StatusOK || h.Status != "ok" || h.AvailableShards != shards {
+			t.Fatalf("shards=%d: healthz %d %+v after bad queries", shards, code, h)
+		}
+		var got searchResponse
+		if code := getJSON(t, ts, "/search?q=pancreas+%7C+digestive_system", &got); code != http.StatusOK || len(got.Hits) == 0 {
+			t.Fatalf("shards=%d: valid query after bad ones: status %d, %d hits", shards, code, len(got.Hits))
+		}
+		ts.Close()
+	}
+}
+
 // TestAdmissionShedding saturates the slot pool and checks both shed
 // paths: 429 when the queue is full, 503 when the queue wait times out.
 func TestAdmissionShedding(t *testing.T) {

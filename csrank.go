@@ -28,20 +28,15 @@
 package csrank
 
 import (
-	"context"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"csrank/internal/analysis"
 	"csrank/internal/core"
 	"csrank/internal/index"
-	"csrank/internal/query"
 	"csrank/internal/ranking"
-	"csrank/internal/selection"
 	"csrank/internal/shard"
-	"csrank/internal/views"
 )
 
 // Document is the unit of indexing.
@@ -110,9 +105,10 @@ type BuildOptions struct {
 	// undercuts the straightforward plan's cost bound, instead of always
 	// preferring views.
 	CostBasedPlanning bool
-	// Timeout bounds each query's wall-clock execution. When it expires
-	// the engine returns what it has — partial or empty results flagged
-	// Stats.Degraded — instead of an error. Zero means unbounded.
+	// Timeout bounds each phase of a query (statistics, then scoring) on
+	// every shard. When it expires the engine returns what it has —
+	// partial or empty results flagged Stats.Degraded — instead of an
+	// error. Zero means unbounded.
 	Timeout time.Duration
 	// StatsBudget bounds the context-statistics phase of contextual
 	// queries; past it the engine ranks with approximate statistics and
@@ -121,20 +117,20 @@ type BuildOptions struct {
 	// Pruning lets top-k scoring skip documents and containers that
 	// cannot beat the k-th best score so far; rankings are unchanged.
 	Pruning bool
-	// MinShards (sharded engines only) is the fewest healthy shards for
-	// which a partial answer is still served; when fewer survive a
-	// query's fan-out, the query fails instead (fail-closed). ≤ 0 means
-	// 1: answer as long as any shard survives. Set it to the shard count
-	// to fail fast on any shard loss.
+	// MinShards is the fewest healthy shards for which a partial answer
+	// is still served; when fewer survive a query's fan-out, the query
+	// fails instead (fail-closed). ≤ 0 means 1: answer as long as any
+	// shard survives. Set it to the shard count to fail fast on any shard
+	// loss.
 	MinShards int
-	// ShardTimeout (sharded engines only) bounds each shard's work per
-	// query phase; a shard that exceeds it is dropped from the query and
-	// the surviving shards answer alone, flagged Degraded with the loss
-	// attributed in Stats.ShardErrors. Zero disables the per-shard
-	// timeout (Timeout still degrades in-shard).
+	// ShardTimeout bounds each shard's work per query phase; a shard that
+	// exceeds it is dropped from the query and the surviving shards answer
+	// alone, flagged Degraded with the loss attributed in
+	// Stats.ShardErrors. Zero disables the per-shard timeout (Timeout
+	// still degrades in-shard).
 	ShardTimeout time.Duration
-	// Cache configures the serving-layer result cache (sharded engines
-	// only; see CacheOptions). The zero value disables it.
+	// Cache configures the serving-layer result cache (see
+	// CacheOptions). The zero value disables it.
 	Cache CacheOptions
 }
 
@@ -163,7 +159,8 @@ func (o BuildOptions) cacheFingerprint() string {
 }
 
 // coreOptions maps the runtime subset of BuildOptions onto the engine
-// options every construction path (Build, BuildSharded, Open) shares.
+// options every construction path (BuildSharded, OpenSharded, OpenLive)
+// shares.
 func (o BuildOptions) coreOptions(scorer ranking.Scorer) core.Options {
 	return core.Options{
 		Scorer:      scorer,
@@ -202,44 +199,8 @@ func (b *Builder) Add(d Document) {
 func (b *Builder) Len() int { return len(b.docs) }
 
 // Build indexes the queued documents, selects and materializes views, and
-// returns a ready Engine.
-func (b *Builder) Build(opts BuildOptions) (*Engine, error) {
-	scorer, err := opts.Scorer.build()
-	if err != nil {
-		return nil, err
-	}
-	frac := opts.ContextThresholdFraction
-	if frac == 0 {
-		frac = 0.01
-	}
-	tv := opts.ViewSizeLimit
-	if tv == 0 {
-		tv = 4096
-	}
-	ix, err := index.BuildFrom(schema(), opts.SegmentSize, b.docs)
-	if err != nil {
-		return nil, err
-	}
-	var cat *views.Catalog
-	var selTime time.Duration
-	if !opts.DisableViews {
-		tc := int64(frac * float64(ix.NumDocs()))
-		if tc < 1 {
-			tc = 1
-		}
-		t0 := time.Now()
-		m, err := selection.Select(ix, selection.Config{TC: tc, TV: tv})
-		if err != nil {
-			return nil, err
-		}
-		cat = m.Catalog
-		selTime = time.Since(t0)
-	}
-	return &Engine{
-		engine:     core.New(ix, cat, opts.coreOptions(scorer)),
-		selectTime: selTime,
-	}, nil
-}
+// returns a ready Engine: the one-shard cluster, BuildSharded(1, opts).
+func (b *Builder) Build(opts BuildOptions) (*Engine, error) { return b.BuildSharded(1, opts) }
 
 func schema() index.Schema {
 	return index.Schema{
@@ -256,8 +217,7 @@ func schema() index.Schema {
 // Hit is one ranked search result. The JSON tags are the wire format
 // cmd/csserve responses use, so serving needs no shadow types.
 type Hit struct {
-	// DocID is the document's insertion-order number (the global number
-	// for sharded engines).
+	// DocID is the document's insertion-order number.
 	DocID int `json:"doc_id"`
 	// Title is the document's stored title.
 	Title string `json:"title"`
@@ -265,9 +225,8 @@ type Hit struct {
 	Score float64 `json:"score"`
 }
 
-// Stats summarizes one query execution. For sharded engines it is the
-// cluster-level aggregation of every shard's report (counters summed,
-// flags ORed, Elapsed the fan-out maximum). The JSON tags are the wire
+// Stats summarizes one query execution: the aggregation of every
+// shard's report (counters summed, flags ORed). The JSON tags are the wire
 // format cmd/csserve responses use.
 type Stats struct {
 	// Plan is the strategy used: "conventional", "view",
@@ -324,68 +283,9 @@ var ErrTooFewShards = core.ErrTooFewSlices
 // attempted) — and the underlying error text.
 type ShardError = shard.ShardError
 
-// Engine answers context-sensitive queries.
-type Engine struct {
-	engine     *core.Engine
-	selectTime time.Duration
-	// live is the writable cluster EnableIngest attaches; when set,
-	// searches route through it so added documents are visible.
-	live *ShardedEngine
-}
-
-// Search parses and evaluates q ("w1 w2 | m1 m2") with context-sensitive
-// ranking, returning the top k hits. Queries without '|' are conventional
-// keyword queries.
-func (e *Engine) Search(q string, k int) ([]Hit, Stats, error) {
-	return e.SearchCtx(context.Background(), q, k)
-}
-
-// SearchCtx is Search under a caller-supplied context: cancelling ctx
-// aborts the query promptly with ctx's error, and a ctx deadline (like
-// BuildOptions.Timeout) degrades to flagged partial results instead of
-// failing. A panic anywhere in the query path fails only that query.
-func (e *Engine) SearchCtx(ctx context.Context, q string, k int) ([]Hit, Stats, error) {
-	if e.live != nil {
-		return e.live.SearchCtx(ctx, q, k)
-	}
-	return e.searchWith(ctx, q, k, e.engine.SearchCtx)
-}
-
-// SearchConventional evaluates q with the conventional baseline: the
-// context (if any) filters the result set but statistics come from the
-// whole collection.
-func (e *Engine) SearchConventional(q string, k int) ([]Hit, Stats, error) {
-	return e.searchWith(context.Background(), q, k, e.engine.SearchConventionalCtx)
-}
-
-// SearchStraightforward evaluates a contextual q without consulting
-// materialized views (the paper's straightforward plan), for comparison.
-func (e *Engine) SearchStraightforward(q string, k int) ([]Hit, Stats, error) {
-	return e.searchWith(context.Background(), q, k, e.engine.SearchStraightforwardCtx)
-}
-
-// searchWith is the single-engine parse → execute → convert pipeline;
-// search selects the plan.
-func (e *Engine) searchWith(ctx context.Context, q string, k int, search func(context.Context, query.Query, int) ([]core.Result, core.ExecStats, error)) ([]Hit, Stats, error) {
-	pq, err := query.Parse(q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	res, st, err := search(ctx, pq, k)
-	return e.convert(res), convertStats(st), err
-}
-
-func (e *Engine) convert(rs []core.Result) []Hit {
-	hits := make([]Hit, len(rs))
-	for i, r := range rs {
-		hits[i] = Hit{
-			DocID: int(r.DocID),
-			Title: e.engine.Index().StoredField(r.DocID, "title"),
-			Score: r.Score,
-		}
-	}
-	return hits
-}
+// Engine answers context-sensitive queries. It is the one engine type: a
+// single-engine build is the one-shard cluster.
+type Engine = ShardedEngine
 
 func convertStats(st core.ExecStats) Stats {
 	return Stats{
@@ -399,86 +299,4 @@ func convertStats(st core.ExecStats) Stats {
 		PrunedContainers: st.Pruning.ContainersSkipped,
 		Elapsed:          st.Elapsed,
 	}
-}
-
-// Explain reports, without executing the query, which evaluation plan
-// Search would choose and why: the analyzed keywords and context, the
-// matched view (if any) with its size and per-keyword df-column coverage,
-// and the straightforward plan's cost bound.
-func (e *Engine) Explain(q string) (string, error) {
-	pq, err := query.Parse(q)
-	if err != nil {
-		return "", err
-	}
-	ex, err := e.engine.Explain(pq)
-	if err != nil {
-		return "", err
-	}
-	return ex.String(), nil
-}
-
-// NumDocs returns the collection size (including documents added live,
-// when ingestion is enabled).
-func (e *Engine) NumDocs() int {
-	if e.live != nil {
-		return e.live.NumDocs()
-	}
-	return e.engine.Index().NumDocs()
-}
-
-// NumViews returns the number of materialized views (0 when views are
-// disabled).
-func (e *Engine) NumViews() int {
-	if e.engine.Catalog() == nil {
-		return 0
-	}
-	return e.engine.Catalog().Len()
-}
-
-// ContextSize returns the number of documents matching a context
-// specification (space-separated predicates).
-func (e *Engine) ContextSize(context string) int64 {
-	return e.engine.ContextSize(strings.Fields(context))
-}
-
-// SelectionTime returns how long view selection and materialization took
-// during Build (zero for loaded or view-less engines).
-func (e *Engine) SelectionTime() time.Duration { return e.selectTime }
-
-// Save persists the engine (paged v4 index + views) into dir, which must exist.
-func (e *Engine) Save(dir string) error {
-	if err := e.engine.Index().SaveMapped(filepath.Join(dir, "index.gob")); err != nil {
-		return err
-	}
-	if cat := e.engine.Catalog(); cat != nil {
-		if err := cat.SaveFile(filepath.Join(dir, "views.gob")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Open loads an engine saved by Save. A missing views.gob yields an
-// engine without view acceleration.
-func Open(dir string, scorer Scorer) (*Engine, error) {
-	return OpenWithOptions(dir, BuildOptions{Scorer: scorer})
-}
-
-// OpenWithOptions loads an engine saved by Save, honoring the runtime
-// options (Scorer, CostBasedPlanning, Timeout, StatsBudget, Pruning);
-// the build-time options are fixed by the persisted index and views.
-func OpenWithOptions(dir string, opts BuildOptions) (*Engine, error) {
-	sc, err := opts.Scorer.build()
-	if err != nil {
-		return nil, err
-	}
-	ix, err := index.LoadFile(filepath.Join(dir, "index.gob"))
-	if err != nil {
-		return nil, err
-	}
-	cat, err := views.LoadFile(filepath.Join(dir, "views.gob"))
-	if err != nil {
-		cat = nil // view-less engine
-	}
-	return &Engine{engine: core.New(ix, cat, opts.coreOptions(sc))}, nil
 }

@@ -496,7 +496,7 @@ func TestSingleFlightFailedLeaderNotShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, _, err := se.searchParsed(context.Background(), pq, 10)
+	want, _, _, err := se.searchParsed(context.Background(), pq, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}

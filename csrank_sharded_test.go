@@ -7,8 +7,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"csrank/internal/core"
+	"csrank/internal/index"
+	"csrank/internal/query"
+	"csrank/internal/ranking"
+	"csrank/internal/selection"
 	"csrank/internal/shard"
 	"csrank/internal/snapshot"
+	"csrank/internal/views"
 )
 
 // shardedDemoQueries exercise contextual, conventional-shape and
@@ -54,14 +60,57 @@ func rebuildDemoDocs(b *Builder) {
 	}
 }
 
-// TestBuildShardedMatchesBuild: the public sharded engine must return
-// the same hits — docIDs, titles, scores — as the single engine built
-// from the same documents, for several shard counts, with and without
-// pruning.
+// referenceSearch ranks q on one core engine over an index of all the
+// demo documents, built here rather than through the public builders, so
+// the engines under test are checked against something other than
+// themselves.
+func referenceSearch(t *testing.T, opts BuildOptions, q string, k int) []Hit {
+	t.Helper()
+	b := NewBuilder()
+	rebuildDemoDocs(b)
+	ix, err := index.BuildFrom(schema(), 0, b.docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := opts.Scorer.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := query.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := core.New(ix, nil, opts.coreOptions(sc)).SearchCtx(context.Background(), pq, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := make([]Hit, len(res))
+	for i, r := range res {
+		hits[i] = Hit{DocID: int(r.DocID), Title: ix.StoredField(r.DocID, "title"), Score: r.Score}
+	}
+	return hits
+}
+
+// sameHits fails the test unless got equals want hit for hit.
+func sameHits(t *testing.T, what string, got, want []Hit) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d hits, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s rank %d: %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestBuildShardedMatchesBuild: the public engine must return the same
+// hits — docIDs, titles, scores — as one core engine over an index of
+// all the documents, for several shard counts (Build is the one-shard
+// case), with and without pruning.
 func TestBuildShardedMatchesBuild(t *testing.T) {
 	for _, pruning := range []bool{false, true} {
 		opts := BuildOptions{Pruning: pruning}
-		single := buildDemo(t, opts)
 		for _, shards := range []int{1, 2, 4} {
 			b := NewBuilder()
 			rebuildDemoDocs(b)
@@ -69,18 +118,14 @@ func TestBuildShardedMatchesBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if se.NumShards() != shards || se.NumDocs() != single.NumDocs() {
-				t.Fatalf("sharded engine %d shards / %d docs, want %d / %d",
-					se.NumShards(), se.NumDocs(), shards, single.NumDocs())
+			if se.NumShards() != shards || se.NumDocs() != 602 {
+				t.Fatalf("sharded engine %d shards / %d docs, want %d / 602",
+					se.NumShards(), se.NumDocs(), shards)
 			}
 			if se.NumViews() == 0 {
 				t.Errorf("shards=%d: no views materialized on any shard", shards)
 			}
 			for _, q := range shardedDemoQueries {
-				want, _, err := single.Search(q, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
 				got, st, per, err := se.SearchDetailed(context.Background(), q, 10)
 				if err != nil {
 					t.Fatal(err)
@@ -88,14 +133,7 @@ func TestBuildShardedMatchesBuild(t *testing.T) {
 				if len(per) != shards {
 					t.Fatalf("%d per-shard reports for %d shards", len(per), shards)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("shards=%d q=%q: %d hits, want %d", shards, q, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("shards=%d q=%q rank %d: %+v, want %+v", shards, q, i, got[i], want[i])
-					}
-				}
+				sameHits(t, fmt.Sprintf("shards=%d q=%q", shards, q), got, referenceSearch(t, opts, q, 10))
 				if st.Elapsed <= 0 {
 					t.Errorf("shards=%d q=%q: non-positive Elapsed", shards, q)
 				}
@@ -104,19 +142,10 @@ func TestBuildShardedMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestShardedWrapAndRoundTrip: Engine.Sharded() ranks like the engine;
-// Save writes every shard index as paged format v4, and Save +
-// OpenSharded round-trips bit-identically.
+// TestShardedWrapAndRoundTrip: Save writes every shard index as paged
+// format v4 under a cluster manifest, and Save + OpenSharded round-trips
+// bit-identically.
 func TestShardedWrapAndRoundTrip(t *testing.T) {
-	single := buildDemo(t, BuildOptions{})
-	wrapped, err := single.Sharded()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapped.NumShards() != 1 || wrapped.NumDocs() != single.NumDocs() {
-		t.Fatalf("wrapped: %d shards / %d docs", wrapped.NumShards(), wrapped.NumDocs())
-	}
-
 	b := NewBuilder()
 	rebuildDemoDocs(b)
 	se, err := b.BuildSharded(3, BuildOptions{})
@@ -127,8 +156,8 @@ func TestShardedWrapAndRoundTrip(t *testing.T) {
 	if err := se.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if !IsSharded(dir) {
-		t.Fatal("saved dir not detected as sharded")
+	if _, err := shard.LoadManifest(dir); err != nil {
+		t.Fatalf("saved dir has no cluster manifest: %v", err)
 	}
 	assertPagedShards(t, dir, 3, "index.gob")
 	re, err := OpenSharded(dir, BuildOptions{})
@@ -139,24 +168,87 @@ func TestShardedWrapAndRoundTrip(t *testing.T) {
 		t.Fatalf("%d generations", len(got))
 	}
 	for _, q := range shardedDemoQueries {
-		want, _, err := single.Search(q, 8)
+		want, _, err := se.Search(q, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range []*ShardedEngine{wrapped, se, re} {
-			got, _, err := eng.Search(q, 8)
+		got, _, err := re.Search(q, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameHits(t, fmt.Sprintf("q=%q", q), got, want)
+	}
+}
+
+// TestLegacySingleDirOpensAsOneShard: a directory in the single-engine
+// layout older builds wrote — index.gob and views.gob at the root, no
+// cluster.json — opens as a one-shard cluster that ranks like a fresh
+// build under every scorer, and Save rewrites it in the cluster layout
+// with the same view catalog.
+func TestLegacySingleDirOpensAsOneShard(t *testing.T) {
+	b := NewBuilder()
+	rebuildDemoDocs(b)
+	ix, err := index.BuildFrom(schema(), 0, b.docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := selection.Select(ix, selection.Config{TC: int64(0.01 * float64(ix.NumDocs())), TV: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := t.TempDir()
+	if err := ix.SaveMapped(filepath.Join(legacy, "index.gob")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Catalog.SaveFile(filepath.Join(legacy, "views.gob")); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range ranking.Names() {
+		opts := BuildOptions{Scorer: Scorer(name)}
+		old, err := OpenSharded(legacy, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old.NumShards() != 1 || old.NumDocs() != 602 || old.NumViews() != m.Catalog.Len() {
+			t.Fatalf("legacy dir: %d shards / %d docs / %d views", old.NumShards(), old.NumDocs(), old.NumViews())
+		}
+		fresh := NewBuilder()
+		rebuildDemoDocs(fresh)
+		want, err := fresh.Build(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range shardedDemoQueries {
+			wh, _, err := want.Search(q, 20)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("q=%q: %d hits, want %d", q, len(got), len(want))
+			gh, _, err := old.Search(q, 20)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("q=%q rank %d: %+v, want %+v", q, i, got[i], want[i])
-				}
-			}
+			sameHits(t, fmt.Sprintf("%s q=%q", name, q), gh, wh)
 		}
+	}
+
+	old, err := OpenSharded(legacy, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	converted := t.TempDir()
+	if err := old.Save(converted); err != nil {
+		t.Fatal(err)
+	}
+	if man, err := shard.LoadManifest(converted); err != nil || man.Shards != 1 {
+		t.Fatalf("converted dir manifest %+v: %v", man, err)
+	}
+	assertPagedShards(t, converted, 1, "index.gob")
+	cat, err := views.LoadFile(filepath.Join(shard.ShardDir(converted, 0), "views.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat.Fingerprint() != m.Catalog.Fingerprint() {
+		t.Fatalf("converted catalog fingerprint %s, legacy %s", cat.Fingerprint(), m.Catalog.Fingerprint())
 	}
 }
 

@@ -2,7 +2,6 @@ package csrank
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 )
 
@@ -171,8 +170,8 @@ func TestPublicAPISaveOpen(t *testing.T) {
 	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	assertPaged(t, filepath.Join(dir, "index.gob"))
-	got, err := Open(dir, PivotedTFIDF)
+	assertPagedShards(t, dir, 1, "index.gob")
+	got, err := OpenSharded(dir, BuildOptions{Scorer: PivotedTFIDF})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +198,8 @@ func TestPublicAPISaveOpen(t *testing.T) {
 }
 
 func TestOpenMissing(t *testing.T) {
-	if _, err := Open(t.TempDir(), PivotedTFIDF); err == nil {
-		t.Error("Open of empty dir succeeded")
+	if _, err := OpenSharded(t.TempDir(), BuildOptions{}); err == nil {
+		t.Error("OpenSharded of empty dir succeeded")
 	}
 }
 
@@ -210,7 +209,7 @@ func TestOpenWithoutViews(t *testing.T) {
 	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(dir, BM25)
+	got, err := OpenSharded(dir, BuildOptions{Scorer: BM25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func main() {
 	if err := engine.Save(dir); err != nil {
 		log.Fatal(err)
 	}
-	engine, err = csrank.Open(dir, csrank.BM25)
+	engine, err = csrank.OpenSharded(dir, csrank.BuildOptions{Scorer: csrank.BM25})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestCarriedExecScoresLikeStandalone(t *testing.T) {
 				label := fmt.Sprintf("pruning=%v k=%d %q", pruning, k, qs)
 				q := query.MustParse(qs)
 				var statsSt, scoreSt ExecStats
-				x, cs, err := e.statsCarried(ctx, q, &statsSt)
+				x, cs, err := e.statsCarried(ctx, q, "", &statsSt)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -83,7 +83,7 @@ func TestCarriedExecScoresLikeStandalone(t *testing.T) {
 	noSet := func(label string, e *Engine, q query.Query, plan Plan) {
 		t.Helper()
 		var st ExecStats
-		x, _, err := e.statsCarried(ctx, q, &st)
+		x, _, err := e.statsCarried(ctx, q, "", &st)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -297,9 +297,14 @@ type analyzed struct {
 	context  []string // normalized predicates
 }
 
+// ErrBadQuery wraps every analysis error (no keywords, a blank term, no
+// keyword left after analysis): a fact about the query, identical on every
+// slice, so a scatter-gather fails the query without blaming a slice.
+var ErrBadQuery = errors.New("core: bad query")
+
 func (e *Engine) analyze(q query.Query) (analyzed, error) {
 	if err := q.Validate(); err != nil {
-		return analyzed{}, err
+		return analyzed{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	var a analyzed
 	seen := map[string]bool{}
@@ -313,7 +318,7 @@ func (e *Engine) analyze(q query.Query) (analyzed, error) {
 		}
 	}
 	if len(a.kwTerms) == 0 {
-		return analyzed{}, fmt.Errorf("core: query %q has no indexable keywords", q)
+		return analyzed{}, fmt.Errorf("%w: %q has no indexable keywords", ErrBadQuery, q)
 	}
 	a.context = e.normalizeContext(q.Context)
 	return a, nil

@@ -87,6 +87,9 @@ type SliceOptions struct {
 	// the slices; shorter is allowed, missing or nil entries inject
 	// nothing).
 	Hooks []SliceHook
+	// Plan forces every slice's statistics plan (PlanConventional or
+	// PlanStraightforward); "" lets each slice choose, as SearchCtx does.
+	Plan Plan
 }
 
 // ErrTooFewSlices fails a partial scatter-gather when fewer slices
@@ -132,10 +135,11 @@ func classifySliceFailure(err error) string {
 // the re-merged statistics, so a partial answer is never ranked under
 // statistics of documents it cannot return. Failures attributes every
 // lost slice; stats entries of lost slices are zero. The error is
-// non-nil only when the caller's context was canceled, fewer than
-// opt.MinSlices slices survived (ErrTooFewSlices; MinSlices =
-// len(slices) is the fail-fast policy), or the merge itself failed —
-// never for an isolated slice loss within policy.
+// non-nil only when the caller's context was canceled (not expired), the
+// query is bad (ErrBadQuery), fewer than opt.MinSlices slices survived
+// (ErrTooFewSlices; MinSlices = len(slices) is the fail-fast policy), or
+// the merge itself failed — never for an isolated slice loss within
+// policy.
 func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k int, opt SliceOptions) ([]SliceHit, []ExecStats, []SliceFailure, error) {
 	n := len(slices)
 	if n == 0 {
@@ -193,8 +197,9 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 	var failures []SliceFailure
 	// scatter runs one phase on every surviving slice — the lowest-numbered
 	// on the caller's goroutine, the rest concurrently, each isolated —
-	// then drops the slices that failed it. A dead caller context fails
-	// the query instead: it does not degrade it, and blames no slice.
+	// then drops the slices that failed it. A caller cancellation and a
+	// bad query fail the query instead, and blame no slice. A caller
+	// deadline does neither: every slice has already degraded in place.
 	scatter := func(phase string, fn func(sctx context.Context, i int) error) (lost bool, err error) {
 		var wg sync.WaitGroup
 		self := -1
@@ -214,11 +219,14 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 		}
 		errs[self] = runSlice(self, phase, fn)
 		wg.Wait()
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := ctx.Err(); cerr != nil && !errors.Is(cerr, context.DeadlineExceeded) {
 			return false, cerr
 		}
 		for i := range slices {
 			if alive[i] && errs[i] != nil {
+				if errors.Is(errs[i], ErrBadQuery) {
+					return false, errs[i]
+				}
 				alive[i] = false
 				aliveCount--
 				lost = true
@@ -244,7 +252,7 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 	partCS := make([]ranking.CollectionStats, n)
 	statsSt := make([]ExecStats, n)
 	if _, err := scatter("stats", func(sctx context.Context, i int) (err error) {
-		execs[i], partCS[i], err = slices[i].Eng.statsCarried(sctx, q, &statsSt[i])
+		execs[i], partCS[i], err = slices[i].Eng.statsCarried(sctx, q, opt.Plan, &statsSt[i])
 		return err
 	}); err != nil {
 		return nil, nil, nil, err

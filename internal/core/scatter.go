@@ -44,7 +44,7 @@ import (
 // flags st.Degraded instead of failing, mirroring the search path's
 // boundedness contract; explicit cancellation fails the call.
 func (e *Engine) StatsFor(ctx context.Context, q query.Query) (cs ranking.CollectionStats, st ExecStats, err error) {
-	x, cs, err := e.statsCarried(ctx, q, &st)
+	x, cs, err := e.statsCarried(ctx, q, "", &st)
 	x.release()
 	return cs, st, err
 }
@@ -52,14 +52,14 @@ func (e *Engine) StatsFor(ctx context.Context, q query.Query) (cs ranking.Collec
 // statsCarried is StatsFor for a caller that goes on to score: it also
 // returns the exec the statistics phase ran on — the analyzed query, its
 // lists and whatever context the plan materialized — for scoreCarried.
-// The exec is returned on failure too, once it exists; the caller
-// releases it either way.
-func (e *Engine) statsCarried(ctx context.Context, q query.Query, st *ExecStats) (x *exec, cs ranking.CollectionStats, err error) {
+// plan is statsPhase's ("" lets the engine choose). The exec is returned
+// on failure too, once it exists; the caller releases it either way.
+func (e *Engine) statsCarried(ctx context.Context, q query.Query, plan Plan, st *ExecStats) (x *exec, cs ranking.CollectionStats, err error) {
 	err = e.frame(ctx, "statistics phase", st, func(ctx context.Context) (serr error) {
 		if x, serr = e.prepare(q, st); serr != nil {
 			return serr
 		}
-		cs, serr = e.statsPhase(ctx, x, "", true)
+		cs, serr = e.statsPhase(ctx, x, plan, true)
 		return serr
 	})
 	return x, cs, err

@@ -131,7 +131,7 @@ func Open(dir string, o Options) (*Ingester, error) {
 	}
 	m, err := shard.LoadManifest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("segment: live ingestion requires a sharded data directory (csbuild -shards): %w", err)
+		return nil, fmt.Errorf("segment: live ingestion requires a cluster data directory (cluster.json, as csbuild and Save write): %w", err)
 	}
 	st := liveState{Version: 1, Gen: 0, TotalDocs: m.TotalDocs}
 	if data, rerr := readAll(fs, filepath.Join(dir, LiveName)); rerr == nil {
@@ -261,7 +261,7 @@ func (ing *Ingester) View() *View { return ing.view.Load() }
 // stored-field resolution).
 func (ing *Ingester) Search(ctx context.Context, q query.Query, k int) ([]core.SliceHit, shard.Summary, *View, error) {
 	v := ing.view.Load()
-	hits, sum, err := ing.cluster.SearchSlices(ctx, v.Slices, q, k)
+	hits, sum, err := ing.cluster.SearchSlices(ctx, v.Slices, q, k, "")
 	return hits, sum, v, err
 }
 

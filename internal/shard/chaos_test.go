@@ -360,3 +360,63 @@ func TestChaosConcurrentStorm(t *testing.T) {
 	}
 	settleGoroutines(t, base)
 }
+
+// TestBadQueryDoesNotTripBreakers: a query no engine can analyze fails
+// identically on every shard. That is a fact about the query, so the
+// cluster fails it with core.ErrBadQuery, attributes no shard loss, and
+// leaves every breaker closed — a valid query afterwards is served whole.
+func TestBadQueryDoesNotTripBreakers(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	cluster, _, queries := chaosCluster(t, rng, 4)
+	cluster.SetPolicy(Policy{MinShards: 1, Breaker: BreakerConfig{Threshold: 3, Backoff: time.Minute, MaxBackoff: time.Minute}})
+	bad := query.Query{Keywords: []string{" "}, Context: []string{"m00"}}
+	for i := 0; i < 5; i++ {
+		_, sum, err := cluster.Search(context.Background(), bad, 10)
+		if !errors.Is(err, core.ErrBadQuery) {
+			t.Fatalf("query %d: err %v, want ErrBadQuery", i, err)
+		}
+		if len(sum.Failed) != 0 {
+			t.Fatalf("query %d: bad query blamed shards: %+v", i, sum.Failed)
+		}
+	}
+	h := cluster.Health()
+	if h.Available != 4 {
+		t.Fatalf("available %d after bad queries, want 4", h.Available)
+	}
+	for _, s := range h.Shards {
+		if s.State != BreakerClosed || s.ConsecutiveFailures != 0 {
+			t.Fatalf("shard %d breaker after bad queries: %+v", s.Shard, s)
+		}
+	}
+	if _, sum, err := cluster.Search(context.Background(), queries[0], 10); err != nil || sum.Agg.Degraded {
+		t.Fatalf("valid query after bad ones: err=%v degraded=%v", err, sum.Agg.Degraded)
+	}
+}
+
+// TestExpiredCallerDeadlineDegrades: a caller deadline that has already
+// expired degrades every shard in place, as it degrades one engine — the
+// cluster answers with err == nil and a Degraded (empty) result, and no
+// breaker records a failure.
+func TestExpiredCallerDeadlineDegrades(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(31))
+		cluster, _, queries := chaosCluster(t, rng, n)
+		cluster.SetPolicy(Policy{MinShards: n, Breaker: BreakerConfig{Threshold: 1, Backoff: time.Minute, MaxBackoff: time.Minute}})
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		for _, q := range queries {
+			_, sum, err := cluster.Search(ctx, q, 10)
+			if err != nil {
+				t.Fatalf("%d shards, %v: expired deadline failed the query: %v", n, q, err)
+			}
+			if !sum.Agg.Degraded || len(sum.Failed) != 0 {
+				t.Fatalf("%d shards, %v: degraded=%v failures %+v", n, q, sum.Agg.Degraded, sum.Failed)
+			}
+		}
+		cancel()
+		for _, s := range cluster.Health().Shards {
+			if s.State != BreakerClosed || s.ConsecutiveFailures != 0 || s.Trips != 0 {
+				t.Fatalf("%d shards: shard %d breaker after expired deadlines: %+v", n, s.Shard, s)
+			}
+		}
+	}
+}

@@ -328,7 +328,7 @@ func (c *Cluster) Slices() ([]core.Slice, []uint64) {
 // shard.
 func (c *Cluster) Search(ctx context.Context, q query.Query, k int) ([]core.SliceHit, Summary, error) {
 	slices, gens := c.Slices()
-	hits, sum, err := c.SearchSlices(ctx, slices, q, k)
+	hits, sum, err := c.SearchSlices(ctx, slices, q, k, "")
 	sum.Generations = gens
 	return hits, sum, err
 }
@@ -353,11 +353,13 @@ func (c *Cluster) Search(ctx context.Context, q query.Query, k int) ([]core.Slic
 // attributing each loss and Agg.Degraded set. Shards whose circuit
 // breaker is open are shed before the fan-out at zero cost; breakers
 // observe every attempted shard's outcome. Fewer survivors than the
-// floor fail the query with core.ErrTooFewSlices (fail-closed), and
-// caller cancellation fails it with ctx's error. An engine-level
-// deadline expiry still degrades in-shard rather than dropping the
-// shard, matching the single-engine boundedness contract.
-func (c *Cluster) SearchSlices(ctx context.Context, slices []core.Slice, q query.Query, k int) ([]core.SliceHit, Summary, error) {
+// floor fail the query with core.ErrTooFewSlices (fail-closed), caller
+// cancellation fails it with ctx's error, and a query no engine can
+// analyze fails with core.ErrBadQuery; neither of the last two counts
+// against any breaker. A deadline expiry — the caller's or the engines'
+// own — degrades in-shard rather than dropping the shard. plan forces
+// every shard's statistics plan ("" lets each choose).
+func (c *Cluster) SearchSlices(ctx context.Context, slices []core.Slice, q query.Query, k int, plan core.Plan) ([]core.SliceHit, Summary, error) {
 	start := time.Now()
 	n := len(slices)
 	pol := c.Policy()
@@ -400,12 +402,13 @@ func (c *Cluster) SearchSlices(ctx context.Context, slices []core.Slice, q query
 		MinSlices: minSlices,
 		Timeout:   pol.ShardTimeout,
 		Hooks:     hooks,
+		Plan:      plan,
 	})
 
 	// Feed the breakers: every admitted shard records its outcome. A
-	// caller cancellation attributes no failures (it says nothing about
-	// shard health), so all record success — which also releases any
-	// half-open probe this query consumed.
+	// caller cancellation or a bad query attributes no failures (neither
+	// says anything about shard health), so all record success — which
+	// also releases any half-open probe this query consumed.
 	lost := make(map[int]bool, len(failures))
 	for _, f := range failures {
 		lost[f.Slice] = true

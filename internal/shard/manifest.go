@@ -2,8 +2,10 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -13,8 +15,8 @@ import (
 	"csrank/internal/views"
 )
 
-// ManifestName is the cluster manifest file inside a sharded data
-// directory; its presence is how tools detect a sharded layout.
+// ManifestName is the cluster manifest file at the root of a data
+// directory.
 const ManifestName = "cluster.json"
 
 // manifestVersion is the manifest schema version this package writes.
@@ -102,12 +104,6 @@ func LoadManifest(dir string) (Manifest, error) {
 	return m, nil
 }
 
-// IsSharded reports whether dir holds a cluster manifest.
-func IsSharded(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, ManifestName))
-	return err == nil
-}
-
 // Save persists the cluster under dir: one engine data directory per
 // shard (shard-%03d/index.gob in the paged format v4, which Open maps
 // lazily, plus views.gob) and the manifest. Only clusters whose docID
@@ -151,27 +147,48 @@ func (c *Cluster) Save(dir string) error {
 // built with opts. A shard whose document count disagrees with the
 // manifest fails the open — serving a drifted partition would silently
 // corrupt rankings.
+//
+// A directory without a manifest that holds an index.gob — the
+// single-engine layout older builds wrote — opens as a one-shard cluster
+// rooted at dir, so Save converts it to the cluster layout.
 func Open(dir string, opts core.Options) (*Cluster, error) {
 	m, err := LoadManifest(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, serr := os.Stat(filepath.Join(dir, "index.gob")); serr == nil {
+			eng, err := openEngine(dir, opts)
+			if err != nil {
+				return nil, err
+			}
+			return NewCluster([]*core.Engine{eng}, GlobalMaps(eng.Index().NumDocs(), 1))
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	globals := GlobalMaps(m.TotalDocs, m.Shards)
 	engines := make([]*core.Engine, m.Shards)
-	for i := 0; i < m.Shards; i++ {
-		sd := ShardDir(dir, i)
-		ix, err := index.LoadFile(filepath.Join(sd, "index.gob"))
+	for i := range engines {
+		eng, err := openEngine(ShardDir(dir, i), opts)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		if ix.NumDocs() != m.ShardDocs[i] {
-			return nil, fmt.Errorf("shard %d: index holds %d documents, manifest says %d", i, ix.NumDocs(), m.ShardDocs[i])
+		if n := eng.Index().NumDocs(); n != m.ShardDocs[i] {
+			return nil, fmt.Errorf("shard %d: index holds %d documents, manifest says %d", i, n, m.ShardDocs[i])
 		}
-		cat, err := views.LoadFile(filepath.Join(sd, "views.gob"))
-		if err != nil {
-			cat = nil // view-less shard
-		}
-		engines[i] = core.New(ix, cat, opts)
+		engines[i] = eng
 	}
-	return NewCluster(engines, globals)
+	return NewCluster(engines, GlobalMaps(m.TotalDocs, m.Shards))
+}
+
+// openEngine loads one engine data directory: index.gob and, when
+// present and readable, views.gob.
+func openEngine(dir string, opts core.Options) (*core.Engine, error) {
+	ix, err := index.LoadFile(filepath.Join(dir, "index.gob"))
+	if err != nil {
+		return nil, err
+	}
+	cat, err := views.LoadFile(filepath.Join(dir, "views.gob"))
+	if err != nil {
+		cat = nil // view-less engine
+	}
+	return core.New(ix, cat, opts), nil
 }

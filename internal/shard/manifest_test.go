@@ -41,8 +41,8 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if err := mem.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if !IsSharded(dir) {
-		t.Fatal("saved directory not detected as sharded")
+	if _, err := LoadManifest(dir); err != nil {
+		t.Fatalf("saved directory has no manifest: %v", err)
 	}
 	for i := range engines {
 		b, err := os.ReadFile(filepath.Join(ShardDir(dir, i), "index.gob"))

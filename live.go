@@ -22,13 +22,12 @@ type IngestOptions struct {
 	CompactThreshold int
 }
 
-// OpenLive opens a sharded data directory (as written by
-// ShardedEngine.Save / csbuild -shards) for serving plus live
-// ingestion: Add durably logs documents to a write-ahead log before
-// acknowledging them, added documents are searchable within one refresh
-// interval, and compaction folds them into the shard indexes without
-// downtime. Rankings over the live collection are bit-identical to a
-// single engine freshly built over the same documents.
+// OpenLive opens a cluster data directory (as written by Save or
+// csbuild) for serving plus live ingestion: Add durably logs documents
+// to a write-ahead log before acknowledging them, added documents are
+// searchable within one refresh interval, and compaction folds them into
+// the shard indexes without downtime. Rankings over the live collection
+// are bit-identical to a fresh Build over the same documents.
 //
 // Reopening a directory after a crash recovers every acknowledged
 // document: it is either in a committed index generation or replayed
@@ -52,8 +51,8 @@ func OpenLive(dir string, opts BuildOptions, ing IngestOptions) (*ShardedEngine,
 }
 
 // Add durably logs the document — fsynced before return — and assigns
-// it the next docID. Only engines opened through OpenLive (or
-// EnableIngest) accept writes. An error means the document was NOT
+// it the next docID. Only engines opened through OpenLive accept
+// writes. An error means the document was NOT
 // acknowledged.
 func (e *ShardedEngine) Add(d Document) (int, error) {
 	if e.live == nil {
@@ -105,56 +104,6 @@ func (e *ShardedEngine) CompactErr() error {
 // log. Engines without ingestion enabled need no Close; calling it is a
 // no-op.
 func (e *ShardedEngine) Close() error {
-	if e.live == nil {
-		return nil
-	}
-	return e.live.Close()
-}
-
-// EnableIngest turns the engine into a live, writable collection rooted
-// at dir: the engine is persisted there as a one-shard cluster (unless
-// dir already holds one) and reopened through OpenLive. Afterwards Add
-// accepts documents and Search serves base and live documents merged,
-// still bit-identical to a fresh build over the union.
-func (e *Engine) EnableIngest(dir string, opts BuildOptions, ing IngestOptions) error {
-	if e.live != nil {
-		return fmt.Errorf("csrank: ingestion already enabled")
-	}
-	if !IsSharded(dir) {
-		se, err := e.Sharded()
-		if err != nil {
-			return err
-		}
-		if err := se.Save(dir); err != nil {
-			return err
-		}
-	}
-	se, err := OpenLive(dir, opts, ing)
-	if err != nil {
-		return err
-	}
-	e.live = se
-	return nil
-}
-
-// Add durably logs the document and assigns it the next docID; it
-// requires EnableIngest. The document is searchable per the configured
-// refresh interval (immediately, with a zero interval).
-func (e *Engine) Add(d Document) (int, error) {
-	if e.live == nil {
-		return 0, fmt.Errorf("csrank: ingestion not enabled (use EnableIngest)")
-	}
-	return e.live.Add(d)
-}
-
-// Live returns the writable cluster behind an ingestion-enabled engine
-// (nil before EnableIngest), exposing Refresh, Compact, Pending and
-// Close.
-func (e *Engine) Live() *ShardedEngine { return e.live }
-
-// Close stops background ingestion work and releases the write-ahead
-// log; a no-op for engines without ingestion enabled.
-func (e *Engine) Close() error {
 	if e.live == nil {
 		return nil
 	}

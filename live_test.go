@@ -117,8 +117,9 @@ func TestOpenLiveIngestAndCompact(t *testing.T) {
 	compare("reopened", live)
 }
 
-// TestEngineEnableIngest: the single-engine writable facade.
-func TestEngineEnableIngest(t *testing.T) {
+// TestEngineSaveThenOpenLive: a built engine becomes writable by saving it
+// and reopening the directory live.
+func TestEngineSaveThenOpenLive(t *testing.T) {
 	b := NewBuilder()
 	for i := 0; i < 30; i++ {
 		b.Add(liveDoc(i))
@@ -128,33 +129,34 @@ func TestEngineEnableIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := e.Add(liveDoc(30)); err == nil {
-		t.Fatal("Add accepted before EnableIngest")
+		t.Fatal("Add accepted before OpenLive")
 	}
 	dir := t.TempDir()
-	if err := e.EnableIngest(dir, BuildOptions{}, IngestOptions{}); err != nil {
+	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	live, err := OpenLive(dir, BuildOptions{}, IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
 	assertPagedShards(t, dir, 1, "index.gob")
-	id, err := e.Add(liveDoc(30))
+	id, err := live.Add(liveDoc(30))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != 30 {
 		t.Fatalf("docID %d, want 30", id)
 	}
-	hits, _, err := e.Search("uniq0030", 5)
+	hits, _, err := live.Search("uniq0030", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hits) != 1 || hits[0].DocID != 30 || hits[0].Title != "Live study 30" {
 		t.Fatalf("added document not served: %+v", hits)
 	}
-	if e.NumDocs() != 31 {
-		t.Fatalf("NumDocs=%d, want 31", e.NumDocs())
-	}
-	if e.Live() == nil {
-		t.Fatal("Live() nil after EnableIngest")
+	if live.NumDocs() != 31 {
+		t.Fatalf("NumDocs=%d, want 31", live.NumDocs())
 	}
 }
 

@@ -18,12 +18,12 @@ import (
 )
 
 // ShardedEngine answers context-sensitive queries over a
-// document-partitioned cluster of engines. Every query fans out to all
-// shards concurrently in two phases — partial statistics, then scoring
-// under the merged global statistics — and the merged ranking is
-// bit-identical to a single Engine holding the whole collection:
-// sharding changes latency and capacity, never scores, order or
-// tie-breaks. Each shard sits behind a generation-tracked serving slot,
+// document-partitioned cluster of engines — one shard for Build. Every
+// query fans out to all shards concurrently in two phases — partial
+// statistics, then scoring under the merged global statistics — and the
+// merged ranking is bit-identical to one shard holding the whole
+// collection: sharding changes latency and capacity, never scores, order
+// or tie-breaks. Each shard sits behind a generation-tracked serving slot,
 // so index rollover swaps one shard at a time without downtime.
 type ShardedEngine struct {
 	cluster    *shard.Cluster
@@ -41,10 +41,9 @@ type ShardedEngine struct {
 
 // configure installs the serving-layer subset of opts: the cluster's
 // failure policy and the result cache per opts.Cache. Every construction
-// path that takes options (BuildSharded, OpenSharded, OpenLive,
-// ShardedWithOptions) calls it, so no path serves without the policy it
-// was asked for and the cache's configuration fingerprint always matches
-// the engines actually serving.
+// path (BuildSharded, OpenSharded, OpenLive) calls it, so no path serves
+// without the policy it was asked for and the cache's configuration
+// fingerprint always matches the engines actually serving.
 func (e *ShardedEngine) configure(opts BuildOptions) {
 	e.cluster.SetPolicy(shard.Policy{MinShards: opts.MinShards, ShardTimeout: opts.ShardTimeout})
 	e.rcache = core.NewResultCache(opts.Cache.ResultBytes)
@@ -139,8 +138,8 @@ func (r *cachedResult) copyOut() ([]Hit, Stats, []Stats) {
 // BuildSharded indexes the queued documents hash-partitioned over the
 // given number of shards, running view selection independently per
 // shard (T_C scales with the shard's size, so the fractional coverage
-// guarantee is preserved), and returns a ready ShardedEngine.
-// BuildSharded(1, opts) ranks identically to Build(opts).
+// guarantee is preserved), and returns a ready ShardedEngine. Build is
+// BuildSharded(1, opts).
 func (b *Builder) BuildSharded(shards int, opts BuildOptions) (*ShardedEngine, error) {
 	scorer, err := opts.Scorer.build()
 	if err != nil {
@@ -190,43 +189,15 @@ func (b *Builder) BuildSharded(shards int, opts BuildOptions) (*ShardedEngine, e
 	return se, nil
 }
 
-// Sharded wraps an existing single engine as a one-shard cluster, so
-// callers (cmd/csserve) can serve single and sharded data directories
-// through one code path. The wrapper ranks identically to the engine.
-func (e *Engine) Sharded() (*ShardedEngine, error) {
-	n := e.engine.Index().NumDocs()
-	cluster, err := shard.NewCluster([]*core.Engine{e.engine}, shard.GlobalMaps(n, 1))
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedEngine{cluster: cluster, selectTime: e.selectTime}, nil
-}
-
-// ShardedWithOptions is Sharded with the serving-layer subset of opts
-// (failure policy, result cache) applied to the wrapper (the engine's
-// own runtime options are unchanged): the way cmd/csserve enables the
-// result cache over a single-engine data directory.
-func (e *Engine) ShardedWithOptions(opts BuildOptions) (*ShardedEngine, error) {
-	se, err := e.Sharded()
-	if err != nil {
-		return nil, err
-	}
-	se.configure(opts)
-	return se, nil
-}
-
 // Save persists the cluster under dir (which must exist): a manifest and
 // one shard-%03d engine directory per shard, its index in paged format v4.
 func (e *ShardedEngine) Save(dir string) error { return e.cluster.Save(dir) }
 
-// IsSharded reports whether dir holds a sharded data directory (a
-// cluster manifest) as written by ShardedEngine.Save, as opposed to a
-// single-engine directory written by Engine.Save.
-func IsSharded(dir string) bool { return shard.IsSharded(dir) }
-
-// OpenSharded loads a cluster saved by ShardedEngine.Save, honoring the
-// runtime options (Scorer, CostBasedPlanning, Timeout, StatsBudget,
-// Pruning) on every shard.
+// OpenSharded loads a data directory written by Save or csbuild,
+// honoring the runtime options (Scorer, CostBasedPlanning, Timeout,
+// StatsBudget, Pruning) on every shard. A directory in the single-engine
+// layout older builds wrote (index.gob and views.gob, no cluster.json)
+// opens as one shard; Save then rewrites it in the cluster layout.
 func OpenSharded(dir string, opts BuildOptions) (*ShardedEngine, error) {
 	sc, err := opts.Scorer.build()
 	if err != nil {
@@ -248,9 +219,8 @@ func (e *ShardedEngine) Search(q string, k int) ([]Hit, Stats, error) {
 }
 
 // SearchCtx is Search under a caller-supplied context: cancelling ctx
-// aborts the fan-out promptly, and a deadline degrades shards to
-// flagged partial results instead of failing, exactly as on a single
-// engine.
+// aborts the fan-out promptly, and a deadline degrades every shard in
+// place to flagged partial (or empty) results instead of failing.
 func (e *ShardedEngine) SearchCtx(ctx context.Context, q string, k int) ([]Hit, Stats, error) {
 	hits, agg, _, err := e.SearchGated(ctx, q, k, nil)
 	return hits, agg, err
@@ -288,7 +258,7 @@ func (e *ShardedEngine) SearchGated(ctx context.Context, q string, k int, gate f
 			}
 			defer release()
 		}
-		return e.searchParsed(ctx, pq, k)
+		return e.searchParsed(ctx, pq, k, "")
 	}
 	key := e.cacheKey(pq, k)
 	start := time.Now()
@@ -340,7 +310,7 @@ func (e *ShardedEngine) executeAndStore(ctx context.Context, pq query.Query, k i
 		defer release()
 	}
 	tagBefore := e.cacheTag()
-	hits, agg, per, err := e.searchParsed(ctx, pq, k)
+	hits, agg, per, err := e.searchParsed(ctx, pq, k, "")
 	var r *cachedResult
 	if err == nil && !agg.Degraded && len(agg.ShardErrors) == 0 {
 		// Recompute the tag after execution: if any generation moved while
@@ -367,13 +337,37 @@ func (e *ShardedEngine) executeAndStore(ctx context.Context, pq query.Query, k i
 	return hits, agg, per, err
 }
 
+// SearchConventional evaluates q with the conventional baseline: the
+// context (if any) filters the result set but statistics come from the
+// whole collection. It neither reads nor fills the result cache.
+func (e *ShardedEngine) SearchConventional(q string, k int) ([]Hit, Stats, error) {
+	return e.searchPlan(q, k, core.PlanConventional)
+}
+
+// SearchStraightforward evaluates a contextual q without consulting
+// materialized views (the paper's straightforward plan), for comparison.
+// It neither reads nor fills the result cache.
+func (e *ShardedEngine) SearchStraightforward(q string, k int) ([]Hit, Stats, error) {
+	return e.searchPlan(q, k, core.PlanStraightforward)
+}
+
+func (e *ShardedEngine) searchPlan(q string, k int, plan core.Plan) ([]Hit, Stats, error) {
+	pq, err := query.Parse(q)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	hits, agg, _, err := e.searchParsed(context.Background(), pq, k, plan)
+	return hits, agg, err
+}
+
 // searchParsed executes a parsed query: the current slices through the
-// cluster's admitted scatter-gather, then the one hit/stats conversion.
-// On a live engine the per-slice reports end with the mutable segment's
-// (when it is non-empty), after the shards'.
-func (e *ShardedEngine) searchParsed(ctx context.Context, pq query.Query, k int) ([]Hit, Stats, []Stats, error) {
+// cluster's admitted scatter-gather under plan ("" lets every shard
+// choose), then the one hit/stats conversion. On a live engine the
+// per-slice reports end with the mutable segment's (when it is
+// non-empty), after the shards'.
+func (e *ShardedEngine) searchParsed(ctx context.Context, pq query.Query, k int, plan core.Plan) ([]Hit, Stats, []Stats, error) {
 	slices, _ := e.current()
-	res, sum, err := e.cluster.SearchSlices(ctx, slices, pq, k)
+	res, sum, err := e.cluster.SearchSlices(ctx, slices, pq, k, plan)
 	if err != nil {
 		return nil, Stats{}, nil, err
 	}
@@ -415,6 +409,42 @@ func (e *ShardedEngine) NumViews() int {
 		}
 	}
 	return total
+}
+
+// ContextSize returns the number of documents matching a context
+// specification (space-separated predicates).
+func (e *ShardedEngine) ContextSize(context string) int64 {
+	var n int64
+	preds := strings.Fields(context)
+	slices, _ := e.current()
+	for _, sl := range slices {
+		n += sl.Eng.ContextSize(preds)
+	}
+	return n
+}
+
+// Explain reports, without executing the query, which evaluation plan
+// Search would choose on each shard and why: the analyzed keywords and
+// context, the matched view (if any) with its size and per-keyword
+// df-column coverage, and the straightforward plan's cost bound.
+func (e *ShardedEngine) Explain(q string) (string, error) {
+	pq, err := query.Parse(q)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	slices, _ := e.current()
+	for i, sl := range slices {
+		ex, err := sl.Eng.Explain(pq)
+		if err != nil {
+			return "", err
+		}
+		if len(slices) > 1 {
+			fmt.Fprintf(&b, "shard %d:\n", i)
+		}
+		b.WriteString(ex.String())
+	}
+	return b.String(), nil
 }
 
 // Generations returns each shard's current serving generation.
@@ -512,7 +542,8 @@ func (e *ShardedEngine) ArmFault(s int, delay time.Duration, panicFault, corrupt
 func (e *ShardedEngine) DisarmFaults() { e.cluster.DisarmFaults() }
 
 // SelectionTime returns the total per-shard view selection and
-// materialization time during BuildSharded (zero for loaded engines).
+// materialization time during the build (zero for loaded or view-less
+// engines).
 func (e *ShardedEngine) SelectionTime() time.Duration { return e.selectTime }
 
 // ResultCacheStats is a counter snapshot of the serving-layer result
