@@ -33,7 +33,6 @@ import (
 	"csrank/internal/ranking"
 	"csrank/internal/shard"
 	"csrank/internal/views"
-	"csrank/internal/wal"
 )
 
 func main() {
@@ -49,7 +48,6 @@ func main() {
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memprofile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		liststats   = flag.Bool("liststats", false, "print the index's posting-list container breakdown and exit")
-		walDir      = flag.String("wal", "", "recover the view catalog from this WAL directory (snapshot + log replay) instead of views.gob; needs a one-shard data directory")
 		verify      = flag.Bool("verify", false, "audit the view catalog against the index (zero drift expected) and exit")
 	)
 	flag.Parse()
@@ -61,7 +59,7 @@ func main() {
 		return
 	}
 	if *verify {
-		if err := verifyViews(*data, *walDir, os.Stdout); err != nil {
+		if err := verifyViews(*data, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "cssearch:", err)
 			os.Exit(1)
 		}
@@ -73,13 +71,13 @@ func main() {
 		os.Exit(1)
 	}
 	if *interactive {
-		err = runInteractive(*data, *walDir, *k, *mode, *scorer, *timeout, *pruning, os.Stdin, os.Stdout)
+		err = runInteractive(*data, *k, *mode, *scorer, *timeout, *pruning, os.Stdin, os.Stdout)
 	} else if *q == "" {
 		stopProfiles()
 		flag.Usage()
 		os.Exit(2)
 	} else {
-		err = run(*data, *walDir, *q, *k, *mode, *scorer, *timeout, *pruning)
+		err = run(*data, *q, *k, *mode, *scorer, *timeout, *pruning)
 	}
 	stopProfiles()
 	if err != nil {
@@ -129,8 +127,8 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 // starting with '?' print the plan explanation instead; "exit" or EOF
 // ends the session. Per-query errors are reported and the loop
 // continues.
-func runInteractive(data, walDir string, k int, mode, scorerName string, timeout time.Duration, pruning bool, in io.Reader, out io.Writer) error {
-	c, err := openCluster(data, walDir, scorerName, timeout, pruning)
+func runInteractive(data string, k int, mode, scorerName string, timeout time.Duration, pruning bool, in io.Reader, out io.Writer) error {
+	c, err := openCluster(data, scorerName, timeout, pruning)
 	if err != nil {
 		return err
 	}
@@ -231,18 +229,16 @@ func float64maxOne(n int64) float64 {
 	return float64(n)
 }
 
-func run(data, walDir, qstr string, k int, mode, scorerName string, timeout time.Duration, pruning bool) error {
-	c, err := openCluster(data, walDir, scorerName, timeout, pruning)
+func run(data, qstr string, k int, mode, scorerName string, timeout time.Duration, pruning bool) error {
+	c, err := openCluster(data, scorerName, timeout, pruning)
 	if err != nil {
 		return err
 	}
 	return searchAndPrint(c, qstr, k, mode, os.Stdout)
 }
 
-// openCluster loads the data directory with the requested scorer. With
-// walDir the view catalog is recovered from the WAL directory instead of
-// views.gob and swapped into the one shard a WAL describes.
-func openCluster(data, walDir, scorerName string, timeout time.Duration, pruning bool) (*shard.Cluster, error) {
+// openCluster loads the data directory with the requested scorer.
+func openCluster(data, scorerName string, timeout time.Duration, pruning bool) (*shard.Cluster, error) {
 	sc, ok := ranking.New(scorerName)
 	if !ok {
 		return nil, fmt.Errorf("unknown scorer %q", scorerName)
@@ -251,50 +247,18 @@ func openCluster(data, walDir, scorerName string, timeout time.Duration, pruning
 	if err != nil {
 		return nil, err
 	}
-	if walDir != "" {
-		if c.NumShards() != 1 {
-			return nil, fmt.Errorf("-wal needs a one-shard data directory; %s holds %d shards", data, c.NumShards())
-		}
-		cat, err := recoverCatalog(walDir)
-		if err != nil {
-			return nil, err
-		}
-		eng, _ := c.Engine(0)
-		eng.SwapCatalog(cat)
-	}
 	if eng, _ := c.Engine(0); eng.Catalog() == nil {
 		fmt.Fprintln(os.Stderr, "note: no views loaded; contextual queries use the straightforward plan")
 	}
 	return c, nil
 }
 
-// recoverCatalog recovers the view catalog from a WAL directory (newest
-// valid snapshot plus log-tail replay) and prints a one-line summary so
-// operators see what the crash left behind.
-func recoverCatalog(walDir string) (*views.Catalog, error) {
-	m, rec, err := wal.Open(walDir, wal.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("wal recovery: %w", err)
-	}
-	defer m.Close()
-	fmt.Fprintf(os.Stderr, "recovered views from %s: generation %d, %d batches replayed",
-		walDir, rec.Generation, rec.BatchesReplayed)
-	if rec.TornTail {
-		fmt.Fprintf(os.Stderr, ", torn tail truncated (%d bytes)", rec.TruncatedBytes)
-	}
-	if len(rec.CorruptSnapshots) > 0 {
-		fmt.Fprintf(os.Stderr, ", corrupt snapshots skipped: %v", rec.CorruptSnapshots)
-	}
-	fmt.Fprintln(os.Stderr)
-	return m.Catalog(), nil
-}
-
 // verifyViews audits every shard's view catalog against its index (the
 // source of truth): every sampled group's aggregates are recomputed and
 // compared. Exit status is the contract — zero findings means the
 // catalogs can be trusted for ranking, any drift makes the run fail.
-func verifyViews(data, walDir string, out io.Writer) error {
-	c, err := openCluster(data, walDir, "pivoted-tfidf", 0, false)
+func verifyViews(data string, out io.Writer) error {
+	c, err := openCluster(data, "pivoted-tfidf", 0, false)
 	if err != nil {
 		return err
 	}

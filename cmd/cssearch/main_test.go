@@ -14,7 +14,6 @@ import (
 	"csrank/internal/selection"
 	"csrank/internal/shard"
 	"csrank/internal/views"
-	"csrank/internal/wal"
 )
 
 // layouts are the data directories every tool test runs against: the
@@ -90,7 +89,7 @@ func ranked(out string) []string {
 // line) instead of failing.
 func TestExpiredTimeoutPrintsDegraded(t *testing.T) {
 	for _, l := range layouts {
-		c, err := openCluster(buildData(t, l.shards), "", "pivoted-tfidf", time.Nanosecond, false)
+		c, err := openCluster(buildData(t, l.shards), "pivoted-tfidf", time.Nanosecond, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +111,7 @@ func TestRunAllModes(t *testing.T) {
 	q := "disease organ | anatomy"
 	want := map[string][]string{}
 	for _, l := range layouts {
-		c, err := openCluster(buildData(t, l.shards), "", "pivoted-tfidf", 0, true)
+		c, err := openCluster(buildData(t, l.shards), "pivoted-tfidf", 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +136,7 @@ func TestRunAllModes(t *testing.T) {
 func TestRunScorers(t *testing.T) {
 	dir := buildData(t, 1)
 	for _, sc := range []string{"pivoted-tfidf", "bm25", "dirichlet-lm"} {
-		if err := run(dir, "", "disease | anatomy", 3, "context", sc, 0, true); err != nil {
+		if err := run(dir, "disease | anatomy", 3, "context", sc, 0, true); err != nil {
 			t.Errorf("scorer %s: %v", sc, err)
 		}
 	}
@@ -145,31 +144,27 @@ func TestRunScorers(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	dir := buildData(t, 1)
-	if err := run(dir, "", "disease", 3, "context", "nope", 0, false); err == nil {
+	if err := run(dir, "disease", 3, "context", "nope", 0, false); err == nil {
 		t.Error("unknown scorer accepted")
 	}
-	if err := run(dir, "", "disease", 3, "bogus", "bm25", 0, false); err == nil {
+	if err := run(dir, "disease", 3, "bogus", "bm25", 0, false); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if err := run(dir, "", "a | b | c", 3, "context", "bm25", 0, false); err == nil {
+	if err := run(dir, "a | b | c", 3, "context", "bm25", 0, false); err == nil {
 		t.Error("unparseable query accepted")
 	}
-	if err := run(t.TempDir(), "", "disease", 3, "context", "bm25", 0, false); err == nil {
+	if err := run(t.TempDir(), "disease", 3, "context", "bm25", 0, false); err == nil {
 		t.Error("missing data dir accepted")
-	}
-	if err := run(buildData(t, 3), t.TempDir(), "disease", 3, "context", "bm25", 0, false); err == nil {
-		t.Error("-wal accepted on a three-shard data directory")
 	}
 }
 
-// TestVerifyAndWALRecovery covers the durability flags end to end: a
-// fresh build audits clean in every layout; a WAL directory seeded with
-// one extra logged update recovers into the one shard bit-identically,
-// and the audit flags exactly that divergence from the index.
-func TestVerifyAndWALRecovery(t *testing.T) {
+// TestVerify covers both halves of the -verify contract: a fresh build
+// audits clean in every layout, and a views.gob that counts one document
+// the index does not hold fails the audit.
+func TestVerify(t *testing.T) {
 	for _, l := range layouts {
 		var out bytes.Buffer
-		if err := verifyViews(buildData(t, l.shards), "", &out); err != nil {
+		if err := verifyViews(buildData(t, l.shards), &out); err != nil {
 			t.Fatalf("%s: fresh build should verify clean: %v\n%s", l.name, err, out.String())
 		}
 		if n := strings.Count(out.String(), "ok:"); n != max(l.shards, 1) {
@@ -177,39 +172,23 @@ func TestVerifyAndWALRecovery(t *testing.T) {
 		}
 	}
 
-	// Seed a WAL directory from the persisted catalog and log an update
-	// the index does not contain.
+	// Fold a never-indexed document into the persisted catalog.
 	dir := buildData(t, 1)
-	cat, err := views.LoadFile(filepath.Join(shard.ShardDir(dir, 0), "views.gob"))
+	path := filepath.Join(shard.ShardDir(dir, 0), "views.gob")
+	cat, err := views.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	walDir := filepath.Join(dir, "wal")
-	m, err := wal.Create(walDir, cat, wal.Options{})
-	if err != nil {
+	cat.Apply(views.DocUpdate{Predicates: []string{"anatomy"}, Len: 42})
+	if err := cat.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	u := views.DocUpdate{Predicates: []string{"anatomy"}, Len: 42}
-	if err := m.Apply(wal.Batch{{Op: wal.OpApply, Doc: u}}); err != nil {
-		t.Fatal(err)
-	}
-	fp := m.Catalog().Fingerprint()
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c, err := openCluster(dir, walDir, "bm25", 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng, _ := c.Engine(0); eng.Catalog().Fingerprint() != fp {
-		t.Fatalf("recovered catalog fingerprint %s, logged state %s", eng.Catalog().Fingerprint(), fp)
-	}
-
-	// The logged document was never indexed, so the audit must fail.
 	var out bytes.Buffer
-	if err := verifyViews(dir, walDir, &out); err == nil {
+	if err := verifyViews(dir, &out); err == nil {
 		t.Fatalf("drifted catalog verified clean:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "count = ") {
+		t.Errorf("drift report lists no count finding:\n%s", out.String())
 	}
 }
 
@@ -218,7 +197,7 @@ func TestRunInteractive(t *testing.T) {
 		dir := buildData(t, l.shards)
 		in := strings.NewReader("disease | anatomy\n? disease | anatomy\nbogus | | query\n\nexit\n")
 		var out bytes.Buffer
-		if err := runInteractive(dir, "", 3, "context", "pivoted-tfidf", 0, true, in, &out); err != nil {
+		if err := runInteractive(dir, 3, "context", "pivoted-tfidf", 0, true, in, &out); err != nil {
 			t.Fatal(err)
 		}
 		s := out.String()
@@ -235,11 +214,11 @@ func TestRunInteractive(t *testing.T) {
 			t.Errorf("%s: missing error report for bad query: %q", l.name, s)
 		}
 		// EOF without "exit" also terminates cleanly.
-		if err := runInteractive(dir, "", 3, "context", "pivoted-tfidf", 0, false, strings.NewReader("disease\n"), &out); err != nil {
+		if err := runInteractive(dir, 3, "context", "pivoted-tfidf", 0, false, strings.NewReader("disease\n"), &out); err != nil {
 			t.Fatal(err)
 		}
 		// Bad scorer surfaces immediately.
-		if err := runInteractive(dir, "", 3, "context", "nope", 0, false, strings.NewReader(""), &out); err == nil {
+		if err := runInteractive(dir, 3, "context", "nope", 0, false, strings.NewReader(""), &out); err == nil {
 			t.Errorf("%s: unknown scorer accepted", l.name)
 		}
 	}
@@ -261,7 +240,7 @@ func TestListStatsBothFormats(t *testing.T) {
 			t.Errorf("%s: v4 liststats wrong (%d headers):\n%s", l.name, n, s)
 		}
 		// The paged files must also serve searches through the same CLI path.
-		if err := run(dir, "", "disease | anatomy", 3, "context", "bm25", 0, true); err != nil {
+		if err := run(dir, "disease | anatomy", 3, "context", "bm25", 0, true); err != nil {
 			t.Fatal(err)
 		}
 	}

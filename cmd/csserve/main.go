@@ -19,6 +19,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -108,18 +109,23 @@ func run(cfg serveConfig) error {
 	fmt.Fprintf(os.Stderr, "csserve: %d documents over %d shard(s); listening on %s (inflight≤%d queue≤%d ingest=%v chaos=%v)\n",
 		eng.NumDocs(), eng.NumShards(), cfg.addr, cfg.maxInflight, cfg.maxQueue, cfg.ingest, cfg.chaos)
 
+	// Graceful shutdown: on SIGINT/SIGTERM stop accepting, drain
+	// in-flight requests up to the drain timeout, flush the final
+	// counters so the run's tail is in the logs even without a scraper,
+	// then close the engine (with -ingest: stop refresh, wait for a
+	// running compaction, close the segment log). The handler is
+	// installed before the listener, so a signal that follows the first
+	// served request is never missed.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
 	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.routes()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 
-	// Graceful shutdown: on SIGINT/SIGTERM stop accepting, drain
-	// in-flight requests up to the drain timeout, then flush the final
-	// counters so the run's tail is in the logs even without a scraper.
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
-		return err
+		return errors.Join(err, eng.Close())
 	case sig := <-sigCh:
 		fmt.Fprintf(os.Stderr, "csserve: %s: draining (up to %s)\n", sig, cfg.drainTimeout)
 		ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
@@ -128,8 +134,12 @@ func run(cfg serveConfig) error {
 		if final, err := json.Marshal(srv.statsz()); err == nil {
 			fmt.Fprintf(os.Stderr, "csserve: final statsz: %s\n", final)
 		}
+		closeErr := eng.Close()
 		if shutErr != nil {
-			return fmt.Errorf("drain incomplete after %s: %w", cfg.drainTimeout, shutErr)
+			return errors.Join(fmt.Errorf("drain incomplete after %s: %w", cfg.drainTimeout, shutErr), closeErr)
+		}
+		if closeErr != nil {
+			return fmt.Errorf("close engine: %w", closeErr)
 		}
 		fmt.Fprintln(os.Stderr, "csserve: drained cleanly")
 		return nil

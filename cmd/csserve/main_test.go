@@ -1,12 +1,21 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io/fs"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/signal"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -244,5 +253,94 @@ func TestLatencyHistQuantiles(t *testing.T) {
 	}
 	if (&latencyHist{}).quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile not 0")
+	}
+}
+
+// TestSIGTERMClosesEngine drives run with -ingest, a short refresh and a
+// low compaction threshold, acknowledges documents over HTTP and sends
+// the process SIGTERM: run must drain and close the engine — no
+// ingestion goroutine outlives it — and the directory must reopen with
+// every acknowledged document and no orphaned temporary file.
+func TestSIGTERMClosesEngine(t *testing.T) {
+	dir := t.TempDir()
+	if err := buildTestEngine(t, 2).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	// Keep SIGTERM from killing the test binary whatever run is doing.
+	guard := make(chan os.Signal, 1)
+	signal.Notify(guard, syscall.SIGTERM)
+	defer signal.Stop(guard)
+
+	done := make(chan error, 1)
+	go func() {
+		done <- run(serveConfig{
+			data: dir, addr: addr, scorer: "pivoted-tfidf", k: 10,
+			ingest: true, refresh: 10 * time.Millisecond, compactAt: 4,
+			maxInflight: 4, maxQueue: 16, queueTimeout: time.Second,
+			drainTimeout: 5 * time.Second,
+		})
+	}()
+	base := "http://" + addr
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if resp, err := http.Get(base + "/healthz"); err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("csserve never answered /healthz")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	const added = 10
+	for i := 0; i < added; i++ {
+		body, _ := json.Marshal(indexRequest{Title: fmt.Sprintf("added %d", i), Body: "zyzzyva drain", Predicates: []string{"neoplasms"}})
+		resp, err := http.Post(base+"/index", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /index: status %d", resp.StatusCode)
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not return after SIGTERM")
+	}
+
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "segment.(*Ingester)") {
+		t.Fatalf("ingestion goroutine outlived run:\n%s", stacks)
+	}
+	live, err := csrank.OpenLive(dir, csrank.BuildOptions{}, csrank.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	if n := live.NumDocs(); n != 300+added {
+		t.Fatalf("reopened %d documents, want %d", n, 300+added)
+	}
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasPrefix(d.Name(), "index") && strings.HasSuffix(d.Name(), ".tmp") {
+			t.Errorf("orphaned temporary file %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

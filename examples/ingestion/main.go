@@ -1,12 +1,13 @@
-// Ingestion: operating the system on a *growing* collection, using an
-// extension beyond the paper's core: incremental view maintenance.
-// Newly ingested (or retracted) citations fold into the materialized
-// views one group update at a time, no re-materialization, made
-// crash-safe by routing batches through the write-ahead-log manager
-// (internal/wal).
+// Ingestion: operating the system on a *growing* collection.
 //
-// This example works at the internal-package level, as an ingestion
-// pipeline would.
+// The first half uses an extension beyond the paper's core, incremental
+// view maintenance, at the internal-package level: newly ingested (or
+// retracted) citations fold into the materialized views one group update
+// at a time, with no re-materialization.
+//
+// The second half is durable ingestion through the public API: a saved
+// collection is opened live, new citations are added (each one logged
+// and fsynced before Add returns), and a restart recovers every one.
 //
 //	go run ./examples/ingestion
 package main
@@ -16,10 +17,10 @@ import (
 	"log"
 	"os"
 
+	"csrank"
 	"csrank/internal/corpus"
 	"csrank/internal/selection"
 	"csrank/internal/views"
-	"csrank/internal/wal"
 )
 
 func main() {
@@ -59,26 +60,13 @@ func main() {
 		ctx, before.Count, before.Len)
 
 	// --- Incremental maintenance: ingest a batch of new citations. ------
-	// Updates go through the write-ahead-log manager so an acknowledged
-	// batch survives a crash: the record is appended and fsynced before
-	// the ack, and recovery replays the log tail over the newest
-	// checksummed snapshot.
-	dir, err := os.MkdirTemp("", "csrank-ingest-*")
-	if err != nil {
-		log.Fatal(err)
+	batch := []views.DocUpdate{
+		{Predicates: []string{ctx[0], "humans"}, Len: 180, TF: map[string]int64{"leukemia": 2}},
+		{Predicates: []string{ctx[0]}, Len: 95},
+		{Predicates: []string{"unrelated_term"}, Len: 60}, // outside the context
 	}
-	defer os.RemoveAll(dir)
-	mgr, err := wal.Create(dir, m.Catalog, wal.Options{SnapshotEvery: 8})
-	if err != nil {
-		log.Fatal(err)
-	}
-	batch := wal.Batch{
-		{Op: wal.OpApply, Doc: views.DocUpdate{Predicates: []string{ctx[0], "humans"}, Len: 180, TF: map[string]int64{"leukemia": 2}}},
-		{Op: wal.OpApply, Doc: views.DocUpdate{Predicates: []string{ctx[0]}, Len: 95}},
-		{Op: wal.OpApply, Doc: views.DocUpdate{Predicates: []string{"unrelated_term"}, Len: 60}}, // outside the context
-	}
-	if err := mgr.Apply(batch); err != nil {
-		log.Fatal(err)
+	for _, u := range batch {
+		m.Catalog.Apply(u)
 	}
 	after, err := v.Answer(ctx, nil, nil)
 	if err != nil {
@@ -90,7 +78,7 @@ func main() {
 	// A retraction (say, a withdrawn citation) folds back out. Remove
 	// validates before mutating, so a bogus retraction is rejected with
 	// the views untouched instead of silently corrupting them.
-	if err := mgr.Apply(wal.Batch{{Op: wal.OpRemove, Doc: batch[1].Doc}}); err != nil {
+	if err := m.Catalog.Remove(batch[1]); err != nil {
 		log.Fatal(err)
 	}
 	reverted, err := v.Answer(ctx, nil, nil)
@@ -99,22 +87,50 @@ func main() {
 	}
 	fmt.Printf("after one retraction:          |D_P| = %d, len(D_P) = %d\n",
 		reverted.Count, reverted.Len)
-	ghost := wal.Batch{{Op: wal.OpRemove, Doc: views.DocUpdate{Predicates: []string{"never_ingested"}, Len: 1 << 40}}}
-	if err := mgr.Apply(ghost); err != nil {
+	ghost := views.DocUpdate{Predicates: []string{"never_ingested"}, Len: 1 << 40}
+	if err := m.Catalog.Remove(ghost); err != nil {
 		fmt.Printf("bogus retraction rejected:     %v\n", err)
 	}
 
-	// Recovery: reopen the directory the way a restarted process would
-	// and check the recovered catalog matches the live one exactly.
-	fp := m.Catalog.Fingerprint()
-	if err := mgr.Close(); err != nil {
-		log.Fatal(err)
-	}
-	mgr2, rec, err := wal.Open(dir, wal.Options{})
+	// --- Durable ingestion: save, open live, add, restart. --------------
+	dir, err := os.MkdirTemp("", "csrank-ingest-*")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer mgr2.Close()
-	fmt.Printf("recovered generation %d (%d batches replayed): fingerprints match = %v\n",
-		rec.Generation, rec.BatchesReplayed, mgr2.Catalog().Fingerprint() == fp)
+	defer os.RemoveAll(dir)
+	doc := func(cit corpus.Citation) csrank.Document {
+		return csrank.Document{Title: cit.Title, Body: cit.Abstract, Predicates: cit.Mesh}
+	}
+	b := csrank.NewBuilder()
+	for _, cit := range c.Docs[:500] {
+		b.Add(doc(cit))
+	}
+	eng, err := b.Build(csrank.BuildOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := eng.Save(dir); err != nil {
+		log.Fatal(err)
+	}
+	live, err := csrank.OpenLive(dir, csrank.BuildOptions{}, csrank.IngestOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, cit := range c.Docs[500:503] {
+		if _, err := live.Add(doc(cit)); err != nil {
+			log.Fatal(err)
+		}
+	}
+	n := live.NumDocs()
+	if err := live.Close(); err != nil {
+		log.Fatal(err)
+	}
+	// Reopen the directory the way a restarted process would: the added
+	// citations are replayed from the segment's write-ahead log.
+	reopened, err := csrank.OpenLive(dir, csrank.BuildOptions{}, csrank.IngestOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer reopened.Close()
+	fmt.Printf("\nlive collection: %d documents before restart, %d after\n", n, reopened.NumDocs())
 }

@@ -276,8 +276,8 @@ func (e *Engine) Catalog() *views.Catalog { return e.catalog.Load() }
 
 // SwapCatalog atomically replaces the engine's view catalog. In-flight
 // queries finish on the catalog they already loaded — both states are
-// internally consistent — so a catalog recovered from snapshot + WAL
-// replay can go live without a restart or a lock on the query path. Pass
+// internally consistent — so a reloaded or re-materialized catalog can
+// go live without a restart or a lock on the query path. Pass
 // nil to disable view acceleration.
 func (e *Engine) SwapCatalog(cat *views.Catalog) {
 	e.catalog.Store(cat)

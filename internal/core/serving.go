@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // Serving is the indirection between request handlers and the engine
 // that answers them. Recovery and snapshot rollover build a complete
-// replacement state off to the side (index loaded, catalog recovered,
-// WAL replayed) and then publish it with one atomic swap; requests
+// replacement state off to the side (index and catalog loaded) and
+// then publish it with one atomic swap; requests
 // dereference the pointer once and run entirely against that state, so
 // a query never observes half of an old engine and half of a new one.
 // The generation tag travels with the engine so operators can correlate

@@ -3,7 +3,7 @@
 // interface small enough to wrap with a fault injector. Production code
 // passes OS; crash-consistency tests pass a FaultFS armed to fail at an
 // exact write site, which is how every kill point in the snapshot and
-// WAL protocols gets exercised without an actual kill -9.
+// segment-log protocols gets exercised without an actual kill -9.
 package fsx
 
 import (

@@ -15,7 +15,7 @@ import (
 
 // Document records are raw field text (the exact Add input), encoded
 // deterministically — fields sorted by name — so re-encoding a replayed
-// log is byte-identical, mirroring the view-WAL's determinism contract.
+// log is byte-identical.
 //
 // Payload layout (varint = unsigned LEB128):
 //

@@ -1,11 +1,11 @@
 package segment
 
 import (
+	"errors"
 	"fmt"
 
 	"csrank/internal/fsx"
 	"csrank/internal/index"
-	"csrank/internal/wal"
 )
 
 // Segment is the mutable tail of a live collection: an append-only
@@ -16,7 +16,7 @@ import (
 type Segment struct {
 	fs   fsx.FS
 	path string
-	log  *wal.RawLog
+	log  *rawLog
 	docs []index.Document
 	// poisoned latches the first append failure: the log tail may hold a
 	// torn record, and a record written after a torn one is unreachable
@@ -28,7 +28,7 @@ type Segment struct {
 // CreateSegment starts an empty segment logging to path, truncating any
 // stale log already there.
 func CreateSegment(fs fsx.FS, path string) (*Segment, error) {
-	log, err := wal.CreateRawLog(fs, path)
+	log, err := createRawLog(fs, path)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +42,7 @@ func CreateSegment(fs fsx.FS, path string) (*Segment, error) {
 // an empty segment.
 func OpenSegment(fs fsx.FS, path string) (*Segment, error) {
 	var docs []index.Document
-	res, err := wal.ReplayRaw(fs, path, func(payload []byte) error {
+	res, err := replayRaw(fs, path, func(payload []byte) error {
 		d, derr := decodeDoc(payload)
 		if derr != nil {
 			return derr
@@ -57,12 +57,12 @@ func OpenSegment(fs fsx.FS, path string) (*Segment, error) {
 		}
 		return nil, err
 	}
-	if res.TornTail {
-		if err := fs.Truncate(path, res.TailOffset); err != nil {
+	if res.tornTail {
+		if err := fs.Truncate(path, res.tailOffset); err != nil {
 			return nil, fmt.Errorf("segment: truncate torn tail of %s: %w", path, err)
 		}
 	}
-	log, err := wal.OpenRawLog(fs, path)
+	log, err := openRawLog(fs, path)
 	if err != nil {
 		return nil, err
 	}
@@ -72,13 +72,16 @@ func OpenSegment(fs fsx.FS, path string) (*Segment, error) {
 // Add logs the document — fsynced before return — and appends it to the
 // buffer, returning its position in the segment. An error means the
 // document was NOT acknowledged (it may or may not survive a crash) and
-// poisons the segment against further appends.
+// poisons the segment against further appends — except a document too
+// large for one record, which is refused before any byte is written.
 func (s *Segment) Add(d index.Document) (int, error) {
 	if s.poisoned != nil {
 		return 0, fmt.Errorf("segment: log poisoned by earlier append failure: %w", s.poisoned)
 	}
-	if err := s.log.AppendRaw(encodeDoc(d)); err != nil {
-		s.poisoned = err
+	if err := s.log.appendRaw(encodeDoc(d)); err != nil {
+		if !errors.Is(err, errPayloadTooLarge) {
+			s.poisoned = err
+		}
 		return 0, err
 	}
 	s.docs = append(s.docs, d)
@@ -96,4 +99,4 @@ func (s *Segment) Len() int { return len(s.docs) }
 func (s *Segment) Path() string { return s.path }
 
 // Close releases the log handle.
-func (s *Segment) Close() error { return s.log.Close() }
+func (s *Segment) Close() error { return s.log.close() }

@@ -7,10 +7,10 @@ import (
 )
 
 // The version-1 payload: one gob value holding, per group, its pattern
-// key and a df and a tc map. views.gob files and wal catalog snapshots
-// written before format 2 — framed with payload version 1, or bare gob
-// from before the frame existed — are durable state, so decodeV1 keeps
-// reading them; nothing writes them any more.
+// key and a df and a tc map. views.gob files written before format 2 —
+// framed with payload version 1, or bare gob from before the frame
+// existed — are durable state, so decodeV1 keeps reading them; nothing
+// writes them any more.
 
 type persistentGroup struct {
 	Key   string

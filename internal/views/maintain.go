@@ -39,8 +39,8 @@ func (v *View) Apply(u DocUpdate) {
 
 // Remove folds one deleted document out of the view. The caller must
 // pass the same DocUpdate the document was applied with (distributive
-// views cannot reconstruct per-document contributions, which is why the
-// ingestion pipeline write-ahead-logs every update). A mismatched
+// views cannot reconstruct per-document contributions, so the caller
+// must keep every update it applied). A mismatched
 // removal — an unknown group, or any aggregate that would underflow —
 // returns an error and leaves the group untouched, instead of silently
 // corrupting the statistics every later query would rank with. A group
