@@ -87,15 +87,14 @@ func BenchmarkFig6RankingQuality(b *testing.B) {
 }
 
 // runQueryBench measures one evaluation strategy over a workload bucket.
-func runQueryBench(b *testing.B, qs []query.Query, eng *core.Engine,
-	search func(context.Context, query.Query, int) ([]core.Result, core.ExecStats, error)) {
+func runQueryBench(b *testing.B, qs []query.Query, eng *core.Engine, plan core.Plan) {
 	if len(qs) == 0 {
 		b.Skip("workload bucket empty at this scale")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		if _, _, err := search(context.Background(), q, 20); err != nil {
+		if _, _, err := eng.Search(context.Background(), q, 20, plan); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,13 +108,13 @@ func BenchmarkFig7LargeContext(b *testing.B) {
 	for n := 2; n <= 5; n++ {
 		qs := large.ByKeywords[n]
 		b.Run(fmt.Sprintf("conventional/kw=%d", n), func(b *testing.B) {
-			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchConventionalCtx)
+			runQueryBench(b, qs, s.WithViews, core.PlanConventional)
 		})
 		b.Run(fmt.Sprintf("views/kw=%d", n), func(b *testing.B) {
-			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchCtx)
+			runQueryBench(b, qs, s.WithViews, "")
 		})
 		b.Run(fmt.Sprintf("straightforward/kw=%d", n), func(b *testing.B) {
-			runQueryBench(b, qs, s.NoViews, s.NoViews.SearchStraightforwardCtx)
+			runQueryBench(b, qs, s.NoViews, core.PlanStraightforward)
 		})
 	}
 }
@@ -128,10 +127,10 @@ func BenchmarkFig8SmallContext(b *testing.B) {
 	for n := 2; n <= 5; n++ {
 		qs := small.ByKeywords[n]
 		b.Run(fmt.Sprintf("conventional/kw=%d", n), func(b *testing.B) {
-			runQueryBench(b, qs, s.WithViews, s.WithViews.SearchConventionalCtx)
+			runQueryBench(b, qs, s.WithViews, core.PlanConventional)
 		})
 		b.Run(fmt.Sprintf("straightforward/kw=%d", n), func(b *testing.B) {
-			runQueryBench(b, qs, s.NoViews, s.NoViews.SearchStraightforwardCtx)
+			runQueryBench(b, qs, s.NoViews, core.PlanStraightforward)
 		})
 	}
 }
@@ -338,14 +337,14 @@ func BenchmarkAblationDFColumns(b *testing.B) {
 	engBare := core.New(s.Index, views.NewCatalog([]*views.View{bare}, s.Scale.TC(), s.Scale.TV), core.Options{})
 	b.Run("tracked-df-columns", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engFull.SearchCtx(context.Background(), q, 20); err != nil {
+			if _, _, err := engFull.Search(context.Background(), q, 20, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("fallback-intersections", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engBare.SearchCtx(context.Background(), q, 20); err != nil {
+			if _, _, err := engBare.Search(context.Background(), q, 20, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -401,7 +400,7 @@ func BenchmarkConcurrentThroughput(b *testing.B) {
 		for pb.Next() {
 			q := qs[i%len(qs)]
 			i++
-			if _, _, err := s.WithViews.SearchCtx(context.Background(), q, 20); err != nil {
+			if _, _, err := s.WithViews.Search(context.Background(), q, 20, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -499,7 +498,7 @@ func BenchmarkPrunedSearch(b *testing.B) {
 						b.ReportAllocs()
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
-							if _, _, err := e.SearchCtx(context.Background(), q, k); err != nil {
+							if _, _, err := e.Search(context.Background(), q, k, ""); err != nil {
 								b.Fatal(err)
 							}
 						}

@@ -152,8 +152,11 @@ func runInteractive(data string, k int, mode, scorerName string, timeout time.Du
 				fmt.Fprintln(out, "error:", err)
 				continue
 			}
-			if err := explain(c, pq, out); err != nil {
+			slices, _ := c.Slices()
+			if ex, err := core.ExplainSlices(slices, pq); err != nil {
 				fmt.Fprintln(out, "error:", err)
+			} else {
+				fmt.Fprint(out, ex)
 			}
 		default:
 			if err := searchAndPrint(c, line, k, mode, out); err != nil {
@@ -287,23 +290,6 @@ func verifyViews(data string, out io.Writer) error {
 	}
 	if findings > 0 {
 		return fmt.Errorf("%d drift finding(s) — re-materialize the views or restore a snapshot", findings)
-	}
-	return nil
-}
-
-// explain prints each shard's plan explanation for pq, headed by its
-// shard number when there is more than one.
-func explain(c *shard.Cluster, pq query.Query, out io.Writer) error {
-	slices, _ := c.Slices()
-	for i, sl := range slices {
-		ex, err := sl.Eng.Explain(pq)
-		if err != nil {
-			return err
-		}
-		if len(slices) > 1 {
-			fmt.Fprintf(out, "shard %d:\n", i)
-		}
-		fmt.Fprint(out, ex)
 	}
 	return nil
 }

@@ -80,7 +80,7 @@ func referenceSearch(t *testing.T, opts BuildOptions, q string, k int) []Hit {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := core.New(ix, nil, opts.coreOptions(sc)).SearchCtx(context.Background(), pq, k)
+	res, _, err := core.New(ix, nil, opts.coreOptions(sc)).Search(context.Background(), pq, k, "")
 	if err != nil {
 		t.Fatal(err)
 	}

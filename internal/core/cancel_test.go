@@ -41,7 +41,7 @@ func TestExpiredDeadlineDegradesFast(t *testing.T) {
 	ix := bigResultCollection(t, 20000)
 	e := New(ix, nil, Options{Deadline: time.Nanosecond})
 	start := time.Now()
-	res, st, err := e.SearchCtx(context.Background(), query.MustParse("disease | ctx_a ctx_b"), 10)
+	res, st, err := e.Search(context.Background(), query.MustParse("disease | ctx_a ctx_b"), 10, "")
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("expired deadline returned error %v, want degraded result", err)
@@ -64,7 +64,7 @@ func TestPreCancelledContextFails(t *testing.T) {
 	e := New(ix, nil, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err := e.SearchCtx(ctx, query.MustParse("disease | ctx_a"), 10)
+	res, _, err := e.Search(ctx, query.MustParse("disease | ctx_a"), 10, "")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -85,7 +85,7 @@ func TestCancelMidSearchNoLeaks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	testHookKeywordStats = func(int) { cancel() }
 	start := time.Now()
-	res, _, err := e.SearchStraightforwardCtx(ctx, q, 10)
+	res, _, err := e.Search(ctx, q, 10, PlanStraightforward)
 	elapsed := time.Since(start)
 	testHookKeywordStats = nil
 	cancel()
@@ -99,7 +99,7 @@ func TestCancelMidSearchNoLeaks(t *testing.T) {
 		t.Fatalf("cancellation took %s, not prompt", elapsed)
 	}
 	// The engine keeps serving after a cancelled query.
-	if _, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10); err != nil {
+	if _, _, err := e.Search(context.Background(), q, 10, PlanStraightforward); err != nil {
 		t.Fatalf("query after cancellation failed: %v", err)
 	}
 	waitForGoroutines(t, base)
@@ -113,12 +113,12 @@ func TestGenerousDeadlineKeepsRankingsBitIdentical(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	ref := New(ix, nil, Options{})
 	q := query.MustParse("disease organ | ctx_a")
-	want, _, err := ref.SearchCtx(context.Background(), q, 25)
+	want, _, err := ref.Search(context.Background(), q, 25, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := New(ix, nil, Options{Deadline: time.Hour})
-	got, st, err := e.SearchCtx(context.Background(), q, 25)
+	got, st, err := e.Search(context.Background(), q, 25, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +137,12 @@ func TestGenerousDeadlineKeepsRankingsBitIdentical(t *testing.T) {
 func TestStatsBudgetFallsBackToApproximate(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	q := query.MustParse("disease | ctx_a ctx_b")
-	conv, _, err := New(ix, nil, Options{}).SearchConventionalCtx(context.Background(), q, 20)
+	conv, _, err := New(ix, nil, Options{}).Search(context.Background(), q, 20, PlanConventional)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := New(ix, nil, Options{StatsBudget: time.Nanosecond})
-	res, st, err := e.SearchCtx(context.Background(), q, 20)
+	res, st, err := e.Search(context.Background(), q, 20, "")
 	if err != nil {
 		t.Fatalf("stats-budget expiry returned error %v", err)
 	}
@@ -153,6 +153,56 @@ func TestStatsBudgetFallsBackToApproximate(t *testing.T) {
 		t.Fatal("degraded query returned no results")
 	}
 	assertBitIdentical(t, "approx-stats ranking vs conventional", conv, res)
+}
+
+// TestStatsDeadlineScoresUnderApproximateStats pins the one deadline
+// contract: Options.Deadline bounds each phase, so when it expires inside
+// the statistics phase the query falls back to approximate statistics —
+// whole-collection ones, with no view to answer from — and the scoring
+// phase, under a deadline of its own, still ranks the full result set
+// under them. The ranking is therefore the conventional baseline's, and
+// the result says why.
+func TestStatsDeadlineScoresUnderApproximateStats(t *testing.T) {
+	ix := bigResultCollection(t, 4000)
+	q := query.MustParse("disease | ctx_a ctx_b")
+	conv, _, err := New(ix, nil, Options{}).Search(context.Background(), q, 20, PlanConventional)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 100 * time.Millisecond
+	e := New(ix, nil, Options{Deadline: deadline})
+	testHookKeywordStats = func(i int) {
+		if i == 0 {
+			time.Sleep(deadline + deadline/2)
+		}
+	}
+	res, st, err := e.Search(context.Background(), q, 20, "")
+	testHookKeywordStats = nil
+	if err != nil {
+		t.Fatalf("statistics deadline returned error %v, want degraded result", err)
+	}
+	if want := "deadline exceeded during statistics: approximate statistics"; !st.Degraded || st.DegradedReason != want {
+		t.Fatalf("Degraded = %v (%q), want %q", st.Degraded, st.DegradedReason, want)
+	}
+	if st.ContextSize != int64(ix.NumDocs()) {
+		t.Fatalf("ContextSize = %d, want the whole collection's %d", st.ContextSize, ix.NumDocs())
+	}
+	assertBitIdentical(t, "approx-stats ranking vs conventional", conv, res)
+}
+
+// TestSearchReturnsTheSliceError: Search is a one-slice scatter, and a
+// lost slice fails it with the slice's own error — the recovered
+// *PanicError — not the scatter's ErrTooFewSlices.
+func TestSearchReturnsTheSliceError(t *testing.T) {
+	ix := bigResultCollection(t, 1000)
+	e := New(ix, nil, Options{})
+	testHookKeywordStats = func(int) { panic("injected stats panic") }
+	_, _, err := e.Search(context.Background(), query.MustParse("disease | ctx_a"), 10, "")
+	testHookKeywordStats = nil
+	var pe *PanicError
+	if !errors.As(err, &pe) || errors.Is(err, ErrTooFewSlices) {
+		t.Fatalf("err = %v, want the slice's *PanicError", err)
+	}
 }
 
 // panicScorer wraps a real scorer and panics in ScoreIndexed while
@@ -183,7 +233,7 @@ func TestScoringWorkerPanicIsolated(t *testing.T) {
 	ix := bigResultCollection(t, 4000)
 	q := query.MustParse("disease | ctx_a")
 	ref := New(ix, nil, Options{})
-	want, _, err := ref.SearchCtx(context.Background(), q, 15)
+	want, _, err := ref.Search(context.Background(), q, 15, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +243,11 @@ func TestScoringWorkerPanicIsolated(t *testing.T) {
 			sc := &panicScorer{inner: ranking.NewPivotedTFIDF()}
 			e := New(ix, nil, Options{Scorer: sc, Pruning: pruning})
 			sc.armed.Store(true)
-			if _, _, err := e.SearchCtx(context.Background(), q, 15); err == nil || !strings.Contains(err.Error(), "panic") {
+			if _, _, err := e.Search(context.Background(), q, 15, ""); err == nil || !strings.Contains(err.Error(), "panic") {
 				t.Fatalf("err = %v, want panic-derived error", err)
 			}
 			sc.armed.Store(false)
-			got, st, err := e.SearchCtx(context.Background(), q, 15)
+			got, st, err := e.Search(context.Background(), q, 15, "")
 			if err != nil {
 				t.Fatalf("query after panic failed: %v", err)
 			}
@@ -221,12 +271,12 @@ func TestStatsWorkerPanicIsolated(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := New(ix, nil, Options{})
 	testHookKeywordStats = func(int) { panic("injected stats panic") }
-	_, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10)
+	_, _, err := e.Search(context.Background(), q, 10, PlanStraightforward)
 	testHookKeywordStats = nil
 	if err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want panic-derived error", err)
 	}
-	if _, _, err := e.SearchStraightforwardCtx(context.Background(), q, 10); err != nil {
+	if _, _, err := e.Search(context.Background(), q, 10, PlanStraightforward); err != nil {
 		t.Fatalf("query after panic failed: %v", err)
 	}
 	waitForGoroutines(t, base)

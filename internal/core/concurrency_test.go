@@ -121,7 +121,7 @@ func TestSearchRunsOnOneGoroutine(t *testing.T) {
 	} {
 		base := int64(runtime.NumGoroutine())
 		sc.peak.Store(0)
-		res, st, err := tc.eng.SearchCtx(context.Background(), query.MustParse(tc.q), 10)
+		res, st, err := tc.eng.Search(context.Background(), query.MustParse(tc.q), 10, "")
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -157,7 +157,7 @@ func TestConcurrentQueriesRaceStress(t *testing.T) {
 	}
 	want := make([][]Result, len(queries))
 	for i, qs := range queries {
-		if want[i], _, err = e.SearchCtx(context.Background(), query.MustParse(qs), 5); err != nil {
+		if want[i], _, err = e.Search(context.Background(), query.MustParse(qs), 5, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestConcurrentQueriesRaceStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				qi := (g + i) % len(queries)
-				got, _, err := e.SearchCtx(context.Background(), query.MustParse(queries[qi]), 5)
+				got, _, err := e.Search(context.Background(), query.MustParse(queries[qi]), 5, "")
 				if err != nil {
 					errs <- err
 					return

@@ -22,14 +22,15 @@
 // (SearchSlicesPartial), so a deployment that wants more cores per query
 // uses more shards.
 //
-// Failure semantics: every query entry point threads a context.Context
-// through the whole query path — the statistics phase, the scoring
-// loops, and cooperative checkpoints inside the postings kernels. An
-// expired deadline degrades gracefully (flagged partial or empty
-// results, never an error); an explicit cancellation fails the query
-// with ctx's error; a panic anywhere in the query path is recovered,
-// converted to an error carrying the captured stack, and fails only that
-// query.
+// Failure semantics: a query threads its context.Context through the
+// whole query path — the statistics phase, the scoring walk, and
+// cooperative checkpoints inside the postings kernels. An expired
+// deadline degrades gracefully, never an error: during statistics to
+// approximate statistics, during scoring to a flagged partial top k; the
+// result is empty only when the deadline expired before scoring started.
+// An explicit cancellation fails the query with ctx's error; a panic
+// anywhere in the query path is recovered, converted to an error
+// carrying the captured stack, and fails only that query.
 package core
 
 import (
@@ -77,11 +78,13 @@ type Options struct {
 	// Deprecated: set nothing. The field remains only so that callers
 	// outside this module that still set it keep compiling.
 	Parallelism int
-	// Deadline bounds each query's wall-clock execution (layered onto
-	// whatever deadline the caller's context already carries). When it
-	// expires the engine degrades gracefully instead of failing: partial
-	// top-k results (or an empty result when nothing was evaluated yet)
-	// are returned flagged Degraded. Zero means no per-query deadline.
+	// Deadline bounds each phase of a query — statistics, then scoring —
+	// layered onto whatever deadline the caller's context already
+	// carries. When it expires the engine degrades instead of failing:
+	// statistics fall back to approximate ones, scoring returns its
+	// partial top k, and the result is flagged Degraded. It is empty only
+	// when the deadline expired before scoring started. Zero means no
+	// per-phase deadline.
 	Deadline time.Duration
 	// StatsBudget bounds the context-statistics phase of contextual
 	// queries. When it expires before the exact S_c(D_P) computation
@@ -355,49 +358,8 @@ func (e *Engine) lists(a analyzed) (kw, preds []*postings.List) {
 	return kw, preds
 }
 
-// shortCircuit handles a context that is already dead before any list
-// work happened: an expired deadline degrades to an empty flagged result
-// (the boundedness contract), an explicit cancellation fails the query.
-func shortCircuit(ctx context.Context, st *ExecStats) (stop bool, res []Result, err error) {
-	cerr := ctx.Err()
-	if cerr == nil {
-		return false, nil, nil
-	}
-	if errors.Is(cerr, context.DeadlineExceeded) {
-		st.Degrade("deadline expired before evaluation: empty result")
-		return true, []Result{}, nil
-	}
-	return true, nil, cerr
-}
-
-// degradeOnDeadline absorbs a deadline expiry into the degradation flag
-// and reports whether it did; cancellations and panics pass through.
-func degradeOnDeadline(err error, st *ExecStats, reason string) bool {
-	if errors.Is(err, context.DeadlineExceeded) {
-		st.Degrade(reason)
-		return true
-	}
-	return false
-}
-
-// SearchCtx evaluates q with the engine's best strategy: conventional for
-// context-free queries, view-based for contextual queries when a usable
-// view exists, straightforward otherwise (see the package comment for
-// the failure semantics).
-func (e *Engine) SearchCtx(ctx context.Context, q query.Query, k int) ([]Result, ExecStats, error) {
-	return e.search(ctx, q, k, "")
-}
-
-// SearchConventionalCtx evaluates the baseline Q_t = Q_k ∪ P: identical
-// unranked result set, whole-collection statistics (context terms are
-// boolean filters that "do not contribute to ranking scores").
-func (e *Engine) SearchConventionalCtx(ctx context.Context, q query.Query, k int) ([]Result, ExecStats, error) {
-	return e.search(ctx, q, k, PlanConventional)
-}
-
-// SearchStraightforwardCtx evaluates Q_c with the §3.1 plan
-// unconditionally, never consulting views — the paper's "without
-// materialized views" series.
+// SearchStraightforwardCtx is Search under PlanStraightforward, kept
+// for the benchmark module's golden ranking; ROADMAP item 1 deletes it.
 func (e *Engine) SearchStraightforwardCtx(ctx context.Context, q query.Query, k int) ([]Result, ExecStats, error) {
-	return e.search(ctx, q, k, PlanStraightforward)
+	return e.Search(ctx, q, k, PlanStraightforward)
 }

@@ -46,34 +46,46 @@ func (e *Engine) Explain(q query.Query) (Explanation, error) {
 		ex.Plan = PlanConventional
 		return ex, nil
 	}
-	_, ctx := e.lists(a)
-	var bound int64
-	for _, l := range ctx {
+	_, preds := e.lists(a)
+	for _, l := range preds {
 		n := 0
 		if l != nil {
 			n = l.Len()
 		}
 		ex.ContextListLengths = append(ex.ContextListLengths, n)
-		bound += int64(n)
 	}
-	ex.StraightforwardBound = bound * int64(len(a.kwTerms)+1)
-
+	ex.StraightforwardBound = straightforwardBound(a, preds)
 	ex.Plan = PlanStraightforward
-	if cat := e.catalog.Load(); cat != nil {
-		if v := cat.Match(a.context); v != nil && e.viewWorthwhile(v, a, ctx) {
-			ex.Plan = PlanView
-			ex.ViewK = v.K()
-			ex.ViewSize = v.Size()
-			for _, w := range a.kwTerms {
-				if v.TracksWord(w) {
-					ex.TrackedKeywords = append(ex.TrackedKeywords, w)
-				} else {
-					ex.FallbackKeywords = append(ex.FallbackKeywords, w)
-				}
+	if v := e.chooseView(e.catalog.Load(), a, preds); v != nil {
+		ex.Plan = PlanView
+		ex.ViewK = v.K()
+		ex.ViewSize = v.Size()
+		for _, w := range a.kwTerms {
+			if v.TracksWord(w) {
+				ex.TrackedKeywords = append(ex.TrackedKeywords, w)
+			} else {
+				ex.FallbackKeywords = append(ex.FallbackKeywords, w)
 			}
 		}
 	}
 	return ex, nil
+}
+
+// ExplainSlices renders every slice's Explain of q, each headed by its
+// shard number when there is more than one slice.
+func ExplainSlices(slices []Slice, q query.Query) (string, error) {
+	var b strings.Builder
+	for i, sl := range slices {
+		ex, err := sl.Eng.Explain(q)
+		if err != nil {
+			return "", err
+		}
+		if len(slices) > 1 {
+			fmt.Fprintf(&b, "shard %d:\n", i)
+		}
+		b.WriteString(ex.String())
+	}
+	return b.String(), nil
 }
 
 // String renders the explanation as a compact multi-line report.

@@ -51,8 +51,8 @@ func TestRandomizedPlanEquivalence(t *testing.T) {
 			noViews := New(ix, nil, Options{Scorer: sc})
 			for qn := 0; qn < 10; qn++ {
 				q := randomQuery(rng, meshTerms, words)
-				a, stA, errA := withViews.SearchCtx(context.Background(), q, 0)
-				b, stB, errB := noViews.SearchStraightforwardCtx(context.Background(), q, 0)
+				a, stA, errA := withViews.Search(context.Background(), q, 0, "")
+				b, stB, errB := noViews.Search(context.Background(), q, 0, PlanStraightforward)
 				if (errA == nil) != (errB == nil) {
 					t.Fatalf("trial %d %s: error mismatch: %v vs %v", trial, sc.Name(), errA, errB)
 				}

@@ -62,11 +62,11 @@ func TestMappedBitIdenticalToHeap(t *testing.T) {
 				combo++
 				q := query.MustParse(qs)
 				for _, k := range []int{1, 10} {
-					want, wst, err := heap.SearchCtx(context.Background(), q, k)
+					want, wst, err := heap.Search(context.Background(), q, k, "")
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, gst, err := mapped.SearchCtx(context.Background(), q, k)
+					got, gst, err := mapped.Search(context.Background(), q, k, "")
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -94,7 +94,7 @@ func TestMappedSkipsBlocksUndecoded(t *testing.T) {
 	t.Setenv("CSRANK_FORCE_MAPPED", "")
 	hx, _ := buildPrunedSystem(t)
 	q := query.MustParse("alpha")
-	_, hst, err := New(hx, nil, Options{Pruning: true}).SearchCtx(context.Background(), q, 10)
+	_, hst, err := New(hx, nil, Options{Pruning: true}).Search(context.Background(), q, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMappedSkipsBlocksUndecoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mst, err := New(cold, nil, Options{Pruning: true}).SearchCtx(context.Background(), q, 10)
+	_, mst, err := New(cold, nil, Options{Pruning: true}).Search(context.Background(), q, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestMappedSkipsBlocksUndecoded(t *testing.T) {
 // heap index through its mapped twin transparently.
 func TestForceMappedSeam(t *testing.T) {
 	hx, _ := buildPrunedSystem(t)
-	want, _, err := New(hx, nil, Options{}).SearchCtx(context.Background(), query.MustParse("alpha beta"), 10)
+	want, _, err := New(hx, nil, Options{}).Search(context.Background(), query.MustParse("alpha beta"), 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestForceMappedSeam(t *testing.T) {
 	if !e.Index().Mapped() {
 		t.Fatal("CSRANK_FORCE_MAPPED did not swap in a mapped index")
 	}
-	got, _, err := e.SearchCtx(context.Background(), query.MustParse("alpha beta"), 10)
+	got, _, err := e.Search(context.Background(), query.MustParse("alpha beta"), 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func BenchmarkPrunedSearchMapped(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := e.SearchCtx(context.Background(), q, 10); err != nil {
+				if _, _, err := e.Search(context.Background(), q, 10, ""); err != nil {
 					b.Fatal(err)
 				}
 			}

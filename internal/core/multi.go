@@ -13,22 +13,23 @@ import (
 	"csrank/internal/ranking"
 )
 
-// Multi-slice execution. A live collection is a set of disjoint
-// document slices — immutable shards plus a small mutable segment —
-// that must rank as one: collection statistics are properties of the
-// union, so slices cannot score independently. SearchSlicesPartial runs
-// the two-phase protocol the scatter path proves bit-identical
-// (StatsFor partial statistics summed by MergeCollectionStats, then
-// SearchWithStats under the merged statistics, then MergeResults'
-// strict total order), parameterized over an explicit slice list
-// instead of a fixed cluster, so the shard fan-out and the
-// mutable-segment overlay share one implementation.
+// Multi-slice execution — the one way a query runs. A collection is a
+// set of disjoint document slices — immutable shards plus a small
+// mutable segment — that must rank as one: collection statistics are
+// properties of the union, so slices cannot score independently.
+// SearchSlicesPartial runs the two-phase protocol (per-slice partial
+// statistics summed by MergeCollectionStats, every slice scored under
+// the merged statistics, then MergeResults' strict total order) over an
+// explicit slice list, so the shard fan-out, the mutable-segment overlay
+// and a single engine (Search, the one-slice case of Formula 2's sum)
+// share one implementation.
 
 // Slice is one disjoint piece of a logical collection: an engine and
 // its local→global docID map. Globals must be strictly increasing
 // (local order = global order — the invariant that makes per-slice
 // top-k truncation rank-safe) and pairwise disjoint across the slices
-// of one search; callers own those invariants.
+// of one search; callers own those invariants. A lone slice may leave
+// Globals nil: its docIDs are the collection's.
 type Slice struct {
 	Eng     *Engine
 	Globals []uint32
@@ -88,7 +89,7 @@ type SliceOptions struct {
 	// nothing).
 	Hooks []SliceHook
 	// Plan forces every slice's statistics plan (PlanConventional or
-	// PlanStraightforward); "" lets each slice choose, as SearchCtx does.
+	// PlanStraightforward); "" lets each slice choose.
 	Plan Plan
 }
 
@@ -117,6 +118,28 @@ func classifySliceFailure(err error) string {
 		return FailKindTimeout
 	}
 	return FailKindError
+}
+
+// Search evaluates q on this engine alone: SearchSlicesPartial over the
+// engine as the one slice, under plan (PlanConventional is the baseline
+// Q_t = Q_k ∪ P, whose context terms filter but do not rank;
+// PlanStraightforward is the §3.1 plan, which never consults views; ""
+// lets the engine choose). It returns the top k (everything when k ≤ 0)
+// and the execution report; when the slice fails, the error is the
+// slice's own, a *PanicError for a recovered panic.
+func (e *Engine) Search(ctx context.Context, q query.Query, k int, plan Plan) ([]Result, ExecStats, error) {
+	hits, per, failures, err := SearchSlicesPartial(ctx, []Slice{{Eng: e}}, q, k, SliceOptions{Plan: plan})
+	if len(failures) > 0 {
+		err = failures[0].Err
+	}
+	if err != nil {
+		return nil, ExecStats{}, err
+	}
+	res := make([]Result, len(hits))
+	for i, h := range hits {
+		res[i] = Result{DocID: h.Local, Score: h.Score}
+	}
+	return res, per[0], nil
 }
 
 // SearchSlicesPartial evaluates q over the union of the slices and
@@ -153,12 +176,6 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 		minAlive = n
 	}
 
-	hook := func(i int) SliceHook {
-		if i < len(opt.Hooks) {
-			return opt.Hooks[i]
-		}
-		return nil
-	}
 	// runSlice executes one slice's phase work behind the isolation
 	// boundary: a per-slice timeout context (cancel cause errSliceTimeout,
 	// so a timeout is distinguishable from a caller cancellation), the
@@ -177,8 +194,8 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 		}
 		err := func() (err error) {
 			defer recoverToError(&err, "slice "+phase+" phase")
-			if h := hook(i); h != nil {
-				h(sctx, phase)
+			if i < len(opt.Hooks) && opt.Hooks[i] != nil {
+				opt.Hooks[i](sctx, phase)
 			}
 			return fn(sctx, i)
 		}()
@@ -288,22 +305,30 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 		}
 	}
 
-	// Rank-safe merge in the global docID space, over survivors only.
+	// Rank-safe merge in the global docID space, over survivors only. A
+	// lone slice with nil Globals maps every docID to itself.
+	identity := n == 1 && slices[0].Globals == nil
 	lists := make([][]Result, 0, aliveCount)
 	for i := range slices {
 		if !alive[i] {
 			continue
 		}
-		mapped := make([]Result, len(results[i]))
-		for j, r := range results[i] {
-			mapped[j] = Result{DocID: slices[i].Globals[r.DocID], Score: r.Score}
+		mapped := results[i]
+		if !identity {
+			mapped = make([]Result, len(results[i]))
+			for j, r := range results[i] {
+				mapped[j] = Result{DocID: slices[i].Globals[r.DocID], Score: r.Score}
+			}
 		}
 		lists = append(lists, mapped)
 	}
 	merged := MergeResults(k, lists...)
 	hits := make([]SliceHit, len(merged))
 	for i, r := range merged {
-		s, local, ok := locateSlice(slices, r.DocID)
+		s, local, ok := 0, r.DocID, true
+		if !identity {
+			s, local, ok = locateSlice(slices, r.DocID)
+		}
 		if !ok {
 			return nil, nil, failures, fmt.Errorf("core: merged docID %d belongs to no slice", r.DocID)
 		}
@@ -314,6 +339,10 @@ func SearchSlicesPartial(ctx context.Context, slices []Slice, q query.Query, k i
 	for i := range per {
 		if alive[i] {
 			per[i] = MergeStats(statsSt[i], scoreSt[i])
+			// The two phases ran one after the other on this slice, so
+			// its wall clock is their sum; MergeStats' maximum is the
+			// shape of slices running side by side.
+			per[i].Elapsed = statsSt[i].Elapsed + scoreSt[i].Elapsed
 		}
 	}
 	return hits, per, failures, nil

@@ -14,6 +14,7 @@ import (
 	"csrank/internal/index"
 	"csrank/internal/postings"
 	"csrank/internal/query"
+	"csrank/internal/ranking"
 )
 
 // randomSlices builds one random corpus, splits it into n contiguous
@@ -228,5 +229,52 @@ func TestSearchSlicesPartialCallerCancel(t *testing.T) {
 	}
 	if hits != nil || per != nil || failures != nil {
 		t.Fatalf("cancelled query fabricated results: hits=%v failures=%v", hits, failures)
+	}
+}
+
+// slowScorer is a real scorer whose first ScoreIndexed call sleeps for
+// nap, so the scoring phase takes measurable time.
+type slowScorer struct {
+	ranking.Scorer
+	nap   time.Duration
+	slept atomic.Bool
+}
+
+func (s *slowScorer) ScoreIndexed(qs ranking.QueryStats, ds ranking.DocStats, cs ranking.CollectionStats) float64 {
+	if s.slept.CompareAndSwap(false, true) {
+		time.Sleep(s.nap)
+	}
+	return s.Scorer.ScoreIndexed(qs, ds, cs)
+}
+
+// TestSliceElapsedSumsItsPhases: a slice runs its statistics phase and
+// then its scoring phase, so its report's Elapsed covers both — the
+// phases sum to at most Elapsed, as PhaseTimings documents — rather than
+// the slower phase alone, the maximum MergeStats takes across slices.
+func TestSliceElapsedSumsItsPhases(t *testing.T) {
+	ix := bigResultCollection(t, 2000)
+	const nap = 20 * time.Millisecond
+	e := New(ix, nil, Options{Scorer: &slowScorer{Scorer: ranking.NewPivotedTFIDF(), nap: nap}})
+	globals := make([]uint32, ix.NumDocs())
+	for i := range globals {
+		globals[i] = uint32(i)
+	}
+	testHookKeywordStats = func(i int) {
+		if i == 0 {
+			time.Sleep(nap)
+		}
+	}
+	_, per, _, err := SearchSlicesPartial(context.Background(), []Slice{{Eng: e, Globals: globals}},
+		query.MustParse("disease | ctx_a"), 10, SliceOptions{})
+	testHookKeywordStats = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := per[0]
+	if st.Phases.Stats < nap || st.Phases.Score < nap {
+		t.Fatalf("phases %+v: both should include a %v nap", st.Phases, nap)
+	}
+	if sum := st.Phases.Analyze + st.Phases.Stats + st.Phases.Score; st.Elapsed < sum {
+		t.Fatalf("Elapsed %v < phase sum %v (%+v)", st.Elapsed, sum, st.Phases)
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"csrank/internal/widetable"
 )
 
-// TestExplainMatchesExecution: Explain is the plan SearchCtx runs. Over
+// TestExplainMatchesExecution: Explain is the plan Search runs. Over
 // TestRandomizedPlanEquivalence's random corpus and query generator, with
 // a catalog of one small and one wide view (CostBased turns the wide one
 // down for one-keyword, one-term contexts), every query runs twice per
@@ -65,7 +65,7 @@ func TestExplainMatchesExecution(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				for run := 1; run <= 2; run++ {
-					res, st, err := e.SearchCtx(context.Background(), q, 10)
+					res, st, err := e.Search(context.Background(), q, 10, "")
 					if err != nil {
 						t.Fatalf("%s run %d: %v", label, run, err)
 					}
@@ -125,11 +125,11 @@ func TestCostBasedPrefersStraightforwardForTinyContexts(t *testing.T) {
 	// Large context: both engines should use the view (its size, ≤ 4
 	// groups, undercuts Σ|L_m| ≈ 302 × (n+1)).
 	big := query.MustParse("pancreas leukemia | digestive_system")
-	_, stAlways, err := always.SearchCtx(context.Background(), big, 5)
+	_, stAlways, err := always.Search(context.Background(), big, 5, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stCosted, err := costed.SearchCtx(context.Background(), big, 5)
+	_, stCosted, err := costed.Search(context.Background(), big, 5, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,19 +151,19 @@ func TestCostBasedSkipsViewWhenScanDominates(t *testing.T) {
 	}
 	// Give the collection a rare predicate by picking the context with
 	// the smallest list: here both terms are frequent, so synthesize the
-	// comparison directly through viewWorthwhile.
+	// comparison directly through chooseView.
 	e := New(ix, views.NewCatalog([]*views.View{v}, 100, 4096), Options{CostBased: true})
 	a := analyzed{kwTerms: []string{"w"}, context: []string{"digestive_system"}}
 	ctx := []*postings.List{ix.Postings("mesh", "digestive_system")}
 	// straight bound = 302 × 2 = 604; decision tracks the view size.
-	if v.Size() < 604 && !e.viewWorthwhile(v, a, ctx) {
+	if v.Size() < 604 && e.chooseView(e.Catalog(), a, ctx) != v {
 		t.Error("cheap view rejected")
 	}
-	if v.Size() >= 604 && e.viewWorthwhile(v, a, ctx) {
+	if v.Size() >= 604 && e.chooseView(e.Catalog(), a, ctx) != nil {
 		t.Error("expensive view accepted")
 	}
 	// Nil context lists (unknown term): bound 0, view never worthwhile.
-	if e.viewWorthwhile(v, a, []*postings.List{nil}) {
+	if e.chooseView(e.Catalog(), a, []*postings.List{nil}) != nil {
 		t.Error("view accepted against empty context bound")
 	}
 }

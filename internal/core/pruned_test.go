@@ -138,7 +138,7 @@ func TestPrunedBitIdenticalToExhaustive(t *testing.T) {
 			q := query.MustParse(qs)
 			want := bruteTopK(t, engs[0], q, k)
 			for _, e := range engs {
-				got, _, err := e.SearchCtx(context.Background(), q, k)
+				got, _, err := e.Search(context.Background(), q, k, "")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,7 +160,7 @@ func TestPrunedBitIdenticalWithViews(t *testing.T) {
 			q := query.MustParse(qs)
 			want := bruteTopK(t, engs[0], q, k)
 			for _, e := range engs {
-				got, _, err := e.SearchCtx(context.Background(), q, k)
+				got, _, err := e.Search(context.Background(), q, k, "")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -179,7 +179,7 @@ func TestPrunedBitIdenticalWithViews(t *testing.T) {
 func TestPrunedSkipsWork(t *testing.T) {
 	ix, _ := buildPrunedSystem(t)
 	e := New(ix, nil, Options{Pruning: true})
-	_, st, err := e.SearchCtx(context.Background(), query.MustParse("alpha"), 10)
+	_, st, err := e.Search(context.Background(), query.MustParse("alpha"), 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestPrunedSkipsWork(t *testing.T) {
 	}
 	// The cost model must show the savings: a pruned search of the same
 	// query scans strictly fewer posting entries than the exhaustive one.
-	_, est, err := New(ix, nil, Options{}).SearchCtx(context.Background(), query.MustParse("alpha"), 10)
+	_, est, err := New(ix, nil, Options{}).Search(context.Background(), query.MustParse("alpha"), 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestPrunedSkipsWork(t *testing.T) {
 func TestPrunedDeadlineDegrades(t *testing.T) {
 	ix, _ := buildPrunedSystem(t)
 	e := New(ix, nil, Options{Pruning: true, Deadline: time.Nanosecond})
-	res, st, err := e.SearchCtx(context.Background(), query.MustParse("alpha | ctx_a"), 10)
+	res, st, err := e.Search(context.Background(), query.MustParse("alpha | ctx_a"), 10, "")
 	if err != nil {
 		t.Fatalf("expired deadline returned error %v, want degraded result", err)
 	}
@@ -231,7 +231,7 @@ func TestPrunedZeroAndAllK(t *testing.T) {
 	all := bruteTopK(t, engs[0], q, 0)
 	for _, e := range engs {
 		for _, k := range []int{0, len(all) + 50} {
-			got, st, err := e.SearchCtx(context.Background(), q, k)
+			got, st, err := e.Search(context.Background(), q, k, "")
 			if err != nil {
 				t.Fatal(err)
 			}

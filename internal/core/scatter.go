@@ -11,7 +11,7 @@ import (
 )
 
 // Scatter-gather execution. A document-partitioned cluster cannot run
-// SearchCtx independently per shard: collection statistics (N, len(D),
+// Search independently per shard: collection statistics (N, len(D),
 // df, tc — whether over the whole collection or over the context D_P)
 // are properties of the union, and a shard ranking under its local
 // counts would score documents differently from a single-engine run.
@@ -34,10 +34,10 @@ import (
 // (score, docID) total order to be provably bit-identical to the
 // single-engine ranking, tie-breaks included.
 
-// StatsFor computes the collection statistics SearchCtx would rank q
-// with, without evaluating the result set: whole-collection aggregates
-// for context-free queries, S_c(D_P) (view-accelerated and
-// budget-degradable exactly like SearchCtx) for contextual ones. In a
+// StatsFor computes the collection statistics Search would rank q with,
+// without evaluating the result set: whole-collection aggregates for
+// context-free queries, S_c(D_P) (view-accelerated and budget-degradable
+// exactly like Search) for contextual ones. In a
 // document-partitioned cluster the returned statistics are one shard's
 // partial addend; MergeCollectionStats sums them into the union's
 // statistics. A deadline expiry degrades to approximate statistics and
@@ -59,7 +59,7 @@ func (e *Engine) statsCarried(ctx context.Context, q query.Query, plan Plan, st 
 		if x, serr = e.prepare(q, st); serr != nil {
 			return serr
 		}
-		cs, serr = e.statsPhase(ctx, x, plan, true)
+		cs, serr = e.statsPhase(ctx, x, plan)
 		return serr
 	})
 	return x, cs, err
@@ -71,13 +71,18 @@ func (e *Engine) statsCarried(ctx context.Context, q query.Query, plan Plan, st 
 // run after the cluster merged every shard's StatsFor contribution.
 // Results use this engine's docID space; st.Plan is left empty (the
 // plan is a property of the statistics phase). Deadline expiry degrades
-// to flagged partial results exactly like SearchCtx. cs is only read,
+// to flagged partial results exactly like Search. cs is only read,
 // so one merged statistics value can fan out to every shard
 // concurrently.
 func (e *Engine) SearchWithStats(ctx context.Context, q query.Query, k int, cs ranking.CollectionStats) (res []Result, st ExecStats, err error) {
-	err = e.run(ctx, q, "scatter-gather scoring", &st, func(ctx context.Context, x *exec) (serr error) {
-		res, serr = e.scoreUnder(ctx, x, k, cs)
-		return serr
+	err = e.frame(ctx, "scatter-gather scoring", &st, func(ctx context.Context) error {
+		x, err := e.prepare(q, &st)
+		if err != nil {
+			return err
+		}
+		defer x.release()
+		res, err = e.scorePhase(ctx, x, cs, k)
+		return err
 	})
 	return res, st, err
 }
@@ -89,19 +94,10 @@ func (e *Engine) SearchWithStats(ctx context.Context, q query.Query, k int, cs r
 func (e *Engine) scoreCarried(ctx context.Context, x *exec, k int, cs ranking.CollectionStats, st *ExecStats) (res []Result, err error) {
 	x.st = st
 	err = e.frame(ctx, "scatter-gather scoring", st, func(ctx context.Context) (serr error) {
-		res, serr = e.scoreUnder(ctx, x, k, cs)
+		res, serr = e.scorePhase(ctx, x, cs, k)
 		return serr
 	})
 	return res, err
-}
-
-// scoreUnder is the scoring half's body: the dead-context short circuit,
-// then the scoring phase.
-func (e *Engine) scoreUnder(ctx context.Context, x *exec, k int, cs ranking.CollectionStats) ([]Result, error) {
-	if stop, res, err := shortCircuit(ctx, x.st); stop {
-		return res, err
-	}
-	return e.scorePhase(ctx, x, cs, k)
 }
 
 // globalStats assembles whole-collection statistics for the analyzed

@@ -15,12 +15,12 @@ import (
 
 // TestStatsForPlusSearchWithStatsEqualsSearch: every entry point is a
 // composition of the same two phases, so on one engine each case runs
-// one query through all of them — SearchCtx, each forced plan, the two
+// one query through all of them — Search under each plan, the two
 // scatter-gather halves back to back, and SearchSlicesPartial over the
-// engine as a one-slice collection — against one expected ranking,
-// bit-for-bit (same docIDs, same score bits, same order), with equal
-// Plan/ContextSize/Degraded: contextual and context-free queries, with
-// and without views, pruning on and off.
+// engine as a one-slice collection with explicit globals — against one
+// expected ranking, bit-for-bit (same docIDs, same score bits, same
+// order), with equal Plan/ContextSize/Degraded: contextual and
+// context-free queries, with and without views, pruning on and off.
 func TestStatsForPlusSearchWithStatsEqualsSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ix, meshTerms, words := randomCollection(t, rng, 500, 8, 8)
@@ -51,7 +51,7 @@ func TestStatsForPlusSearchWithStatsEqualsSearch(t *testing.T) {
 			for _, q := range queries {
 				for _, k := range []int{0, 5, 50} {
 					name := fmt.Sprintf("pruning=%v cat=%v q=%v k=%d", pruning, withCat, q, k)
-					want, wantSt, err := eng.SearchCtx(ctx, q, k)
+					want, wantSt, err := eng.Search(ctx, q, k, "")
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -86,8 +86,8 @@ func TestStatsForPlusSearchWithStatsEqualsSearch(t *testing.T) {
 					if !q.IsContextual() {
 						sfPlan = PlanConventional
 					}
-					got, st, err := eng.SearchStraightforwardCtx(ctx, q, k)
-					same("SearchStraightforwardCtx", got, st, sfPlan, err)
+					got, st, err := eng.Search(ctx, q, k, PlanStraightforward)
+					same("Search/straightforward", got, st, sfPlan, err)
 
 					cs, statsSt, err := eng.StatsFor(ctx, q)
 					if err != nil {
@@ -107,7 +107,7 @@ func TestStatsForPlusSearchWithStatsEqualsSearch(t *testing.T) {
 					// under whole-collection statistics — exactly what the
 					// scoring phase produces from the context-free query's
 					// statistics.
-					want, wantSt, err = eng.SearchConventionalCtx(ctx, q, k)
+					want, wantSt, err = eng.Search(ctx, q, k, PlanConventional)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -119,7 +119,7 @@ func TestStatsForPlusSearchWithStatsEqualsSearch(t *testing.T) {
 						t.Fatal(err)
 					}
 					got, st, err = eng.SearchWithStats(ctx, q, k, cs)
-					same("SearchConventionalCtx", got, st, "", err)
+					same("Search/conventional", got, st, "", err)
 				}
 			}
 		}

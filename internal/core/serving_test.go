@@ -26,7 +26,7 @@ func TestSwapCatalogChangesPlan(t *testing.T) {
 	eng := New(ix, nil, Options{})
 	q := query.Query{Keywords: []string{words[0]}, Context: meshTerms[:2]}
 
-	_, st, err := eng.SearchCtx(context.Background(), q, 10)
+	_, st, err := eng.Search(context.Background(), q, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSwapCatalogChangesPlan(t *testing.T) {
 	if eng.Catalog() != cat {
 		t.Fatal("Catalog() does not reflect the swap")
 	}
-	_, st, err = eng.SearchCtx(context.Background(), q, 10)
+	_, st, err = eng.Search(context.Background(), q, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSwapCatalogChangesPlan(t *testing.T) {
 	}
 
 	eng.SwapCatalog(nil)
-	_, st, err = eng.SearchCtx(context.Background(), q, 10)
+	_, st, err = eng.Search(context.Background(), q, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +71,12 @@ func TestSwapCatalogPreservesRanking(t *testing.T) {
 	eng := New(ix, nil, Options{})
 	q := query.Query{Keywords: []string{words[0], words[1]}, Context: meshTerms[:1]}
 
-	before, _, err := eng.SearchCtx(context.Background(), q, 20)
+	before, _, err := eng.Search(context.Background(), q, 20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.SwapCatalog(cat)
-	after, st, err := eng.SearchCtx(context.Background(), q, 20)
+	after, st, err := eng.Search(context.Background(), q, 20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSwapCatalogConcurrentWithQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, _, err := eng.SearchCtx(context.Background(), q, 5); err != nil {
+				if _, _, err := eng.Search(context.Background(), q, 5, ""); err != nil {
 					t.Error(err)
 					return
 				}

@@ -14,8 +14,8 @@ import (
 // loaded — the one pointer every view match of this execution uses, so
 // statistics never mix catalog states.
 func (e *Engine) contextStats(ctx context.Context, x *exec, useViews bool, cat *views.Catalog) (ranking.CollectionStats, error) {
-	if useViews && cat != nil {
-		if v := cat.Match(x.a.context); v != nil && e.viewWorthwhile(v, x.a, x.preds) {
+	if useViews {
+		if v := e.chooseView(cat, x.a, x.preds); v != nil {
 			st := x.st
 			st.Plan = PlanView
 			st.UsedView = true
@@ -162,23 +162,33 @@ func (e *Engine) statsFromView(ctx context.Context, v *views.View, x *exec) (ran
 	return cs, fallback, nil
 }
 
-// viewWorthwhile applies the cost-based plan choice: with CostBased off,
-// any usable view wins (the paper's policy); with it on, the view's scan
-// cost must undercut the straightforward plan's Proposition 3.1 bound of
-// (n+1)·Σ|L_m| — one context materialization plus one keyword-list
-// intersection pass per keyword.
-func (e *Engine) viewWorthwhile(v *views.View, a analyzed, preds []*postings.List) bool {
-	if !e.costBased {
-		return true
+// chooseView is the plan choice for contextual statistics, shared by
+// contextStats and Explain: the smallest usable view of cat, or nil for
+// the straightforward plan. With CostBased off any usable view wins (the
+// paper's policy); with it on, the view's scan cost must undercut
+// straightforwardBound.
+func (e *Engine) chooseView(cat *views.Catalog, a analyzed, preds []*postings.List) *views.View {
+	if cat == nil {
+		return nil
 	}
-	var straightBound int64
+	v := cat.Match(a.context)
+	if v == nil || (e.costBased && int64(v.Size()) >= straightforwardBound(a, preds)) {
+		return nil
+	}
+	return v
+}
+
+// straightforwardBound is the straightforward plan's Proposition 3.1
+// cost bound (n+1)·Σ|L_m|: one context materialization plus one
+// keyword-list intersection pass per keyword.
+func straightforwardBound(a analyzed, preds []*postings.List) int64 {
+	var sum int64
 	for _, l := range preds {
 		if l != nil {
-			straightBound += int64(l.Len())
+			sum += int64(l.Len())
 		}
 	}
-	straightBound *= int64(len(a.kwTerms) + 1)
-	return int64(v.Size()) < straightBound
+	return sum * int64(len(a.kwTerms)+1)
 }
 
 // ContextSize returns |D_P| for a context specification, answered from

@@ -119,7 +119,7 @@ func TestWalkMatchesBruteForce(t *testing.T) {
 				if k > 0 && len(want) > k {
 					want = want[:k]
 				}
-				got, _, err := e.SearchCtx(ctx, q, k)
+				got, _, err := e.Search(ctx, q, k, "")
 				if err != nil {
 					t.Fatal(err)
 				}

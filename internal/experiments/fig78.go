@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"csrank/internal/core"
 	"csrank/internal/query"
 )
 
@@ -122,14 +123,14 @@ func RunFig7(s *Setup, perN int) (PerfResult, error) {
 		p.Keywords = n
 		p.Queries = len(qs)
 		for _, q := range qs {
-			_, st, err := s.WithViews.SearchConventionalCtx(context.Background(), q, 20)
+			_, st, err := s.WithViews.Search(context.Background(), q, 20, core.PlanConventional)
 			if err != nil {
 				return res, err
 			}
 			p.Conventional += st.Elapsed
 			p.ConvWork += st.ListWork()
 
-			_, st, err = s.WithViews.SearchCtx(context.Background(), q, 20)
+			_, st, err = s.WithViews.Search(context.Background(), q, 20, "")
 			if err != nil {
 				return res, err
 			}
@@ -141,7 +142,7 @@ func RunFig7(s *Setup, perN int) (PerfResult, error) {
 			}
 			p.MeanContextSize += st.ContextSize
 
-			_, st, err = s.NoViews.SearchStraightforwardCtx(context.Background(), q, 20)
+			_, st, err = s.NoViews.Search(context.Background(), q, 20, core.PlanStraightforward)
 			if err != nil {
 				return res, err
 			}
@@ -176,14 +177,14 @@ func RunFig8(s *Setup, perN int) (PerfResult, error) {
 		p.Keywords = n
 		p.Queries = len(qs)
 		for _, q := range qs {
-			_, st, err := s.WithViews.SearchConventionalCtx(context.Background(), q, 20)
+			_, st, err := s.WithViews.Search(context.Background(), q, 20, core.PlanConventional)
 			if err != nil {
 				return res, err
 			}
 			p.Conventional += st.Elapsed
 			p.ConvWork += st.ListWork()
 
-			_, st, err = s.NoViews.SearchStraightforwardCtx(context.Background(), q, 20)
+			_, st, err = s.NoViews.Search(context.Background(), q, 20, core.PlanStraightforward)
 			if err != nil {
 				return res, err
 			}

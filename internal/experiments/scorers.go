@@ -39,11 +39,11 @@ func RunScorerComparison(s *Setup) (ScorerComparison, error) {
 		for _, topic := range s.Corpus.Topics {
 			q := query.Query{Keywords: topic.Keywords, Context: topic.ContextTerms}
 			qrels := trec.NewQrels(topic.Relevant)
-			c, cst, err := eng.SearchConventionalCtx(context.Background(), q, 0)
+			c, cst, err := eng.Search(context.Background(), q, 0, core.PlanConventional)
 			if err != nil {
 				return out, err
 			}
-			x, _, err := eng.SearchCtx(context.Background(), q, 0)
+			x, _, err := eng.Search(context.Background(), q, 0, "")
 			if err != nil {
 				return out, err
 			}

@@ -209,7 +209,7 @@ func TestCompactionEquivalence(t *testing.T) {
 				}
 				for _, q := range queries {
 					for _, k := range []int{3, 25} {
-						wantRes, wantSt, err := want.SearchCtx(context.Background(), q, k)
+						wantRes, wantSt, err := want.Search(context.Background(), q, k, "")
 						if err != nil {
 							t.Fatal(err)
 						}

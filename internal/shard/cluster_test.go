@@ -148,7 +148,7 @@ func TestShardedBitIdenticalToSingleEngine(t *testing.T) {
 				}
 				for _, q := range queries {
 					for _, k := range []int{0, 3, 25} {
-						want, wantSt, err := single.SearchCtx(context.Background(), q, k)
+						want, wantSt, err := single.Search(context.Background(), q, k, "")
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -212,7 +212,7 @@ func TestClusterContextSizeAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := query.Query{Keywords: []string{words[0]}, Context: meshTerms[:2]}
-	_, wantSt, err := single.SearchCtx(context.Background(), q, 10)
+	_, wantSt, err := single.Search(context.Background(), q, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestSwapUnderQueryStorm(t *testing.T) {
 	references := make([][]core.Result, len(queries))
 	for i := range queries {
 		queries[i] = randomQuery(rng, meshTerms, words)
-		references[i], _, err = single.SearchCtx(context.Background(), queries[i], 10)
+		references[i], _, err = single.Search(context.Background(), queries[i], 10, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -432,19 +432,8 @@ func (e *ShardedEngine) Explain(q string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
 	slices, _ := e.current()
-	for i, sl := range slices {
-		ex, err := sl.Eng.Explain(pq)
-		if err != nil {
-			return "", err
-		}
-		if len(slices) > 1 {
-			fmt.Fprintf(&b, "shard %d:\n", i)
-		}
-		b.WriteString(ex.String())
-	}
-	return b.String(), nil
+	return core.ExplainSlices(slices, pq)
 }
 
 // Generations returns each shard's current serving generation.
