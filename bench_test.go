@@ -38,12 +38,14 @@ var (
 func getBenchSetup(b *testing.B) *experiments.Setup {
 	b.Helper()
 	benchOnce.Do(func() {
-		scale := experiments.DefaultScale()
-		scale.NumDocs = 12000
-		scale.OntologyTerms = 250
-		scale.NumTopics = 30
-		scale.TCFraction = 0.015
-		benchSetup, benchErr = experiments.NewSetup(scale)
+		benchSetup, benchErr = experiments.NewSetup(experiments.Scale{
+			NumDocs:       12000,
+			OntologyTerms: 250,
+			NumTopics:     30,
+			TCFraction:    0.015,
+			TV:            256,
+			Seed:          1,
+		})
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -218,37 +220,6 @@ func sortUint32(ids []uint32) {
 	}
 }
 
-// BenchmarkIntersection compares the skip-pointer intersection against
-// the plain merge, in the regime where skips pay (|L_i| ≪ |L_j|) and
-// where they cannot (similar lengths).
-func BenchmarkIntersection(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	long := randomList(rng, 200000, 1<<24, postings.DefaultSegmentSize)
-	short := randomList(rng, 200, 1<<24, postings.DefaultSegmentSize)
-	similar := randomList(rng, 180000, 1<<24, postings.DefaultSegmentSize)
-
-	b.Run("skip/selective", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			postings.Intersect([]*postings.List{short, long}, nil)
-		}
-	})
-	b.Run("merge/selective", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			postings.MergeIntersect(short, long, nil)
-		}
-	})
-	b.Run("skip/similar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			postings.Intersect([]*postings.List{similar, long}, nil)
-		}
-	})
-	b.Run("merge/similar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			postings.MergeIntersect(similar, long, nil)
-		}
-	})
-}
-
 // --- Ablations ---------------------------------------------------------
 
 // BenchmarkAblationSegmentSize sweeps M0: small segments skip more
@@ -264,43 +235,6 @@ func BenchmarkAblationSegmentSize(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationViewMatch compares the minimal-size view-matching
-// policy (§6.3: "the view with the minimal size is picked") against
-// taking any usable view.
-func BenchmarkAblationViewMatch(b *testing.B) {
-	s := getBenchSetup(b)
-	large, _ := getWorkloads(b)
-	var contexts [][]string
-	for n := 2; n <= 5; n++ {
-		for _, q := range large.ByKeywords[n] {
-			contexts = append(contexts, q.NormalizedContext())
-		}
-	}
-	if len(contexts) == 0 {
-		b.Skip("no large contexts")
-	}
-	b.Run("minimal-size", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ctx := contexts[i%len(contexts)]
-			if v := s.Catalog.Match(ctx); v != nil {
-				if _, err := v.Answer(ctx, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("first-usable", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ctx := contexts[i%len(contexts)]
-			if v := s.Catalog.MatchFirst(ctx); v != nil {
-				if _, err := v.Answer(ctx, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkAblationDFColumns compares the §6.2 storage optimization
@@ -513,11 +447,11 @@ func BenchmarkPrunedSearch(b *testing.B) {
 // stride ≤ 16 each 2^16 range holds ≥ 4096 entries, so the adaptive
 // layer stores it as bitset chunks.
 func stridedList(start, stride uint32, n int) *postings.List {
-	ids := make([]uint32, n)
-	for i := range ids {
-		ids[i] = start + uint32(i)*stride
+	ps := make([]postings.Posting, n)
+	for i := range ps {
+		ps[i] = postings.Posting{DocID: start + uint32(i)*stride, TF: 1}
 	}
-	return postings.FromDocIDs(ids, postings.DefaultSegmentSize)
+	return postings.NewList(ps, postings.DefaultSegmentSize)
 }
 
 // BenchmarkIntersect measures the adaptive-container intersection
@@ -555,7 +489,7 @@ func BenchmarkIntersect(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			r := postings.Intersect([]*postings.List{denseA, denseB}, nil)
-			sink += int64(r.Len())
+			sink += int64(len(r.DocIDs))
 		}
 	})
 	_ = sink
@@ -622,7 +556,8 @@ func BenchmarkContextStats(b *testing.B) {
 func BenchmarkCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	l := randomList(rng, 100000, 1<<22, postings.DefaultSegmentSize)
-	ps := l.Postings()
+	var ps []postings.Posting
+	l.ForEach(func(d, tf uint32) { ps = append(ps, postings.Posting{DocID: d, TF: tf}) })
 	data := postings.EncodePostings(ps)
 	b.Run("encode", func(b *testing.B) {
 		b.SetBytes(int64(len(ps) * 8))

@@ -48,7 +48,7 @@ func main() {
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memprofile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		liststats   = flag.Bool("liststats", false, "print the index's posting-list container breakdown and exit")
-		verify      = flag.Bool("verify", false, "audit the view catalog against the index (zero drift expected) and exit")
+		verify      = flag.Bool("verify", false, "checksum every shard's index file, audit the view catalogs against the indexes (zero drift expected) and exit")
 	)
 	flag.Parse()
 	if *liststats {
@@ -59,7 +59,7 @@ func main() {
 		return
 	}
 	if *verify {
-		if err := verifyViews(*data, os.Stdout); err != nil {
+		if err := verifyData(*data, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "cssearch:", err)
 			os.Exit(1)
 		}
@@ -256,17 +256,24 @@ func openCluster(data, scorerName string, timeout time.Duration, pruning bool) (
 	return c, nil
 }
 
-// verifyViews audits every shard's view catalog against its index (the
-// source of truth): every sampled group's aggregates are recomputed and
-// compared. Exit status is the contract — zero findings means the
-// catalogs can be trusted for ranking, any drift makes the run fail.
-func verifyViews(data string, out io.Writer) error {
+// verifyData first checksums every section of every shard's index file,
+// the lazily verified ones included, then audits every shard's view
+// catalog against its index (the source of truth): every sampled
+// group's aggregates are recomputed and compared. Exit status is the
+// contract — zero findings means the files and catalogs can be trusted
+// for ranking; corruption or any drift makes the run fail.
+func verifyData(data string, out io.Writer) error {
 	c, err := openCluster(data, "pivoted-tfidf", 0, false)
 	if err != nil {
 		return err
 	}
-	findings := 0
 	slices, _ := c.Slices()
+	for i, sl := range slices {
+		if err := sl.Eng.Index().Verify(); err != nil {
+			return fmt.Errorf("shard %d: index: %w", i, err)
+		}
+	}
+	findings := 0
 	for i, sl := range slices {
 		prefix := ""
 		if len(slices) > 1 {

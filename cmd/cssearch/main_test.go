@@ -13,6 +13,7 @@ import (
 	"csrank/internal/index"
 	"csrank/internal/selection"
 	"csrank/internal/shard"
+	"csrank/internal/snapshot"
 	"csrank/internal/views"
 )
 
@@ -164,7 +165,7 @@ func TestRunErrors(t *testing.T) {
 func TestVerify(t *testing.T) {
 	for _, l := range layouts {
 		var out bytes.Buffer
-		if err := verifyViews(buildData(t, l.shards), &out); err != nil {
+		if err := verifyData(buildData(t, l.shards), &out); err != nil {
 			t.Fatalf("%s: fresh build should verify clean: %v\n%s", l.name, err, out.String())
 		}
 		if n := strings.Count(out.String(), "ok:"); n != max(l.shards, 1) {
@@ -184,11 +185,43 @@ func TestVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := verifyViews(dir, &out); err == nil {
+	if err := verifyData(dir, &out); err == nil {
 		t.Fatalf("drifted catalog verified clean:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "count = ") {
 		t.Errorf("drift report lists no count finding:\n%s", out.String())
+	}
+}
+
+// TestVerifyChecksIndexSections: -verify checksums the index sections
+// that opening skips, so one flipped byte in shard 0's stored text fails
+// the audit and the error names the shard and the section.
+func TestVerifyChecksIndexSections(t *testing.T) {
+	dir := buildData(t, 1)
+	path := filepath.Join(shard.ShardDir(dir, 0), "index.gob")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := snapshot.OpenPaged(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, ok := pf.Section("stored")
+	if !ok {
+		t.Fatal("index file has no stored section")
+	}
+	stored[len(stored)-1] ^= 1 // the section aliases data: the last byte of stored text
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = verifyData(dir, &out)
+	if err == nil {
+		t.Fatalf("corrupt stored section verified clean:\n%s", out.String())
+	}
+	if msg := err.Error(); !strings.Contains(msg, "shard 0") || !strings.Contains(msg, `"stored"`) {
+		t.Fatalf("error %q does not name shard 0 and the stored section", msg)
 	}
 }
 

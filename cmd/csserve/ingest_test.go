@@ -7,7 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -225,6 +229,63 @@ func TestIndexEndpoint(t *testing.T) {
 	_ = srv
 }
 
+// TestCompactionFailureReachesStatsz: a background compaction that
+// cannot write the next index generation is reported on /statsz as
+// compact_error, while the acknowledged document stays pending.
+func TestCompactionFailureReachesStatsz(t *testing.T) {
+	dir := t.TempDir()
+	if err := buildTestEngine(t, 2).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	live, err := csrank.OpenLive(dir, csrank.BuildOptions{}, csrank.IngestOptions{CompactThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		live.Close()
+		// Close has waited for the compaction goroutine, which may still
+		// be returning; let it go, so TestSIGTERMClosesEngine's check for
+		// leaked ingestion goroutines sees none of this test's.
+		buf := make([]byte, 1<<20)
+		for i := 0; i < 100 && strings.Contains(string(buf[:runtime.Stack(buf, true)]), "segment.(*Ingester)"); i++ {
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+	// A non-empty directory where shard 0's generation-1 index file goes:
+	// the compaction's write of that file fails.
+	if err := os.MkdirAll(filepath.Join(dir, "shard-000", "index.000001.gob", "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(live, newAdmission(4, 16, time.Second), 10, 0, false, true)
+	ts := httptest.NewServer(srv.routes())
+	t.Cleanup(ts.Close)
+
+	var ack indexResponse
+	if code := postJSON(t, ts, "/index", indexRequest{Title: "t", Body: "zyzzyva"}, &ack); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var st map[string]any
+		if code := getJSON(t, ts, "/statsz", &st); code != http.StatusOK {
+			t.Fatalf("statsz status %d", code)
+		}
+		if msg, _ := st["compact_error"].(string); msg != "" {
+			if !strings.Contains(msg, "shard 0") {
+				t.Fatalf("compact_error %q does not name the shard", msg)
+			}
+			if st["pending_docs"] != float64(1) {
+				t.Fatalf("pending_docs %v after a failed compaction, want 1", st["pending_docs"])
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no compact_error on /statsz after a failed compaction: %v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestIndexEndpointDisabled: without -ingest the endpoint refuses
 // writes instead of panicking or silently dropping them.
 func TestIndexEndpointDisabled(t *testing.T) {
@@ -267,8 +328,9 @@ func assertKeys(t *testing.T, what string, got, want []string) {
 // breaks deployed clients and dashboards — fails loudly here instead of
 // silently shipping.
 func TestWireSchemaStability(t *testing.T) {
-	assertKeys(t, "statsz", jsonKeys(t, statszResponse{}), []string{
-		"bad_requests", "block_cache", "degraded", "errors", "generations",
+	// compact_error is omitempty: set it so the full key set is pinned.
+	assertKeys(t, "statsz", jsonKeys(t, statszResponse{CompactError: "x"}), []string{
+		"bad_requests", "block_cache", "compact_error", "degraded", "errors", "generations",
 		"indexed_docs", "inflight", "ingest_enabled", "ingest_errors", "ingest_requests",
 		"latency_p50_ms", "latency_p90_ms", "latency_p999_ms", "latency_p99_ms",
 		"num_docs", "num_shards", "ok", "partial_results", "pending_docs", "pruned_docs",

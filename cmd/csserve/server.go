@@ -101,6 +101,10 @@ type statszResponse struct {
 	IndexedDocs    int64 `json:"indexed_docs"`
 	IngestErrors   int64 `json:"ingest_errors"`
 	PendingDocs    int   `json:"pending_docs"`
+	// CompactError is the most recent background-compaction failure
+	// (omitted after a success). A failed compaction loses no document:
+	// pending_docs keeps growing until one succeeds.
+	CompactError string `json:"compact_error,omitempty"`
 
 	Inflight   int `json:"inflight"`
 	QueueDepth int `json:"queue_depth"`
@@ -385,6 +389,10 @@ func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 // statsz assembles the current counters — shared by the /statsz handler
 // and the final flush graceful shutdown logs.
 func (s *server) statsz() statszResponse {
+	var compactErr string
+	if err := s.eng.CompactErr(); err != nil {
+		compactErr = err.Error()
+	}
 	return statszResponse{
 		NumDocs:     s.eng.NumDocs(),
 		NumShards:   s.eng.NumShards(),
@@ -407,6 +415,7 @@ func (s *server) statsz() statszResponse {
 		IndexedDocs:    s.indexedDocs.Load(),
 		IngestErrors:   s.ingestErrors.Load(),
 		PendingDocs:    s.eng.Pending(),
+		CompactError:   compactErr,
 
 		Inflight:    s.adm.inflight(),
 		QueueDepth:  s.adm.queueDepth(),

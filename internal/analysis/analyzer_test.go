@@ -89,14 +89,6 @@ func TestStopwords(t *testing.T) {
 	}
 }
 
-func TestStopwordsCopyIsIndependent(t *testing.T) {
-	m := Stopwords()
-	m["leukemia"] = true
-	if IsStopword("leukemia") {
-		t.Error("mutating Stopwords() copy affected the shared list")
-	}
-}
-
 func TestStem(t *testing.T) {
 	cases := map[string]string{
 		"studies":     "study",

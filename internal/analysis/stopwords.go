@@ -46,13 +46,3 @@ func IsStopword(term string) bool {
 	}
 	return defaultStopwords[term]
 }
-
-// Stopwords returns a copy of the default stopword list, for callers that
-// want to extend or inspect it without mutating the shared table.
-func Stopwords() map[string]bool {
-	out := make(map[string]bool, len(defaultStopwords))
-	for w := range defaultStopwords {
-		out[w] = true
-	}
-	return out
-}

@@ -216,24 +216,6 @@ func (s *resultShard) popKey() string {
 	return k
 }
 
-// Purge drops every entry (tests and operational resets; correctness
-// never depends on it — stale tags already make entries unservable).
-func (c *ResultCache) Purge() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[string]*resultEntry)
-		for j := range s.ring {
-			s.ring[j] = ""
-		}
-		s.head, s.count, s.used = 0, 0, 0
-		s.mu.Unlock()
-	}
-}
-
 // NoteCoalesced counts one follower served by a leader's execution.
 func (c *ResultCache) NoteCoalesced() {
 	if c != nil {

@@ -186,7 +186,6 @@ func TestResultCacheNil(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Store("k", "g", 1, 1)
-	c.Purge()
 	c.NoteCoalesced()
 	if st := c.Stats(); st != (ResultCacheStats{}) {
 		t.Fatalf("nil stats %+v", st)

@@ -26,11 +26,6 @@ func NewServing(eng *Engine, gen uint64) *Serving {
 	return s
 }
 
-// Engine returns the currently served engine. Callers should hold the
-// returned pointer for the duration of one request and re-fetch for the
-// next, picking up swaps at request granularity.
-func (s *Serving) Engine() *Engine { return s.state.Load().eng }
-
 // Generation returns the generation tag of the served engine.
 func (s *Serving) Generation() uint64 { return s.state.Load().gen }
 

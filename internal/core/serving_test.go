@@ -147,7 +147,7 @@ func TestServingSwap(t *testing.T) {
 	if oldEng != e1 || oldGen != 1 {
 		t.Fatalf("swap returned (%p, %d), want (%p, 1)", oldEng, oldGen, e1)
 	}
-	if s.Engine() != e2 || s.Generation() != 7 {
+	if eng, gen := s.Snapshot(); eng != e2 || gen != 7 || s.Generation() != 7 {
 		t.Fatal("swap not visible")
 	}
 

@@ -178,16 +178,16 @@ func TestWalkChargesLikeIntersect(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%v", q)
-			if got.ResultSize != res.Len() || got.Stats != want {
+			if got.ResultSize != len(res.DocIDs) || got.Stats != want {
 				t.Fatalf("%s: walk visited %d members and charged %+v, Intersect found %d and charged %+v",
-					label, got.ResultSize, got.Stats, res.Len(), want)
+					label, got.ResultSize, got.Stats, len(res.DocIDs), want)
 			}
 			_, pst, err := pruned.SearchWithStats(ctx, q, 10, cs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pst.ResultSize > res.Len() {
-				t.Fatalf("%s: pruning walk visited %d members of a %d-member conjunction", label, pst.ResultSize, res.Len())
+			if pst.ResultSize > len(res.DocIDs) {
+				t.Fatalf("%s: pruning walk visited %d members of a %d-member conjunction", label, pst.ResultSize, len(res.DocIDs))
 			}
 		}
 	}

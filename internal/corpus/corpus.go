@@ -98,14 +98,6 @@ type Corpus struct {
 	extent map[mesh.TermID][]int
 }
 
-// Extent returns the indices of documents annotated (after closure) with
-// term, in ascending order. It is the generator-side ground truth for
-// ContextSize and is used by workload construction and tests.
-func (c *Corpus) Extent(t mesh.TermID) []int { return c.extent[t] }
-
-// ExtentSize returns len(Extent(t)).
-func (c *Corpus) ExtentSize(t mesh.TermID) int { return len(c.extent[t]) }
-
 // Schema returns the index schema for this corpus: stored titles, a
 // combined searchable content field (title + abstract, the fields the
 // paper searches), and the MeSH annotation predicate field.

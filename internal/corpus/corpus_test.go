@@ -1,8 +1,13 @@
 package corpus
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -102,7 +107,7 @@ func TestExtentMatchesAnnotations(t *testing.T) {
 	// Extent lists exactly the docs carrying the term, ascending.
 	var some mesh.TermID = -1
 	for t2 := range c.Onto.Len() {
-		if c.ExtentSize(mesh.TermID(t2)) > 50 {
+		if len(c.extent[mesh.TermID(t2)]) > 50 {
 			some = mesh.TermID(t2)
 			break
 		}
@@ -119,7 +124,7 @@ func TestExtentMatchesAnnotations(t *testing.T) {
 			}
 		}
 	}
-	ext := c.Extent(some)
+	ext := c.extent[some]
 	if len(ext) != len(want) {
 		t.Fatalf("extent size %d, recount %d", len(ext), len(want))
 	}
@@ -141,7 +146,7 @@ func TestExtentHeavyTailed(t *testing.T) {
 	// distribution the view-selection threshold T_C cuts through.
 	big, small := 0, 0
 	for i := 0; i < c.Onto.Len(); i++ {
-		switch n := c.ExtentSize(mesh.TermID(i)); {
+		switch n := len(c.extent[mesh.TermID(i)]); {
 		case n > len(c.Docs)/10:
 			big++
 		case n > 0 && n < len(c.Docs)/100:
@@ -295,7 +300,7 @@ func TestIndexDocumentsAndBuildIndex(t *testing.T) {
 	// Index extents agree with generator extents.
 	for i := 0; i < c.Onto.Len(); i += 17 {
 		name := c.Onto.Term(mesh.TermID(i)).Name
-		if got, want := ix.DF("mesh", name), int64(c.ExtentSize(mesh.TermID(i))); got != want {
+		if got, want := ix.DF("mesh", name), int64(len(c.extent[mesh.TermID(i)])); got != want {
 			t.Fatalf("df(mesh,%s) = %d, extent = %d", name, got, want)
 		}
 	}
@@ -338,19 +343,23 @@ func TestTopicStatisticalAsymmetry(t *testing.T) {
 		}
 		signal, noise := analyze1(topic.Keywords[0]), analyze1(topic.Keywords[1])
 		ctxID, _ := c.Onto.ByName(topic.ContextTerms[0])
-		ctxDocs := c.Extent(ctxID)
+		ctxDocs := c.extent[ctxID]
 		ctxSize := float64(len(ctxDocs))
+		inCtx := make(map[int]bool, len(ctxDocs))
+		for _, d := range ctxDocs {
+			inCtx[d] = true
+		}
 		dfCtx := func(w string) float64 {
 			l := ix.Postings("content", w)
 			if l == nil {
 				return 0
 			}
 			cnt := 0
-			for _, d := range ctxDocs {
-				if l.Contains(uint32(d)) {
+			l.ForEach(func(d, _ uint32) {
+				if inCtx[int(d)] {
 					cnt++
 				}
-			}
+			})
 			return float64(cnt)
 		}
 		sigCtx, noiCtx := idf(dfCtx(signal), ctxSize), idf(dfCtx(noise), ctxSize)
@@ -371,13 +380,39 @@ func TestTopicStatisticalAsymmetry(t *testing.T) {
 	}
 }
 
+// readJSONL reads citations written by WriteJSONL: the reference reader
+// for the export format. Blank lines are skipped; malformed lines are
+// errors.
+func readJSONL(r io.Reader) ([]Citation, error) {
+	var docs []Citation
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var c Citation
+		if err := json.Unmarshal(line, &c); err != nil {
+			return nil, fmt.Errorf("corpus: line %d: %w", lineNo, err)
+		}
+		docs = append(docs, c)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return docs, nil
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	c := testCorpus(t)
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, c.Docs[:100]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +434,12 @@ func TestJSONLFileRoundTrip(t *testing.T) {
 	if err := c.SaveJSONL(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadJSONL(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := readJSONL(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,13 +449,10 @@ func TestJSONLFileRoundTrip(t *testing.T) {
 }
 
 func TestJSONLErrors(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json}\n")); err == nil {
+	if _, err := readJSONL(strings.NewReader("{not json}\n")); err == nil {
 		t.Error("malformed line accepted")
 	}
-	if got, err := ReadJSONL(strings.NewReader("\n\n")); err != nil || len(got) != 0 {
+	if got, err := readJSONL(strings.NewReader("\n\n")); err != nil || len(got) != 0 {
 		t.Errorf("blank lines: %v, %v", got, err)
-	}
-	if _, err := LoadJSONL(t.TempDir() + "/nope.jsonl"); err == nil {
-		t.Error("missing file loaded")
 	}
 }

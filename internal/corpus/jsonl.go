@@ -8,9 +8,8 @@ import (
 	"os"
 )
 
-// JSONL export/import of citations: one JSON object per line, the
-// interchange format for inspecting the synthetic corpus or feeding real
-// citation data (a PubMed extract, say) through the same pipeline.
+// JSONL export of citations: one JSON object per line, the interchange
+// format for inspecting the synthetic corpus (csbuild -dump writes it).
 
 // WriteJSONL writes citations one JSON object per line.
 func WriteJSONL(w io.Writer, docs []Citation) error {
@@ -24,32 +23,6 @@ func WriteJSONL(w io.Writer, docs []Citation) error {
 	return bw.Flush()
 }
 
-// ReadJSONL reads citations written by WriteJSONL (or produced by any
-// tool emitting the same shape). Blank lines are skipped; malformed lines
-// are errors.
-func ReadJSONL(r io.Reader) ([]Citation, error) {
-	var docs []Citation
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var c Citation
-		if err := json.Unmarshal(line, &c); err != nil {
-			return nil, fmt.Errorf("corpus: line %d: %w", lineNo, err)
-		}
-		docs = append(docs, c)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return docs, nil
-}
-
 // SaveJSONL writes the corpus's citations to path.
 func (c *Corpus) SaveJSONL(path string) error {
 	f, err := os.Create(path)
@@ -61,14 +34,4 @@ func (c *Corpus) SaveJSONL(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadJSONL reads citations from path.
-func LoadJSONL(path string) ([]Citation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSONL(f)
 }

@@ -42,18 +42,6 @@ type Scale struct {
 	Seed int64
 }
 
-// DefaultScale is the scale used by cmd/csexp and the benchmarks.
-func DefaultScale() Scale {
-	return Scale{
-		NumDocs:       20000,
-		OntologyTerms: 300,
-		NumTopics:     30,
-		TCFraction:    0.01,
-		TV:            256,
-		Seed:          1,
-	}
-}
-
 // TC returns the absolute context-size threshold.
 func (s Scale) TC() int64 { return int64(float64(s.NumDocs) * s.TCFraction) }
 

@@ -169,7 +169,6 @@ func (f *FaultFS) SyncDir(name string) error {
 
 func (f *FaultFS) Stat(name string) (os.FileInfo, error)      { return f.inner.Stat(name) }
 func (f *FaultFS) ReadDir(name string) ([]os.DirEntry, error) { return f.inner.ReadDir(name) }
-func (f *FaultFS) MkdirAll(name string) error                 { return f.inner.MkdirAll(name) }
 
 // faultFile intercepts the mutating methods of an open file.
 type faultFile struct {

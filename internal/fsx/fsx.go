@@ -43,8 +43,6 @@ type FS interface {
 	Stat(name string) (os.FileInfo, error)
 	// ReadDir lists a directory's entries sorted by name.
 	ReadDir(name string) ([]os.DirEntry, error)
-	// MkdirAll creates a directory path.
-	MkdirAll(name string) error
 	// SyncDir fsyncs the directory itself so a completed rename or
 	// create survives a power cut.
 	SyncDir(name string) error
@@ -65,7 +63,6 @@ func (osFS) Remove(name string) error                   { return os.Remove(name)
 func (osFS) Truncate(name string, size int64) error     { return os.Truncate(name, size) }
 func (osFS) Stat(name string) (os.FileInfo, error)      { return os.Stat(name) }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
-func (osFS) MkdirAll(name string) error                 { return os.MkdirAll(name, 0o755) }
 
 func (osFS) SyncDir(name string) error {
 	d, err := os.Open(name)

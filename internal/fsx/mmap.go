@@ -16,10 +16,6 @@ type Mapping struct {
 	close  func() error
 }
 
-// Mapped reports whether Data aliases the page cache (a true mmap)
-// rather than a heap copy.
-func (m *Mapping) Mapped() bool { return m.mapped }
-
 // Close releases the mapping. Safe to call more than once.
 func (m *Mapping) Close() error {
 	if m.close == nil {

@@ -59,7 +59,7 @@ func TestMapFileFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Mapped() {
+	if m.mapped {
 		t.Fatal("FaultFS should not produce a true mapping")
 	}
 	if !bytes.Equal(m.Data, want) {

@@ -58,26 +58,20 @@ func barbell(k int) *KAG {
 
 func TestKAGBasics(t *testing.T) {
 	g := pathGraph(4)
-	if g.N() != 4 || g.Edges() != 3 {
-		t.Fatalf("N=%d E=%d", g.N(), g.Edges())
+	if g.N() != 4 || g.nEdges != 3 {
+		t.Fatalf("N=%d E=%d", g.N(), g.nEdges)
 	}
-	if !g.HasEdge(1, 2) || g.HasEdge(0, 2) {
+	if !g.HasEdge(1, 2) || g.HasEdge(0, 2) || !g.HasEdge(2, 1) {
 		t.Error("HasEdge wrong")
 	}
-	if g.Weight(0, 1) != 10 || g.Weight(0, 2) != 0 {
-		t.Error("Weight wrong")
+	if g.adj[0][1] != 10 || g.adj[1][0] != 10 {
+		t.Error("weight wrong")
 	}
-	if got := g.Neighbors(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("Neighbors = %v", got)
-	}
-	if g.Degree(0) != 1 || g.Degree(1) != 2 {
-		t.Error("Degree wrong")
+	if len(g.adj[0]) != 1 || len(g.adj[1]) != 2 {
+		t.Error("degree wrong")
 	}
 	if g.Name(2) != "m02" {
 		t.Error("Name wrong")
-	}
-	if g.String() == "" {
-		t.Error("String empty")
 	}
 }
 
@@ -88,26 +82,26 @@ func TestAddEdgeErrors(t *testing.T) {
 	}
 	// Re-inserting an existing edge with the same weight is an idempotent
 	// no-op: no error, no edge-count change.
-	before := g.Edges()
+	before := g.nEdges
 	if err := g.AddEdge(0, 1, 10); err != nil {
 		t.Errorf("idempotent re-insert: unexpected error %v", err)
 	}
-	if g.Edges() != before {
-		t.Errorf("idempotent re-insert changed edge count: %d -> %d", before, g.Edges())
+	if g.nEdges != before {
+		t.Errorf("idempotent re-insert changed edge count: %d -> %d", before, g.nEdges)
 	}
 	// A conflicting weight for an existing edge is a builder bug and must
 	// be reported, not silently overwrite.
 	if err := g.AddEdge(0, 1, 5); err == nil {
 		t.Error("conflicting duplicate: expected error")
 	}
-	if g.Weight(0, 1) != 10 {
-		t.Errorf("conflicting duplicate mutated weight: %d", g.Weight(0, 1))
+	if g.adj[0][1] != 10 {
+		t.Errorf("conflicting duplicate mutated weight: %d", g.adj[0][1])
 	}
 	// The graph stays fully usable after rejected inserts.
 	if err := g.AddEdge(0, 2, 7); err != nil {
 		t.Errorf("valid insert after errors: %v", err)
 	}
-	if !g.HasEdge(0, 2) || g.Weight(0, 2) != 7 {
+	if !g.HasEdge(0, 2) || g.adj[0][2] != 7 {
 		t.Error("valid insert after errors not applied")
 	}
 }
@@ -120,7 +114,7 @@ func TestBuildFiltersByThreshold(t *testing.T) {
 		}
 		return weights[[2]int{i, j}]
 	}, 50)
-	if g.Edges() != 2 || g.HasEdge(1, 2) {
+	if g.nEdges != 2 || g.HasEdge(1, 2) {
 		t.Errorf("Build kept wrong edges: %v", g)
 	}
 }
@@ -159,14 +153,14 @@ func TestConnectedComponents(t *testing.T) {
 func TestInduced(t *testing.T) {
 	g := completeGraph(4)
 	sub := g.Induced([]int{0, 2, 3})
-	if sub.N() != 3 || sub.Edges() != 3 {
+	if sub.N() != 3 || sub.nEdges != 3 {
 		t.Fatalf("Induced = %v", sub)
 	}
 	if sub.Name(1) != "m02" {
 		t.Errorf("Induced name = %s", sub.Name(1))
 	}
 	sub2 := pathGraph(4).Induced([]int{0, 3})
-	if sub2.Edges() != 0 {
+	if sub2.nEdges != 0 {
 		t.Error("non-adjacent induced subgraph should have no edges")
 	}
 }
@@ -218,9 +212,6 @@ func TestSeparatorOnBarbell(t *testing.T) {
 	verifySeparates(t, g, sep)
 	if len(sep.S0) != 1 || g.Name(sep.S0[0]) != "m04" {
 		t.Errorf("S0 = %v (names %v), want the bridge", sep.S0, g.Names(sep.S0))
-	}
-	if sep.BalanceObjective() <= 0 || sep.BalanceObjective() > 1 {
-		t.Errorf("BalanceObjective = %v", sep.BalanceObjective())
 	}
 }
 

@@ -54,9 +54,6 @@ func Build(names []string, cooc func(i, j int) int64, tc int64) *KAG {
 // N returns the vertex count.
 func (g *KAG) N() int { return len(g.names) }
 
-// Edges returns the edge count.
-func (g *KAG) Edges() int { return g.nEdges }
-
 // Name returns the predicate term of vertex v.
 func (g *KAG) Name(v int) string { return g.names[v] }
 
@@ -101,22 +98,6 @@ func (g *KAG) HasEdge(u, v int) bool {
 	_, ok := g.adj[u][v]
 	return ok
 }
-
-// Weight returns the edge weight, or 0 if absent.
-func (g *KAG) Weight(u, v int) int64 { return g.adj[u][v] }
-
-// Neighbors returns v's adjacent vertices in ascending order.
-func (g *KAG) Neighbors(v int) []int {
-	out := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Degree returns the number of edges at v.
-func (g *KAG) Degree(v int) int { return len(g.adj[v]) }
 
 // IsClique reports whether the graph is complete. Singletons and the
 // empty graph are cliques.
@@ -173,9 +154,4 @@ func (g *KAG) Induced(vertices []int) *KAG {
 		}
 	}
 	return sub
-}
-
-// String implements fmt.Stringer.
-func (g *KAG) String() string {
-	return fmt.Sprintf("KAG{vertices=%d, edges=%d}", g.N(), g.Edges())
 }

@@ -122,17 +122,3 @@ func countE12(g *KAG, sep Separator) int {
 	}
 	return count
 }
-
-// BalanceObjective evaluates Formula 5 — |S0| / (min(|S1|,|S2|) + |S0|)
-// — for reporting and tests.
-func (s Separator) BalanceObjective() float64 {
-	m := len(s.S1)
-	if len(s.S2) < m {
-		m = len(s.S2)
-	}
-	den := m + len(s.S0)
-	if den == 0 {
-		return 0
-	}
-	return float64(len(s.S0)) / float64(den)
-}

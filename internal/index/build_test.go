@@ -38,10 +38,7 @@ func randomBuildDocs(rng *rand.Rand, n int) []Document {
 // adding every document in order on the calling goroutine.
 func sequentialBuild(t *testing.T, docs []Document) *Index {
 	t.Helper()
-	b, err := NewBuilder(testSchema(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBuilder(testSchema(), 16, 0)
 	for _, d := range docs {
 		b.Add(d)
 	}

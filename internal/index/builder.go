@@ -39,16 +39,6 @@ type fieldBuild struct {
 	total   int64
 }
 
-// NewBuilder returns a Builder for the given schema. segSize ≤ 0 selects
-// postings.DefaultSegmentSize. NewBuilder returns an error if the schema is
-// inconsistent.
-func NewBuilder(schema Schema, segSize int) (*Builder, error) {
-	if err := schema.Validate(); err != nil {
-		return nil, err
-	}
-	return newBuilder(schema, segSize, 0), nil
-}
-
 // newBuilder returns a Builder whose first document gets DocID first.
 // The schema must already be validated.
 func newBuilder(schema Schema, segSize int, first DocID) *Builder {
@@ -88,9 +78,6 @@ func (b *Builder) Add(doc Document) DocID {
 	}
 	return id
 }
-
-// NumDocs returns the number of documents added so far.
-func (b *Builder) NumDocs() int { return b.numDocs }
 
 // Build finalizes the index. The Builder must not be used afterwards.
 func (b *Builder) Build() *Index {

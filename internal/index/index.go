@@ -111,11 +111,6 @@ type Index struct {
 // corruption.
 func (ix *Index) Quarantined() int64 { return ix.quar.Blocks() }
 
-// QuarantineDetails returns a bounded sample of the blacklisted blocks'
-// corruption reports (nil for heap indexes or when nothing is
-// quarantined).
-func (ix *Index) QuarantineDetails() []string { return ix.quar.Details() }
-
 // Schema returns the schema the index was built with.
 func (ix *Index) Schema() Schema { return ix.schema }
 

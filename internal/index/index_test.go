@@ -124,7 +124,8 @@ func TestIndexPostingsSorted(t *testing.T) {
 	if l == nil {
 		t.Fatal("no postings for leukemia")
 	}
-	ids := l.DocIDs()
+	var ids []uint32
+	l.ForEach(func(d, _ uint32) { ids = append(ids, d) })
 	if !reflect.DeepEqual(ids, []uint32{1, 2}) {
 		t.Errorf("leukemia DocIDs = %v", ids)
 	}
@@ -137,8 +138,8 @@ func TestIndexTermFrequencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tf := ix.Postings("content", "alpha").TF(0); tf != 3 {
-		t.Errorf("tf(alpha) = %d, want 3", tf)
+	if ps := postingsOf(ix.Postings("content", "alpha")); len(ps) != 1 || ps[0] != (postings.Posting{DocID: 0, TF: 3}) {
+		t.Errorf("postings(alpha) = %v, want [{0 3}]", ps)
 	}
 }
 
@@ -206,8 +207,8 @@ func TestAnalyzerFor(t *testing.T) {
 func TestBuilderRejectsBadSchema(t *testing.T) {
 	s := testSchema()
 	s.PredicateField = "bogus"
-	if _, err := NewBuilder(s, 0); err == nil {
-		t.Error("NewBuilder accepted invalid schema")
+	if _, err := BuildFrom(s, 0, nil); err == nil {
+		t.Error("BuildFrom accepted invalid schema")
 	}
 }
 
@@ -250,7 +251,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	l1 := got.Postings("mesh", "digestive_system")
 	l2 := got.Postings("mesh", "neoplasms")
 	r := postings.Intersect([]*postings.List{l1, l2}, nil)
-	if r.Len() != 1 || r.DocIDs[0] != 0 {
+	if len(r.DocIDs) != 1 || r.DocIDs[0] != 0 {
 		t.Errorf("intersection after round trip = %v", r.DocIDs)
 	}
 }

@@ -48,7 +48,7 @@ func encodeGobStream(tb testing.TB, ix *Index, version int, enc func(*postings.L
 // did: the zero Version and per-term postings.EncodePostings payloads.
 func legacyEncode(t *testing.T, ix *Index) []byte {
 	return encodeGobStream(t, ix, 0, func(l *postings.List) []byte {
-		return postings.EncodePostings(l.Postings())
+		return postings.EncodePostings(postingsOf(l))
 	})
 }
 
@@ -127,8 +127,8 @@ func TestPersistLegacyFormat(t *testing.T) {
 	}
 	for _, field := range []string{"content", "mesh"} {
 		for _, term := range ix.Terms(field) {
-			want := ix.Postings(field, term).Postings()
-			have := got.Postings(field, term).Postings()
+			want := postingsOf(ix.Postings(field, term))
+			have := postingsOf(got.Postings(field, term))
 			if len(want) != len(have) {
 				t.Fatalf("%s/%s: %d postings, want %d", field, term, len(have), len(want))
 			}
@@ -191,8 +191,8 @@ func TestPersistDenseListRoundTrip(t *testing.T) {
 	}
 	r := postings.Intersect([]*postings.List{gl, got.Postings("mesh", "rare0")}, nil)
 	w := postings.Intersect([]*postings.List{l, ix.Postings("mesh", "rare0")}, nil)
-	if r.Len() != w.Len() {
-		t.Errorf("dense∩sparse after round trip = %d docs, want %d", r.Len(), w.Len())
+	if len(r.DocIDs) != len(w.DocIDs) {
+		t.Errorf("dense∩sparse after round trip = %d docs, want %d", len(r.DocIDs), len(w.DocIDs))
 	}
 }
 

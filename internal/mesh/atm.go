@@ -29,11 +29,6 @@ func (o *Ontology) RegisterTopicAliases() {
 	}
 }
 
-// MapKeyword returns the terms keyword maps to under ATM (nil if none).
-func (o *Ontology) MapKeyword(keyword string) []TermID {
-	return o.atm[keyword]
-}
-
 // MapKeywords simulates ATM over a whole keyword query: each keyword is
 // looked up, and the union of mapped terms is returned, deduplicated and
 // sorted. When a keyword maps to several terms, all are kept — as in
@@ -52,6 +47,3 @@ func (o *Ontology) MapKeywords(keywords []string) []TermID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// AliasCount returns the number of distinct registered alias keywords.
-func (o *Ontology) AliasCount() int { return len(o.atm) }

@@ -98,18 +98,6 @@ func TestClosure(t *testing.T) {
 	}
 }
 
-func TestDescendantsAndLeaves(t *testing.T) {
-	o, ids := buildDiamond(t)
-	got := o.Descendants(ids["root"])
-	want := []TermID{ids["a"], ids["b"], ids["c"], ids["d"]}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Descendants(root) = %v, want %v", got, want)
-	}
-	if got := o.Leaves(); !reflect.DeepEqual(got, []TermID{ids["d"]}) {
-		t.Errorf("Leaves = %v", got)
-	}
-}
-
 func TestDepth(t *testing.T) {
 	o, ids := buildDiamond(t)
 	if d := o.Depth(ids["root"]); d != 0 {
@@ -153,11 +141,11 @@ func TestValidateDetectsCycle(t *testing.T) {
 func TestATM(t *testing.T) {
 	o, ids := buildDiamond(t)
 	o.RegisterTopicAliases()
-	if got := o.MapKeyword("c_word"); !reflect.DeepEqual(got, []TermID{ids["c"]}) {
-		t.Errorf("MapKeyword = %v", got)
+	if got := o.MapKeywords([]string{"c_word"}); !reflect.DeepEqual(got, []TermID{ids["c"]}) {
+		t.Errorf("MapKeywords(c_word) = %v", got)
 	}
-	if got := o.MapKeyword("nope"); got != nil {
-		t.Errorf("MapKeyword(nope) = %v", got)
+	if got := o.MapKeywords([]string{"nope"}); len(got) != 0 {
+		t.Errorf("MapKeywords(nope) = %v", got)
 	}
 	got := o.MapKeywords([]string{"a_word", "c_word", "unknown"})
 	want := []TermID{ids["a"], ids["c"]}
@@ -170,15 +158,15 @@ func TestATMIdempotentRegistration(t *testing.T) {
 	o, ids := buildDiamond(t)
 	o.RegisterAlias("kw", ids["a"])
 	o.RegisterAlias("kw", ids["a"])
-	if got := o.MapKeyword("kw"); len(got) != 1 {
+	if got := o.MapKeywords([]string{"kw"}); len(got) != 1 {
 		t.Errorf("duplicate registration: %v", got)
 	}
 	o.RegisterAlias("kw", ids["b"])
-	if got := o.MapKeyword("kw"); len(got) != 2 {
+	if got := o.MapKeywords([]string{"kw"}); len(got) != 2 {
 		t.Errorf("second term not registered: %v", got)
 	}
-	if o.AliasCount() != 1 {
-		t.Errorf("AliasCount = %d", o.AliasCount())
+	if len(o.atm) != 1 {
+		t.Errorf("%d alias keywords, want 1", len(o.atm))
 	}
 }
 

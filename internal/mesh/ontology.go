@@ -147,39 +147,6 @@ func (o *Ontology) Closure(ids []TermID) []TermID {
 	return out
 }
 
-// Descendants returns the transitive children of id (excluding id),
-// deduplicated, sorted. Used by the ontology-navigation tooling.
-func (o *Ontology) Descendants(id TermID) []TermID {
-	seen := make(map[TermID]bool)
-	var walk func(TermID)
-	walk = func(t TermID) {
-		for _, c := range o.terms[t].Children {
-			if !seen[c] {
-				seen[c] = true
-				walk(c)
-			}
-		}
-	}
-	walk(id)
-	out := make([]TermID, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Leaves returns all terms without children.
-func (o *Ontology) Leaves() []TermID {
-	var out []TermID
-	for i := range o.terms {
-		if len(o.terms[i].Children) == 0 {
-			out = append(out, TermID(i))
-		}
-	}
-	return out
-}
-
 // Names maps a slice of IDs to their names.
 func (o *Ontology) Names(ids []TermID) []string {
 	out := make([]string, len(ids))

@@ -28,9 +28,6 @@ type FrequentItemset struct {
 	Support int
 }
 
-// Key returns a canonical string key for the itemset, for dedup and maps.
-func (f FrequentItemset) Key() string { return itemsKey(f.Items) }
-
 func itemsKey(items []Item) string {
 	b := make([]byte, 0, len(items)*4)
 	for _, it := range items {
@@ -112,22 +109,4 @@ func isSubset(a, b []Item) bool {
 		}
 	}
 	return i == len(a)
-}
-
-// containsSorted reports whether sorted transaction tx contains item.
-func containsSorted(tx []Item, item Item) bool {
-	i := sort.Search(len(tx), func(i int) bool { return tx[i] >= item })
-	return i < len(tx) && tx[i] == item
-}
-
-// supportOf counts transactions containing all items (itemset sorted).
-// Used by tests as the brute-force oracle.
-func supportOf(tx [][]Item, items []Item) int {
-	n := 0
-	for _, t := range tx {
-		if isSubset(items, t) {
-			n++
-		}
-	}
-	return n
 }

@@ -55,14 +55,14 @@ func TestClassicDataset(t *testing.T) {
 		{Items: []Item{1, 2, 3, 5}, Support: 2},
 	}
 	for _, s := range expect {
-		want[s.Key()] = s.Support
+		want[itemsKey(s.Items)] = s.Support
 	}
 	if len(got) != len(expect) {
 		t.Fatalf("got %d itemsets, want %d: %v", len(got), len(expect), got)
 	}
 	for _, s := range got {
-		if want[s.Key()] != s.Support {
-			t.Errorf("itemset %v support %d, want %d", s.Items, s.Support, want[s.Key()])
+		if want[itemsKey(s.Items)] != s.Support {
+			t.Errorf("itemset %v support %d, want %d", s.Items, s.Support, want[itemsKey(s.Items)])
 		}
 	}
 }
@@ -112,6 +112,18 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
+// supportOf counts transactions containing all items (itemset sorted).
+// The brute-force oracle the miners are checked against.
+func supportOf(tx [][]Item, items []Item) int {
+	n := 0
+	for _, t := range tx {
+		if isSubset(items, t) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestSupportsAreExact(t *testing.T) {
 	tx := randomTx(rand.New(rand.NewSource(5)), 200, 12, 0.25)
 	got := minersAgree(t, tx, Options{MinSupport: 20})
@@ -131,7 +143,7 @@ func TestCompleteness(t *testing.T) {
 	minSup := 15
 	mined := map[string]bool{}
 	for _, s := range minersAgree(t, tx, Options{MinSupport: minSup}) {
-		mined[s.Key()] = true
+		mined[itemsKey(s.Items)] = true
 	}
 	for a := Item(0); a < 8; a++ {
 		for b := a + 1; b < 8; b++ {
@@ -194,7 +206,7 @@ func TestMaximal(t *testing.T) {
 	}
 	keys := map[string]bool{}
 	for _, s := range got {
-		keys[s.Key()] = true
+		keys[itemsKey(s.Items)] = true
 	}
 	if !keys[itemsKey([]Item{1, 2, 3})] || !keys[itemsKey([]Item{4})] {
 		t.Errorf("Maximal = %v", got)
@@ -247,12 +259,5 @@ func TestIsSubset(t *testing.T) {
 		if got := isSubset(c.a, c.b); got != c.want {
 			t.Errorf("isSubset(%v,%v) = %v", c.a, c.b, got)
 		}
-	}
-}
-
-func TestContainsSorted(t *testing.T) {
-	tx := []Item{1, 3, 5}
-	if !containsSorted(tx, 3) || containsSorted(tx, 2) || containsSorted(tx, 9) {
-		t.Error("containsSorted wrong")
 	}
 }

@@ -4,43 +4,12 @@ import "context"
 
 // This file implements the aggregation operators (γ in the paper's Figure 3
 // plan) that compute collection-specific statistics from a context. The
-// slice-scanning forms (Count, SumOver) work over a materialized
-// intersection; the fused kernels (CountSum, CountTFSum) push the
-// aggregation into the conjunction itself so the context is never
-// materialized — the count-only path of the adaptive-container layer.
-// Both fused kernels have *Ctx variants with cooperative cancellation;
-// all accumulators are 64-bit, so TF totals cannot overflow even when
-// every posting carries the maximum uint32 term frequency.
-
-// Count implements γ_count over an intersection result: the context
-// cardinality |D_P|.
-func Count(r *Intersection, st *Stats) int64 {
-	st.addAggregated(int64(r.Len()))
-	return int64(r.Len())
-}
-
-// SumOver implements γ_sum over an intersection result, summing
-// param(docID) for every matching document — e.g. document length, giving
-// the context length len(D_P).
-func SumOver(r *Intersection, param func(docID uint32) int64, st *Stats) int64 {
-	var sum int64
-	for _, id := range r.DocIDs {
-		sum += param(id)
-	}
-	st.addAggregated(int64(r.Len()))
-	return sum
-}
-
-// SumList sums param over every document of a single list (the degenerate
-// one-predicate context).
-func SumList(l *List, param func(docID uint32) int64, st *Stats) int64 {
-	var sum int64
-	l.ForEach(func(id, _ uint32) {
-		sum += param(id)
-	})
-	st.addAggregated(int64(l.Len()))
-	return sum
-}
+// kernels (CountSum, CountTFSum) fuse the aggregation into the
+// conjunction itself, so the context is never materialized — the
+// count-only path of the adaptive-container layer. Both have *Ctx
+// variants with cooperative cancellation; all accumulators are 64-bit,
+// so TF totals cannot overflow even when every posting carries the
+// maximum uint32 term frequency.
 
 // CountSum fuses the context phase of the straightforward plan: γ_count
 // and γ_sum over ∩ lists in one pass of the count-only conjunction kernel,

@@ -265,51 +265,6 @@ func (c *BlockCache) evictLocked() {
 	}
 }
 
-// Used returns the bytes currently charged to the cache.
-func (c *BlockCache) Used() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
-// Budget returns the configured byte budget (0 for a nil cache).
-func (c *BlockCache) Budget() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.budget
-}
-
-// Hits returns how many times a charged block was served resident from
-// its slot.
-func (c *BlockCache) Hits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.hits.Load()
-}
-
-// Insertions returns how many decoded blocks were ever charged. Every
-// insertion is a miss — the block had to be decoded — so this doubles
-// as the miss count for charged blocks.
-func (c *BlockCache) Insertions() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.insertions.Load()
-}
-
-// Evictions returns how many cache entries were evicted.
-func (c *BlockCache) Evictions() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.evictions.Load()
-}
-
 // Stats snapshots every counter (zeros for a nil cache).
 func (c *BlockCache) Stats() BlockCacheStats {
 	if c == nil {

@@ -67,8 +67,8 @@ func TestBlockCacheScanResistance(t *testing.T) {
 	if c.Stats().Promotions < 5 {
 		t.Fatalf("promotions %d, want >= 5 (the hot set graduating to main)", c.Stats().Promotions)
 	}
-	if got := c.Used(); got > c.Budget() {
-		t.Fatalf("used %d over budget %d", got, c.Budget())
+	if st := c.Stats(); st.Used > st.Budget {
+		t.Fatalf("used %d over budget %d", st.Used, st.Budget)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestBlockCacheSteadyStateAllocation(t *testing.T) {
 	if smallCap > 256 || mainCap > 256 || ghostCap > 1024 {
 		t.Fatalf("ring capacities small=%d main=%d ghost=%d grew with churn (leak)", smallCap, mainCap, ghostCap)
 	}
-	if c.Evictions() == 0 {
+	if c.Stats().Evictions == 0 {
 		t.Fatal("churn produced no evictions")
 	}
 }
@@ -170,7 +170,7 @@ func TestBlockCacheOversizedEntry(t *testing.T) {
 	if slots[0].Load() != nil {
 		t.Fatal("over-budget block retained")
 	}
-	if c.Used() != 0 {
-		t.Fatalf("used %d after evicting the only entry", c.Used())
+	if used := c.Stats().Used; used != 0 {
+		t.Fatalf("used %d after evicting the only entry", used)
 	}
 }

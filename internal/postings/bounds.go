@@ -109,13 +109,6 @@ func (l *List) MaxTF() uint32 { return l.maxTF }
 // list has no bounds or no postings).
 func (l *List) MinDocLen() int32 { return l.minLen }
 
-// ChunkBoundAt returns the bound metadata of chunk ci; for in-package
-// and index-layer inspection (liststats, tests).
-func (l *List) ChunkBoundAt(ci int) ChunkBound { return l.bounds[ci] }
-
-// NumChunks returns the number of populated containers.
-func (l *List) NumChunks() int { return len(l.chunks) }
-
 // BoundCursor is the pruning-aware cursor over a list with (optional)
 // score-bound metadata. It is the exported face of the internal cursor:
 // the same M0 cost accounting (Seeks, SegmentsSkipped, EntriesScanned),
@@ -155,10 +148,6 @@ func (b *BoundCursor) NextAtLeast(target uint32) bool { return b.c.seek(target) 
 // (undefined when exhausted).
 func (b *BoundCursor) ContainerBase() uint32 { return b.c.l.chunks[b.c.ci].base }
 
-// ContainerEnd returns one past the last docID of the current
-// container's range.
-func (b *BoundCursor) ContainerEnd() uint32 { return b.ContainerBase() + ContainerSpan }
-
 // ContainerBound returns the current container's score-bound metadata.
 // ok is false when the cursor is exhausted or the list carries no bounds.
 func (b *BoundCursor) ContainerBound() (bound ChunkBound, ok bool) {
@@ -166,24 +155,6 @@ func (b *BoundCursor) ContainerBound() (bound ChunkBound, ok bool) {
 		return ChunkBound{}, false
 	}
 	return b.c.l.bounds[b.c.ci], true
-}
-
-// NextAtLeastWithBound advances to the first posting with DocID ≥ target
-// and returns it together with its container's bound metadata, so a
-// pruned scoring loop can decide in one call whether the landing
-// container is worth scanning. ok is false when the list is exhausted;
-// bound is the zero value when the list carries no metadata.
-func (b *BoundCursor) NextAtLeastWithBound(target uint32) (docID uint32, bound ChunkBound, ok bool) {
-	if !b.c.seek(target) {
-		return 0, ChunkBound{}, false
-	}
-	docID = b.c.docID()
-	if b.c.exhausted() {
-		// docID resolution ran off a quarantined tail.
-		return 0, ChunkBound{}, false
-	}
-	bound, _ = b.ContainerBound()
-	return docID, bound, true
 }
 
 // TFMask is a survivor set over term frequencies 0..255 for

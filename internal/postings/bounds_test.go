@@ -40,7 +40,7 @@ func TestBuildBoundsBruteForce(t *testing.T) {
 			seen   bool
 		}
 		want := map[uint32]*agg{}
-		for _, p := range l.Postings() {
+		for _, p := range postingsOf(l) {
 			base := p.DocID &^ uint32(chunkSpan-1)
 			a := want[base]
 			if a == nil {
@@ -55,13 +55,13 @@ func TestBuildBoundsBruteForce(t *testing.T) {
 				a.minLen = dl
 			}
 		}
-		if got := l.NumChunks(); got != len(want) {
+		if got := len(l.chunks); got != len(want) {
 			t.Fatalf("trial %d: %d chunks, want %d", trial, got, len(want))
 		}
 		var listMax uint32
 		listMin := int32(1<<31 - 1)
 		cur := NewBoundCursor(l, nil)
-		for ci := 0; ci < l.NumChunks(); ci++ {
+		for ci := 0; ci < len(l.chunks); ci++ {
 			base := cur.ContainerBase()
 			cb, ok := cur.ContainerBound()
 			if !ok {
@@ -71,8 +71,8 @@ func TestBuildBoundsBruteForce(t *testing.T) {
 			if a == nil {
 				t.Fatalf("trial %d: unexpected container base %d", trial, base)
 			}
-			if cb != l.ChunkBoundAt(ci) {
-				t.Fatalf("trial %d: cursor bound %v != ChunkBoundAt %v", trial, cb, l.ChunkBoundAt(ci))
+			if cb != l.bounds[ci] {
+				t.Fatalf("trial %d: cursor bound %v != stored bound %v", trial, cb, l.bounds[ci])
 			}
 			if cb.MaxTF != a.maxTF || cb.MinDocLen != a.minLen {
 				t.Fatalf("trial %d container %d: bound (%d,%d), want (%d,%d)",
@@ -113,15 +113,18 @@ func TestBoundCursorWalkMatchesForEach(t *testing.T) {
 	}
 }
 
+// TestBoundCursorNextAtLeastWithBound: a seek lands on the first posting
+// ≥ target, and the cursor then reports the bound of that posting's
+// container — the pair the pruned scoring loop reads after every seek.
 func TestBoundCursorNextAtLeastWithBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	l := randomTFList(rng, 4000, 4*chunkSpan, DefaultSegmentSize)
 	l.BuildBounds(fakeDocLen)
-	ids := l.DocIDs()
+	ids := docIDs(l)
 	for trial := 0; trial < 300; trial++ {
 		target := uint32(rng.Int63n(int64(4*chunkSpan) + 10))
 		c := NewBoundCursor(l, &Stats{})
-		d, cb, ok := c.NextAtLeastWithBound(target)
+		ok := c.NextAtLeast(target) && !c.Exhausted()
 		// Reference: first id ≥ target.
 		var wantID uint32
 		found := false
@@ -138,11 +141,11 @@ func TestBoundCursorNextAtLeastWithBound(t *testing.T) {
 		if !found {
 			continue
 		}
-		if d != wantID {
+		if d := c.DocID(); d != wantID {
 			t.Fatalf("target %d: landed %d, want %d", target, d, wantID)
 		}
-		wantBound := l.ChunkBoundAt(int(findChunkIndex(l, wantID)))
-		if cb != wantBound {
+		cb, _ := c.ContainerBound()
+		if wantBound := l.bounds[findChunkIndex(l, wantID)]; cb != wantBound {
 			t.Fatalf("target %d: bound %v, want %v", target, cb, wantBound)
 		}
 	}
@@ -196,19 +199,19 @@ func TestEncodeDecodeBoundsRoundTrip(t *testing.T) {
 		l := randomTFList(rng, 1+rng.Intn(6000), 3*chunkSpan, DefaultSegmentSize)
 		l.BuildBounds(fakeDocLen)
 		enc := EncodeList(l)
-		got, err := DecodeList(enc, l.SegmentSize())
+		got, err := DecodeList(enc, l.segSize)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
 		if !got.HasBounds() {
 			t.Fatalf("trial %d: bounds lost in round trip", trial)
 		}
-		if got.NumChunks() != l.NumChunks() {
-			t.Fatalf("trial %d: chunks %d != %d", trial, got.NumChunks(), l.NumChunks())
+		if len(got.chunks) != len(l.chunks) {
+			t.Fatalf("trial %d: chunks %d != %d", trial, len(got.chunks), len(l.chunks))
 		}
-		for ci := 0; ci < l.NumChunks(); ci++ {
-			if got.ChunkBoundAt(ci) != l.ChunkBoundAt(ci) {
-				t.Fatalf("trial %d container %d: %v != %v", trial, ci, got.ChunkBoundAt(ci), l.ChunkBoundAt(ci))
+		for ci := 0; ci < len(l.chunks); ci++ {
+			if got.bounds[ci] != l.bounds[ci] {
+				t.Fatalf("trial %d container %d: %v != %v", trial, ci, got.bounds[ci], l.bounds[ci])
 			}
 		}
 		if got.MaxTF() != l.MaxTF() || got.MinDocLen() != l.MinDocLen() {
@@ -218,7 +221,7 @@ func TestEncodeDecodeBoundsRoundTrip(t *testing.T) {
 }
 
 func TestDecodeListWithoutBoundsStaysBoundless(t *testing.T) {
-	l := FromDocIDs([]uint32{1, 5, 9}, 4)
+	l := fromDocIDs([]uint32{1, 5, 9}, 4)
 	enc := EncodeList(l)
 	got, err := DecodeList(enc, 4)
 	if err != nil {
@@ -230,7 +233,7 @@ func TestDecodeListWithoutBoundsStaysBoundless(t *testing.T) {
 }
 
 func TestDecodeListRejectsUnknownFlagBits(t *testing.T) {
-	l := FromDocIDs([]uint32{1, 2, 3}, 4)
+	l := fromDocIDs([]uint32{1, 2, 3}, 4)
 	enc := EncodeList(l)
 	enc[0] |= 4 // a flag bit this build does not define
 	if _, err := DecodeList(enc, 4); err == nil {
@@ -253,7 +256,7 @@ func TestDecodeListRejectsTruncatedBounds(t *testing.T) {
 }
 
 func TestBuildBoundsTFLessListUsesImplicitOne(t *testing.T) {
-	l := FromDocIDs([]uint32{10, 20, 70000}, 4)
+	l := fromDocIDs([]uint32{10, 20, 70000}, 4)
 	l.BuildBounds(fakeDocLen)
 	if l.MaxTF() != 1 {
 		t.Fatalf("TF-less list MaxTF = %d, want 1", l.MaxTF())
@@ -262,8 +265,8 @@ func TestBuildBoundsTFLessListUsesImplicitOne(t *testing.T) {
 	if fakeDocLen(20) < want {
 		want = fakeDocLen(20)
 	}
-	if l.ChunkBoundAt(0).MinDocLen != want {
-		t.Fatalf("container 0 MinDocLen = %d, want %d", l.ChunkBoundAt(0).MinDocLen, want)
+	if l.bounds[0].MinDocLen != want {
+		t.Fatalf("container 0 MinDocLen = %d, want %d", l.bounds[0].MinDocLen, want)
 	}
 }
 

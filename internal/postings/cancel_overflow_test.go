@@ -14,7 +14,7 @@ func TestBuilderAddSaturates(t *testing.T) {
 	b.Add(7, math.MaxUint32)
 	b.Add(7, 5)
 	l := b.Build()
-	if got := l.TF(7); got != math.MaxUint32 {
+	if got := tfs(l)[7]; got != math.MaxUint32 {
 		t.Fatalf("TF(7) = %d, want saturated MaxUint32", got)
 	}
 }
@@ -30,7 +30,7 @@ func TestCountTFSumPastUint32(t *testing.T) {
 		ids[i] = uint32(i + 1)
 	}
 	l := NewList(ps, 0)
-	pred := FromDocIDs(ids, 0)
+	pred := fromDocIDs(ids, 0)
 	df, tc := CountTFSum(l, []*List{pred}, nil)
 	want := int64(n) * int64(math.MaxUint32)
 	if df != n || tc != want {
@@ -53,7 +53,7 @@ func denseTestLists(k, n int) []*List {
 				ids = append(ids, uint32(d*3)) // spread across chunk ranges
 			}
 		}
-		lists[i] = FromDocIDs(ids, 0)
+		lists[i] = fromDocIDs(ids, 0)
 	}
 	return lists
 }

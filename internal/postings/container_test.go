@@ -17,7 +17,7 @@ func rebuild(l *List, threshold int) *List {
 		ids = append(ids, docID)
 		tfs = append(tfs, tf)
 	})
-	return newListRaw(ids, tfs, l.SegmentSize(), threshold)
+	return newListRaw(ids, tfs, l.segSize, threshold)
 }
 
 const allSparse = math.MaxInt32 // threshold no real chunk reaches
@@ -50,65 +50,37 @@ func shapes(rng *rand.Rand) map[string]*List {
 		return newListRaw(append([]uint32(nil), ids...), tfs, 4, DenseThreshold)
 	}
 	return map[string]*List{
-		"empty":       FromDocIDs(nil, 4),
-		"single":      FromDocIDs([]uint32{chunkSpan}, 4),
-		"boundary":    FromDocIDs([]uint32{0, chunkSpan - 1, chunkSpan, 2*chunkSpan - 1, 2 * chunkSpan}, 4),
-		"top":         FromDocIDs([]uint32{math.MaxUint32 - 1, math.MaxUint32}, 4),
-		"denseRun":    FromDocIDs(strided(100, 3, 3*DenseThreshold), 128),
+		"empty":       fromDocIDs(nil, 4),
+		"single":      fromDocIDs([]uint32{chunkSpan}, 4),
+		"boundary":    fromDocIDs([]uint32{0, chunkSpan - 1, chunkSpan, 2*chunkSpan - 1, 2 * chunkSpan}, 4),
+		"top":         fromDocIDs([]uint32{math.MaxUint32 - 1, math.MaxUint32}, 4),
+		"denseRun":    fromDocIDs(strided(100, 3, 3*DenseThreshold), 128),
 		"denseTF":     withTFs(strided(chunkSpan/2, 2, 2*DenseThreshold)),
-		"sparseWide":  FromDocIDs(randomSortedIDs(rng, 300, 10*chunkSpan), 16),
+		"sparseWide":  fromDocIDs(randomSortedIDs(rng, 300, 10*chunkSpan), 16),
 		"sparseTF":    withTFs(randomSortedIDs(rng, 500, 6*chunkSpan)),
-		"mixedChunks": FromDocIDs(append(strided(0, 2, DenseThreshold+500), randomSortedIDs(rng, 80, 4*chunkSpan)[40:]...), 64),
+		"mixedChunks": fromDocIDs(append(strided(0, 2, DenseThreshold+500), randomSortedIDs(rng, 80, 4*chunkSpan)[40:]...), 64),
 	}
 }
 
-// TestContainerAccessEquivalence checks that every point and streaming
-// accessor is independent of the container layout.
+// TestContainerAccessEquivalence checks that the streaming accessors are
+// independent of the container layout.
 func TestContainerAccessEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for name, l := range shapes(rng) {
-		want := l.Postings()
+		want := postingsOf(l)
 		reps := representations(l)
 		for repName, r := range reps {
 			if r.Len() != l.Len() {
 				t.Fatalf("%s/%s: Len=%d want %d", name, repName, r.Len(), l.Len())
 			}
-			got := r.Postings()
+			got := postingsOf(r)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s/%s: Postings[%d]=%v want %v", name, repName, i, got[i], want[i])
 				}
-				if p := r.At(i); p != want[i] {
-					t.Fatalf("%s/%s: At(%d)=%v want %v", name, repName, i, p, want[i])
-				}
 			}
 			if r.SumTF() != l.SumTF() {
 				t.Fatalf("%s/%s: SumTF=%d want %d", name, repName, r.SumTF(), l.SumTF())
-			}
-			if l.Len() > 0 && r.MaxDocID() != l.MaxDocID() {
-				t.Fatalf("%s/%s: MaxDocID=%d want %d", name, repName, r.MaxDocID(), l.MaxDocID())
-			}
-			if r.Segments() != l.Segments() {
-				t.Fatalf("%s/%s: Segments=%d want %d", name, repName, r.Segments(), l.Segments())
-			}
-			// Probe members, near-misses, and chunk boundaries.
-			probes := []uint32{0, chunkSpan - 1, chunkSpan, math.MaxUint32}
-			for _, p := range want {
-				probes = append(probes, p.DocID)
-				if p.DocID > 0 {
-					probes = append(probes, p.DocID-1)
-				}
-				if p.DocID < math.MaxUint32 {
-					probes = append(probes, p.DocID+1)
-				}
-			}
-			for _, d := range probes {
-				if r.Contains(d) != l.Contains(d) {
-					t.Fatalf("%s/%s: Contains(%d)=%v want %v", name, repName, d, r.Contains(d), l.Contains(d))
-				}
-				if r.TF(d) != l.TF(d) {
-					t.Fatalf("%s/%s: TF(%d)=%d want %d", name, repName, d, r.TF(d), l.TF(d))
-				}
 			}
 		}
 	}
@@ -122,7 +94,8 @@ func TestContainerSetOpEquivalence(t *testing.T) {
 	all := shapes(rng)
 	for aName, a := range all {
 		for bName, b := range all {
-			wantIDs := setIntersect([][]uint32{a.DocIDs(), b.DocIDs()})
+			wantIDs := setIntersect([][]uint32{docIDs(a), docIDs(b)})
+			aTF, bTF := tfs(a), tfs(b)
 			for aRep, ra := range representations(a) {
 				for bRep, rb := range representations(b) {
 					label := aName + "(" + aRep + ")∩" + bName + "(" + bRep + ")"
@@ -131,9 +104,9 @@ func TestContainerSetOpEquivalence(t *testing.T) {
 						t.Fatalf("%s: got %d docs, want %d", label, len(res.DocIDs), len(wantIDs))
 					}
 					for i, d := range res.DocIDs {
-						if res.TFs[0][i] != a.TF(d) || res.TFs[1][i] != b.TF(d) {
+						if res.TFs[0][i] != aTF[d] || res.TFs[1][i] != bTF[d] {
 							t.Fatalf("%s: TFs at doc %d = (%d,%d), want (%d,%d)",
-								label, d, res.TFs[0][i], res.TFs[1][i], a.TF(d), b.TF(d))
+								label, d, res.TFs[0][i], res.TFs[1][i], aTF[d], bTF[d])
 						}
 					}
 					if n := IntersectionSize([]*List{ra, rb}, nil); n != int64(len(wantIDs)) {
@@ -156,20 +129,21 @@ func TestContainerAggregateEquivalence(t *testing.T) {
 		for i := range tfs {
 			tfs[i] = uint32(rng.Intn(5) + 1)
 		}
-		kw = newListRaw(kw.DocIDs(), tfs, 32, DenseThreshold)
+		kw = newListRaw(docIDs(kw), tfs, 32, DenseThreshold)
 	}
-	ctxA := FromDocIDs(randomSortedIDs(rng, DenseThreshold*2, 3*chunkSpan), 32)
-	ctxB := FromDocIDs(randomSortedIDs(rng, 900, 3*chunkSpan), 32)
+	ctxA := fromDocIDs(randomSortedIDs(rng, DenseThreshold*2, 3*chunkSpan), 32)
+	ctxB := fromDocIDs(randomSortedIDs(rng, 900, 3*chunkSpan), 32)
 
-	wantIDs := setIntersect([][]uint32{ctxA.DocIDs(), ctxB.DocIDs()})
+	wantIDs := setIntersect([][]uint32{docIDs(ctxA), docIDs(ctxB)})
 	var wantSum int64
 	for _, d := range wantIDs {
 		wantSum += param(d)
 	}
-	kwInCtx := setIntersect([][]uint32{kw.DocIDs(), ctxA.DocIDs(), ctxB.DocIDs()})
+	kwInCtx := setIntersect([][]uint32{docIDs(kw), docIDs(ctxA), docIDs(ctxB)})
 	var wantTC int64
+	kwTF := tfs(kw)
 	for _, d := range kwInCtx {
-		wantTC += int64(kw.TF(d))
+		wantTC += int64(kwTF[d])
 	}
 
 	for aRep, ra := range representations(ctxA) {
@@ -191,7 +165,7 @@ func TestContainerAggregateEquivalence(t *testing.T) {
 
 // TestContainerStatParity pins the skip-model bookkeeping to the layout:
 // the cursor paths (Intersect over TF-carrying lists, CountTFSum,
-// MergeIntersect) must charge the same EntriesScanned/SegmentsSkipped/
+// mergeIntersect) must charge the same EntriesScanned/SegmentsSkipped/
 // Seeks regardless of whether a chunk is an array or a bitset, because
 // the cost model counts logical entries, not physical words. (TF-less
 // intersections ride the count-only kernel, whose charges are
@@ -214,7 +188,7 @@ func TestContainerStatParity(t *testing.T) {
 		st := &Stats{}
 		Intersect([]*List{ra, rb}, st)
 		CountTFSum(rb, []*List{ra}, st)
-		MergeIntersect(ra, rb, st)
+		mergeIntersect(ra, rb, st)
 		st.BitmapWords = 0 // physical-representation counter, layout-dependent by design
 		if want == nil {
 			w := *st
@@ -233,7 +207,7 @@ func TestEncodeDecodeListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for name, l := range shapes(rng) {
 		data := EncodeList(l)
-		got, err := DecodeList(data, l.SegmentSize())
+		got, err := DecodeList(data, l.segSize)
 		if err != nil {
 			t.Fatalf("%s: DecodeList: %v", name, err)
 		}
@@ -241,8 +215,8 @@ func TestEncodeDecodeListRoundTrip(t *testing.T) {
 			t.Fatalf("%s: round trip Len=%d HasTFs=%v, want %d/%v",
 				name, got.Len(), got.HasTFs(), l.Len(), l.HasTFs())
 		}
-		want := l.Postings()
-		for i, p := range got.Postings() {
+		want := postingsOf(l)
+		for i, p := range postingsOf(got) {
 			if p != want[i] {
 				t.Fatalf("%s: round trip posting %d = %v, want %v", name, i, p, want[i])
 			}
@@ -257,7 +231,7 @@ func TestEncodeDecodeListRoundTrip(t *testing.T) {
 
 // TestDecodeListRejectsCorruptInput exercises the codec's error paths.
 func TestDecodeListRejectsCorruptInput(t *testing.T) {
-	valid := EncodeList(FromDocIDs([]uint32{1, 5, 9}, 4))
+	valid := EncodeList(fromDocIDs([]uint32{1, 5, 9}, 4))
 	cases := map[string][]byte{
 		"empty":         {},
 		"badFlags":      {0xFE, 0},

@@ -82,7 +82,7 @@ func TestContextSetEquivalence(t *testing.T) {
 		lens[i] = int32(rng.Intn(400) + 1)
 	}
 	bg := context.Background()
-	pred := func(n int) *List { return FromDocIDs(randomSortedIDs(rng, n, maxID), 16) }
+	pred := func(n int) *List { return fromDocIDs(randomSortedIDs(rng, n, maxID), 16) }
 	kwBase := map[string]*List{
 		"rare":  mixedList(rng, 40, maxID, true, 16),
 		"mid":   mixedList(rng, 6000, maxID, true, 16),
@@ -110,12 +110,12 @@ func TestContextSetEquivalence(t *testing.T) {
 		"two-large":    {pred(150000), pred(100000)},
 		"two-skewed":   {pred(200000), pred(300)},
 		"three":        {pred(180000), pred(160000), pred(140000)},
-		"disjoint":     {FromDocIDs([]uint32{1, 3, 5, chunkSpan + 1}, 16), FromDocIDs([]uint32{2, 4, chunkSpan + 2}, 16)},
-		"dense-gaps":   {FromDocIDs(evens, 16), FromDocIDs(odds, 16)},
-		"dense-gaps-3": {FromDocIDs(evens, 16), FromDocIDs(odds, 16), pred(250000)},
+		"disjoint":     {fromDocIDs([]uint32{1, 3, 5, chunkSpan + 1}, 16), fromDocIDs([]uint32{2, 4, chunkSpan + 2}, 16)},
+		"dense-gaps":   {fromDocIDs(evens, 16), fromDocIDs(odds, 16)},
+		"dense-gaps-3": {fromDocIDs(evens, 16), fromDocIDs(odds, 16), pred(250000)},
 		"absent-term":  {pred(5000), nil},
 		"absent-alone": {nil},
-		"empty-list":   {pred(5000), FromDocIDs(nil, 16)},
+		"empty-list":   {pred(5000), fromDocIDs(nil, 16)},
 	}
 	for cname, base := range contexts {
 		// Every predicate list in the same layout per round keeps the
@@ -154,7 +154,7 @@ func TestContextSetEquivalence(t *testing.T) {
 			if stSet != stRaw {
 				t.Fatalf("%s: building the set charged %+v, CountSum %+v", label, stSet, stRaw)
 			}
-			if got := set.Preds()[0].DocIDs(); !equalIDs(got, wantIDs) {
+			if got := docIDs(set.Preds()[0]); !equalIDs(got, wantIDs) {
 				t.Fatalf("%s: set enumerates %d documents, context has %d", label, len(got), len(wantIDs))
 			}
 			if got := seekWalk(set.Preds()[0]); !equalIDs(got, wantIDs) {
@@ -189,7 +189,7 @@ func TestContextSetEquivalence(t *testing.T) {
 				raw := Intersect(append([]*List{kw}, preds...), nil)
 				viaSet := Intersect(append([]*List{kw}, set.Preds()...), nil)
 				if !equalIDs(viaSet.DocIDs, raw.DocIDs) || !equalIDs(viaSet.TFs[0], raw.TFs[0]) {
-					t.Fatalf("%s × %s: conjoining with the set finds %d documents, with the predicate lists %d", label, kname, viaSet.Len(), raw.Len())
+					t.Fatalf("%s × %s: conjoining with the set finds %d documents, with the predicate lists %d", label, kname, len(viaSet.DocIDs), len(raw.DocIDs))
 				}
 			}
 			set.Release()
@@ -243,7 +243,7 @@ func TestContextSetDrivesFromSmallerSide(t *testing.T) {
 		kw := mixedList(rng, tc.kwN, maxID, true, 16)
 		var preds []*List
 		for _, n := range tc.predNs {
-			preds = append(preds, FromDocIDs(randomSortedIDs(rng, n, maxID), 16))
+			preds = append(preds, fromDocIDs(randomSortedIDs(rng, n, maxID), 16))
 		}
 		set, err := NewContextSet(bg, preds, lens, nil)
 		if err != nil {
@@ -260,7 +260,7 @@ func TestContextSetDrivesFromSmallerSide(t *testing.T) {
 		}
 		// Driver elements plus one probe each; gallops over an array land
 		// within a constant factor.
-		if st.ListWork() > 12*small+int64(3*kw.NumChunks()) {
+		if st.ListWork() > 12*small+int64(3*len(kw.chunks)) {
 			t.Errorf("%s: list work %d for a smaller side of %d", tc.name, st.ListWork(), small)
 		}
 		if st.ListWork() > raw.ListWork() {
@@ -279,7 +279,7 @@ func TestContextSetPooled(t *testing.T) {
 	const maxID = 4 * chunkSpan
 	rng := rand.New(rand.NewSource(145))
 	lens := make([]int32, maxID)
-	preds := []*List{FromDocIDs(randomSortedIDs(rng, 90000, maxID), 0), FromDocIDs(randomSortedIDs(rng, 70000, maxID), 0)}
+	preds := []*List{fromDocIDs(randomSortedIDs(rng, 90000, maxID), 0), fromDocIDs(randomSortedIDs(rng, 70000, maxID), 0)}
 	kw := mixedList(rng, 2000, maxID, true, 0)
 	bg := context.Background()
 	param := func(d uint32) int64 { return int64(lens[d]) }
@@ -308,7 +308,7 @@ func TestSingleListKernelsPollContext(t *testing.T) {
 		ids[i] = uint32(3 * i)
 		ps[i] = Posting{DocID: ids[i], TF: 2}
 	}
-	pred, kw := FromDocIDs(ids, 0), NewList(ps, 0)
+	pred, kw := fromDocIDs(ids, 0), NewList(ps, 0)
 	lens := make([]int32, 3*len(ids))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -15,9 +15,6 @@ type Intersection struct {
 	TFs [][]uint32
 }
 
-// Len returns the number of matching documents (the join cardinality).
-func (r *Intersection) Len() int { return len(r.DocIDs) }
-
 // conjoin runs the document-at-a-time k-way conjunction with the shortest
 // list driving and the rest sought in ascending length order, and calls
 // onMatch for every matching docID with all cursors positioned on it. It
@@ -188,35 +185,4 @@ func IntersectionSizeCtx(ctx context.Context, lists []*List, st *Stats) (int64, 
 	cc := newCanceler(ctx)
 	n := visitConjunction(lists, st, cc, nil, nil)
 	return n, cc.cause()
-}
-
-// MergeIntersect computes the pairwise intersection by a plain two-pointer
-// merge without container skipping, touching every entry of both lists. It
-// exists as the baseline of the paper's cost comparison
-// (cost = |L_i| + |L_j|) and for differential testing of the skip-aware
-// path.
-func MergeIntersect(a, b *List, st *Stats) *Intersection {
-	st.addIntersection()
-	res := &Intersection{TFs: make([][]uint32, 2)}
-	ca, cb := newCursor(a, st), newCursor(b, st)
-	for !ca.exhausted() && !cb.exhausted() {
-		da, db := ca.docID(), cb.docID()
-		if ca.exhausted() || cb.exhausted() {
-			// docID resolution ran off a quarantined tail.
-			break
-		}
-		switch {
-		case da < db:
-			ca.next()
-		case da > db:
-			cb.next()
-		default:
-			res.DocIDs = append(res.DocIDs, da)
-			res.TFs[0] = append(res.TFs[0], ca.tf())
-			res.TFs[1] = append(res.TFs[1], cb.tf())
-			ca.next()
-			cb.next()
-		}
-	}
-	return res
 }

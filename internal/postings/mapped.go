@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -75,32 +74,20 @@ func (e *BlockCorruptError) Error() string {
 }
 
 // Quarantine is the corrupt-block blacklist shared by every mapped list
-// of one index: cumulative counters plus a bounded sample of details,
-// for operator surfaces (/healthz, /statsz, fsck tooling). The per-block
-// blacklist itself lives in each source's materialization slots — a
-// quarantined block's empty payload is memoized outside the block cache
-// budget, so it is never evicted and never re-decoded.
+// of one index: a cumulative counter for operator surfaces (/healthz,
+// /statsz, fsck tooling). The per-block blacklist itself lives in each
+// source's materialization slots — a quarantined block's empty payload
+// is memoized outside the block cache budget, so it is never evicted
+// and never re-decoded.
 type Quarantine struct {
 	blocks atomic.Int64
-
-	mu      sync.Mutex
-	details []string
 }
 
-// maxQuarantineDetails bounds the retained corruption reports; the
-// counter keeps the true total.
-const maxQuarantineDetails = 16
-
-func (q *Quarantine) record(detail string) {
+func (q *Quarantine) record() {
 	if q == nil {
 		return
 	}
 	q.blocks.Add(1)
-	q.mu.Lock()
-	if len(q.details) < maxQuarantineDetails {
-		q.details = append(q.details, detail)
-	}
-	q.mu.Unlock()
 }
 
 // Blocks returns how many distinct blocks have been quarantined.
@@ -109,19 +96,6 @@ func (q *Quarantine) Blocks() int64 {
 		return 0
 	}
 	return q.blocks.Load()
-}
-
-// Details returns a copy of the retained corruption reports (at most
-// maxQuarantineDetails; Blocks() is the true total).
-func (q *Quarantine) Details() []string {
-	if q == nil {
-		return nil
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]string, len(q.details))
-	copy(out, q.details)
-	return out
 }
 
 // MappedListMeta is the per-list record a format-v4 table of contents
@@ -150,9 +124,6 @@ func (e *MappedEncoder) Payload() []byte { return e.payload }
 
 // Dir returns the accumulated directory (blocks × BlockDirEntrySize).
 func (e *MappedEncoder) Dir() []byte { return e.dir }
-
-// Blocks returns the number of directory entries written so far.
-func (e *MappedEncoder) Blocks() int { return e.blocks }
 
 func (e *MappedEncoder) align8() {
 	for len(e.payload)%8 != 0 {
@@ -340,7 +311,7 @@ func (s *mappedSource) materialize(l *List, ci int) *chunkPayload {
 			// First discoverer records; CAS losers saw another copy (the
 			// same bytes are corrupt for every decoder) and must not
 			// double-count the block.
-			s.quar.record(corrupt.Detail)
+			s.quar.record()
 			return p
 		}
 		if q := s.mat[ci].Load(); q != nil {

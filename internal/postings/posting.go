@@ -20,8 +20,6 @@ package postings
 
 import (
 	"math"
-	"math/bits"
-	"sort"
 	"sync/atomic"
 )
 
@@ -40,8 +38,8 @@ type Posting struct {
 // List is an immutable inverted list: docIDs strictly ascending, stored in
 // adaptive chunk containers, with term frequencies in a parallel array in
 // element order. A nil TF array means TF = 1 for every document — the
-// shape of a predicate-field list. Build lists with NewList, FromDocIDs or
-// a Builder; format-v4 files open lists in mapped form (see mapped.go),
+// shape of a predicate-field list. Build lists with NewList or a
+// Builder; format-v4 files open lists in mapped form (see mapped.go),
 // where chunk payloads stay on disk until first touched.
 type List struct {
 	chunks []chunk
@@ -131,10 +129,6 @@ func (l *List) residentAt(ci int) bool {
 	return l.src.mat[ci].Load() != nil
 }
 
-// Mapped reports whether the list reads its payloads from a mapped
-// format-v4 file rather than the heap.
-func (l *List) Mapped() bool { return l.src != nil }
-
 // newListRaw builds a list from strictly ascending ids (not validated) and
 // an optional parallel TF slice; an all-ones TF slice is dropped.
 func newListRaw(ids []uint32, tfs []uint32, segSize, threshold int) *List {
@@ -175,34 +169,8 @@ func NewList(ps []Posting, segSize int) *List {
 	return newListRaw(ids, tfs, segSize, DenseThreshold)
 }
 
-// FromDocIDs builds a list with TF = 1 for every document, the shape of a
-// predicate-field list (e.g. a MeSH term's list, where a document either
-// carries the annotation or does not). No per-posting TF storage is
-// materialized.
-func FromDocIDs(ids []uint32, segSize int) *List {
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			panic("postings: FromDocIDs requires strictly ascending DocIDs")
-		}
-	}
-	return newListRaw(ids, nil, segSize, DenseThreshold)
-}
-
 // Len returns the number of postings in the list (|L| in the paper).
 func (l *List) Len() int { return l.n }
-
-// SegmentSize returns the list's segment size (M0).
-func (l *List) SegmentSize() int { return l.segSize }
-
-// Segments returns the number of skip segments of the M0 cost model,
-// ceil(|L| / M0). The physical representation is chunked, but costs are
-// accounted — and reported by Stats — in these model segments.
-func (l *List) Segments() int {
-	if l.n == 0 {
-		return 0
-	}
-	return (l.n + l.segSize - 1) / l.segSize
-}
 
 // HasTFs reports whether the list stores explicit term frequencies; lists
 // without them (predicate lists) have TF = 1 for every document.
@@ -213,44 +181,12 @@ func (l *List) HasTFs() bool {
 	return l.tfs != nil
 }
 
-// chunkAt returns the index of the chunk containing global element index g.
-func (l *List) chunkAt(g int) int {
-	return sort.Search(len(l.chunks), func(c int) bool { return l.offsets[c+1] > g })
-}
-
 // tfOf reads a chunk-local TF view: nil means TF = 1.
 func tfOf(tfs []uint32, r int) uint32 {
 	if tfs == nil {
 		return 1
 	}
 	return tfs[r]
-}
-
-// At returns the i-th posting. It is a positional lookup for offline
-// consumers (tests, inspection); dense chunks answer it by a bit-select
-// walk.
-func (l *List) At(i int) Posting {
-	ci := l.chunkAt(i)
-	base := l.chunks[ci].base
-	rank := i - l.offsets[ci]
-	keys, bs, tfs := l.payload(ci)
-	if bs == nil {
-		return Posting{DocID: base | uint32(keys[rank]), TF: tfOf(tfs, rank)}
-	}
-	tf := tfOf(tfs, rank)
-	for w := 0; w < chunkWords; w++ {
-		x := bs[w]
-		c := bits.OnesCount64(x)
-		if rank >= c {
-			rank -= c
-			continue
-		}
-		for ; rank > 0; rank-- {
-			x &= x - 1
-		}
-		return Posting{DocID: base | uint32(w<<6|bits.TrailingZeros64(x)), TF: tf}
-	}
-	panic("postings: At index out of range")
 }
 
 // ForEach calls fn for every posting in ascending DocID order. It is the
@@ -260,26 +196,6 @@ func (l *List) ForEach(fn func(docID, tf uint32)) {
 	for ci := range l.chunks {
 		visitChunk(l, ci, fn)
 	}
-}
-
-// Postings materializes the list as a posting slice. It allocates; offline
-// consumers only (persistence, table building, tests) — the query path
-// streams via cursors and ForEach.
-func (l *List) Postings() []Posting {
-	ps := make([]Posting, 0, l.n)
-	l.ForEach(func(d, tf uint32) {
-		ps = append(ps, Posting{DocID: d, TF: tf})
-	})
-	return ps
-}
-
-// DocIDs returns a newly allocated slice of the list's document IDs.
-func (l *List) DocIDs() []uint32 {
-	ids := make([]uint32, 0, l.n)
-	l.ForEach(func(d, _ uint32) {
-		ids = append(ids, d)
-	})
-	return ids
 }
 
 // SumTF returns Σ tf over the list — tc(w, D) for a whole collection.
@@ -297,81 +213,6 @@ func (l *List) SumTF() int64 {
 		sum += int64(tf)
 	}
 	return sum
-}
-
-// MaxDocID returns the largest DocID in the list, or 0 for an empty
-// list. Quarantined (corrupt, empty-serving) trailing chunks are walked
-// past; 0 if every chunk is quarantined.
-func (l *List) MaxDocID() uint32 {
-	if l.n == 0 {
-		return 0
-	}
-	for ci := len(l.chunks) - 1; ci >= 0; ci-- {
-		base := l.chunks[ci].base
-		keys, bs, _ := l.payload(ci)
-		if bs == nil {
-			if len(keys) == 0 {
-				continue
-			}
-			return base | uint32(keys[len(keys)-1])
-		}
-		for w := chunkWords - 1; w >= 0; w-- {
-			if x := bs[w]; x != 0 {
-				return base | uint32(w<<6+63-bits.LeadingZeros64(x))
-			}
-		}
-	}
-	return 0
-}
-
-// findChunk returns the index of the chunk whose range covers docID, or -1.
-func (l *List) findChunk(docID uint32) int {
-	base := docID &^ uint32(chunkSpan-1)
-	ci := sort.Search(len(l.chunks), func(c int) bool { return l.chunks[c].base >= base })
-	if ci == len(l.chunks) || l.chunks[ci].base != base {
-		return -1
-	}
-	return ci
-}
-
-// Contains reports whether the list holds a posting for docID. The lookup
-// narrows to the single container covering docID's range first — an O(1)
-// bit test for dense chunks, a binary search within one array otherwise.
-func (l *List) Contains(docID uint32) bool {
-	ci := l.findChunk(docID)
-	if ci < 0 {
-		return false
-	}
-	lo := docID & (chunkSpan - 1)
-	keys, bs, _ := l.payload(ci)
-	if bs != nil {
-		return bitsHas(bs, lo)
-	}
-	k := uint16(lo)
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-	return i < len(keys) && keys[i] == k
-}
-
-// TF returns the term frequency recorded for docID, or 0 if absent.
-func (l *List) TF(docID uint32) uint32 {
-	ci := l.findChunk(docID)
-	if ci < 0 {
-		return 0
-	}
-	lo := docID & (chunkSpan - 1)
-	keys, bs, tfs := l.payload(ci)
-	if bs != nil {
-		if !bitsHas(bs, lo) {
-			return 0
-		}
-		return tfOf(tfs, bitsPopRange(bs, 0, int(lo)))
-	}
-	k := uint16(lo)
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-	if i == len(keys) || keys[i] != k {
-		return 0
-	}
-	return tfOf(tfs, i)
 }
 
 // Bytes returns the decoded payload footprint of the list: container
@@ -462,9 +303,6 @@ func (b *Builder) Append(o *Builder) {
 	b.tfs = append(b.tfs, o.tfs...)
 	o.ids, o.tfs = nil, nil
 }
-
-// Len returns the number of distinct documents added so far.
-func (b *Builder) Len() int { return len(b.ids) }
 
 // Build finalizes the list. The Builder must not be used afterwards.
 func (b *Builder) Build() *List {

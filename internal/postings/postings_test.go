@@ -9,7 +9,39 @@ import (
 	"testing/quick"
 )
 
-func listFrom(ids ...uint32) *List { return FromDocIDs(ids, 4) }
+func listFrom(ids ...uint32) *List { return fromDocIDs(ids, 4) }
+
+// fromDocIDs builds a list with TF = 1 for every document, the shape of
+// a predicate-field list. No per-posting TF storage is materialized.
+func fromDocIDs(ids []uint32, segSize int) *List {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			panic("postings: fromDocIDs requires strictly ascending DocIDs")
+		}
+	}
+	return newListRaw(ids, nil, segSize, DenseThreshold)
+}
+
+// docIDs returns the list's document IDs in ascending order.
+func docIDs(l *List) []uint32 {
+	ids := make([]uint32, 0, l.Len())
+	l.ForEach(func(d, _ uint32) { ids = append(ids, d) })
+	return ids
+}
+
+// postingsOf materializes l as a posting slice.
+func postingsOf(l *List) []Posting {
+	ps := make([]Posting, 0, l.Len())
+	l.ForEach(func(d, tf uint32) { ps = append(ps, Posting{DocID: d, TF: tf}) })
+	return ps
+}
+
+// tfs maps every document of l to its term frequency.
+func tfs(l *List) map[uint32]uint32 {
+	m := make(map[uint32]uint32, l.Len())
+	l.ForEach(func(d, tf uint32) { m[d] = tf })
+	return m
+}
 
 // randomSortedIDs returns n distinct sorted docids below max.
 func randomSortedIDs(rng *rand.Rand, n int, max uint32) []uint32 {
@@ -64,34 +96,26 @@ func TestNewListPanicsOnDuplicate(t *testing.T) {
 }
 
 func TestListAccessors(t *testing.T) {
-	l := NewList([]Posting{{1, 2}, {4, 1}, {9, 7}}, 2)
+	ps := []Posting{{1, 2}, {4, 1}, {9, 7}}
+	l := NewList(ps, 2)
 	if l.Len() != 3 {
 		t.Errorf("Len = %d", l.Len())
 	}
-	if l.Segments() != 2 {
-		t.Errorf("Segments = %d", l.Segments())
+	if l.SumTF() != 10 || !l.HasTFs() {
+		t.Errorf("SumTF = %d, HasTFs = %v", l.SumTF(), l.HasTFs())
 	}
-	if l.MaxDocID() != 9 {
-		t.Errorf("MaxDocID = %d", l.MaxDocID())
-	}
-	if !l.Contains(4) || l.Contains(5) {
-		t.Error("Contains wrong")
-	}
-	if l.TF(9) != 7 || l.TF(2) != 0 {
-		t.Error("TF wrong")
-	}
-	if got := l.DocIDs(); !reflect.DeepEqual(got, []uint32{1, 4, 9}) {
-		t.Errorf("DocIDs = %v", got)
+	if got := postingsOf(l); !reflect.DeepEqual(got, ps) {
+		t.Errorf("Postings = %v", got)
 	}
 }
 
 func TestEmptyList(t *testing.T) {
 	l := NewList(nil, 0)
-	if l.Len() != 0 || l.Segments() != 0 || l.MaxDocID() != 0 {
+	if l.Len() != 0 || len(postingsOf(l)) != 0 {
 		t.Error("empty list accessors wrong")
 	}
 	r := Intersect([]*List{l, listFrom(1, 2)}, nil)
-	if r.Len() != 0 {
+	if len(r.DocIDs) != 0 {
 		t.Error("intersection with empty list should be empty")
 	}
 }
@@ -105,8 +129,8 @@ func TestBuilderAccumulatesTF(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	if l.TF(3) != 3 || l.TF(7) != 1 {
-		t.Errorf("TFs = %d, %d", l.TF(3), l.TF(7))
+	if got := postingsOf(l); !reflect.DeepEqual(got, []Posting{{3, 3}, {7, 1}}) {
+		t.Errorf("Postings = %v", got)
 	}
 }
 
@@ -171,8 +195,8 @@ func TestIntersectThreeWay(t *testing.T) {
 func TestIntersectDisjoint(t *testing.T) {
 	a := listFrom(1, 2, 3)
 	b := listFrom(10, 20, 30)
-	if r := Intersect([]*List{a, b}, nil); r.Len() != 0 {
-		t.Errorf("Len = %d, want 0", r.Len())
+	if r := Intersect([]*List{a, b}, nil); len(r.DocIDs) != 0 {
+		t.Errorf("Len = %d, want 0", len(r.DocIDs))
 	}
 }
 
@@ -185,9 +209,39 @@ func TestIntersectSingleList(t *testing.T) {
 }
 
 func TestIntersectNoLists(t *testing.T) {
-	if r := Intersect(nil, nil); r.Len() != 0 {
+	if r := Intersect(nil, nil); len(r.DocIDs) != 0 {
 		t.Error("empty input should give empty result")
 	}
+}
+
+// mergeIntersect computes the pairwise intersection by a plain
+// two-pointer merge without container skipping, touching every entry of
+// both lists: the baseline of the paper's cost comparison
+// (cost = |L_i| + |L_j|) and the reference for the skip-aware path.
+func mergeIntersect(a, b *List, st *Stats) *Intersection {
+	st.addIntersection()
+	res := &Intersection{TFs: make([][]uint32, 2)}
+	ca, cb := newCursor(a, st), newCursor(b, st)
+	for !ca.exhausted() && !cb.exhausted() {
+		da, db := ca.docID(), cb.docID()
+		if ca.exhausted() || cb.exhausted() {
+			// docID resolution ran off a quarantined tail.
+			break
+		}
+		switch {
+		case da < db:
+			ca.next()
+		case da > db:
+			cb.next()
+		default:
+			res.DocIDs = append(res.DocIDs, da)
+			res.TFs[0] = append(res.TFs[0], ca.tf())
+			res.TFs[1] = append(res.TFs[1], cb.tf())
+			ca.next()
+			cb.next()
+		}
+	}
+	return res
 }
 
 func TestIntersectMatchesMergeIntersect(t *testing.T) {
@@ -196,7 +250,7 @@ func TestIntersectMatchesMergeIntersect(t *testing.T) {
 		a := NewList(randPostings(rng, 1+rng.Intn(200), 500), 8)
 		b := NewList(randPostings(rng, 1+rng.Intn(200), 500), 8)
 		skip := Intersect([]*List{a, b}, nil)
-		merge := MergeIntersect(a, b, nil)
+		merge := mergeIntersect(a, b, nil)
 		if !equalIDs(skip.DocIDs, merge.DocIDs) {
 			t.Fatalf("trial %d: skip %v != merge %v", trial, skip.DocIDs, merge.DocIDs)
 		}
@@ -241,7 +295,7 @@ func TestIntersectProperty(t *testing.T) {
 		for i := 0; i < k; i++ {
 			ids := randomSortedIDs(r, 1+r.Intn(100), 200)
 			raw[i] = ids
-			lists[i] = FromDocIDs(ids, 1+r.Intn(16))
+			lists[i] = fromDocIDs(ids, 1+r.Intn(16))
 		}
 		got := Intersect(lists, nil).DocIDs
 		want := setIntersect(raw)
@@ -305,30 +359,32 @@ func TestIntersectionSize(t *testing.T) {
 func TestAggregations(t *testing.T) {
 	a := listFrom(1, 2, 3, 4)
 	b := listFrom(2, 4, 6)
-	r := Intersect([]*List{a, b}, nil)
 	var st Stats
-	if got := Count(r, &st); got != 2 {
-		t.Errorf("Count = %d", got)
-	}
 	lens := map[uint32]int64{2: 100, 4: 50}
-	sum := SumOver(r, func(id uint32) int64 { return lens[id] }, &st)
+	count, sum := CountSum([]*List{a, b}, func(id uint32) int64 { return lens[id] }, &st)
+	if count != 2 {
+		t.Errorf("count = %d", count)
+	}
 	if sum != 150 {
-		t.Errorf("SumOver = %d", sum)
+		t.Errorf("sum = %d", sum)
 	}
 	if st.AggregatedEntries != 4 {
 		t.Errorf("AggregatedEntries = %d, want 4", st.AggregatedEntries)
 	}
 }
 
+// TestSumList: the degenerate one-predicate context aggregates over the
+// list itself, with γ_count and γ_sum each charging one entry per
+// document.
 func TestSumList(t *testing.T) {
 	l := listFrom(1, 2, 3)
 	var st Stats
-	sum := SumList(l, func(id uint32) int64 { return int64(id) * 10 }, &st)
-	if sum != 60 {
-		t.Errorf("SumList = %d", sum)
+	count, sum := CountSum([]*List{l}, func(id uint32) int64 { return int64(id) * 10 }, &st)
+	if count != 3 || sum != 60 {
+		t.Errorf("CountSum over one list = %d, %d", count, sum)
 	}
-	if st.AggregatedEntries != 3 {
-		t.Errorf("AggregatedEntries = %d", st.AggregatedEntries)
+	if st.AggregatedEntries != 6 {
+		t.Errorf("AggregatedEntries = %d, want 6", st.AggregatedEntries)
 	}
 }
 
@@ -348,12 +404,42 @@ func TestNilStatsSafe(t *testing.T) {
 	// All operations must accept a nil *Stats without panicking.
 	a := listFrom(1, 2, 3)
 	b := listFrom(2, 3, 4)
-	r := Intersect([]*List{a, b}, nil)
-	MergeIntersect(a, b, nil)
-	Count(r, nil)
-	SumOver(r, func(uint32) int64 { return 1 }, nil)
-	SumList(a, nil2, nil)
+	Intersect([]*List{a, b}, nil)
+	mergeIntersect(a, b, nil)
+	CountSum([]*List{a, b}, func(uint32) int64 { return 1 }, nil)
+	CountSum([]*List{a}, nil2, nil)
 	VisitConjunction(context.Background(), []*List{a, b}, nil, func(uint32) {})
 }
 
 func nil2(uint32) int64 { return 0 }
+
+// BenchmarkIntersection compares the skip-pointer intersection against
+// the plain merge, in the regime where skips pay (|L_i| ≪ |L_j|) and
+// where they cannot (similar lengths).
+func BenchmarkIntersection(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	long := NewList(randPostings(rng, 200000, 1<<24), DefaultSegmentSize)
+	short := NewList(randPostings(rng, 200, 1<<24), DefaultSegmentSize)
+	similar := NewList(randPostings(rng, 180000, 1<<24), DefaultSegmentSize)
+
+	b.Run("skip/selective", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Intersect([]*List{short, long}, nil)
+		}
+	})
+	b.Run("merge/selective", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mergeIntersect(short, long, nil)
+		}
+	})
+	b.Run("skip/similar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Intersect([]*List{similar, long}, nil)
+		}
+	})
+	b.Run("merge/similar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mergeIntersect(similar, long, nil)
+		}
+	})
+}

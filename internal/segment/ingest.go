@@ -218,26 +218,11 @@ func readAll(fs fsx.FS, path string) ([]byte, error) {
 // manifest introspection).
 func (ing *Ingester) Cluster() *shard.Cluster { return ing.cluster }
 
-// Generation returns the committed compaction generation.
-func (ing *Ingester) Generation() uint64 {
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	return ing.gen
-}
-
 // Pending returns how many acknowledged documents await compaction.
 func (ing *Ingester) Pending() int {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	return ing.seg.Len()
-}
-
-// NumDocs returns the total acknowledged document count (committed plus
-// segment).
-func (ing *Ingester) NumDocs() int {
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	return ing.total + ing.seg.Len()
 }
 
 // CompactErr returns the most recent background-compaction failure (nil

@@ -131,7 +131,7 @@ func TestSearchableAfterAdd(t *testing.T) {
 			t.Fatalf("doc %d not searchable after Add: hits=%v", i, hits)
 		}
 	}
-	if n := ing.NumDocs(); n != 45 {
+	if n := ing.Cluster().NumDocs() + ing.Pending(); n != 45 {
 		t.Fatalf("NumDocs=%d, want 45", n)
 	}
 	if p := ing.Pending(); p != 15 {
@@ -242,7 +242,10 @@ func TestCompactionEquivalence(t *testing.T) {
 			if err := ing.Compact(); err != nil {
 				t.Fatalf("compact: %v", err)
 			}
-			if g := ing.Generation(); g != 1 {
+			ing.mu.Lock()
+			g := ing.gen
+			ing.mu.Unlock()
+			if g != 1 {
 				t.Fatalf("generation %d after compaction, want 1", g)
 			}
 			if p := ing.Pending(); p != 0 {
@@ -268,7 +271,7 @@ func TestCompactionEquivalence(t *testing.T) {
 					t.Fatalf("shards=%d: reopened shard %d is not mapped", nShards, i)
 				}
 			}
-			if n := ing.NumDocs(); n != nBase+nMid+nLate {
+			if n := ing.Cluster().NumDocs() + ing.Pending(); n != nBase+nMid+nLate {
 				t.Fatalf("reopened NumDocs=%d, want %d", n, nBase+nMid+nLate)
 			}
 			check("reopened", nBase+nMid+nLate)
@@ -415,7 +418,7 @@ func TestKillPointRecovery(t *testing.T) {
 		}
 		// At most the single in-flight unacknowledged document may also
 		// have survived.
-		if n, lo := ing.NumDocs(), nBase+len(acked); n < lo || n > lo+1 {
+		if n, lo := ing.Cluster().NumDocs()+ing.Pending(), nBase+len(acked); n < lo || n > lo+1 {
 			t.Fatalf("point %d: recovered %d documents, acked %d", point, n, lo)
 		}
 	}

@@ -128,33 +128,6 @@ func unionSorted(a, b []string) []string {
 	return out
 }
 
-// NaivePerCombination is the strawman §5.1 dismisses: one view per mined
-// maximal combination. Aggregations on the individual views are cheap,
-// but the view count explodes and "matching a view for the given query at
-// query time would be prohibitively expensive" — it exists as the
-// baseline the greedy covering is compared against.
-func NaivePerCombination(tbl *widetable.Table, frequentTerms []string, cfg Config, mine Miner) (Result, error) {
-	var res Result
-	res.Stats.FrequentTerms = len(frequentTerms)
-	tx, err := transactions(tbl, frequentTerms)
-	if err != nil {
-		return res, err
-	}
-	all := mine(tx, mining.Options{MinSupport: int(cfg.TC), MaxLen: cfg.maxCombiLen()})
-	res.Stats.MinedCombinations = len(all)
-	maximal := mining.Maximal(all)
-	res.Stats.MaximalCombinations = len(maximal)
-	for _, m := range maximal {
-		names := make([]string, len(m.Items))
-		for j, it := range m.Items {
-			names[j] = frequentTerms[it]
-		}
-		res.KeySets = append(res.KeySets, names)
-	}
-	res.KeySets = dedupKeySets(res.KeySets)
-	return res, nil
-}
-
 // CoverageHoles verifies Problem Statement 5.1 against ground truth: it
 // mines every frequent combination (support ≥ tc) of the given terms and
 // returns those not contained in any key set. Used by tests and the

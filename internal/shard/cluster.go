@@ -291,18 +291,6 @@ func (c *Cluster) SwapExtend(i int, eng *core.Engine, globals []uint32, gen uint
 	return oldEng, oldGen, nil
 }
 
-// Locate maps a global docID back to (shard, local) in the current
-// topology. ok is false when the docID belongs to no shard.
-func (c *Cluster) Locate(global uint32) (shard int, local uint32, ok bool) {
-	for s, g := range c.state.Load().globals {
-		j := sort.Search(len(g), func(i int) bool { return g[i] >= global })
-		if j < len(g) && g[j] == global {
-			return s, uint32(j), true
-		}
-	}
-	return 0, 0, false
-}
-
 // Slices snapshots the cluster as a consistent []core.Slice — one
 // engine snapshot and docID map per shard — plus the generations the
 // snapshot serves. Engines are snapshotted before the topology is

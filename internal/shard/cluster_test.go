@@ -267,40 +267,6 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
-// TestLocate: every global docID maps back to its (shard, local) pair,
-// and unknown docIDs report !ok.
-func TestLocate(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	docs, _, _ := randomDocs(rng, 120, 4, 4)
-	parts, globals, err := Split(docs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := make([]*core.Engine, 3)
-	for i := range engines {
-		engines[i] = core.New(buildIndex(t, parts[i], 16), nil, core.Options{})
-	}
-	c, err := NewCluster(engines, globals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := uint32(0); g < 120; g++ {
-		s, local, ok := c.Locate(g)
-		if !ok {
-			t.Fatalf("docID %d not located", g)
-		}
-		if want := ShardOf(g, 3); s != want {
-			t.Fatalf("docID %d located on shard %d, partitioner says %d", g, s, want)
-		}
-		if globals[s][local] != g {
-			t.Fatalf("docID %d located at local %d of shard %d, which is global %d", g, local, s, globals[s][local])
-		}
-	}
-	if _, _, ok := c.Locate(120); ok {
-		t.Fatal("docID outside the collection located")
-	}
-}
-
 // TestSplitPartition: Split covers every document exactly once with
 // strictly increasing local→global maps matching GlobalMaps.
 func TestSplitPartition(t *testing.T) {

@@ -266,9 +266,6 @@ type PagedFile struct {
 // Header returns the container's kind and payload version.
 func (pf *PagedFile) Header() Header { return pf.hdr }
 
-// PageSize returns the page alignment the file was written with.
-func (pf *PagedFile) PageSize() int { return pf.pageSize }
-
 // Section returns the named section's bytes (aliasing the opened
 // slice), or ok=false when absent.
 func (pf *PagedFile) Section(name string) (data []byte, ok bool) {

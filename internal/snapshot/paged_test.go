@@ -41,8 +41,8 @@ func TestPagedRoundTrip(t *testing.T) {
 		if pf.Header().Kind != KindIndex || pf.Header().PayloadVersion != 4 {
 			t.Fatalf("pageSize %d: header %+v", pageSize, pf.Header())
 		}
-		if pf.PageSize() != pageSize {
-			t.Fatalf("pageSize %d: got %d", pageSize, pf.PageSize())
+		if pf.pageSize != pageSize {
+			t.Fatalf("pageSize %d: got %d", pageSize, pf.pageSize)
 		}
 		pay, ok := pf.Section("payload")
 		if !ok || len(pay) != 400 || pay[0] != 0xAB {

@@ -88,9 +88,6 @@ func canonicalTerms(p []string) []string {
 	return p
 }
 
-// Views returns the catalog's views in ascending size order.
-func (c *Catalog) Views() []*View { return c.views }
-
 // Len returns the number of views.
 func (c *Catalog) Len() int { return len(c.views) }
 
@@ -122,18 +119,6 @@ func (c *Catalog) Match(p []string) *View {
 	for _, v := range c.views {
 		if v.Usable(q) {
 			return v
-		}
-	}
-	return nil
-}
-
-// MatchFirst returns the first view (in insertion order before sorting,
-// i.e. arbitrary) that is usable — the naive matching policy used by the
-// view-matching ablation. Production code should use Match.
-func (c *Catalog) MatchFirst(p []string) *View {
-	for i := len(c.views) - 1; i >= 0; i-- {
-		if c.views[i].Usable(p) {
-			return c.views[i]
 		}
 	}
 	return nil

@@ -18,7 +18,7 @@ func fakeView(k []string, size int) *View {
 // usable view in ascending-size order.
 func linearMatch(c *Catalog, p []string) *View {
 	q := canonicalTerms(p)
-	for _, v := range c.Views() {
+	for _, v := range c.views {
 		if v.Usable(q) {
 			return v
 		}

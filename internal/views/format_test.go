@@ -38,9 +38,9 @@ func TestVersion1FixturesLoad(t *testing.T) {
 		}
 		if cat.Fingerprint() != fingerprint || cat.TotalBytes() != totalBytes ||
 			cat.ContextThreshold != 7 || cat.ViewSizeLimit != 512 ||
-			cat.Len() != 2 || cat.Views()[0].Size() != 4 || cat.Views()[1].Size() != 87 {
+			cat.Len() != 2 || cat.views[0].Size() != 4 || cat.views[1].Size() != 87 {
 			t.Fatalf("%s: loaded %s, %d B, T_C %d, T_V %d, views %v", name,
-				cat.Fingerprint(), cat.TotalBytes(), cat.ContextThreshold, cat.ViewSizeLimit, cat.Views())
+				cat.Fingerprint(), cat.TotalBytes(), cat.ContextThreshold, cat.ViewSizeLimit, cat.views)
 		}
 		path := filepath.Join(t.TempDir(), "views.gob")
 		if err := cat.SaveFile(path); err != nil {
@@ -102,7 +102,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("well-formed payload: %v", err)
 	}
-	if ans, _ := cat.Views()[0].Answer([]string{"b"}, []string{"w"}, nil); ans.Count != 1 || ans.Len != 4 || ans.DF["w"] != 1 || ans.TC["w"] != 3 {
+	if ans, _ := cat.views[0].Answer([]string{"b"}, []string{"w"}, nil); ans.Count != 1 || ans.Len != 4 || ans.DF["w"] != 1 || ans.TC["w"] != 3 {
 		t.Fatalf("well-formed payload answered %+v", ans)
 	}
 	cases := map[string]func(*tableV2){
@@ -165,7 +165,7 @@ func FuzzDecodeCatalog(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			for _, v := range cat.Views() {
+			for _, v := range cat.views {
 				words := append(v.TrackedWords(), "no-such-word")
 				for _, p := range append([][]string{nil}, singletons(v.K())...) {
 					if _, err := v.Answer(p, words, nil); err != nil {

@@ -37,24 +37,6 @@ func (v *View) Apply(u DocUpdate) {
 	}
 }
 
-// Remove folds one deleted document out of the view. The caller must
-// pass the same DocUpdate the document was applied with (distributive
-// views cannot reconstruct per-document contributions, so the caller
-// must keep every update it applied). A mismatched
-// removal — an unknown group, or any aggregate that would underflow —
-// returns an error and leaves the group untouched, instead of silently
-// corrupting the statistics every later query would rank with. A group
-// whose count reaches zero stops being one, keeping ViewSize equal to the
-// number of non-empty tuples.
-func (v *View) Remove(u DocUpdate) error {
-	r, err := v.checkRemove(u)
-	if err != nil {
-		return err
-	}
-	v.removeUnchecked(r, u)
-	return nil
-}
-
 // checkRemove finds the row u was applied to and validates that removing
 // u from it keeps every aggregate consistent, without mutating anything.
 func (v *View) checkRemove(u DocUpdate) (int, error) {

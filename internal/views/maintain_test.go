@@ -10,6 +10,24 @@ import (
 	"csrank/internal/widetable"
 )
 
+// Remove folds one deleted document out of the view. The caller must
+// pass the same DocUpdate the document was applied with (distributive
+// views cannot reconstruct per-document contributions, so the caller
+// must keep every update it applied). A mismatched
+// removal — an unknown group, or any aggregate that would underflow —
+// returns an error and leaves the group untouched, instead of silently
+// corrupting the statistics every later query would rank with. A group
+// whose count reaches zero stops being one, keeping ViewSize equal to the
+// number of non-empty tuples.
+func (v *View) Remove(u DocUpdate) error {
+	r, err := v.checkRemove(u)
+	if err != nil {
+		return err
+	}
+	v.removeUnchecked(r, u)
+	return nil
+}
+
 // updatesFor extracts per-document DocUpdates from an index, the shape an
 // ingestion pipeline would produce.
 func updatesFor(ix *index.Index, words []string) []DocUpdate {
@@ -22,18 +40,16 @@ func updatesFor(ix *index.Index, words []string) []DocUpdate {
 		}
 	}
 	for _, m := range ix.Terms(schema.PredicateField) {
-		for _, p := range ix.Postings(schema.PredicateField, m).Postings() {
-			out[p.DocID].Predicates = append(out[p.DocID].Predicates, m)
-		}
+		ix.Postings(schema.PredicateField, m).ForEach(func(d, _ uint32) {
+			out[d].Predicates = append(out[d].Predicates, m)
+		})
 	}
 	for _, w := range words {
 		l := ix.Postings(schema.ContentField, w)
 		if l == nil {
 			continue
 		}
-		for _, p := range l.Postings() {
-			out[p.DocID].TF[w] = int64(p.TF)
-		}
+		l.ForEach(func(d, tf uint32) { out[d].TF[w] = int64(tf) })
 	}
 	return out
 }

@@ -15,9 +15,10 @@ import (
 //
 // sample ≤ 0 or ≥ NumDocs degenerates to the exact count. The estimate is
 // the distinct-pattern count among sampled documents — a lower-bound
-// estimator, which is the safe direction for the selection constraint
-// ViewSize ≤ T_V only when combined with a margin; ExactSize is used by
-// tests and by final materialization to enforce the real bound.
+// estimator, so a sampled selection can admit a view whose real size
+// exceeds T_V. Nothing re-checks the bound at materialization: the
+// greedy cover also admits, on purpose, a single-combination view over
+// T_V, since that combination must be covered and no smaller view does.
 func EstimateSize(t *widetable.Table, k []string, sample int, rng *rand.Rand) int {
 	cols, ok := resolveCols(t, k)
 	if !ok {
@@ -33,12 +34,6 @@ func EstimateSize(t *widetable.Table, k []string, sample int, rng *rand.Rand) in
 		idx = rng.Perm(n)[:sample]
 	}
 	return distinctPatterns(t, cols, idx)
-}
-
-// ExactSize counts the exact number of non-empty groups of V_k without
-// materializing aggregates.
-func ExactSize(t *widetable.Table, k []string) int {
-	return EstimateSize(t, k, 0, nil)
 }
 
 func resolveCols(t *widetable.Table, k []string) ([]widetable.ColID, bool) {

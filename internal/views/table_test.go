@@ -123,15 +123,16 @@ func TestAnswerEqualsWideTable(t *testing.T) {
 	var wholeWords, partialWords, emptySelections int
 	for _, c := range cases {
 		docs, _, words := oracleDocs(rng, c.nDocs, c.nK+20, 5, c.density)
-		tbl := widetable.FromIndex(oracleIndex(t, docs), words)
+		ix := oracleIndex(t, docs)
+		tbl := widetable.FromIndex(ix, words)
 		// Only terms some document carries are columns of the table.
-		k, tracked := tbl.Keywords()[:c.nK], words[:3]
+		k, tracked := ix.Terms(ix.Schema().PredicateField)[:c.nK], words[:3]
 		v, err := Materialize(tbl, k, tracked)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := ExactSize(tbl, k); v.Size() != want {
-			t.Fatalf("|K|=%d: Size %d, ExactSize %d", c.nK, v.Size(), want)
+		if want := EstimateSize(tbl, k, 0, nil); v.Size() != want {
+			t.Fatalf("|K|=%d: Size %d, exact size %d", c.nK, v.Size(), want)
 		}
 		if len(v.count)%64 == 0 {
 			wholeWords++
@@ -211,7 +212,7 @@ func TestMaintainedViewEqualsWideTable(t *testing.T) {
 			t.Fatalf("seed %d: maintained view's fingerprint differs from the rebuilt one", seed)
 		}
 		// Emptied rows are not part of the encoding either.
-		if rt := roundTrip(t, got); rt.Fingerprint() != want.Fingerprint() || len(rt.Views()[0].count) != fresh.Size() {
+		if rt := roundTrip(t, got); rt.Fingerprint() != want.Fingerprint() || len(rt.views[0].count) != fresh.Size() {
 			t.Fatalf("seed %d: round trip kept emptied rows or lost state", seed)
 		}
 	}

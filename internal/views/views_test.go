@@ -237,9 +237,9 @@ func TestExactAndEstimatedSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := ExactSize(tbl, k)
+	exact := EstimateSize(tbl, k, 0, nil)
 	if exact != v.Size() {
-		t.Errorf("ExactSize = %d, materialized = %d", exact, v.Size())
+		t.Errorf("exact size = %d, materialized = %d", exact, v.Size())
 	}
 	rng := rand.New(rand.NewSource(1))
 	est := EstimateSize(tbl, k, 200, rng)

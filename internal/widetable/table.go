@@ -82,9 +82,6 @@ func FromIndex(ix *index.Index, trackedWords []string) *Table {
 // NumDocs returns the number of rows.
 func (t *Table) NumDocs() int { return t.numDocs }
 
-// Keywords returns the keyword column names in column order.
-func (t *Table) Keywords() []string { return t.cols }
-
 // ColumnID resolves a keyword column name.
 func (t *Table) ColumnID(name string) (ColID, bool) {
 	id, ok := t.colID[name]
@@ -140,9 +137,6 @@ func (t *Table) FillPattern(d int, cols []ColID, buf []byte) {
 
 // Len returns the len(d) parameter of row d.
 func (t *Table) Len(d int) int64 { return t.lens[d] }
-
-// TF returns the tf(d, w) parameter, or 0 if w is untracked or absent.
-func (t *Table) TF(w string, d int) int64 { return t.tf[w][uint32(d)] }
 
 // Tracked reports whether w has a tf parameter column.
 func (t *Table) Tracked(w string) bool {

@@ -45,8 +45,8 @@ func TestTableShape(t *testing.T) {
 	if tbl.NumDocs() != 4 {
 		t.Fatalf("NumDocs = %d", tbl.NumDocs())
 	}
-	if got := tbl.Keywords(); len(got) != 3 {
-		t.Fatalf("Keywords = %v", got)
+	if got := tbl.cols; len(got) != 3 {
+		t.Fatalf("columns = %v", got)
 	}
 	if _, ok := tbl.ColumnID("m2"); !ok {
 		t.Error("m2 column missing")
@@ -82,14 +82,14 @@ func TestTableParameters(t *testing.T) {
 	if tbl.Len(0) != 3 {
 		t.Errorf("Len(0) = %d", tbl.Len(0))
 	}
-	if tbl.TF("w1", 0) != 2 {
-		t.Errorf("TF(w1,0) = %d", tbl.TF("w1", 0))
+	if tbl.tf["w1"][0] != 2 {
+		t.Errorf("TF(w1,0) = %d", tbl.tf["w1"][0])
 	}
-	if tbl.TF("w3", 2) != 3 {
-		t.Errorf("TF(w3,2) = %d", tbl.TF("w3", 2))
+	if tbl.tf["w3"][2] != 3 {
+		t.Errorf("TF(w3,2) = %d", tbl.tf["w3"][2])
 	}
-	if tbl.TF("w1", 1) != 0 {
-		t.Errorf("TF(w1,1) = %d", tbl.TF("w1", 1))
+	if tbl.tf["w1"][1] != 0 {
+		t.Errorf("TF(w1,1) = %d", tbl.tf["w1"][1])
 	}
 }
 
