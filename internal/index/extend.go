@@ -52,17 +52,17 @@ func Extend(base *Index, docs []Document) (*Index, error) {
 
 		bfi := base.fields[f.Name]
 		fi := &fieldIndex{
-			terms:    make(map[string]*postings.List, len(bfi.terms)+len(ab.terms)),
+			terms:    make(map[string]*postings.List, bfi.size()+len(ab.terms)),
 			totalLen: bfi.totalLen + ab.total,
-			totalTF:  make(map[string]int64, len(bfi.terms)+len(ab.terms)),
+			totalTF:  make(map[string]int64, bfi.size()+len(ab.terms)),
 		}
-		for term, l := range bfi.terms {
+		base.eachList(bfi, func(term string, l *postings.List) {
 			if _, touched := ab.terms[term]; touched {
-				continue // rebuilt below
+				return // rebuilt below
 			}
 			fi.terms[term] = l // shared: immutable, bounds still exact
-			fi.totalTF[term] = bfi.totalTF[term]
-		}
+			fi.totalTF[term] = bfi.tc(term)
+		})
 
 		isContent := f.Name == base.schema.ContentField
 		merged := ix.lengths[f.Name]
@@ -74,7 +74,7 @@ func Extend(base *Index, docs []Document) (*Index, error) {
 		}
 		for term, apb := range ab.terms {
 			pb := postings.NewBuilder(base.segSize)
-			if old := bfi.terms[term]; old != nil {
+			if old := base.Postings(f.Name, term); old != nil {
 				old.ForEach(func(docID, tf uint32) {
 					pb.Add(docID, tf)
 				})

@@ -8,6 +8,7 @@ package index
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"csrank/internal/analysis"
 	"csrank/internal/fsx"
@@ -70,14 +71,69 @@ type Document struct {
 	Fields map[string]string
 }
 
-// fieldIndex holds one field's dictionary and aggregate statistics.
+// fieldIndex holds one field's dictionary and aggregate statistics. A
+// heap index (built, extended or loaded from gob) holds its built lists
+// in terms; a mapped index holds the decoded table of contents in toc
+// and builds a term's list on its first Postings lookup.
 type fieldIndex struct {
-	terms    map[string]*postings.List
-	totalLen int64 // sum of per-document field lengths
-	// totalTF caches tc(w, D) per term — the whole-collection term count
-	// used by language models — so the query path never scans a full
-	// posting list for a global statistic.
+	terms map[string]*postings.List
+	// totalTF caches tc(w, D) per term of a heap index — the
+	// whole-collection term count used by language models — so the query
+	// path never scans a full posting list for a global statistic. A
+	// mapped index reads it from the TOC's SumTF.
 	totalTF map[string]int64
+	toc     map[string]postings.MappedListMeta
+	// totalLen is the sum of per-document field lengths.
+	totalLen int64
+}
+
+// df returns term's document frequency, from the TOC on a mapped index.
+// Like every fieldIndex method it reads a nil receiver (an unknown
+// field) as an empty dictionary.
+func (fi *fieldIndex) df(term string) int64 {
+	switch {
+	case fi == nil:
+		return 0
+	case fi.toc != nil:
+		return int64(fi.toc[term].N)
+	}
+	if l := fi.terms[term]; l != nil {
+		return int64(l.Len())
+	}
+	return 0
+}
+
+// tc returns term's collection term count.
+func (fi *fieldIndex) tc(term string) int64 {
+	switch {
+	case fi == nil:
+		return 0
+	case fi.toc != nil:
+		return fi.toc[term].SumTF
+	}
+	return fi.totalTF[term]
+}
+
+// size returns the dictionary size.
+func (fi *fieldIndex) size() int {
+	switch {
+	case fi == nil:
+		return 0
+	case fi.toc != nil:
+		return len(fi.toc)
+	}
+	return len(fi.terms)
+}
+
+// names returns the dictionary sorted lexicographically.
+func (fi *fieldIndex) names() []string {
+	switch {
+	case fi == nil:
+		return nil
+	case fi.toc != nil:
+		return sortedKeys(fi.toc)
+	}
+	return sortedKeys(fi.terms)
 }
 
 // Index is an immutable inverted index built by a Builder, loaded from a
@@ -97,6 +153,13 @@ type Index struct {
 	mapping *fsx.Mapping
 	cache   *postings.BlockCache
 	stviews map[string]*storedView // stored fields read in place
+	// dir and payload are the "dir" and "postings" sections a term's
+	// list is built over.
+	dir, payload []byte
+	// lists publishes each term's list once built: one slot per term,
+	// the slot of the term's first directory block (open rejects two
+	// terms that start at the same block).
+	lists []atomic.Pointer[postings.List]
 	// quar is the index-wide corrupt-block registry: a mapped block that
 	// fails its CRC at materialization is blacklisted and served as an
 	// empty container instead of panicking the query (see
@@ -121,32 +184,61 @@ func (ix *Index) NumDocs() int { return ix.numDocs }
 func (ix *Index) SegmentSize() int { return ix.segSize }
 
 // Postings returns the inverted list for term in field, or nil if either is
-// unknown. The returned list is shared and must not be modified.
+// unknown. The returned list is shared and must not be modified. On a
+// mapped index the first lookup of a term builds its list from the block
+// directory and publishes it with a CAS, so concurrent first lookups
+// all return the one list that won.
 func (ix *Index) Postings(field, term string) *postings.List {
 	fi := ix.fields[field]
 	if fi == nil {
 		return nil
 	}
-	return fi.terms[term]
+	if fi.toc == nil {
+		return fi.terms[term]
+	}
+	meta, ok := fi.toc[term]
+	if !ok {
+		return nil
+	}
+	slot := &ix.lists[meta.FirstBlock]
+	if l := slot.Load(); l != nil {
+		return l
+	}
+	l := ix.buildList(meta)
+	if !slot.CompareAndSwap(nil, l) {
+		l = slot.Load()
+	}
+	return l
+}
+
+// eachList calls fn with every term of fi and its list, in sorted term
+// order: the one walk of the offline iterators (statistics, WritePaged,
+// Extend). On a mapped index a list no lookup has built yet is built
+// for the call only and not published, so a walk over the dictionary
+// leaves the resident heap as it found it.
+func (ix *Index) eachList(fi *fieldIndex, fn func(term string, l *postings.List)) {
+	for _, term := range fi.names() {
+		if fi.toc == nil {
+			fn(term, fi.terms[term])
+			continue
+		}
+		meta := fi.toc[term]
+		l := ix.lists[meta.FirstBlock].Load()
+		if l == nil {
+			l = ix.buildList(meta)
+		}
+		fn(term, l)
+	}
 }
 
 // DF returns the document frequency df(term, D) in field.
-func (ix *Index) DF(field, term string) int64 {
-	if l := ix.Postings(field, term); l != nil {
-		return int64(l.Len())
-	}
-	return 0
-}
+func (ix *Index) DF(field, term string) int64 { return ix.fields[field].df(term) }
 
 // TotalTF returns the collection term count tc(term, D) in field: the
 // total number of occurrences across all documents. Precomputed at build
-// (and rebuilt at load), so it is O(1) at query time.
-func (ix *Index) TotalTF(field, term string) int64 {
-	if fi := ix.fields[field]; fi != nil {
-		return fi.totalTF[term]
-	}
-	return 0
-}
+// (and read from the table of contents of a mapped index), so it is
+// O(1) at query time.
+func (ix *Index) TotalTF(field, term string) int64 { return ix.fields[field].tc(term) }
 
 // FieldLen returns the token count of doc's field (len(d) for that field).
 func (ix *Index) FieldLen(doc DocID, field string) int64 {
@@ -174,28 +266,12 @@ func (ix *Index) TotalFieldLen(field string) int64 {
 }
 
 // UniqueTerms returns the dictionary size utc(D) of field.
-func (ix *Index) UniqueTerms(field string) int {
-	if fi := ix.fields[field]; fi != nil {
-		return len(fi.terms)
-	}
-	return 0
-}
+func (ix *Index) UniqueTerms(field string) int { return ix.fields[field].size() }
 
 // Terms returns field's dictionary sorted lexicographically. It allocates;
 // intended for offline phases (view selection, corpus inspection), not the
 // query path.
-func (ix *Index) Terms(field string) []string {
-	fi := ix.fields[field]
-	if fi == nil {
-		return nil
-	}
-	out := make([]string, 0, len(fi.terms))
-	for t := range fi.terms {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
+func (ix *Index) Terms(field string) []string { return ix.fields[field].names() }
 
 // TermsWithMinDF returns field terms whose document frequency is at least
 // minDF, sorted by descending DF then term. This is the "frequent keywords"
@@ -203,22 +279,14 @@ func (ix *Index) Terms(field string) []string {
 // and by the view storage optimization (df columns only for |L_w| ≥ T_C).
 func (ix *Index) TermsWithMinDF(field string, minDF int64) []string {
 	fi := ix.fields[field]
-	if fi == nil {
-		return nil
-	}
-	out := make([]string, 0, 64)
-	for t, l := range fi.terms {
-		if int64(l.Len()) >= minDF {
+	names := fi.names()
+	out := names[:0]
+	for _, t := range names {
+		if fi.df(t) >= minDF {
 			out = append(out, t)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := fi.terms[out[i]].Len(), fi.terms[out[j]].Len()
-		if a != b {
-			return a > b
-		}
-		return out[i] < out[j]
-	})
+	sort.SliceStable(out, func(i, j int) bool { return fi.df(out[i]) > fi.df(out[j]) })
 	return out
 }
 
@@ -254,9 +322,9 @@ func (ix *Index) AnalyzerFor(field string) *analysis.Analyzer {
 func (ix *Index) PostingsBytes() int64 {
 	var total int64
 	for _, fi := range ix.fields {
-		for t, l := range fi.terms {
+		ix.eachList(fi, func(t string, l *postings.List) {
 			total += int64(len(t)) + l.Bytes()
-		}
+		})
 	}
 	return total
 }
@@ -285,8 +353,8 @@ func (ix *Index) ContainerStats(field string) ContainerStats {
 	if fi == nil {
 		return cs
 	}
-	cs.Lists = len(fi.terms)
-	for _, l := range fi.terms {
+	cs.Lists = fi.size()
+	ix.eachList(fi, func(_ string, l *postings.List) {
 		cs.Postings += int64(l.Len())
 		s, d := l.Containers()
 		cs.SparseChunks += s
@@ -304,7 +372,7 @@ func (ix *Index) ContainerStats(field string) ContainerStats {
 			}
 		}
 		cs.Bytes += l.Bytes()
-	}
+	})
 	return cs
 }
 
@@ -319,8 +387,8 @@ func (ix *Index) FieldBlockStats(field string) postings.BlockStats {
 	if fi == nil {
 		return bs
 	}
-	for _, l := range fi.terms {
+	ix.eachList(fi, func(_ string, l *postings.List) {
 		bs.AddTo(l.BlockStats())
-	}
+	})
 	return bs
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 	"unsafe"
 
 	"csrank/internal/fsx"
@@ -16,12 +17,14 @@ import (
 
 // Index format v4: a page-aligned paged container (snapshot.PagedMagic)
 // whose posting containers are readable in place from a memory mapping.
-// Opening a v4 file decodes only the table of contents and the
-// fixed-width block directory — O(terms + blocks), no posting payload is
-// touched — and document lengths alias the mapping directly. Posting
-// blocks materialize lazily, block by block, as queries reach them; the
-// pruned top-k path therefore dismisses whole blocks via their directory
-// bounds without ever reading their pages.
+// Opening a v4 file decodes only the table of contents and validates the
+// fixed-width block directory — O(terms + blocks), no posting list is
+// built and no payload byte touched — and document lengths alias the
+// mapping directly. The decoded TOC is each field's term table; a term's
+// list is built on its first Postings lookup, and its blocks materialize
+// lazily, block by block, as queries reach them; the pruned top-k path
+// therefore dismisses whole blocks via their directory bounds without
+// ever reading their pages.
 //
 // Sections (every one page-aligned, CRC32-C checksummed):
 //
@@ -140,11 +143,11 @@ func (ix *Index) WritePaged(w io.Writer, pageSize int) error {
 		fi := ix.fields[field]
 		ft := mappedFieldTOC{
 			TotalLen: fi.totalLen,
-			Terms:    make(map[string]postings.MappedListMeta, len(fi.terms)),
+			Terms:    make(map[string]postings.MappedListMeta, fi.size()),
 		}
-		for _, term := range sortedKeys(fi.terms) {
-			ft.Terms[term] = enc.EncodeList(fi.terms[term])
-		}
+		ix.eachList(fi, func(term string, l *postings.List) {
+			ft.Terms[term] = enc.EncodeList(l)
+		})
 		toc.Fields[field] = ft
 	}
 
@@ -328,6 +331,9 @@ func openMapped(data []byte, m *fsx.Mapping, cacheBudget int64) (*Index, error) 
 		cache:   postings.NewBlockCache(cacheBudget),
 		stviews: make(map[string]*storedView, len(toc.Stored)),
 		quar:    &postings.Quarantine{},
+		dir:     dirSec,
+		payload: paySec,
+		lists:   make([]atomic.Pointer[postings.List], totalBlocks),
 	}
 
 	for field, off := range toc.Lengths {
@@ -361,34 +367,46 @@ func openMapped(data []byte, m *fsx.Mapping, cacheBudget int64) (*Index, error) 
 		}
 		ix.stviews[field] = &storedView{offs: offs, blob: stSec[slab.BlobOff : slab.BlobOff+slab.BlobLen]}
 	}
+	// A term's list slot is its first directory block; starts marks the
+	// blocks claimed so far, so no two terms share a slot.
+	starts := make([]uint64, (totalBlocks+63)/64)
 	for field, ft := range toc.Fields {
 		if ft.TotalLen < 0 {
 			return nil, fmt.Errorf("index: field %q has negative TotalLen %d", field, ft.TotalLen)
-		}
-		fi := &fieldIndex{
-			terms:    make(map[string]*postings.List, len(ft.Terms)),
-			totalLen: ft.TotalLen,
-			totalTF:  make(map[string]int64, len(ft.Terms)),
 		}
 		for term, meta := range ft.Terms {
 			if meta.FirstBlock < 0 || meta.NumBlocks < 0 || meta.FirstBlock+meta.NumBlocks > totalBlocks {
 				return nil, fmt.Errorf("index: term %q directory range [%d, +%d) outside %d blocks", term, meta.FirstBlock, meta.NumBlocks, totalBlocks)
 			}
-			dir := dirSec[meta.FirstBlock*postings.BlockDirEntrySize : (meta.FirstBlock+meta.NumBlocks)*postings.BlockDirEntrySize]
-			l, err := postings.NewMappedList(meta, dir, paySec, toc.SegSize, ix.cache)
-			if err != nil {
+			if err := postings.ValidateMappedList(meta, ix.termDir(meta), paySec); err != nil {
 				return nil, fmt.Errorf("index: term %q: %w", term, err)
 			}
-			if l.Len() > toc.NumDocs {
-				return nil, fmt.Errorf("index: term %q has %d postings for %d documents", term, l.Len(), toc.NumDocs)
+			if meta.N > toc.NumDocs {
+				return nil, fmt.Errorf("index: term %q has %d postings for %d documents", term, meta.N, toc.NumDocs)
 			}
-			l.SetQuarantine(ix.quar)
-			fi.terms[term] = l
-			fi.totalTF[term] = meta.SumTF
+			w, bit := meta.FirstBlock/64, uint64(1)<<(meta.FirstBlock%64)
+			if starts[w]&bit != 0 {
+				return nil, fmt.Errorf("index: term %q starts at directory block %d, as another term does", term, meta.FirstBlock)
+			}
+			starts[w] |= bit
 		}
-		ix.fields[field] = fi
+		ix.fields[field] = &fieldIndex{toc: ft.Terms, totalLen: ft.TotalLen}
 	}
 	return ix, nil
+}
+
+// termDir returns the directory entries of the list meta describes.
+func (ix *Index) termDir(meta postings.MappedListMeta) []byte {
+	return ix.dir[meta.FirstBlock*postings.BlockDirEntrySize : (meta.FirstBlock+meta.NumBlocks)*postings.BlockDirEntrySize]
+}
+
+// buildList builds the list meta describes over the mapped sections,
+// with the index's block cache and quarantine registry. Open validated
+// its directory, so the build cannot fail.
+func (ix *Index) buildList(meta postings.MappedListMeta) *postings.List {
+	l := postings.NewMappedList(meta, ix.termDir(meta), ix.payload, ix.segSize, ix.cache)
+	l.SetQuarantine(ix.quar)
+	return l
 }
 
 // Mapped reports whether the index reads its posting blocks from a v4

@@ -2,15 +2,19 @@ package index
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"csrank/internal/fsx"
+	"csrank/internal/postings"
+	"csrank/internal/snapshot"
 )
 
 // synthIndex builds a randomized multi-field index large enough to
@@ -270,6 +274,138 @@ func TestMappedCorruptBlockQuarantinedNotFatal(t *testing.T) {
 		if got := mx2.Quarantined(); got != 1 {
 			t.Fatalf("pass %d: quarantined %d blocks, want exactly 1", pass, got)
 		}
+	}
+}
+
+// TestMappedListsBuiltOnFirstLookup: opening a mapped index builds no
+// posting list, and neither do the dictionary statistics or an offline
+// walk; the first Postings lookup of a term builds its list once, and
+// every later or concurrent lookup returns that same list.
+func TestMappedListsBuiltOnFirstLookup(t *testing.T) {
+	ix := synthIndex(t, rand.New(rand.NewSource(9)), 400)
+	mx, err := MappedCopy(ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := func() int {
+		n := 0
+		for i := range mx.lists {
+			if mx.lists[i].Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := built(); n != 0 {
+		t.Fatalf("open built %d lists", n)
+	}
+	for _, f := range []string{"title", "content", "mesh"} {
+		if ix.UniqueTerms(f) != mx.UniqueTerms(f) {
+			t.Fatalf("field %q: UniqueTerms %d, want %d", f, mx.UniqueTerms(f), ix.UniqueTerms(f))
+		}
+		if !slices.Equal(ix.Terms(f), mx.Terms(f)) {
+			t.Fatalf("field %q: Terms differ", f)
+		}
+		for _, minDF := range []int64{0, 1, 5, 50, 1000} {
+			if !slices.Equal(ix.TermsWithMinDF(f, minDF), mx.TermsWithMinDF(f, minDF)) {
+				t.Fatalf("field %q: TermsWithMinDF(%d) differs", f, minDF)
+			}
+		}
+		for _, term := range ix.Terms(f) {
+			if ix.DF(f, term) != mx.DF(f, term) || ix.TotalTF(f, term) != mx.TotalTF(f, term) {
+				t.Fatalf("field %q term %q: DF/TotalTF %d/%d, want %d/%d", f, term,
+					mx.DF(f, term), mx.TotalTF(f, term), ix.DF(f, term), ix.TotalTF(f, term))
+			}
+		}
+		if ix.ContainerStats(f) != mx.ContainerStats(f) {
+			t.Fatalf("field %q: ContainerStats differ", f)
+		}
+	}
+	mx.PostingsBytes()
+	if n := built(); n != 0 {
+		t.Fatalf("statistics and offline walks built %d lists", n)
+	}
+
+	l := mx.Postings("content", "w07")
+	if l == nil || mx.Postings("content", "w07") != l {
+		t.Fatal("a repeated lookup returned a different list")
+	}
+	if n := built(); n != 1 {
+		t.Fatalf("one looked-up term left %d lists built", n)
+	}
+	if mx.Postings("content", "absent") != nil || mx.Postings("nofield", "w07") != nil {
+		t.Fatal("an unknown term or field has a list")
+	}
+
+	const racers = 16
+	var start, done sync.WaitGroup
+	start.Add(1)
+	got := make([]*postings.List, racers)
+	for i := range got {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got[i] = mx.Postings("mesh", "neoplasms")
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i, g := range got {
+		if g == nil || g != got[0] {
+			t.Fatalf("racer %d got list %p, racer 0 got %p", i, g, got[0])
+		}
+	}
+	if got[0] != mx.Postings("mesh", "neoplasms") {
+		t.Fatal("the published list is not the one the racers got")
+	}
+}
+
+// TestMappedRejectsSharedFirstBlock: a term's list is published in the
+// slot of its first directory block, so a table of contents in which two
+// terms start at the same block fails the open.
+func TestMappedRejectsSharedFirstBlock(t *testing.T) {
+	ix := synthIndex(t, rand.New(rand.NewSource(10)), 100)
+	var buf bytes.Buffer
+	if err := ix.WritePaged(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := snapshot.OpenPaged(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tocSec, _ := pf.Section("toc")
+	var toc mappedTOC
+	if err := gob.NewDecoder(bytes.NewReader(tocSec)).Decode(&toc); err != nil {
+		t.Fatal(err)
+	}
+	mesh := toc.Fields["mesh"].Terms
+	mesh["parasites"] = mesh["viruses"]
+	var tocBuf, out bytes.Buffer
+	if err := gob.NewEncoder(&tocBuf).Encode(&toc); err != nil {
+		t.Fatal(err)
+	}
+	pw, err := snapshot.NewPagedWriter(&out, snapshot.KindIndex, MappedFormatVersion, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"toc", "dir", "lengths", "stored", "postings"} {
+		data, _ := pf.Section(name)
+		if name == "toc" {
+			data = tocBuf.Bytes()
+		}
+		if err := pw.Begin(name, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pw.Write(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenMappedBytes(out.Bytes(), 0); err == nil || !strings.Contains(err.Error(), "as another term does") {
+		t.Fatalf("open of a TOC with two terms at one block: %v", err)
 	}
 }
 

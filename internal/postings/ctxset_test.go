@@ -19,7 +19,7 @@ func quarantinedCopy(t *testing.T, l *List) *List {
 	payload := append([]byte(nil), e.Payload()...)
 	mid := decodeDirEntry(e.Dir()[len(l.chunks)/2*BlockDirEntrySize:])
 	payload[mid.off] ^= 0x40
-	ml, err := NewMappedList(meta, e.Dir(), payload, l.segSize, nil)
+	ml, err := validatedMappedList(meta, e.Dir(), payload, l.segSize, nil)
 	if err != nil {
 		t.Fatalf("NewMappedList: %v", err)
 	}

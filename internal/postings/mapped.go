@@ -493,23 +493,75 @@ func aliasU64(b []byte, n int) ([]uint64, bool) {
 	return unsafe.Slice((*uint64)(ptr), n), true
 }
 
-// NewMappedList builds the resident shell of a mapped list: chunk
-// metadata, offsets, and score bounds come from the directory; payloads
-// stay on disk until a kernel touches them. dir must be the list's own
-// directory slice (meta.NumBlocks entries) and payload the whole
-// region its offsets index. The directory is untrusted and fully
-// validated here; payload bytes are validated per block at
-// materialization. maxDocs bounds the docID space (the index layer's
-// document count cap).
-func NewMappedList(meta MappedListMeta, dir, payload []byte, segSize int, cache *BlockCache) (*List, error) {
-	if segSize <= 0 {
-		segSize = DefaultSegmentSize
-	}
+// ValidateMappedList checks a mapped list's directory against its TOC
+// record and the payload region, allocating nothing: every block's base,
+// count, encoding, lengths and payload range, and the posting total.
+// dir must be the list's own directory slice (meta.NumBlocks entries)
+// and payload the whole region its offsets index. The directory is
+// untrusted; an index runs this on every term at open, so a corrupt
+// directory fails the open. Payload bytes are validated per block at
+// materialization.
+func ValidateMappedList(meta MappedListMeta, dir, payload []byte) error {
 	if meta.NumBlocks <= 0 || meta.N <= 0 {
-		return nil, fmt.Errorf("postings: mapped list with %d blocks, %d postings", meta.NumBlocks, meta.N)
+		return fmt.Errorf("postings: mapped list with %d blocks, %d postings", meta.NumBlocks, meta.N)
 	}
 	if len(dir) != meta.NumBlocks*BlockDirEntrySize {
-		return nil, fmt.Errorf("postings: mapped list directory is %d bytes, want %d", len(dir), meta.NumBlocks*BlockDirEntrySize)
+		return fmt.Errorf("postings: mapped list directory is %d bytes, want %d", len(dir), meta.NumBlocks*BlockDirEntrySize)
+	}
+	total := 0
+	prevBase := int64(-1)
+	for ci := 0; ci < meta.NumBlocks; ci++ {
+		ent := decodeDirEntry(dir[ci*BlockDirEntrySize:])
+		if ent.base&(chunkSpan-1) != 0 || int64(ent.base) <= prevBase {
+			return fmt.Errorf("postings: mapped block %d has base %d (prev %d): directory corrupt", ci, ent.base, prevBase)
+		}
+		prevBase = int64(ent.base)
+		if ent.n < 1 || ent.n > chunkSpan {
+			return fmt.Errorf("postings: mapped block %d claims %d postings: directory corrupt", ci, ent.n)
+		}
+		need := uint64(ent.idLen) + uint64(ent.tfLen)
+		if ent.off > uint64(len(payload)) || need > uint64(len(payload))-ent.off {
+			return fmt.Errorf("postings: mapped block %d payload [%d, +%d) outside region of %d bytes", ci, ent.off, need, len(payload))
+		}
+		n := int(ent.n)
+		switch ent.enc {
+		case BlockSparseRaw:
+			if int(ent.idLen) != 2*n {
+				return fmt.Errorf("postings: mapped block %d: raw sparse length %d for %d keys", ci, ent.idLen, n)
+			}
+		case BlockDenseRaw:
+			if int(ent.idLen) != chunkWords*8 {
+				return fmt.Errorf("postings: mapped block %d: raw dense length %d", ci, ent.idLen)
+			}
+		case BlockSparsePacked:
+			if int(ent.idLen) < n || int(ent.idLen) > 3*n {
+				return fmt.Errorf("postings: mapped block %d: packed length %d for %d keys", ci, ent.idLen, n)
+			}
+		default:
+			return fmt.Errorf("postings: mapped block %d: unknown encoding %d", ci, ent.enc)
+		}
+		if ent.tfLen != 0 && (int(ent.tfLen) < n || int(ent.tfLen) > 5*n) {
+			return fmt.Errorf("postings: mapped block %d: tf length %d for %d postings", ci, ent.tfLen, n)
+		}
+		if ent.tfLen != 0 && !meta.HasTFs {
+			return fmt.Errorf("postings: mapped block %d carries TFs in a TF-less list", ci)
+		}
+		total += n
+	}
+	if total != meta.N {
+		return fmt.Errorf("postings: mapped list blocks hold %d postings, TOC says %d", total, meta.N)
+	}
+	return nil
+}
+
+// NewMappedList builds the resident shell of a mapped list: chunk
+// metadata, offsets, and score bounds come from the directory; payloads
+// stay on disk until a kernel touches them. The arguments must be ones
+// ValidateMappedList accepted; the shell is then built without a check
+// that could fail.
+func NewMappedList(meta MappedListMeta, dir, payload []byte, segSize int, cache *BlockCache) *List {
+	if segSize <= 0 {
+		segSize = DefaultSegmentSize
 	}
 	l := &List{
 		chunks:  make([]chunk, meta.NumBlocks),
@@ -521,53 +573,13 @@ func NewMappedList(meta MappedListMeta, dir, payload []byte, segSize int, cache 
 	if meta.HasBounds {
 		bounds = make([]ChunkBound, meta.NumBlocks)
 	}
-	total := 0
-	prevBase := int64(-1)
 	for ci := 0; ci < meta.NumBlocks; ci++ {
 		ent := decodeDirEntry(dir[ci*BlockDirEntrySize:])
-		if ent.base&(chunkSpan-1) != 0 || int64(ent.base) <= prevBase {
-			return nil, fmt.Errorf("postings: mapped block %d has base %d (prev %d): directory corrupt", ci, ent.base, prevBase)
-		}
-		prevBase = int64(ent.base)
-		if ent.n < 1 || ent.n > chunkSpan {
-			return nil, fmt.Errorf("postings: mapped block %d claims %d postings: directory corrupt", ci, ent.n)
-		}
-		need := uint64(ent.idLen) + uint64(ent.tfLen)
-		if ent.off > uint64(len(payload)) || need > uint64(len(payload))-ent.off {
-			return nil, fmt.Errorf("postings: mapped block %d payload [%d, +%d) outside region of %d bytes", ci, ent.off, need, len(payload))
-		}
-		n := int(ent.n)
-		switch ent.enc {
-		case BlockSparseRaw:
-			if int(ent.idLen) != 2*n {
-				return nil, fmt.Errorf("postings: mapped block %d: raw sparse length %d for %d keys", ci, ent.idLen, n)
-			}
-		case BlockDenseRaw:
-			if int(ent.idLen) != chunkWords*8 {
-				return nil, fmt.Errorf("postings: mapped block %d: raw dense length %d", ci, ent.idLen)
-			}
-		case BlockSparsePacked:
-			if int(ent.idLen) < n || int(ent.idLen) > 3*n {
-				return nil, fmt.Errorf("postings: mapped block %d: packed length %d for %d keys", ci, ent.idLen, n)
-			}
-		default:
-			return nil, fmt.Errorf("postings: mapped block %d: unknown encoding %d", ci, ent.enc)
-		}
-		if ent.tfLen != 0 && (int(ent.tfLen) < n || int(ent.tfLen) > 5*n) {
-			return nil, fmt.Errorf("postings: mapped block %d: tf length %d for %d postings", ci, ent.tfLen, n)
-		}
-		if ent.tfLen != 0 && !meta.HasTFs {
-			return nil, fmt.Errorf("postings: mapped block %d carries TFs in a TF-less list", ci)
-		}
 		l.chunks[ci] = chunk{base: ent.base, n: ent.n, enc: ent.enc}
-		l.offsets[ci+1] = l.offsets[ci] + n
-		total += n
+		l.offsets[ci+1] = l.offsets[ci] + int(ent.n)
 		if bounds != nil {
 			bounds[ci] = ent.bound
 		}
-	}
-	if total != meta.N {
-		return nil, fmt.Errorf("postings: mapped list blocks hold %d postings, TOC says %d", total, meta.N)
 	}
 	l.src = &mappedSource{
 		dir:     dir,
@@ -580,7 +592,7 @@ func NewMappedList(meta MappedListMeta, dir, payload []byte, segSize int, cache 
 	if bounds != nil {
 		l.adoptBounds(bounds)
 	}
-	return l, nil
+	return l
 }
 
 // BlockStats summarizes a list's format-v4 block layout: encoding mix

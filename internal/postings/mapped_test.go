@@ -7,13 +7,22 @@ import (
 	"testing"
 )
 
+// validatedMappedList is what an index does for one term: validate the
+// directory at open, then build the list on its first lookup.
+func validatedMappedList(meta MappedListMeta, dir, payload []byte, segSize int, cache *BlockCache) (*List, error) {
+	if err := ValidateMappedList(meta, dir, payload); err != nil {
+		return nil, err
+	}
+	return NewMappedList(meta, dir, payload, segSize, cache), nil
+}
+
 // mappedCopy round-trips l through the v4 block codec, returning a
 // mapped list backed by the encoder's buffers.
 func mappedCopy(t *testing.T, l *List, cache *BlockCache) *List {
 	t.Helper()
 	var e MappedEncoder
 	meta := e.EncodeList(l)
-	ml, err := NewMappedList(meta, e.Dir(), e.Payload(), l.segSize, cache)
+	ml, err := validatedMappedList(meta, e.Dir(), e.Payload(), l.segSize, cache)
 	if err != nil {
 		t.Fatalf("NewMappedList: %v", err)
 	}
@@ -311,7 +320,7 @@ func TestMappedBlockCorruptionPanics(t *testing.T) {
 	meta := e.EncodeList(l)
 	payload := append([]byte(nil), e.Payload()...)
 	payload[len(payload)/2] ^= 0x40
-	ml, err := NewMappedList(meta, e.Dir(), payload, l.segSize, nil)
+	ml, err := validatedMappedList(meta, e.Dir(), payload, l.segSize, nil)
 	if err != nil {
 		t.Fatalf("open rejected directory unexpectedly: %v", err)
 	}
@@ -340,7 +349,7 @@ func TestMappedDirectoryValidation(t *testing.T) {
 	for off := 0; off < len(e.Dir()); off++ {
 		dir := append([]byte(nil), e.Dir()...)
 		dir[off] ^= 0xff
-		ml, err := NewMappedList(meta, dir, e.Payload(), l.segSize, nil)
+		ml, err := validatedMappedList(meta, dir, e.Payload(), l.segSize, nil)
 		if err != nil {
 			continue // rejected at open: good
 		}
@@ -352,7 +361,7 @@ func TestMappedDirectoryValidation(t *testing.T) {
 		}()
 	}
 	// Sanity: unmodified directory still opens.
-	if _, err := NewMappedList(meta, e.Dir(), e.Payload(), l.segSize, nil); err != nil {
+	if _, err := validatedMappedList(meta, e.Dir(), e.Payload(), l.segSize, nil); err != nil {
 		t.Fatalf("clean directory rejected: %v", err)
 	}
 }
@@ -424,7 +433,7 @@ func TestNewMappedListRejectsGarbage(t *testing.T) {
 		}(), make([]byte, 64)},
 	}
 	for _, tc := range cases {
-		if _, err := NewMappedList(tc.meta, tc.dir, tc.payload, 0, nil); err == nil {
+		if _, err := validatedMappedList(tc.meta, tc.dir, tc.payload, 0, nil); err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
 	}
@@ -441,11 +450,11 @@ func BenchmarkMappedIntersect(b *testing.B) {
 			ma := e.EncodeList(a)
 			mc := e.EncodeList(c)
 			var err error
-			la, err = NewMappedList(ma, e.Dir()[:ma.NumBlocks*BlockDirEntrySize], e.Payload(), 0, nil)
+			la, err = validatedMappedList(ma, e.Dir()[:ma.NumBlocks*BlockDirEntrySize], e.Payload(), 0, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			lc, err = NewMappedList(mc, e.Dir()[ma.NumBlocks*BlockDirEntrySize:], e.Payload(), 0, nil)
+			lc, err = validatedMappedList(mc, e.Dir()[ma.NumBlocks*BlockDirEntrySize:], e.Payload(), 0, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
