@@ -322,8 +322,16 @@ func TestSIGTERMClosesEngine(t *testing.T) {
 		t.Fatal("run did not return after SIGTERM")
 	}
 
+	// Close has waited for the ingestion goroutines, which may still be
+	// returning (a deferred wg.Done runs before its frame is gone): give
+	// them up to a second to leave, then fail on any that remains.
 	buf := make([]byte, 1<<20)
-	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "segment.(*Ingester)") {
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	for i := 0; i < 100 && strings.Contains(stacks, "segment.(*Ingester)"); i++ {
+		time.Sleep(10 * time.Millisecond)
+		stacks = string(buf[:runtime.Stack(buf, true)])
+	}
+	if strings.Contains(stacks, "segment.(*Ingester)") {
 		t.Fatalf("ingestion goroutine outlived run:\n%s", stacks)
 	}
 	live, err := csrank.OpenLive(dir, csrank.BuildOptions{}, csrank.IngestOptions{})

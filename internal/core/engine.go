@@ -220,6 +220,11 @@ type Engine struct {
 	deadline    time.Duration
 	statsBudget time.Duration
 	pruning     bool
+
+	// refs counts the engine's holders: its owner, whose reference New
+	// gives, plus every caller between a successful Acquire and its
+	// Release. The release that brings it to zero closes the index.
+	refs atomic.Int64
 }
 
 // New creates an engine. catalog may be nil (no view acceleration).
@@ -268,7 +273,36 @@ func New(ix *index.Index, catalog *views.Catalog, opts Options) *Engine {
 		e.docLens = padded
 	}
 	e.catalog.Store(catalog)
+	e.refs.Store(1)
 	return e
+}
+
+// Acquire takes a reference on the engine for one use of its index — a
+// query and the stored fields its results read — and reports whether it
+// got one. It fails once the last reference is gone and the index is
+// closed; the caller then loads whatever serves now. Pair every
+// successful Acquire with one Release.
+func (e *Engine) Acquire() bool {
+	for {
+		n := e.refs.Load()
+		if n <= 0 {
+			return false
+		}
+		if e.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// Release drops one reference. An owner that retires the engine
+// releases the reference New gave it; whichever release is the last
+// closes the index — unmapping a mapped one — so nothing may read the
+// engine after its own Release.
+func (e *Engine) Release() {
+	if e.refs.Add(-1) == 0 {
+		e.docLens = nil
+		e.ix.Close()
+	}
 }
 
 // Index returns the engine's index.

@@ -112,6 +112,20 @@ func (b *Builder) Build() *Index {
 	return ix
 }
 
+// field returns the build of the schema field called name: nil for a
+// nil Builder or a name the schema does not declare.
+func (b *Builder) field(name string) *fieldBuild {
+	if b == nil {
+		return nil
+	}
+	for i, f := range b.schema.Fields {
+		if f.Name == name {
+			return &b.fields[i]
+		}
+	}
+	return nil
+}
+
 // appendBuilder moves o's documents, whose DocIDs must directly follow
 // b's, into b: lengths and stored fields concatenate, totals add, and
 // each term's postings append in DocID order — the state a single

@@ -14,12 +14,11 @@ import (
 // empty container.
 func quarantinedCopy(t *testing.T, l *List) *List {
 	t.Helper()
-	var e MappedEncoder
-	meta := e.EncodeList(l)
-	payload := append([]byte(nil), e.Payload()...)
-	mid := decodeDirEntry(e.Dir()[len(l.chunks)/2*BlockDirEntrySize:])
+	metas, dir, encoded := encodeBlocks(t, l)
+	payload := append([]byte(nil), encoded...)
+	mid := decodeDirEntry(dir[len(l.chunks)/2*BlockDirEntrySize:])
 	payload[mid.off] ^= 0x40
-	ml, err := validatedMappedList(meta, e.Dir(), payload, l.segSize, nil)
+	ml, err := validatedMappedList(metas[0], dir, payload, l.segSize, nil)
 	if err != nil {
 		t.Fatalf("NewMappedList: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"csrank/internal/analysis"
@@ -423,11 +424,14 @@ func TestKillPointRecovery(t *testing.T) {
 		}
 	}
 
-	// Clean run: count the schedule's mutating operations.
+	// Clean run: count the schedule's mutating operations, and the
+	// writes of each compaction's streamed index file — every one a kill
+	// point of the sweep below.
 	cleanDir := t.TempDir()
 	copyTree(t, pristine, cleanDir)
 	fault := fsx.NewFaultFS(fsx.OS)
-	acked := schedule(t, fault, cleanDir)
+	counted := &writeCountFS{FS: fault, writes: make(map[string]int)}
+	acked := schedule(t, counted, cleanDir)
 	if len(acked) != 12 {
 		t.Fatalf("clean run acked %d documents, want 12", len(acked))
 	}
@@ -435,6 +439,18 @@ func TestKillPointRecovery(t *testing.T) {
 	verify(t, 0, fault, cleanDir, acked)
 	if ops < 20 {
 		t.Fatalf("suspiciously few mutating ops (%d); fault sweep would be vacuous", ops)
+	}
+	streamed := 0
+	for name, n := range counted.writes {
+		if strings.HasPrefix(filepath.Base(name), "index.") && strings.HasSuffix(name, ".gob.tmp") {
+			streamed++
+			if n < 2 {
+				t.Fatalf("%s written in %d write; the sweep never interrupts it mid-stream", name, n)
+			}
+		}
+	}
+	if streamed != 4 { // two compactions of two shards
+		t.Fatalf("clean run streamed %d index files, want 4", streamed)
 	}
 
 	for _, short := range []bool{false, true} {
@@ -450,6 +466,34 @@ func TestKillPointRecovery(t *testing.T) {
 			verify(t, point, f, dir, got)
 		}
 	}
+}
+
+// writeCountFS counts the writes to each file created through it.
+type writeCountFS struct {
+	fsx.FS
+	mu     sync.Mutex
+	writes map[string]int
+}
+
+func (c *writeCountFS) Create(name string) (fsx.File, error) {
+	f, err := c.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &countedFile{File: f, fs: c, name: name}, nil
+}
+
+type countedFile struct {
+	fsx.File
+	fs   *writeCountFS
+	name string
+}
+
+func (f *countedFile) Write(p []byte) (int, error) {
+	f.fs.mu.Lock()
+	f.fs.writes[f.name]++
+	f.fs.mu.Unlock()
+	return f.File.Write(p)
 }
 
 // TestDocCodecRoundTrip: the WAL document codec is lossless and

@@ -68,7 +68,14 @@ func Split(docs []index.Document, n int) (parts [][]index.Document, globals [][]
 // of shard s's local document. Each map is strictly increasing and the
 // maps partition [0, total).
 func GlobalMaps(total, n int) [][]uint32 {
+	sizes := make([]int, n)
+	for g := 0; g < total; g++ {
+		sizes[ShardOf(uint32(g), n)]++
+	}
 	globals := make([][]uint32, n)
+	for s := range globals {
+		globals[s] = make([]uint32, 0, sizes[s])
+	}
 	for g := 0; g < total; g++ {
 		s := ShardOf(uint32(g), n)
 		globals[s] = append(globals[s], uint32(g))
