@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"csrank/internal/core"
 	"csrank/internal/fsx"
@@ -109,29 +110,38 @@ func LoadManifest(dir string) (Manifest, error) {
 // lazily, plus views.gob) and the manifest. Only clusters whose docID
 // maps match the built-in partitioner can be persisted — the manifest
 // records no explicit maps, so anything else could not be reopened.
+// Save reads the engines it snapshots without a reference, so it is for
+// a cluster nothing retires engines of; a live cluster is saved from an
+// acquired view through SaveSlices.
 func (c *Cluster) Save(dir string) error {
-	top := c.state.Load()
-	m := NewManifest(top.total, len(c.shards))
-	for i, g := range GlobalMaps(top.total, len(c.shards)) {
-		if len(g) != len(top.globals[i]) {
+	slices, _ := c.Slices()
+	return SaveSlices(dir, slices)
+}
+
+// SaveSlices persists one slice per shard, in shard order, as Save
+// persists a cluster. The caller keeps the slices' engines open
+// throughout — a live view holds them through its Acquire — since a
+// mapped index is read straight out of its mapping.
+func SaveSlices(dir string, shards []core.Slice) error {
+	total := 0
+	for _, sl := range shards {
+		total += len(sl.Globals)
+	}
+	m := NewManifest(total, len(shards))
+	for i, g := range GlobalMaps(total, len(shards)) {
+		if !slices.Equal(g, shards[i].Globals) {
 			return fmt.Errorf("shard: cluster partition is not %s; cannot persist", PartitionFNV)
 		}
-		for j := range g {
-			if g[j] != top.globals[i][j] {
-				return fmt.Errorf("shard: cluster partition is not %s; cannot persist", PartitionFNV)
-			}
-		}
 	}
-	for i := range c.shards {
-		eng, _ := c.shards[i].Snapshot()
+	for i, sl := range shards {
 		sd := ShardDir(dir, i)
 		if err := os.MkdirAll(sd, 0o755); err != nil {
 			return err
 		}
-		if err := eng.Index().SaveMapped(filepath.Join(sd, "index.gob")); err != nil {
+		if err := sl.Eng.Index().SaveMapped(filepath.Join(sd, "index.gob")); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		if cat := eng.Catalog(); cat != nil {
+		if cat := sl.Eng.Catalog(); cat != nil {
 			if err := cat.SaveFile(filepath.Join(sd, "views.gob")); err != nil {
 				return fmt.Errorf("shard %d: %w", i, err)
 			}

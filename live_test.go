@@ -160,6 +160,82 @@ func TestEngineSaveThenOpenLive(t *testing.T) {
 	}
 }
 
+// TestLiveSaveDuringCompaction: Save on a live engine holds the shards
+// it writes, so a compaction that retires and unmaps them mid-write
+// cannot pull the pages out from under it (run under -race). Every copy
+// is one committed generation: it opens, holds the base plus a whole
+// number of compacted batches, and ranks the last document it holds.
+func TestLiveSaveDuringCompaction(t *testing.T) {
+	const nBase, batch, rounds = 60, 10, 6
+	b := NewBuilder()
+	for i := 0; i < nBase; i++ {
+		b.Add(liveDoc(i))
+	}
+	se, err := b.BuildSharded(2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := se.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	live, err := OpenLive(dir, BuildOptions{}, IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	done := make(chan error, 1)
+	go func() {
+		next := nBase
+		for r := 0; r < rounds; r++ {
+			for j := 0; j < batch; j++ {
+				if _, err := live.Add(liveDoc(next)); err != nil {
+					done <- err
+					return
+				}
+				next++
+			}
+			if err := live.Compact(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for saves, compacting := 0, true; compacting || saves < 2; saves++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			compacting = false
+		default:
+		}
+		out := t.TempDir()
+		if err := live.Save(out); err != nil {
+			t.Fatalf("save %d: %v", saves, err)
+		}
+		cp, err := OpenSharded(out, BuildOptions{})
+		if err != nil {
+			t.Fatalf("open save %d: %v", saves, err)
+		}
+		n := cp.NumDocs()
+		if n < nBase || (n-nBase)%batch != 0 {
+			t.Fatalf("save %d holds %d documents, not %d plus whole batches of %d", saves, n, nBase, batch)
+		}
+		hits, _, err := cp.Search(fmt.Sprintf("uniq%04d", n-1), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) != 1 || hits[0].DocID != n-1 {
+			t.Fatalf("save %d: document %d not ranked: %+v", saves, n-1, hits)
+		}
+	}
+	if live.NumDocs() != nBase+rounds*batch {
+		t.Fatalf("NumDocs=%d, want %d", live.NumDocs(), nBase+rounds*batch)
+	}
+}
+
 // TestOpenLiveShardFaultDegrades: a live engine runs the same
 // failure-domain contract as a static cluster. With a non-empty mutable
 // segment and shard 1 crashing, every query still answers — flagged
