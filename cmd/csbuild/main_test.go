@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"csrank"
+	"csrank/internal/fsx"
 	"csrank/internal/index"
 	"csrank/internal/mesh"
 	"csrank/internal/shard"
@@ -32,7 +33,7 @@ func TestRunProducesLoadableArtifacts(t *testing.T) {
 		t.Error("default build wrote the single-engine layout")
 	}
 	sd := shard.ShardDir(dir, 0)
-	m, err := shard.LoadManifest(dir)
+	m, err := shard.LoadManifest(fsx.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestRunProducesLoadableArtifacts(t *testing.T) {
 	if !snapshot.IsPaged(raw) {
 		t.Error("default build did not write the paged v4 format")
 	}
-	ix, err := index.LoadFile(filepath.Join(sd, "index.gob"))
+	ix, err := index.LoadFileFS(fsx.OS, filepath.Join(sd, "index.gob"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestRawGobDataDirStillLoads(t *testing.T) {
 		}
 	}
 	// The index fixture holds four documents.
-	if got, err := index.LoadFile(filepath.Join(dir, "index.gob")); err != nil || got.NumDocs() != 4 {
+	if got, err := index.LoadFileFS(fsx.OS, filepath.Join(dir, "index.gob")); err != nil || got.NumDocs() != 4 {
 		t.Fatalf("raw-gob index: %v", err)
 	}
 	if got, err := views.LoadFile(filepath.Join(dir, "views.gob")); err != nil || got.Len() != 2 {

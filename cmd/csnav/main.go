@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -42,13 +43,13 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "per-query deadline for -q; on expiry partial results are returned flagged degraded (0 = unbounded)")
 	)
 	flag.Parse()
-	if err := run(*data, *path, *selects, *q, *k, *timeout); err != nil {
+	if err := run(*data, *path, *selects, *q, *k, *timeout, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "csnav:", err)
 		os.Exit(1)
 	}
 }
 
-func run(data, path, selects, qstr string, k int, timeout time.Duration) error {
+func run(data, path, selects, qstr string, k int, timeout time.Duration, out io.Writer) error {
 	onto, err := mesh.LoadFile(filepath.Join(data, "mesh.gob"))
 	if err != nil {
 		return fmt.Errorf("load ontology (did csbuild write mesh.gob?): %w", err)
@@ -69,7 +70,7 @@ func run(data, path, selects, qstr string, k int, timeout time.Duration) error {
 	}
 
 	if selects == "" {
-		return list(onto, df, path)
+		return list(onto, df, path, out)
 	}
 
 	terms := strings.Fields(selects)
@@ -82,7 +83,7 @@ func run(data, path, selects, qstr string, k int, timeout time.Duration) error {
 	for _, sl := range slices {
 		size += sl.Eng.ContextSize(terms)
 	}
-	fmt.Printf("context %v: %d of %d citations\n", terms, size, c.NumDocs())
+	fmt.Fprintf(out, "context %v: %d of %d citations\n", terms, size, c.NumDocs())
 	if qstr == "" {
 		return nil
 	}
@@ -91,19 +92,19 @@ func run(data, path, selects, qstr string, k int, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("query %q  [plan=%s, results=%d]\n", pq, sum.Agg.Plan, sum.Agg.ResultSize)
+	fmt.Fprintf(out, "query %q  [plan=%s, results=%d]\n", pq, sum.Agg.Plan, sum.Agg.ResultSize)
 	if sum.Agg.Degraded {
-		fmt.Printf("  !! degraded: %s\n", sum.Agg.DegradedReason)
+		fmt.Fprintf(out, "  !! degraded: %s\n", sum.Agg.DegradedReason)
 	}
 	for i, h := range hits {
-		fmt.Printf("  %2d. (%.4f) %s\n", i+1, h.Score, slices[h.Slice].Eng.Index().StoredField(h.Local, "title"))
+		fmt.Fprintf(out, "  %2d. (%.4f) #%d %s\n", i+1, h.Score, h.Global, slices[h.Slice].Eng.Index().StoredField(h.Local, "title"))
 	}
 	return nil
 }
 
 // list prints the children (or roots) at a hierarchy path with their
 // citation counts, mimicking the PubMed MeSH browser.
-func list(onto *mesh.Ontology, df func(string) int64, path string) error {
+func list(onto *mesh.Ontology, df func(string) int64, path string, out io.Writer) error {
 	var ids []mesh.TermID
 	indentBase := ""
 	if path == "" {
@@ -114,7 +115,7 @@ func list(onto *mesh.Ontology, df func(string) int64, path string) error {
 			return err
 		}
 		t := onto.Term(cur)
-		fmt.Printf("%s  (%d citations)\n", t.Name, df(t.Name))
+		fmt.Fprintf(out, "%s  (%d citations)\n", t.Name, df(t.Name))
 		ids = t.Children
 		indentBase = "  "
 	}
@@ -127,7 +128,7 @@ func list(onto *mesh.Ontology, df func(string) int64, path string) error {
 		if len(t.Children) > 0 {
 			marker = " +"
 		}
-		fmt.Printf("%s%-32s %8d citations%s\n", indentBase, t.Name, df(t.Name), marker)
+		fmt.Fprintf(out, "%s%-32s %8d citations%s\n", indentBase, t.Name, df(t.Name), marker)
 	}
 	return nil
 }

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"csrank"
 	"csrank/internal/core"
 	"csrank/internal/corpus"
 	"csrank/internal/index"
@@ -74,13 +79,13 @@ func buildData(t *testing.T, shards int) string {
 func TestNavigation(t *testing.T) {
 	for _, l := range layouts {
 		dir := buildData(t, l.shards)
-		if err := run(dir, "", "", "", 5, 0); err != nil {
+		if err := run(dir, "", "", "", 5, 0, io.Discard); err != nil {
 			t.Errorf("%s: root listing: %v", l.name, err)
 		}
-		if err := run(dir, "diseases", "", "", 5, 0); err != nil {
+		if err := run(dir, "diseases", "", "", 5, 0, io.Discard); err != nil {
 			t.Errorf("%s: path listing: %v", l.name, err)
 		}
-		if err := run(dir, "diseases/neoplasms", "", "", 5, 0); err != nil {
+		if err := run(dir, "diseases/neoplasms", "", "", 5, 0, io.Discard); err != nil {
 			t.Errorf("%s: deep path listing: %v", l.name, err)
 		}
 	}
@@ -89,10 +94,10 @@ func TestNavigation(t *testing.T) {
 func TestSelectAndQuery(t *testing.T) {
 	for _, l := range layouts {
 		dir := buildData(t, l.shards)
-		if err := run(dir, "", "anatomy", "", 5, 0); err != nil {
+		if err := run(dir, "", "anatomy", "", 5, 0, io.Discard); err != nil {
 			t.Errorf("%s: select only: %v", l.name, err)
 		}
-		if err := run(dir, "", "anatomy", "organ disease", 5, 0); err != nil {
+		if err := run(dir, "", "anatomy", "organ disease", 5, 0, io.Discard); err != nil {
 			t.Errorf("%s: select + query: %v", l.name, err)
 		}
 	}
@@ -100,13 +105,62 @@ func TestSelectAndQuery(t *testing.T) {
 
 func TestNavErrors(t *testing.T) {
 	dir := buildData(t, 1)
-	if err := run(dir, "no_such_term", "", "", 5, 0); err == nil {
+	if err := run(dir, "no_such_term", "", "", 5, 0, io.Discard); err == nil {
 		t.Error("unknown path accepted")
 	}
-	if err := run(dir, "", "no_such_term", "", 5, 0); err == nil {
+	if err := run(dir, "", "no_such_term", "", 5, 0, io.Discard); err == nil {
 		t.Error("unknown selection accepted")
 	}
-	if err := run(t.TempDir(), "", "", "", 5, 0); err == nil {
+	if err := run(t.TempDir(), "", "", "", 5, 0, io.Discard); err == nil {
 		t.Error("missing data dir accepted")
+	}
+}
+
+// TestCompactedLiveDir: csnav opens a live directory compacted twice at
+// its committed generation — it counts every compacted document and
+// prints the top 20 OpenLive serves for the same context query.
+func TestCompactedLiveDir(t *testing.T) {
+	dir := buildData(t, 2)
+	cfg := corpus.DefaultConfig()
+	cfg.NumDocs = 2200
+	cfg.OntologyTerms = 100
+	cfg.NumTopics = 0
+	c, err := corpus.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := csrank.OpenLive(dir, csrank.BuildOptions{}, csrank.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	for i, cit := range c.Docs[2000:] {
+		if _, err := live.Add(csrank.Document{Title: cit.Title, Body: cit.Abstract, Predicates: cit.Mesh}); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%100 == 0 {
+			if err := live.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	hits, _, err := live.Search("disease | anatomy", 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 20 {
+		t.Fatalf("OpenLive answers %d hits, want 20", len(hits))
+	}
+	want := []string{"of 2200 citations"}
+	for i, h := range hits {
+		want = append(want, fmt.Sprintf("  %2d. (%.4f) #%d %s", i+1, h.Score, h.DocID, h.Title))
+	}
+	var out bytes.Buffer
+	if err := run(dir, "", "anatomy", "disease", 20, 0, &out); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 22 || !strings.HasSuffix(lines[0], want[0]) || strings.Join(lines[2:], "\n") != strings.Join(want[1:], "\n") {
+		t.Fatalf("csnav prints\n%s\nwant the context line to end %q, then OpenLive's ranks\n%s", out.String(), want[0], strings.Join(want[1:], "\n"))
 	}
 }

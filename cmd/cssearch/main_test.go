@@ -2,15 +2,19 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"csrank"
 	"csrank/internal/core"
 	"csrank/internal/corpus"
 	"csrank/internal/index"
+	"csrank/internal/ranking"
 	"csrank/internal/selection"
 	"csrank/internal/shard"
 	"csrank/internal/snapshot"
@@ -137,7 +141,7 @@ func TestRunAllModes(t *testing.T) {
 func TestRunScorers(t *testing.T) {
 	dir := buildData(t, 1)
 	for _, sc := range []string{"pivoted-tfidf", "bm25", "dirichlet-lm"} {
-		if err := run(dir, "disease | anatomy", 3, "context", sc, 0, true); err != nil {
+		if err := run(dir, "disease | anatomy", 3, "context", sc, 0, true, io.Discard); err != nil {
 			t.Errorf("scorer %s: %v", sc, err)
 		}
 	}
@@ -145,16 +149,16 @@ func TestRunScorers(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	dir := buildData(t, 1)
-	if err := run(dir, "disease", 3, "context", "nope", 0, false); err == nil {
+	if err := run(dir, "disease", 3, "context", "nope", 0, false, io.Discard); err == nil {
 		t.Error("unknown scorer accepted")
 	}
-	if err := run(dir, "disease", 3, "bogus", "bm25", 0, false); err == nil {
+	if err := run(dir, "disease", 3, "bogus", "bm25", 0, false, io.Discard); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if err := run(dir, "a | b | c", 3, "context", "bm25", 0, false); err == nil {
+	if err := run(dir, "a | b | c", 3, "context", "bm25", 0, false, io.Discard); err == nil {
 		t.Error("unparseable query accepted")
 	}
-	if err := run(t.TempDir(), "disease", 3, "context", "bm25", 0, false); err == nil {
+	if err := run(t.TempDir(), "disease", 3, "context", "bm25", 0, false, io.Discard); err == nil {
 		t.Error("missing data dir accepted")
 	}
 }
@@ -195,33 +199,114 @@ func TestVerify(t *testing.T) {
 
 // TestVerifyChecksIndexSections: -verify checksums the index sections
 // that opening skips, so one flipped byte in shard 0's stored text fails
-// the audit and the error names the shard and the section.
+// the audit and the error names the shard and the section — in a csbuild
+// output's index.gob and in the generation file a compaction wrote.
 func TestVerifyChecksIndexSections(t *testing.T) {
-	dir := buildData(t, 1)
-	path := filepath.Join(shard.ShardDir(dir, 0), "index.gob")
-	data, err := os.ReadFile(path)
+	for _, tc := range []struct {
+		name string
+		dir  string
+		gen  uint64
+	}{
+		{"csbuild", buildData(t, 1), 0},
+		{"compacted", compactLiveDir(t, buildData(t, 2), 1), 1},
+	} {
+		path := filepath.Join(shard.ShardDir(tc.dir, 0), shard.IndexName(tc.gen))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := snapshot.OpenPaged(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, ok := pf.Section("stored")
+		if !ok {
+			t.Fatalf("%s: index file has no stored section", tc.name)
+		}
+		stored[len(stored)-1] ^= 1 // the section aliases data: the last byte of stored text
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err = verifyData(tc.dir, &out)
+		if err == nil {
+			t.Fatalf("%s: corrupt stored section verified clean:\n%s", tc.name, out.String())
+		}
+		if msg := err.Error(); !strings.Contains(msg, "shard 0") || !strings.Contains(msg, `"stored"`) {
+			t.Fatalf("%s: error %q does not name shard 0 and the stored section", tc.name, msg)
+		}
+	}
+}
+
+// compactLiveDir adds 100 new documents to the cluster at dir through
+// the live path and compacts them, rounds times, leaving nothing
+// pending; it returns dir.
+func compactLiveDir(t *testing.T, dir string, rounds int) string {
+	t.Helper()
+	cfg := corpus.DefaultConfig()
+	cfg.NumDocs = 2000 + 100*rounds
+	cfg.OntologyTerms = 100
+	cfg.NumTopics = 0
+	c, err := corpus.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf, err := snapshot.OpenPaged(data)
+	live, err := csrank.OpenLive(dir, csrank.BuildOptions{}, csrank.IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, ok := pf.Section("stored")
-	if !ok {
-		t.Fatal("index file has no stored section")
+	defer live.Close()
+	for i, cit := range c.Docs[2000:] {
+		if _, err := live.Add(csrank.Document{Title: cit.Title, Body: cit.Abstract, Predicates: cit.Mesh}); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%100 == 0 {
+			if err := live.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	stored[len(stored)-1] ^= 1 // the section aliases data: the last byte of stored text
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	return dir
+}
+
+// TestCompactedLiveDir: a live directory compacted twice opens at its
+// committed generation — cssearch prints the top 20 OpenLive serves,
+// under each of the five scorers — and -verify checksums generation 2's
+// files and passes, reporting that no catalog serves there.
+func TestCompactedLiveDir(t *testing.T) {
+	const q = "disease | anatomy"
+	dir := compactLiveDir(t, buildData(t, 2), 2)
+	for _, name := range ranking.Names() {
+		live, err := csrank.OpenLive(dir, csrank.BuildOptions{Scorer: csrank.Scorer(name)}, csrank.IngestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, _, err := live.Search(q, 20)
+		live.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) != 20 {
+			t.Fatalf("%s: OpenLive answers %d hits, want 20", name, len(hits))
+		}
+		var want []string
+		for i, h := range hits {
+			want = append(want, fmt.Sprintf("  %2d. (%.4f) #%d %s", i+1, h.Score, h.DocID, h.Title))
+		}
+		var out bytes.Buffer
+		if err := run(dir, q, 20, "context", name, 0, false, &out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := ranked(out.String()); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("%s: cssearch ranks\n%s\nOpenLive ranks\n%s", name, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 	var out bytes.Buffer
-	err = verifyData(dir, &out)
-	if err == nil {
-		t.Fatalf("corrupt stored section verified clean:\n%s", out.String())
+	if err := verifyData(dir, &out); err != nil {
+		t.Fatalf("a clean compacted directory fails -verify: %v\n%s", err, out.String())
 	}
-	if msg := err.Error(); !strings.Contains(msg, "shard 0") || !strings.Contains(msg, `"stored"`) {
-		t.Fatalf("error %q does not name shard 0 and the stored section", msg)
+	if want := "generation 2: no view catalog (catalogs serve only at generation 0)"; !strings.Contains(out.String(), want) {
+		t.Fatalf("-verify output %q lacks %q", out.String(), want)
 	}
 }
 
@@ -273,7 +358,7 @@ func TestListStatsBothFormats(t *testing.T) {
 			t.Errorf("%s: v4 liststats wrong (%d headers):\n%s", l.name, n, s)
 		}
 		// The paged files must also serve searches through the same CLI path.
-		if err := run(dir, "disease | anatomy", 3, "context", "bm25", 0, true); err != nil {
+		if err := run(dir, "disease | anatomy", 3, "context", "bm25", 0, true, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -286,6 +286,62 @@ func TestCompactionFailureReachesStatsz(t *testing.T) {
 	}
 }
 
+// TestHealthzGenerationAfterRestart: csserve restarted on a live
+// directory compacted twice reports every shard at live.json's
+// generation on /healthz, read-only and with -ingest alike.
+func TestHealthzGenerationAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	if err := buildTestEngine(t, 2).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	live, err := csrank.OpenLive(dir, csrank.BuildOptions{}, csrank.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 5; i++ {
+			if _, err := live.Add(csrank.Document{Title: "added", Body: fmt.Sprintf("pancreas follow-up %d", i), Predicates: []string{"neoplasms"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := live.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "live.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed struct {
+		Gen uint64 `json:"gen"`
+	}
+	if err := json.Unmarshal(data, &committed); err != nil || committed.Gen != 2 {
+		t.Fatalf("live.json %s (%v), want generation 2", data, err)
+	}
+	for _, ingest := range []bool{false, true} {
+		eng, err := openEngine(dir, csrank.BuildOptions{}, ingest, 0, 0)
+		if err != nil {
+			t.Fatalf("ingest=%v: restart: %v", ingest, err)
+		}
+		ts := httptest.NewServer(newServer(eng, newAdmission(4, 16, time.Second), 10, 0, false, ingest).routes())
+		var h healthzResponse
+		code := getJSON(t, ts, "/healthz", &h)
+		ts.Close()
+		eng.Close()
+		if code != http.StatusOK || len(h.Shards) != 2 {
+			t.Fatalf("ingest=%v: healthz %d %+v", ingest, code, h)
+		}
+		for _, sh := range h.Shards {
+			if sh.Generation != committed.Gen {
+				t.Fatalf("ingest=%v: shard %d serves generation %d, live.json says %d", ingest, sh.Shard, sh.Generation, committed.Gen)
+			}
+		}
+	}
+}
+
 // TestIndexEndpointDisabled: without -ingest the endpoint refuses
 // writes instead of panicking or silently dropping them.
 func TestIndexEndpointDisabled(t *testing.T) {

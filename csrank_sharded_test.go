@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"csrank/internal/core"
+	"csrank/internal/fsx"
 	"csrank/internal/index"
 	"csrank/internal/query"
 	"csrank/internal/ranking"
@@ -156,7 +157,7 @@ func TestShardedWrapAndRoundTrip(t *testing.T) {
 	if err := se.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shard.LoadManifest(dir); err != nil {
+	if _, err := shard.LoadManifest(fsx.OS, dir); err != nil {
 		t.Fatalf("saved dir has no cluster manifest: %v", err)
 	}
 	assertPagedShards(t, dir, 3, "index.gob")
@@ -239,7 +240,7 @@ func TestLegacySingleDirOpensAsOneShard(t *testing.T) {
 	if err := old.Save(converted); err != nil {
 		t.Fatal(err)
 	}
-	if man, err := shard.LoadManifest(converted); err != nil || man.Shards != 1 {
+	if man, err := shard.LoadManifest(fsx.OS, converted); err != nil || man.Shards != 1 {
 		t.Fatalf("converted dir manifest %+v: %v", man, err)
 	}
 	assertPagedShards(t, converted, 1, "index.gob")

@@ -76,6 +76,20 @@ func (osFS) SyncDir(name string) error {
 	return err
 }
 
+// ReadFile reads the whole of name through fs.
+func ReadFile(fs FS, name string) ([]byte, error) {
+	f, err := fs.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, fmt.Errorf("fsx: read %s: %w", name, err)
+	}
+	return data, nil
+}
+
 // WriteFileAtomic writes a file so that path only ever holds either its
 // previous content or the complete new content: the payload goes to a
 // temporary file in the same directory, is fsynced, and is renamed over

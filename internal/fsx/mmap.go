@@ -1,9 +1,6 @@
 package fsx
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Mapping is a read-only view of a whole file, obtained through MapFile.
 // Data is either a true memory mapping (the OS filesystem on platforms
@@ -47,14 +44,9 @@ func MapFile(fs FS, name string) (*Mapping, error) {
 		}
 		return &Mapping{Data: data, mapped: true, close: closeFn}, nil
 	}
-	f, err := fs.Open(name)
+	data, err := ReadFile(fs, name)
 	if err != nil {
 		return nil, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, fmt.Errorf("fsx: read %s: %w", name, err)
 	}
 	return &Mapping{Data: data, close: func() error { return nil }}, nil
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"csrank/internal/fsx"
 )
 
 // BenchmarkIndexOpen measures the cold-open cost of a paged v4 index
@@ -37,7 +39,7 @@ func BenchmarkIndexOpen(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x, err := LoadFile(path)
+		x, err := LoadFileFS(fsx.OS, path)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +62,7 @@ func BenchmarkIndexOpen(b *testing.B) {
 		}
 		return float64(after.HeapAlloc-before.HeapAlloc) / (1 << 20)
 	}
-	x, err := LoadFile(path)
+	x, err := LoadFileFS(fsx.OS, path)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func TestSaveMappedCrashKeepsPreviousIndex(t *testing.T) {
 		for _, short := range []bool{false, true} {
 			ffs.Arm(point, short)
 			werr := bigger.SaveMappedFS(ffs, path)
-			got, lerr := LoadFile(path)
+			got, lerr := LoadFileFS(fsx.OS, path)
 			if lerr != nil {
 				t.Fatalf("point %d short=%v: index unloadable after crash: %v", point, short, lerr)
 			}
@@ -214,7 +214,7 @@ func TestLoadFileReadsRawGob(t *testing.T) {
 	if snapshot.IsFramed(b) || snapshot.IsPaged(b) {
 		t.Fatal("raw gob fixture carries a snapshot frame")
 	}
-	got, err := LoadFile(path)
+	got, err := LoadFileFS(fsx.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"csrank/internal/analysis"
+	"csrank/internal/fsx"
 	"csrank/internal/postings"
 )
 
@@ -262,7 +263,7 @@ func TestPersistFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, encodeV3Framed(t, ix), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := LoadFileFS(fsx.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestPersistFileRoundTrip(t *testing.T) {
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(t.TempDir() + "/nope.gob"); err == nil {
+	if _, err := LoadFileFS(fsx.OS, t.TempDir()+"/nope.gob"); err == nil {
 		t.Error("expected error for missing file")
 	}
 }

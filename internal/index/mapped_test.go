@@ -137,7 +137,7 @@ func TestMappedFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// LoadFile negotiates to the mapped reader by magic.
-	lx, err := LoadFile(path)
+	lx, err := LoadFileFS(fsx.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +165,11 @@ func TestMappedV3V4RoundTripEquivalence(t *testing.T) {
 		if err := ix.SaveMapped(v4); err != nil {
 			t.Fatal(err)
 		}
-		ix3, err := LoadFile(v3)
+		ix3, err := LoadFileFS(fsx.OS, v3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix4, err := LoadFile(v4)
+		ix4, err := LoadFileFS(fsx.OS, v4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestMappedV3V4RoundTripEquivalence(t *testing.T) {
 		if err := ix3.SaveMapped(up); err != nil {
 			t.Fatal(err)
 		}
-		ixu, err := LoadFile(up)
+		ixu, err := LoadFileFS(fsx.OS, up)
 		if err != nil {
 			t.Fatal(err)
 		}

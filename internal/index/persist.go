@@ -237,16 +237,11 @@ func ReadSnapshot(r io.Reader) (*Index, error) {
 	return ix, nil
 }
 
-// LoadFile reads an index written by SaveMapped, or a framed or raw gob
-// stream written by an older build.
-func LoadFile(path string) (*Index, error) {
-	return LoadFileFS(fsx.OS, path)
-}
-
-// LoadFileFS is LoadFile against an explicit filesystem. Format
-// negotiation is by magic: a v4 paged file is memory-mapped through
-// OpenMappedFS (zero-decode open); framed-v2/v3 and legacy raw-gob
-// files decode through ReadSnapshot as before.
+// LoadFileFS reads an index written by SaveMapped, or a framed or raw
+// gob stream written by an older build. Format negotiation is by magic:
+// a v4 paged file is memory-mapped through OpenMappedFS (zero-decode
+// open); framed-v2/v3 and legacy raw-gob files decode through
+// ReadSnapshot as before.
 func LoadFileFS(fs fsx.FS, path string) (*Index, error) {
 	f, err := fs.Open(path)
 	if err != nil {

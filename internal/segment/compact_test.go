@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,7 +58,7 @@ func TestCompactionRefusesCorruptBlock(t *testing.T) {
 	docs := liveCorpus(3, 50)
 	dir := t.TempDir()
 	buildLiveDir(t, dir, docs[:40], 2, 8)
-	path := filepath.Join(shard.ShardDir(dir, 0), indexName(0))
+	path := filepath.Join(shard.ShardDir(dir, 0), shard.IndexName(0))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +100,7 @@ func TestCompactionRefusesCorruptBlock(t *testing.T) {
 		t.Fatalf("generation 0 left the disk: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := os.Stat(filepath.Join(shard.ShardDir(dir, i), indexName(1))); !os.IsNotExist(err) {
+		if _, err := os.Stat(filepath.Join(shard.ShardDir(dir, i), shard.IndexName(1))); !os.IsNotExist(err) {
 			t.Fatalf("shard %d: a failed compaction left generation 1 (stat: %v)", i, err)
 		}
 	}
@@ -129,7 +130,8 @@ func liveQueries() []query.Query {
 // every shard serves the file its last compaction wrote — a mapped
 // index, as a restarted server opens — and closing and reopening the
 // directory gives the same top 20, docIDs and score bits, under each of
-// the five scorers.
+// the five scorers. The reopened ingester and a read-only shard.Open of
+// the same directory both serve generation 3 and answer bit-identically.
 func TestCompactedShardsServeMappedAcrossRestart(t *testing.T) {
 	docs := liveCorpus(5, 90)
 	for _, name := range []string{"pivoted-tfidf", "bm25", "dirichlet-lm", "cosine-tfidf", "jelinek-mercer-lm"} {
@@ -169,15 +171,31 @@ func TestCompactedShardsServeMappedAcrossRestart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", name, err)
 		}
+		readOnly, err := shard.Open(dir, opts.Core)
+		if err != nil {
+			t.Fatalf("%s: read-only open: %v", name, err)
+		}
+		for what, gens := range map[string][]uint64{"reopened": ing.Cluster().Generations(), "read-only": readOnly.Generations()} {
+			if !slices.Equal(gens, []uint64{3, 3}) {
+				t.Fatalf("%s: %s generations %v, want [3 3]", name, what, gens)
+			}
+		}
 		for qi, q := range liveQueries() {
 			got := searchQuery(t, ing, q)
-			if len(got) != len(before[qi]) {
-				t.Fatalf("%s q=%v: %d hits after reopen, %d before", name, q, len(got), len(before[qi]))
+			ro, _, err := readOnly.Search(context.Background(), q, 20)
+			if err != nil {
+				t.Fatalf("%s q=%v: read-only search: %v", name, q, err)
+			}
+			if len(got) != len(before[qi]) || len(ro) != len(got) {
+				t.Fatalf("%s q=%v: %d hits after reopen, %d read-only, %d before", name, q, len(got), len(ro), len(before[qi]))
 			}
 			for r := range got {
-				g, w := got[r], before[qi][r]
+				g, w, o := got[r], before[qi][r], ro[r]
 				if g.Global != w.Global || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
 					t.Fatalf("%s q=%v rank %d: (%d, %v) after reopen, (%d, %v) before", name, q, r, g.Global, g.Score, w.Global, w.Score)
+				}
+				if o.Global != g.Global || math.Float64bits(o.Score) != math.Float64bits(g.Score) {
+					t.Fatalf("%s q=%v rank %d: (%d, %v) read-only, (%d, %v) reopened", name, q, r, o.Global, o.Score, g.Global, g.Score)
 				}
 			}
 		}
@@ -289,7 +307,7 @@ func TestRetiredGenerationsUnmapped(t *testing.T) {
 		t.Fatalf("%d mappings of the data directory once idle, want %d:\n%s", len(lines), nShards, strings.Join(lines, "\n"))
 	}
 	for _, line := range lines {
-		if strings.HasSuffix(line, "(deleted)") || !strings.HasSuffix(line, indexName(rounds)) {
+		if strings.HasSuffix(line, "(deleted)") || !strings.HasSuffix(line, shard.IndexName(rounds)) {
 			t.Fatalf("mapping %q is not a generation-%d index file", line, rounds)
 		}
 	}

@@ -2,9 +2,7 @@ package segment
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,35 +14,11 @@ import (
 	"csrank/internal/index"
 	"csrank/internal/query"
 	"csrank/internal/shard"
-	"csrank/internal/views"
 )
-
-// LiveName is the ingestion commit-point file inside a cluster data
-// directory: it names the current index generation and committed
-// document count. It is rewritten atomically exactly once per
-// compaction, making "which generation is live" a single-file decision
-// recovery can always answer.
-const LiveName = "live.json"
-
-type liveState struct {
-	Version   int    `json:"version"`
-	Gen       uint64 `json:"gen"`
-	TotalDocs int    `json:"total_docs"`
-}
 
 // walName returns the ingestion log for a generation: the documents
 // acknowledged after that generation's snapshot was committed.
 func walName(gen uint64) string { return fmt.Sprintf("ingest-%06d.wal", gen) }
-
-// indexName returns a shard's index file for a generation. Generation 0
-// is the csbuild-written base layout, so an uncompacted live directory
-// stays openable by every existing tool.
-func indexName(gen uint64) string {
-	if gen == 0 {
-		return "index.gob"
-	}
-	return fmt.Sprintf("index.%06d.gob", gen)
-}
 
 // Options configures an Ingester.
 type Options struct {
@@ -99,14 +73,11 @@ type Ingester struct {
 	fs      fsx.FS
 	dir     string
 	cluster *shard.Cluster
-	schema  index.Schema
-	segSize int
 	opts    Options
 
 	mu         sync.Mutex
 	seg        *Segment
 	gen        uint64
-	total      int // documents committed into the shard indexes
 	compacting bool
 	compactErr error
 	closed     bool
@@ -127,63 +98,25 @@ type Ingester struct {
 }
 
 // Open opens a cluster data directory for live ingestion and recovers
-// its mutable segment: load the committed generation (live.json, or the
-// csbuild manifest for a never-compacted directory), open each shard's
-// index for that generation, replay the generation's ingestion WAL into
-// the segment (truncating a torn tail), and sweep any orphan files a
-// crash mid-compaction left behind. Every document whose Add was
-// acknowledged before the crash is afterwards searchable exactly once.
+// its mutable segment: open the cluster at its committed generation
+// (shard.OpenFS), replay that generation's ingestion WAL into the
+// segment (truncating a torn tail), and sweep any orphan files a crash
+// mid-compaction left behind. Every document whose Add was acknowledged
+// before the crash is afterwards searchable exactly once.
 func Open(dir string, o Options) (*Ingester, error) {
 	fs := o.FS
 	if fs == nil {
 		fs = fsx.OS
 	}
-	m, err := shard.LoadManifest(dir)
-	if err != nil {
+	if _, err := fs.Stat(filepath.Join(dir, shard.ManifestName)); err != nil {
 		return nil, fmt.Errorf("segment: live ingestion requires a cluster data directory (cluster.json, as csbuild and Save write): %w", err)
 	}
-	st := liveState{Version: 1, Gen: 0, TotalDocs: m.TotalDocs}
-	if data, rerr := readAll(fs, filepath.Join(dir, LiveName)); rerr == nil {
-		if err := json.Unmarshal(data, &st); err != nil {
-			return nil, fmt.Errorf("segment: parse %s: %w", LiveName, err)
-		}
-		if st.Version != 1 {
-			return nil, fmt.Errorf("segment: %s version %d, this build reads 1", LiveName, st.Version)
-		}
-		if st.TotalDocs < m.TotalDocs {
-			return nil, fmt.Errorf("segment: %s declares %d documents, below the manifest's %d", LiveName, st.TotalDocs, m.TotalDocs)
-		}
-	}
-
-	globals := shard.GlobalMaps(st.TotalDocs, m.Shards)
-	engines := make([]*core.Engine, m.Shards)
-	for i := range engines {
-		sd := shard.ShardDir(dir, i)
-		ix, err := index.LoadFileFS(fs, filepath.Join(sd, indexName(st.Gen)))
-		if err != nil {
-			return nil, fmt.Errorf("segment: shard %d gen %d: %w", i, st.Gen, err)
-		}
-		if ix.NumDocs() != len(globals[i]) {
-			return nil, fmt.Errorf("segment: shard %d holds %d documents, partition expects %d", i, ix.NumDocs(), len(globals[i]))
-		}
-		var cat *views.Catalog
-		if st.Gen == 0 {
-			// View catalogs describe the build-time corpus; compaction
-			// changes the corpus, so catalogs serve only at generation 0
-			// and contextual statistics fall back to the (exact)
-			// straightforward plan afterwards.
-			if c, err := views.LoadFileFS(fs, filepath.Join(sd, "views.gob")); err == nil {
-				cat = c
-			}
-		}
-		engines[i] = core.New(ix, cat, o.Core)
-	}
-	cluster, err := shard.NewCluster(engines, globals)
+	cluster, err := shard.OpenFS(fs, dir, o.Core)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("segment: %w", err)
 	}
-
-	seg, err := OpenSegment(fs, filepath.Join(dir, walName(st.Gen)))
+	_, gen := cluster.Engine(0)
+	seg, err := OpenSegment(fs, filepath.Join(dir, walName(gen)))
 	if err != nil {
 		return nil, err
 	}
@@ -191,12 +124,9 @@ func Open(dir string, o Options) (*Ingester, error) {
 		fs:      fs,
 		dir:     dir,
 		cluster: cluster,
-		schema:  engines[0].Index().Schema(),
-		segSize: engines[0].Index().SegmentSize(),
 		opts:    o,
 		seg:     seg,
-		gen:     st.Gen,
-		total:   st.TotalDocs,
+		gen:     gen,
 		stop:    make(chan struct{}),
 	}
 	ing.removeOrphans()
@@ -212,15 +142,6 @@ func Open(dir string, o Options) (*Ingester, error) {
 		go ing.refreshLoop()
 	}
 	return ing, nil
-}
-
-func readAll(fs fsx.FS, path string) ([]byte, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return io.ReadAll(f)
 }
 
 // Cluster returns the underlying shard cluster (for generation and
@@ -313,7 +234,7 @@ func (ing *Ingester) Add(d index.Document) (int, error) {
 		ing.mu.Unlock()
 		return 0, err
 	}
-	id := ing.total + pos
+	id := ing.cluster.NumDocs() + pos
 	pending := ing.seg.Len()
 	if ing.opts.RefreshEvery == 0 {
 		if err := ing.refreshLocked(); err != nil {
@@ -350,23 +271,25 @@ func (ing *Ingester) Refresh() error {
 }
 
 func (ing *Ingester) refreshLocked() error {
+	total := ing.cluster.NumDocs()
 	docs := ing.seg.Docs()
 	docs = docs[:len(docs):len(docs)]
 	base, _ := ing.cluster.Slices()
 	slices := make([]core.Slice, 0, len(base)+1)
 	slices = append(slices, base...)
 	if len(docs) > 0 {
-		segIx, err := index.BuildFrom(ing.schema, ing.segSize, docs)
+		shape := base[0].Eng.Index() // the segment indexes as the shards do
+		segIx, err := index.BuildFrom(shape.Schema(), shape.SegmentSize(), docs)
 		if err != nil {
 			return err
 		}
 		globals := make([]uint32, len(docs))
 		for j := range globals {
-			globals[j] = uint32(ing.total + j)
+			globals[j] = uint32(total + j)
 		}
 		slices = append(slices, core.Slice{Eng: core.New(segIx, nil, ing.opts.Core), Globals: globals})
 	}
-	newCount := ing.total + len(docs)
+	newCount := total + len(docs)
 	if ing.viewSeq == 0 || ing.gen != ing.lastGen || newCount != ing.lastCount {
 		ing.viewSeq++
 		ing.lastGen, ing.lastCount = ing.gen, newCount
@@ -441,7 +364,7 @@ func (ing *Ingester) doCompact() error {
 	}
 	docs = docs[:n:n]
 	base, _ := ing.cluster.Slices()
-	total := ing.total
+	total := ing.cluster.NumDocs()
 	gen := ing.gen
 	ing.mu.Unlock()
 
@@ -497,9 +420,7 @@ func (ing *Ingester) doCompact() error {
 			return err
 		}
 	}
-	if err := fsx.WriteFileAtomic(ing.fs, filepath.Join(ing.dir, LiveName), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(liveState{Version: 1, Gen: newGen, TotalDocs: newTotal})
-	}); err != nil {
+	if err := shard.CommitLive(ing.fs, ing.dir, newGen, newTotal); err != nil {
 		seg2.Close()
 		return err
 	}
@@ -516,11 +437,10 @@ func (ing *Ingester) doCompact() error {
 	old := ing.seg
 	ing.seg = seg2
 	ing.gen = newGen
-	ing.total = newTotal
 	old.Close()
 	ing.fs.Remove(old.Path())
 	for i := 0; i < nShards; i++ {
-		ing.fs.Remove(filepath.Join(shard.ShardDir(ing.dir, i), indexName(gen)))
+		ing.fs.Remove(filepath.Join(shard.ShardDir(ing.dir, i), shard.IndexName(gen)))
 	}
 	return ing.refreshLocked()
 }
@@ -529,11 +449,11 @@ func (ing *Ingester) doCompact() error {
 // share of the drained documents, into generation gen's file and opens
 // the file it wrote, which is what the shard serves once gen commits.
 func (ing *Ingester) writeGeneration(i int, gen uint64, base *index.Index, docs []index.Document) (*core.Engine, error) {
-	path := filepath.Join(shard.ShardDir(ing.dir, i), indexName(gen))
-	if err := index.SaveExtendedFS(ing.fs, path, base, docs); err != nil {
+	sd := shard.ShardDir(ing.dir, i)
+	if err := index.SaveExtendedFS(ing.fs, filepath.Join(sd, shard.IndexName(gen)), base, docs); err != nil {
 		return nil, fmt.Errorf("segment: write shard %d gen %d: %w", i, gen, err)
 	}
-	ix, err := index.OpenMappedFS(ing.fs, path, 0)
+	ix, err := shard.OpenGeneration(ing.fs, sd, gen)
 	if err != nil {
 		return nil, fmt.Errorf("segment: open shard %d gen %d: %w", i, gen, err)
 	}
@@ -559,7 +479,7 @@ func (ing *Ingester) removeOrphans() {
 			}
 			for _, f := range sub {
 				fn := f.Name()
-				if fn == indexName(ing.gen) {
+				if fn == shard.IndexName(ing.gen) {
 					continue
 				}
 				if strings.HasPrefix(fn, "index") && (strings.HasSuffix(fn, ".gob") || strings.HasSuffix(fn, ".tmp")) {

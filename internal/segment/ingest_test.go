@@ -291,7 +291,7 @@ func TestCompactionEquivalence(t *testing.T) {
 func assertPagedGeneration(t *testing.T, dir string, nShards int, gen uint64) {
 	t.Helper()
 	for i := 0; i < nShards; i++ {
-		b, err := os.ReadFile(filepath.Join(shard.ShardDir(dir, i), indexName(gen)))
+		b, err := os.ReadFile(filepath.Join(shard.ShardDir(dir, i), shard.IndexName(gen)))
 		if err != nil {
 			t.Fatal(err)
 		}

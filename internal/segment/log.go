@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"csrank/internal/fsx"
 )
@@ -101,14 +100,9 @@ type replayResult struct {
 // records. The payload slice aliases an internal buffer only for the
 // duration of the call; fn must copy what it keeps.
 func replayRaw(fs fsx.FS, path string, fn func(payload []byte) error) (replayResult, error) {
-	f, err := fs.Open(path)
+	data, err := fsx.ReadFile(fs, path)
 	if err != nil {
 		return replayResult{}, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return replayResult{}, fmt.Errorf("segment: read %s: %w", path, err)
 	}
 
 	off := 0

@@ -146,6 +146,11 @@ type Summary struct {
 // pairwise disjoint, and each map's length equal to its engine's
 // document count. Shard generations start at 0.
 func NewCluster(engines []*core.Engine, globals [][]uint32) (*Cluster, error) {
+	return newCluster(engines, globals, 0)
+}
+
+// newCluster is NewCluster with every shard serving generation gen.
+func newCluster(engines []*core.Engine, globals [][]uint32, gen uint64) (*Cluster, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("shard: cluster needs at least one engine")
 	}
@@ -179,7 +184,7 @@ func NewCluster(engines []*core.Engine, globals [][]uint32) (*Cluster, error) {
 	c := &Cluster{}
 	c.state.Store(&topology{globals: globals, total: total})
 	for _, e := range engines {
-		c.shards = append(c.shards, core.NewServing(e, 0))
+		c.shards = append(c.shards, core.NewServing(e, gen))
 	}
 	c.SetPolicy(Policy{})
 	return c, nil

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -27,9 +26,11 @@ const manifestVersion = 1
 // each holding an ordinary engine data directory (index.gob in any
 // supported format, optional views.gob). Because the partition function
 // is pure, the manifest needs only (TotalDocs, Shards, Partition) to
-// reconstruct every local→global docID map; ShardDocs is recorded
-// redundantly so Open can detect a shard directory that drifted from
-// the partition it claims to be.
+// reconstruct every local→global docID map — live.json's TotalDocs
+// replaces the manifest's once the directory has compacted — and Open
+// checks each shard's document count against its map, so a shard
+// directory that drifted from its partition fails to open. ShardDocs
+// records the generation-0 counts redundantly.
 type Manifest struct {
 	Version   int    `json:"version"`
 	Shards    int    `json:"shards"`
@@ -90,8 +91,8 @@ func SaveManifest(dir string, m Manifest) error {
 }
 
 // LoadManifest reads and validates dir's cluster manifest.
-func LoadManifest(dir string) (Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+func LoadManifest(fsys fsx.FS, dir string) (Manifest, error) {
+	data, err := fsx.ReadFile(fsys, filepath.Join(dir, ManifestName))
 	if err != nil {
 		return Manifest{}, err
 	}
@@ -103,6 +104,68 @@ func LoadManifest(dir string) (Manifest, error) {
 		return Manifest{}, err
 	}
 	return m, nil
+}
+
+// LiveName is the ingestion commit-point file inside a cluster data
+// directory: it names the current index generation and committed
+// document count. It is rewritten atomically exactly once per
+// compaction, making "which generation is live" a single-file decision
+// every open can answer.
+const LiveName = "live.json"
+
+type liveState struct {
+	Version   int    `json:"version"`
+	Gen       uint64 `json:"gen"`
+	TotalDocs int    `json:"total_docs"`
+}
+
+// readLive returns dir's committed generation: live.json's, or
+// generation 0 over the manifest's documents for a directory that never
+// compacted.
+func readLive(fsys fsx.FS, dir string, m Manifest) (liveState, error) {
+	st := liveState{Version: 1, Gen: 0, TotalDocs: m.TotalDocs}
+	data, err := fsx.ReadFile(fsys, filepath.Join(dir, LiveName))
+	if errors.Is(err, os.ErrNotExist) {
+		return st, nil
+	}
+	if err != nil {
+		return st, err
+	}
+	if err := json.Unmarshal(data, &st); err != nil {
+		return st, fmt.Errorf("shard: parse %s: %w", LiveName, err)
+	}
+	if st.Version != 1 {
+		return st, fmt.Errorf("shard: %s version %d, this build reads 1", LiveName, st.Version)
+	}
+	if st.TotalDocs < m.TotalDocs {
+		return st, fmt.Errorf("shard: %s declares %d documents, below the manifest's %d", LiveName, st.TotalDocs, m.TotalDocs)
+	}
+	return st, nil
+}
+
+// CommitLive atomically rewrites dir's live.json to name generation gen
+// holding total documents: the commit point of a compaction.
+func CommitLive(fsys fsx.FS, dir string, gen uint64, total int) error {
+	return fsx.WriteFileAtomic(fsys, filepath.Join(dir, LiveName), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(liveState{Version: 1, Gen: gen, TotalDocs: total})
+	})
+}
+
+// IndexName returns a shard's index file for a generation. Generation 0
+// is the file csbuild and Save write, so an uncompacted live directory
+// stays openable by every existing tool.
+func IndexName(gen uint64) string {
+	if gen == 0 {
+		return "index.gob"
+	}
+	return fmt.Sprintf("index.%06d.gob", gen)
+}
+
+// OpenGeneration opens generation gen's index file in a shard
+// directory: a v4 file maps with the default block-cache budget, a gob
+// file an older build wrote decodes.
+func OpenGeneration(fsys fsx.FS, shardDir string, gen uint64) (*index.Index, error) {
+	return index.LoadFileFS(fsys, filepath.Join(shardDir, IndexName(gen)))
 }
 
 // Save persists the cluster under dir: one engine data directory per
@@ -138,7 +201,7 @@ func SaveSlices(dir string, shards []core.Slice) error {
 		if err := os.MkdirAll(sd, 0o755); err != nil {
 			return err
 		}
-		if err := sl.Eng.Index().SaveMapped(filepath.Join(sd, "index.gob")); err != nil {
+		if err := sl.Eng.Index().SaveMapped(filepath.Join(sd, IndexName(0))); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		if cat := sl.Eng.Catalog(); cat != nil {
@@ -150,22 +213,27 @@ func SaveSlices(dir string, shards []core.Slice) error {
 	return SaveManifest(dir, m)
 }
 
-// Open loads a persisted cluster: the manifest, then every shard's
-// index (Save writes format v4, whose postings map lazily, so N shards
-// do not multiply resident heap; gob indexes from older builds still
-// load, fully decoded) and optional view catalog, each behind an engine
-// built with opts. A shard whose document count disagrees with the
-// manifest fails the open — serving a drifted partition would silently
-// corrupt rankings.
+// Open loads a persisted cluster at its committed generation: the
+// manifest, live.json when the directory has compacted, then every
+// shard's index of that generation (v4 maps lazily, so N shards do not
+// multiply resident heap; gob indexes from older builds still load,
+// fully decoded) behind an engine built with opts, serving at that
+// generation. A shard whose document count disagrees with the partition
+// fails the open — serving a drifted partition would silently corrupt
+// rankings. Open only reads: documents still in a live directory's
+// ingestion log are not served (segment.Open replays them).
 //
 // A directory without a manifest that holds an index.gob — the
 // single-engine layout older builds wrote — opens as a one-shard cluster
 // rooted at dir, so Save converts it to the cluster layout.
-func Open(dir string, opts core.Options) (*Cluster, error) {
-	m, err := LoadManifest(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		if _, serr := os.Stat(filepath.Join(dir, "index.gob")); serr == nil {
-			eng, err := openEngine(dir, opts)
+func Open(dir string, opts core.Options) (*Cluster, error) { return OpenFS(fsx.OS, dir, opts) }
+
+// OpenFS is Open against an explicit filesystem.
+func OpenFS(fsys fsx.FS, dir string, opts core.Options) (*Cluster, error) {
+	m, err := LoadManifest(fsys, dir)
+	if errors.Is(err, os.ErrNotExist) {
+		if _, serr := fsys.Stat(filepath.Join(dir, IndexName(0))); serr == nil {
+			eng, err := openEngine(fsys, dir, 0, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -175,30 +243,40 @@ func Open(dir string, opts core.Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	engines := make([]*core.Engine, m.Shards)
-	for i := range engines {
-		eng, err := openEngine(ShardDir(dir, i), opts)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if n := eng.Index().NumDocs(); n != m.ShardDocs[i] {
-			return nil, fmt.Errorf("shard %d: index holds %d documents, manifest says %d", i, n, m.ShardDocs[i])
-		}
-		engines[i] = eng
-	}
-	return NewCluster(engines, GlobalMaps(m.TotalDocs, m.Shards))
-}
-
-// openEngine loads one engine data directory: index.gob and, when
-// present and readable, views.gob.
-func openEngine(dir string, opts core.Options) (*core.Engine, error) {
-	ix, err := index.LoadFile(filepath.Join(dir, "index.gob"))
+	st, err := readLive(fsys, dir, m)
 	if err != nil {
 		return nil, err
 	}
-	cat, err := views.LoadFile(filepath.Join(dir, "views.gob"))
+	globals := GlobalMaps(st.TotalDocs, m.Shards)
+	engines := make([]*core.Engine, m.Shards)
+	for i := range engines {
+		eng, err := openEngine(fsys, ShardDir(dir, i), st.Gen, opts)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		if n := eng.Index().NumDocs(); n != len(globals[i]) {
+			return nil, fmt.Errorf("shard %d: index holds %d documents, partition expects %d", i, n, len(globals[i]))
+		}
+		engines[i] = eng
+	}
+	return newCluster(engines, globals, st.Gen)
+}
+
+// openEngine loads generation gen of one engine data directory, and its
+// views.gob, when present and readable, only at generation 0: a catalog
+// describes the corpus it was materialized over, compaction grows the
+// corpus without rewriting it, and the exact straightforward plan beats
+// a stale view answer.
+func openEngine(fsys fsx.FS, dir string, gen uint64, opts core.Options) (*core.Engine, error) {
+	ix, err := OpenGeneration(fsys, dir, gen)
 	if err != nil {
-		cat = nil // view-less engine
+		return nil, err
+	}
+	var cat *views.Catalog
+	if gen == 0 {
+		if cat, err = views.LoadFileFS(fsys, filepath.Join(dir, "views.gob")); err != nil {
+			cat = nil // view-less engine
+		}
 	}
 	return core.New(ix, cat, opts), nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"csrank/internal/core"
+	"csrank/internal/fsx"
 	"csrank/internal/query"
 	"csrank/internal/snapshot"
 )
@@ -41,7 +42,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if err := mem.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadManifest(dir); err != nil {
+	if _, err := LoadManifest(fsx.OS, dir); err != nil {
 		t.Fatalf("saved directory has no manifest: %v", err)
 	}
 	for i := range engines {

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"csrank/internal/ranking"
@@ -382,6 +383,97 @@ func TestV3ClusterCompactsToV4(t *testing.T) {
 		}
 		if err := live.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCompactedDirServesNoStaleCatalog: compaction grows the corpus
+// but leaves each shard's generation-0 views.gob on disk, and that
+// catalog must not serve over the grown corpus. A directory compacted
+// twice opens with no views through OpenSharded and OpenLive alike, at
+// the committed generation, and both rank the top 20 exactly as a
+// view-less fresh build over every document does.
+func TestCompactedDirServesNoStaleCatalog(t *testing.T) {
+	const nBase, nAdd = 120, 40
+	base := NewBuilder()
+	for i := 0; i < nBase; i++ {
+		base.Add(liveDoc(i))
+	}
+	se, err := base.BuildSharded(2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if se.NumViews() == 0 {
+		t.Fatal("the base build materialized no views; the test needs a catalog to go stale")
+	}
+	dir := t.TempDir()
+	if err := se.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	live, err := OpenLive(dir, BuildOptions{}, IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := nBase; i < nBase+nAdd; i++ {
+		if _, err := live.Add(liveDoc(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == nBase+nAdd/2-1 || i == nBase+nAdd-1 {
+			if err := live.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := os.Stat(filepath.Join(shard.ShardDir(dir, i), "views.gob")); err != nil {
+			t.Fatalf("shard %d: compaction removed the generation-0 catalog, so nothing here can go stale: %v", i, err)
+		}
+	}
+
+	full := NewBuilder()
+	for i := 0; i < nBase+nAdd; i++ {
+		full.Add(liveDoc(i))
+	}
+	want, err := full.Build(BuildOptions{DisableViews: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenLive(dir, BuildOptions{}, IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	readOnly, err := OpenSharded(dir, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]*ShardedEngine{"OpenSharded": readOnly, "OpenLive": reopened} {
+		if n := e.NumViews(); n != 0 {
+			t.Fatalf("%s: %d views serve at generation 2", name, n)
+		}
+		if gens := e.Generations(); !slices.Equal(gens, []uint64{2, 2}) {
+			t.Fatalf("%s: generations %v, want [2 2]", name, gens)
+		}
+		for _, q := range []string{"leukemia | neoplasms", "pancreas outcomes | digestive_system", "leukemia", "uniq0150"} {
+			wh, _, err := want.Search(q, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gh, _, err := e.Search(q, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gh) != len(wh) || len(wh) == 0 {
+				t.Fatalf("%s %q: %d hits, want %d", name, q, len(gh), len(wh))
+			}
+			for i := range wh {
+				if gh[i] != wh[i] {
+					t.Fatalf("%s %q rank %d: %+v, want %+v", name, q, i, gh[i], wh[i])
+				}
+			}
 		}
 	}
 }
