@@ -28,8 +28,10 @@ import (
 	"time"
 
 	"csrank/internal/core"
+	"csrank/internal/fsx"
 	"csrank/internal/mesh"
 	"csrank/internal/query"
+	"csrank/internal/segment"
 	"csrank/internal/shard"
 )
 
@@ -49,6 +51,10 @@ func main() {
 	}
 }
 
+// notes receives what csnav reports about the data directory beside
+// its listing: documents left in the ingestion log.
+var notes io.Writer = os.Stderr
+
 func run(data, path, selects, qstr string, k int, timeout time.Duration, out io.Writer) error {
 	onto, err := mesh.LoadFile(filepath.Join(data, "mesh.gob"))
 	if err != nil {
@@ -57,6 +63,14 @@ func run(data, path, selects, qstr string, k int, timeout time.Duration, out io.
 	c, err := shard.Open(data, core.Options{Deadline: timeout})
 	if err != nil {
 		return err
+	}
+	// A read-only open does not replay the committed generation's
+	// ingestion log, so say what it holds.
+	gen := c.Generations()[0]
+	if n, err := segment.LoggedDocs(fsx.OS, data, gen); err != nil {
+		fmt.Fprintf(notes, "note: generation-%d ingestion log: %v\n", gen, err)
+	} else if n > 0 {
+		fmt.Fprintf(notes, "note: %d acknowledged documents in the generation-%d ingestion log are not counted or searched read-only (csserve -ingest replays them)\n", n, gen)
 	}
 	slices, _ := c.Slices()
 	// df counts the citations a concept annotates, over every shard.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -162,5 +163,35 @@ func TestCompactedLiveDir(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != 22 || !strings.HasSuffix(lines[0], want[0]) || strings.Join(lines[2:], "\n") != strings.Join(want[1:], "\n") {
 		t.Fatalf("csnav prints\n%s\nwant the context line to end %q, then OpenLive's ranks\n%s", out.String(), want[0], strings.Join(want[1:], "\n"))
+	}
+}
+
+// TestLoggedDocsNoted: three documents acknowledged but never compacted
+// are only in the ingestion log, which a read-only open does not
+// replay; csnav says how many and counts only the committed citations.
+func TestLoggedDocsNoted(t *testing.T) {
+	var note bytes.Buffer
+	notes = &note
+	defer func() { notes = os.Stderr }()
+	dir := buildData(t, 2)
+	live, err := csrank.OpenLive(dir, csrank.BuildOptions{}, csrank.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if _, err := live.Add(csrank.Document{Title: fmt.Sprintf("late %d", i), Body: "disease", Predicates: []string{"anatomy"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live.Close()
+	var out bytes.Buffer
+	if err := run(dir, "", "anatomy", "", 5, 0, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "note: 3 acknowledged documents in the generation-0 ingestion log"; !strings.Contains(note.String(), want) {
+		t.Fatalf("notes %q lack %q", note.String(), want)
+	}
+	if !strings.Contains(out.String(), "of 2000 citations") {
+		t.Fatalf("csnav counts logged documents:\n%s", out.String())
 	}
 }

@@ -28,9 +28,11 @@ import (
 	"time"
 
 	"csrank/internal/core"
+	"csrank/internal/fsx"
 	"csrank/internal/index"
 	"csrank/internal/query"
 	"csrank/internal/ranking"
+	"csrank/internal/segment"
 	"csrank/internal/shard"
 	"csrank/internal/views"
 )
@@ -240,6 +242,11 @@ func run(data, qstr string, k int, mode, scorerName string, timeout time.Duratio
 	return searchAndPrint(c, qstr, k, mode, out)
 }
 
+// notes receives what the commands report about the data directory
+// beside their results: shards served without views, documents left in
+// the ingestion log.
+var notes io.Writer = os.Stderr
+
 // openCluster loads the data directory with the requested scorer.
 func openCluster(data, scorerName string, timeout time.Duration, pruning bool) (*shard.Cluster, error) {
 	sc, ok := ranking.New(scorerName)
@@ -250,16 +257,30 @@ func openCluster(data, scorerName string, timeout time.Duration, pruning bool) (
 	if err != nil {
 		return nil, err
 	}
+	for i := range c.NumShards() {
+		if err := c.CatalogErr(i); err != nil {
+			fmt.Fprintf(notes, "note: shard %d serves without views: %v\n", i, err)
+		}
+	}
 	if eng, _ := c.Engine(0); eng.Catalog() == nil {
-		fmt.Fprintln(os.Stderr, "note: no views loaded; contextual queries use the straightforward plan")
+		fmt.Fprintln(notes, "note: no views loaded; contextual queries use the straightforward plan")
+	}
+	// A read-only open does not replay the committed generation's
+	// ingestion log, so say what it holds.
+	gen := c.Generations()[0]
+	if n, err := segment.LoggedDocs(fsx.OS, data, gen); err != nil {
+		fmt.Fprintf(notes, "note: generation-%d ingestion log: %v\n", gen, err)
+	} else if n > 0 {
+		fmt.Fprintf(notes, "note: %d acknowledged documents in the generation-%d ingestion log are not served read-only (csserve -ingest replays them)\n", n, gen)
 	}
 	return c, nil
 }
 
 // verifyData first checksums every section of every shard's index file
 // at the committed generation, the lazily verified sections included,
-// then audits every shard's view catalog against its index (the source
-// of truth): every sampled group's aggregates are recomputed and
+// then runs every view's first-use check (a quarantined view fails the
+// run) and audits every shard's view catalog against its index (the
+// source of truth): every sampled group's aggregates are recomputed and
 // compared. A compacted live directory serves no catalog, so its audit
 // ends with the checksums. Exit status is the contract — zero findings
 // means the files and catalogs can be trusted for ranking; corruption or
@@ -287,7 +308,10 @@ func verifyData(data string, out io.Writer) error {
 		}
 		cat := sl.Eng.Catalog()
 		if cat == nil {
-			return fmt.Errorf("%sno view catalog to verify (views.gob missing or unreadable)", prefix)
+			return fmt.Errorf("%sno view catalog to verify (views.gob missing or unreadable: %v)", prefix, c.CatalogErr(i))
+		}
+		if err := cat.Check(); err != nil {
+			return fmt.Errorf("%squarantined: %w", prefix, err)
 		}
 		drift, err := cat.Verify(sl.Eng.Index(), views.VerifyOptions{})
 		if err != nil {

@@ -388,3 +388,100 @@ func TestListStatsBothFormats(t *testing.T) {
 		t.Errorf("heap index reports a block cache:\n%s", s)
 	}
 }
+
+// addUncompacted adds three new documents to the cluster at dir through
+// the live path and closes it without compacting, so they are only in
+// the generation-0 ingestion log; it returns dir.
+func addUncompacted(t *testing.T, dir string) string {
+	t.Helper()
+	live, err := csrank.OpenLive(dir, csrank.BuildOptions{}, csrank.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	for i := range 3 {
+		if _, err := live.Add(csrank.Document{Title: fmt.Sprintf("late %d", i), Body: "disease organ", Predicates: []string{"anatomy"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestLoggedDocsNoted: documents acknowledged but never compacted are
+// only in the ingestion log, which a read-only open does not replay;
+// cssearch says how many.
+func TestLoggedDocsNoted(t *testing.T) {
+	var note bytes.Buffer
+	notes = &note
+	defer func() { notes = os.Stderr }()
+	dir := buildData(t, 2)
+	if err := run(dir, "disease | anatomy", 3, "context", "bm25", 0, false, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(note.String(), "acknowledged") {
+		t.Fatalf("fresh build notes logged documents: %q", note.String())
+	}
+	addUncompacted(t, dir)
+	note.Reset()
+	if err := run(dir, "disease | anatomy", 3, "context", "bm25", 0, false, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if want := "note: 3 acknowledged documents in the generation-0 ingestion log"; !strings.Contains(note.String(), want) {
+		t.Fatalf("notes %q lack %q", note.String(), want)
+	}
+}
+
+// TestQuarantinedViewRanksStraightforward: one flipped byte in the df
+// column of shard 0's first view leaves its views.gob opening, but the
+// first query that would use the view quarantines it — the query ranks
+// exactly as the straightforward plan does — and -verify fails.
+func TestQuarantinedViewRanksStraightforward(t *testing.T) {
+	dir := buildData(t, 2)
+	path := filepath.Join(shard.ShardDir(dir, 0), "views.gob")
+	cat, err := views.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The smallest view is written first, and every one-keyword context
+	// of its K matches it.
+	v := cat.Match(nil)
+	q := v.TrackedWords()[0] + " | " + v.K()[0]
+	dfAt := v.Size() * 16 // its slab opens with count and length, then word 0's df
+	cat.Close()
+	var before bytes.Buffer
+	if err := run(dir, q, 10, "context", "pivoted-tfidf", 0, false, &before); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(before.String(), "plan=view") {
+		t.Fatalf("%q does not use a view before the corruption:\n%s", q, before.String())
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := snapshot.OpenPaged(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, _ := pf.Section("cols")
+	cols[dfAt] ^= 1 // the section aliases data
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := run(dir, q, 10, "context", "pivoted-tfidf", 0, false, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(dir, q, 10, "straightforward", "pivoted-tfidf", 0, false, &want); err != nil {
+		t.Fatal(err)
+	}
+	if g, w := ranked(got.String()), ranked(want.String()); len(w) == 0 || strings.Join(g, "\n") != strings.Join(w, "\n") {
+		t.Fatalf("with shard 0's view quarantined %q ranks\n%s\nthe straightforward plan ranks\n%s", q, got.String(), want.String())
+	}
+	var out bytes.Buffer
+	err = verifyData(dir, &out)
+	if err == nil || !strings.Contains(err.Error(), "shard 0: quarantined") || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("-verify over a corrupt df column: %v\n%s", err, out.String())
+	}
+}

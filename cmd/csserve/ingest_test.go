@@ -386,12 +386,16 @@ func assertKeys(t *testing.T, what string, got, want []string) {
 func TestWireSchemaStability(t *testing.T) {
 	// compact_error is omitempty: set it so the full key set is pinned.
 	assertKeys(t, "statsz", jsonKeys(t, statszResponse{CompactError: "x"}), []string{
-		"bad_requests", "block_cache", "compact_error", "degraded", "errors", "generations",
+		"bad_requests", "block_cache", "catalogs", "compact_error", "degraded", "errors", "generations",
 		"indexed_docs", "inflight", "ingest_enabled", "ingest_errors", "ingest_requests",
 		"latency_p50_ms", "latency_p90_ms", "latency_p999_ms", "latency_p99_ms",
 		"num_docs", "num_shards", "ok", "partial_results", "pending_docs", "pruned_docs",
 		"quarantined_blocks", "queue_depth", "requests", "result_cache",
 		"shed_queue_full", "shed_queue_timeout", "shed_unhealthy",
+	})
+	// catalog_error is omitempty: set it so the full key set is pinned.
+	assertKeys(t, "statsz catalogs", jsonKeys(t, csrank.CatalogStatus{OpenError: "x"}), []string{
+		"catalog_error", "views", "views_quarantined",
 	})
 	assertKeys(t, "search", jsonKeys(t, searchResponse{Shards: []csrank.Stats{{}}}), []string{
 		"hits", "k", "query", "shards", "stats",

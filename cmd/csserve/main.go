@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -31,7 +32,9 @@ import (
 	"time"
 
 	"csrank"
+	"csrank/internal/fsx"
 	"csrank/internal/ranking"
+	"csrank/internal/segment"
 )
 
 func main() {
@@ -104,6 +107,7 @@ func run(cfg serveConfig) error {
 	if err != nil {
 		return err
 	}
+	reportCatalogsAndLog(os.Stderr, cfg.data, eng, cfg.ingest)
 	srv := newServer(eng, newAdmission(cfg.maxInflight, cfg.maxQueue, cfg.queueTimeout), cfg.k, cfg.timeout, cfg.perShard, cfg.ingest)
 	srv.chaos = cfg.chaos
 	fmt.Fprintf(os.Stderr, "csserve: %d documents over %d shard(s); listening on %s (inflight≤%d queue≤%d ingest=%v chaos=%v)\n",
@@ -143,6 +147,27 @@ func run(cfg serveConfig) error {
 		}
 		fmt.Fprintln(os.Stderr, "csserve: drained cleanly")
 		return nil
+	}
+}
+
+// reportCatalogsAndLog writes one line per shard whose views.gob did not
+// open and, without ingestion, one line counting the acknowledged
+// documents the committed generation's ingestion log holds, which a
+// read-only server does not serve (or saying why the log is unreadable).
+func reportCatalogsAndLog(w io.Writer, data string, eng *csrank.ShardedEngine, ingest bool) {
+	for i, st := range eng.Catalogs() {
+		if st.OpenError != "" {
+			fmt.Fprintf(w, "csserve: shard %d serves without views: %s\n", i, st.OpenError)
+		}
+	}
+	if ingest {
+		return
+	}
+	gen := eng.Generations()[0]
+	if n, err := segment.LoggedDocs(fsx.OS, data, gen); err != nil {
+		fmt.Fprintf(w, "csserve: generation-%d ingestion log: %v\n", gen, err)
+	} else if n > 0 {
+		fmt.Fprintf(w, "csserve: %d acknowledged documents in the generation-%d ingestion log are not served without -ingest\n", n, gen)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -20,6 +21,8 @@ import (
 	"time"
 
 	"csrank"
+	"csrank/internal/snapshot"
+	"csrank/internal/views"
 )
 
 // buildTestEngine builds a small sharded engine through the public API.
@@ -350,5 +353,92 @@ func TestSIGTERMClosesEngine(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCatalogFailuresReported: shard 0's first view has one flipped df
+// byte and shard 1's views.gob is not a catalog file; three documents
+// sit uncompacted in the ingestion log. A read-only server reports the
+// unopened catalog and the logged documents at startup, quarantines the
+// corrupt view on the first query that would use it — answering as the
+// straightforward plan does — and /statsz counts it.
+func TestCatalogFailuresReported(t *testing.T) {
+	dir := t.TempDir()
+	if err := buildTestEngine(t, 2).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "shard-000", "views.gob")
+	cat, err := views.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := cat.Match(nil) // the smallest view, written first
+	if v == nil || len(v.TrackedWords()) == 0 {
+		t.Fatal("shard 0 has no view with tracked words")
+	}
+	q := v.TrackedWords()[0] + " | " + v.K()[0]
+	dfAt := v.Size() * 16 // after count and length: word 0's df
+	cat.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := snapshot.OpenPaged(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, _ := pf.Section("cols")
+	cols[dfAt] ^= 1 // the section aliases data
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shard-001", "views.gob"), []byte("not a catalog"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	live, err := csrank.OpenLive(dir, csrank.BuildOptions{}, csrank.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if _, err := live.Add(csrank.Document{Title: fmt.Sprintf("late %d", i), Body: "pancreas", Predicates: []string{"neoplasms"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live.Close()
+
+	eng, err := csrank.OpenSharded(dir, csrank.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var report bytes.Buffer
+	reportCatalogsAndLog(&report, dir, eng, false)
+	for _, want := range []string{"csserve: shard 1 serves without views: ", "csserve: 3 acknowledged documents in the generation-0 ingestion log"} {
+		if !strings.Contains(report.String(), want) {
+			t.Fatalf("startup report %q lacks %q", report.String(), want)
+		}
+	}
+	if strings.Contains(report.String(), "shard 0") {
+		t.Fatalf("startup report blames shard 0, whose catalog opens: %q", report.String())
+	}
+
+	ts := httptest.NewServer(newServer(eng, newAdmission(4, 16, time.Second), 10, 0, false, false).routes())
+	defer ts.Close()
+	var got searchResponse
+	if code := getJSON(t, ts, "/search?k=10&q="+url.QueryEscape(q), &got); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	want, _, err := eng.SearchStraightforward(q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Hits) != fmt.Sprint(want) || len(want) == 0 {
+		t.Fatalf("%q answers %v over HTTP, the straightforward plan %v", q, got.Hits, want)
+	}
+	var st statszResponse
+	getJSON(t, ts, "/statsz", &st)
+	if len(st.Catalogs) != 2 || st.Catalogs[0].Quarantined != 1 || st.Catalogs[0].OpenError != "" ||
+		st.Catalogs[1].Views != 0 || st.Catalogs[1].OpenError == "" {
+		t.Fatalf("statsz catalogs %+v", st.Catalogs)
 	}
 }

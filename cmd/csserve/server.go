@@ -81,6 +81,10 @@ type statszResponse struct {
 	NumDocs     int      `json:"num_docs"`
 	NumShards   int      `json:"num_shards"`
 	Generations []uint64 `json:"generations"`
+	// Catalogs is each shard's view catalog: views serving, views
+	// quarantined by a failed first-use check, and why a views.gob did
+	// not open.
+	Catalogs []csrank.CatalogStatus `json:"catalogs"`
 
 	Requests      int64 `json:"requests"`
 	OK            int64 `json:"ok"`
@@ -397,6 +401,7 @@ func (s *server) statsz() statszResponse {
 		NumDocs:     s.eng.NumDocs(),
 		NumShards:   s.eng.NumShards(),
 		Generations: s.eng.Generations(),
+		Catalogs:    s.eng.Catalogs(),
 
 		Requests:          s.requests.Load(),
 		OK:                s.ok.Load(),

@@ -38,7 +38,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -223,8 +225,14 @@ type Engine struct {
 
 	// refs counts the engine's holders: its owner, whose reference New
 	// gives, plus every caller between a successful Acquire and its
-	// Release. The release that brings it to zero closes the index.
+	// Release. The release that brings it to zero closes the index and
+	// every catalog the engine has held.
 	refs atomic.Int64
+	// swapped holds the catalogs SwapCatalog replaced. A query that
+	// loaded one may still be reading it, so they close with the engine,
+	// never earlier.
+	swappedMu sync.Mutex
+	swapped   []*views.Catalog
 }
 
 // New creates an engine. catalog may be nil (no view acceleration).
@@ -296,12 +304,20 @@ func (e *Engine) Acquire() bool {
 
 // Release drops one reference. An owner that retires the engine
 // releases the reference New gave it; whichever release is the last
-// closes the index — unmapping a mapped one — so nothing may read the
-// engine after its own Release.
+// closes the index and every catalog the engine has served from,
+// current or swapped out — unmapping mapped ones — so nothing may read
+// the engine after its own Release.
 func (e *Engine) Release() {
 	if e.refs.Add(-1) == 0 {
 		e.docLens = nil
 		e.ix.Close()
+		e.swappedMu.Lock()
+		defer e.swappedMu.Unlock()
+		for _, c := range append(e.swapped, e.catalog.Load()) {
+			if c != nil {
+				c.Close()
+			}
+		}
 	}
 }
 
@@ -314,10 +330,17 @@ func (e *Engine) Catalog() *views.Catalog { return e.catalog.Load() }
 // SwapCatalog atomically replaces the engine's view catalog. In-flight
 // queries finish on the catalog they already loaded — both states are
 // internally consistent — so a reloaded or re-materialized catalog can
-// go live without a restart or a lock on the query path. Pass
-// nil to disable view acceleration.
+// go live without a restart or a lock on the query path; the replaced
+// catalog stays open until the engine's last Release. Pass nil to
+// disable view acceleration.
 func (e *Engine) SwapCatalog(cat *views.Catalog) {
-	e.catalog.Store(cat)
+	if old := e.catalog.Swap(cat); old != nil {
+		e.swappedMu.Lock()
+		if !slices.Contains(e.swapped, old) {
+			e.swapped = append(e.swapped, old)
+		}
+		e.swappedMu.Unlock()
+	}
 	e.catVersion.Add(1)
 }
 

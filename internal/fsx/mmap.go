@@ -1,6 +1,10 @@
 package fsx
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"unsafe"
+)
 
 // Mapping is a read-only view of a whole file, obtained through MapFile.
 // Data is either a true memory mapping (the OS filesystem on platforms
@@ -49,4 +53,43 @@ func MapFile(fs FS, name string) (*Mapping, error) {
 		return nil, err
 	}
 	return &Mapping{Data: data, close: func() error { return nil }}, nil
+}
+
+var nativeLittleEndian = func() bool {
+	var x uint16 = 1
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// Int32s reinterprets b — typically a slab of a Mapping — as
+// little-endian int32s: zero-copy on a little-endian host when b is
+// 4-aligned, a decoded copy otherwise. A trailing partial value is
+// ignored; an empty result is non-nil.
+func Int32s(b []byte) []int32 {
+	return alias(b, func(p []byte) int32 { return int32(binary.LittleEndian.Uint32(p)) })
+}
+
+// Uint32s is Int32s for uint32s.
+func Uint32s(b []byte) []uint32 {
+	return alias(b, func(p []byte) uint32 { return binary.LittleEndian.Uint32(p) })
+}
+
+// Int64s is Int32s for int64s, zero-copy when b is 8-aligned.
+func Int64s(b []byte) []int64 {
+	return alias(b, func(p []byte) int64 { return int64(binary.LittleEndian.Uint64(p)) })
+}
+
+func alias[T int32 | uint32 | int64](b []byte, decode func([]byte) T) []T {
+	size := int(unsafe.Sizeof(T(0)))
+	n := len(b) / size
+	if n == 0 {
+		return []T{}
+	}
+	if nativeLittleEndian && uintptr(unsafe.Pointer(&b[0]))%uintptr(size) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = decode(b[i*size:])
+	}
+	return out
 }

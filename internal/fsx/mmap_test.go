@@ -2,9 +2,11 @@ package fsx
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 )
 
 func TestMapFileOS(t *testing.T) {
@@ -73,5 +75,39 @@ func TestMapFileFallback(t *testing.T) {
 func TestMapFileMissing(t *testing.T) {
 	if _, err := MapFile(OS, filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+}
+
+// TestAliasUnalignedCopies: a slab that is not aligned for its element
+// type decodes into a copy with the same values as an aligned one, which
+// aliases its bytes.
+func TestAliasUnalignedCopies(t *testing.T) {
+	buf := make([]byte, 8*4+1)
+	for i := range buf {
+		buf[i] = byte(i*37 + 1)
+	}
+	for _, off := range []int{0, 1} {
+		b := buf[off : off+8*4]
+		aligned := uintptr(unsafe.Pointer(&b[0]))%8 == 0
+		i64, u32, i32 := Int64s(b), Uint32s(b), Int32s(b)
+		if len(i64) != 4 || len(u32) != 8 || len(i32) != 8 {
+			t.Fatalf("offset %d: lengths %d %d %d", off, len(i64), len(u32), len(i32))
+		}
+		for i := range i64 {
+			if want := int64(binary.LittleEndian.Uint64(b[i*8:])); i64[i] != want {
+				t.Fatalf("offset %d: int64 %d = %d, want %d", off, i, i64[i], want)
+			}
+		}
+		for i := range u32 {
+			if want := binary.LittleEndian.Uint32(b[i*4:]); u32[i] != want || i32[i] != int32(want) {
+				t.Fatalf("offset %d: 32-bit value %d = %d/%d, want %d", off, i, u32[i], i32[i], want)
+			}
+		}
+		if shared := &i64[0] == (*int64)(unsafe.Pointer(&b[0])); shared != (aligned && nativeLittleEndian) {
+			t.Fatalf("offset %d: aliases the bytes %v, aligned %v", off, shared, aligned)
+		}
+	}
+	if got := Int64s(buf[:7]); got == nil || len(got) != 0 {
+		t.Fatalf("a slab shorter than one value gives %v", got)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
-	"unsafe"
 
 	"csrank/internal/fsx"
 	"csrank/internal/postings"
@@ -84,41 +83,6 @@ func (v *storedView) at(doc DocID) string {
 		return ""
 	}
 	return string(v.blob[v.offs[doc]:v.offs[doc+1]])
-}
-
-var nativeLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// aliasI32 reinterprets b as n int32s, zero-copy on aligned LE hosts.
-func aliasI32(b []byte, n int) []int32 {
-	if n == 0 {
-		return []int32{}
-	}
-	if nativeLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-// aliasU32 reinterprets b as n uint32s, zero-copy on aligned LE hosts.
-func aliasU32(b []byte, n int) []uint32 {
-	if n == 0 {
-		return []uint32{}
-	}
-	if nativeLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return out
 }
 
 // writeBufferSize is the buffer between the v4 writer and a file: the
@@ -573,7 +537,7 @@ func openMapped(data []byte, m *fsx.Mapping, cacheBudget int64) (*Index, error) 
 		if off < 0 || off%4 != 0 || off+int64(n)*4 > int64(len(lenSec)) {
 			return nil, fmt.Errorf("index: field %q length slab [%d, +%d) outside section of %d bytes", field, off, n*4, len(lenSec))
 		}
-		ls := aliasI32(lenSec[off:off+int64(n)*4], n)
+		ls := fsx.Int32s(lenSec[off : off+int64(n)*4])
 		for d, l := range ls {
 			if l < 0 {
 				return nil, fmt.Errorf("index: field %q doc %d has negative length %d", field, d, l)
@@ -589,7 +553,7 @@ func openMapped(data []byte, m *fsx.Mapping, cacheBudget int64) (*Index, error) 
 		if slab.BlobOff < 0 || slab.BlobLen < 0 || slab.BlobOff+slab.BlobLen > int64(len(stSec)) {
 			return nil, fmt.Errorf("index: field %q stored blob outside section", field)
 		}
-		offs := aliasU32(stSec[slab.OffsOff:slab.OffsOff+n*4], int(n))
+		offs := fsx.Uint32s(stSec[slab.OffsOff : slab.OffsOff+n*4])
 		prev := uint32(0)
 		for d, o := range offs {
 			if o < prev || int64(o) > slab.BlobLen {

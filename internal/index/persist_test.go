@@ -2,8 +2,10 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,21 +62,22 @@ func encodeV3(tb testing.TB, ix *Index) []byte {
 }
 
 // encodeV3Framed wraps encodeV3's stream in the checksummed snapshot
-// frame, as those builds saved index files.
+// frame, as those builds saved index files: a header, 256 KiB sections,
+// and a trailer carrying the CRC32-C of every byte before it.
 func encodeV3Framed(tb testing.TB, ix *Index) []byte {
 	tb.Helper()
-	var buf bytes.Buffer
-	sw, err := snapshot.NewWriter(&buf, snapshot.KindIndex, FormatVersion)
-	if err != nil {
-		tb.Fatal(err)
+	crc := func(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
+	out := binary.LittleEndian.AppendUint16([]byte(snapshot.Magic), snapshot.KindIndex)
+	out = binary.LittleEndian.AppendUint32(out, FormatVersion)
+	out = binary.LittleEndian.AppendUint32(out, crc(out))
+	for payload := encodeV3(tb, ix); len(payload) > 0; {
+		n := min(256<<10, len(payload))
+		out = binary.LittleEndian.AppendUint32(out, uint32(n))
+		out = binary.LittleEndian.AppendUint32(out, crc(payload[:n]))
+		out, payload = append(out, payload[:n]...), payload[n:]
 	}
-	if _, err := sw.Write(encodeV3(tb, ix)); err != nil {
-		tb.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	return binary.LittleEndian.AppendUint32(out, crc(out[:len(out)-4]))
 }
 
 // TestV3FixturesLoad: the format-v3 files in testdata were written from

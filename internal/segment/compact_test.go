@@ -22,6 +22,8 @@ import (
 	"csrank/internal/ranking"
 	"csrank/internal/shard"
 	"csrank/internal/snapshot"
+	"csrank/internal/views"
+	"csrank/internal/widetable"
 )
 
 // liveCorpus returns n test documents of the shared vocabulary.
@@ -227,6 +229,111 @@ func mappedFiles(t *testing.T, dir string) []string {
 		}
 	}
 	return out
+}
+
+// meshCatalog materializes one view over every mesh term of the test
+// vocabulary, tracking every word, so each contextual test query can use
+// it.
+func meshCatalog(t *testing.T) func(*index.Index) *views.Catalog {
+	return func(ix *index.Index) *views.Catalog {
+		mesh, words := vocab()
+		v, err := views.Materialize(widetable.FromIndex(ix, words), mesh, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return views.NewCatalog([]*views.View{v}, 1, 4096)
+	}
+}
+
+// TestRetiredCatalogsUnmapped: every shard of a generation-0 directory
+// serves a view catalog mapped from its views.gob. Closing a read-only
+// cluster of those files unmaps every catalog; and once the first
+// compaction retires generation 0 under concurrent queries — which hold
+// their engines, catalogs included, through Acquire — no views.gob is
+// mapped any more.
+func TestRetiredCatalogsUnmapped(t *testing.T) {
+	const nShards = 2
+	docs := liveCorpus(9, 76)
+	dir := t.TempDir()
+	saveLiveDir(t, dir, docs[:60], nShards, 8, meshCatalog(t))
+	catalogMaps := func() []string {
+		var out []string
+		for _, line := range mappedFiles(t, dir) {
+			if strings.HasSuffix(line, "views.gob") || strings.HasSuffix(line, "views.gob (deleted)") {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+
+	c, err := shard.Open(dir, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := catalogMaps(); len(got) != nShards {
+		t.Fatalf("read-only open maps %d catalogs, want %d:\n%s", len(got), nShards, strings.Join(got, "\n"))
+	}
+	c.Close()
+	if got := catalogMaps(); len(got) != 0 {
+		t.Fatalf("closed read-only cluster still maps:\n%s", strings.Join(got, "\n"))
+	}
+
+	ing, err := Open(dir, Options{RefreshEvery: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ing.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var queries, viewPlans atomic.Int64
+	errs := make(chan error, 8)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			qs := liveQueries()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := ing.Acquire()
+				_, sum, err := ing.Cluster().SearchSlices(context.Background(), v.Slices, qs[(i+w)%len(qs)], 10, "")
+				v.Release()
+				if err == nil && (sum.Agg.Degraded || len(sum.Failed) > 0) {
+					err = errors.New("degraded: " + sum.Agg.DegradedReason)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if sum.Agg.UsedView {
+					viewPlans.Add(1)
+				}
+				queries.Add(1)
+			}
+		}(w)
+	}
+	addAll(t, ing, docs[60:], 60)
+	for queries.Load() < 50 && len(errs) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := ing.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("query around the compaction: %v", err)
+	}
+	if viewPlans.Load() == 0 {
+		t.Fatal("no query used a view before the compaction")
+	}
+	if got := catalogMaps(); len(got) != 0 {
+		t.Fatalf("generation 0 retired, but its catalogs are still mapped:\n%s", strings.Join(got, "\n"))
+	}
 }
 
 // TestRetiredGenerationsUnmapped: queries run without a fault while six

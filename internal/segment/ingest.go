@@ -2,7 +2,9 @@ package segment
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -19,6 +21,24 @@ import (
 // walName returns the ingestion log for a generation: the documents
 // acknowledged after that generation's snapshot was committed.
 func walName(gen uint64) string { return fmt.Sprintf("ingest-%06d.wal", gen) }
+
+// LoggedDocs counts the acknowledged documents generation gen's
+// ingestion log in dir holds: the documents a read-only opener
+// (shard.Open) does not serve, since only Open replays them. It reads
+// the record framing — length and checksum — and decodes no payload; a
+// torn final record was never acknowledged and is not counted, and a
+// directory without the log holds none.
+func LoggedDocs(fs fsx.FS, dir string, gen uint64) (int, error) {
+	n := 0
+	_, err := replayRaw(fs, filepath.Join(dir, walName(gen)), func([]byte) error {
+		n++
+		return nil
+	})
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	return n, err
+}
 
 // Options configures an Ingester.
 type Options struct {

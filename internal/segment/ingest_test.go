@@ -17,6 +17,7 @@ import (
 	"csrank/internal/query"
 	"csrank/internal/shard"
 	"csrank/internal/snapshot"
+	"csrank/internal/views"
 )
 
 func testSchema() index.Schema {
@@ -65,8 +66,15 @@ func vocab() (meshTerms, words []string) {
 }
 
 // buildLiveDir persists a fresh nShards cluster over docs into dir,
-// exactly as csbuild -shards would.
+// exactly as csbuild -shards would, without view catalogs.
 func buildLiveDir(t *testing.T, dir string, docs []index.Document, nShards, segSize int) {
+	t.Helper()
+	saveLiveDir(t, dir, docs, nShards, segSize, nil)
+}
+
+// saveLiveDir is buildLiveDir with each shard's catalog, when catalog
+// is not nil, built from its index and saved beside it as views.gob.
+func saveLiveDir(t *testing.T, dir string, docs []index.Document, nShards, segSize int, catalog func(*index.Index) *views.Catalog) {
 	t.Helper()
 	parts, globals, err := shard.Split(docs, nShards)
 	if err != nil {
@@ -78,7 +86,11 @@ func buildLiveDir(t *testing.T, dir string, docs []index.Document, nShards, segS
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines[i] = core.New(ix, nil, core.Options{})
+		var cat *views.Catalog
+		if catalog != nil {
+			cat = catalog(ix)
+		}
+		engines[i] = core.New(ix, cat, core.Options{})
 	}
 	cluster, err := shard.NewCluster(engines, globals)
 	if err != nil {

@@ -45,6 +45,11 @@ type Cluster struct {
 	breakers []*Breaker
 
 	chaos chaosRegistry
+
+	// catErrs holds, per shard, why Open served it without its
+	// views.gob (nil when the catalog opened or there is none).
+	catErrs []error
+	closed  atomic.Bool
 }
 
 // Policy is the cluster's failure policy: how much of the collection may
@@ -188,6 +193,30 @@ func newCluster(engines []*core.Engine, globals [][]uint32, gen uint64) (*Cluste
 	}
 	c.SetPolicy(Policy{})
 	return c, nil
+}
+
+// CatalogErr returns why shard i's views.gob did not open when the
+// cluster was opened, or nil.
+func (c *Cluster) CatalogErr(i int) error {
+	if i < len(c.catErrs) {
+		return c.catErrs[i]
+	}
+	return nil
+}
+
+// Close releases the reference the cluster holds on every shard's
+// current engine, so each closes — unmapping its index and catalog —
+// once no query holds it. A cluster that serves without references
+// (Search, Slices) must not be queried after Close. Calls after the
+// first do nothing.
+func (c *Cluster) Close() {
+	if c.closed.Swap(true) {
+		return
+	}
+	for _, s := range c.shards {
+		eng, _ := s.Snapshot()
+		eng.Release()
+	}
 }
 
 // NumShards returns the shard count.

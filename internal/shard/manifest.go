@@ -220,8 +220,9 @@ func SaveSlices(dir string, shards []core.Slice) error {
 // fully decoded) behind an engine built with opts, serving at that
 // generation. A shard whose document count disagrees with the partition
 // fails the open — serving a drifted partition would silently corrupt
-// rankings. Open only reads: documents still in a live directory's
-// ingestion log are not served (segment.Open replays them).
+// rankings. A shard whose views.gob does not open serves without views
+// (CatalogErr says why). Open only reads: documents still in a live
+// directory's ingestion log are not served (segment.Open replays them).
 //
 // A directory without a manifest that holds an index.gob — the
 // single-engine layout older builds wrote — opens as a one-shard cluster
@@ -233,11 +234,17 @@ func OpenFS(fsys fsx.FS, dir string, opts core.Options) (*Cluster, error) {
 	m, err := LoadManifest(fsys, dir)
 	if errors.Is(err, os.ErrNotExist) {
 		if _, serr := fsys.Stat(filepath.Join(dir, IndexName(0))); serr == nil {
-			eng, err := openEngine(fsys, dir, 0, opts)
+			eng, catErr, err := openEngine(fsys, dir, 0, opts)
 			if err != nil {
 				return nil, err
 			}
-			return NewCluster([]*core.Engine{eng}, GlobalMaps(eng.Index().NumDocs(), 1))
+			c, err := NewCluster([]*core.Engine{eng}, GlobalMaps(eng.Index().NumDocs(), 1))
+			if err != nil {
+				eng.Release()
+				return nil, err
+			}
+			c.catErrs = []error{catErr}
+			return c, nil
 		}
 	}
 	if err != nil {
@@ -248,35 +255,50 @@ func OpenFS(fsys fsx.FS, dir string, opts core.Options) (*Cluster, error) {
 		return nil, err
 	}
 	globals := GlobalMaps(st.TotalDocs, m.Shards)
-	engines := make([]*core.Engine, m.Shards)
-	for i := range engines {
-		eng, err := openEngine(fsys, ShardDir(dir, i), st.Gen, opts)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+	engines := make([]*core.Engine, 0, m.Shards)
+	catErrs := make([]error, m.Shards)
+	// A failed open releases the engines it opened, unmapping their files.
+	fail := func(err error) (*Cluster, error) {
+		for _, eng := range engines {
+			eng.Release()
 		}
-		if n := eng.Index().NumDocs(); n != len(globals[i]) {
-			return nil, fmt.Errorf("shard %d: index holds %d documents, partition expects %d", i, n, len(globals[i]))
-		}
-		engines[i] = eng
+		return nil, err
 	}
-	return newCluster(engines, globals, st.Gen)
+	for i := range m.Shards {
+		eng, catErr, err := openEngine(fsys, ShardDir(dir, i), st.Gen, opts)
+		if err != nil {
+			return fail(fmt.Errorf("shard %d: %w", i, err))
+		}
+		engines, catErrs[i] = append(engines, eng), catErr
+		if n := eng.Index().NumDocs(); n != len(globals[i]) {
+			return fail(fmt.Errorf("shard %d: index holds %d documents, partition expects %d", i, n, len(globals[i])))
+		}
+	}
+	c, err := newCluster(engines, globals, st.Gen)
+	if err != nil {
+		return fail(err)
+	}
+	c.catErrs = catErrs
+	return c, nil
 }
 
 // openEngine loads generation gen of one engine data directory, and its
-// views.gob, when present and readable, only at generation 0: a catalog
-// describes the corpus it was materialized over, compaction grows the
-// corpus without rewriting it, and the exact straightforward plan beats
-// a stale view answer.
-func openEngine(fsys fsx.FS, dir string, gen uint64, opts core.Options) (*core.Engine, error) {
+// views.gob only at generation 0: a catalog describes the corpus it was
+// materialized over, compaction grows the corpus without rewriting it,
+// and the exact straightforward plan beats a stale view answer. A
+// views.gob that fails to open leaves the engine view-less and is
+// returned as catErr (a missing one is no error); err is the index's.
+func openEngine(fsys fsx.FS, dir string, gen uint64, opts core.Options) (eng *core.Engine, catErr, err error) {
 	ix, err := OpenGeneration(fsys, dir, gen)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var cat *views.Catalog
 	if gen == 0 {
-		if cat, err = views.LoadFileFS(fsys, filepath.Join(dir, "views.gob")); err != nil {
-			cat = nil // view-less engine
+		cat, catErr = views.LoadFileFS(fsys, filepath.Join(dir, "views.gob"))
+		if errors.Is(catErr, os.ErrNotExist) {
+			catErr = nil
 		}
 	}
-	return core.New(ix, cat, opts), nil
+	return core.New(ix, cat, opts), catErr, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"csrank/internal/core"
@@ -112,6 +113,50 @@ func TestOpenRejectsDrift(t *testing.T) {
 	}
 	if _, err := Open(dir, core.Options{}); err == nil && len(parts[0]) != len(parts[1]) {
 		t.Fatal("drifted shard directory opened")
+	}
+}
+
+// TestFailedOpenUnmapsOpenedShards: when a later shard fails to open,
+// Open releases the engines it had opened, so no index or catalog file
+// of the directory stays mapped.
+func TestFailedOpenUnmapsOpenedShards(t *testing.T) {
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil || len(maps) == 0 {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	rng := rand.New(rand.NewSource(103))
+	docs, meshTerms, words := randomDocs(rng, 150, 5, 5)
+	parts, globals, err := Split(docs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := make([]*core.Engine, 3)
+	for i := range engines {
+		ix := buildIndex(t, parts[i], 16)
+		engines[i] = core.New(ix, shardCatalog(t, rng, ix, meshTerms, words), core.Options{})
+	}
+	c, err := NewCluster(engines, globals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := c.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ShardDir(dir, 2), "index.gob"), []byte("not an index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, core.Options{}); err == nil {
+		t.Fatal("a directory with a corrupt shard opened")
+	}
+	maps, err = os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.Contains(line, dir) {
+			t.Fatalf("failed open left a mapping: %s", line)
+		}
 	}
 }
 

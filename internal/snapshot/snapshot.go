@@ -1,11 +1,14 @@
-// Package snapshot implements the framed, checksummed container format
-// both the index and the view catalog persist through. The payload (a
-// gob stream today) is wrapped so that every way a file can rot —
-// truncation, a torn write, a flipped bit, a foreign file — is detected
-// at load time with a precise error instead of a gob panic or a silently
-// wrong index.
+// Package snapshot implements the two checksummed containers files are
+// read from. The paged container (paged.go) is the one every writer
+// emits: the index (format v4) and the view catalog (format v3) are
+// read in place from a memory mapping. The framed stream below is
+// read-only: index files of formats v0–v3 and catalog files of formats
+// v1–v2 that older builds wrote are wrapped in it, so every way such a
+// file can rot — truncation, a torn write, a flipped bit, a foreign
+// file — is detected at load time with a precise error instead of a gob
+// panic or a silently wrong index.
 //
-// Layout (all integers little-endian):
+// Framed layout (all integers little-endian):
 //
 //	magic            8 bytes  "CSSNAPv1"
 //	kind             uint16   payload type (index, views, ...)
@@ -39,9 +42,6 @@ const (
 	KindViews uint16 = 2
 )
 
-// DefaultSectionSize is the payload byte count per section.
-const DefaultSectionSize = 256 << 10
-
 // MaxSectionSize caps the section length a reader accepts, so a
 // corrupted length field cannot demand an absurd allocation.
 const MaxSectionSize = 16 << 20
@@ -63,98 +63,6 @@ type Header struct {
 // bytes) is a framed snapshot.
 func IsFramed(prefix []byte) bool {
 	return len(prefix) >= len(Magic) && string(prefix[:len(Magic)]) == Magic
-}
-
-// Writer frames a payload stream into checksummed sections. Close must
-// be called to emit the final section and the trailer; the underlying
-// writer is not closed.
-type Writer struct {
-	w       io.Writer
-	buf     []byte
-	n       int
-	fileCRC uint32 // running CRC over every byte emitted
-	err     error
-}
-
-// NewWriter starts a framed snapshot with the default section size.
-func NewWriter(w io.Writer, kind uint16, payloadVersion uint32) (*Writer, error) {
-	return NewWriterSize(w, kind, payloadVersion, DefaultSectionSize)
-}
-
-// NewWriterSize starts a framed snapshot with an explicit section size
-// (tests use tiny sections to exercise many section boundaries).
-func NewWriterSize(w io.Writer, kind uint16, payloadVersion uint32, sectionSize int) (*Writer, error) {
-	if sectionSize <= 0 || sectionSize > MaxSectionSize {
-		return nil, fmt.Errorf("snapshot: invalid section size %d", sectionSize)
-	}
-	sw := &Writer{w: w, buf: make([]byte, sectionSize)}
-	var hdr [18]byte
-	copy(hdr[:8], Magic)
-	binary.LittleEndian.PutUint16(hdr[8:10], kind)
-	binary.LittleEndian.PutUint32(hdr[10:14], payloadVersion)
-	binary.LittleEndian.PutUint32(hdr[14:18], crc32.Checksum(hdr[:14], castagnoli))
-	if err := sw.emit(hdr[:]); err != nil {
-		return nil, err
-	}
-	return sw, nil
-}
-
-// emit writes raw bytes, folding them into the whole-file CRC.
-func (sw *Writer) emit(p []byte) error {
-	if sw.err != nil {
-		return sw.err
-	}
-	sw.fileCRC = crc32.Update(sw.fileCRC, castagnoli, p)
-	if _, err := sw.w.Write(p); err != nil {
-		sw.err = err
-		return err
-	}
-	return nil
-}
-
-func (sw *Writer) Write(p []byte) (int, error) {
-	if sw.err != nil {
-		return 0, sw.err
-	}
-	written := 0
-	for len(p) > 0 {
-		c := copy(sw.buf[sw.n:], p)
-		sw.n += c
-		written += c
-		p = p[c:]
-		if sw.n == len(sw.buf) {
-			if err := sw.flushSection(); err != nil {
-				return written, err
-			}
-		}
-	}
-	return written, nil
-}
-
-func (sw *Writer) flushSection() error {
-	if sw.n == 0 {
-		return nil
-	}
-	var head [8]byte
-	binary.LittleEndian.PutUint32(head[0:4], uint32(sw.n))
-	binary.LittleEndian.PutUint32(head[4:8], crc32.Checksum(sw.buf[:sw.n], castagnoli))
-	if err := sw.emit(head[:]); err != nil {
-		return err
-	}
-	err := sw.emit(sw.buf[:sw.n])
-	sw.n = 0
-	return err
-}
-
-// Close flushes the final partial section and writes the trailer.
-func (sw *Writer) Close() error {
-	if err := sw.flushSection(); err != nil {
-		return err
-	}
-	var trailer [8]byte
-	// length 0 sentinel, then the CRC over everything before the trailer.
-	binary.LittleEndian.PutUint32(trailer[4:8], sw.fileCRC)
-	return sw.emit(trailer[:])
 }
 
 // Reader verifies and unwraps a framed snapshot. Each section's checksum

@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"strings"
@@ -10,21 +12,27 @@ import (
 )
 
 // frame wraps payload into a snapshot with small sections so tests cross
-// many section boundaries.
+// many section boundaries. Nothing writes this container any more; the
+// test encoder produces what older builds wrote.
 func frame(t *testing.T, payload []byte, sectionSize int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriterSize(&buf, KindIndex, 7, sectionSize)
-	if err != nil {
-		t.Fatal(err)
+	return encodeFramed(KindIndex, 7, payload, sectionSize)
+}
+
+// encodeFramed lays out header, sections of at most sectionSize bytes and
+// trailer exactly as the framed writer of older builds did.
+func encodeFramed(kind uint16, version uint32, payload []byte, sectionSize int) []byte {
+	out := binary.LittleEndian.AppendUint16([]byte(Magic), kind)
+	out = binary.LittleEndian.AppendUint32(out, version)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
+	for len(payload) > 0 {
+		n := min(sectionSize, len(payload))
+		out = binary.LittleEndian.AppendUint32(out, uint32(n))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload[:n], castagnoli))
+		out, payload = append(out, payload[:n]...), payload[n:]
 	}
-	if _, err := w.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out[:len(out)-4], castagnoli))
 }
 
 func unframe(b []byte) ([]byte, Header, error) {

@@ -1,7 +1,6 @@
 package views
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -37,22 +36,6 @@ func BenchmarkViewAnswer(b *testing.B) {
 					answerSink, _ = v.Answer(k[j:j+terms], words[:nWords], nil)
 				}
 			})
-		}
-	}
-}
-
-func BenchmarkCatalogLoad(b *testing.B) {
-	v, _, _ := benchView(b)
-	var buf bytes.Buffer
-	if err := NewCatalog([]*View{v}, 30, 4096).WriteSnapshot(&buf); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package views
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,27 +13,39 @@ import (
 	"csrank/internal/snapshot"
 )
 
-func roundTrip(t testing.TB, c *Catalog) *Catalog {
+// encodePaged returns c written as catalog format v3.
+func encodePaged(t testing.TB, c *Catalog) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
+	if err := c.writePaged(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
+	return buf.Bytes()
+}
+
+// roundTrip writes c as format v3 and opens the bytes as LoadFile opens
+// a file, every view checked.
+func roundTrip(t testing.TB, c *Catalog) *Catalog {
+	t.Helper()
+	got, err := openPaged(encodePaged(t, c))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Check(); err != nil {
 		t.Fatal(err)
 	}
 	return got
 }
 
-// TestVersion1FixturesLoad reads the two durable forms written before
-// format 2 — testdata holds a framed version-1 snapshot and a bare gob
-// stream of one catalog, both produced by the last commit that wrote
-// them — and checks the loaded state against what that commit reported
-// for it, then that re-saving writes version 2 with nothing lost.
+// TestVersion1FixturesLoad reads the durable forms written before
+// format 3 — testdata holds a framed version-2 and a framed version-1
+// snapshot and a bare gob stream of one catalog, each produced by the
+// last commit that wrote it — and checks the loaded state against what
+// that commit reported for it, then that re-saving writes version 3
+// with nothing lost.
 func TestVersion1FixturesLoad(t *testing.T) {
 	const fingerprint, totalBytes = "2bd4d74d89235068", 4586
-	for _, name := range []string{"catalog-v1.snap", "catalog-v0.gob"} {
+	for _, name := range []string{"catalog-v2.snap", "catalog-v1.snap", "catalog-v0.gob"} {
 		cat, err := LoadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -46,39 +60,46 @@ func TestVersion1FixturesLoad(t *testing.T) {
 		if err := cat.SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
-		f, err := os.Open(path)
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := snapshot.NewReader(f)
-		f.Close()
-		if err != nil || sr.Header().PayloadVersion != CatalogFormatVersion {
-			t.Fatalf("%s: re-saved header %+v, err %v; want payload version %d", name, sr.Header(), err, CatalogFormatVersion)
+		pf, err := snapshot.OpenPaged(raw)
+		if err != nil || pf.Header().PayloadVersion != CatalogFormatVersion {
+			t.Fatalf("%s: re-saved file is not paged version %d: %v", name, CatalogFormatVersion, err)
 		}
 		again, err := LoadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again.Fingerprint() != fingerprint || again.TotalBytes() != totalBytes {
-			t.Fatalf("%s: version-2 round trip changed the catalog", name)
+		if again.m == nil || again.Fingerprint() != fingerprint || again.TotalBytes() != totalBytes {
+			t.Fatalf("%s: version-3 round trip changed the catalog", name)
 		}
+		again.Close()
 	}
 }
 
 func TestReadSnapshotRejectsUnknownVersion(t *testing.T) {
 	var buf bytes.Buffer
-	sw, err := snapshot.NewWriter(&buf, snapshot.KindViews, CatalogFormatVersion+1)
+	pw, err := snapshot.NewPagedWriter(&buf, snapshot.KindViews, CatalogFormatVersion+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := NewCatalog(nil, 1, 1).Encode(sw); err != nil {
+	if err := pw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshot(&buf); err == nil {
+	if _, err := openPaged(buf.Bytes()); err == nil {
 		t.Fatal("a catalog of a future format version loaded")
+	}
+	// A framed file of a payload version the legacy reader does not know.
+	v2, err := os.ReadFile(filepath.Join("testdata", "catalog-v2.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(v2[10:14], CatalogFormatVersion)
+	binary.LittleEndian.PutUint32(v2[14:18], crc32.Checksum(v2[:14], castagnoli))
+	if _, err := decodeLegacy(bytes.NewReader(v2)); err == nil {
+		t.Fatal("a framed catalog of version 3 loaded")
 	}
 }
 
@@ -96,7 +117,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		if err := gob.NewEncoder(&buf).Encode(&catalogV2{Views: []tableV2{tbl}}); err != nil {
 			t.Fatal(err)
 		}
-		return Decode(&buf)
+		return decodeV2(&buf)
 	}
 	cat, err := decode(good())
 	if err != nil {
@@ -134,12 +155,18 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCatalog feeds arbitrary payloads to both decoders. Either one
-// may refuse the input; a catalog either accepts must answer every
-// single-term context (and the empty one) without panicking, and survive
-// a round trip.
+// FuzzDecodeCatalog feeds arbitrary files to the format-v3 reader and
+// the legacy decoder (framed v2 and v1, raw v1). Either may refuse the
+// input; a v3 catalog may also quarantine views at their first use. A
+// catalog either accepts must answer every single-term context (and the
+// empty one) of its serving views without panicking, and survive a
+// round trip.
 func FuzzDecodeCatalog(f *testing.F) {
 	v1, err := os.ReadFile(filepath.Join("testdata", "catalog-v0.gob"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "catalog-v2.snap"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -147,19 +174,15 @@ func FuzzDecodeCatalog(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := cat.Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	for _, seed := range [][]byte{v1, buf.Bytes()} {
+	for _, seed := range [][]byte{encodePaged(f, cat), v2, v1} {
 		for _, cut := range []int{len(seed), len(seed) - 1, len(seed) / 2, len(seed) / 7, 3} {
 			f.Add(seed[:cut])
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, decode := range []func() (*Catalog, error){
-			func() (*Catalog, error) { return decodeV1(bytes.NewReader(data)) },
-			func() (*Catalog, error) { return Decode(bytes.NewReader(data)) },
+			func() (*Catalog, error) { return openPaged(data) },
+			func() (*Catalog, error) { return decodeLegacy(bytes.NewReader(data)) },
 		} {
 			cat, err := decode()
 			if err != nil {
@@ -168,7 +191,8 @@ func FuzzDecodeCatalog(f *testing.F) {
 			for _, v := range cat.views {
 				words := append(v.TrackedWords(), "no-such-word")
 				for _, p := range append([][]string{nil}, singletons(v.K())...) {
-					if _, err := v.Answer(p, words, nil); err != nil {
+					_, err := v.Answer(p, words, nil)
+					if err != nil && !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("P=%v: %v", p, err)
 					}
 				}

@@ -27,7 +27,9 @@ type DocUpdate struct {
 // Apply folds one appended document into the view: the document's bit
 // pattern over K is computed and that single row's aggregates are
 // incremented (the row is appended, or revived, if the group was empty).
+// A view read from a format-v3 file first copies its columns to the heap.
 func (v *View) Apply(u DocUpdate) {
+	v.own()
 	r := v.rowFor(v.patternOf(u.Predicates))
 	v.bump(r, 1, u.Len)
 	for w, tf := range u.TF {
@@ -73,6 +75,7 @@ func (v *View) checkRemove(u DocUpdate) (int, error) {
 
 // removeUnchecked applies a removal already validated by checkRemove.
 func (v *View) removeUnchecked(r int, u DocUpdate) {
+	v.own()
 	v.bump(r, -1, -u.Len)
 	for w, tf := range u.TF {
 		if j, ok := v.wordID[w]; ok && tf > 0 {
@@ -103,27 +106,32 @@ func (v *View) patternOf(predicates []string) []byte {
 	return buf
 }
 
-// Apply folds one appended document into every view of the catalog.
+// Apply folds one appended document into every serving view of the
+// catalog; a quarantined view is left as it is.
 func (c *Catalog) Apply(u DocUpdate) {
 	for _, v := range c.views {
-		v.Apply(u)
+		if v.verified() == nil {
+			v.Apply(u)
+		}
 	}
 }
 
-// Remove folds one deleted document out of every view of the catalog.
+// Remove folds one deleted document out of every serving view of the
+// catalog.
 // All views are validated before any is mutated, so a mismatched update
 // leaves the whole catalog untouched — no view ends up half a removal
 // ahead of its siblings.
 func (c *Catalog) Remove(u DocUpdate) error {
-	rows := make([]int, len(c.views))
-	for i, v := range c.views {
+	vs := c.serving()
+	rows := make([]int, len(vs))
+	for i, v := range vs {
 		r, err := v.checkRemove(u)
 		if err != nil {
 			return err
 		}
 		rows[i] = r
 	}
-	for i, v := range c.views {
+	for i, v := range vs {
 		v.removeUnchecked(rows[i], u)
 	}
 	return nil

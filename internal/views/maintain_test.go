@@ -1,7 +1,10 @@
 package views
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -354,6 +357,56 @@ func TestCatalogApplyRemove(t *testing.T) {
 	}
 	if after.Count != before.Count || after.Len != before.Len {
 		t.Fatal("catalog remove did not restore")
+	}
+}
+
+// TestMappedCatalogCopiesBeforeWrite: Apply and Remove on a catalog
+// opened from a format-v3 file write heap copies of its views' columns
+// — the read-only mapping would fault — and match the same updates on
+// the heap catalog the file was written from, while the file keeps its
+// bytes.
+func TestMappedCatalogCopiesBeforeWrite(t *testing.T) {
+	tbl, meshTerms, words := randomTable(t, 22, 200, 8, 3)
+	v1, _ := Materialize(tbl, meshTerms[:4], words)
+	v2, _ := Materialize(tbl, meshTerms[2:6], words)
+	heap := NewCatalog([]*View{v1, v2}, 10, 100)
+	path := filepath.Join(t.TempDir(), "views.gob")
+	if err := heap.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	updates := []DocUpdate{
+		{Predicates: meshTerms[2:4], Len: 7, TF: map[string]int64{words[0]: 2}},
+		{Predicates: []string{meshTerms[5], "no-such-term"}, Len: 3, TF: map[string]int64{words[1]: 1}},
+	}
+	for _, u := range updates {
+		heap.Apply(u)
+		mapped.Apply(u)
+	}
+	if err := heap.Remove(updates[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.Remove(updates[0]); err != nil {
+		t.Fatal(err)
+	}
+	if mapped.Fingerprint() != heap.Fingerprint() {
+		t.Fatal("the mapped catalog drifted from the heap one under the same updates")
+	}
+	for _, v := range mapped.views {
+		if v.file.slab != nil {
+			t.Fatal("a written view still aliases the file")
+		}
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, raw) {
+		t.Fatalf("the catalog file changed under Apply and Remove (err %v)", err)
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 // Drift describes one disagreement between a stored group and the same
 // group recomputed from the index.
 type Drift struct {
-	// View is the index of the drifted view in Catalog.Views() order.
+	// View is the index of the drifted view in the catalog's ascending
+	// size order.
 	View int
 	// Key is the group's packed bit pattern over K.
 	Key string
@@ -44,9 +45,11 @@ func (d Drift) String() string {
 // views (recovery re-sorts views by their current size, which drifts as
 // documents are removed), and insensitive to gob's randomized map
 // iteration, which makes raw snapshot bytes unusable for the purpose.
+// Only serving views count: a quarantined view answers no query.
 func (c *Catalog) Fingerprint() string {
-	perView := make([]uint64, len(c.views))
-	for i, v := range c.views {
+	vs := c.serving()
+	perView := make([]uint64, len(vs))
+	for i, v := range vs {
 		h := fnv.New64a()
 		fmt.Fprintf(h, "k=%s\x00tracked=%s\x00", strings.Join(v.k, ","), strings.Join(v.tracked, ","))
 		for _, g := range v.groups() {
@@ -89,10 +92,13 @@ type VerifyOptions struct {
 // reports every aggregate that drifted. A clean recovery must produce
 // zero drift; any finding means the catalog and the index disagree and
 // the catalog should be re-materialized (or restored from a snapshot and
-// replayed).
+// replayed). Quarantined views are skipped; Check reports them.
 func (c *Catalog) Verify(ix *index.Index, opts VerifyOptions) ([]Drift, error) {
 	var drift []Drift
 	for vi, v := range c.views {
+		if v.verified() != nil {
+			continue
+		}
 		tbl := widetable.FromIndex(ix, v.TrackedWords())
 		want, err := Materialize(tbl, v.k, v.TrackedWords())
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -76,49 +77,81 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestCatalogFramedPersistence round-trips a catalog through the framed
-// snapshot format and checks corruption detection (files written before
-// format 2 are covered by TestVersion1FixturesLoad).
+// TestCatalogFramedPersistence checks that the legacy reader still
+// rejects every corruption of a framed catalog file older builds wrote
+// (the version-2 fixture): a bit flip or a truncation anywhere fails
+// the load.
 func TestCatalogFramedPersistence(t *testing.T) {
-	ix, _ := buildMaintIndex(t, 43, 200)
-	words := []string{"w0"}
-	tbl := widetable.FromIndex(ix, words)
-	v, _ := Materialize(tbl, []string{"m0", "m1"}, words)
-	cat := NewCatalog([]*View{v}, 7, 99)
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "views.gob")
-	if err := cat.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(filepath.Join("testdata", "catalog-v2.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !snapshot.IsFramed(raw) {
-		t.Fatal("SaveFile did not write a framed snapshot")
+		t.Fatal("the version-2 fixture is not a framed snapshot")
 	}
-	got, err := LoadFile(path)
-	if err != nil {
+	if _, err := decodeLegacy(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != cat.Len() || got.ContextThreshold != 7 || got.ViewSizeLimit != 99 {
-		t.Fatalf("round trip lost catalog metadata: %+v", got)
-	}
-
-	// Bit flips and truncation are detected.
 	for off := 0; off < len(raw); off += 11 {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0x04
-		if _, err := ReadSnapshot(bytes.NewReader(mut)); err == nil {
+		if _, err := decodeLegacy(bytes.NewReader(mut)); err == nil {
 			t.Fatalf("bit flip at %d loaded cleanly", off)
 		}
 	}
 	for cut := 0; cut < len(raw); cut += 13 {
-		if _, err := ReadSnapshot(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := decodeLegacy(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation to %d loaded cleanly", cut)
 		}
 	}
+}
+
+// TestPagedCatalogCorruptionSweep flips one bit in every byte of a small
+// format-v3 file, and cuts it at every length. Each case either fails to
+// open or opens with its view quarantined by the first Match that would
+// return it — the context then matches no view, and the view refuses to
+// answer — and none panics.
+func TestPagedCatalogCorruptionSweep(t *testing.T) {
+	ix, _ := buildMaintIndex(t, 43, 200)
+	words := []string{"w0"}
+	v, err := Materialize(widetable.FromIndex(ix, words), []string{"m0", "m1"}, words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := v.K()
+	raw := encodePaged(t, NewCatalog([]*View{v}, 7, 99))
+	if c, err := openPaged(raw); err != nil || c.Match(k) == nil || c.Quarantined() != 0 {
+		t.Fatalf("intact file: err %v", err)
+	}
+	quarantined := 0
+	check := func(what string, data []byte) {
+		c, err := openPaged(data)
+		if err != nil {
+			return
+		}
+		quarantined++
+		if c.Match(k) != nil || c.Quarantined() != 1 {
+			t.Fatalf("%s: opened and served its view (%d quarantined)", what, c.Quarantined())
+		}
+		if _, err := c.views[0].Answer(k, words, nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: quarantined view answered with error %v", what, err)
+		}
+		if c.Fingerprint() != NewCatalog(nil, 7, 99).Fingerprint() {
+			t.Fatalf("%s: fingerprint counts the quarantined view", what)
+		}
+	}
+	for off := range raw {
+		mut := append([]byte(nil), raw...)
+		mut[off] ^= 1 << (off % 8)
+		check(fmt.Sprintf("bit flip at %d", off), mut)
+	}
+	for cut := range raw {
+		check(fmt.Sprintf("truncation to %d", cut), raw[:cut])
+	}
+	if quarantined == 0 {
+		t.Fatal("no flip reached the column section, which opens lazily")
+	}
+	t.Logf("%d-byte file: %d flips opened and quarantined the view", len(raw), quarantined)
 }
 
 // TestDecodeV1RejectsMalformed feeds version-1 catalogs that gob accepts
@@ -151,7 +184,7 @@ func TestDecodeV1RejectsMalformed(t *testing.T) {
 		if err := gob.NewEncoder(&buf).Encode(&pc); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadSnapshot(&buf); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeLegacy(&buf); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: loaded with error %v, want ErrCorrupt", name, err)
 		}
 	}

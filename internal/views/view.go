@@ -18,6 +18,8 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"csrank/internal/postings"
 	"csrank/internal/widetable"
@@ -56,6 +58,24 @@ type View struct {
 	order []int32
 	// live is the number of rows with count > 0: ViewSize(V_K).
 	live int
+
+	// file is the first-use state of a view opened from a format-v3
+	// file; nil for a view built or decoded on the heap.
+	file *fileState
+}
+
+// fileState is what a view opened from a format-v3 file keeps of it.
+type fileState struct {
+	// slab is the view's region of the file while pat, count, length and
+	// every word column alias it; own clears it once it has copied them
+	// to the heap. crc is its checksum.
+	slab []byte
+	crc  uint32
+	// once runs the first-use check (View.verified); err is its verdict,
+	// and quarantined records a failure for the catalog's counters.
+	once        sync.Once
+	err         error
+	quarantined atomic.Bool
 }
 
 // wordCol is one tracked word's sparse parameter column: for every row
@@ -203,6 +223,60 @@ func (v *View) rowFor(p []byte) int {
 	return r
 }
 
+// index builds the lookups a view opened from a format-v3 file does not
+// store: the membership bitsets over its rows and the rows in pattern
+// order. Patterns are not validated here; a duplicate or stray bit fails
+// the view's first-use check.
+func (v *View) index() {
+	rows := len(v.count)
+	for j := range v.member {
+		v.member[j] = make([]uint64, (rows+63)/64)
+	}
+	v.order = make([]int32, rows)
+	for r := range rows {
+		p := v.pattern(r)
+		for j := range v.member {
+			if p[j/8]&(1<<(j%8)) != 0 {
+				v.member[j][r/64] |= 1 << (r % 64)
+			}
+		}
+		v.order[r] = int32(r)
+	}
+	slices.SortStableFunc(v.order, func(a, b int32) int { return bytes.Compare(v.pattern(int(a)), v.pattern(int(b))) })
+}
+
+// verified runs the view's first-use check once — for a view read from
+// a format-v3 file, its slab's checksum and the table's shape and
+// aggregates — and returns the verdict. A view that fails is
+// quarantined: Match never returns it and Answer refuses it.
+func (v *View) verified() error {
+	f := v.file
+	if f == nil {
+		return nil
+	}
+	f.once.Do(func() {
+		if f.err = v.checkSlab(); f.err != nil {
+			f.quarantined.Store(true)
+		}
+	})
+	return f.err
+}
+
+// own copies a view whose columns alias a read-only file mapping onto
+// the heap, so Apply and Remove can write them; the caller has checked
+// the view.
+func (v *View) own() {
+	if v.file == nil || v.file.slab == nil {
+		return
+	}
+	v.pat = slices.Clone(v.pat)
+	v.count, v.length = slices.Clone(v.count), slices.Clone(v.length)
+	for j, c := range v.cols {
+		v.cols[j] = wordCol{Rows: slices.Clone(c.Rows), DF: slices.Clone(c.DF), TC: slices.Clone(c.TC)}
+	}
+	v.file.slab = nil
+}
+
 // bump adds to row r's count and length, keeping live in step as the row
 // becomes or stops being a group.
 func (v *View) bump(r int, dCount, dLen int64) {
@@ -286,8 +360,12 @@ func (v *View) Usable(p []string) bool {
 // and walks each requested word's column testing the selection bit:
 // O(|P|·G/64 + |selection| + Σ nnz(w)) for G rows. The cost-model charge
 // recorded in st.ViewGroupsScanned stays ViewSize, the paper's unit.
-// Answer returns an error if the view is not usable for p.
+// Answer returns an error if the view is not usable for p or fails its
+// first-use check.
 func (v *View) Answer(p []string, words []string, st *postings.Stats) (ContextStats, error) {
+	if err := v.verified(); err != nil {
+		return ContextStats{}, fmt.Errorf("views: view %v quarantined: %w", v.k, err)
+	}
 	rows := len(v.count)
 	sel := make([]uint64, (rows+63)/64)
 	for i := range sel {

@@ -316,14 +316,7 @@ func TestCatalogPersistRoundTrip(t *testing.T) {
 	v1, _ := Materialize(tbl, meshTerms[:4], words)
 	v2, _ := Materialize(tbl, meshTerms[3:6], words)
 	cat := NewCatalog([]*View{v1, v2}, 42, 4096)
-	var buf bytes.Buffer
-	if err := cat.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, cat)
 	if got.Len() != 2 || got.ContextThreshold != 42 || got.ViewSizeLimit != 4096 {
 		t.Fatalf("decoded catalog = %+v", got)
 	}
@@ -365,7 +358,10 @@ func TestCatalogFileRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("junk"))); err == nil {
+	if _, err := openPaged([]byte("junk")); err == nil {
+		t.Error("garbage opened as format v3")
+	}
+	if _, err := decodeLegacy(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Error("garbage decoded")
 	}
 }

@@ -101,10 +101,12 @@ func (e *ShardedEngine) CompactErr() error {
 }
 
 // Close stops background ingestion work and releases the write-ahead
-// log. Engines without ingestion enabled need no Close; calling it is a
-// no-op.
+// log. On an engine without ingestion it releases every shard's index
+// and view catalog, unmapping the files; nothing may search it
+// afterwards.
 func (e *ShardedEngine) Close() error {
 	if e.live == nil {
+		e.cluster.Close()
 		return nil
 	}
 	return e.live.Close()

@@ -57,7 +57,7 @@ func (e *ShardedEngine) configure(opts BuildOptions) {
 // visibility and compaction generations, or the shards' serving
 // generations), and the release the caller defers. A live view is
 // acquired, so a compaction cannot close the slices' engines until
-// release runs; a static cluster never closes an engine it served.
+// release runs; a static cluster closes its engines only on Close.
 func (e *ShardedEngine) current() ([]core.Slice, []uint64, func()) {
 	if e.live != nil {
 		v := e.live.Acquire()
@@ -426,6 +426,33 @@ func (e *ShardedEngine) NumViews() int {
 		}
 	}
 	return total
+}
+
+// CatalogStatus is one shard's view catalog as it serves: how many of
+// its views serve, how many failed their first-use check (quarantined:
+// their contexts take the exact straightforward plan), and, when the
+// shard's views.gob did not open, why.
+type CatalogStatus struct {
+	Views       int    `json:"views"`
+	Quarantined int    `json:"views_quarantined"`
+	OpenError   string `json:"catalog_error,omitempty"`
+}
+
+// Catalogs reports every shard's catalog, in shard order.
+func (e *ShardedEngine) Catalogs() []CatalogStatus {
+	slices, _, release := e.current()
+	defer release()
+	out := make([]CatalogStatus, e.cluster.NumShards())
+	for i := range out {
+		if cat := slices[i].Eng.Catalog(); cat != nil {
+			out[i].Quarantined = cat.Quarantined()
+			out[i].Views = cat.Len() - out[i].Quarantined
+		}
+		if err := e.cluster.CatalogErr(i); err != nil {
+			out[i].OpenError = err.Error()
+		}
+	}
+	return out
 }
 
 // ContextSize returns the number of documents matching a context
