@@ -172,9 +172,10 @@ func runInteractive(data string, k int, mode, scorerName string, timeout time.Du
 // laid out in the adaptive container layer — the storage side of the
 // bitmap/array hybrid (index format version 2) — how many lists carry
 // per-container score bounds (format v3), and the on-disk block layout
-// of the paged format (v4): encoding mix, payload+directory bytes, and
-// the compression ratio against the decoded in-memory footprint. The
-// header names the file's format: v4 for a mapped index, otherwise a
+// of the paged format: encoding mix, payload+directory bytes, and the
+// compression ratio against the decoded in-memory footprint. The header
+// names the file's own format: the paged version its header records (v5
+// as every writer emits it, v4 as older builds wrote it), otherwise a
 // gob stream an older build wrote (nothing writes those any more). A
 // cluster reports each shard's index in turn.
 func printListStats(data string, out io.Writer) error {
@@ -195,8 +196,8 @@ func printListStats(data string, out io.Writer) error {
 // printIndexStats is printListStats for one index.
 func printIndexStats(ix *index.Index, out io.Writer) {
 	format := "legacy gob (v0–v3, read-only)"
-	if ix.Mapped() {
-		format = fmt.Sprintf("format v%d", index.MappedFormatVersion)
+	if v := ix.FormatVersion(); v > 0 {
+		format = fmt.Sprintf("format v%d", v)
 	}
 	fmt.Fprintf(out, "index: %s (%s)\n", ix, format)
 	for _, f := range ix.Schema().Fields {

@@ -343,19 +343,20 @@ func TestRunInteractive(t *testing.T) {
 }
 
 // TestListStatsBothFormats: -liststats reports the on-disk block layout
-// for the paged-v4 index every writer emits — each shard's in turn — and
-// for a legacy gob one an older build wrote, labeling each with its
-// actual format (cache stats only exist for the mapped reader).
+// for the paged-v5 index every writer emits — each shard's in turn — for
+// a paged-v4 one and a legacy gob one older builds wrote, labeling each
+// with the format its own file records (cache stats only exist for the
+// mapped reader).
 func TestListStatsBothFormats(t *testing.T) {
 	for _, l := range layouts {
 		dir := buildData(t, l.shards)
-		var v4 bytes.Buffer
-		if err := printListStats(dir, &v4); err != nil {
+		var v5 bytes.Buffer
+		if err := printListStats(dir, &v5); err != nil {
 			t.Fatal(err)
 		}
-		s := v4.String()
-		if n := strings.Count(s, "format v4"); n != max(l.shards, 1) || !strings.Contains(s, "block cache") {
-			t.Errorf("%s: v4 liststats wrong (%d headers):\n%s", l.name, n, s)
+		s := v5.String()
+		if n := strings.Count(s, "format v5"); n != max(l.shards, 1) || !strings.Contains(s, "block cache") {
+			t.Errorf("%s: v5 liststats wrong (%d headers):\n%s", l.name, n, s)
 		}
 		// The paged files must also serve searches through the same CLI path.
 		if err := run(dir, "disease | anatomy", 3, "context", "bm25", 0, true, io.Discard); err != nil {
@@ -363,29 +364,34 @@ func TestListStatsBothFormats(t *testing.T) {
 		}
 	}
 
-	legacy := t.TempDir()
-	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "index", "testdata", "v3-framed.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(legacy, "index.gob"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var v3 bytes.Buffer
-	if err := printListStats(legacy, &v3); err != nil {
-		t.Fatal(err)
-	}
-	s := v3.String()
-	if !strings.Contains(s, "legacy gob (v0–v3, read-only)") || strings.Contains(s, "format v") {
-		t.Errorf("gob index mislabeled:\n%s", s)
-	}
-	for _, want := range []string{"on disk:", "blocks:", "bytes/posting"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("legacy liststats missing %q:\n%s", want, s)
+	for _, tc := range []struct{ fixture, want string }{
+		{"v4-corpus.idx", "format v4"},
+		{"v3-framed.snap", "legacy gob (v0–v3, read-only)"},
+	} {
+		legacy := t.TempDir()
+		raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "index", "testdata", tc.fixture))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if strings.Contains(s, "block cache") {
-		t.Errorf("heap index reports a block cache:\n%s", s)
+		if err := os.WriteFile(filepath.Join(legacy, "index.gob"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := printListStats(legacy, &out); err != nil {
+			t.Fatal(err)
+		}
+		s := out.String()
+		if strings.Count(s, "format v")+strings.Count(s, "legacy gob") != 1 || !strings.Contains(s, tc.want) {
+			t.Errorf("%s mislabeled, want %q:\n%s", tc.fixture, tc.want, s)
+		}
+		for _, want := range []string{"on disk:", "blocks:", "bytes/posting"} {
+			if !strings.Contains(s, want) {
+				t.Errorf("%s liststats missing %q:\n%s", tc.fixture, want, s)
+			}
+		}
+		if mapped := tc.want != "legacy gob (v0–v3, read-only)"; strings.Contains(s, "block cache") != mapped {
+			t.Errorf("%s: block cache reported %v, want %v:\n%s", tc.fixture, !mapped, mapped, s)
+		}
 	}
 }
 

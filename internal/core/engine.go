@@ -239,7 +239,7 @@ type Engine struct {
 //
 // When the environment variable CSRANK_FORCE_MAPPED is set to a
 // non-empty value and ix is a heap index, the engine round-trips it
-// through the format-v4 codec in memory and serves the mapped twin
+// through the format-v5 codec in memory and serves the mapped twin
 // instead — the CI seam that drives every engine test over the mapped
 // reader without touching the test code. Rankings are bit-identical by
 // the mapped reader's contract, so this substitution is observable only

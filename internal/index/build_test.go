@@ -3,7 +3,9 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -76,9 +78,16 @@ func TestBuildFromEqualsSequentialBuilder(t *testing.T) {
 // are substrings of the document text, but a dictionary key must be its
 // own copy so an index built in a long-running process (refresh,
 // compaction, WAL replay) never pins the documents it was built from.
+// Likewise every string a mapped index hands out — terms, frequent
+// terms, stored fields — is a heap copy: compaction unmaps a retired
+// generation while its strings may still be in use, so they are read
+// here after Close.
 func TestDictionaryKeysDoNotAliasDocuments(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	docs := randomBuildDocs(rand.New(rand.NewSource(7)), 2*minDocsPerWorker+5)
+	// The spans below are checked only while docs is alive: a freed
+	// text's memory may be reused for a key.
+	defer runtime.KeepAlive(docs)
 	type span struct{ lo, hi uintptr }
 	var texts []span
 	for _, d := range docs {
@@ -104,7 +113,7 @@ func TestDictionaryKeysDoNotAliasDocuments(t *testing.T) {
 		keys := 0
 		for field, fi := range ix.fields {
 			// names covers both dictionaries: a heap index's lists and a
-			// mapped one's (Extend's) table of contents.
+			// mapped one's (Extend's) columns.
 			for _, term := range fi.names() {
 				keys++
 				p := uintptr(unsafe.Pointer(unsafe.StringData(term)))
@@ -118,6 +127,34 @@ func TestDictionaryKeysDoNotAliasDocuments(t *testing.T) {
 		if keys == 0 {
 			t.Fatalf("%s: no dictionary key checked", name)
 		}
+	}
+
+	path := filepath.Join(t.TempDir(), "index.gob")
+	if err := full.SaveMapped(path); err != nil {
+		t.Fatal(err)
+	}
+	mx, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, f := range testSchema().Fields {
+		got = append(got, mx.Terms(f.Name)...)
+		got = append(got, mx.TermsWithMinDF(f.Name, 2)...)
+		want = append(want, full.Terms(f.Name)...)
+		want = append(want, full.TermsWithMinDF(f.Name, 2)...)
+		for d := DocID(0); int(d) < full.NumDocs(); d++ {
+			got = append(got, mx.StoredField(d, f.Name))
+			want = append(want, full.StoredField(d, f.Name))
+		}
+	}
+	if err := mx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	// A string aliasing the released mapping faults here.
+	if !slices.Equal(got, want) {
+		t.Fatal("strings read from a closed mapped index differ from the heap index's")
 	}
 }
 

@@ -6,7 +6,7 @@ import "bytes"
 // DocIDs, same order) followed by docs appended at DocIDs
 // base.NumDocs()+i: the index a compaction writes, held in memory.
 // It is SaveExtendedFS's merge writer into a buffer, opened with
-// OpenMappedBytes, so the result is a mapped index over a v4 image that
+// OpenMappedBytes, so the result is a mapped index over a v5 image that
 // shares nothing with base.
 //
 // base is never mutated and stays fully usable (live queries keep

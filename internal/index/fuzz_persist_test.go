@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,8 +26,9 @@ func fuzzSeedIndex() (*Index, error) {
 }
 
 // FuzzReadSnapshot feeds arbitrary bytes to the snapshot loader, seeded
-// with a paged v4 image (ReadSnapshot routes it to OpenMappedBytes), a
-// framed and a raw v3 gob stream, and truncated and bit-flipped copies.
+// with a paged v5 image (ReadSnapshot routes it to OpenMappedBytes), a
+// framed and a raw v3 gob stream, the paged v4 fixture, and truncated
+// and bit-flipped copies of each.
 // The contract under fuzzing: never panic, never allocate absurdly —
 // corrupt input must come back as an error, and an index that does open
 // survives Verify and a walk over every posting list (a corrupt mapped
@@ -50,6 +52,15 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	f.Add([]byte(snapshot.Magic))
 	f.Add([]byte(snapshot.PagedMagic))
+	v4, err := os.ReadFile(filepath.Join("testdata", "v4-corpus.idx"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v4)
+	f.Add(v4[:len(v4)/2])
+	flipped := append([]byte(nil), v4...)
+	flipped[len(flipped)/3] ^= 0x10
+	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
@@ -128,6 +139,162 @@ func TestReadSnapshotRejectsHostileValues(t *testing.T) {
 				t.Fatalf("%s: decoded cleanly", m.name)
 			}
 		})
+	}
+}
+
+// resealed returns the paged index image of pf's sections, each
+// replaced by replace[name] where present, under fresh checksums: a
+// damaged copy only the reader's own validation can catch.
+func resealed(t *testing.T, pf *snapshot.PagedFile, replace map[string][]byte) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	pw, err := snapshot.NewPagedWriter(&out, snapshot.KindIndex, pf.Header().PayloadVersion, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"postings", "dir", "terms", "lengths", "stored", "toc"} {
+		data, ok := replace[name]
+		if !ok {
+			if data, ok = pf.Section(name); !ok {
+				continue
+			}
+		}
+		if err := pw.Begin(name, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pw.Write(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// openAndWalk opens img and, if it opens, reads every dictionary entry
+// and posting list; corrupt input must fail the open with an error or
+// serve what it holds, never panic.
+func openAndWalk(img []byte) error {
+	ix, err := OpenMappedBytes(img, 0)
+	if err != nil {
+		return err
+	}
+	for _, fd := range ix.Schema().Fields {
+		ix.TermsWithMinDF(fd.Name, 2)
+		for _, term := range ix.Terms(fd.Name) {
+			ix.DF(fd.Name, term)
+			ix.TotalTF(fd.Name, term)
+			ix.Postings(fd.Name, term).ForEach(func(d, tf uint32) {})
+		}
+		ix.ContainerStats(fd.Name)
+	}
+	return nil
+}
+
+// TestDictionarySectionsCorruptionSweep truncates and bit-flips the
+// dictionary of a v5 image (its "terms" section and the toc that
+// locates it) and of the v4 fixture (its toc): raw, the section
+// checksum must refuse every damaged copy; re-sealed under fresh
+// checksums, every copy must open with an error or serve a walk over
+// its whole dictionary, never panic.
+func TestDictionarySectionsCorruptionSweep(t *testing.T) {
+	ix, err := fuzzSeedIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.WritePaged(&buf, 64); err != nil {
+		t.Fatal(err)
+	}
+	v4, err := os.ReadFile(filepath.Join("testdata", "v4-corpus.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		image   []byte
+		section string
+		step    int
+	}{
+		{buf.Bytes(), "terms", 1},
+		{buf.Bytes(), "toc", 1},
+		{v4, "toc", 397},
+	} {
+		img := append([]byte(nil), tc.image...)
+		pf, err := snapshot.OpenPaged(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, ok := pf.Section(tc.section) // aliases img
+		if !ok || len(sec) == 0 {
+			t.Fatalf("image lacks section %q", tc.section)
+		}
+		rejected := 0
+		for cut := 0; cut < len(sec); cut += tc.step {
+			if openAndWalk(resealed(t, pf, map[string][]byte{tc.section: sec[:cut]})) != nil {
+				rejected++
+			}
+		}
+		for off := 0; off < len(sec); off += tc.step {
+			bit := byte(1) << uint(off%8)
+			sec[off] ^= bit
+			if _, err := OpenMappedBytes(img, 0); err == nil {
+				t.Fatalf("%s: bit flip at byte %d opened under the old checksum", tc.section, off)
+			}
+			if openAndWalk(resealed(t, pf, nil)) != nil {
+				rejected++
+			}
+			sec[off] ^= bit
+		}
+		if rejected == 0 {
+			t.Fatalf("%s: no damaged copy was rejected", tc.section)
+		}
+		if err := openAndWalk(resealed(t, pf, nil)); err != nil {
+			t.Fatalf("%s: restored image: %v", tc.section, err)
+		}
+	}
+}
+
+// TestMappedRejectsHostileSlabOffsets: a table of contents whose slab
+// offsets point past any section — near the top of int64, where an
+// unchecked sum wraps negative — fails the open with an error, never a
+// slice panic.
+func TestMappedRejectsHostileSlabOffsets(t *testing.T) {
+	ix, err := fuzzSeedIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.WritePaged(&buf, 64); err != nil {
+		t.Fatal(err)
+	}
+	pf, err := snapshot.OpenPaged(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tocSec, _ := pf.Section("toc")
+	const huge = math.MaxInt64 - 3
+	for name, damage := range map[string]func(*mappedTOC){
+		"lengths":      func(toc *mappedTOC) { toc.Lengths["content"] = huge },
+		"stored offs":  func(toc *mappedTOC) { s := toc.Stored["title"]; s.OffsOff = huge; toc.Stored["title"] = s },
+		"stored blob":  func(toc *mappedTOC) { s := toc.Stored["title"]; s.BlobLen = huge; toc.Stored["title"] = s },
+		"dict offsets": func(toc *mappedTOC) { f := toc.Fields["content"]; f.Dict.OffsOff = huge; toc.Fields["content"] = f },
+		"dict records": func(toc *mappedTOC) { f := toc.Fields["content"]; f.Dict.RecsOff = huge; toc.Fields["content"] = f },
+		"dict blob":    func(toc *mappedTOC) { f := toc.Fields["content"]; f.Dict.BlobLen = huge; toc.Fields["content"] = f },
+		"dict terms":   func(toc *mappedTOC) { f := toc.Fields["content"]; f.Dict.NumTerms = huge; toc.Fields["content"] = f },
+	} {
+		var toc mappedTOC
+		if err := gob.NewDecoder(bytes.NewReader(tocSec)).Decode(&toc); err != nil {
+			t.Fatal(err)
+		}
+		damage(&toc)
+		var forged bytes.Buffer
+		if err := gob.NewEncoder(&forged).Encode(&toc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenMappedBytes(resealed(t, pf, map[string][]byte{"toc": forged.Bytes()}), 0); err == nil {
+			t.Fatalf("%s: a slab past its section opened", name)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@
 // collection: the "standard text search system" substrate the paper builds
 // on (the role Lucene plays in the paper's experiments). Each field has its
 // own term dictionary and posting lists; per-document field lengths are kept
-// for ranking; the whole index serializes with encoding/gob.
+// for ranking. Every writer emits the paged format v5 (mapped.go), which a
+// reader serves in place from a memory mapping; gob streams older builds
+// wrote (formats 0–3) still load onto the heap.
 package index
 
 import (
@@ -72,33 +74,39 @@ type Document struct {
 }
 
 // fieldIndex holds one field's dictionary and aggregate statistics. A
-// heap index (built, extended or loaded from gob) holds its built lists
-// in terms; a mapped index holds the decoded table of contents in toc
-// and builds a term's list on its first Postings lookup.
+// heap index (built or loaded from gob) holds its built lists in terms;
+// a mapped index holds the dictionary columns in dict and builds a
+// term's list on its first Postings lookup.
 type fieldIndex struct {
 	terms map[string]*postings.List
 	// totalTF caches tc(w, D) per term of a heap index — the
 	// whole-collection term count used by language models — so the query
 	// path never scans a full posting list for a global statistic. A
-	// mapped index reads it from the TOC's SumTF.
+	// mapped index reads it from the term's record.
 	totalTF map[string]int64
-	toc     map[string]postings.MappedListMeta
+	dict    termDict
+	// lists publishes each term's list of a mapped index once built, in
+	// the slot its dictionary ordinal numbers.
+	lists []atomic.Pointer[postings.List]
 	// totalLen is the sum of per-document field lengths.
 	totalLen int64
 }
 
-// df returns term's document frequency, from the TOC on a mapped index.
-// Like every fieldIndex method it reads a nil receiver (an unknown
-// field) as an empty dictionary.
+// df returns term's document frequency, from its record on a mapped
+// index. Like every fieldIndex method it reads a nil receiver (an
+// unknown field) as an empty dictionary.
 func (fi *fieldIndex) df(term string) int64 {
 	switch {
 	case fi == nil:
 		return 0
-	case fi.toc != nil:
-		return int64(fi.toc[term].N)
+	case fi.terms != nil:
+		if l := fi.terms[term]; l != nil {
+			return int64(l.Len())
+		}
+		return 0
 	}
-	if l := fi.terms[term]; l != nil {
-		return int64(l.Len())
+	if i, ok := fi.dict.find(term); ok {
+		return int64(fi.dict.meta(i).N)
 	}
 	return 0
 }
@@ -108,10 +116,13 @@ func (fi *fieldIndex) tc(term string) int64 {
 	switch {
 	case fi == nil:
 		return 0
-	case fi.toc != nil:
-		return fi.toc[term].SumTF
+	case fi.terms != nil:
+		return fi.totalTF[term]
 	}
-	return fi.totalTF[term]
+	if i, ok := fi.dict.find(term); ok {
+		return fi.dict.meta(i).SumTF
+	}
+	return 0
 }
 
 // size returns the dictionary size.
@@ -119,25 +130,39 @@ func (fi *fieldIndex) size() int {
 	switch {
 	case fi == nil:
 		return 0
-	case fi.toc != nil:
-		return len(fi.toc)
+	case fi.terms != nil:
+		return len(fi.terms)
 	}
-	return len(fi.terms)
+	return fi.dict.len()
 }
 
-// names returns the dictionary sorted lexicographically.
+// names returns the dictionary sorted lexicographically, as strings the
+// caller owns.
 func (fi *fieldIndex) names() []string {
 	switch {
 	case fi == nil:
 		return nil
-	case fi.toc != nil:
-		return sortedKeys(fi.toc)
+	case fi.terms != nil:
+		return sortedKeys(fi.terms)
 	}
-	return sortedKeys(fi.terms)
+	return fi.dict.strings()
+}
+
+// column returns fi's dictionary as columns: a mapped field's own, or a
+// heap field's sorted terms (with empty records: a heap list carries
+// its own).
+func (fi *fieldIndex) column() termDict {
+	switch {
+	case fi == nil:
+		return termDict{}
+	case fi.terms != nil:
+		return dictOf(sortedKeys(fi.terms), func(string) postings.MappedListMeta { return postings.MappedListMeta{} })
+	}
+	return fi.dict
 }
 
 // Index is an immutable inverted index built by a Builder, loaded from a
-// gob snapshot, or opened from a memory-mapped format-v4 file. The three
+// gob snapshot, or opened from a memory-mapped format-v5 file. The three
 // share every accessor; a mapped index additionally owns its paged image
 // and the decoded-block cache, and must be Closed when done.
 type Index struct {
@@ -156,10 +181,6 @@ type Index struct {
 	// dir and payload are the "dir" and "postings" sections a term's
 	// list is built over.
 	dir, payload []byte
-	// lists publishes each term's list once built: one slot per term,
-	// the slot of the term's first directory block (open rejects two
-	// terms that start at the same block).
-	lists []atomic.Pointer[postings.List]
 	// quar is the index-wide corrupt-block registry: a mapped block that
 	// fails its CRC at materialization is blacklisted and served as an
 	// empty container instead of panicking the query (see
@@ -190,54 +211,48 @@ func (ix *Index) SegmentSize() int { return ix.segSize }
 // all return the one list that won.
 func (ix *Index) Postings(field, term string) *postings.List {
 	fi := ix.fields[field]
-	if fi == nil {
+	switch {
+	case fi == nil:
 		return nil
-	}
-	if fi.toc == nil {
+	case fi.terms != nil:
 		return fi.terms[term]
 	}
-	meta, ok := fi.toc[term]
+	i, ok := fi.dict.find(term)
 	if !ok {
 		return nil
 	}
-	slot := &ix.lists[meta.FirstBlock]
+	slot := &fi.lists[i]
 	if l := slot.Load(); l != nil {
 		return l
 	}
-	l := ix.buildList(meta)
+	l := ix.buildList(fi.dict.meta(i))
 	if !slot.CompareAndSwap(nil, l) {
 		l = slot.Load()
 	}
 	return l
 }
 
-// list returns fi's list for term, nil if fi lacks it, without
-// publishing it: on a mapped index a list no lookup has built yet is
-// built for the caller only, so an offline walk over the dictionary
-// leaves the resident heap as it found it.
-func (ix *Index) list(fi *fieldIndex, term string) *postings.List {
+// eachList calls fn with every list of fi and the length of its term:
+// the one walk of the offline statistics (PostingsBytes,
+// ContainerStats, FieldBlockStats), whose sums do not depend on the
+// order. On a mapped index a list no lookup has built yet is built for
+// the walk only, not published, so the walk leaves the resident heap as
+// it found it.
+func (ix *Index) eachList(fi *fieldIndex, fn func(termLen int, l *postings.List)) {
 	switch {
 	case fi == nil:
-		return nil
-	case fi.toc == nil:
-		return fi.terms[term]
-	}
-	meta, ok := fi.toc[term]
-	if !ok {
-		return nil
-	}
-	if l := ix.lists[meta.FirstBlock].Load(); l != nil {
-		return l
-	}
-	return ix.buildList(meta)
-}
-
-// eachList calls fn with every term of fi and its list, in sorted term
-// order: the one walk of the offline statistics (PostingsBytes,
-// ContainerStats, FieldBlockStats).
-func (ix *Index) eachList(fi *fieldIndex, fn func(term string, l *postings.List)) {
-	for _, term := range fi.names() {
-		fn(term, ix.list(fi, term))
+	case fi.terms != nil:
+		for term, l := range fi.terms {
+			fn(len(term), l)
+		}
+	default:
+		for i := range fi.lists {
+			l := fi.lists[i].Load()
+			if l == nil {
+				l = ix.buildList(fi.dict.meta(i))
+			}
+			fn(len(fi.dict.key(i)), l)
+		}
 	}
 }
 
@@ -289,14 +304,21 @@ func (ix *Index) Terms(field string) []string { return ix.fields[field].names() 
 // and by the view storage optimization (df columns only for |L_w| ≥ T_C).
 func (ix *Index) TermsWithMinDF(field string, minDF int64) []string {
 	fi := ix.fields[field]
-	names := fi.names()
-	out := names[:0]
-	for _, t := range names {
-		if fi.df(t) >= minDF {
-			out = append(out, t)
+	type termDF struct {
+		term string
+		df   int64
+	}
+	var hits []termDF
+	for _, t := range fi.names() {
+		if df := fi.df(t); df >= minDF {
+			hits = append(hits, termDF{t, df})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return fi.df(out[i]) > fi.df(out[j]) })
+	sort.SliceStable(hits, func(i, j int) bool { return hits[i].df > hits[j].df })
+	out := make([]string, len(hits))
+	for i, h := range hits {
+		out[i] = h.term
+	}
 	return out
 }
 
@@ -332,8 +354,8 @@ func (ix *Index) AnalyzerFor(field string) *analysis.Analyzer {
 func (ix *Index) PostingsBytes() int64 {
 	var total int64
 	for _, fi := range ix.fields {
-		ix.eachList(fi, func(t string, l *postings.List) {
-			total += int64(len(t)) + l.Bytes()
+		ix.eachList(fi, func(termLen int, l *postings.List) {
+			total += int64(termLen) + l.Bytes()
 		})
 	}
 	return total
@@ -364,7 +386,7 @@ func (ix *Index) ContainerStats(field string) ContainerStats {
 		return cs
 	}
 	cs.Lists = fi.size()
-	ix.eachList(fi, func(_ string, l *postings.List) {
+	ix.eachList(fi, func(_ int, l *postings.List) {
 		cs.Postings += int64(l.Len())
 		s, d := l.Containers()
 		cs.SparseChunks += s
@@ -386,7 +408,7 @@ func (ix *Index) ContainerStats(field string) ContainerStats {
 	return cs
 }
 
-// FieldBlockStats aggregates the format-v4 block layout over one field's
+// FieldBlockStats aggregates the paged block layout over one field's
 // posting lists: encoding mix and on-disk footprint. On a mapped index
 // this reads block directories; on a heap index it measures what
 // SaveMapped would write, so csbuild can report the disk footprint of
@@ -397,7 +419,7 @@ func (ix *Index) FieldBlockStats(field string) postings.BlockStats {
 	if fi == nil {
 		return bs
 	}
-	ix.eachList(fi, func(_ string, l *postings.List) {
+	ix.eachList(fi, func(_ int, l *postings.List) {
 		bs.AddTo(l.BlockStats())
 	})
 	return bs

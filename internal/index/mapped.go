@@ -7,6 +7,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -16,36 +17,47 @@ import (
 	"csrank/internal/snapshot"
 )
 
-// Index format v4: a page-aligned paged container (snapshot.PagedMagic)
-// whose posting containers are readable in place from a memory mapping.
-// Opening a v4 file decodes only the table of contents and validates the
-// fixed-width block directory — O(terms + blocks), no posting list is
-// built and no payload byte touched — and document lengths alias the
-// mapping directly. The decoded TOC is each field's term table; a term's
-// list is built on its first Postings lookup, and its blocks materialize
-// lazily, block by block, as queries reach them; the pruned top-k path
-// therefore dismisses whole blocks via their directory bounds without
-// ever reading their pages.
+// Index format v5: a page-aligned paged container (snapshot.PagedMagic)
+// whose posting containers and term dictionaries are readable in place
+// from a memory mapping. Opening a v5 file decodes a table of contents
+// of O(fields) entries and validates the fixed-width block directory
+// and each field's dictionary columns in one allocation-free pass —
+// O(terms + blocks), no posting list is built, no payload byte touched,
+// no term copied — and document lengths alias the mapping directly.
+// DF, TotalTF and Postings binary-search a field's sorted term column;
+// a term's list is built on its first Postings lookup, and its blocks
+// materialize lazily, block by block, as queries reach them; the pruned
+// top-k path therefore dismisses whole blocks via their directory
+// bounds without ever reading their pages.
 //
-// Sections (every one page-aligned, CRC32-C checksummed):
+// Sections (every one page-aligned, CRC32-C checksummed), written in
+// this order:
 //
-//	"toc"      gob mappedTOC: schema, counts, per-term list metadata,
-//	           slab offsets into "lengths"/"stored"  (verified at open)
+//	"postings" block payloads, raw encodings 8-aligned
+//	           (lazy: per-block CRCs check each block on first touch,
+//	           Verify checks the whole section)
 //	"dir"      all block directory entries, 40 B each (verified at open)
+//	"terms"    per field, 4-aligned: [NumTerms+1]uint32 offsets into
+//	           the blob, NumTerms postings.MappedListMeta records of
+//	           24 B, then the blob of sorted terms (verified at open)
 //	"lengths"  per-field []int32 document lengths, raw LE
 //	           (verified at open; aliased zero-copy on LE hosts)
 //	"stored"   per-field stored text: [NumDocs+1]uint32 offsets + blob
 //	           (lazy: verified by Verify, strings materialize on access)
-//	"postings" block payloads, raw encodings 8-aligned
-//	           (lazy: per-block CRCs check each block on first touch,
-//	           Verify checks the whole section)
-const MappedFormatVersion = 4
+//	"toc"      gob mappedTOC: schema, counts, per-field TotalLen and
+//	           slab offsets into "terms", "lengths" and "stored"
+//	           (verified at open)
+//
+// Format v4 is v5 without "terms": its toc holds each field's
+// dictionary as a gob map of records. It is read-only; open converts
+// the map to the same columns and drops it.
+const MappedFormatVersion = 5
 
 // DefaultBlockCacheBudget bounds the decoded-block heap of one mapped
 // index (packed and TF-carrying blocks only; zero-copy blocks are free).
 const DefaultBlockCacheBudget = 64 << 20
 
-// mappedTOC is the gob-coded table of contents of a v4 file.
+// mappedTOC is the gob-coded table of contents of a v5 (or v4) file.
 type mappedTOC struct {
 	Schema  Schema
 	SegSize int
@@ -60,7 +72,23 @@ type mappedTOC struct {
 
 type mappedFieldTOC struct {
 	TotalLen int64
-	Terms    map[string]postings.MappedListMeta
+	// Dict locates the field's dictionary in the "terms" section (v5).
+	Dict mappedDictSlab
+	// Terms is a v4 file's dictionary. No writer fills it (gob omits a
+	// nil map); open converts it to columns.
+	Terms map[string]postings.MappedListMeta
+}
+
+// mappedDictSlab locates one field's dictionary columns in the "terms"
+// section: NumTerms+1 uint32 offsets at OffsOff (4-aligned), NumTerms
+// records at RecsOff, and the blob the offsets index at
+// [BlobOff, BlobOff+BlobLen).
+type mappedDictSlab struct {
+	NumTerms int64
+	OffsOff  int64
+	RecsOff  int64
+	BlobOff  int64
+	BlobLen  int64
 }
 
 // mappedStoredSlab locates one stored field: NumDocs+1 uint32 offsets at
@@ -85,12 +113,12 @@ func (v *storedView) at(doc DocID) string {
 	return string(v.blob[v.offs[doc]:v.offs[doc+1]])
 }
 
-// writeBufferSize is the buffer between the v4 writer and a file: the
+// writeBufferSize is the buffer between the v5 writer and a file: the
 // writer streams every section through it, so a file goes to disk in
 // pieces of this size instead of being assembled in memory first.
 const writeBufferSize = 16 << 10
 
-// WritePaged serializes the index in format v4. pageSize ≤ 0 selects
+// WritePaged serializes the index in format v5. pageSize ≤ 0 selects
 // snapshot.DefaultPageSize; tests shrink it to keep fixtures small.
 // Layout is deterministic: fields and terms are emitted in sorted order.
 // A mapped index's blocks are copied verbatim once their CRCs check
@@ -101,7 +129,7 @@ func (ix *Index) WritePaged(w io.Writer, pageSize int) error {
 	return writeMerged(w, pageSize, ix, nil)
 }
 
-// SaveMapped writes the index to path in format v4 — the one format any
+// SaveMapped writes the index to path in format v5 — the one format any
 // writer emits — with the atomic write-to-temp + fsync + rename
 // protocol: a crash at any instant leaves either the previous file or
 // the complete new one.
@@ -137,17 +165,17 @@ func saveMerged(fs fsx.FS, path string, base *Index, added *Builder) error {
 	})
 }
 
-// writeMerged writes the v4 image of base's documents followed by
+// writeMerged writes the v5 image of base's documents followed by
 // added's (nil: none), whose DocIDs start at base.NumDocs(). It is the
-// one v4 writer: a fresh build is a heap base with nothing added, a
+// one v5 writer: a fresh build is a heap base with nothing added, a
 // compaction a mapped base plus the drained documents.
 //
-// Sections stream in the order postings, dir, lengths, stored, toc
-// (readers find them by name), so what stays in memory is the block
-// directory, the table of contents and one list's scratch. A term no
-// added document contains keeps its blocks — copied verbatim from a
-// mapped base, encoded from a heap one. A term one does contain is
-// written by EncodeMerged, its score bounds (content field) over the
+// Sections stream in the order postings, dir, terms, lengths, stored,
+// toc (readers find them by name), so what stays in memory is the block
+// directory, each field's dictionary columns and one list's scratch. A
+// term no added document contains keeps its blocks — copied verbatim
+// from a mapped base, encoded from a heap one. A term one does contain
+// is written by EncodeMerged, its score bounds (content field) over the
 // merged lengths. Lengths and stored text are base's section bytes
 // followed by the added documents'. Every section but the toc, whose
 // gob maps encode in varying order, is therefore byte for byte what a
@@ -198,12 +226,15 @@ func writeMerged(w io.Writer, pageSize int, base *Index, added *Builder) error {
 		}
 	}
 	enc := postings.NewMappedEncoder(pw, blocks)
-	for _, field := range sortedUnion(sortedKeys(base.fields), addFields) {
-		ft, err := base.writeField(enc, field, added.field(field))
+	fields := sortedUnion(sortedKeys(base.fields), addFields)
+	dicts := make([]termDict, len(fields))
+	for i, field := range fields {
+		total, d, err := base.writeField(enc, field, added.field(field))
 		if err != nil {
 			return err
 		}
-		toc.Fields[field] = ft
+		toc.Fields[field] = mappedFieldTOC{TotalLen: total}
+		dicts[i] = d
 	}
 	if err := pw.Begin("dir", 0); err != nil {
 		return err
@@ -212,9 +243,32 @@ func writeMerged(w io.Writer, pageSize int, base *Index, added *Builder) error {
 		return err
 	}
 
+	// Dictionary slabs: offsets, records, blob per field, offsets
+	// 4-aligned.
+	sw := &sectionWriter{w: pw}
+	if err := pw.Begin("terms", 0); err != nil {
+		return err
+	}
+	for i, field := range fields {
+		sw.align4()
+		d, ft := &dicts[i], toc.Fields[field]
+		ft.Dict = mappedDictSlab{NumTerms: int64(d.len()), OffsOff: sw.off}
+		for _, o := range d.offs {
+			sw.u32(o)
+		}
+		ft.Dict.RecsOff = sw.off
+		sw.bytes(d.recs)
+		ft.Dict.BlobOff, ft.Dict.BlobLen = sw.off, int64(len(d.blob))
+		sw.bytes(d.blob)
+		toc.Fields[field] = ft
+	}
+	if err := sw.flush(); err != nil {
+		return err
+	}
+
 	// Length slabs: each field's []int32, raw little-endian, 4-aligned by
 	// construction (every slab is NumDocs*4 bytes from offset 0).
-	sw := &sectionWriter{w: pw}
+	sw = &sectionWriter{w: pw, buf: sw.buf}
 	if err := pw.Begin("lengths", 0); err != nil {
 		return err
 	}
@@ -252,9 +306,7 @@ func writeMerged(w io.Writer, pageSize int, base *Index, added *Builder) error {
 		return err
 	}
 	for _, field := range sortedUnion(sortedKeys(base.stored), sortedKeys(base.stviews), addStored) {
-		for sw.off%4 != 0 {
-			sw.str("\x00")
-		}
+		sw.align4()
 		slab := mappedStoredSlab{OffsOff: sw.off}
 		var addVals []string
 		if fb := added.field(field); fb != nil {
@@ -307,18 +359,24 @@ func writeMerged(w io.Writer, pageSize int, base *Index, added *Builder) error {
 }
 
 // writeField writes one field's lists — base's terms merged with the
-// postings fb adds (nil: none) — in sorted term order and returns the
-// field's table of contents. A corrupt base block fails it.
-func (base *Index) writeField(enc *postings.MappedEncoder, field string, fb *fieldBuild) (mappedFieldTOC, error) {
+// postings fb adds (nil: none) — in sorted term order, and returns the
+// field's total length and its dictionary columns, built as the lists
+// are written. A corrupt base block fails it.
+func (base *Index) writeField(enc *postings.MappedEncoder, field string, fb *fieldBuild) (int64, termDict, error) {
 	fi := base.fields[field]
-	var ft mappedFieldTOC
+	bd := fi.column()
+	var total int64
 	if fi != nil {
-		ft.TotalLen = fi.totalLen
+		total = fi.totalLen
 	}
 	var addTerms []string
+	addBytes := 0
 	if fb != nil {
-		ft.TotalLen += fb.total
+		total += fb.total
 		addTerms = sortedKeys(fb.terms)
+		for _, t := range addTerms {
+			addBytes += len(t)
+		}
 	}
 	var docLen func(uint32) int32
 	if fb != nil && field == base.schema.ContentField {
@@ -333,48 +391,47 @@ func (base *Index) writeField(enc *postings.MappedEncoder, field string, fb *fie
 			return 0
 		}
 	}
-	baseTerms := fi.names()
-	ft.Terms = make(map[string]postings.MappedListMeta, len(baseTerms)+len(addTerms))
-	for i, j := 0, 0; i < len(baseTerms) || j < len(addTerms); {
+	out := newDict(bd.len()+len(addTerms), len(bd.blob)+addBytes)
+	for i, j := 0, 0; i < bd.len() || j < len(addTerms); {
 		var (
-			term string
 			meta postings.MappedListMeta
 			err  error
 		)
-		if j == len(addTerms) || (i < len(baseTerms) && baseTerms[i] < addTerms[j]) {
-			term = baseTerms[i]
+		if j == len(addTerms) || (i < bd.len() && string(bd.key(i)) < addTerms[j]) {
+			out.blob = append(out.blob, bd.key(i)...)
+			meta, err = enc.EncodeList(base.source(fi, &bd, i))
 			i++
-			meta, err = enc.EncodeList(base.source(fi, term))
 		} else {
-			term = addTerms[j]
+			term := addTerms[j]
 			j++
-			if i < len(baseTerms) && baseTerms[i] == term {
+			src := postings.HeapSource(nil)
+			if i < bd.len() && string(bd.key(i)) == term {
+				src = base.source(fi, &bd, i)
 				i++
 			}
-			meta, err = enc.EncodeMerged(base.source(fi, term), fb.terms[term], docLen)
+			out.blob = append(out.blob, term...)
+			meta, err = enc.EncodeMerged(src, fb.terms[term], docLen)
 		}
 		if err != nil {
-			return ft, fmt.Errorf("index: field %q term %q: %w", field, term, err)
+			return 0, out, fmt.Errorf("index: field %q term %q: %w", field, out.blob[out.offs[len(out.offs)-1]:], err)
 		}
-		ft.Terms[term] = meta
+		if len(out.blob) > math.MaxUint32 {
+			return 0, out, fmt.Errorf("index: field %q dictionary exceeds %d bytes", field, uint32(math.MaxUint32))
+		}
+		out.add(meta)
 	}
-	return ft, nil
+	return total, out, nil
 }
 
-// source returns term's list in fi as the v4 encoder reads it: a mapped
-// index's blocks in place, without building the list, or a heap index's
-// list (the empty list where fi lacks the term).
-func (ix *Index) source(fi *fieldIndex, term string) postings.ListSource {
-	switch {
-	case fi == nil:
-		return postings.HeapSource(nil)
-	case fi.toc != nil:
-		if m, ok := fi.toc[term]; ok {
-			return postings.MappedSource(m, ix.termDir(m), ix.payload)
-		}
-		return postings.HeapSource(nil)
+// source returns term i of d, fi's column, as the encoder reads it: a
+// mapped field's blocks in place, without building the list, or a heap
+// field's list.
+func (ix *Index) source(fi *fieldIndex, d *termDict, i int) postings.ListSource {
+	if fi.terms != nil {
+		return postings.HeapSource(fi.terms[string(d.key(i))])
 	}
-	return postings.HeapSource(fi.terms[term])
+	meta := d.meta(i)
+	return postings.MappedSource(meta, ix.termDir(meta), ix.payload)
 }
 
 // at returns vs[i], or "" past its end.
@@ -418,6 +475,13 @@ func (s *sectionWriter) str(v string) {
 	}
 }
 
+// align4 pads the section to a 4-byte boundary.
+func (s *sectionWriter) align4() {
+	for s.off%4 != 0 {
+		s.str("\x00")
+	}
+}
+
 func (s *sectionWriter) bytes(b []byte) {
 	if s.flush() == nil {
 		_, s.err = s.w.Write(b)
@@ -425,8 +489,8 @@ func (s *sectionWriter) bytes(b []byte) {
 	s.off += int64(len(b))
 }
 
-// OpenMapped memory-maps a format-v4 index file. The returned index
-// shares pages with the OS page cache; Close releases the mapping.
+// OpenMapped memory-maps a format-v5 (or v4) index file. The returned
+// index shares pages with the OS page cache; Close releases the mapping.
 func OpenMapped(path string) (*Index, error) {
 	return OpenMappedFS(fsx.OS, path, DefaultBlockCacheBudget)
 }
@@ -448,9 +512,9 @@ func OpenMappedFS(fs fsx.FS, path string, cacheBudget int64) (*Index, error) {
 	return ix, nil
 }
 
-// OpenMappedBytes opens a v4 image held in memory (tests, in-process
-// round-trips). The caller keeps ownership of data, which must stay
-// immutable while the index is in use.
+// OpenMappedBytes opens a v5 (or v4) image held in memory (tests,
+// in-process round-trips). The caller keeps ownership of data, which
+// must stay immutable while the index is in use.
 func OpenMappedBytes(data []byte, cacheBudget int64) (*Index, error) {
 	return openMapped(data, nil, cacheBudget)
 }
@@ -466,8 +530,9 @@ func openMapped(data []byte, m *fsx.Mapping, cacheBudget int64) (*Index, error) 
 	if kind := pf.Header().Kind; kind != snapshot.KindIndex {
 		return nil, fmt.Errorf("index: paged file holds payload kind %d, want %d (index)", kind, snapshot.KindIndex)
 	}
-	if v := pf.Header().PayloadVersion; v != MappedFormatVersion {
-		return nil, fmt.Errorf("index: unsupported paged format version %d (this build reads %d)", v, MappedFormatVersion)
+	version := pf.Header().PayloadVersion
+	if version != 4 && version != MappedFormatVersion {
+		return nil, fmt.Errorf("index: unsupported paged format version %d (this build reads 4 and %d)", version, MappedFormatVersion)
 	}
 	need := func(name string) ([]byte, error) {
 		sec, ok := pf.Section(name)
@@ -496,6 +561,12 @@ func openMapped(data []byte, m *fsx.Mapping, cacheBudget int64) (*Index, error) 
 	if err != nil {
 		return nil, err
 	}
+	var termSec []byte
+	if version == MappedFormatVersion {
+		if termSec, err = need("terms"); err != nil {
+			return nil, err
+		}
+	}
 
 	var toc mappedTOC
 	if err := gob.NewDecoder(io.LimitReader(bytes.NewReader(tocSec), maxDecodeBytes)).Decode(&toc); err != nil {
@@ -513,7 +584,6 @@ func openMapped(data []byte, m *fsx.Mapping, cacheBudget int64) (*Index, error) 
 	if len(dirSec)%postings.BlockDirEntrySize != 0 {
 		return nil, fmt.Errorf("index: block directory length %d is not a multiple of %d", len(dirSec), postings.BlockDirEntrySize)
 	}
-	totalBlocks := len(dirSec) / postings.BlockDirEntrySize
 
 	ix := &Index{
 		schema:  toc.Schema,
@@ -529,12 +599,11 @@ func openMapped(data []byte, m *fsx.Mapping, cacheBudget int64) (*Index, error) 
 		quar:    &postings.Quarantine{},
 		dir:     dirSec,
 		payload: paySec,
-		lists:   make([]atomic.Pointer[postings.List], totalBlocks),
 	}
 
 	for field, off := range toc.Lengths {
 		n := toc.NumDocs
-		if off < 0 || off%4 != 0 || off+int64(n)*4 > int64(len(lenSec)) {
+		if off%4 != 0 || !inSection(off, int64(n)*4, len(lenSec)) {
 			return nil, fmt.Errorf("index: field %q length slab [%d, +%d) outside section of %d bytes", field, off, n*4, len(lenSec))
 		}
 		ls := fsx.Int32s(lenSec[off : off+int64(n)*4])
@@ -547,10 +616,10 @@ func openMapped(data []byte, m *fsx.Mapping, cacheBudget int64) (*Index, error) 
 	}
 	for field, slab := range toc.Stored {
 		n := int64(toc.NumDocs) + 1
-		if slab.OffsOff < 0 || slab.OffsOff%4 != 0 || slab.OffsOff+n*4 > int64(len(stSec)) {
+		if slab.OffsOff%4 != 0 || !inSection(slab.OffsOff, n*4, len(stSec)) {
 			return nil, fmt.Errorf("index: field %q stored offsets outside section", field)
 		}
-		if slab.BlobOff < 0 || slab.BlobLen < 0 || slab.BlobOff+slab.BlobLen > int64(len(stSec)) {
+		if !inSection(slab.BlobOff, slab.BlobLen, len(stSec)) {
 			return nil, fmt.Errorf("index: field %q stored blob outside section", field)
 		}
 		offs := fsx.Uint32s(stSec[slab.OffsOff : slab.OffsOff+n*4])
@@ -563,33 +632,91 @@ func openMapped(data []byte, m *fsx.Mapping, cacheBudget int64) (*Index, error) 
 		}
 		ix.stviews[field] = &storedView{offs: offs, blob: stSec[slab.BlobOff : slab.BlobOff+slab.BlobLen]}
 	}
-	// A term's list slot is its first directory block; starts marks the
-	// blocks claimed so far, so no two terms share a slot.
-	starts := make([]uint64, (totalBlocks+63)/64)
 	for field, ft := range toc.Fields {
 		if ft.TotalLen < 0 {
 			return nil, fmt.Errorf("index: field %q has negative TotalLen %d", field, ft.TotalLen)
 		}
-		for term, meta := range ft.Terms {
-			first, nb := int(meta.FirstBlock), int(meta.NumBlocks)
-			if first < 0 || nb < 0 || first+nb > totalBlocks {
-				return nil, fmt.Errorf("index: term %q directory range [%d, +%d) outside %d blocks", term, first, nb, totalBlocks)
+		var d termDict
+		if version == MappedFormatVersion {
+			if d, err = mappedDict(termSec, ft.Dict); err != nil {
+				return nil, fmt.Errorf("index: field %q: %w", field, err)
 			}
-			if err := postings.ValidateMappedList(meta, ix.termDir(meta), paySec); err != nil {
-				return nil, fmt.Errorf("index: term %q: %w", term, err)
-			}
-			if int(meta.N) > toc.NumDocs {
-				return nil, fmt.Errorf("index: term %q has %d postings for %d documents", term, meta.N, toc.NumDocs)
-			}
-			w, bit := first/64, uint64(1)<<(first%64)
-			if starts[w]&bit != 0 {
-				return nil, fmt.Errorf("index: term %q starts at directory block %d, as another term does", term, meta.FirstBlock)
-			}
-			starts[w] |= bit
+		} else {
+			d = dictOf(sortedKeys(ft.Terms), func(term string) postings.MappedListMeta { return ft.Terms[term] })
 		}
-		ix.fields[field] = &fieldIndex{toc: ft.Terms, totalLen: ft.TotalLen}
+		if err := ix.checkDict(field, &d); err != nil {
+			return nil, err
+		}
+		ix.fields[field] = &fieldIndex{dict: d, lists: make([]atomic.Pointer[postings.List], d.len()), totalLen: ft.TotalLen}
 	}
 	return ix, nil
+}
+
+// mappedDict returns the dictionary columns slab locates in the "terms"
+// section sec, aliasing it.
+func mappedDict(sec []byte, slab mappedDictSlab) (termDict, error) {
+	n, size := slab.NumTerms, int64(len(sec))
+	if n < 0 || n > size/postings.MappedListMetaSize {
+		return termDict{}, fmt.Errorf("dictionary of %d terms in a section of %d bytes", n, size)
+	}
+	offsEnd, recsEnd := slab.OffsOff+(n+1)*4, slab.RecsOff+n*postings.MappedListMetaSize
+	if slab.OffsOff%4 != 0 || !inSection(slab.OffsOff, (n+1)*4, len(sec)) ||
+		!inSection(slab.RecsOff, n*postings.MappedListMetaSize, len(sec)) || !inSection(slab.BlobOff, slab.BlobLen, len(sec)) {
+		return termDict{}, fmt.Errorf("dictionary slab outside section of %d bytes", size)
+	}
+	return termDict{
+		offs: fsx.Uint32s(sec[slab.OffsOff:offsEnd]),
+		recs: sec[slab.RecsOff:recsEnd],
+		blob: sec[slab.BlobOff : slab.BlobOff+slab.BlobLen],
+	}, nil
+}
+
+// inSection reports whether the n bytes at off, both read from the
+// table of contents, lie within a section of size bytes; it cannot
+// overflow.
+func inSection(off, n int64, size int) bool {
+	return off >= 0 && n >= 0 && off <= int64(size) && n <= int64(size)-off
+}
+
+// checkDict validates field's dictionary d in one pass that allocates
+// nothing: offsets in order and in range, terms strictly ascending,
+// every record well formed, each term's list starting at the directory
+// block right after the previous term's — so no two terms share a
+// block — and every list's directory (postings.ValidateMappedList).
+func (ix *Index) checkDict(field string, d *termDict) error {
+	n, totalBlocks := d.len(), len(ix.dir)/postings.BlockDirEntrySize
+	if len(d.offs) != n+1 || d.offs[0] != 0 || int64(d.offs[n]) != int64(len(d.blob)) {
+		return fmt.Errorf("index: field %q dictionary offsets do not span its blob of %d bytes", field, len(d.blob))
+	}
+	next := -1
+	for i := 0; i < n; i++ {
+		if d.offs[i+1] < d.offs[i] || int64(d.offs[i+1]) > int64(len(d.blob)) {
+			return fmt.Errorf("index: field %q term %d offsets out of order", field, i)
+		}
+		term := d.key(i)
+		if i > 0 && string(d.key(i-1)) >= string(term) {
+			return fmt.Errorf("index: field %q terms %q, %q not strictly ascending", field, d.key(i-1), term)
+		}
+		meta, ok := postings.MappedListMetaAt(d.recs[i*postings.MappedListMetaSize:])
+		if !ok {
+			return fmt.Errorf("index: field %q term %q record has reserved bits set", field, term)
+		}
+		first, nb := int(meta.FirstBlock), int(meta.NumBlocks)
+		if next >= 0 && first != next {
+			return fmt.Errorf("index: field %q term %q starts at directory block %d, want %d (where the previous term's list ends)", field, term, first, next)
+		}
+		if first < 0 || nb < 0 || first+nb > totalBlocks {
+			return fmt.Errorf("index: field %q term %q directory range [%d, +%d) outside %d blocks", field, term, first, nb, totalBlocks)
+		}
+		if err := postings.ValidateMappedList(meta, ix.termDir(meta), ix.payload); err != nil {
+			return fmt.Errorf("index: field %q term %q: %w", field, term, err)
+		}
+		if int(meta.N) > ix.numDocs {
+			return fmt.Errorf("index: field %q term %q has %d postings for %d documents", field, term, meta.N, ix.numDocs)
+		}
+		next = first + nb
+	}
+	return nil
 }
 
 // termDir returns the directory entries of the list meta describes.
@@ -607,24 +734,34 @@ func (ix *Index) buildList(meta postings.MappedListMeta) *postings.List {
 	return l
 }
 
-// Mapped reports whether the index reads its posting blocks from a v4
+// Mapped reports whether the index reads its posting blocks from a
 // paged image (memory-mapped or in-memory) rather than heap lists.
 func (ix *Index) Mapped() bool { return ix.paged != nil }
 
+// FormatVersion returns the paged format version of a mapped index's
+// file — MappedFormatVersion, or 4 for a file an older build wrote — and
+// 0 for a heap index (built, or decoded from a gob stream).
+func (ix *Index) FormatVersion() int {
+	if ix.paged == nil {
+		return 0
+	}
+	return int(ix.paged.Header().PayloadVersion)
+}
+
 // Close releases the memory mapping of a mapped index. The index — and
 // every posting list obtained from it — must not be used afterwards.
-// Close also drops the index's own views of the mapping — its built
-// lists and their blocks, the block cache, the sections, lengths and
-// stored text — so nothing the index still references points into the
-// released pages. Heap indexes, and mapped ones over an in-memory image,
+// Close also drops the index's own views of the mapping — its
+// dictionaries, built lists and their blocks, the block cache, the
+// sections, lengths and stored text — so nothing the index still
+// references points into the released pages. Heap indexes, and mapped ones over an in-memory image,
 // ignore Close.
 func (ix *Index) Close() error {
 	if ix.mapping == nil {
 		return nil
 	}
 	err := ix.mapping.Close()
-	ix.paged, ix.cache, ix.dir, ix.payload, ix.lists = nil, nil, nil, nil, nil
-	ix.lengths, ix.stviews = nil, nil
+	ix.paged, ix.cache, ix.dir, ix.payload = nil, nil, nil, nil
+	ix.fields, ix.lengths, ix.stviews = nil, nil, nil
 	return err
 }
 
@@ -645,7 +782,7 @@ func (ix *Index) BlockCacheStats() postings.BlockCacheStats {
 	return ix.cache.Stats()
 }
 
-// MappedCopy round-trips ix through the v4 codec entirely in memory and
+// MappedCopy round-trips ix through the v5 codec entirely in memory and
 // returns the mapped twin. It is the force-mapped seam used by
 // equivalence tests and CSRANK_FORCE_MAPPED: rankings over the copy must
 // be bit-identical to rankings over ix.

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
@@ -280,7 +279,8 @@ func TestMappedCorruptBlockQuarantinedNotFatal(t *testing.T) {
 // TestMappedListsBuiltOnFirstLookup: opening a mapped index builds no
 // posting list, and neither do the dictionary statistics or an offline
 // walk; the first Postings lookup of a term builds its list once, and
-// every later or concurrent lookup returns that same list.
+// every later or concurrent lookup returns that same list without
+// allocating.
 func TestMappedListsBuiltOnFirstLookup(t *testing.T) {
 	ix := synthIndex(t, rand.New(rand.NewSource(9)), 400)
 	mx, err := MappedCopy(ix)
@@ -289,9 +289,11 @@ func TestMappedListsBuiltOnFirstLookup(t *testing.T) {
 	}
 	built := func() int {
 		n := 0
-		for i := range mx.lists {
-			if mx.lists[i].Load() != nil {
-				n++
+		for _, fi := range mx.fields {
+			for i := range fi.lists {
+				if fi.lists[i].Load() != nil {
+					n++
+				}
 			}
 		}
 		return n
@@ -336,6 +338,15 @@ func TestMappedListsBuiltOnFirstLookup(t *testing.T) {
 	if mx.Postings("content", "absent") != nil || mx.Postings("nofield", "w07") != nil {
 		t.Fatal("an unknown term or field has a list")
 	}
+	// A lookup of a built list, or of an absent term, allocates nothing.
+	if n := testing.AllocsPerRun(100, func() {
+		mx.DF("content", "w07")
+		mx.TotalTF("content", "w07")
+		mx.Postings("content", "w07")
+		mx.Postings("content", "absent")
+	}); n != 0 {
+		t.Fatalf("dictionary lookups allocate %v times", n)
+	}
 
 	const racers = 16
 	var start, done sync.WaitGroup
@@ -361,51 +372,73 @@ func TestMappedListsBuiltOnFirstLookup(t *testing.T) {
 	}
 }
 
-// TestMappedRejectsSharedFirstBlock: a term's list is published in the
-// slot of its first directory block, so a table of contents in which two
-// terms start at the same block fails the open.
+// TestMappedRejectsSharedFirstBlock: each term's list must start at the
+// directory block right after the previous term's, so a dictionary in
+// which two terms start at the same block fails the open, as do
+// records with reserved bits set and terms out of order.
 func TestMappedRejectsSharedFirstBlock(t *testing.T) {
 	ix := synthIndex(t, rand.New(rand.NewSource(10)), 100)
-	var buf bytes.Buffer
-	if err := ix.WritePaged(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	pf, err := snapshot.OpenPaged(buf.Bytes())
+	img := pagedImage(t, ix)
+	mx, err := OpenMappedBytes(img, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tocSec, _ := pf.Section("toc")
-	var toc mappedTOC
-	if err := gob.NewDecoder(bytes.NewReader(tocSec)).Decode(&toc); err != nil {
-		t.Fatal(err)
+	d := &mx.fields["mesh"].dict // aliases img
+	i, ok := d.find("viruses")
+	if !ok || i == 0 {
+		t.Fatalf("mesh dictionary lacks a second term viruses (%d, %v)", i, ok)
 	}
-	mesh := toc.Fields["mesh"].Terms
-	mesh["parasites"] = mesh["viruses"]
-	var tocBuf, out bytes.Buffer
-	if err := gob.NewEncoder(&tocBuf).Encode(&toc); err != nil {
-		t.Fatal(err)
-	}
-	pw, err := snapshot.NewPagedWriter(&out, snapshot.KindIndex, MappedFormatVersion, 0)
+	// The damaged copies are re-sealed, so only the dictionary check
+	// can catch them.
+	pf, err := snapshot.OpenPaged(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"toc", "dir", "lengths", "stored", "postings"} {
-		data, _ := pf.Section(name)
-		if name == "toc" {
-			data = tocBuf.Bytes()
-		}
-		if err := pw.Begin(name, 0); err != nil {
+	reseal := func() []byte {
+		t.Helper()
+		var out bytes.Buffer
+		pw, err := snapshot.NewPagedWriter(&out, snapshot.KindIndex, MappedFormatVersion, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pw.Write(data); err != nil {
+		for _, name := range []string{"postings", "dir", "terms", "lengths", "stored", "toc"} {
+			data, _ := pf.Section(name)
+			if err := pw.Begin(name, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pw.Write(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pw.Close(); err != nil {
 			t.Fatal(err)
 		}
+		return out.Bytes()
 	}
-	if err := pw.Close(); err != nil {
-		t.Fatal(err)
+	rec := d.recs[i*postings.MappedListMetaSize:][:postings.MappedListMetaSize]
+	prev := d.recs[(i-1)*postings.MappedListMetaSize:][:postings.MappedListMetaSize]
+	key := d.key(i)
+	for _, tc := range []struct {
+		name, want string
+		damage     func()
+	}{
+		{"shared first block", "starts at directory block", func() { copy(rec[12:16], prev[12:16]) }},
+		{"reserved flag", "reserved bits", func() { rec[20] |= 0x80 }},
+		{"reserved byte", "reserved bits", func() { rec[23] = 1 }},
+		{"order", "not strictly ascending", func() { key[0] = 0 }},
+	} {
+		saved := append([]byte(nil), d.blob...)
+		savedRec := append([]byte(nil), d.recs...)
+		tc.damage()
+		forged := reseal()
+		copy(d.blob, saved)
+		copy(d.recs, savedRec)
+		if _, err := OpenMappedBytes(forged, 0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: open returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
-	if _, err := OpenMappedBytes(out.Bytes(), 0); err == nil || !strings.Contains(err.Error(), "as another term does") {
-		t.Fatalf("open of a TOC with two terms at one block: %v", err)
+	if _, err := OpenMappedBytes(reseal(), 0); err != nil {
+		t.Fatalf("restored image: %v", err)
 	}
 }
 

@@ -50,15 +50,15 @@ func mergeDocs(rng *rand.Rand, n int) []Document {
 	return docs
 }
 
-// v4Sections opens a v4 image and returns its five sections by name.
-func v4Sections(t testing.TB, img []byte) map[string][]byte {
+// v5Sections opens a v5 image and returns its six sections by name.
+func v5Sections(t testing.TB, img []byte) map[string][]byte {
 	t.Helper()
 	pf, err := snapshot.OpenPaged(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[string][]byte)
-	for _, name := range []string{"toc", "dir", "lengths", "stored", "postings"} {
+	for _, name := range []string{"toc", "dir", "terms", "lengths", "stored", "postings"} {
 		sec, ok := pf.Section(name)
 		if !ok {
 			t.Fatalf("image lacks section %q", name)
@@ -68,13 +68,13 @@ func v4Sections(t testing.TB, img []byte) map[string][]byte {
 	return out
 }
 
-// assertSameImage checks that two v4 images hold equal sections: every
-// section byte for byte, except the toc, compared decoded (its gob maps
-// encode in varying order).
+// assertSameImage checks that two v5 images hold equal sections: every
+// section byte for byte — the dictionaries included — except the toc,
+// compared decoded (its gob maps encode in varying order).
 func assertSameImage(t testing.TB, got, want []byte) {
 	t.Helper()
-	gs, ws := v4Sections(t, got), v4Sections(t, want)
-	for _, name := range []string{"postings", "dir", "lengths", "stored"} {
+	gs, ws := v5Sections(t, got), v5Sections(t, want)
+	for _, name := range []string{"postings", "dir", "terms", "lengths", "stored"} {
 		if !bytes.Equal(gs[name], ws[name]) {
 			t.Fatalf("section %q differs: %d bytes, want %d", name, len(gs[name]), len(ws[name]))
 		}
@@ -92,7 +92,7 @@ func assertSameImage(t testing.TB, got, want []byte) {
 		t.Fatalf("toc shape %d docs / segsize %d, want %d / %d", gt.NumDocs, gt.SegSize, wt.NumDocs, wt.SegSize)
 	}
 	if !reflect.DeepEqual(gt.Fields, wt.Fields) || !reflect.DeepEqual(gt.Lengths, wt.Lengths) || !reflect.DeepEqual(gt.Stored, wt.Stored) {
-		t.Fatal("toc term tables or slabs differ")
+		t.Fatal("toc field totals or slabs differ")
 	}
 	if len(gt.Schema.Fields) != len(wt.Schema.Fields) {
 		t.Fatal("toc schemas differ")
@@ -116,8 +116,8 @@ func pagedImage(t testing.TB, ix *Index) []byte {
 // TestMergeWriterEqualsFreshBuild is the merge writer's property: for
 // random add batches, segment sizes, heap and mapped bases, and chains
 // of merges over merge-written files, every section the merge writes —
-// both fields' blocks and directory, lengths and stored text, and the
-// decoded toc — equals the section a fresh BuildFrom(base docs ++ added
+// both fields' blocks, directory and dictionary, lengths and stored
+// text, and the decoded toc — equals the section a fresh BuildFrom(base docs ++ added
 // docs) writes. Bases past one 2^16 chunk range make merged lists whose
 // leading blocks are copied and whose last one is re-encoded, dense
 // chunks included.
@@ -197,7 +197,7 @@ func TestSaveExtendedRefusesCorruptBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := pagedImage(t, base)
-	payload := v4Sections(t, img)["postings"] // aliases img
+	payload := v5Sections(t, img)["postings"] // aliases img
 	ix, err := OpenMappedBytes(img, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,9 @@ func TestSaveExtendedRefusesCorruptBlock(t *testing.T) {
 		}
 	}
 	for _, term := range []string{"alpha", copied} { // merged, then copied
-		meta := ix.fields["content"].toc[term]
+		d := &ix.fields["content"].dict
+		i, _ := d.find(term)
+		meta := d.meta(i)
 		off := int(binary.LittleEndian.Uint64(ix.termDir(meta)[8:16])) // the first block's payload offset
 		payload[off] ^= 0x01
 		path := filepath.Join(t.TempDir(), "index.000001.gob")
@@ -228,7 +230,7 @@ func TestSaveExtendedRefusesCorruptBlock(t *testing.T) {
 			t.Fatalf("term %q: a failed merge left %s (stat: %v)", term, path, err)
 		}
 	}
-	stored := v4Sections(t, img)["stored"]
+	stored := v5Sections(t, img)["stored"]
 	stored[len(stored)-1] ^= 0x01 // the last stored byte, read only by the copy
 	path := filepath.Join(t.TempDir(), "index.000001.gob")
 	err = SaveExtendedFS(fsx.OS, path, ix, docs[300:])

@@ -13,7 +13,7 @@ import (
 )
 
 // FormatVersion is the newest gob-stream index format this build reads;
-// nothing writes it any more (SaveMapped writes the paged format v4,
+// nothing writes it any more (SaveMapped writes the paged format v5,
 // MappedFormatVersion). Version 3 extends the container-aware version 2
 // layout with per-container score-bound metadata (postings.ChunkBound)
 // on the lists that carry it — the block-max data dynamic pruning needs,
@@ -24,7 +24,7 @@ import (
 const FormatVersion = 3
 
 // gobFormatVersions is the single source of truth for every gob-stream
-// format version this build reads (the paged format v4 negotiates by
+// format version this build reads (the paged formats negotiate by
 // magic, not by this list). Error messages derive from it so they can
 // never drift from the switch in decodeTermList.
 var gobFormatVersions = []int{0, 2, FormatVersion}
@@ -199,7 +199,7 @@ func Decode(r io.Reader) (*Index, error) {
 	return ix, nil
 }
 
-// ReadSnapshot reads an index from a format-v4 paged image, a framed
+// ReadSnapshot reads an index from a paged (v5 or v4) image, a framed
 // snapshot, or a legacy raw-gob stream (sniffed by magic), verifying
 // checksums per the format's contract. A paged stream is read fully
 // into memory — callers that want the mapping should use OpenMapped

@@ -103,12 +103,12 @@ func (q *Quarantine) Blocks() int64 {
 	return q.blocks.Load()
 }
 
-// MappedListMeta is the per-list record a format-v4 table of contents
-// keeps: everything the reader needs to reconstruct the list shell
-// without touching a payload byte. An open mapped index holds one per
-// term, so the counts are int32 — a list holds fewer than 2^31 postings
-// and an index fewer than 2^31 blocks — keeping the record at 24 bytes;
-// gob codes them as it codes int.
+// MappedListMeta is the per-list record of a mapped index's dictionary:
+// everything the reader needs to reconstruct the list shell without
+// touching a payload byte. The counts are int32 — a list holds fewer
+// than 2^31 postings and an index fewer than 2^31 blocks — so the
+// record is MappedListMetaSize bytes on disk (format v5; a v4 table of
+// contents gob-codes it as it codes int).
 type MappedListMeta struct {
 	SumTF      int64
 	N          int32
@@ -116,6 +116,54 @@ type MappedListMeta struct {
 	NumBlocks  int32
 	HasTFs     bool
 	HasBounds  bool
+}
+
+// MappedListMetaSize is the width of one MappedListMeta record,
+// little-endian:
+//
+//	0:8   SumTF
+//	8:12  N
+//	12:16 FirstBlock
+//	16:20 NumBlocks
+//	20    flags: bit 0 HasTFs, bit 1 HasBounds
+//	21:24 zero
+const MappedListMetaSize = 24
+
+const (
+	metaHasTFs    = 1 << 0
+	metaHasBounds = 1 << 1
+)
+
+// AppendRecord appends m's MappedListMetaSize-byte record to b.
+func (m MappedListMeta) AppendRecord(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.SumTF))
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.N))
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.FirstBlock))
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.NumBlocks))
+	var flags byte
+	if m.HasTFs {
+		flags |= metaHasTFs
+	}
+	if m.HasBounds {
+		flags |= metaHasBounds
+	}
+	return append(b, flags, 0, 0, 0)
+}
+
+// MappedListMetaAt decodes the record at the start of b, which must
+// hold MappedListMetaSize bytes. ok is false when a reserved bit or
+// byte is set: the record is corrupt.
+func MappedListMetaAt(b []byte) (m MappedListMeta, ok bool) {
+	b = b[:MappedListMetaSize]
+	m = MappedListMeta{
+		SumTF:      int64(binary.LittleEndian.Uint64(b[0:])),
+		N:          int32(binary.LittleEndian.Uint32(b[8:])),
+		FirstBlock: int32(binary.LittleEndian.Uint32(b[12:])),
+		NumBlocks:  int32(binary.LittleEndian.Uint32(b[16:])),
+		HasTFs:     b[20]&metaHasTFs != 0,
+		HasBounds:  b[20]&metaHasBounds != 0,
+	}
+	return m, b[20]&^(metaHasTFs|metaHasBounds) == 0 && b[21]|b[22]|b[23] == 0
 }
 
 // MappedEncoder writes the format-v4 blocks of a sequence of lists, in
@@ -240,14 +288,14 @@ type ListSource struct {
 // through MappedSource.
 func HeapSource(l *List) ListSource { return ListSource{l: l} }
 
-// MappedSource is a mapped list as an encoder source: meta is its TOC
+// MappedSource is a mapped list as an encoder source: meta is its
 // record, dir its directory slice and payload the region its offsets
 // index, all as ValidateMappedList accepted them.
 func MappedSource(meta MappedListMeta, dir, payload []byte) ListSource {
 	return ListSource{mapped: true, meta: meta, dir: dir, payload: payload}
 }
 
-// record returns the source's TOC record, FirstBlock unset.
+// record returns the source's dictionary record, FirstBlock unset.
 func (s *ListSource) record() MappedListMeta {
 	switch {
 	case s.mapped:
@@ -305,7 +353,7 @@ func (e *MappedEncoder) postings(s *ListSource, ci int) (keys []uint16, words []
 }
 
 // EncodeList writes every chunk of s unchanged, one block each, and
-// returns the list's TOC record rebased onto this encoder.
+// returns the list's dictionary record rebased onto this encoder.
 func (e *MappedEncoder) EncodeList(s ListSource) (MappedListMeta, error) {
 	meta := s.record()
 	meta.FirstBlock = int32(e.blocks)
@@ -318,7 +366,7 @@ func (e *MappedEncoder) EncodeList(s ListSource) (MappedListMeta, error) {
 }
 
 // EncodeMerged writes the list of base's postings followed by add's,
-// whose DocIDs all exceed base's, and returns its TOC record: what a
+// whose DocIDs all exceed base's, and returns its dictionary record: what a
 // fresh build writes for a term both old and new documents contain.
 // Base chunks below add's first chunk range keep their blocks, as
 // EncodeList writes them. The chunk both share, and every chunk of add,
@@ -759,9 +807,10 @@ func aliasU64(b []byte, n int) ([]uint64, bool) {
 	return unsafe.Slice((*uint64)(ptr), n), true
 }
 
-// ValidateMappedList checks a mapped list's directory against its TOC
-// record and the payload region, allocating nothing: every block's base,
-// count, encoding, lengths and payload range, and the posting total.
+// ValidateMappedList checks a mapped list's directory against its
+// dictionary record and the payload region, allocating nothing: every
+// block's base, count, encoding, lengths and payload range, and the
+// posting total.
 // dir must be the list's own directory slice (meta.NumBlocks entries)
 // and payload the whole region its offsets index. The directory is
 // untrusted; an index runs this on every term at open, so a corrupt
@@ -816,7 +865,7 @@ func ValidateMappedList(meta MappedListMeta, dir, payload []byte) error {
 		total += n
 	}
 	if total != int(meta.N) {
-		return fmt.Errorf("postings: mapped list blocks hold %d postings, TOC says %d", total, meta.N)
+		return fmt.Errorf("postings: mapped list blocks hold %d postings, its record says %d", total, meta.N)
 	}
 	return nil
 }

@@ -419,3 +419,42 @@ func TestRetiredGenerationsUnmapped(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseUnmapsLiveDir: closing an ingester releases every engine it
+// serves, so no file of the data dir stays mapped — neither a shard's
+// index and catalog at generation 0 nor a compacted generation — and
+// Acquire on the closed ingester returns nil instead of retrying.
+func TestCloseUnmapsLiveDir(t *testing.T) {
+	const nShards = 2
+	docs := liveCorpus(9, 76)
+	for _, compact := range []bool{false, true} {
+		dir := t.TempDir()
+		saveLiveDir(t, dir, docs[:60], nShards, 8, meshCatalog(t))
+		ing, err := Open(dir, Options{RefreshEvery: 2 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addAll(t, ing, docs[60:], 60)
+		if compact {
+			if err := ing.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		searchQuery(t, ing, liveQueries()[0])
+		if got := mappedFiles(t, dir); len(got) < nShards {
+			t.Fatalf("compact=%v: an open ingester maps %d files of its dir:\n%s", compact, len(got), strings.Join(got, "\n"))
+		}
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := mappedFiles(t, dir); len(got) != 0 {
+			t.Fatalf("compact=%v: a closed ingester still maps:\n%s", compact, strings.Join(got, "\n"))
+		}
+		if v := ing.Acquire(); v != nil {
+			t.Fatalf("compact=%v: Acquire on a closed ingester returned a view", compact)
+		}
+		if _, _, _, err := ing.Search(context.Background(), liveQueries()[0], 10); err == nil {
+			t.Fatalf("compact=%v: Search on a closed ingester succeeded", compact)
+		}
+	}
+}

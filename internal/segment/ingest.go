@@ -18,6 +18,9 @@ import (
 	"csrank/internal/shard"
 )
 
+// errClosed is what an ingester's operations return after Close.
+var errClosed = errors.New("segment: ingester is closed")
+
 // walName returns the ingestion log for a generation: the documents
 // acknowledged after that generation's snapshot was committed.
 func walName(gen uint64) string { return fmt.Sprintf("ingest-%06d.wal", gen) }
@@ -100,7 +103,8 @@ type Ingester struct {
 	gen        uint64
 	compacting bool
 	compactErr error
-	closed     bool
+	// closed is set (under mu) by Close; Acquire reads it without mu.
+	closed atomic.Bool
 
 	view atomic.Pointer[View]
 	// retired holds the engines of the generation the last compaction
@@ -193,11 +197,15 @@ func (ing *Ingester) View() *View { return ing.view.Load() }
 // Acquire returns the current view with a reference held on each of
 // its engines, so no compaction closes them until Release. A view whose
 // retired engines are already closed is never returned: Acquire then
-// loads the view that replaced it.
+// loads the view that replaced it. Once the ingester is closed, and its
+// engines with it, Acquire returns nil.
 func (ing *Ingester) Acquire() *View {
 	for {
 		if v := ing.view.Load(); v.acquire() {
 			return v
+		}
+		if ing.closed.Load() {
+			return nil
 		}
 	}
 }
@@ -233,6 +241,9 @@ func (v *View) Release() {
 // its own Acquire instead.
 func (ing *Ingester) Search(ctx context.Context, q query.Query, k int) ([]core.SliceHit, shard.Summary, uint64, error) {
 	v := ing.Acquire()
+	if v == nil {
+		return nil, shard.Summary{}, 0, errClosed
+	}
 	defer v.Release()
 	hits, sum, err := ing.cluster.SearchSlices(ctx, v.Slices, q, k, "")
 	return hits, sum, v.Seq, err
@@ -245,9 +256,9 @@ func (ing *Ingester) Search(ctx context.Context, q query.Query, k int) ([]core.S
 // a crash.
 func (ing *Ingester) Add(d index.Document) (int, error) {
 	ing.mu.Lock()
-	if ing.closed {
+	if ing.closed.Load() {
 		ing.mu.Unlock()
-		return 0, fmt.Errorf("segment: ingester is closed")
+		return 0, errClosed
 	}
 	pos, err := ing.seg.Add(d)
 	if err != nil {
@@ -334,7 +345,7 @@ func (ing *Ingester) refreshLoop() {
 			return
 		case <-t.C:
 			ing.mu.Lock()
-			if !ing.closed {
+			if !ing.closed.Load() {
 				ing.refreshLocked() // a failed refresh retries next tick
 			}
 			ing.mu.Unlock()
@@ -515,17 +526,26 @@ func (ing *Ingester) removeOrphans() {
 	}
 }
 
-// Close stops background refresh/compaction and releases the WAL
-// handle. Acknowledged documents are durable regardless.
+// Close stops background refresh/compaction, releases the owner
+// references on the serving engines — each closes, unmapping its index
+// and view catalog, once no acquired view still holds it — and releases
+// the WAL handle. Acknowledged documents are durable regardless.
 func (ing *Ingester) Close() error {
 	ing.mu.Lock()
-	if ing.closed {
+	if ing.closed.Load() {
 		ing.mu.Unlock()
 		return nil
 	}
-	ing.closed = true
+	ing.closed.Store(true)
 	ing.mu.Unlock()
 	close(ing.stop)
 	ing.wg.Wait()
+	ing.mu.Lock()
+	for _, e := range ing.retired {
+		e.Release()
+	}
+	ing.retired = nil
+	ing.mu.Unlock()
+	ing.cluster.Close()
 	return ing.seg.Close()
 }

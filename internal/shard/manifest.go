@@ -162,14 +162,14 @@ func IndexName(gen uint64) string {
 }
 
 // OpenGeneration opens generation gen's index file in a shard
-// directory: a v4 file maps with the default block-cache budget, a gob
+// directory: a paged file maps with the default block-cache budget, a gob
 // file an older build wrote decodes.
 func OpenGeneration(fsys fsx.FS, shardDir string, gen uint64) (*index.Index, error) {
 	return index.LoadFileFS(fsys, filepath.Join(shardDir, IndexName(gen)))
 }
 
 // Save persists the cluster under dir: one engine data directory per
-// shard (shard-%03d/index.gob in the paged format v4, which Open maps
+// shard (shard-%03d/index.gob in the paged format v5, which Open maps
 // lazily, plus views.gob) and the manifest. Only clusters whose docID
 // maps match the built-in partitioner can be persisted — the manifest
 // records no explicit maps, so anything else could not be reopened.

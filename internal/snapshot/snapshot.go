@@ -1,6 +1,6 @@
 // Package snapshot implements the two checksummed containers files are
 // read from. The paged container (paged.go) is the one every writer
-// emits: the index (format v4) and the view catalog (format v3) are
+// emits: the index (format v5) and the view catalog (format v3) are
 // read in place from a memory mapping. The framed stream below is
 // read-only: index files of formats v0–v3 and catalog files of formats
 // v1–v2 that older builds wrote are wrapped in it, so every way such a

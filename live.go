@@ -8,7 +8,7 @@ import (
 )
 
 // IngestOptions configures live ingestion on an opened cluster. Every
-// index generation ingestion writes is paged format v4.
+// index generation ingestion writes is paged format v5.
 type IngestOptions struct {
 	// RefreshEvery is the interval at which newly added documents become
 	// searchable. Zero refreshes synchronously inside every Add: the
@@ -100,10 +100,10 @@ func (e *ShardedEngine) CompactErr() error {
 	return e.live.CompactErr()
 }
 
-// Close stops background ingestion work and releases the write-ahead
-// log. On an engine without ingestion it releases every shard's index
-// and view catalog, unmapping the files; nothing may search it
-// afterwards.
+// Close releases every shard's index and view catalog, unmapping the
+// files once no running query holds them; on a live engine it first
+// stops background ingestion work, and it releases the write-ahead log.
+// Nothing may search the engine afterwards.
 func (e *ShardedEngine) Close() error {
 	if e.live == nil {
 		e.cluster.Close()

@@ -60,8 +60,11 @@ func (e *ShardedEngine) configure(opts BuildOptions) {
 // release runs; a static cluster closes its engines only on Close.
 func (e *ShardedEngine) current() ([]core.Slice, []uint64, func()) {
 	if e.live != nil {
-		v := e.live.Acquire()
-		return v.Slices, []uint64{v.Seq}, v.Release
+		if v := e.live.Acquire(); v != nil {
+			return v.Slices, []uint64{v.Seq}, v.Release
+		}
+		// Closed: the cluster's engines, closed too, as a closed
+		// read-only engine serves them.
 	}
 	slices, gens := e.cluster.Slices()
 	return slices, gens, func() {}
@@ -194,7 +197,7 @@ func (b *Builder) BuildSharded(shards int, opts BuildOptions) (*ShardedEngine, e
 }
 
 // Save persists the cluster under dir (which must exist): a manifest and
-// one shard-%03d engine directory per shard, its index in paged format v4.
+// one shard-%03d engine directory per shard, its index in paged format v5.
 // On a live engine it saves the shards of the view it acquires, held
 // for the whole write so no compaction closes them meanwhile; documents
 // still in the mutable segment are not saved (Compact first to include
@@ -204,6 +207,9 @@ func (e *ShardedEngine) Save(dir string) error {
 		return e.cluster.Save(dir)
 	}
 	v := e.live.Acquire()
+	if v == nil {
+		return fmt.Errorf("csrank: save of a closed engine")
+	}
 	defer v.Release()
 	return shard.SaveSlices(dir, v.Slices[:e.cluster.NumShards()])
 }
