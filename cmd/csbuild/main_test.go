@@ -51,8 +51,8 @@ func TestRunProducesLoadableArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ix.Mapped() {
-		t.Error("v4 index did not open through the mapped reader")
+	if v := ix.FormatVersion(); v != index.MappedFormatVersion {
+		t.Errorf("index opened at format %d, want v%d", v, index.MappedFormatVersion)
 	}
 	if ix.NumDocs() != 2000 {
 		t.Errorf("NumDocs = %d", ix.NumDocs())

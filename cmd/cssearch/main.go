@@ -221,11 +221,9 @@ func printIndexStats(ix *index.Index, out io.Writer) {
 		fmt.Fprintf(out, "  %-10s blocks: %d sparse-raw / %d dense-raw / %d packed  %d with tf columns\n",
 			"", bs.SparseRaw, bs.DenseRaw, bs.SparsePacked, bs.TFBlocks)
 	}
-	if ix.Mapped() {
-		cs := ix.BlockCacheStats()
-		fmt.Fprintf(out, "  block cache: budget=%d used=%d hits=%d misses=%d insertions=%d evictions=%d promotions=%d ghost_hits=%d\n",
-			cs.Budget, cs.Used, cs.Hits, cs.Misses, cs.Insertions, cs.Evictions, cs.Promotions, cs.GhostHits)
-	}
+	cs := ix.BlockCacheStats()
+	fmt.Fprintf(out, "  block cache: budget=%d used=%d hits=%d misses=%d insertions=%d evictions=%d promotions=%d ghost_hits=%d\n",
+		cs.Budget, cs.Used, cs.Hits, cs.Misses, cs.Insertions, cs.Evictions, cs.Promotions, cs.GhostHits)
 }
 
 func float64maxOne(n int64) float64 {

@@ -345,8 +345,9 @@ func TestRunInteractive(t *testing.T) {
 // TestListStatsBothFormats: -liststats reports the on-disk block layout
 // for the paged-v5 index every writer emits — each shard's in turn — for
 // a paged-v4 one and a legacy gob one older builds wrote, labeling each
-// with the format its own file records (cache stats only exist for the
-// mapped reader).
+// with the format its own file records. Every index is served from a
+// v5 image (a gob stream is decoded into one), so each reports its
+// block cache.
 func TestListStatsBothFormats(t *testing.T) {
 	for _, l := range layouts {
 		dir := buildData(t, l.shards)
@@ -384,13 +385,10 @@ func TestListStatsBothFormats(t *testing.T) {
 		if strings.Count(s, "format v")+strings.Count(s, "legacy gob") != 1 || !strings.Contains(s, tc.want) {
 			t.Errorf("%s mislabeled, want %q:\n%s", tc.fixture, tc.want, s)
 		}
-		for _, want := range []string{"on disk:", "blocks:", "bytes/posting"} {
+		for _, want := range []string{"on disk:", "blocks:", "bytes/posting", "block cache"} {
 			if !strings.Contains(s, want) {
 				t.Errorf("%s liststats missing %q:\n%s", tc.fixture, want, s)
 			}
-		}
-		if mapped := tc.want != "legacy gob (v0–v3, read-only)"; strings.Contains(s, "block cache") != mapped {
-			t.Errorf("%s: block cache reported %v, want %v:\n%s", tc.fixture, !mapped, mapped, s)
 		}
 	}
 }

@@ -61,39 +61,28 @@ func contextStatsIndex(b *testing.B) *index.Index {
 // BenchmarkContextStats measures the statistics phase of the
 // straightforward plan — what every contextual query pays once no view
 // covers its context: materialize D_P, aggregate over it, one df/tc probe
-// per keyword — by context size and keyword count, over the heap index
-// and its mapped twin.
+// per keyword — by context size and keyword count.
 func BenchmarkContextStats(b *testing.B) {
-	hx := contextStatsIndex(b)
-	mx, err := index.MappedCopy(hx)
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := New(contextStatsIndex(b), nil, Options{})
 	contexts := []struct{ name, preds string }{
 		{"huge", "huge_a huge_b"},
 		{"large", "large_a large_b"},
 		{"small", "large_a small_a"},
 		{"one-term", "large_a"},
 	}
-	for _, arm := range []struct {
-		name string
-		ix   *index.Index
-	}{{"heap", hx}, {"mapped", mx}} {
-		e := New(arm.ix, nil, Options{})
-		for _, c := range contexts {
-			for _, kw := range []string{"alpha", "alpha beta"} {
-				q := query.MustParse(kw + " | " + c.preds)
-				name := fmt.Sprintf("%s/%s/kw=%d", arm.name, c.name, len(strings.Fields(kw)))
-				b.Run(name, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						cs, st, err := e.StatsFor(context.Background(), q)
-						if err != nil || st.Plan != PlanStraightforward || cs.N == 0 {
-							b.Fatalf("plan %q, |D_P| %d, err %v", st.Plan, cs.N, err)
-						}
+	for _, c := range contexts {
+		for _, kw := range []string{"alpha", "alpha beta"} {
+			q := query.MustParse(kw + " | " + c.preds)
+			name := fmt.Sprintf("%s/kw=%d", c.name, len(strings.Fields(kw)))
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					cs, st, err := e.StatsFor(context.Background(), q)
+					if err != nil || st.Plan != PlanStraightforward || cs.N == 0 {
+						b.Fatalf("plan %q, |D_P| %d, err %v", st.Plan, cs.N, err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

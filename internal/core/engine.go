@@ -37,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -236,22 +235,7 @@ type Engine struct {
 }
 
 // New creates an engine. catalog may be nil (no view acceleration).
-//
-// When the environment variable CSRANK_FORCE_MAPPED is set to a
-// non-empty value and ix is a heap index, the engine round-trips it
-// through the format-v5 codec in memory and serves the mapped twin
-// instead — the CI seam that drives every engine test over the mapped
-// reader without touching the test code. Rankings are bit-identical by
-// the mapped reader's contract, so this substitution is observable only
-// through ExecStats.Pruning.ContainersSkippedUndecoded.
 func New(ix *index.Index, catalog *views.Catalog, opts Options) *Engine {
-	if os.Getenv("CSRANK_FORCE_MAPPED") != "" && !ix.Mapped() {
-		if mx, err := index.MappedCopy(ix); err == nil {
-			ix = mx
-		}
-		// On error keep the heap index: the seam must never turn a
-		// working engine into a broken one.
-	}
 	scorer := opts.Scorer
 	if scorer == nil {
 		scorer = ranking.NewPivotedTFIDF()

@@ -298,8 +298,6 @@ func TestContextSizeUsesViews(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	// Pointer identity is exactly what the force-mapped seam breaks.
-	t.Setenv("CSRANK_FORCE_MAPPED", "")
 	ix, _, _ := motivatingCollection(t)
 	e := New(ix, nil, Options{Scorer: ranking.NewBM25()})
 	if e.Index() != ix || e.Catalog() != nil {

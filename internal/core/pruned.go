@@ -75,9 +75,8 @@ type PruningStats struct {
 	ContainersSkipped int64
 	// ContainersSkippedUndecoded counts, among the cursors party to those
 	// wholesale dismissals, the containers whose on-disk block was never
-	// decompressed: the bound came from the mapped block directory alone,
-	// so skipping cost zero payload I/O (always 0 on heap indexes, where
-	// every container is resident by definition).
+	// decompressed: the bound came from the block directory alone, so
+	// skipping cost zero payload I/O.
 	ContainersSkippedUndecoded int64
 	// DocsSkipped counts candidate documents dismissed by a
 	// document-level bound without being scored. When the driver list is

@@ -44,12 +44,16 @@ func sequentialBuild(t *testing.T, docs []Document) *Index {
 	for _, d := range docs {
 		b.Add(d)
 	}
-	return b.Build()
+	ix, err := b.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
 }
 
 // TestBuildFromEqualsSequentialBuilder: the parallel range build is the
 // sequential Builder.Add loop term by term — postings, TFs, bounds,
-// totalTF, lengths, stored fields — at every GOMAXPROCS and for batches
+// TotalTF, lengths, stored fields — at every GOMAXPROCS and for batches
 // below, at and above the parallel threshold.
 func TestBuildFromEqualsSequentialBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
@@ -75,9 +79,10 @@ func TestBuildFromEqualsSequentialBuilder(t *testing.T) {
 }
 
 // TestDictionaryKeysDoNotAliasDocuments: analysis hands out terms that
-// are substrings of the document text, but a dictionary key must be its
-// own copy so an index built in a long-running process (refresh,
-// compaction, WAL replay) never pins the documents it was built from.
+// are substrings of the document text, but the dictionary — and every
+// term a caller gets from it — must be its own copy, so an index built
+// in a long-running process (refresh, compaction, WAL replay) never
+// pins the documents it was built from.
 // Likewise every string a mapped index hands out — terms, frequent
 // terms, stored fields — is a heap copy: compaction unmaps a retired
 // generation while its strings may still be in use, so they are read
@@ -111,16 +116,22 @@ func TestDictionaryKeysDoNotAliasDocuments(t *testing.T) {
 	}
 	for name, ix := range map[string]*Index{"BuildFrom": full, "Extend": ext} {
 		keys := 0
+		inText := func(p uintptr) bool {
+			for _, s := range texts {
+				if p >= s.lo && p < s.hi {
+					return true
+				}
+			}
+			return false
+		}
 		for field, fi := range ix.fields {
-			// names covers both dictionaries: a heap index's lists and a
-			// mapped one's (Extend's) columns.
-			for _, term := range fi.names() {
+			if len(fi.dict.blob) > 0 && inText(uintptr(unsafe.Pointer(unsafe.SliceData(fi.dict.blob)))) {
+				t.Fatalf("%s: field %q dictionary points into a document's text", name, field)
+			}
+			for _, term := range ix.Terms(field) {
 				keys++
-				p := uintptr(unsafe.Pointer(unsafe.StringData(term)))
-				for _, s := range texts {
-					if p >= s.lo && p < s.hi {
-						t.Fatalf("%s: field %q key %q points into a document's text", name, field, term)
-					}
+				if inText(uintptr(unsafe.Pointer(unsafe.StringData(term)))) {
+					t.Fatalf("%s: field %q key %q points into a document's text", name, field, term)
 				}
 			}
 		}
@@ -154,7 +165,7 @@ func TestDictionaryKeysDoNotAliasDocuments(t *testing.T) {
 	runtime.GC()
 	// A string aliasing the released mapping faults here.
 	if !slices.Equal(got, want) {
-		t.Fatal("strings read from a closed mapped index differ from the heap index's")
+		t.Fatal("strings read from a closed mapped index differ from the in-memory index's")
 	}
 }
 

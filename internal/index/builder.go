@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 
 	"csrank/internal/postings"
@@ -17,7 +16,8 @@ import (
 // are analyzed on the calling goroutine and start none.
 const minDocsPerWorker = 1000
 
-// Builder accumulates documents and produces an immutable Index. Documents
+// Builder accumulates analyzed documents for the v5 writer, which turns
+// them into an Index (build) or appends them to one (Extend). Documents
 // receive dense ascending DocIDs in insertion order, so posting lists are
 // sorted by construction and never need a global sort.
 type Builder struct {
@@ -65,10 +65,11 @@ func (b *Builder) Add(doc Document) DocID {
 		for _, term := range b.scratch {
 			pb := fb.terms[term]
 			if pb == nil {
-				// Terms may be substrings of the document's text; a
-				// dictionary key must not pin it.
+				// A key may be a substring of the document's text, as
+				// the stored text is: the Builder lives only until the
+				// writer has copied both into the image.
 				pb = postings.NewBuilder(b.segSize)
-				fb.terms[strings.Clone(term)] = pb
+				fb.terms[term] = pb
 			}
 			pb.Add(id, 1) // repeated adds for one DocID accumulate its TF
 		}
@@ -79,37 +80,11 @@ func (b *Builder) Add(doc Document) DocID {
 	return id
 }
 
-// Build finalizes the index. The Builder must not be used afterwards.
-func (b *Builder) Build() *Index {
-	ix := &Index{
-		schema:  b.schema,
-		fields:  make(map[string]*fieldIndex, len(b.fields)),
-		lengths: make(map[string][]int32, len(b.fields)),
-		stored:  make(map[string][]string),
-		numDocs: b.numDocs,
-		segSize: b.segSize,
-	}
-	for i, f := range b.schema.Fields {
-		fb := &b.fields[i]
-		ix.lengths[f.Name] = fb.lengths
-		if f.Stored {
-			ix.stored[f.Name] = fb.stored
-		}
-		fi := &fieldIndex{
-			terms:    make(map[string]*postings.List, len(fb.terms)),
-			totalLen: fb.total,
-			totalTF:  make(map[string]int64, len(fb.terms)),
-		}
-		for term, pb := range fb.terms {
-			l := pb.Build()
-			fi.terms[term] = l
-			fi.totalTF[term] = l.SumTF()
-		}
-		ix.fields[f.Name] = fi
-	}
-	ix.buildContentBounds()
-	b.fields, b.scratch = nil, nil
-	return ix
+// build writes the v5 image of b's documents, whose DocIDs must start
+// at 0, into memory and opens it: the one way an in-process build
+// becomes an Index. The Builder must not be used afterwards.
+func (b *Builder) build() (*Index, error) {
+	return openImage(&Index{schema: b.schema, segSize: b.segSize}, b)
 }
 
 // field returns the build of the schema field called name: nil for a
@@ -208,31 +183,10 @@ func analyze(schema Schema, segSize int, first DocID, docs []Document) (*Builder
 	return parts[0], nil
 }
 
-// buildContentBounds attaches per-container score-bound metadata
-// (postings.ChunkBound: MaxTF, MinDocLen) to every content-field list.
-// Keyword queries rank over the content field only, so predicate lists —
-// boolean filters that never contribute score — carry no bounds. Called
-// at build time and when loading pre-v3 snapshots.
-func (ix *Index) buildContentBounds() {
-	fi := ix.fields[ix.schema.ContentField]
-	if fi == nil {
-		return
-	}
-	ls := ix.lengths[ix.schema.ContentField]
-	docLen := func(d DocID) int32 {
-		if int(d) < len(ls) {
-			return ls[d]
-		}
-		return 0
-	}
-	for _, l := range fi.terms {
-		l.BuildBounds(docLen)
-	}
-}
-
 // BuildFrom indexes all docs under schema in one call. Large batches are
 // analyzed on several goroutines (see analyze); the index is the one
-// adding docs to a Builder in order produces.
+// adding docs to a Builder in order produces. It is Extend over an empty
+// index: the v5 image the one writer produces, held in memory.
 func BuildFrom(schema Schema, segSize int, docs []Document) (*Index, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
@@ -241,7 +195,7 @@ func BuildFrom(schema Schema, segSize int, docs []Document) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.Build(), nil
+	return b.build()
 }
 
 // String implements fmt.Stringer with a short diagnostic summary.

@@ -2,7 +2,7 @@ package index
 
 import "csrank/internal/postings"
 
-// termDict is one field's dictionary of a mapped index in column form,
+// termDict is one field's dictionary of an index in column form,
 // as format v5 stores it: the sorted terms as offsets into one blob,
 // and each term's list record. Term i is blob[offs[i]:offs[i+1]], its
 // record recs[i*postings.MappedListMetaSize:], and its ordinal i also
@@ -75,8 +75,11 @@ func (d *termDict) find(term string) (i int, ok bool) {
 }
 
 // strings returns every term in order, as heap strings sharing one copy
-// of the blob.
+// of the blob (nil for an empty dictionary).
 func (d *termDict) strings() []string {
+	if d.len() == 0 {
+		return nil
+	}
 	all := string(d.blob)
 	out := make([]string, d.len())
 	for i := range out {

@@ -101,6 +101,7 @@ func TestReadSnapshotRejectsHostileValues(t *testing.T) {
 		{"lengths mismatch", func(p *persistent) {
 			p.Lengths["content"] = p.Lengths["content"][:1]
 		}},
+		{"lengths missing", func(p *persistent) { delete(p.Lengths, "content") }},
 		{"negative length entry", func(p *persistent) {
 			ls := append([]int32(nil), p.Lengths["content"]...)
 			ls[0] = -9
@@ -112,24 +113,7 @@ func TestReadSnapshotRejectsHostileValues(t *testing.T) {
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
-			p := persistent{
-				Version: FormatVersion,
-				Schema:  ix.schema,
-				SegSize: ix.segSize,
-				NumDocs: ix.numDocs,
-				Lengths: map[string][]int32{},
-				Stored:  map[string][]string{},
-				Fields:  map[string]persistentField{},
-			}
-			for f, ls := range ix.lengths {
-				p.Lengths[f] = ls
-			}
-			for f, vs := range ix.stored {
-				p.Stored[f] = vs
-			}
-			for name, fi := range ix.fields {
-				p.Fields[name] = persistentField{TotalLen: fi.totalLen, Terms: map[string][]byte{}}
-			}
+			p := persistentOf(ix, FormatVersion, nil)
 			m.mut(&p)
 			var buf bytes.Buffer
 			if err := encodeGob(&buf, &p); err != nil {

@@ -2,14 +2,16 @@
 // collection: the "standard text search system" substrate the paper builds
 // on (the role Lucene plays in the paper's experiments). Each field has its
 // own term dictionary and posting lists; per-document field lengths are kept
-// for ranking. Every writer emits the paged format v5 (mapped.go), which a
-// reader serves in place from a memory mapping; gob streams older builds
-// wrote (formats 0–3) still load onto the heap.
+// for ranking. Every index is a paged format-v5 image (mapped.go), served
+// in place: a file from its memory mapping, an in-process build from the
+// image the one writer produced in memory. Gob streams older builds wrote
+// (formats 0–3) still load, through that writer.
 package index
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"csrank/internal/analysis"
@@ -73,126 +75,80 @@ type Document struct {
 	Fields map[string]string
 }
 
-// fieldIndex holds one field's dictionary and aggregate statistics. A
-// heap index (built or loaded from gob) holds its built lists in terms;
-// a mapped index holds the dictionary columns in dict and builds a
-// term's list on its first Postings lookup.
+// fieldIndex holds one field's dictionary and aggregate statistics:
+// the dictionary columns, from which DF, TotalTF and each term's list
+// are read, and the slots that publish each term's list once built.
 type fieldIndex struct {
-	terms map[string]*postings.List
-	// totalTF caches tc(w, D) per term of a heap index — the
-	// whole-collection term count used by language models — so the query
-	// path never scans a full posting list for a global statistic. A
-	// mapped index reads it from the term's record.
-	totalTF map[string]int64
-	dict    termDict
-	// lists publishes each term's list of a mapped index once built, in
-	// the slot its dictionary ordinal numbers.
+	dict termDict
+	// lists publishes each term's list once built, in the slot its
+	// dictionary ordinal numbers.
 	lists []atomic.Pointer[postings.List]
 	// totalLen is the sum of per-document field lengths.
 	totalLen int64
 }
 
-// df returns term's document frequency, from its record on a mapped
-// index. Like every fieldIndex method it reads a nil receiver (an
-// unknown field) as an empty dictionary.
+// df returns term's document frequency, from its record. Like every
+// fieldIndex method it reads a nil receiver (an unknown field) as an
+// empty dictionary.
 func (fi *fieldIndex) df(term string) int64 {
-	switch {
-	case fi == nil:
-		return 0
-	case fi.terms != nil:
-		if l := fi.terms[term]; l != nil {
-			return int64(l.Len())
-		}
-		return 0
-	}
-	if i, ok := fi.dict.find(term); ok {
+	if i, ok := fi.column().find(term); ok {
 		return int64(fi.dict.meta(i).N)
 	}
 	return 0
 }
 
-// tc returns term's collection term count.
+// tc returns term's collection term count, from its record.
 func (fi *fieldIndex) tc(term string) int64 {
-	switch {
-	case fi == nil:
-		return 0
-	case fi.terms != nil:
-		return fi.totalTF[term]
-	}
-	if i, ok := fi.dict.find(term); ok {
+	if i, ok := fi.column().find(term); ok {
 		return fi.dict.meta(i).SumTF
 	}
 	return 0
 }
 
-// size returns the dictionary size.
-func (fi *fieldIndex) size() int {
-	switch {
-	case fi == nil:
-		return 0
-	case fi.terms != nil:
-		return len(fi.terms)
+// emptyDict is the dictionary of a field the index does not hold.
+var emptyDict termDict
+
+// column returns fi's dictionary columns (empty for a nil fi).
+func (fi *fieldIndex) column() *termDict {
+	if fi == nil {
+		return &emptyDict
 	}
-	return fi.dict.len()
+	return &fi.dict
 }
 
-// names returns the dictionary sorted lexicographically, as strings the
-// caller owns.
-func (fi *fieldIndex) names() []string {
-	switch {
-	case fi == nil:
-		return nil
-	case fi.terms != nil:
-		return sortedKeys(fi.terms)
-	}
-	return fi.dict.strings()
-}
-
-// column returns fi's dictionary as columns: a mapped field's own, or a
-// heap field's sorted terms (with empty records: a heap list carries
-// its own).
-func (fi *fieldIndex) column() termDict {
-	switch {
-	case fi == nil:
-		return termDict{}
-	case fi.terms != nil:
-		return dictOf(sortedKeys(fi.terms), func(string) postings.MappedListMeta { return postings.MappedListMeta{} })
-	}
-	return fi.dict
-}
-
-// Index is an immutable inverted index built by a Builder, loaded from a
-// gob snapshot, or opened from a memory-mapped format-v5 file. The three
-// share every accessor; a mapped index additionally owns its paged image
-// and the decoded-block cache, and must be Closed when done.
+// Index is an immutable inverted index over a format-v5 image (or a v4
+// file): built by BuildFrom or Extend into memory, decoded from a gob
+// stream an older build wrote, or opened from a file, memory-mapped.
+// Every one owns its paged image and a decoded-block cache; one over a
+// mapping must be Closed when done.
 type Index struct {
 	schema  Schema
 	fields  map[string]*fieldIndex
 	lengths map[string][]int32 // field -> per-doc token counts
-	stored  map[string][]string
 	numDocs int
 	segSize int
+	// version is the format of the stream the index was read from:
+	// the paged header's, or 0 for a gob stream (see FormatVersion).
+	version int
 
-	// Mapped-index state (nil / empty for heap indexes).
 	paged   *snapshot.PagedFile
-	mapping *fsx.Mapping
+	mapping *fsx.Mapping // nil for an image held in memory
 	cache   *postings.BlockCache
 	stviews map[string]*storedView // stored fields read in place
 	// dir and payload are the "dir" and "postings" sections a term's
 	// list is built over.
 	dir, payload []byte
-	// quar is the index-wide corrupt-block registry: a mapped block that
-	// fails its CRC at materialization is blacklisted and served as an
-	// empty container instead of panicking the query (see
-	// postings.Quarantine). Nil for heap indexes.
+	// quar is the index-wide corrupt-block registry: a block that fails
+	// its CRC at materialization is blacklisted and served as an empty
+	// container instead of panicking the query (see
+	// postings.Quarantine).
 	quar *postings.Quarantine
 }
 
-// Quarantined returns how many mapped blocks this index has blacklisted
-// after failing payload validation on the query path (0 for heap
-// indexes). A non-zero count means some containers read as empty and
-// results over them are degraded; Verify still reports the underlying
-// corruption.
+// Quarantined returns how many blocks this index has blacklisted after
+// failing payload validation on the query path. A non-zero count means
+// some containers read as empty and results over them are degraded;
+// Verify still reports the underlying corruption.
 func (ix *Index) Quarantined() int64 { return ix.quar.Blocks() }
 
 // Schema returns the schema the index was built with.
@@ -205,19 +161,13 @@ func (ix *Index) NumDocs() int { return ix.numDocs }
 func (ix *Index) SegmentSize() int { return ix.segSize }
 
 // Postings returns the inverted list for term in field, or nil if either is
-// unknown. The returned list is shared and must not be modified. On a
-// mapped index the first lookup of a term builds its list from the block
-// directory and publishes it with a CAS, so concurrent first lookups
-// all return the one list that won.
+// unknown. The returned list is shared and must not be modified. The
+// first lookup of a term builds its list from the block directory and
+// publishes it with a CAS, so concurrent first lookups all return the
+// one list that won.
 func (ix *Index) Postings(field, term string) *postings.List {
 	fi := ix.fields[field]
-	switch {
-	case fi == nil:
-		return nil
-	case fi.terms != nil:
-		return fi.terms[term]
-	}
-	i, ok := fi.dict.find(term)
+	i, ok := fi.column().find(term)
 	if !ok {
 		return nil
 	}
@@ -235,24 +185,16 @@ func (ix *Index) Postings(field, term string) *postings.List {
 // eachList calls fn with every list of fi and the length of its term:
 // the one walk of the offline statistics (PostingsBytes,
 // ContainerStats, FieldBlockStats), whose sums do not depend on the
-// order. On a mapped index a list no lookup has built yet is built for
-// the walk only, not published, so the walk leaves the resident heap as
-// it found it.
+// order. A list no lookup has built yet is built for the walk only, not
+// published, so the walk leaves the resident heap as it found it.
 func (ix *Index) eachList(fi *fieldIndex, fn func(termLen int, l *postings.List)) {
-	switch {
-	case fi == nil:
-	case fi.terms != nil:
-		for term, l := range fi.terms {
-			fn(len(term), l)
+	d := fi.column()
+	for i := 0; i < d.len(); i++ {
+		l := fi.lists[i].Load()
+		if l == nil {
+			l = ix.buildList(d.meta(i))
 		}
-	default:
-		for i := range fi.lists {
-			l := fi.lists[i].Load()
-			if l == nil {
-				l = ix.buildList(fi.dict.meta(i))
-			}
-			fn(len(fi.dict.key(i)), l)
-		}
+		fn(len(d.key(i)), l)
 	}
 }
 
@@ -260,9 +202,8 @@ func (ix *Index) eachList(fi *fieldIndex, fn func(termLen int, l *postings.List)
 func (ix *Index) DF(field, term string) int64 { return ix.fields[field].df(term) }
 
 // TotalTF returns the collection term count tc(term, D) in field: the
-// total number of occurrences across all documents. Precomputed at build
-// (and read from the table of contents of a mapped index), so it is
-// O(1) at query time.
+// total number of occurrences across all documents, read from the
+// term's dictionary record.
 func (ix *Index) TotalTF(field, term string) int64 { return ix.fields[field].tc(term) }
 
 // FieldLen returns the token count of doc's field (len(d) for that field).
@@ -277,8 +218,7 @@ func (ix *Index) FieldLen(doc DocID, field string) int64 {
 // FieldLens returns field's per-document token counts, indexed by DocID
 // (nil for an unknown field): the column FieldLen reads, for callers
 // that resolve the field once and index per document. The slice is
-// shared — on a mapped index it aliases the file — and must not be
-// modified.
+// shared — it aliases the image — and must not be modified.
 func (ix *Index) FieldLens(field string) []int32 { return ix.lengths[field] }
 
 // TotalFieldLen returns Σ_d len(d) over the whole collection for field
@@ -291,50 +231,48 @@ func (ix *Index) TotalFieldLen(field string) int64 {
 }
 
 // UniqueTerms returns the dictionary size utc(D) of field.
-func (ix *Index) UniqueTerms(field string) int { return ix.fields[field].size() }
+func (ix *Index) UniqueTerms(field string) int { return ix.fields[field].column().len() }
 
 // Terms returns field's dictionary sorted lexicographically. It allocates;
 // intended for offline phases (view selection, corpus inspection), not the
 // query path.
-func (ix *Index) Terms(field string) []string { return ix.fields[field].names() }
+func (ix *Index) Terms(field string) []string { return ix.fields[field].column().strings() }
 
 // TermsWithMinDF returns field terms whose document frequency is at least
 // minDF, sorted by descending DF then term. This is the "frequent keywords"
 // primitive used both by view selection (predicate terms with |L_m| ≥ T_C)
 // and by the view storage optimization (df columns only for |L_w| ≥ T_C).
+// It walks the dictionary in order, reading each record's DF, and copies
+// only the terms that pass.
 func (ix *Index) TermsWithMinDF(field string, minDF int64) []string {
-	fi := ix.fields[field]
-	type termDF struct {
-		term string
-		df   int64
+	d := ix.fields[field].column()
+	type hit struct {
+		i  int
+		df int64
 	}
-	var hits []termDF
-	for _, t := range fi.names() {
-		if df := fi.df(t); df >= minDF {
-			hits = append(hits, termDF{t, df})
+	var hits []hit
+	for i := 0; i < d.len(); i++ {
+		if df := int64(d.meta(i).N); df >= minDF {
+			hits = append(hits, hit{i, df})
 		}
 	}
-	sort.SliceStable(hits, func(i, j int) bool { return hits[i].df > hits[j].df })
+	// Stable over ordinal (term) order: equal DFs stay sorted by term.
+	slices.SortStableFunc(hits, func(a, b hit) int { return cmp.Compare(b.df, a.df) })
 	out := make([]string, len(hits))
-	for i, h := range hits {
-		out[i] = h.term
+	for j, h := range hits {
+		out[j] = string(d.key(h.i))
 	}
 	return out
 }
 
 // StoredField returns the stored raw text of field for doc ("" if the field
-// is not stored or the doc is out of range).
+// is not stored or the doc is out of range). The string materializes
+// from the image on demand; nothing was decoded at open time.
 func (ix *Index) StoredField(doc DocID, field string) string {
 	if v, ok := ix.stviews[field]; ok {
-		// Mapped index: the string materializes from the mapping on
-		// demand; nothing was decoded at open time.
 		return v.at(doc)
 	}
-	vs := ix.stored[field]
-	if vs == nil || int(doc) >= len(vs) {
-		return ""
-	}
-	return vs[doc]
+	return ""
 }
 
 // AnalyzerFor returns the analyzer declared for field, or nil.
@@ -385,7 +323,7 @@ func (ix *Index) ContainerStats(field string) ContainerStats {
 	if fi == nil {
 		return cs
 	}
-	cs.Lists = fi.size()
+	cs.Lists = fi.column().len()
 	ix.eachList(fi, func(_ int, l *postings.List) {
 		cs.Postings += int64(l.Len())
 		s, d := l.Containers()
@@ -409,10 +347,8 @@ func (ix *Index) ContainerStats(field string) ContainerStats {
 }
 
 // FieldBlockStats aggregates the paged block layout over one field's
-// posting lists: encoding mix and on-disk footprint. On a mapped index
-// this reads block directories; on a heap index it measures what
-// SaveMapped would write, so csbuild can report the disk footprint of
-// either representation.
+// posting lists, read from their block directories: encoding mix and
+// on-disk footprint.
 func (ix *Index) FieldBlockStats(field string) postings.BlockStats {
 	var bs postings.BlockStats
 	fi := ix.fields[field]

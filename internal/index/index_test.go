@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -166,6 +167,29 @@ func TestTermsWithMinDF(t *testing.T) {
 	got = ix.TermsWithMinDF("mesh", 3)
 	if len(got) != 0 {
 		t.Errorf("TermsWithMinDF(3) = %v, want empty", got)
+	}
+}
+
+// TestTermsWithMinDFAllocatesOnlyItsResult: the dictionary walk reads
+// each term's DF from its record in place and copies only the terms
+// that pass — no allocation per dictionary term, only per returned term
+// (plus the result slice and the amortized growth of the hit list).
+func TestTermsWithMinDFAllocatesOnlyItsResult(t *testing.T) {
+	ix := synthIndex(t, rand.New(rand.NewSource(12)), 400)
+	if ix.UniqueTerms("content") < 100 {
+		t.Fatalf("fixture has %d content terms", ix.UniqueTerms("content"))
+	}
+	for _, minDF := range []int64{1 << 30, 100, 1} {
+		n := len(ix.TermsWithMinDF("content", minDF))
+		allocs := testing.AllocsPerRun(20, func() { ix.TermsWithMinDF("content", minDF) })
+		limit := 0.0
+		if n > 0 {
+			limit = float64(n) + 1 + math.Ceil(math.Log2(float64(n))) + 1
+		}
+		if allocs > limit {
+			t.Errorf("minDF %d: %v allocations for %d terms returned out of %d, want ≤ %v",
+				minDF, allocs, n, ix.UniqueTerms("content"), limit)
+		}
 	}
 }
 

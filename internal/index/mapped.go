@@ -118,21 +118,14 @@ func (v *storedView) at(doc DocID) string {
 // pieces of this size instead of being assembled in memory first.
 const writeBufferSize = 16 << 10
 
-// WritePaged serializes the index in format v5. pageSize ≤ 0 selects
-// snapshot.DefaultPageSize; tests shrink it to keep fixtures small.
-// Layout is deterministic: fields and terms are emitted in sorted order.
-// A mapped index's blocks are copied verbatim once their CRCs check
-// out, so a corrupt block fails the write with a
-// *postings.BlockCorruptError rather than being rewritten as the empty
-// stand-in the query path serves for it.
-func (ix *Index) WritePaged(w io.Writer, pageSize int) error {
-	return writeMerged(w, pageSize, ix, nil)
-}
-
 // SaveMapped writes the index to path in format v5 — the one format any
 // writer emits — with the atomic write-to-temp + fsync + rename
 // protocol: a crash at any instant leaves either the previous file or
-// the complete new one.
+// the complete new one. Fields and terms are written in sorted order,
+// and the index's blocks are copied verbatim once their CRCs check out,
+// so a corrupt block fails the write with a *postings.BlockCorruptError
+// rather than being rewritten as the empty stand-in the query path
+// serves for it.
 func (ix *Index) SaveMapped(path string) error {
 	return ix.SaveMappedFS(fsx.OS, path)
 }
@@ -167,16 +160,16 @@ func saveMerged(fs fsx.FS, path string, base *Index, added *Builder) error {
 
 // writeMerged writes the v5 image of base's documents followed by
 // added's (nil: none), whose DocIDs start at base.NumDocs(). It is the
-// one v5 writer: a fresh build is a heap base with nothing added, a
-// compaction a mapped base plus the drained documents.
+// one v5 writer: a fresh build (BuildFrom, or Decode of a gob stream)
+// is an empty base plus its documents, a save a base with nothing
+// added, a compaction a base plus the drained documents.
 //
 // Sections stream in the order postings, dir, terms, lengths, stored,
 // toc (readers find them by name), so what stays in memory is the block
 // directory, each field's dictionary columns and one list's scratch. A
-// term no added document contains keeps its blocks — copied verbatim
-// from a mapped base, encoded from a heap one. A term one does contain
-// is written by EncodeMerged, its score bounds (content field) over the
-// merged lengths. Lengths and stored text are base's section bytes
+// term no added document contains keeps its blocks, copied verbatim
+// from base. A term one does contain is written by EncodeMerged, its
+// score bounds (content field) over the merged lengths. Lengths and stored text are base's section bytes
 // followed by the added documents'. Every section but the toc, whose
 // gob maps encode in varying order, is therefore byte for byte what a
 // fresh build over the concatenated documents writes.
@@ -212,14 +205,9 @@ func writeMerged(w io.Writer, pageSize int, base *Index, added *Builder) error {
 	if err := pw.Begin("postings", snapshot.SectionLazyVerify); err != nil {
 		return err
 	}
-	// Size the directory for base's blocks plus one per added term (a
-	// heap base counts one per term): a hint the encoder grows past.
+	// Size the directory for base's blocks plus one per added term: a
+	// hint the encoder grows past.
 	blocks := len(base.dir) / postings.BlockDirEntrySize
-	if base.dir == nil {
-		for _, fi := range base.fields {
-			blocks += fi.size()
-		}
-	}
 	if added != nil {
 		for i := range added.fields {
 			blocks += len(added.fields[i].terms)
@@ -305,41 +293,30 @@ func writeMerged(w io.Writer, pageSize int, base *Index, added *Builder) error {
 	if err := pw.Begin("stored", snapshot.SectionLazyVerify); err != nil {
 		return err
 	}
-	for _, field := range sortedUnion(sortedKeys(base.stored), sortedKeys(base.stviews), addStored) {
+	for _, field := range sortedUnion(sortedKeys(base.stviews), addStored) {
 		sw.align4()
 		slab := mappedStoredSlab{OffsOff: sw.off}
 		var addVals []string
 		if fb := added.field(field); fb != nil {
 			addVals = fb.stored
 		}
-		v, vs := base.stviews[field], base.stored[field]
-		blobLen := uint32(0)
-		if v != nil {
-			// A mapped base's offsets are this slab's first n0+1.
-			for _, o := range v.offs {
-				sw.u32(o)
-			}
-			blobLen = v.offs[n0]
-		} else {
-			sw.u32(0)
-			for d := 0; d < n0; d++ {
-				blobLen += uint32(len(at(vs, d)))
-				sw.u32(blobLen)
-			}
+		// base's offsets are this slab's first n0+1 (all 0 for a field
+		// base does not store).
+		v := base.stviews[field]
+		if v == nil {
+			v = &storedView{offs: make([]uint32, n0+1)}
 		}
+		for _, o := range v.offs {
+			sw.u32(o)
+		}
+		blobLen := v.offs[n0]
 		for j := 0; j < na; j++ {
 			blobLen += uint32(len(at(addVals, j)))
 			sw.u32(blobLen)
 		}
 		slab.BlobOff = sw.off
 		slab.BlobLen = int64(blobLen)
-		if v != nil {
-			sw.bytes(v.blob)
-		} else {
-			for d := 0; d < n0; d++ {
-				sw.str(at(vs, d))
-			}
-		}
+		sw.bytes(v.blob)
 		for j := 0; j < na; j++ {
 			sw.str(at(addVals, j))
 		}
@@ -399,14 +376,14 @@ func (base *Index) writeField(enc *postings.MappedEncoder, field string, fb *fie
 		)
 		if j == len(addTerms) || (i < bd.len() && string(bd.key(i)) < addTerms[j]) {
 			out.blob = append(out.blob, bd.key(i)...)
-			meta, err = enc.EncodeList(base.source(fi, &bd, i))
+			meta, err = enc.EncodeList(base.source(bd, i))
 			i++
 		} else {
 			term := addTerms[j]
 			j++
-			src := postings.HeapSource(nil)
+			var src postings.ListSource // the empty list
 			if i < bd.len() && string(bd.key(i)) == term {
-				src = base.source(fi, &bd, i)
+				src = base.source(bd, i)
 				i++
 			}
 			out.blob = append(out.blob, term...)
@@ -423,13 +400,9 @@ func (base *Index) writeField(enc *postings.MappedEncoder, field string, fb *fie
 	return total, out, nil
 }
 
-// source returns term i of d, fi's column, as the encoder reads it: a
-// mapped field's blocks in place, without building the list, or a heap
-// field's list.
-func (ix *Index) source(fi *fieldIndex, d *termDict, i int) postings.ListSource {
-	if fi.terms != nil {
-		return postings.HeapSource(fi.terms[string(d.key(i))])
-	}
+// source returns term i of d, one of ix's dictionaries, as the encoder
+// reads it: its blocks in place, without building the list.
+func (ix *Index) source(d *termDict, i int) postings.ListSource {
 	meta := d.meta(i)
 	return postings.MappedSource(meta, ix.termDir(meta), ix.payload)
 }
@@ -589,8 +562,8 @@ func openMapped(data []byte, m *fsx.Mapping, cacheBudget int64) (*Index, error) 
 		schema:  toc.Schema,
 		segSize: toc.SegSize,
 		numDocs: toc.NumDocs,
+		version: int(version),
 		lengths: make(map[string][]int32, len(toc.Lengths)),
-		stored:  make(map[string][]string),
 		fields:  make(map[string]*fieldIndex, len(toc.Fields)),
 		paged:   pf,
 		mapping: m,
@@ -734,27 +707,21 @@ func (ix *Index) buildList(meta postings.MappedListMeta) *postings.List {
 	return l
 }
 
-// Mapped reports whether the index reads its posting blocks from a
-// paged image (memory-mapped or in-memory) rather than heap lists.
-func (ix *Index) Mapped() bool { return ix.paged != nil }
+// FormatVersion returns the format of the stream the index was read
+// from: the paged header's version — MappedFormatVersion for a file
+// this build wrote and for every in-process build, 4 for a file an
+// older build wrote — or 0 for a gob stream (formats 0–3), which Decode
+// turned into an in-memory v5 image.
+func (ix *Index) FormatVersion() int { return ix.version }
 
-// FormatVersion returns the paged format version of a mapped index's
-// file — MappedFormatVersion, or 4 for a file an older build wrote — and
-// 0 for a heap index (built, or decoded from a gob stream).
-func (ix *Index) FormatVersion() int {
-	if ix.paged == nil {
-		return 0
-	}
-	return int(ix.paged.Header().PayloadVersion)
-}
-
-// Close releases the memory mapping of a mapped index. The index — and
-// every posting list obtained from it — must not be used afterwards.
-// Close also drops the index's own views of the mapping — its
-// dictionaries, built lists and their blocks, the block cache, the
-// sections, lengths and stored text — so nothing the index still
-// references points into the released pages. Heap indexes, and mapped ones over an in-memory image,
-// ignore Close.
+// Close releases the memory mapping of an index opened from a file.
+// The index — and every posting list obtained from it — must not be
+// used afterwards. Close also drops the index's own views of the
+// mapping — its dictionaries, built lists and their blocks, the block
+// cache, the sections, lengths and stored text — so nothing the index
+// still references points into the released pages. An index over an
+// in-memory image (BuildFrom, Extend, Decode, OpenMappedBytes) ignores
+// Close: the garbage collector reclaims its image.
 func (ix *Index) Close() error {
 	if ix.mapping == nil {
 		return nil
@@ -765,33 +732,18 @@ func (ix *Index) Close() error {
 	return err
 }
 
-// Verify checksums every section of a mapped index, including the lazy
-// payload sections that open-time validation deliberately skips. It
-// reads the whole file; intended for fsck-style audits, not the query
-// path. Heap indexes verify trivially.
+// Verify checksums every section of the index's image, including the
+// lazy payload sections that open-time validation deliberately skips.
+// It reads the whole image; intended for fsck-style audits, not the
+// query path.
 func (ix *Index) Verify() error {
-	if ix.paged == nil {
-		return nil
-	}
 	return ix.paged.VerifyAll()
 }
 
 // BlockCacheStats reports the decoded-block cache's budget, usage and
-// hit/miss/eviction counters (zeros for heap indexes).
+// hit/miss/eviction counters.
 func (ix *Index) BlockCacheStats() postings.BlockCacheStats {
 	return ix.cache.Stats()
-}
-
-// MappedCopy round-trips ix through the v5 codec entirely in memory and
-// returns the mapped twin. It is the force-mapped seam used by
-// equivalence tests and CSRANK_FORCE_MAPPED: rankings over the copy must
-// be bit-identical to rankings over ix.
-func MappedCopy(ix *Index) (*Index, error) {
-	var buf bytes.Buffer
-	if err := ix.WritePaged(&buf, 0); err != nil {
-		return nil, err
-	}
-	return OpenMappedBytes(buf.Bytes(), 0)
 }
 
 // sortedUnion returns the distinct strings of lists, sorted.

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,6 +16,13 @@ import (
 	"csrank/internal/postings"
 	"csrank/internal/snapshot"
 )
+
+// WritePaged writes the index's v5 image to w, as SaveMapped writes it
+// to a file. pageSize ≤ 0 selects snapshot.DefaultPageSize; tests
+// shrink it to keep fixtures small.
+func (ix *Index) WritePaged(w io.Writer, pageSize int) error {
+	return writeMerged(w, pageSize, ix, nil)
+}
 
 // synthIndex builds a randomized multi-field index large enough to
 // produce sparse, dense and packed blocks plus elided TF columns.
@@ -102,24 +110,6 @@ func assertIndexesEqual(t *testing.T, want, got *Index) {
 	}
 }
 
-func TestMappedCopyEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, numDocs := range []int{3, 50, 400} {
-		ix := synthIndex(t, rng, numDocs)
-		mx, err := MappedCopy(ix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !mx.Mapped() || ix.Mapped() {
-			t.Fatalf("Mapped() flags wrong")
-		}
-		assertIndexesEqual(t, ix, mx)
-		if err := mx.Verify(); err != nil {
-			t.Fatalf("Verify: %v", err)
-		}
-	}
-}
-
 func TestMappedFileRoundTrip(t *testing.T) {
 	ix := synthIndex(t, rand.New(rand.NewSource(2)), 200)
 	path := filepath.Join(t.TempDir(), "index.v4")
@@ -141,8 +131,8 @@ func TestMappedFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lx.Close()
-	if !lx.Mapped() {
-		t.Fatalf("LoadFile did not map a v4 file")
+	if lx.mapping == nil {
+		t.Fatalf("LoadFile did not map a v5 file")
 	}
 	assertIndexesEqual(t, ix, lx)
 }
@@ -182,8 +172,8 @@ func TestMappedV3V4RoundTripEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ixu.Mapped() {
-			t.Fatal("re-saved v3 index did not reload mapped")
+		if ixu.mapping == nil || ixu.FormatVersion() != MappedFormatVersion {
+			t.Fatal("re-saved v3 index did not reload mapped at format v5")
 		}
 		assertIndexesEqual(t, ix, ixu)
 		ixu.Close()
@@ -283,7 +273,11 @@ func TestMappedCorruptBlockQuarantinedNotFatal(t *testing.T) {
 // allocating.
 func TestMappedListsBuiltOnFirstLookup(t *testing.T) {
 	ix := synthIndex(t, rand.New(rand.NewSource(9)), 400)
-	mx, err := MappedCopy(ix)
+	var buf bytes.Buffer
+	if err := ix.WritePaged(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	mx, err := OpenMappedBytes(buf.Bytes(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,8 +464,8 @@ func TestMappedOpenThroughFaultFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mx.Mapped() {
-		t.Fatal("fallback reader should still report Mapped")
+	if mx.paged == nil || mx.FormatVersion() != MappedFormatVersion {
+		t.Fatal("fallback reader should still serve the paged image")
 	}
 	assertIndexesEqual(t, ix, mx)
 }

@@ -125,6 +125,15 @@ func (p *persistent) validate() error {
 	if err := p.Schema.Validate(); err != nil {
 		return fmt.Errorf("index: persisted schema invalid: %w", err)
 	}
+	// Every schema field has a length per document (a stream that lacks
+	// a field's lengths is as malformed as one with too few), so no
+	// per-document allocation the writer makes exceeds what the stream
+	// itself holds.
+	for _, f := range p.Schema.Fields {
+		if n := len(p.Lengths[f.Name]); n != p.NumDocs {
+			return fmt.Errorf("index: field %q has %d persisted lengths for %d documents", f.Name, n, p.NumDocs)
+		}
+	}
 	for field, ls := range p.Lengths {
 		if len(ls) != p.NumDocs {
 			return fmt.Errorf("index: field %q has %d persisted lengths for %d documents", field, len(ls), p.NumDocs)
@@ -152,6 +161,12 @@ func (p *persistent) validate() error {
 // accepting FormatVersion, version 2 and untagged legacy streams. Input
 // is treated as untrusted: sizes are capped, counters are range-checked,
 // and malformed posting lists error instead of panicking.
+//
+// The stream's postings, lengths and stored text feed a Builder, one
+// term at a time, and end in the v5 writer, as a fresh build does: the
+// index is an in-memory v5 image, its score bounds computed over the
+// persisted document lengths (a v3 stream's own bounds are the same
+// function of the same data). FormatVersion still reports 0.
 func Decode(r io.Reader) (*Index, error) {
 	var p persistent
 	if err := gob.NewDecoder(io.LimitReader(r, maxDecodeBytes)).Decode(&p); err != nil {
@@ -160,42 +175,31 @@ func Decode(r io.Reader) (*Index, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	ix := &Index{
-		schema:  p.Schema,
-		segSize: p.SegSize,
-		numDocs: p.NumDocs,
-		lengths: p.Lengths,
-		stored:  p.Stored,
-		fields:  make(map[string]*fieldIndex, len(p.Fields)),
-	}
-	if ix.stored == nil {
-		ix.stored = make(map[string][]string)
-	}
-	for name, pf := range p.Fields {
-		fi := &fieldIndex{
-			terms:    make(map[string]*postings.List, len(pf.Terms)),
-			totalLen: pf.TotalLen,
-			totalTF:  make(map[string]int64, len(pf.Terms)),
-		}
+	b := newBuilder(p.Schema, p.SegSize, 0)
+	b.numDocs = p.NumDocs
+	for i, f := range p.Schema.Fields {
+		fb, pf := &b.fields[i], p.Fields[f.Name]
+		fb.lengths = p.Lengths[f.Name]
+		fb.stored = p.Stored[f.Name]
+		fb.total = pf.TotalLen
 		for term, data := range pf.Terms {
-			l, err := decodeTermList(p.Version, data, p.SegSize)
+			l, err := decodeTermList(p.Version, data, b.segSize)
 			if err != nil {
 				return nil, fmt.Errorf("index: term %q: %w", term, err)
 			}
 			if l.Len() > p.NumDocs {
 				return nil, fmt.Errorf("index: term %q has %d postings for %d documents", term, l.Len(), p.NumDocs)
 			}
-			fi.terms[term] = l
-			fi.totalTF[term] = l.SumTF()
+			pb := postings.NewBuilder(b.segSize)
+			l.ForEach(pb.Add)
+			fb.terms[term] = pb
 		}
-		ix.fields[name] = fi
 	}
-	if p.Version < FormatVersion {
-		// Pre-v3 streams carry no score-bound metadata: rebuild it from
-		// the persisted document lengths so loaded legacy indexes prune
-		// exactly like freshly built ones.
-		ix.buildContentBounds()
+	ix, err := b.build()
+	if err != nil {
+		return nil, err
 	}
+	ix.version = 0
 	return ix, nil
 }
 

@@ -69,9 +69,11 @@ func boundsTestIndex(t *testing.T) *Index {
 	return ix
 }
 
-// TestPersistV3BoundsRoundTrip: bound metadata built at index time must
-// survive the framed v3 snapshot older builds wrote bit-for-bit — the
-// loaded index prunes from persisted bounds, not a rebuild.
+// TestPersistV3BoundsRoundTrip: a decoded framed v3 stream — the
+// snapshot older builds wrote — carries bound metadata bit-for-bit equal
+// to a fresh build's. Decode recomputes the bounds over the persisted
+// document lengths as the writer does for a build; the stream's own
+// bounds are the same function of the same data.
 func TestPersistV3BoundsRoundTrip(t *testing.T) {
 	ix := boundsTestIndex(t)
 	for _, term := range ix.Terms("content") {

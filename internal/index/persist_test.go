@@ -15,30 +15,45 @@ import (
 	"csrank/internal/snapshot"
 )
 
-// encodeGobStream writes heap index ix as a raw gob index stream
-// tagged version, each term's list encoded by enc — the layout every
-// gob format version shares.
-func encodeGobStream(tb testing.TB, ix *Index, version int, enc func(*postings.List) []byte) []byte {
-	tb.Helper()
+// persistentOf returns ix as a gob index stream's contents, tagged
+// version, each term's list encoded by enc (nil: no terms) — the
+// layout every gob format version shares — read through the index's
+// accessors.
+func persistentOf(ix *Index, version int, enc func(*postings.List) []byte) persistent {
 	p := persistent{
 		Version: version,
-		Schema:  ix.schema,
-		SegSize: ix.segSize,
-		NumDocs: ix.numDocs,
-		Lengths: ix.lengths,
-		Stored:  ix.stored,
-		Fields:  make(map[string]persistentField, len(ix.fields)),
+		Schema:  ix.Schema(),
+		SegSize: ix.SegmentSize(),
+		NumDocs: ix.NumDocs(),
+		Lengths: make(map[string][]int32),
+		Stored:  make(map[string][]string),
+		Fields:  make(map[string]persistentField),
 	}
-	for name, fi := range ix.fields {
-		pf := persistentField{
-			TotalLen: fi.totalLen,
-			Terms:    make(map[string][]byte, len(fi.terms)),
+	for _, f := range p.Schema.Fields {
+		p.Lengths[f.Name] = ix.FieldLens(f.Name)
+		if f.Stored {
+			vs := make([]string, p.NumDocs)
+			for d := range vs {
+				vs[d] = ix.StoredField(DocID(d), f.Name)
+			}
+			p.Stored[f.Name] = vs
 		}
-		for term, l := range fi.terms {
-			pf.Terms[term] = enc(l)
+		pf := persistentField{TotalLen: ix.TotalFieldLen(f.Name), Terms: make(map[string][]byte)}
+		if enc != nil {
+			for _, term := range ix.Terms(f.Name) {
+				pf.Terms[term] = enc(ix.Postings(f.Name, term))
+			}
 		}
-		p.Fields[name] = pf
+		p.Fields[f.Name] = pf
 	}
+	return p
+}
+
+// encodeGobStream writes ix as a raw gob index stream tagged version,
+// each term's list encoded by enc.
+func encodeGobStream(tb testing.TB, ix *Index, version int, enc func(*postings.List) []byte) []byte {
+	tb.Helper()
+	p := persistentOf(ix, version, enc)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
 		tb.Fatal(err)
@@ -112,8 +127,8 @@ func TestV3FixturesLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.Mapped() {
-			t.Fatalf("%s: gob stream opened as mapped", name)
+		if v := got.FormatVersion(); v != 0 {
+			t.Fatalf("%s: gob stream reports format %d, want 0", name, v)
 		}
 		assertIndexEqual(t, got, want)
 	}

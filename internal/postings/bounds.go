@@ -11,11 +11,11 @@ import "math/bits"
 // (max over chunks / min over chunks) orders lists for MaxScore-style
 // essential/non-essential splits.
 //
-// Bounds are built at index time (Builder.Build calls BuildBounds with
-// the field's document lengths) and persisted by the format-v3 codec;
-// older snapshots rebuild them on load. A list without bounds simply
-// disables pruning for queries touching it — correctness never depends
-// on the metadata being present.
+// Bounds are computed as a list is written (MappedEncoder.EncodeMerged,
+// over the field's document lengths) and kept in its blocks' directory
+// entries. A list without bounds simply disables pruning for queries
+// touching it — correctness never depends on the metadata being
+// present.
 
 // ContainerSpan is the docID width of one adaptive container (2^16): the
 // granularity at which bound metadata is kept and at which the pruned
@@ -27,33 +27,6 @@ const ContainerSpan = chunkSpan
 type ChunkBound struct {
 	MaxTF     uint32
 	MinDocLen int32
-}
-
-// BuildBounds computes per-container (and list-level) score-bound
-// metadata, looking document lengths up through docLen. It must be called
-// before the list is shared across goroutines (index build or load time);
-// the query path only reads the result. Calling it again recomputes the
-// metadata.
-func (l *List) BuildBounds(docLen func(docID uint32) int32) {
-	bounds := make([]ChunkBound, len(l.chunks))
-	for ci := range l.chunks {
-		b := ChunkBound{MinDocLen: int32(^uint32(0) >> 1)}
-		n := 0
-		visitChunk(l, ci, func(docID, tf uint32) {
-			if tf > b.MaxTF {
-				b.MaxTF = tf
-			}
-			if dl := docLen(docID); dl < b.MinDocLen {
-				b.MinDocLen = dl
-			}
-			n++
-		})
-		if n != int(l.chunks[ci].n) {
-			panic("postings: BuildBounds chunk walk out of sync")
-		}
-		bounds[ci] = b
-	}
-	l.adoptBounds(bounds)
 }
 
 // visitChunk calls fn for every (docID, tf) of chunk ci in ascending

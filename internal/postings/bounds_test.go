@@ -9,6 +9,31 @@ import (
 // its ID, so tests can recompute expected bounds independently.
 func fakeDocLen(d uint32) int32 { return int32(7 + (d*2654435761)%500) }
 
+// BuildBounds computes per-container (and list-level) score-bound
+// metadata of a heap list, looking document lengths up through docLen:
+// the bounds MappedEncoder.EncodeMerged writes for the same postings.
+func (l *List) BuildBounds(docLen func(docID uint32) int32) {
+	bounds := make([]ChunkBound, len(l.chunks))
+	for ci := range l.chunks {
+		b := ChunkBound{MinDocLen: int32(^uint32(0) >> 1)}
+		n := 0
+		visitChunk(l, ci, func(docID, tf uint32) {
+			if tf > b.MaxTF {
+				b.MaxTF = tf
+			}
+			if dl := docLen(docID); dl < b.MinDocLen {
+				b.MinDocLen = dl
+			}
+			n++
+		})
+		if n != int(l.chunks[ci].n) {
+			panic("postings: BuildBounds chunk walk out of sync")
+		}
+		bounds[ci] = b
+	}
+	l.adoptBounds(bounds)
+}
+
 // randomTFList builds a list with explicit TFs over random sorted IDs.
 func randomTFList(rng *rand.Rand, n int, max uint32, segSize int) *List {
 	ids := randomSortedIDs(rng, n, max)

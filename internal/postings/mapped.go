@@ -171,10 +171,10 @@ func MappedListMetaAt(b []byte) (m MappedListMeta, ok bool) {
 // given to NewMappedEncoder as soon as it is encoded; the fixed-width
 // directory stays in memory (BlockDirEntrySize bytes per block) for the
 // caller to write after the payloads. A MappedSource's blocks are
-// copied verbatim once their CRCs check out; a HeapSource's chunks, and
-// chunks that gain postings in EncodeMerged, are encoded. A block's bytes depend only on
-// its postings and score bound, so a list copied out of a file written
-// by a fresh build is the list a fresh build writes. The first write
+// copied verbatim once their CRCs check out; chunks that gain postings
+// in EncodeMerged are encoded. A block's bytes depend only on its
+// postings and score bound, so a list copied out of a file written by a
+// fresh build is the list a fresh build writes. The first write
 // error sticks: every later call returns it.
 type MappedEncoder struct {
 	w      io.Writer
@@ -274,88 +274,42 @@ func (e *MappedEncoder) encode(base uint32, n int, keys []uint16, words []uint64
 	}, buf)
 }
 
-// ListSource is a list as a MappedEncoder reads it: a heap list, or a
-// mapped list's blocks in place, read without building the list.
+// ListSource is a mapped list's blocks as a MappedEncoder reads them,
+// in place, without building the list. The zero ListSource is the
+// empty list.
 type ListSource struct {
-	l            *List
-	mapped       bool
 	meta         MappedListMeta
 	dir, payload []byte
 }
-
-// HeapSource is the heap list l (nil: the empty list) as an encoder
-// source. l must not be a mapped list: a mapped list's blocks are read
-// through MappedSource.
-func HeapSource(l *List) ListSource { return ListSource{l: l} }
 
 // MappedSource is a mapped list as an encoder source: meta is its
 // record, dir its directory slice and payload the region its offsets
 // index, all as ValidateMappedList accepted them.
 func MappedSource(meta MappedListMeta, dir, payload []byte) ListSource {
-	return ListSource{mapped: true, meta: meta, dir: dir, payload: payload}
+	return ListSource{meta: meta, dir: dir, payload: payload}
 }
 
-// record returns the source's dictionary record, FirstBlock unset.
-func (s *ListSource) record() MappedListMeta {
-	switch {
-	case s.mapped:
-		return s.meta
-	case s.l == nil:
-		return MappedListMeta{}
-	}
-	return MappedListMeta{
-		N:         int32(s.l.Len()),
-		SumTF:     s.l.SumTF(),
-		HasTFs:    s.l.HasTFs(),
-		HasBounds: s.l.HasBounds(),
-		NumBlocks: int32(len(s.l.chunks)),
-	}
+// entry returns the directory entry of block ci.
+func (s *ListSource) entry(ci int) dirEntry {
+	return decodeDirEntry(s.dir[ci*BlockDirEntrySize:])
 }
 
-func (s *ListSource) chunkBase(ci int) uint32 {
-	if s.mapped {
-		return binary.LittleEndian.Uint32(s.dir[ci*BlockDirEntrySize:])
-	}
-	return s.l.chunks[ci].base
-}
-
-// put writes chunk ci unchanged: a mapped block copied verbatim once
-// its CRC checks out — a block that fails it is a *BlockCorruptError,
-// since copying it would turn the corruption into a CRC-valid block —
-// and a heap chunk encoded.
+// put writes block ci of s verbatim once its CRC checks out — a block
+// that fails it is a *BlockCorruptError, since copying it would turn
+// the corruption into a CRC-valid block.
 func (e *MappedEncoder) put(s *ListSource, ci int) error {
-	if s.mapped {
-		ent := decodeDirEntry(s.dir[ci*BlockDirEntrySize:])
-		blob := s.payload[ent.off : ent.off+uint64(ent.idLen)+uint64(ent.tfLen)]
-		if err := checkBlock(ent, blob); err != nil {
-			return err
-		}
-		return e.emit(ent, blob)
+	ent := s.entry(ci)
+	blob := s.payload[ent.off : ent.off+uint64(ent.idLen)+uint64(ent.tfLen)]
+	if err := checkBlock(ent, blob); err != nil {
+		return err
 	}
-	keys, words, tfs := s.l.payload(ci)
-	var bound ChunkBound
-	if s.l.bounds != nil {
-		bound = s.l.bounds[ci]
-	}
-	return e.encode(s.l.chunks[ci].base, int(s.l.chunks[ci].n), keys, words, tfs, bound)
-}
-
-// postings returns chunk ci's postings: a heap chunk's own views, a
-// mapped block's strict decode into the encoder's scratch (corruption
-// is an error here, never a quarantined stand-in).
-func (e *MappedEncoder) postings(s *ListSource, ci int) (keys []uint16, words []uint64, tfs []uint32, err error) {
-	if s.mapped {
-		keys, words, tfs, _, err = readBlock(decodeDirEntry(s.dir[ci*BlockDirEntrySize:]), s.payload, &e.sc)
-		return keys, words, tfs, err
-	}
-	keys, words, tfs = s.l.payload(ci)
-	return keys, words, tfs, nil
+	return e.emit(ent, blob)
 }
 
 // EncodeList writes every chunk of s unchanged, one block each, and
 // returns the list's dictionary record rebased onto this encoder.
 func (e *MappedEncoder) EncodeList(s ListSource) (MappedListMeta, error) {
-	meta := s.record()
+	meta := s.meta
 	meta.FirstBlock = int32(e.blocks)
 	for ci := 0; ci < int(meta.NumBlocks); ci++ {
 		if err := e.put(&s, ci); err != nil {
@@ -367,16 +321,17 @@ func (e *MappedEncoder) EncodeList(s ListSource) (MappedListMeta, error) {
 
 // EncodeMerged writes the list of base's postings followed by add's,
 // whose DocIDs all exceed base's, and returns its dictionary record: what a
-// fresh build writes for a term both old and new documents contain.
+// fresh build writes for a term both old and new documents contain —
+// and, over the empty ListSource, for any term of a fresh build.
 // Base chunks below add's first chunk range keep their blocks, as
 // EncodeList writes them. The chunk both share, and every chunk of add,
 // are encoded from their merged postings. With docLen non-nil the list
-// carries score bounds: an encoded chunk's bound is BuildBounds' over
-// the merged document lengths docLen reads, and a base without bounds
-// has every chunk re-encoded to get one. add must not be used
-// afterwards.
+// carries score bounds: an encoded chunk's bound is the largest TF and
+// the smallest document length docLen reads among its postings, and a
+// base without bounds has every chunk re-encoded to get one. add must
+// not be used afterwards.
 func (e *MappedEncoder) EncodeMerged(base ListSource, add *Builder, docLen func(docID uint32) int32) (MappedListMeta, error) {
-	meta := base.record()
+	meta := base.meta
 	blocks, bounded := int(meta.NumBlocks), meta.HasBounds
 	ids, tfs := add.ids, add.tfs
 	add.ids, add.tfs = nil, nil
@@ -393,14 +348,17 @@ func (e *MappedEncoder) EncodeMerged(base ListSource, add *Builder, docLen func(
 	}
 	next := 0 // add's first posting not yet written
 	for ci := 0; ci < blocks; ci++ {
-		cb := base.chunkBase(ci)
+		ent := base.entry(ci)
+		cb := ent.base
 		if cb < first && (docLen == nil || bounded) {
 			if err := e.put(&base, ci); err != nil {
 				return meta, err
 			}
 			continue
 		}
-		keys, words, btfs, err := e.postings(&base, ci)
+		// A strict decode into the encoder's scratch: corruption is an
+		// error here, never a quarantined stand-in.
+		keys, words, btfs, _, err := readBlock(ent, base.payload, &e.sc)
 		if err != nil {
 			return meta, err
 		}
@@ -912,10 +870,8 @@ func NewMappedList(meta MappedListMeta, dir, payload []byte, segSize int, cache 
 	return l
 }
 
-// BlockStats summarizes a list's format-v4 block layout: encoding mix
-// and on-disk footprint. For mapped lists it reads the directory; for
-// heap lists it measures what EncodeList would write, so build-time
-// tooling can report disk footprints without producing a file.
+// BlockStats summarizes a mapped list's block layout, read from its
+// directory: encoding mix and on-disk footprint.
 type BlockStats struct {
 	SparseRaw    int // blocks stored as raw key arrays
 	DenseRaw     int // blocks stored as raw bitsets
@@ -937,20 +893,15 @@ func (s *BlockStats) add(o BlockStats) {
 // AddTo accumulates o into s (exported face for the index layer).
 func (s *BlockStats) AddTo(o BlockStats) { s.add(o) }
 
-// BlockStats reports the list's v4 block layout.
+// BlockStats reports a mapped list's block layout (a heap list has no
+// blocks and reports none).
 func (l *List) BlockStats() BlockStats {
 	var bs BlockStats
-	if l.src != nil {
-		for ci := range l.chunks {
-			ent := l.src.entry(ci)
-			bs.tally(ent.enc, int64(ent.idLen)+int64(ent.tfLen), ent.tfLen > 0)
-		}
+	if l.src == nil {
 		return bs
 	}
-	e := NewMappedEncoder(io.Discard, len(l.chunks))
-	e.EncodeList(HeapSource(l)) // a heap list's chunks encode without error
 	for ci := range l.chunks {
-		ent := decodeDirEntry(e.dir[ci*BlockDirEntrySize:])
+		ent := l.src.entry(ci)
 		bs.tally(ent.enc, int64(ent.idLen)+int64(ent.tfLen), ent.tfLen > 0)
 	}
 	return bs

@@ -81,21 +81,16 @@ type chunkPayload struct {
 	accessed atomic.Uint32
 }
 
-// payload returns chunk ci's payload views. Heap chunks answer with
-// field reads (the TF view is a subslice of the global array); mapped
-// chunks materialize the block on first touch — decoding it, or
-// aliasing the mapping directly for raw encodings — and memoize the
-// result. Mapped materialization verifies the block's CRC; with a
-// Quarantine registry armed a corrupt block is served as a permanently
-// empty container (quarantine), otherwise the *BlockCorruptError panic
-// escapes and the engine's worker recovery turns it into a query error.
-func (l *List) payload(ci int) (keys []uint16, bits []uint64, tfs []uint32) {
-	keys, bits, tfs, _ = l.payloadQ(ci)
-	return keys, bits, tfs
-}
-
-// payloadQ is payload plus the quarantined bit, for query-path callers
-// that account quarantine skips against their Stats.
+// payloadQ returns chunk ci's payload views and whether the chunk is a
+// quarantined stand-in, for callers that account quarantine skips
+// against their Stats. Heap chunks answer with field reads (the TF view
+// is a subslice of the global array); mapped chunks materialize the
+// block on first touch — decoding it, or aliasing the mapping directly
+// for raw encodings — and memoize the result. Mapped materialization
+// verifies the block's CRC; with a Quarantine registry armed a corrupt
+// block is served as a permanently empty container (quarantine),
+// otherwise the *BlockCorruptError panic escapes and the engine's
+// worker recovery turns it into a query error.
 func (l *List) payloadQ(ci int) (keys []uint16, bits []uint64, tfs []uint32, quarantined bool) {
 	if l.src == nil {
 		ch := &l.chunks[ci]
@@ -289,6 +284,9 @@ func (b *Builder) Add(docID uint32, tf uint32) {
 	b.tfs = append(b.tfs, tf)
 }
 
+// Len returns the number of postings added so far.
+func (b *Builder) Len() int { return len(b.ids) }
+
 // Append moves o's postings after b's — the concatenation of two
 // builders over consecutive DocID ranges. o's first DocID must exceed
 // b's last; o must not be used afterwards.
@@ -302,11 +300,4 @@ func (b *Builder) Append(o *Builder) {
 	b.ids = append(b.ids, o.ids...)
 	b.tfs = append(b.tfs, o.tfs...)
 	o.ids, o.tfs = nil, nil
-}
-
-// Build finalizes the list. The Builder must not be used afterwards.
-func (b *Builder) Build() *List {
-	l := newListRaw(b.ids, b.tfs, b.segSize, DenseThreshold)
-	b.ids, b.tfs = nil, nil
-	return l
 }

@@ -9,6 +9,13 @@ import (
 	"testing/quick"
 )
 
+// Build finalizes the list. The Builder must not be used afterwards.
+func (b *Builder) Build() *List {
+	l := newListRaw(b.ids, b.tfs, b.segSize, DenseThreshold)
+	b.ids, b.tfs = nil, nil
+	return l
+}
+
 func listFrom(ids ...uint32) *List { return fromDocIDs(ids, 4) }
 
 // fromDocIDs builds a list with TF = 1 for every document, the shape of

@@ -157,8 +157,8 @@ func TestCompactedShardsServeMappedAcrossRestart(t *testing.T) {
 		}
 		v := ing.Acquire()
 		for i, sl := range v.Slices {
-			if !sl.Eng.Index().Mapped() {
-				t.Fatalf("%s: shard %d serves an index that is not mapped after 3 compactions", name, i)
+			if v := sl.Eng.Index().FormatVersion(); v != index.MappedFormatVersion {
+				t.Fatalf("%s: shard %d serves an index of format %d after 3 compactions", name, i, v)
 			}
 		}
 		v.Release()

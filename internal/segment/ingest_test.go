@@ -280,8 +280,8 @@ func TestCompactionEquivalence(t *testing.T) {
 			}
 			slices, _ := ing.Cluster().Slices()
 			for i, sl := range slices {
-				if !sl.Eng.Index().Mapped() {
-					t.Fatalf("shards=%d: reopened shard %d is not mapped", nShards, i)
+				if v := sl.Eng.Index().FormatVersion(); v != index.MappedFormatVersion {
+					t.Fatalf("shards=%d: reopened shard %d serves format %d", nShards, i, v)
 				}
 			}
 			if n := ing.Cluster().NumDocs() + ing.Pending(); n != nBase+nMid+nLate {

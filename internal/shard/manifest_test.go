@@ -10,6 +10,7 @@ import (
 
 	"csrank/internal/core"
 	"csrank/internal/fsx"
+	"csrank/internal/index"
 	"csrank/internal/query"
 	"csrank/internal/snapshot"
 )
@@ -63,8 +64,8 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		t.Fatalf("reopened cluster %d shards / %d docs, want 3 / %d", got.NumShards(), got.NumDocs(), len(docs))
 	}
 	for i := range got.shards {
-		if eng, _ := got.shards[i].Snapshot(); !eng.Index().Mapped() {
-			t.Fatalf("reopened shard %d is not mapped", i)
+		if eng, _ := got.shards[i].Snapshot(); eng.Index().FormatVersion() != index.MappedFormatVersion {
+			t.Fatalf("reopened shard %d is not a v5 image", i)
 		}
 	}
 	hits, _, err := got.Search(context.Background(), q, 10)
