@@ -336,12 +336,18 @@ func (e *MappedEncoder) EncodeMerged(base ListSource, add *Builder, docLen func(
 	ids, tfs := add.ids, add.tfs
 	add.ids, add.tfs = nil, nil
 	meta.N += int32(len(ids))
-	meta.HasTFs = meta.HasTFs || !allOnes(tfs)
 	meta.HasBounds = docLen != nil
 	meta.FirstBlock = int32(e.blocks)
+	// One walk gives both the TF sum and whether any TF differs from 1;
+	// OR-ing tf^1 keeps the loop free of a data-dependent branch.
+	var sum int64
+	var notOne uint32
 	for _, tf := range tfs {
-		meta.SumTF += int64(tf)
+		sum += int64(tf)
+		notOne |= tf ^ 1
 	}
+	meta.SumTF += sum
+	meta.HasTFs = meta.HasTFs || notOne != 0
 	first := uint32(math.MaxUint32) // first chunk range add reaches
 	if len(ids) > 0 {
 		first = ids[0] &^ (chunkSpan - 1)

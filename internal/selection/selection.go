@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -189,28 +190,46 @@ func FrequentPredicateTerms(ix *index.Index, tc int64) []string {
 	return terms
 }
 
-// transactions builds the mining input: for each document, the sorted
-// item indices of the frequent predicate terms it carries. items maps the
-// term names to indices.
-func transactions(tbl *widetable.Table, terms []string) ([][]mining.Item, error) {
-	cols := make(map[widetable.ColID]mining.Item, len(terms))
+// columnIndex maps each keyword column of tbl to the position in terms
+// of its name, −1 for a column terms does not name: the dense lookup the
+// row walks of BuildKAG and transactions share. missing is the first term
+// with no column in tbl, "" when every term has one.
+func columnIndex(tbl *widetable.Table, terms []string) (idx []int32, missing string) {
+	idx = make([]int32, tbl.NumColumns())
+	for i := range idx {
+		idx[i] = -1
+	}
 	for i, name := range terms {
 		id, ok := tbl.ColumnID(name)
 		if !ok {
-			return nil, fmt.Errorf("selection: term %q missing from table", name)
+			if missing == "" {
+				missing = name
+			}
+			continue
 		}
-		cols[id] = mining.Item(i)
+		idx[id] = int32(i)
+	}
+	return idx, missing
+}
+
+// transactions builds the mining input: for each document, the sorted
+// item indices of the frequent predicate terms it carries. Item i is
+// terms[i].
+func transactions(tbl *widetable.Table, terms []string) ([][]mining.Item, error) {
+	items, missing := columnIndex(tbl, terms)
+	if missing != "" {
+		return nil, fmt.Errorf("selection: term %q missing from table", missing)
 	}
 	tx := make([][]mining.Item, tbl.NumDocs())
 	for d := 0; d < tbl.NumDocs(); d++ {
-		var items []mining.Item
+		var row []mining.Item
 		for _, c := range tbl.Row(d) {
-			if it, ok := cols[c]; ok {
-				items = append(items, it)
+			if it := items[c]; it >= 0 {
+				row = append(row, it)
 			}
 		}
-		sort.Slice(items, func(a, b int) bool { return items[a] < items[b] })
-		tx[d] = items
+		slices.Sort(row)
+		tx[d] = row
 	}
 	return tx, nil
 }

@@ -3,12 +3,15 @@ package selection
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"csrank/internal/corpus"
+	"csrank/internal/graph"
 	"csrank/internal/index"
 	"csrank/internal/mining"
+	"csrank/internal/postings"
 	"csrank/internal/views"
 	"csrank/internal/widetable"
 )
@@ -230,24 +233,46 @@ func TestMinersInterchangeable(t *testing.T) {
 	}
 }
 
+// TestBuildKAG checks the row-counted KAG against one built pair by pair
+// from inverted-list intersections: vertices, edges and every weight must
+// agree. The reversed term order makes vertex order disagree with column
+// order, so pairs arrive in a row with u > v.
 func TestBuildKAG(t *testing.T) {
 	f := getFixture(t)
-	tc := int64(400)
-	terms := FrequentPredicateTerms(f.ix, tc)
-	kag := BuildKAG(f.ix, terms, tc)
-	if kag.N() != len(terms) {
-		t.Fatalf("KAG vertices = %d", kag.N())
-	}
-	// An edge joins exactly the pairs whose co-occurrence reaches tc.
-	oracle := supportOracle(f.ix)
-	for u := 0; u < kag.N(); u++ {
-		for v := u + 1; v < kag.N(); v++ {
-			w := oracle([]string{kag.Name(u), kag.Name(v)})
-			if kag.HasEdge(u, v) != (w >= tc) {
-				t.Fatalf("edge %s-%s present=%v, co-occurrence %d, tc %d", kag.Name(u), kag.Name(v), kag.HasEdge(u, v), w, tc)
+	field := f.ix.Schema().PredicateField
+	for _, tc := range []int64{50, 200, 400} {
+		sorted := FrequentPredicateTerms(f.ix, tc)
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		for _, terms := range [][]string{sorted, reversed} {
+			lists := make([]*postings.List, len(terms))
+			for i, m := range terms {
+				lists[i] = f.ix.Postings(field, m)
+			}
+			want := graph.Build(terms, func(i, j int) int64 {
+				return postings.IntersectionSize([]*postings.List{lists[i], lists[j]}, nil)
+			}, tc)
+			if edges := countEdges(want); edges == 0 {
+				t.Fatalf("tc=%d: the pairwise KAG has no edges to compare", tc)
+			}
+			got := BuildKAG(f.tbl, terms, tc)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("tc=%d (%d terms, first %q): row-built KAG differs from the pairwise one", tc, len(terms), terms[0])
 			}
 		}
 	}
+}
+
+func countEdges(g *graph.KAG) int {
+	n := 0
+	for u := 0; u < g.N(); u++ {
+		for v := u + 1; v < g.N(); v++ {
+			if g.HasEdge(u, v) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestGraphDecompositionBasedCoverage(t *testing.T) {

@@ -10,20 +10,37 @@ import (
 )
 
 // BuildKAG constructs the Keyword Association Graph over the frequent
-// predicate terms: edge weight = document co-occurrence count (computed by
-// intersecting the terms' inverted lists), with sub-threshold edges
-// removed ("edges whose weights are less than T_C can be removed from the
-// graph, because cliques containing such edges do not have high
-// supports").
-func BuildKAG(ix *index.Index, frequentTerms []string, tc int64) *graph.KAG {
-	field := ix.Schema().PredicateField
-	lists := make([]*postings.List, len(frequentTerms))
-	for i, m := range frequentTerms {
-		lists[i] = ix.Postings(field, m)
+// predicate terms: edge weight = document co-occurrence count, with
+// sub-threshold edges removed ("edges whose weights are less than T_C
+// can be removed from the graph, because cliques containing such edges do
+// not have high supports"). Every weight comes from one pass over the
+// table's rows: each document bumps a flat n×n counter once per pair of
+// frequent terms it carries, so the pass costs O(Σ_d f_d²) for f_d
+// frequent terms in document d, not one list intersection per pair. A
+// term with no column in the table has no documents, hence no edges.
+func BuildKAG(tbl *widetable.Table, frequentTerms []string, tc int64) *graph.KAG {
+	n := len(frequentTerms)
+	vertex, _ := columnIndex(tbl, frequentTerms)
+	cooc := make([]int64, n*n) // cooc[u*n+v], u < v
+	var vs []int32
+	for d := 0; d < tbl.NumDocs(); d++ {
+		vs = vs[:0]
+		for _, c := range tbl.Row(d) {
+			if v := vertex[c]; v >= 0 {
+				vs = append(vs, v)
+			}
+		}
+		for a, u := range vs {
+			for _, v := range vs[a+1:] {
+				if u < v {
+					cooc[int(u)*n+int(v)]++
+				} else {
+					cooc[int(v)*n+int(u)]++
+				}
+			}
+		}
 	}
-	return graph.Build(frequentTerms, func(i, j int) int64 {
-		return postings.IntersectionSize([]*postings.List{lists[i], lists[j]}, nil)
-	}, tc)
+	return graph.Build(frequentTerms, func(i, j int) int64 { return cooc[i*n+j] }, tc)
 }
 
 // supportOracle returns a SupportFunc that computes exact combination
@@ -49,7 +66,7 @@ func supportOracle(ix *index.Index) graph.SupportFunc {
 func GraphDecompositionBased(ix *index.Index, tbl *widetable.Table, frequentTerms []string, cfg Config) Result {
 	var res Result
 	res.Stats.FrequentTerms = len(frequentTerms)
-	kag := BuildKAG(ix, frequentTerms, cfg.TC)
+	kag := BuildKAG(tbl, frequentTerms, cfg.TC)
 	sz := newSizer(tbl, cfg)
 	dec := graph.Decompose(kag,
 		func(names []string) bool { return sz.size(names) <= cfg.TV },
@@ -71,7 +88,7 @@ func Hybrid(ix *index.Index, tbl *widetable.Table, cfg Config) (Result, error) {
 	var res Result
 	res.Stats.FrequentTerms = len(frequentTerms)
 
-	kag := BuildKAG(ix, frequentTerms, cfg.TC)
+	kag := BuildKAG(tbl, frequentTerms, cfg.TC)
 	sz := newSizer(tbl, cfg)
 	dec := graph.Decompose(kag,
 		func(names []string) bool { return sz.size(names) <= cfg.TV },

@@ -143,8 +143,9 @@ func Materialize(t *widetable.Table, k []string, trackedWords []string) (*View, 
 	var touched []uint32
 	for j, w := range v.tracked {
 		touched = touched[:0]
-		for docID, tf := range t.TFColumn(w) {
-			if tf > 0 {
+		docs, tfs := t.TFColumn(w)
+		for i, docID := range docs {
+			if tf := tfs[i]; tf > 0 {
 				r := docRow[docID]
 				if df[r] == 0 {
 					touched = append(touched, r)

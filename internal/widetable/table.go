@@ -31,9 +31,16 @@ type Table struct {
 	rows [][]ColID
 	// lens[d] is the parameter column len(d).
 	lens []int64
-	// tf holds the tf(d, w) parameter columns for tracked words:
-	// tf[w][d] (sparse per word).
-	tf map[string]map[uint32]int64
+	// tf holds the tf(d, w) parameter columns of the tracked words, one
+	// sparse column per word.
+	tf map[string]tfColumn
+}
+
+// tfColumn is one word's sparse tf parameter column: the documents
+// containing the word, ascending, and tf(d, w) of each.
+type tfColumn struct {
+	docs []uint32
+	tfs  []int64
 }
 
 // FromIndex builds the table from an index: keyword columns are the
@@ -49,7 +56,7 @@ func FromIndex(ix *index.Index, trackedWords []string) *Table {
 		colID:   make(map[string]ColID, len(keywords)),
 		rows:    make([][]ColID, ix.NumDocs()),
 		lens:    make([]int64, ix.NumDocs()),
-		tf:      make(map[string]map[uint32]int64, len(trackedWords)),
+		tf:      make(map[string]tfColumn, len(trackedWords)),
 	}
 	for i, k := range keywords {
 		t.colID[k] = ColID(i)
@@ -70,17 +77,23 @@ func FromIndex(ix *index.Index, trackedWords []string) *Table {
 		if l == nil {
 			continue
 		}
-		m := make(map[uint32]int64, l.Len())
+		// Posting order is ascending docID, so the column comes out sorted.
+		c := tfColumn{docs: make([]uint32, 0, l.Len()), tfs: make([]int64, 0, l.Len())}
 		l.ForEach(func(docID, tf uint32) {
-			m[docID] = int64(tf)
+			c.docs = append(c.docs, docID)
+			c.tfs = append(c.tfs, int64(tf))
 		})
-		t.tf[w] = m
+		t.tf[w] = c
 	}
 	return t
 }
 
 // NumDocs returns the number of rows.
 func (t *Table) NumDocs() int { return t.numDocs }
+
+// NumColumns returns the number of keyword columns; ColIDs run from 0 to
+// NumColumns()-1.
+func (t *Table) NumColumns() int { return len(t.cols) }
 
 // ColumnID resolves a keyword column name.
 func (t *Table) ColumnID(name string) (ColID, bool) {
@@ -144,11 +157,15 @@ func (t *Table) Tracked(w string) bool {
 	return ok
 }
 
-// TFColumn returns w's sparse tf parameter column (docID → tf), or nil if
-// untracked. The returned map is shared and must not be modified; it lets
-// view materialization iterate only the documents containing w instead of
-// probing every document.
-func (t *Table) TFColumn(w string) map[uint32]int64 { return t.tf[w] }
+// TFColumn returns w's sparse tf parameter column: the documents
+// containing w in ascending order, and tf(d, w) of each at the same
+// position. Both are nil if w is untracked. The returned slices are
+// shared and must not be modified; they let view materialization walk
+// only the documents containing w instead of probing every document.
+func (t *Table) TFColumn(w string) (docs []uint32, tfs []int64) {
+	c := t.tf[w]
+	return c.docs, c.tfs
+}
 
 // resolve maps predicate names to column IDs, failing on unknown columns.
 func (t *Table) resolve(pred []string) ([]ColID, error) {
@@ -216,7 +233,7 @@ func (t *Table) DF(w string, pred []string) (int64, error) {
 		return 0, fmt.Errorf("widetable: word %q has no tf column", w)
 	}
 	var n int64
-	for d := range col {
+	for _, d := range col.docs {
 		if t.matches(int(d), ids) {
 			n++
 		}
@@ -236,9 +253,9 @@ func (t *Table) TC(w string, pred []string) (int64, error) {
 		return 0, fmt.Errorf("widetable: word %q has no tf column", w)
 	}
 	var sum int64
-	for d, tf := range col {
+	for i, d := range col.docs {
 		if t.matches(int(d), ids) {
-			sum += tf
+			sum += col.tfs[i]
 		}
 	}
 	return sum, nil

@@ -3,6 +3,7 @@ package widetable
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"csrank/internal/analysis"
@@ -82,14 +83,59 @@ func TestTableParameters(t *testing.T) {
 	if tbl.Len(0) != 3 {
 		t.Errorf("Len(0) = %d", tbl.Len(0))
 	}
-	if tbl.tf["w1"][0] != 2 {
-		t.Errorf("TF(w1,0) = %d", tbl.tf["w1"][0])
+	tf := func(w string, d uint32) int64 {
+		c := tbl.tf[w]
+		if i, ok := slices.BinarySearch(c.docs, d); ok {
+			return c.tfs[i]
+		}
+		return 0
 	}
-	if tbl.tf["w3"][2] != 3 {
-		t.Errorf("TF(w3,2) = %d", tbl.tf["w3"][2])
+	if got := tf("w1", 0); got != 2 {
+		t.Errorf("TF(w1,0) = %d", got)
 	}
-	if tbl.tf["w1"][1] != 0 {
-		t.Errorf("TF(w1,1) = %d", tbl.tf["w1"][1])
+	if got := tf("w3", 2); got != 3 {
+		t.Errorf("TF(w3,2) = %d", got)
+	}
+	if got := tf("w1", 1); got != 0 {
+		t.Errorf("TF(w1,1) = %d", got)
+	}
+}
+
+// TestTFColumnsArePostingLists checks that every tf column lists its
+// word's documents in ascending order, each with its posting's tf: the
+// order view materialization and the aggregations walk.
+func TestTFColumnsArePostingLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	words := []string{"w1", "w2", "w3", "w4"}
+	docs := make([]index.Document, 500)
+	for i := range docs {
+		content := "filler"
+		for _, w := range words {
+			for k := rng.Intn(3); k > 0; k-- {
+				content += " " + w
+			}
+		}
+		docs[i] = doc(content, "m1")
+	}
+	ix := buildIndex(t, docs)
+	tbl := FromIndex(ix, words)
+	for _, w := range words {
+		var wantDocs []uint32
+		var wantTFs []int64
+		ix.Postings("content", w).ForEach(func(docID, tf uint32) {
+			wantDocs = append(wantDocs, docID)
+			wantTFs = append(wantTFs, int64(tf))
+		})
+		gotDocs, gotTFs := tbl.TFColumn(w)
+		if !slices.IsSorted(gotDocs) {
+			t.Errorf("%s: column docs not ascending", w)
+		}
+		if !slices.Equal(gotDocs, wantDocs) || !slices.Equal(gotTFs, wantTFs) {
+			t.Errorf("%s: column (%d docs) differs from its posting list (%d postings)", w, len(gotDocs), len(wantDocs))
+		}
+	}
+	if docs, tfs := tbl.TFColumn("untracked"); docs != nil || tfs != nil {
+		t.Error("untracked word has a column")
 	}
 }
 
