@@ -296,26 +296,6 @@ func BenchmarkScorerComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkViewMaintenance measures incremental Apply/Remove throughput
-// across the whole catalog — the per-document ingestion cost.
-func BenchmarkViewMaintenance(b *testing.B) {
-	s := getBenchSetup(b)
-	terms := selection.FrequentPredicateTerms(s.Index, s.Scale.TC())
-	if len(terms) < 3 {
-		b.Skip("too few frequent terms")
-	}
-	u := views.DocUpdate{
-		Predicates: terms[:3],
-		Len:        120,
-		TF:         map[string]int64{"disease": 2, "organ": 1},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Catalog.Apply(u)
-		s.Catalog.Remove(u)
-	}
-}
-
 // BenchmarkConcurrentThroughput measures multi-goroutine query throughput
 // over the mixed large-context workload (the engine is safe for
 // concurrent use).

@@ -35,15 +35,7 @@ var layouts = []struct {
 func buildData(t *testing.T, shards int) string {
 	t.Helper()
 	dir := t.TempDir()
-	cfg := corpus.DefaultConfig()
-	cfg.NumDocs = 2000
-	cfg.OntologyTerms = 100
-	cfg.NumTopics = 0
-	c, err := corpus.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, globals, err := shard.Split(c.IndexDocuments(), max(shards, 1))
+	parts, globals, err := shard.Split(testDocs(t), max(shards, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +68,20 @@ func buildData(t *testing.T, shards int) string {
 		t.Fatal(err)
 	}
 	return dir
+}
+
+// testDocs generates the 2 000-document collection buildData splits.
+func testDocs(t *testing.T) []index.Document {
+	t.Helper()
+	cfg := corpus.DefaultConfig()
+	cfg.NumDocs = 2000
+	cfg.OntologyTerms = 100
+	cfg.NumTopics = 0
+	c, err := corpus.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.IndexDocuments()
 }
 
 // ranked keeps the ranked-hit lines of cssearch output.
@@ -164,8 +170,8 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestVerify covers both halves of the -verify contract: a fresh build
-// audits clean in every layout, and a views.gob that counts one document
-// the index does not hold fails the audit.
+// audits clean in every layout, and a views.gob that misses one document
+// the index holds fails the audit.
 func TestVerify(t *testing.T) {
 	for _, l := range layouts {
 		var out bytes.Buffer
@@ -177,15 +183,18 @@ func TestVerify(t *testing.T) {
 		}
 	}
 
-	// Fold a never-indexed document into the persisted catalog.
+	// Replace the persisted catalog with one selected, as buildData
+	// selects, over the collection less its first document.
 	dir := buildData(t, 1)
-	path := filepath.Join(shard.ShardDir(dir, 0), "views.gob")
-	cat, err := views.LoadFile(path)
+	ix, err := index.BuildFrom(corpus.Schema(), 0, testDocs(t)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat.Apply(views.DocUpdate{Predicates: []string{"anatomy"}, Len: 42})
-	if err := cat.SaveFile(path); err != nil {
+	m, err := selection.Select(ix, selection.Config{TC: 2000 / 50, TV: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Catalog.SaveFile(filepath.Join(shard.ShardDir(dir, 0), "views.gob")); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
@@ -435,7 +444,7 @@ func TestLoggedDocsNoted(t *testing.T) {
 	}
 }
 
-// TestQuarantinedViewRanksStraightforward: one flipped byte in the df
+// TestQuarantinedViewRanksStraightforward: one flipped byte in the count
 // column of shard 0's first view leaves its views.gob opening, but the
 // first query that would use the view quarantines it — the query ranks
 // exactly as the straightforward plan does — and -verify fails.
@@ -450,7 +459,6 @@ func TestQuarantinedViewRanksStraightforward(t *testing.T) {
 	// of its K matches it.
 	v := cat.Match(nil)
 	q := v.TrackedWords()[0] + " | " + v.K()[0]
-	dfAt := v.Size() * 16 // its slab opens with count and length, then word 0's df
 	cat.Close()
 	var before bytes.Buffer
 	if err := run(dir, q, 10, "context", "pivoted-tfidf", 0, false, &before); err != nil {
@@ -469,7 +477,7 @@ func TestQuarantinedViewRanksStraightforward(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols, _ := pf.Section("cols")
-	cols[dfAt] ^= 1 // the section aliases data
+	cols[0] ^= 1 // the section aliases data; the first slab opens with the count column
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -486,6 +494,6 @@ func TestQuarantinedViewRanksStraightforward(t *testing.T) {
 	var out bytes.Buffer
 	err = verifyData(dir, &out)
 	if err == nil || !strings.Contains(err.Error(), "shard 0: quarantined") || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("-verify over a corrupt df column: %v\n%s", err, out.String())
+		t.Fatalf("-verify over a corrupt count column: %v\n%s", err, out.String())
 	}
 }

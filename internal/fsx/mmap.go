@@ -68,17 +68,22 @@ func Int32s(b []byte) []int32 {
 	return alias(b, func(p []byte) int32 { return int32(binary.LittleEndian.Uint32(p)) })
 }
 
+// Uint16s is Int32s for uint16s, zero-copy when b is 2-aligned.
+func Uint16s(b []byte) []uint16 {
+	return alias(b, func(p []byte) uint16 { return binary.LittleEndian.Uint16(p) })
+}
+
 // Uint32s is Int32s for uint32s.
 func Uint32s(b []byte) []uint32 {
 	return alias(b, func(p []byte) uint32 { return binary.LittleEndian.Uint32(p) })
 }
 
-// Int64s is Int32s for int64s, zero-copy when b is 8-aligned.
-func Int64s(b []byte) []int64 {
-	return alias(b, func(p []byte) int64 { return int64(binary.LittleEndian.Uint64(p)) })
+// Uint64s is Int32s for uint64s, zero-copy when b is 8-aligned.
+func Uint64s(b []byte) []uint64 {
+	return alias(b, func(p []byte) uint64 { return binary.LittleEndian.Uint64(p) })
 }
 
-func alias[T int32 | uint32 | int64](b []byte, decode func([]byte) T) []T {
+func alias[T uint16 | int32 | uint32 | uint64](b []byte, decode func([]byte) T) []T {
 	size := int(unsafe.Sizeof(T(0)))
 	n := len(b) / size
 	if n == 0 {

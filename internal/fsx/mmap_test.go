@@ -89,13 +89,18 @@ func TestAliasUnalignedCopies(t *testing.T) {
 	for _, off := range []int{0, 1} {
 		b := buf[off : off+8*4]
 		aligned := uintptr(unsafe.Pointer(&b[0]))%8 == 0
-		i64, u32, i32 := Int64s(b), Uint32s(b), Int32s(b)
-		if len(i64) != 4 || len(u32) != 8 || len(i32) != 8 {
-			t.Fatalf("offset %d: lengths %d %d %d", off, len(i64), len(u32), len(i32))
+		u64, u32, i32, u16 := Uint64s(b), Uint32s(b), Int32s(b), Uint16s(b)
+		if len(u64) != 4 || len(u32) != 8 || len(i32) != 8 || len(u16) != 16 {
+			t.Fatalf("offset %d: lengths %d %d %d %d", off, len(u64), len(u32), len(i32), len(u16))
 		}
-		for i := range i64 {
-			if want := int64(binary.LittleEndian.Uint64(b[i*8:])); i64[i] != want {
-				t.Fatalf("offset %d: int64 %d = %d, want %d", off, i, i64[i], want)
+		for i := range u64 {
+			if want := binary.LittleEndian.Uint64(b[i*8:]); u64[i] != want {
+				t.Fatalf("offset %d: uint64 %d = %d, want %d", off, i, u64[i], want)
+			}
+		}
+		for i := range u16 {
+			if want := binary.LittleEndian.Uint16(b[i*2:]); u16[i] != want {
+				t.Fatalf("offset %d: uint16 %d = %d, want %d", off, i, u16[i], want)
 			}
 		}
 		for i := range u32 {
@@ -103,11 +108,11 @@ func TestAliasUnalignedCopies(t *testing.T) {
 				t.Fatalf("offset %d: 32-bit value %d = %d/%d, want %d", off, i, u32[i], i32[i], want)
 			}
 		}
-		if shared := &i64[0] == (*int64)(unsafe.Pointer(&b[0])); shared != (aligned && nativeLittleEndian) {
+		if shared := &u64[0] == (*uint64)(unsafe.Pointer(&b[0])); shared != (aligned && nativeLittleEndian) {
 			t.Fatalf("offset %d: aliases the bytes %v, aligned %v", off, shared, aligned)
 		}
 	}
-	if got := Int64s(buf[:7]); got == nil || len(got) != 0 {
+	if got := Uint64s(buf[:7]); got == nil || len(got) != 0 {
 		t.Fatalf("a slab shorter than one value gives %v", got)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // which usable view (if any) should compute the statistics of context P?
 // Per §6.3, when several views are usable the one with minimal size wins,
 // since answering cost is proportional to ViewSize. A catalog opened
-// from a format-v3 file reads its views' columns from a mapping of the
-// file until Close.
+// from a paged file reads its views' columns from a mapping of the file
+// until Close.
 type Catalog struct {
 	views []*View
 	// exact indexes views by the signature of their keyword set K,
@@ -32,16 +32,14 @@ type Catalog struct {
 	// the same answer. Views in strictly earlier bands cannot be usable
 	// for the exact view's K: all views are materialized over one data
 	// snapshot at construction, so ViewSize monotonicity held when the
-	// order was fixed. (Usable itself depends only on the immutable K
-	// sets, so later incremental maintenance never changes any Match
-	// answer — it only drifts sizes, which both paths ignore.)
+	// order was fixed.
 	bandStart []int
 	// ContextThreshold is T_C: contexts at least this large are covered.
 	ContextThreshold int64
 	// ViewSizeLimit is T_V: the maximum non-empty tuple count per view.
 	ViewSizeLimit int
-	// m is the mapping a catalog opened from a format-v3 file serves
-	// from; Close releases it.
+	// m is the mapping a catalog opened from a paged file serves from;
+	// Close releases it.
 	m *fsx.Mapping
 }
 

@@ -10,7 +10,7 @@ import (
 // groups (Match consults only K and Size, so no rows are needed).
 func fakeView(k []string, size int) *View {
 	v := newView(k, nil)
-	v.live = size
+	v.rows = size
 	return v
 }
 

@@ -14,8 +14,8 @@ import (
 // group table per view, and version 1, one df and one tc map per group,
 // each in the framed snapshot container, or version 1 as a bare gob
 // stream from before the frame existed. They are durable state, so
-// decodeLegacy keeps reading them onto the heap; nothing writes them
-// any more.
+// decodeLegacy keeps reading them, packing each view onto the heap as
+// Materialize does; nothing writes them any more.
 
 // decodeLegacy reads a catalog from a framed snapshot of payload
 // version 1 or 2, verifying all checksums, or from a raw version-1 gob
@@ -41,7 +41,7 @@ func decodeLegacy(r io.Reader) (*Catalog, error) {
 	case 2:
 		c, err = decodeV2(sr)
 	default:
-		err = fmt.Errorf("views: framed catalog format version %d not supported (this build reads 1 and 2 framed, %d paged)", hdr.PayloadVersion, CatalogFormatVersion)
+		err = fmt.Errorf("views: framed catalog format version %d not supported (this build reads 1 and 2 framed, 3 and %d paged)", hdr.PayloadVersion, CatalogFormatVersion)
 	}
 	if err != nil {
 		return nil, err
@@ -53,7 +53,7 @@ func decodeLegacy(r io.Reader) (*Catalog, error) {
 }
 
 // catalogV2 is the version-2 payload: per view, the columns of the group
-// table as the view holds them.
+// table.
 type catalogV2 struct {
 	ContextThreshold int64
 	ViewSizeLimit    int
@@ -64,7 +64,7 @@ type tableV2 struct {
 	K, Tracked []string
 	Pat        []byte    // the groups' patterns, ⌈|K|/8⌉ bytes each
 	Count, Len []int64   // one per group
-	Cols       []wordCol // one per tracked word
+	Cols       []entries // one per tracked word
 }
 
 // decodeV2 deserializes a version-2 payload, validating the shape and
@@ -74,6 +74,10 @@ func decodeV2(r io.Reader) (*Catalog, error) {
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("views: decode: %w", err)
 	}
+	return p.catalog()
+}
+
+func (p catalogV2) catalog() (*Catalog, error) {
 	vs := make([]*View, len(p.Views))
 	for i, t := range p.Views {
 		v, err := t.view()
@@ -95,8 +99,12 @@ func (t tableV2) view() (*View, error) {
 		return nil, corruptf("%d counts, %d lengths, %d pattern bytes for |K| = %d, %d columns for %d words",
 			rows, len(t.Len), len(t.Pat), len(v.k), len(t.Cols), len(v.cols))
 	}
-	v.pat, v.count, v.length, v.cols, v.live = t.Pat, t.Count, t.Len, t.Cols, rows
-	v.index()
+	for j, c := range t.Cols {
+		if len(c.DF) != len(c.Rows) || len(c.TC) != len(c.Rows) {
+			return nil, corruptf("column %q has %d rows, %d df, %d tc", v.tracked[j], len(c.Rows), len(c.DF), len(c.TC))
+		}
+	}
+	v.pack(&table{pat: t.Pat, count: t.Count, length: t.Len, cols: t.Cols})
 	return v, v.validate()
 }
 
@@ -108,23 +116,6 @@ func decodedView(k, tracked []string) (*View, error) {
 		return nil, corruptf("keywords or tracked words not sorted and distinct")
 	}
 	return v, nil
-}
-
-// appendRow adds a version-1 group's pattern as the next row. A pattern
-// of the wrong width, with bits set past |K|, or already held by an
-// earlier row is corrupt: Apply and Remove could never find such a row
-// again.
-func (v *View) appendRow(pat []byte) error {
-	if len(pat) != v.pw {
-		return corruptf("group pattern %x is %d bytes, |K| = %d needs %d", pat, len(pat), len(v.k), v.pw)
-	}
-	if err := v.checkPattern(pat); err != nil {
-		return err
-	}
-	if next := len(v.count); v.rowFor(pat) != next {
-		return corruptf("group pattern %x appears twice", pat)
-	}
-	return nil
 }
 
 // The version-1 payload: one gob value holding, per group, its pattern
@@ -150,42 +141,34 @@ type persistentCatalog struct {
 	Views            []persistentView
 }
 
-// decodeV1 converts a version-1 gob stream into group tables through the
-// row builder Apply uses, validating as it goes.
+// decodeV1 converts a version-1 gob stream into version-2 tables, which
+// decode as version 2 does.
 func decodeV1(r io.Reader) (*Catalog, error) {
 	var p persistentCatalog
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return nil, fmt.Errorf("views: decode: %w", err)
 	}
-	vs := make([]*View, len(p.Views))
+	c := catalogV2{ContextThreshold: p.ContextThreshold, ViewSizeLimit: p.ViewSizeLimit, Views: make([]tableV2, len(p.Views))}
 	for i, pv := range p.Views {
-		v, err := pv.view()
-		if err != nil {
-			return nil, fmt.Errorf("views: decode: view %d: %w", i, err)
-		}
-		vs[i] = v
-	}
-	return NewCatalog(vs, p.ContextThreshold, p.ViewSizeLimit), nil
-}
-
-func (pv persistentView) view() (*View, error) {
-	v, err := decodedView(pv.K, pv.Tracked)
-	if err != nil {
-		return nil, err
-	}
-	for r, g := range pv.Groups {
-		if err := v.appendRow([]byte(g.Key)); err != nil {
-			return nil, err
-		}
-		v.bump(r, g.Count, g.Len)
-		// Groups arrive in row order, so each column grows at its end.
-		for w, df := range g.DF {
-			j, ok := v.wordID[w]
-			if !ok {
-				return nil, corruptf("group %x counts untracked word %q", g.Key, w)
+		t := &c.Views[i]
+		*t = tableV2{K: pv.K, Tracked: pv.Tracked, Cols: make([]entries, len(pv.Tracked))}
+		pw := (len(pv.K) + 7) / 8
+		// Groups arrive in row order, so each word's entries do too.
+		for r, g := range pv.Groups {
+			if len(g.Key) != pw {
+				return nil, corruptf("view %d: group pattern %x is %d bytes, |K| = %d needs %d", i, g.Key, len(g.Key), len(pv.K), pw)
 			}
-			v.cols[j].add(uint32(r), df, g.TC[w])
+			t.Pat = append(t.Pat, g.Key...)
+			t.Count, t.Len = append(t.Count, g.Count), append(t.Len, g.Len)
+			for w, df := range g.DF {
+				j, ok := slices.BinarySearch(pv.Tracked, w)
+				if !ok {
+					return nil, corruptf("view %d: group %x counts untracked word %q", i, g.Key, w)
+				}
+				col := &t.Cols[j]
+				col.Rows, col.DF, col.TC = append(col.Rows, uint32(r)), append(col.DF, df), append(col.TC, g.TC[w])
+			}
 		}
 	}
-	return v, v.checkAggregates()
+	return c.catalog()
 }

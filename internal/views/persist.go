@@ -8,17 +8,20 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"math/bits"
+	"unsafe"
 
 	"csrank/internal/fsx"
 	"csrank/internal/snapshot"
 )
 
-// Catalog format v3: a paged container (snapshot.PagedMagic) whose
-// group tables are read in place from a memory mapping. Opening a v3
-// file decodes only the directory and builds each view's keyword and
-// word lookups, membership bitsets and pattern order; count, length and
-// every word column alias the file. A view's columns are checksummed
-// and validated on its first use (View.verified), not at open.
+// Catalog format v4: a paged container (snapshot.PagedMagic) whose
+// group tables are read in place from a memory mapping. Opening a file
+// decodes only the directory and builds each view's keyword and word
+// lookups, membership bitsets and pattern order; every column aliases
+// the file. A view's columns are checksummed and validated on its first
+// use (View.verified), not at open.
 //
 // Sections (page-aligned, CRC32-C checksummed by the container):
 //
@@ -28,14 +31,26 @@ import (
 //	"dir"   T_C i64 | T_V i64 | views u32, then per view:
 //	        |K| u32 | K as (len u32 | bytes) | tracked u32 | tracked as
 //	        (len u32 | bytes) | rows u32 | slab offset u64 | slab CRC u32 |
+//	        widths of count, length, DF, TC and row ids u8 ×5 |
 //	        one entry count u32 per tracked word   (verified at open)
 //
-// A slab holds, raw little-endian, count [rows]i64, length [rows]i64,
-// then per tracked word its DF [n]i64 and TC [n]i64, then per tracked
-// word its Rows [n]u32, zero-padded to 8 bytes, then the packed
-// patterns [rows·⌈|K|/8⌉]byte, zero-padded to 8 bytes. Every column's
-// offset follows from rows, |K| and the entry counts.
-const CatalogFormatVersion = 3
+// A slab holds, raw little-endian, count [rows], length [rows], then per
+// tracked word its DF [n] and TC [n], then per tracked word its row ids
+// [n], zero-padded to 8 bytes, then the packed patterns
+// [rows·⌈|K|/8⌉]byte, zero-padded to 8 bytes. Each column family has
+// one width, 1, 2, 4 or 8 bytes, the narrowest its largest value fits
+// (the row ids' is the narrowest that fits rows−1), and each column
+// starts at a multiple of its own width, zero-padded up to it. Every
+// column's offset follows from rows, |K|, the widths and the entry
+// counts (View.layout).
+//
+// Format v3 is the same container and slab with every width fixed —
+// count, length, DF and TC 8 bytes, row ids 4 — and no widths in "dir".
+// It is still read; only v4 is written.
+const CatalogFormatVersion = 4
+
+// v3Widths are the column widths of every catalog format v3 slab.
+var v3Widths = widths{count: 8, length: 8, df: 8, tc: 8, row: 4}
 
 const (
 	sectionCols = "cols"
@@ -45,8 +60,8 @@ const (
 // ErrCorrupt marks a catalog payload that parses but cannot describe a
 // view — a pattern of the wrong width, a row reference past the table, an
 // aggregate no group-by over real documents produces. Loading fails with
-// it (a format-v3 view fails its first-use check with it) rather than
-// handing queries a table they would index out of range.
+// it (a view read from a paged file fails its first-use check with it)
+// rather than handing queries a table they would index out of range.
 var ErrCorrupt = errors.New("views: corrupt catalog")
 
 func corruptf(format string, args ...any) error {
@@ -55,7 +70,7 @@ func corruptf(format string, args ...any) error {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// SaveFile writes the catalog to path in format v3 with an atomic
+// SaveFile writes the catalog to path in format v4 with an atomic
 // write-to-temp + fsync + rename protocol: a crash at any instant leaves
 // either the previous file or the complete new one. Quarantined views
 // are not written.
@@ -75,9 +90,9 @@ func (c *Catalog) SaveFileFS(fs fsx.FS, path string) error {
 	})
 }
 
-// LoadFile opens a catalog file: format v3 from a memory mapping the
-// catalog holds until Close, and the framed v2 and v1 or raw v1 files
-// older builds wrote decoded onto the heap.
+// LoadFile opens a catalog file: format v4 or v3 from a memory mapping
+// the catalog holds until Close, and the framed v2 and v1 or raw v1
+// files older builds wrote decoded onto the heap.
 func LoadFile(path string) (*Catalog, error) {
 	return LoadFileFS(fsx.OS, path)
 }
@@ -101,7 +116,7 @@ func LoadFileFS(fs fsx.FS, path string) (*Catalog, error) {
 	return c, nil
 }
 
-// Close releases the mapping a format-v3 catalog serves from; no view
+// Close releases the mapping a paged catalog serves from; no view
 // of the catalog may be read afterwards. It is a no-op for a catalog on
 // the heap, and safe to call more than once.
 func (c *Catalog) Close() error {
@@ -111,9 +126,10 @@ func (c *Catalog) Close() error {
 	return c.m.Close()
 }
 
-// writePaged writes the catalog's serving views as format v3: the slabs
+// writePaged writes the catalog's serving views as format v4: the slabs
 // go into "cols" while the directory that locates them accumulates,
-// then the directory follows.
+// then the directory follows. A slab is written as the view holds it, at
+// its widths (a view read from a format-v3 file keeps v3's).
 func (c *Catalog) writePaged(w io.Writer) error {
 	pw, err := snapshot.NewPagedWriter(w, snapshot.KindViews, CatalogFormatVersion, 0)
 	if err != nil {
@@ -128,19 +144,19 @@ func (c *Catalog) writePaged(w io.Writer) error {
 	dir = binary.LittleEndian.AppendUint32(dir, uint32(len(vs)))
 	var off uint64
 	for _, v := range vs {
-		slab, rows := v.encodeSlab()
-		if _, err := pw.Write(slab); err != nil {
+		if _, err := pw.Write(v.slab); err != nil {
 			return err
 		}
 		dir = appendNames(dir, v.k)
 		dir = appendNames(dir, v.tracked)
-		dir = binary.LittleEndian.AppendUint32(dir, uint32(rows))
+		dir = binary.LittleEndian.AppendUint32(dir, uint32(v.rows))
 		dir = binary.LittleEndian.AppendUint64(dir, off)
-		dir = binary.LittleEndian.AppendUint32(dir, crc32.Checksum(slab, castagnoli))
-		for j := range v.cols {
-			dir = binary.LittleEndian.AppendUint32(dir, uint32(len(v.cols[j].Rows)))
+		dir = binary.LittleEndian.AppendUint32(dir, crc32.Checksum(v.slab, castagnoli))
+		dir = append(dir, byte(v.w.count), byte(v.w.length), byte(v.w.df), byte(v.w.tc), byte(v.w.row))
+		for _, c := range v.cols {
+			dir = binary.LittleEndian.AppendUint32(dir, uint32(c.n))
 		}
-		off += uint64(len(slab))
+		off += uint64(len(v.slab))
 	}
 	if err := pw.Begin(sectionDir, 0); err != nil {
 		return err
@@ -160,73 +176,135 @@ func appendNames(b []byte, names []string) []byte {
 	return b
 }
 
-// encodeSlab lays out the view's slab without the rows Remove emptied
-// and returns it with the row count. The remaining rows keep their
-// relative order under the renumbering, so the word columns stay
-// ascending.
-func (v *View) encodeSlab() (slab []byte, rows int) {
-	renumber := make([]uint32, len(v.count))
-	var count, length []int64
-	var pat []byte
-	for r, n := range v.count {
-		if n > 0 {
-			renumber[r] = uint32(len(count))
-			count = append(count, n)
-			length = append(length, v.length[r])
-			pat = append(pat, v.pattern(r)...)
-		}
-	}
-	entries := 0
-	for j := range v.cols {
-		entries += len(v.cols[j].Rows)
-	}
-	slab = make([]byte, 0, 16*len(count)+20*entries+len(pat)+16)
-	int64s := func(xs []int64) {
-		for _, x := range xs {
-			slab = binary.LittleEndian.AppendUint64(slab, uint64(x))
-		}
-	}
-	pad8 := func() {
-		for len(slab)%8 != 0 {
-			slab = append(slab, 0)
-		}
-	}
-	int64s(count)
-	int64s(length)
-	for j := range v.cols {
-		int64s(v.cols[j].DF)
-		int64s(v.cols[j].TC)
-	}
-	for j := range v.cols {
-		for _, r := range v.cols[j].Rows {
-			slab = binary.LittleEndian.AppendUint32(slab, renumber[r])
-		}
-	}
-	pad8()
-	slab = append(slab, pat...)
-	pad8()
-	return slab, len(count)
+// table is a group table in int64 scratch, the input of View.pack: per
+// row its pattern, count and length, and per tracked word its entries.
+type table struct {
+	pat           []byte
+	count, length []int64
+	cols          []entries
 }
 
-// openPaged opens a format-v3 catalog held in data, which the views
-// alias and which must outlive them.
+// entries is one tracked word's sparse column in int64 scratch: its
+// rows, ascending, and the df and tc of each. Catalog format v2 stored
+// it as it is.
+type entries struct {
+	Rows   []uint32
+	DF, TC []int64
+}
+
+// pack lays the table out as a heap slab at the narrowest widths that
+// hold its values, points the view's columns at it and builds the
+// view's pattern index. No value is truncated: a width follows from its
+// family's largest value, and a negative one takes width 8, where
+// checkAggregates sees its sign.
+func (v *View) pack(t *table) {
+	v.rows = len(t.count)
+	v.w = widths{count: widthOf(t.count...), length: widthOf(t.length...), df: 1, tc: 1}
+	nnz, maxRow := make([]int, len(t.cols)), uint32(max(v.rows-1, 0))
+	for j, c := range t.cols {
+		nnz[j] = len(c.Rows)
+		for _, r := range c.Rows {
+			maxRow = max(maxRow, r)
+		}
+		v.w.df, v.w.tc = max(v.w.df, widthOf(c.DF...)), max(v.w.tc, widthOf(c.TC...))
+	}
+	v.w.row = widthOf(int64(maxRow))
+	patAt, size, _ := v.layout(nnz, math.MaxInt)
+	// Allocated as words, so the slab is 8-aligned like a mapped one.
+	words := make([]uint64, size/8)
+	v.slab = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), size)
+	count, length := v.countCol(), v.lengthCol()
+	for r := range v.rows {
+		count.put(r, t.count[r])
+		length.put(r, t.length[r])
+	}
+	for j, c := range t.cols {
+		rows, df, tc := v.wordCols(j)
+		for i, r := range c.Rows {
+			rows.put(i, int64(r))
+			df.put(i, c.DF[i])
+			tc.put(i, c.TC[i])
+		}
+	}
+	v.pat = v.slab[patAt : patAt+len(t.pat)]
+	copy(v.pat, t.pat)
+	v.index()
+}
+
+// widthOf returns the narrowest width, 1, 2, 4 or 8 bytes, that holds
+// every value of xs: 8 if any is negative.
+func widthOf(xs ...int64) int {
+	var m int64
+	for _, x := range xs {
+		if x < 0 {
+			return 8
+		}
+		m = max(m, x)
+	}
+	switch {
+	case m <= math.MaxUint8:
+		return 1
+	case m <= math.MaxUint16:
+		return 2
+	case m <= math.MaxUint32:
+		return 4
+	}
+	return 8
+}
+
+// layout places the columns of a slab of v.rows rows, v.pw pattern bytes
+// a row, widths v.w and nnz[j] entries in word column j, recording each
+// column's offset in v. It returns the patterns' offset and the slab's
+// size, and whether the slab fits in avail bytes. Every addend is
+// checked against avail before the next is added, so no hostile count
+// can overflow the sum.
+func (v *View) layout(nnz []int, avail int) (patAt, size int, ok bool) {
+	at, ok := 0, true
+	place := func(n, width, align int) int {
+		off := (at + align - 1) &^ (align - 1)
+		hi, lo := bits.Mul64(uint64(n), uint64(width))
+		if !ok || off > avail || hi != 0 || lo > uint64(avail-off) {
+			ok = false
+			return 0
+		}
+		at = off + int(lo)
+		return off
+	}
+	place(v.rows, v.w.count, v.w.count)
+	v.lengthAt = place(v.rows, v.w.length, v.w.length)
+	for j, n := range nnz {
+		v.cols[j].n = n
+		v.cols[j].df = place(n, v.w.df, v.w.df)
+		v.cols[j].tc = place(n, v.w.tc, v.w.tc)
+	}
+	for j, n := range nnz {
+		v.cols[j].row = place(n, v.w.row, v.w.row)
+	}
+	patAt = place(v.rows, v.pw, 8)
+	size = place(0, 0, 8)
+	return patAt, size, ok
+}
+
+// openPaged opens a format-v4 or v3 catalog held in data, which the
+// views alias and which must outlive them.
 func openPaged(data []byte) (*Catalog, error) {
 	pf, err := snapshot.OpenPaged(data)
 	if err != nil {
 		return nil, fmt.Errorf("views: %w", err)
 	}
-	if h := pf.Header(); h.Kind != snapshot.KindViews || h.PayloadVersion != CatalogFormatVersion {
-		return nil, fmt.Errorf("views: paged file holds kind %d version %d, want kind %d (views) version %d",
+	h := pf.Header()
+	if h.Kind != snapshot.KindViews || h.PayloadVersion != 3 && h.PayloadVersion != CatalogFormatVersion {
+		return nil, fmt.Errorf("views: paged file holds kind %d version %d, want kind %d (views) version 3 or %d",
 			h.Kind, h.PayloadVersion, snapshot.KindViews, CatalogFormatVersion)
 	}
 	cols, ok1 := pf.Section(sectionCols)
 	dirBytes, ok2 := pf.Section(sectionDir)
 	if !ok1 || !ok2 {
-		return nil, corruptf("format v3 file lacks its %q or %q section", sectionCols, sectionDir)
+		return nil, corruptf("paged catalog lacks its %q or %q section", sectionCols, sectionDir)
 	}
 	// One string holds every name: K and tracked words are substrings of
 	// it, so the directory costs one allocation for all of them.
-	d := &dirReader{s: string(dirBytes)}
+	d := &dirReader{s: string(dirBytes), widths: h.PayloadVersion >= 4}
 	tc, tv, n := int64(d.u64()), int64(d.u64()), d.u32()
 	var vs []*View
 	for i := 0; i < n && d.err == nil; i++ {
@@ -246,10 +324,12 @@ func openPaged(data []byte) (*Catalog, error) {
 }
 
 // dirReader consumes the "dir" section; the first short read sets err
-// and every later read returns zero.
+// and every later read returns zero. widths reports whether the entries
+// carry column widths (format v4).
 type dirReader struct {
-	s   string
-	err error
+	s      string
+	widths bool
+	err    error
 }
 
 func (d *dirReader) take(n int) string {
@@ -296,6 +376,12 @@ func (d *dirReader) names() []string {
 func (d *dirReader) view(cols []byte) (*View, error) {
 	k, tracked := d.names(), d.names()
 	rows, off, crc := d.u32(), d.u64(), uint32(d.u32())
+	w := v3Widths
+	if d.widths {
+		if b := d.take(5); b != "" {
+			w = widths{count: int(b[0]), length: int(b[1]), df: int(b[2]), tc: int(b[3]), row: int(b[4])}
+		}
+	}
 	nnz := make([]int, len(tracked))
 	for j := range nnz {
 		nnz[j] = d.u32()
@@ -307,80 +393,48 @@ func (d *dirReader) view(cols []byte) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, x := range []int{w.count, w.length, w.df, w.tc, w.row} {
+		if x != 1 && x != 2 && x != 4 && x != 8 {
+			return nil, corruptf("column width %d is not 1, 2, 4 or 8 bytes", x)
+		}
+	}
+	if w.row < 8 && rows > 1<<(8*w.row) {
+		return nil, corruptf("%d-byte row ids cannot number %d rows", w.row, rows)
+	}
 	for _, n := range nnz {
 		if n > rows {
 			return nil, corruptf("column has %d entries for %d rows", n, rows)
 		}
 	}
-	size, ok := slabSize(rows, v.pw, nnz, uint64(len(cols))-min(off, uint64(len(cols))))
+	v.rows, v.w = rows, w
+	patAt, size, ok := v.layout(nnz, len(cols)-int(min(off, uint64(len(cols)))))
 	if !ok || off%8 != 0 || off > uint64(len(cols)) {
 		return nil, corruptf("slab at %d is not 8-aligned or does not fit the %d-byte column section", off, len(cols))
 	}
-	slab := cols[off : off+size : off+size]
-	at := 0
-	next := func(n int) []byte {
-		b := slab[at : at+n : at+n]
-		at += n
-		return b
-	}
-	v.count, v.length = fsx.Int64s(next(rows*8)), fsx.Int64s(next(rows*8))
-	for j, n := range nnz {
-		v.cols[j].DF, v.cols[j].TC = fsx.Int64s(next(n*8)), fsx.Int64s(next(n*8))
-	}
-	for j, n := range nnz {
-		v.cols[j].Rows = fsx.Uint32s(next(n * 4))
-	}
-	at = int(align8(uint64(at)))
-	v.pat = next(rows * v.pw)
-	v.file = &fileState{slab: slab, crc: crc}
-	v.live = rows
+	v.slab = cols[off : int(off)+size : int(off)+size]
+	v.pat = v.slab[patAt : patAt+rows*v.pw]
+	v.file = &fileState{crc: crc}
 	v.index()
 	return v, nil
 }
 
-// slabSize returns the byte length of a slab of rows rows, pw pattern
-// bytes per row and nnz entries per word column, and whether it fits in
-// avail bytes. Every addend is checked against avail before the next is
-// added, so no hostile count can overflow the sum.
-func slabSize(rows, pw int, nnz []int, avail uint64) (uint64, bool) {
-	size := uint64(rows) * 16
-	for _, n := range nnz {
-		if size > avail {
-			return 0, false
-		}
-		size += uint64(n) * 20 // df, tc and the row number
-	}
-	if size > avail || pw > 0 && uint64(rows) > avail/uint64(pw) {
-		return 0, false
-	}
-	var rowBytes uint64
-	for _, n := range nnz {
-		rowBytes += uint64(n) * 4
-	}
-	size += align8(rowBytes) - rowBytes + align8(uint64(rows*pw))
-	return size, size <= avail
-}
-
-func align8(n uint64) uint64 { return (n + 7) &^ 7 }
-
-// checkSlab is a format-v3 view's first-use check: the slab's
-// checksum, then the rules validate enforces.
+// checkSlab is a file view's first-use check: the slab's checksum, then
+// the rules validate enforces.
 func (v *View) checkSlab() error {
-	if got := crc32.Checksum(v.file.slab, castagnoli); got != v.file.crc {
+	if got := crc32.Checksum(v.slab, castagnoli); got != v.file.crc {
 		return corruptf("column checksum mismatch (file corrupt): 0x%08x != 0x%08x", got, v.file.crc)
 	}
 	return v.validate()
 }
 
-// validate checks a table read from a file whose pattern index
-// (View.index) is built: no pattern sets a bit past |K| or appears twice,
-// every column's rows are ascending and inside the table, and the
-// aggregates pass checkAggregates. Apply, Remove and Answer rely on all
-// of it.
+// validate checks a table whose pattern index (View.index) is built: no
+// pattern sets a bit past |K| or appears twice, every column's rows are
+// ascending and inside the table, and the aggregates pass
+// checkAggregates. Answer relies on all of it.
 func (v *View) validate() error {
-	for r := range v.count {
-		if err := v.checkPattern(v.pattern(r)); err != nil {
-			return err
+	for r := range v.rows {
+		if used := len(v.k) % 8; used != 0 && v.pattern(r)[v.pw-1]>>used != 0 {
+			return corruptf("group pattern %x sets bits past |K| = %d", v.pattern(r), len(v.k))
 		}
 	}
 	for i := 1; i < len(v.order); i++ {
@@ -388,26 +442,18 @@ func (v *View) validate() error {
 			return corruptf("group pattern %x appears twice", p)
 		}
 	}
-	for j, c := range v.cols {
-		if len(c.DF) != len(c.Rows) || len(c.TC) != len(c.Rows) {
-			return corruptf("column %q has %d rows, %d df, %d tc", v.tracked[j], len(c.Rows), len(c.DF), len(c.TC))
-		}
-		for i, r := range c.Rows {
-			if int(r) >= len(v.count) || i > 0 && r <= c.Rows[i-1] {
-				return corruptf("column %q: row %d at entry %d is past the %d rows or not ascending", v.tracked[j], r, i, len(v.count))
+	for j := range v.cols {
+		rows, _, _ := v.wordCols(j)
+		prev := int64(-1)
+		for i := range v.cols[j].n {
+			r := rows.at(i)
+			if r <= prev || r >= int64(v.rows) {
+				return corruptf("column %q: row %d at entry %d is past the %d rows or not ascending", v.tracked[j], r, i, v.rows)
 			}
+			prev = r
 		}
 	}
 	return v.checkAggregates()
-}
-
-// checkPattern rejects a pattern with bits set past |K|: Apply and
-// Remove could never find its row again.
-func (v *View) checkPattern(pat []byte) error {
-	if used := len(v.k) % 8; used != 0 && pat[v.pw-1]>>used != 0 {
-		return corruptf("group pattern %x sets bits past |K| = %d", pat, len(v.k))
-	}
-	return nil
 }
 
 // checkAggregates validates a decoded view's aggregates: every group has
@@ -417,9 +463,10 @@ func (v *View) checkPattern(pat []byte) error {
 // wrapped value can only be corruption and would silently poison every
 // ranking that consults the view.
 func (v *View) checkAggregates() error {
-	check := func(what string, xs []int64, floor int64) error {
+	check := func(what string, c column, floor int64) error {
 		var total int64
-		for i, x := range xs {
+		for i := range len(c.b) / c.w {
+			x := c.at(i)
 			if x < floor {
 				return corruptf("%s[%d] = %d, want ≥ %d", what, i, x, floor)
 			}
@@ -429,9 +476,10 @@ func (v *View) checkAggregates() error {
 		}
 		return nil
 	}
-	err := errors.Join(check("count", v.count, 1), check("len", v.length, 0))
+	err := errors.Join(check("count", v.countCol(), 1), check("len", v.lengthCol(), 0))
 	for j, w := range v.tracked {
-		err = errors.Join(err, check("df of "+w, v.cols[j].DF, 1), check("tc of "+w, v.cols[j].TC, 0))
+		_, df, tc := v.wordCols(j)
+		err = errors.Join(err, check("df of "+w, df, 1), check("tc of "+w, tc, 0))
 	}
 	return err
 }

@@ -12,8 +12,8 @@ import (
 
 // The tests in this file hold the group table to one definition: the
 // brute-force aggregation queries of widetable.Table. Every way a view
-// comes to hold its rows — Materialize, Apply/Remove, either decoder —
-// must answer exactly what the table answers.
+// comes to hold its rows — Materialize, the paged reader, the legacy
+// decoders — must answer exactly what the table answers.
 
 var oracleSchema = index.Schema{
 	Fields: []index.FieldSpec{
@@ -134,7 +134,7 @@ func TestAnswerEqualsWideTable(t *testing.T) {
 		if want := EstimateSize(tbl, k, 0, nil); v.Size() != want {
 			t.Fatalf("|K|=%d: Size %d, exact size %d", c.nK, v.Size(), want)
 		}
-		if len(v.count)%64 == 0 {
+		if v.rows%64 == 0 {
 			wholeWords++
 		} else {
 			partialWords++
@@ -143,78 +143,6 @@ func TestAnswerEqualsWideTable(t *testing.T) {
 	}
 	if wholeWords == 0 || partialWords == 0 || emptySelections == 0 {
 		t.Fatalf("cases lost coverage: %d row counts divisible by 64, %d not, %d empty selections", wholeWords, partialWords, emptySelections)
-	}
-}
-
-// TestMaintainedViewEqualsWideTable runs random Apply/Remove schedules —
-// at |K| = 70 nearly every document is a group of its own, so removals
-// empty rows and re-applications revive them — and then holds the view to
-// the table over the surviving documents, and its fingerprint to a view
-// materialized from scratch.
-func TestMaintainedViewEqualsWideTable(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		nK := []int{3, 9, 70}[seed%3]
-		docs, mesh, words := oracleDocs(rng, 150, nK, 4, 0.3)
-		k, tracked := mesh, words[:3]
-		ups := updatesFor(oracleIndex(t, docs), tracked)
-
-		start := 40 + rng.Intn(60)
-		v, err := Materialize(widetable.FromIndex(oracleIndex(t, docs[:start]), words), k, tracked)
-		if err != nil {
-			t.Fatal(err)
-		}
-		present := make([]bool, len(docs))
-		for d := 0; d < start; d++ {
-			present[d] = true
-		}
-		emptied, revived := 0, 0
-		for step := 0; step < 600; step++ {
-			d := rng.Intn(len(docs))
-			before := v.Size()
-			if present[d] {
-				if err := v.Remove(ups[d]); err != nil {
-					t.Fatalf("seed %d step %d: %v", seed, step, err)
-				}
-				if v.Size() < before {
-					emptied++
-				}
-			} else {
-				rows := len(v.count)
-				v.Apply(ups[d])
-				if v.Size() > before && len(v.count) == rows {
-					revived++
-				}
-			}
-			present[d] = !present[d]
-		}
-		if nK == 70 && (emptied == 0 || revived == 0) {
-			t.Fatalf("seed %d: schedule emptied %d groups and revived %d, want both", seed, emptied, revived)
-		}
-
-		var kept []index.Document
-		for d, ok := range present {
-			if ok {
-				kept = append(kept, docs[d])
-			}
-		}
-		tbl := widetable.FromIndex(oracleIndex(t, kept), words)
-		checkAgainstTable(t, rng, v, tbl, k, tracked, words[3])
-		fresh, err := Materialize(tbl, k, tracked)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Size() != fresh.Size() || v.Bytes() != fresh.Bytes() {
-			t.Fatalf("seed %d: maintained Size/Bytes %d/%d, rebuilt %d/%d", seed, v.Size(), v.Bytes(), fresh.Size(), fresh.Bytes())
-		}
-		got, want := NewCatalog([]*View{v}, 1, 1), NewCatalog([]*View{fresh}, 1, 1)
-		if got.Fingerprint() != want.Fingerprint() {
-			t.Fatalf("seed %d: maintained view's fingerprint differs from the rebuilt one", seed)
-		}
-		// Emptied rows are not part of the encoding either.
-		if rt := roundTrip(t, got); rt.Fingerprint() != want.Fingerprint() || len(rt.views[0].count) != fresh.Size() {
-			t.Fatalf("seed %d: round trip kept emptied rows or lost state", seed)
-		}
 	}
 }
 

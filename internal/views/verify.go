@@ -125,19 +125,20 @@ type cell struct {
 	df, tc int64
 }
 
-// groups transposes the table into its non-empty groups, in pattern order.
+// groups transposes the table into its groups, in pattern order.
 func (v *View) groups() []group {
-	cells := make([][]cell, len(v.count))
-	for j, c := range v.cols {
-		for i, r := range c.Rows {
-			cells[r] = append(cells[r], cell{v.tracked[j], c.DF[i], c.TC[i]})
+	cells := make([][]cell, v.rows)
+	for j := range v.cols {
+		rows, df, tc := v.wordCols(j)
+		for i := range v.cols[j].n {
+			r := rows.at(i)
+			cells[r] = append(cells[r], cell{v.tracked[j], df.at(i), tc.at(i)})
 		}
 	}
-	out := make([]group, 0, v.live)
-	for _, r := range v.order {
-		if v.count[r] > 0 {
-			out = append(out, group{string(v.pattern(int(r))), v.count[r], v.length[r], cells[r]})
-		}
+	count, length := v.countCol(), v.lengthCol()
+	out := make([]group, len(v.order))
+	for i, r := range v.order {
+		out[i] = group{string(v.pattern(int(r))), count.at(int(r)), length.at(int(r)), cells[r]}
 	}
 	return out
 }

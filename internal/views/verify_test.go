@@ -6,16 +6,59 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"csrank/internal/analysis"
+	"csrank/internal/index"
 	"csrank/internal/snapshot"
 	"csrank/internal/widetable"
 )
 
+// auditIndex builds an index of n random documents over the predicate
+// terms m0…m5 and the content words w0…w2.
+func auditIndex(t *testing.T, seed int64, n int) (*index.Index, []index.Document) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	meshTerms := []string{"m0", "m1", "m2", "m3", "m4", "m5"}
+	words := []string{"w0", "w1", "w2"}
+	docs := make([]index.Document, n)
+	for i := range docs {
+		var mesh, content string
+		for _, m := range meshTerms {
+			if rng.Float64() < 0.35 {
+				mesh += m + " "
+			}
+		}
+		for _, w := range words {
+			for k := rng.Intn(3); k > 0; k-- {
+				content += w + " "
+			}
+		}
+		if content == "" {
+			content = "pad"
+		}
+		docs[i] = index.Document{Fields: map[string]string{"content": content, "mesh": mesh}}
+	}
+	schema := index.Schema{
+		Fields: []index.FieldSpec{
+			{Name: "content", Analyzer: analysis.Keyword()},
+			{Name: "mesh", Analyzer: analysis.Keyword()},
+		},
+		PredicateField: "mesh",
+		ContentField:   "content",
+	}
+	ix, err := index.BuildFrom(schema, 0, docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, docs
+}
+
 func TestVerifyCleanCatalog(t *testing.T) {
-	ix, _ := buildMaintIndex(t, 41, 300)
+	ix, _ := auditIndex(t, 41, 300)
 	words := []string{"w0", "w1"}
 	tbl := widetable.FromIndex(ix, words)
 	v1, _ := Materialize(tbl, []string{"m0", "m1", "m2"}, words)
@@ -40,16 +83,18 @@ func TestVerifyCleanCatalog(t *testing.T) {
 }
 
 func TestVerifyDetectsCorruption(t *testing.T) {
-	ix, _ := buildMaintIndex(t, 42, 300)
+	ix, _ := auditIndex(t, 42, 300)
 	words := []string{"w0", "w1"}
 	tbl := widetable.FromIndex(ix, words)
 	v, _ := Materialize(tbl, []string{"m0", "m1"}, words)
 	cat := NewCatalog([]*View{v}, 10, 1000)
 
-	// Poison one group the way a mismatched un-logged update would.
-	r := v.cols[v.wordID["w0"]].Rows[0]
-	v.count[r] += 3
-	v.cols[v.wordID["w0"]].TC[0] -= 1
+	// Poison one group's count and one word entry in the packed columns.
+	j := v.wordID["w0"]
+	rows, _, tc := v.wordCols(j)
+	r := int(rows.at(0))
+	v.countCol().put(r, v.countCol().at(r)+3)
+	tc.put(0, tc.at(0)-1)
 	drift, err := cat.Verify(ix, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -107,12 +152,12 @@ func TestCatalogFramedPersistence(t *testing.T) {
 }
 
 // TestPagedCatalogCorruptionSweep flips one bit in every byte of a small
-// format-v3 file, and cuts it at every length. Each case either fails to
+// format-v4 file, and cuts it at every length. Each case either fails to
 // open or opens with its view quarantined by the first Match that would
 // return it — the context then matches no view, and the view refuses to
 // answer — and none panics.
 func TestPagedCatalogCorruptionSweep(t *testing.T) {
-	ix, _ := buildMaintIndex(t, 43, 200)
+	ix, _ := auditIndex(t, 43, 200)
 	words := []string{"w0"}
 	v, err := Materialize(widetable.FromIndex(ix, words), []string{"m0", "m1"}, words)
 	if err != nil {
